@@ -34,11 +34,9 @@ use scc_obs::{CostClass, ObsEvent, WhatIfPoint, WhatIfProfile};
 use scc_rcce::{Barrier, MpbAllocator};
 use scc_sim::{run_spmd, FaultPlan, SimConfig, SimError, SimParams};
 
-pub mod engine_report;
 pub mod experiments;
 pub mod pool;
 pub mod runner;
-pub use engine_report::{engine_artifact, EngineSample};
 pub use experiments::{
     registry, run_experiment, run_experiment_full, run_standalone, whatif_artifact, ExpCtx,
     Experiment, Sweep, Values,

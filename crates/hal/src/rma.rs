@@ -47,7 +47,8 @@ pub enum RmaError {
     /// variants this one *is* used for flow control: reliable
     /// collectives catch it and run their recovery path.
     Timeout { core: CoreId, line: usize, deadline: Time },
-    /// Engine-specific failure (e.g. a panicked peer thread).
+    /// Engine-specific failure (e.g. a peer core panicked and the run
+    /// is being torn down).
     Engine(String),
 }
 

@@ -1,8 +1,7 @@
 //! Shared plumbing for the versioned sidecar artifacts.
 //!
 //! Every machine-readable bench artifact (`BENCH_faults.json`,
-//! `BENCH_soak.json`, `BENCH_journeys.json`, `BENCH_engine.json`,
-//! `BENCH_audit.json`, …) wears the same envelope: a `"version"` stamp
+//! `BENCH_soak.json`, `BENCH_journeys.json`, `BENCH_audit.json`, …) wears the same envelope: a `"version"` stamp
 //! checked by [`crate::validate_artifact_version`], a `"bench"` name,
 //! and usually a `"scenarios"` array. The writers and strict parsers
 //! used to hand-roll that envelope (and the non-negative-integer /

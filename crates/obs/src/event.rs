@@ -166,8 +166,8 @@ pub enum ObsEvent {
     /// `core`, parked on `line`, was woken at `at` by an op issued by
     /// `writer` completing a write into the watched line.
     Wake { core: CoreId, line: usize, at: Time, writer: CoreId },
-    /// The engine handed the baton from `from` to `to` — a real thread
-    /// switch in the baton-passing engine.
+    /// The engine handed the baton from `from` to `to`: the runnable
+    /// core changed (a coroutine switch in the simulator).
     Handoff { from: CoreId, to: CoreId, at: Time },
     /// Pure local computation on `core` over `[start, end]`.
     Compute { core: CoreId, start: Time, end: Time },

@@ -1,26 +1,25 @@
 //! The conservative sequential discrete-event engine.
 //!
-//! Each simulated core runs the user's SPMD closure on its own OS
-//! thread (leased from a process-wide pool, see [`crate::handoff`]),
-//! but exactly one simulated core is *runnable* at any instant; events
-//! are ordered by `(virtual time, sequence number)`, so runs are
-//! bit-for-bit deterministic regardless of OS scheduling.
+//! Each simulated core runs the user's SPMD closure as a stackful
+//! coroutine (see [`crate::coro`]) on the host thread that called
+//! [`run_spmd`]; exactly one simulated core is *runnable* at any
+//! instant, and events are ordered by `(virtual time, sequence
+//! number)`, so runs are bit-for-bit deterministic.
 //!
-//! ## Baton-passing: the engine runs on the cores' threads
+//! ## The event loop runs on the cores' stacks
 //!
-//! There is no scheduler thread. The engine state (chip, event heap,
-//! pending ops) lives behind one mutex — the *baton* — and the event
-//! loop is executed by whichever core thread is currently runnable:
-//! when a core issues a timed request it keeps processing events
-//! inline until either its own grant is produced (it simply returns —
-//! zero thread switches, the common case for back-to-back operations
-//! of one core) or a grant for another core comes up, in which case it
-//! deposits the grant in that core's rendezvous [`ParkCell`], wakes it
-//! (one thread switch, where the old channel-based design needed two
-//! via the scheduler thread), and parks until its own grant arrives.
-//! The mutex is never contended in steady state — only the baton
-//! holder touches it — and the strict grant→request alternation per
-//! core is what makes the event order independent of the OS.
+//! There is no scheduler. The engine state (chip, event heap, pending
+//! ops) sits in one `RefCell` and the event loop is executed by
+//! whichever core is currently runnable: when a core issues a timed
+//! request it keeps processing events inline until either its own grant
+//! is produced (it simply returns — the common case for back-to-back
+//! operations of one core) or a grant for another core comes up, in
+//! which case it deposits the grant in that core's cell and switches
+//! stacks straight to it — a *handoff*, counted in
+//! [`SimStats::handoffs`]. It resumes when some later handoff names it.
+//! The suspension point sits *below* the blocking [`Rma`] calls, so
+//! protocol code stays ordinary blocking code and runs unchanged on the
+//! thread backend (`scc-rt`).
 //!
 //! Operations are *simulated* (resources reserved, completion time
 //! computed) at issue and their memory effects applied at completion —
@@ -44,8 +43,8 @@
 //! disabled (see `SimConfig::coalesce`).
 
 use crate::chip::{Chip, SimStats};
+use crate::coro::{self, Context};
 use crate::fault::{FaultPlan, FaultState};
-use crate::handoff::{self, ParkCell, Slot};
 use crate::ops::{self, Effect, Op};
 use crate::params::SimParams;
 use crate::trace::OpTrace;
@@ -57,8 +56,8 @@ use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
-use std::panic::resume_unwind;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::rc::Rc;
 
 /// Configuration of a simulator run.
 #[derive(Clone, Debug)]
@@ -133,7 +132,7 @@ impl SimConfig {
 pub enum SimError {
     /// Every unfinished core was parked on a flag nobody can write.
     Deadlock { parked: Vec<(CoreId, usize)> },
-    /// A core thread disconnected (panicked) or the engine wedged.
+    /// A core panicked or the engine wedged.
     Engine(String),
 }
 
@@ -288,7 +287,7 @@ enum Submitted {
     Blocked,
 }
 
-/// All mutable engine state, owned by the baton mutex in [`Shared`].
+/// All mutable engine state, owned by the `RefCell` in [`Shared`].
 struct Engine {
     chip: Chip,
     coalesce: bool,
@@ -482,8 +481,8 @@ impl Engine {
     }
 
     /// Record that `core` finished. The caller must then drive
-    /// [`advance`](Self::advance) to pass the baton on (or complete the
-    /// run).
+    /// [`advance`](Self::advance) to find the next runnable core (or
+    /// complete the run).
     fn submit_finish(&mut self, core: usize) {
         self.finished[core] = true;
         self.end_times[core] = self.now;
@@ -726,39 +725,41 @@ struct RunOutput {
     stats: SimStats,
 }
 
-/// Engine state shared by all core threads of one run.
+/// State of one run, shared by its cores' coroutines and `run_spmd`.
+/// Everything is touched from one host thread; no `RefCell` borrow is
+/// ever held across a context switch.
 struct Shared {
-    engine: Mutex<Engine>,
-    /// Per-core rendezvous for grants produced while the core was not
-    /// the baton holder.
-    grants: Vec<ParkCell<Grant>>,
-    /// Signalled exactly once, when the last core finishes (or the run
-    /// aborts); closed on teardown so the waiter never hangs.
-    completion: Slot<Result<RunOutput, SimError>>,
+    engine: RefCell<Engine>,
+    /// Per-core cell for the grant a core is resumed with. A core
+    /// resumed with an empty cell is being torn down.
+    grants: Vec<Cell<Option<Grant>>>,
+    /// Where each suspended (or not yet started) core resumes.
+    cores: Vec<Cell<Context>>,
+    /// Where `run_spmd` itself resumes: when the last core finishes or
+    /// the run aborts.
+    caller: Cell<Context>,
+    /// Set exactly once, by the last core to finish or the first abort.
+    outcome: RefCell<Option<Result<RunOutput, SimError>>>,
+    /// The first panic to escape a core's closure.
+    panic: RefCell<Option<Box<dyn std::any::Any + Send>>>,
 }
 
 impl Shared {
-    fn lock_engine(&self) -> MutexGuard<'_, Engine> {
-        // A panicking core thread may poison the baton; the abort path
-        // still needs the state (to set `fatal`), so recover.
-        self.engine.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Tear the run down: flag the engine fatal, deliver `err` to the
-    /// completion waiter and unblock every parked core.
+    /// Tear the run down: flag the engine fatal, so every later request
+    /// fails, and record `err` unless an outcome is already set.
     fn abort(&self, err: SimError) {
-        self.lock_engine().fatal = true;
-        let _ = self.completion.try_put(Err(err));
-        self.completion.close();
-        for g in &self.grants {
-            g.close();
-        }
+        self.engine.borrow_mut().fatal = true;
+        self.outcome.borrow_mut().get_or_insert(Err(err));
     }
 
-    /// Deliver a grant to `core` and wake it. Failure means the run is
-    /// aborting; the waiter is then woken by `close` instead.
-    fn deposit(&self, core: usize, grant: Grant) {
-        let _ = self.grants[core].put(grant);
+    /// Make `to` the runnable core: count and record the handoff,
+    /// deposit its grant, and return the context to switch to.
+    fn hand_off(&self, eng: &mut Engine, from: CoreId, to: usize, grant: Grant) -> Context {
+        eng.chip.stats.handoffs += 1;
+        let at = eng.now;
+        eng.record(ObsEvent::Handoff { from, to: CoreId(to as u8), at });
+        self.grants[to].set(Some(grant));
+        self.cores[to].get()
     }
 }
 
@@ -772,7 +773,7 @@ pub struct SimCore {
     num_cores: usize,
     mem_bytes: usize,
     /// Cached `SimConfig::record`, so span annotations cost one local
-    /// branch (no engine lock) when recording is off.
+    /// branch (no engine borrow) when recording is off.
     recording: bool,
     now: Cell<Time>,
     parked_line: Cell<usize>,
@@ -784,40 +785,45 @@ pub struct SimCore {
     /// along in the request and comes back in the grant, so steady
     /// state does no allocation per call.
     scratch: RefCell<Vec<u8>>,
-    shared: Arc<Shared>,
+    shared: Rc<Shared>,
 }
 
 impl SimCore {
     /// Submit one request and run the engine until this core's grant is
-    /// available — inline when possible, via a single thread handoff
+    /// available — inline when possible, suspended across one handoff
     /// when another core must run first.
     fn rpc(&self, req: Request) -> RmaResult<Grant> {
         let me = self.id.index();
-        let mut eng = self.shared.lock_engine();
+        let shared = &*self.shared;
+        let mut eng = shared.engine.borrow_mut();
         let grant = match eng.submit(me, req).map_err(|e| RmaError::Engine(e.to_string()))? {
             Submitted::Ready(g) => g,
             Submitted::Blocked => match eng.advance() {
                 Advanced::Granted(core, g) if core == me => g,
                 Advanced::Granted(core, g) => {
-                    eng.chip.stats.handoffs += 1;
-                    let at = eng.now;
-                    eng.record(ObsEvent::Handoff { from: self.id, to: CoreId(core as u8), at });
+                    let next = shared.hand_off(&mut eng, self.id, core, g);
                     drop(eng);
-                    self.shared.deposit(core, g);
-                    self.shared.grants[me]
+                    // SAFETY: `next` is where `core` last suspended (or
+                    // its prepared start): the engine grants only cores
+                    // that are blocked in a request or not yet started,
+                    // and each saved context is resumed once, by the
+                    // handoff that names it. `run_spmd` keeps every
+                    // stack leased until all cores have returned.
+                    unsafe { coro::switch(shared.cores[me].as_ptr(), next) };
+                    shared.grants[me]
                         .take()
-                        .map_err(|_| RmaError::Engine("run aborted".into()))?
+                        .ok_or_else(|| RmaError::Engine("run aborted".into()))?
                 }
                 Advanced::RunComplete => {
                     // Unreachable: this core has not finished. Treat it
                     // as a wedge rather than trusting the impossible.
                     drop(eng);
-                    self.shared.abort(SimError::Engine("run completed with a core mid-op".into()));
+                    shared.abort(SimError::Engine("run completed with a core mid-op".into()));
                     return Err(RmaError::Engine("engine wedged".into()));
                 }
                 Advanced::Fatal(msg) => {
                     drop(eng);
-                    self.shared.abort(SimError::Engine(msg.clone()));
+                    shared.abort(SimError::Engine(msg.clone()));
                     return Err(RmaError::Engine(msg));
                 }
             },
@@ -848,41 +854,28 @@ impl SimCore {
         self.rpc(Request::Op { op, msg: self.cur_msg.get() })
     }
 
-    fn wait_start(&self) -> RmaResult<()> {
-        match self.shared.grants[self.id.index()].take() {
-            Ok(Grant::Go { now }) => {
-                self.now.set(now);
-                Ok(())
-            }
-            _ => Err(RmaError::Engine("no start grant".into())),
-        }
-    }
-
     /// Retire this core: record its end time, then keep the event loop
-    /// moving — hand the baton to the next runnable core, or complete
-    /// the run if this was the last one.
-    fn finish(&self) {
-        let mut eng = self.shared.lock_engine();
+    /// moving. Returns the context to leave this core's stack for — the
+    /// next runnable core, or `run_spmd` if this was the last one or the
+    /// run is being torn down.
+    fn finish(&self) -> Context {
+        let shared = &*self.shared;
+        let mut eng = shared.engine.borrow_mut();
         if eng.fatal {
-            return;
+            return shared.caller.get();
         }
         eng.submit_finish(self.id.index());
         match eng.advance() {
             Advanced::RunComplete => {
                 let result = eng.make_result();
-                drop(eng);
-                let _ = self.shared.completion.try_put(result);
+                shared.outcome.borrow_mut().get_or_insert(result);
+                shared.caller.get()
             }
-            Advanced::Granted(core, g) => {
-                eng.chip.stats.handoffs += 1;
-                let at = eng.now;
-                eng.record(ObsEvent::Handoff { from: self.id, to: CoreId(core as u8), at });
-                drop(eng);
-                self.shared.deposit(core, g);
-            }
+            Advanced::Granted(core, g) => shared.hand_off(&mut eng, self.id, core, g),
             Advanced::Fatal(msg) => {
                 drop(eng);
-                self.shared.abort(SimError::Engine(msg));
+                shared.abort(SimError::Engine(msg));
+                shared.caller.get()
             }
         }
     }
@@ -890,9 +883,7 @@ impl SimCore {
     /// Deposit a span event into the recorder. Spans carry no virtual
     /// time of their own — they are stamped with this core's current
     /// clock — so annotating a collective cannot perturb the run. Only
-    /// reached when recording: the calling core holds the logical baton
-    /// (it is the single runnable core), so the engine lock is
-    /// uncontended.
+    /// reached when recording.
     fn record_span(&self, begin: bool, span: Span) {
         let at = self.now.get();
         let ev = if begin {
@@ -900,7 +891,7 @@ impl SimCore {
         } else {
             ObsEvent::SpanEnd { core: self.id, span, at }
         };
-        self.shared.lock_engine().record(ev);
+        self.shared.engine.borrow_mut().record(ev);
     }
 
     /// Deposit a delivery-window boundary. Same discipline as
@@ -913,7 +904,7 @@ impl SimCore {
         } else {
             ObsEvent::DeliveryEnd { core: self.id, epoch, at }
         };
-        self.shared.lock_engine().record(ev);
+        self.shared.engine.borrow_mut().record(ev);
     }
 }
 
@@ -1061,16 +1052,71 @@ impl Rma for SimCore {
     }
 }
 
-/// Tears the whole run down if the SPMD closure panics, so the other
-/// core threads and the completion waiter unblock instead of waiting
-/// for a baton that will never be passed again.
-struct AbortOnPanic<'a>(&'a Shared);
+/// One core's coroutine: what its entry function needs, kept on
+/// `run_spmd`'s frame so nothing but the closure's own locals lives on
+/// the coroutine stack.
+struct Task<'a, R, F> {
+    core: usize,
+    cfg: &'a SimConfig,
+    f: &'a F,
+    shared: &'a Rc<Shared>,
+    /// The closure is running or suspended: its frames are on the stack.
+    live: Cell<bool>,
+    result: Cell<Option<R>>,
+}
 
-impl Drop for AbortOnPanic<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.abort(SimError::Engine("a core thread panicked".into()));
+impl<R, F: Fn(&mut SimCore) -> R> Task<'_, R, F> {
+    /// Run the closure to completion on the current (coroutine) stack
+    /// and return the context to leave it for. A panic stops here: it
+    /// aborts the run, and `run_spmd` re-raises it on the caller's stack.
+    fn run(&self) -> Context {
+        self.live.set(true);
+        let shared = self.shared;
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let i = self.core;
+            let mut core = SimCore {
+                id: CoreId(i as u8),
+                num_cores: self.cfg.num_cores,
+                mem_bytes: self.cfg.mem_bytes,
+                recording: self.cfg.record || self.cfg.flight > 0,
+                now: Cell::new(Time::ZERO),
+                parked_line: Cell::new(0),
+                cur_msg: Cell::new(None),
+                scratch: RefCell::new(Vec::new()),
+                shared: Rc::clone(shared),
+            };
+            // A core is first resumed by the handoff of its start grant.
+            if let Some(Grant::Go { now }) = shared.grants[i].take() {
+                core.now.set(now);
+            }
+            let r = (self.f)(&mut core);
+            (r, core.finish())
+        }));
+        self.live.set(false);
+        match outcome {
+            Ok((r, next)) => {
+                self.result.set(Some(r));
+                next
+            }
+            Err(payload) => {
+                shared.abort(SimError::Engine("a core panicked".into()));
+                shared.panic.borrow_mut().get_or_insert(payload);
+                shared.caller.get()
+            }
         }
+    }
+
+    /// Entry function of the coroutine; `arg` is the `Task`.
+    extern "C" fn entry(arg: *mut ()) -> ! {
+        // SAFETY: `run_spmd` passes a pointer to a `Task` on its frame
+        // and does not return while a coroutine is live.
+        let next = unsafe { &*(arg as *const Self) }.run();
+        let mut retired = Context::null();
+        // SAFETY: `next` is a suspended core's or the caller's saved
+        // context (see `rpc`); this stack holds no live locals and is
+        // never resumed.
+        unsafe { coro::switch(&mut retired, next) };
+        unreachable!("a finished core was resumed")
     }
 }
 
@@ -1079,12 +1125,14 @@ impl Drop for AbortOnPanic<'_> {
 /// closure has returned.
 ///
 /// The run is fully deterministic: same config and same (per-core
-/// deterministic) closure ⇒ identical report, independent of host
-/// scheduling.
+/// deterministic) closure ⇒ identical report.
 ///
-/// Core threads are leased from a process-wide pool, so back-to-back
-/// runs (sweeps, benches) pay no thread spawn/join cost after the
-/// first.
+/// Every closure runs as a coroutine on the calling thread, each on a
+/// stack of [`coro::STACK_BYTES`]; stacks are kept warm per host thread,
+/// so back-to-back runs (sweeps, benches) map none after the first.
+/// If a closure panics, the others' pending calls fail with
+/// [`RmaError::Engine`], every closure's locals are dropped, and the
+/// first panic is re-raised here.
 pub fn run_spmd<R, F>(cfg: &SimConfig, f: F) -> Result<SimReport<R>, SimError>
 where
     R: Send,
@@ -1093,102 +1141,78 @@ where
     let n = cfg.num_cores;
     assert!((1..=NUM_CORES).contains(&n), "num_cores must be in 1..=48");
     let _in_flight = crate::telemetry::InFlightGuard::enter();
-    let shared = Arc::new(Shared {
-        engine: Mutex::new(Engine::new(cfg)),
-        grants: (0..n).map(|_| ParkCell::new()).collect(),
-        completion: Slot::new(),
+    let shared = Rc::new(Shared {
+        engine: RefCell::new(Engine::new(cfg)),
+        grants: (0..n).map(|_| Cell::new(None)).collect(),
+        cores: (0..n).map(|_| Cell::new(Context::null())).collect(),
+        caller: Cell::new(Context::null()),
+        outcome: RefCell::new(None),
+        panic: RefCell::new(None),
     });
-    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let mem_bytes = cfg.mem_bytes;
-    let recording = cfg.record || cfg.flight > 0;
-    let f = &f;
-
-    let workers = handoff::checkout(n);
-    for (i, worker) in workers.iter().enumerate() {
-        let shared = Arc::clone(&shared);
-        let result = &results[i];
-        let job = move || {
-            let _teardown_on_panic = AbortOnPanic(&shared);
-            let mut core = SimCore {
-                id: CoreId(i as u8),
-                num_cores: n,
-                mem_bytes,
-                recording,
-                now: Cell::new(Time::ZERO),
-                parked_line: Cell::new(0),
-                cur_msg: Cell::new(None),
-                scratch: RefCell::new(Vec::new()),
-                shared: Arc::clone(&shared),
-            };
-            if core.wait_start().is_ok() {
-                let r = f(&mut core);
-                core.finish();
-                *result.lock().unwrap_or_else(|e| e.into_inner()) = Some(r);
-            }
-        };
-        // SAFETY: the job borrows `f` and `results` from this stack
-        // frame. Every worker is awaited below — on the success and
-        // abort paths alike — before this frame returns, so the erased
-        // lifetime never outlives its borrows.
-        let job: Box<dyn FnOnce() + Send> = Box::new(job);
-        let job: handoff::Job =
-            unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send>, handoff::Job>(job) };
-        worker.submit(job);
+    let tasks: Vec<Task<'_, R, F>> = (0..n)
+        .map(|core| Task {
+            core,
+            cfg,
+            f: &f,
+            shared: &shared,
+            live: Cell::new(false),
+            result: Cell::new(None),
+        })
+        .collect();
+    let mut stacks = coro::checkout(n);
+    for ((task, stack), ctx) in tasks.iter().zip(&mut stacks).zip(&shared.cores) {
+        ctx.set(coro::prepare(
+            stack,
+            Task::<R, F>::entry,
+            task as *const Task<'_, R, F> as *mut (),
+        ));
     }
 
-    // Kick the run: deliver the first grant (core 0's start `Go`), then
-    // wait for completion while the core threads pass the baton around.
-    {
-        let mut eng = shared.lock_engine();
+    // Kick the run: hand the first grant (core 0's start `Go`) over and
+    // leave this stack until the last core finishes or the run aborts.
+    let first = {
+        let mut eng = shared.engine.borrow_mut();
         match eng.advance() {
+            // The kick has no issuing core; record it as the run
+            // appearing at its first runnable core.
             Advanced::Granted(core, g) => {
-                eng.chip.stats.handoffs += 1;
-                // The kick has no issuing core; record it as the baton
-                // appearing at its first holder.
-                let at = eng.now;
-                eng.record(ObsEvent::Handoff {
-                    from: CoreId(core as u8),
-                    to: CoreId(core as u8),
-                    at,
-                });
-                drop(eng);
-                shared.deposit(core, g);
+                Some(shared.hand_off(&mut eng, CoreId(core as u8), core, g))
             }
-            Advanced::RunComplete | Advanced::Fatal(_) => {
-                drop(eng);
-                shared.abort(SimError::Engine("engine wedged before any core started".into()));
-            }
+            Advanced::RunComplete | Advanced::Fatal(_) => None,
         }
+    };
+    match first {
+        // SAFETY: a context `prepare` just returned on a leased stack,
+        // entering a `Task` that outlives the coroutine (see below).
+        Some(first) => unsafe { coro::switch(shared.caller.as_ptr(), first) },
+        None => shared.abort(SimError::Engine("engine wedged before any core started".into())),
     }
-    let outcome =
-        shared.completion.take().unwrap_or_else(|_| Err(SimError::Engine("run aborted".into())));
 
-    // Wait for every worker before the borrowed stack may go away.
-    let mut core_panic = None;
-    for worker in &workers {
-        if let Err(p) = worker.wait() {
-            core_panic = Some(p);
+    // Back here the run completed or aborted. After an abort, cores are
+    // still suspended mid-call: resume each with no grant, so its call
+    // fails, its closure returns or unwinds, and its locals are dropped
+    // before the stacks and the borrowed `f` go away.
+    for (task, ctx) in tasks.iter().zip(&shared.cores) {
+        if task.live.get() {
+            assert!(shared.engine.borrow().fatal, "a completed run left a core suspended");
+            // SAFETY: control is here, so a live core is suspended in
+            // `rpc` at the context it saved; with the engine fatal it
+            // runs to its end without another handoff and switches back.
+            unsafe { coro::switch(shared.caller.as_ptr(), ctx.get()) };
         }
     }
-    handoff::checkin(workers);
-    if let Some(p) = core_panic {
+    coro::checkin(stacks);
+    if let Some(p) = shared.panic.take() {
         resume_unwind(p);
     }
 
-    let out = outcome?;
-    let mut collected = Vec::with_capacity(n);
-    for slot in &results {
-        if let Some(r) = slot.lock().unwrap_or_else(|e| e.into_inner()).take() {
-            collected.push(r);
-        }
-    }
-    if collected.len() != n {
-        return Err(SimError::Engine("some cores never started".into()));
-    }
+    let out = shared.outcome.take().expect("a run ends with an outcome")?;
+    let results: Vec<R> =
+        tasks.iter().map(|t| t.result.take().expect("a completed run has every result")).collect();
     let makespan = out.end_times.iter().copied().fold(Time::ZERO, Time::max);
     crate::telemetry::add_run(&out.stats);
     Ok(SimReport {
-        results: collected,
+        results,
         end_times: out.end_times,
         makespan,
         stats: out.stats,

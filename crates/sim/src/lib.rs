@@ -18,6 +18,7 @@
 //! bit-for-bit reproducible.
 
 pub mod chip;
+pub mod coro;
 pub mod engine;
 pub mod fault;
 pub mod handoff;

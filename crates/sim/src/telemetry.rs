@@ -7,8 +7,7 @@
 //! thread-local accumulator owned by the calling thread.
 //!
 //! The global atomics are *process totals*: they observe everything the
-//! process simulated, whoever drove it, and are what `engine_perf`
-//! reports. They are useless for attribution the moment two harness
+//! process simulated, whoever drove it. They are useless for attribution the moment two harness
 //! threads run simulations concurrently — a before/after snapshot then
 //! charges one thread with the other's events. Harnesses that need
 //! per-phase attribution (the `observatory`'s per-experiment
@@ -60,7 +59,7 @@ pub struct EngineTotals {
     pub heap_pushes: u64,
     /// Heap round-trips elided by the coalesced fast path.
     pub coalesced_steps: u64,
-    /// Real thread switches (baton handoffs).
+    /// Changes of runnable core (handoffs).
     pub handoffs: u64,
 }
 

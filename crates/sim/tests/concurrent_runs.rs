@@ -1,20 +1,19 @@
-//! Stress guard for the parallel observatory: many simultaneous
-//! `run_spmd` calls from many host threads must each behave exactly as
-//! if they ran alone. The engine keeps all run state in a per-run
-//! `Shared`, so concurrent runs may only interact through the handoff
-//! pool and the telemetry counters — this test pins down that neither
-//! leaks between runs:
+//! Runs are independent of each other. The engine keeps all run state
+//! in a per-run `Shared` and all stacks in a per-host-thread free list,
+//! so runs may only interact through the telemetry counters — this
+//! test pins down that nothing leaks between them:
 //!
-//! * every concurrent run's virtual end times, makespan, and `SimStats`
-//!   equal its isolated sequential baseline;
+//! * many simultaneous `run_spmd`s from many host threads each produce
+//!   the virtual end times, makespan and `SimStats` of their isolated
+//!   sequential baseline;
 //! * the thread-local telemetry scope charges each host thread with
 //!   exactly its own runs' counters;
-//! * the handoff free list respects its cap even at the concurrency
-//!   high-water mark.
+//! * back-to-back runs on one host thread reuse their coroutine stacks:
+//!   nothing is mapped after the first run.
 
 use scc_hal::{CoreId, FlagValue, MemRange, MpbAddr, Rma, RmaExt, RmaResult, Time};
 use scc_sim::engine::SimCore;
-use scc_sim::{run_spmd, telemetry, SimConfig, SimStats};
+use scc_sim::{coro, run_spmd, telemetry, SimConfig, SimStats};
 
 /// One scenario = a distinct (P, payload-stride, fan-in) workload so
 /// concurrent runs are genuinely different programs, not copies.
@@ -78,8 +77,7 @@ fn concurrent_runs_match_isolated_baselines() {
     let baselines: Vec<Baseline> = SCENARIOS.iter().map(|&s| run_once(s)).collect();
 
     // Now the storm: each of 8 host threads re-runs every scenario
-    // several times, all overlapping. 8 threads × 24-core sims pushes
-    // the aggregate leased-core count well past the pool cap.
+    // several times, all overlapping.
     const HOST_THREADS: usize = 8;
     const ROUNDS: usize = 3;
     telemetry::reset_peak_in_flight();
@@ -91,8 +89,8 @@ fn concurrent_runs_match_isolated_baselines() {
                 let mut expected = telemetry::EngineTotals::ZERO;
                 for round in 0..ROUNDS {
                     for slot in 0..SCENARIOS.len() {
-                        // Stagger the order per thread so checkouts of
-                        // different widths interleave.
+                        // Stagger the order per thread so runs of
+                        // different widths overlap.
                         let i = (slot + t + round) % SCENARIOS.len();
                         let s = SCENARIOS[i];
                         let b = &baselines[i];
@@ -133,6 +131,20 @@ fn concurrent_runs_match_isolated_baselines() {
         "stress test never actually overlapped two sims (peak {})",
         telemetry::peak_in_flight()
     );
-    let pool = scc_sim::handoff::pool_stats();
-    assert!(pool.peak_pooled <= pool.cap, "free list exceeded its cap under the storm: {pool:?}");
+}
+
+#[test]
+fn back_to_back_runs_reuse_their_stacks() {
+    // Widest scenario first: it maps every stack this thread will need.
+    let widest = *SCENARIOS.last().unwrap();
+    let first = run_once(widest);
+    let mapped = coro::stacks_mapped();
+    assert!(mapped >= widest.cores as u64, "cores run on mapped stacks");
+    for &s in SCENARIOS.iter().cycle().take(3 * SCENARIOS.len()) {
+        run_once(s);
+    }
+    let again = run_once(widest);
+    assert_eq!(coro::stacks_mapped(), mapped, "a later run mapped a stack instead of reusing one");
+    assert_eq!(again.end_times, first.end_times);
+    assert_eq!(again.stats, first.stats);
 }
