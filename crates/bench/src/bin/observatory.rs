@@ -1,65 +1,46 @@
-//! The conformance observatory: run every registered experiment (all
-//! paper figures/tables plus the mesh heatmaps), emit the structured
-//! `BENCH_figures.json` artifact and the human drift report
-//! `results/CONFORMANCE.md`, and — when a baseline is supplied — gate
-//! on drift: per-row tolerance bands plus shape-regression detection.
+//! The conformance observatory, the one entry point of the experiment
+//! registry: run every registered experiment (all paper figures and
+//! tables plus the observability workloads) or a subset, and write
+//! everything the run produced under one directory — each experiment's
+//! classic text and sidecars, the structured `BENCH_figures.json`, and
+//! the human drift report `results/CONFORMANCE.md`. When a baseline is
+//! supplied, gate on drift: per-row tolerance bands plus
+//! shape-regression detection.
 //!
 //! ```text
 //! cargo run --release -p scc-bench --bin observatory [--quick]
 //!     [--jobs N]               host worker threads fanning out over
 //!                              experiments AND their sweep units
 //!                              (default: SCC_JOBS or all host cores;
-//!                              --jobs 1 is the exact sequential path —
 //!                              every artifact is byte-identical at any
 //!                              job count)
 //!     [--only fig3,fig8a]      run a subset of the registry
-//!     [--json PATH]            where to write BENCH_figures.json
-//!     [--md PATH]              where to write CONFORMANCE.md
-//!     [--heatmaps PATH]        where to write the heatmap text
+//!     [--artifact-dir DIR]     where everything lands (".", i.e. the
+//!                              committed results/ tree):
+//!                                results/<id>.txt        classic texts
+//!                                BENCH_<x>.json, results/*.md, …
+//!                                                        sidecars of
+//!                                                        whatif, skew,
+//!                                                        faults, soak,
+//!                                                        audit
+//!                                BENCH_figures.json      the report
+//!                                results/CONFORMANCE.md  its digest
 //!     [--baseline PATH]        drift-gate against this baseline
 //!     [--write-baseline PATH]  also write the fresh report here
-//!     [--artifact-dir DIR]     where experiment sidecars land (".")
-//!     [--journeys]             also write the journey sidecars the
-//!                              `skew` experiment produces
-//!                              (BENCH_journeys.json, results/SKEW.md,
-//!                              results/movie_<id>.txt) and stamp the
-//!                              gate-ignored `journeys` block into the
-//!                              report; without the flag those sidecars
-//!                              are dropped so default runs leave no
-//!                              new files behind
-//!     [--faults]               also write the fault-degradation
-//!                              sidecars the `faults` experiment
-//!                              produces (BENCH_faults.json,
-//!                              results/FAULTS.md) and stamp the
-//!                              gate-ignored `faults` block into the
-//!                              report; gated exactly like --journeys
-//!     [--soak]                 also write the soak sidecars the `soak`
-//!                              experiment produces (BENCH_soak.json,
-//!                              results/SOAK.md, the OpenMetrics
-//!                              exposition results/soak_metrics.txt,
-//!                              and any results/soak_dump_* forensic
-//!                              windows) and stamp the gate-ignored
-//!                              `soak` block into the report; gated
-//!                              exactly like --journeys
-//!     [--audit]                also write the causal-audit sidecars
-//!                              the `audit` experiment produces
-//!                              (BENCH_audit.json, results/AUDIT.md)
-//!                              and stamp the gate-ignored `audit`
-//!                              block into the report; gated exactly
-//!                              like --journeys
-//!     [--explain]              on gate failure, re-run the drifted
+//!     [--explain]              on failure, re-run the failed
 //!                              experiments' scenarios with recording
-//!                              on and write a drift explanation
-//!     [--drift PATH]           where --explain writes its report
-//!                              (results/DRIFT.md)
-//!     [--flame-dir DIR]        where --explain writes flamegraphs
-//!                              (results)
+//!                              on and write results/DRIFT.md,
+//!                              results/flame_<id>.txt and
+//!                              results/DRIFT_whatif.json
 //!     [--list]                 print registry ids and exit
 //! ```
 //!
-//! Exit status: `1` if any shape check failed or the drift gate
-//! tripped, `0` otherwise (`--explain` never changes the verdict, it
-//! only adds diagnosis).
+//! Reproducing the committed results is
+//! `observatory --artifact-dir DIR && diff -r DIR/results results`.
+//!
+//! Exit status: `1` if any shape check failed (each is named on
+//! stderr) or the drift gate tripped, `0` otherwise (`--explain` never
+//! changes the verdict, it only adds diagnosis).
 
 use scc_bench::{
     quick, record_run, registry, representative_scenario, run_registry, whatif_artifact,
@@ -67,9 +48,8 @@ use scc_bench::{
 };
 use scc_obs::report::validate_json;
 use scc_obs::{
-    drift_gate, flamegraph_collapsed, parse_audit_artifact, parse_faults_artifact,
-    parse_journeys_artifact, parse_soak_artifact, AuditMetrics, ConformanceReport, DiffReport,
-    DriftReport, FaultsMetrics, JourneysMetrics, Json, PhaseProfile, RunHistograms, SoakMetrics,
+    drift_gate, flamegraph_collapsed, ConformanceReport, DiffReport, DriftReport, PhaseProfile,
+    RunHistograms,
 };
 use scc_sim::SimParams;
 use std::fmt::Write as _;
@@ -79,20 +59,18 @@ struct Args {
     quick: bool,
     jobs: usize,
     only: Option<Vec<String>>,
-    json: String,
-    md: String,
-    heatmaps: String,
     baseline: Option<String>,
     write_baseline: Option<String>,
     artifact_dir: String,
-    journeys: bool,
-    faults: bool,
-    soak: bool,
-    audit: bool,
     explain: bool,
-    drift: String,
-    flame_dir: String,
     list: bool,
+}
+
+impl Args {
+    /// `rel` under the artifact directory.
+    fn in_dir(&self, rel: &str) -> String {
+        format!("{}/{rel}", self.artifact_dir)
+    }
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -100,19 +78,10 @@ fn parse_args() -> Result<Args, String> {
         quick: quick(),
         jobs: scc_bench::pool::jobs_default(),
         only: None,
-        json: "BENCH_figures.json".to_string(),
-        md: "results/CONFORMANCE.md".to_string(),
-        heatmaps: "results/heatmaps.txt".to_string(),
         baseline: None,
         write_baseline: None,
         artifact_dir: ".".to_string(),
-        journeys: false,
-        faults: false,
-        soak: false,
-        audit: false,
         explain: false,
-        drift: "results/DRIFT.md".to_string(),
-        flame_dir: "results".to_string(),
         list: false,
     };
     let mut it = std::env::args().skip(1);
@@ -128,56 +97,18 @@ fn parse_args() -> Result<Args, String> {
                     .ok_or("--jobs needs a positive integer")?
             }
             "--list" => args.list = true,
-            "--journeys" => args.journeys = true,
-            "--faults" => args.faults = true,
-            "--soak" => args.soak = true,
-            "--audit" => args.audit = true,
             "--explain" => args.explain = true,
             "--only" => {
                 args.only =
                     Some(value("--only")?.split(',').map(|s| s.trim().to_string()).collect())
             }
-            "--json" => args.json = value("--json")?,
-            "--md" => args.md = value("--md")?,
-            "--heatmaps" => args.heatmaps = value("--heatmaps")?,
             "--baseline" => args.baseline = Some(value("--baseline")?),
             "--write-baseline" => args.write_baseline = Some(value("--write-baseline")?),
             "--artifact-dir" => args.artifact_dir = value("--artifact-dir")?,
-            "--drift" => args.drift = value("--drift")?,
-            "--flame-dir" => args.flame_dir = value("--flame-dir")?,
             other => return Err(format!("unknown flag `{other}` (see --help in the doc comment)")),
         }
     }
     Ok(args)
-}
-
-/// The sidecars only `--journeys` runs write (and the only artifacts
-/// the flag gates): the journey book, the skew digest, and the
-/// per-scenario congestion movies.
-fn is_journey_artifact(rel: &str) -> bool {
-    rel == "BENCH_journeys.json" || rel == "results/SKEW.md" || rel.starts_with("results/movie_")
-}
-
-/// The sidecars only `--faults` runs write: the degradation-curve
-/// artifact and its human digest.
-fn is_faults_artifact(rel: &str) -> bool {
-    rel == "BENCH_faults.json" || rel == "results/FAULTS.md"
-}
-
-/// The sidecars only `--soak` runs write: the soak rollup artifact,
-/// its human digest, the OpenMetrics exposition, and the SLO-breach
-/// forensic dumps.
-fn is_soak_artifact(rel: &str) -> bool {
-    rel == "BENCH_soak.json"
-        || rel == "results/SOAK.md"
-        || rel == "results/soak_metrics.txt"
-        || rel.starts_with("results/soak_dump_")
-}
-
-/// The sidecars only `--audit` runs write: the causal-audit artifact
-/// and its human digest (scenario table + mutation-detection matrix).
-fn is_audit_artifact(rel: &str) -> bool {
-    rel == "BENCH_audit.json" || rel == "results/AUDIT.md"
 }
 
 /// Write `content`, creating parent directories as needed.
@@ -187,180 +118,68 @@ fn write_file(path: &str, content: &str) -> Result<(), String> {
             std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir:?}: {e}"))?;
         }
     }
-    std::fs::write(path, content).map_err(|e| format!("cannot write {path}: {e}"))
+    std::fs::write(path, content).map_err(|e| format!("cannot write {path}: {e}"))?;
+    eprintln!("observatory: wrote {path}");
+    Ok(())
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
+    match run() {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
         Err(e) => {
             eprintln!("observatory: {e}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
+    }
+}
 
+/// The whole invocation; `Ok(conforms)`, or `Err` when it could not
+/// run or write.
+fn run() -> Result<bool, String> {
+    let args = parse_args()?;
     let reg = registry();
     if args.list {
         for e in &reg {
             println!("{:<12} {}", e.id, e.title);
         }
-        return ExitCode::SUCCESS;
+        return Ok(true);
     }
     if let Some(only) = &args.only {
         for id in only {
             if !reg.iter().any(|e| e.id == id) {
-                eprintln!("observatory: unknown experiment `{id}` (try --list)");
-                return ExitCode::FAILURE;
+                return Err(format!("unknown experiment `{id}` (try --list)"));
             }
         }
     }
-
     let selected: Vec<_> = reg
         .into_iter()
         .filter(|e| args.only.as_ref().is_none_or(|only| only.iter().any(|id| id == e.id)))
         .collect();
-    eprintln!(
-        "observatory: running {} experiments with --jobs {}{}",
-        selected.len(),
-        args.jobs,
-        if args.jobs == 1 { " (sequential)" } else { "" }
-    );
+    eprintln!("observatory: running {} experiments with --jobs {}", selected.len(), args.jobs);
     let run = run_registry(selected, args.quick, args.jobs);
 
     let mut report = ConformanceReport::new(args.quick);
-    let mut heatmap_text = None;
-    let mut journeys_metrics: Option<JourneysMetrics> = None;
-    let mut faults_metrics: Option<FaultsMetrics> = None;
-    let mut soak_metrics: Option<SoakMetrics> = None;
-    let mut audit_metrics: Option<AuditMetrics> = None;
     for out in run.outputs {
-        let exp_report = out.report;
+        let exp = out.report;
         eprintln!(
             "observatory: {:<12} {} ({:.1}s seq-equiv, {} units, {} sim runs, {} rows, {} shapes)",
-            exp_report.id,
-            if exp_report.shapes_pass() { "ok" } else { "SHAPE FAILURE" },
-            exp_report.metrics.wall_s,
-            exp_report.metrics.units,
-            exp_report.metrics.sim_runs,
-            exp_report.rows.len(),
-            exp_report.shapes.len(),
+            exp.id,
+            if exp.shapes_pass() { "ok" } else { "SHAPE FAILURE" },
+            exp.metrics.wall_s,
+            exp.metrics.units,
+            exp.metrics.sim_runs,
+            exp.rows.len(),
+            exp.shapes.len(),
         );
-        if exp_report.id == "heatmap" {
-            heatmap_text = Some(out.text);
+        for s in exp.shapes.iter().filter(|s| !s.pass) {
+            eprintln!("[{}] shape check `{}` failed: {}", exp.id, s.name, s.detail);
         }
-        for (rel, contents) in &out.artifacts {
-            if is_journey_artifact(rel) {
-                if !args.journeys {
-                    continue;
-                }
-                if rel == "BENCH_journeys.json" {
-                    journeys_metrics = match Json::parse(contents)
-                        .map_err(|e| format!("unparseable {rel}: {e}"))
-                        .and_then(|doc| parse_journeys_artifact(&doc))
-                    {
-                        Ok(books) => Some(JourneysMetrics {
-                            scenarios: books.len() as u64,
-                            journeys: books.iter().map(|(_, b)| b.journeys.len() as u64).sum(),
-                            max_delivery_us: books
-                                .iter()
-                                .flat_map(|(_, b)| b.journeys.iter())
-                                .map(|j| j.latency().as_us_f64())
-                                .fold(0.0, f64::max),
-                        }),
-                        Err(e) => {
-                            eprintln!("observatory: BUG: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    };
-                }
-            }
-            if is_faults_artifact(rel) {
-                if !args.faults {
-                    continue;
-                }
-                if rel == "BENCH_faults.json" {
-                    faults_metrics = match Json::parse(contents)
-                        .map_err(|e| format!("unparseable {rel}: {e}"))
-                        .and_then(|doc| parse_faults_artifact(&doc))
-                    {
-                        Ok(curves) => Some(FaultsMetrics {
-                            scenarios: curves.len() as u64,
-                            points: curves.iter().map(|c| c.points.len() as u64).sum(),
-                            injected_faults: curves
-                                .iter()
-                                .flat_map(|c| c.points.iter())
-                                .map(|p| p.faults)
-                                .sum(),
-                            recoveries: curves
-                                .iter()
-                                .flat_map(|c| c.points.iter())
-                                .map(|p| p.recoveries)
-                                .sum(),
-                        }),
-                        Err(e) => {
-                            eprintln!("observatory: BUG: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    };
-                }
-            }
-            if is_soak_artifact(rel) {
-                if !args.soak {
-                    continue;
-                }
-                if rel == "BENCH_soak.json" {
-                    soak_metrics = match Json::parse(contents)
-                        .map_err(|e| format!("unparseable {rel}: {e}"))
-                        .and_then(|doc| parse_soak_artifact(&doc))
-                    {
-                        Ok(scenarios) => Some(SoakMetrics {
-                            scenarios: scenarios.len() as u64,
-                            epochs: scenarios.iter().map(|s| s.epochs()).sum(),
-                            breaches: scenarios.iter().map(|s| s.breaches() as u64).sum(),
-                            dumps: scenarios.iter().map(|s| s.dumps() as u64).sum(),
-                        }),
-                        Err(e) => {
-                            eprintln!("observatory: BUG: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    };
-                }
-            }
-            if is_audit_artifact(rel) {
-                if !args.audit {
-                    continue;
-                }
-                if rel == "BENCH_audit.json" {
-                    audit_metrics = match Json::parse(contents)
-                        .map_err(|e| format!("unparseable {rel}: {e}"))
-                        .and_then(|doc| parse_audit_artifact(&doc))
-                    {
-                        Ok(scenarios) => Some(AuditMetrics {
-                            scenarios: scenarios.len() as u64,
-                            checks: scenarios.iter().map(|s| s.checks).sum(),
-                            violations: scenarios.iter().map(|s| s.violations).sum(),
-                            mutations: scenarios.iter().map(|s| s.mutations.len() as u64).sum(),
-                            mutations_caught: scenarios
-                                .iter()
-                                .flat_map(|s| s.mutations.iter())
-                                .filter(|m| m.detected && m.classified)
-                                .count() as u64,
-                        }),
-                        Err(e) => {
-                            eprintln!("observatory: BUG: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    };
-                }
-            }
-            let path = format!("{}/{rel}", args.artifact_dir);
-            if let Err(e) = write_file(&path, contents) {
-                eprintln!("observatory: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("observatory: wrote {path}");
+        for (rel, contents) in &out.outputs.files {
+            write_file(&args.in_dir(rel), contents)?;
         }
-        report.experiments.push(exp_report);
+        report.summaries.extend(out.outputs.summaries);
+        report.experiments.push(exp);
     }
     eprintln!(
         "observatory: wall {:.1}s vs {:.1}s sequential-equivalent ({:.2}x, {} units, \
@@ -373,35 +192,12 @@ fn main() -> ExitCode {
         run.run.peak_in_flight,
     );
     report.run = Some(run.run);
-    report.journeys = journeys_metrics;
-    report.faults = faults_metrics;
-    report.soak = soak_metrics;
-    report.audit = audit_metrics;
 
-    // Serialize, self-validate, and write the artifacts.
     let json = report.to_json().render();
-    if let Err(e) = validate_json(&json) {
-        eprintln!("observatory: BUG: emitted JSON does not validate: {e}");
-        return ExitCode::FAILURE;
-    }
-    if let Err(e) = write_file(&args.json, &json) {
-        eprintln!("observatory: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("observatory: wrote {}", args.json);
+    validate_json(&json).map_err(|e| format!("BUG: emitted JSON does not validate: {e}"))?;
+    write_file(&args.in_dir("BENCH_figures.json"), &json)?;
     if let Some(path) = &args.write_baseline {
-        if let Err(e) = write_file(path, &json) {
-            eprintln!("observatory: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("observatory: wrote baseline {path}");
-    }
-    if let Some(text) = &heatmap_text {
-        if let Err(e) = write_file(&args.heatmaps, text) {
-            eprintln!("observatory: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("observatory: wrote {}", args.heatmaps);
+        write_file(path, &json)?;
     }
 
     // The markdown drift report, with the gate verdict appended when a
@@ -428,13 +224,9 @@ fn main() -> ExitCode {
             }
         }
     }
-    if let Err(e) = write_file(&args.md, &md) {
-        eprintln!("observatory: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("observatory: wrote {}", args.md);
+    write_file(&args.in_dir("results/CONFORMANCE.md"), &md)?;
 
-    // Drift explanation: re-run each drifted experiment's representative
+    // Drift explanation: re-run each failed experiment's representative
     // scenario with recording on and attribute where its time goes.
     if args.explain && failed {
         let mut ids: Vec<String> = Vec::new();
@@ -460,26 +252,24 @@ fn main() -> ExitCode {
         }
         if ids.is_empty() {
             eprintln!("observatory: --explain: no experiment-level failure to explain");
-        } else if let Err(e) = explain(&ids, gate_report.as_ref(), &args) {
-            eprintln!("observatory: --explain: {e}");
-            return ExitCode::FAILURE;
+        } else {
+            explain(&ids, gate_report.as_ref(), &args).map_err(|e| format!("--explain: {e}"))?;
         }
     }
-
     if failed {
         eprintln!("observatory: FAILED (shape check or drift gate)");
-        ExitCode::FAILURE
     } else {
         eprintln!("observatory: all experiments conform");
-        ExitCode::SUCCESS
     }
+    Ok(!failed)
 }
 
 /// Produce the drift explanation: for every drifted experiment, record
 /// its representative scenario, scan the cost classes, and write the
 /// what-if tables, differential critical path, latency histograms and
-/// a flamegraph. Emits `DRIFT.md` plus `flame_<id>.txt` per experiment
-/// and a fresh `BENCH_whatif.json` from the scans.
+/// a flamegraph. Emits `results/DRIFT.md` plus `results/flame_<id>.txt`
+/// per experiment and the scans as `results/DRIFT_whatif.json` (its own
+/// path — `BENCH_whatif.json` belongs to the `whatif` experiment).
 fn explain(ids: &[String], gate: Option<&DriftReport>, args: &Args) -> Result<(), String> {
     let factors: &'static [f64] = if args.quick { &[1.1] } else { &[0.9, 1.1] };
     let mut md = String::new();
@@ -503,22 +293,18 @@ fn explain(ids: &[String], gate: Option<&DriftReport>, args: &Args) -> Result<()
     for (id, section) in ids.iter().zip(sections) {
         let (section_md, flame, wi) = section?;
         md.push_str(&section_md);
-        let fpath = format!("{}/flame_{id}.txt", args.flame_dir);
-        write_file(&fpath, &flame)?;
+        let rel = format!("results/flame_{id}.txt");
+        write_file(&args.in_dir(&rel), &flame)?;
         let _ = writeln!(
             md,
-            "\nflamegraph: `{fpath}` ({} collapsed stacks — feed to inferno/speedscope)",
+            "\nflamegraph: `{rel}` ({} collapsed stacks — feed to inferno/speedscope)",
             flame.lines().count()
         );
         let _ = md.write_char('\n');
         profiles.push(wi);
     }
-    write_file(&args.drift, &md)?;
-    eprintln!("observatory: wrote {}", args.drift);
-    let wpath = format!("{}/BENCH_whatif.json", args.artifact_dir);
-    write_file(&wpath, &whatif_artifact(&profiles, args.quick))?;
-    eprintln!("observatory: wrote {wpath}");
-    Ok(())
+    write_file(&args.in_dir("results/DRIFT.md"), &md)?;
+    write_file(&args.in_dir("results/DRIFT_whatif.json"), &whatif_artifact(&profiles, args.quick))
 }
 
 /// One experiment's drift diagnosis: the markdown section (sans the

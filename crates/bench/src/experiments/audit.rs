@@ -15,20 +15,19 @@
 //! [`MutationClass`] — and the auditor must detect each mutant *and*
 //! name the expected violation class.
 //!
-//! The finalize step derives `BENCH_audit.json` and the human digest
-//! `results/AUDIT.md`. The observatory only writes those sidecars
-//! under `--audit`; the rows and shape checks join
-//! `BENCH_figures.json` unconditionally. Recording and mutation seeds
-//! are deterministic, so every artifact is byte-identical at any
-//! `--jobs` count.
+//! The finalize step derives `BENCH_audit.json`, the human digest
+//! `results/AUDIT.md` and the `audit` summary block of
+//! `BENCH_figures.json` from the same scenarios. Recording and
+//! mutation seeds are deterministic, so every artifact is
+//! byte-identical at any `--jobs` count.
 
 use super::{outln, Sweep};
 use crate::{record_reliable_run, record_run, Scenario};
 use oc_bcast::{Algorithm, Reliability};
 use scc_hal::Time;
 use scc_obs::{
-    audit, audit_artifact, mutate, render_audit_markdown, AuditScenario, AuditSpec, MutationClass,
-    MutationTrial,
+    artifact, audit, mutate, render_audit_markdown, AuditScenario, AuditSpec, Hex64, MutationClass,
+    MutationTrial, Wire,
 };
 use scc_sim::{FaultPlan, SimParams};
 
@@ -148,7 +147,7 @@ fn run_point(id: &str, sc: &Scenario, mode: Mode, scenario_index: u64) -> AuditS
             };
             mutations.push(MutationTrial {
                 mutation: class.name().to_string(),
-                seed,
+                seed: Hex64(seed),
                 detected,
                 classified,
             });
@@ -242,7 +241,21 @@ pub(super) fn plan(sweep: &mut Sweep) {
             }
             audited.push(s);
         }
-        ctx.artifact("BENCH_audit.json", audit_artifact(&audited).render());
+        ctx.artifact("BENCH_audit.json", artifact::scenarios("audit", &audited).render());
         ctx.artifact("results/AUDIT.md", render_audit_markdown(&audited));
+        let trials = || audited.iter().flat_map(|s| &s.mutations);
+        ctx.summary(
+            "audit",
+            &[
+                ("scenarios", audited.len().to_wire()),
+                ("checks", audited.iter().map(|s| s.checks).sum::<u64>().to_wire()),
+                ("violations", audited.iter().map(|s| s.violations).sum::<u64>().to_wire()),
+                ("mutations", trials().count().to_wire()),
+                (
+                    "mutations_caught",
+                    trials().filter(|m| m.detected && m.classified).count().to_wire(),
+                ),
+            ],
+        );
     });
 }

@@ -7,17 +7,16 @@
 //! makespan as the injected rate rises, next to the recovery counters
 //! (timeouts, probes, recoveries, re-notifies) that explain it.
 //!
-//! The finalize step derives `BENCH_faults.json` and the human digest
-//! `results/FAULTS.md`. The observatory only writes those sidecars
-//! under `--faults`; the rows and shape checks join
-//! `BENCH_figures.json` unconditionally. Faults are seeded and drawn
-//! in deterministic event order, so every artifact is byte-identical
-//! at any `--jobs` count.
+//! The finalize step derives `BENCH_faults.json`, the human digest
+//! `results/FAULTS.md` and the `faults` summary block of
+//! `BENCH_figures.json` from the same curves. Faults are seeded and
+//! drawn in deterministic event order, so every artifact is
+//! byte-identical at any `--jobs` count.
 
 use super::{outln, Sweep};
 use oc_bcast::{OcBcast, OcConfig, RelStats, Reliability, ReliableBinomial};
 use scc_hal::{CoreId, MemRange, Rma, RmaExt, RmaResult, Time};
-use scc_obs::{faults_artifact, render_faults_markdown, FaultCurve, FaultPoint, LatencyHistogram};
+use scc_obs::{artifact, render_faults_markdown, FaultCurve, FaultPoint, LatencyHistogram, Wire};
 use scc_rcce::MpbAllocator;
 use scc_sim::{run_spmd, FaultPlan, SimConfig};
 
@@ -278,7 +277,17 @@ pub(super) fn plan(sweep: &mut Sweep) {
             curves.push(curve);
         }
         outln!(ctx, "# every point: payload verified on all {} destinations", CORES - 1);
-        ctx.artifact("BENCH_faults.json", faults_artifact(&curves).render());
+        ctx.artifact("BENCH_faults.json", artifact::scenarios("faults", &curves).render());
         ctx.artifact("results/FAULTS.md", render_faults_markdown(&curves));
+        let points = || curves.iter().flat_map(|c| &c.points);
+        ctx.summary(
+            "faults",
+            &[
+                ("scenarios", curves.len().to_wire()),
+                ("points", points().count().to_wire()),
+                ("injected_faults", points().map(|p| p.faults).sum::<u64>().to_wire()),
+                ("recoveries", points().map(|p| p.recoveries).sum::<u64>().to_wire()),
+            ],
+        );
     });
 }

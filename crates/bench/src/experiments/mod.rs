@@ -3,10 +3,14 @@
 //! Every paper figure/table is one [`Experiment`]: a *plan* function
 //! that describes the experiment as a [`Sweep`] — an ordered list of
 //! independent measurement [`Unit`]s plus one finalize step that turns
-//! the units' values into the classic human-readable text
-//! (byte-identical to what the standalone binary prints), the
-//! structured [`ExperimentRow`]s for the drift gate, and the
-//! [`ShapeCheck`]s for the paper's qualitative claims.
+//! the units' values into everything the experiment produces: the
+//! classic human-readable text (the committed `results/<id>.txt`), the
+//! structured [`ExperimentRow`]s for the drift gate, the
+//! [`ShapeCheck`]s for the paper's qualitative claims, and — for the
+//! experiments that have them — sidecar files and a named summary
+//! block for `BENCH_figures.json`. The experiment owns all of these
+//! ([`Outputs`]); `observatory` only writes them under
+//! `--artifact-dir`.
 //!
 //! Expressing sweeps as data is what makes the parallel runner
 //! (`crate::runner`) possible: units carry no ordering dependencies, so
@@ -22,7 +26,7 @@
 //! thread-local telemetry scope), so per-experiment [`SelfMetrics`]
 //! stay exact even when experiments interleave across threads.
 
-use scc_obs::{ExperimentReport, ExperimentRow, SelfMetrics, ShapeCheck};
+use scc_obs::{ExperimentReport, ExperimentRow, Json, SelfMetrics, ShapeCheck};
 use std::any::Any;
 
 mod ablation;
@@ -65,22 +69,42 @@ macro_rules! out {
 }
 pub(crate) use {out, outln};
 
-/// Mutable context a sweep unit (or finalize step) fills in: the legacy
-/// text output plus the structured rows and shape checks.
+/// Everything an experiment produced besides its structured report.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Outputs {
+    /// Files to write under the artifact directory, `(relative path,
+    /// contents)`: the classic text first (at [`text_path`]), then the
+    /// experiment's sidecars in emission order.
+    pub files: Vec<(String, String)>,
+    /// Named summary blocks for `BENCH_figures.json` (top-level key,
+    /// block), computed by the experiment from the same typed values
+    /// its sidecars were rendered from.
+    pub summaries: Vec<(String, Json)>,
+}
+
+/// Where an experiment's classic text lives, relative to the artifact
+/// directory.
+pub fn text_path(id: &str) -> String {
+    match id {
+        "heatmap" => "results/heatmaps.txt".to_string(),
+        _ => format!("results/{id}.txt"),
+    }
+}
+
+/// Mutable context a sweep unit (or finalize step) fills in: the
+/// classic text output, the structured rows and shape checks, and the
+/// experiment's other [`Outputs`].
 pub struct ExpCtx {
     /// Reduced sweeps (`SCC_BENCH_QUICK=1` / `observatory --quick`).
     pub quick: bool,
-    /// The text the standalone binary would print, verbatim.
+    /// The experiment's classic text, verbatim.
     pub out: String,
     /// Structured measurement points for the drift gate.
     pub rows: Vec<ExperimentRow>,
     /// The paper's qualitative claims, evaluated on this run.
     pub shapes: Vec<ShapeCheck>,
-    /// Sidecar files the experiment wants written next to
-    /// `BENCH_figures.json`: `(relative path, contents)`. The
-    /// observatory writes them after the run; standalone binaries
-    /// ignore them.
-    pub artifacts: Vec<(String, String)>,
+    /// Sidecar files and summary blocks queued so far.
+    pub outputs: Outputs,
 }
 
 impl ExpCtx {
@@ -90,13 +114,21 @@ impl ExpCtx {
             out: String::new(),
             rows: Vec::new(),
             shapes: Vec::new(),
-            artifacts: Vec::new(),
+            outputs: Outputs::default(),
         }
     }
 
-    /// Queue a sidecar artifact for the observatory to write.
+    /// Queue a sidecar file, path relative to the artifact directory.
     pub fn artifact(&mut self, path: impl Into<String>, contents: String) {
-        self.artifacts.push((path.into(), contents));
+        self.outputs.files.push((path.into(), contents));
+    }
+
+    /// Attach the experiment's summary block: `fields` become the
+    /// object written under the top-level key `name` of
+    /// `BENCH_figures.json`.
+    pub fn summary(&mut self, name: &str, fields: &[(&str, Json)]) {
+        let block = fields.iter().fold(Json::obj(), |j, (k, v)| j.set(k, v.clone()));
+        self.outputs.summaries.push((name.to_string(), block));
     }
 
     /// Record one measured point.
@@ -244,7 +276,7 @@ impl Values {
 
 /// One registered experiment.
 pub struct Experiment {
-    /// Registry id — also the wrapper binary's name (`fig3`, …).
+    /// Registry id — `observatory --only <id>`; names the text file.
     pub id: &'static str,
     /// Human title used in `results/CONFORMANCE.md`.
     pub title: &'static str,
@@ -330,7 +362,7 @@ pub fn registry() -> Vec<Experiment> {
 }
 
 /// What one executed unit produced: its context (text/rows/shapes/
-/// artifacts), its value for finalize, and its own metered cost.
+/// outputs), its value for finalize, and its own metered cost.
 pub(crate) struct UnitOutcome {
     pub(crate) key: String,
     pub(crate) ctx: ExpCtx,
@@ -372,20 +404,24 @@ pub(crate) fn assemble(
     quick: bool,
     finalize: Option<FinalizeFn>,
     outcomes: Vec<UnitOutcome>,
-) -> (ExperimentReport, String, Vec<(String, String)>) {
+) -> (ExperimentReport, String, Outputs) {
     let unit_count = outcomes.len() as u64;
     let mut text = String::new();
     let mut rows = Vec::new();
     let mut shapes = Vec::new();
-    let mut artifacts = Vec::new();
+    let mut outputs = Outputs::default();
     let mut metrics = SelfMetrics::default();
+    let mut merge = |ctx: ExpCtx, m: &SelfMetrics| {
+        text.push_str(&ctx.out);
+        rows.extend(ctx.rows);
+        shapes.extend(ctx.shapes);
+        outputs.files.extend(ctx.outputs.files);
+        outputs.summaries.extend(ctx.outputs.summaries);
+        metrics.absorb(m);
+    };
     let mut values = Vec::with_capacity(outcomes.len());
     for o in outcomes {
-        text.push_str(&o.ctx.out);
-        rows.extend(o.ctx.rows);
-        shapes.extend(o.ctx.shapes);
-        artifacts.extend(o.ctx.artifacts);
-        metrics.absorb(&o.metrics);
+        merge(o.ctx, &o.metrics);
         values.push((o.key, o.value));
     }
     if let Some(f) = finalize {
@@ -401,13 +437,10 @@ pub(crate) fn assemble(
             },
             quick,
         );
-        text.push_str(&fin.ctx.out);
-        rows.extend(fin.ctx.rows);
-        shapes.extend(fin.ctx.shapes);
-        artifacts.extend(fin.ctx.artifacts);
-        metrics.absorb(&fin.metrics);
+        merge(fin.ctx, &fin.metrics);
     }
     metrics.units = unit_count;
+    outputs.files.insert(0, (text_path(exp.id), text.clone()));
     let report = ExperimentReport {
         id: exp.id.to_string(),
         title: exp.title.to_string(),
@@ -415,53 +448,7 @@ pub(crate) fn assemble(
         shapes,
         metrics,
     };
-    (report, text, artifacts)
-}
-
-/// Run one experiment sequentially on the calling thread — the exact
-/// legacy path (`--jobs 1`). Returns the structured report, the legacy
-/// text, and any sidecar artifacts the experiment queued.
-pub fn run_experiment_full(
-    exp: &Experiment,
-    quick: bool,
-) -> (ExperimentReport, String, Vec<(String, String)>) {
-    let mut sweep = Sweep::new(quick);
-    (exp.plan)(&mut sweep);
-    let Sweep { units, finalize, .. } = sweep;
-    let outcomes = units.into_iter().map(|u| execute_unit(u, quick)).collect();
-    assemble(exp, quick, finalize, outcomes)
-}
-
-/// [`run_experiment_full`] without the artifact channel — the form the
-/// standalone binaries and most tests use.
-pub fn run_experiment(exp: &Experiment, quick: bool) -> (ExperimentReport, String) {
-    let (report, out, _artifacts) = run_experiment_full(exp, quick);
-    (report, out)
-}
-
-/// Entry point of the thin wrapper binaries: run the experiment
-/// (respecting `--jobs N` / `SCC_JOBS`, default all host cores — safe
-/// because the output is byte-identical at any job count), print its
-/// classic text, and exit nonzero — naming every failing claim on
-/// stderr instead of panicking — if any paper shape claim failed. An
-/// unknown id exits 2 listing the registry.
-pub fn run_standalone(id: &str) {
-    let reg = registry();
-    let Some(exp) = reg.into_iter().find(|e| e.id == id) else {
-        let known: Vec<&str> = registry().iter().map(|e| e.id).collect();
-        eprintln!("{id}: unknown experiment id (known: {})", known.join(", "));
-        std::process::exit(2);
-    };
-    let jobs = crate::pool::jobs_from_args(std::env::args().skip(1));
-    let (report, out, _artifacts) = crate::runner::run_experiment_jobs(&exp, crate::quick(), jobs);
-    print!("{out}");
-    let failed: Vec<_> = report.shapes.iter().filter(|s| !s.pass).collect();
-    for s in &failed {
-        eprintln!("[{id}] shape check `{}` failed: {}", s.name, s.detail);
-    }
-    if !failed.is_empty() {
-        std::process::exit(1);
-    }
+    (report, text, outputs)
 }
 
 #[cfg(test)]
@@ -485,9 +472,10 @@ mod tests {
     fn run_experiment_attaches_metrics_and_text() {
         let reg = registry();
         let fig5 = reg.iter().find(|e| e.id == "fig5").unwrap();
-        let (report, out) = run_experiment(fig5, true);
+        let (report, out, outputs) = crate::run_experiment_full(fig5, true);
         assert_eq!(report.id, "fig5");
         assert!(!out.is_empty());
+        assert_eq!(outputs.files, vec![("results/fig5.txt".to_string(), out)]);
         assert!(report.shapes_pass(), "{:?}", report.shapes);
         assert!(report.metrics.wall_s > 0.0);
         assert!(report.metrics.units >= 1);
@@ -522,8 +510,9 @@ mod tests {
         let Sweep { units, finalize, .. } = sweep;
         let outcomes = units.into_iter().map(|u| execute_unit(u, true)).collect();
         let exp = Experiment { id: "t", title: "t", plan: |_| {} };
-        let (report, text, _) = assemble(&exp, true, finalize, outcomes);
+        let (report, text, outputs) = assemble(&exp, true, finalize, outcomes);
         assert_eq!(text, "mid\nsum 42\n");
+        assert_eq!(outputs.files, vec![("results/t.txt".to_string(), text)]);
         assert_eq!(report.metrics.units, 3);
     }
 }

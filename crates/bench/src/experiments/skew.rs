@@ -7,16 +7,15 @@
 //! picoseconds; re-checked as a shape claim on every run).
 //!
 //! The finalize step derives the skew digests (`results/SKEW.md`), the
-//! versioned `BENCH_journeys.json` artifact, and one link-congestion
-//! movie per scenario (`results/movie_<id>.txt`). The observatory only
-//! writes these sidecars under `--journeys`; the rows and shape checks
-//! join `BENCH_figures.json` unconditionally.
+//! versioned `BENCH_journeys.json` artifact, one link-congestion movie
+//! per scenario (`results/movie_<id>.txt`), and the `journeys` summary
+//! block of `BENCH_figures.json` from the same books.
 
 use super::{outln, Sweep};
 use crate::{record_run, Scenario};
 use oc_bcast::Algorithm;
 use scc_hal::Time;
-use scc_obs::{journeys_artifact, CongestionMovie, JourneyBook, SkewReport};
+use scc_obs::{artifact, CongestionMovie, JourneyBook, Json, SkewReport, Wire};
 use scc_sim::SimParams;
 
 /// Frames per congestion movie: enough to see the root-column burst
@@ -112,7 +111,19 @@ pub(super) fn plan(sweep: &mut Sweep) {
             skews.push(skew);
         }
         outln!(ctx, "# every scenario: leg dwells sum exactly to delivery latency (integer ps)");
-        ctx.artifact("BENCH_journeys.json", journeys_artifact(&books).render());
+        ctx.artifact("BENCH_journeys.json", artifact::scenarios("journeys", &books).render());
         ctx.artifact("results/SKEW.md", scc_obs::render_skew_markdown(&skews));
+        let journeys = || books.iter().flat_map(|(_, b)| &b.journeys);
+        ctx.summary(
+            "journeys",
+            &[
+                ("scenarios", books.len().to_wire()),
+                ("journeys", journeys().count().to_wire()),
+                (
+                    "max_delivery_us",
+                    Json::Num(journeys().map(|j| j.latency().as_us_f64()).fold(0.0, f64::max)),
+                ),
+            ],
+        );
     });
 }

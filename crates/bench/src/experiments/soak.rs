@@ -15,16 +15,17 @@
 //! broadcast context shared across all epochs of the chunk (the
 //! repeated-broadcast pattern of `oc_bcast::reliable`'s tests) — so
 //! the sweep parallelizes across chunks while every number merges in
-//! declaration order: `BENCH_soak.json`, `results/SOAK.md`, and
-//! `results/soak_metrics.txt` are byte-identical at any `--jobs`.
+//! declaration order: `BENCH_soak.json`, `results/SOAK.md`,
+//! `results/soak_metrics.txt` and the `soak` summary block of
+//! `BENCH_figures.json` are byte-identical at any `--jobs`.
 
 use super::{outln, Sweep};
 use oc_bcast::{OcBcast, OcConfig, RelStats, Reliability, ReliableBinomial};
 use scc_hal::{CoreId, MemRange, Rma, RmaExt, RmaResult, Time};
 use scc_obs::{
-    audit, chrome_trace_json, journeys_artifact, render_skew_markdown, render_soak_markdown,
-    render_soak_openmetrics, soak_artifact, AuditSpec, EpochRollup, JourneyBook, LatencyHistogram,
-    ObsEvent, QuantileSketch, RecoveryCounters, SkewReport, SloPolicy, SoakPhase, SoakScenario,
+    artifact, audit, chrome_trace_json, render_skew_markdown, render_soak_markdown,
+    render_soak_openmetrics, AuditSpec, EpochRollup, JourneyBook, LatencyHistogram, ObsEvent,
+    QuantileSketch, RecoveryCounters, SkewReport, SloPolicy, SoakPhase, SoakScenario, Wire,
 };
 use scc_rcce::MpbAllocator;
 use scc_sim::{run_spmd, FaultPlan, SimConfig};
@@ -368,11 +369,13 @@ pub(super) fn plan(sweep: &mut Sweep) {
                                 arep.violations.len() as u64,
                             ));
                             ctx.artifact(format!("{stem}_trace.json"), chrome_trace_json(window));
-                            let book = JourneyBook::from_events(window);
+                            let book = (sc.id.to_string(), JourneyBook::from_events(window));
                             ctx.artifact(
                                 format!("{stem}_journeys.json"),
-                                journeys_artifact(&[(sc.id.to_string(), book.clone())]).render(),
+                                artifact::scenarios("journeys", std::slice::from_ref(&book))
+                                    .render(),
                             );
+                            let book = book.1;
                             phase.dumps.push(format!("{stem}_trace.json"));
                             phase.dumps.push(format!("{stem}_journeys.json"));
                             if let Some(skew) = SkewReport::from_book(sc.id, &book) {
@@ -487,8 +490,17 @@ pub(super) fn plan(sweep: &mut Sweep) {
         let total: u64 = report.iter().map(SoakScenario::epochs).sum();
         outln!(ctx, "# {total} epochs total; dumps only from fault-phase windows");
 
-        ctx.artifact("BENCH_soak.json", soak_artifact(&report).render());
+        ctx.artifact("BENCH_soak.json", artifact::scenarios("soak", &report).render());
         ctx.artifact("results/SOAK.md", render_soak_markdown(&report));
         ctx.artifact("results/soak_metrics.txt", render_soak_openmetrics(&report));
+        ctx.summary(
+            "soak",
+            &[
+                ("scenarios", report.len().to_wire()),
+                ("epochs", total.to_wire()),
+                ("breaches", report.iter().map(SoakScenario::breaches).sum::<usize>().to_wire()),
+                ("dumps", report.iter().map(SoakScenario::dumps).sum::<usize>().to_wire()),
+            ],
+        );
     });
 }

@@ -8,11 +8,10 @@
 //! nested-loop order so the text — and the committed
 //! `results/tune.txt` — stays byte-identical.
 
-use super::{out, Sweep};
+use super::{outln, Sweep};
 use crate::{measure_bcast, paper_chip};
 use oc_bcast::{Algorithm, OcConfig, TreeStrategy};
 use scc_hal::CoreId;
-use std::fmt::Write as _;
 
 const FANOUTS: [usize; 2] = [2, 3];
 const STRATEGIES: [TreeStrategy; 2] = [TreeStrategy::ById, TreeStrategy::TopologyAware];
@@ -79,12 +78,11 @@ pub(super) fn plan(sweep: &mut Sweep) {
     }
 
     sweep.finalize(|ctx, mut values| {
-        let mut text = String::new();
         let mut best_lat: (f64, String) = (f64::INFINITY, String::new());
         let mut best_tput: (f64, String) = (0.0, String::new());
         let mut paper_cell: Option<(f64, f64)> = None;
 
-        let _ = writeln!(text, "{:<42} {:>10} {:>10}", "configuration", "1CL (µs)", "peak MB/s");
+        outln!(ctx, "{:<42} {:>10} {:>10}", "configuration", "1CL (µs)", "peak MB/s");
         for &k in ks(ctx.quick) {
             for &chunk_lines in chunks(ctx.quick) {
                 if !fits(k, chunk_lines) {
@@ -99,7 +97,7 @@ pub(super) fn plan(sweep: &mut Sweep) {
                             "k={k:<2} M_oc={chunk_lines:<3} fanout={notify_fanout} {:?}",
                             strategy
                         );
-                        let _ = writeln!(text, "{label:<42} {lat:>10.2} {tput:>10.2}");
+                        outln!(ctx, "{label:<42} {lat:>10.2} {tput:>10.2}");
                         if lat < best_lat.0 {
                             best_lat = (lat, label.clone());
                         }
@@ -117,17 +115,11 @@ pub(super) fn plan(sweep: &mut Sweep) {
                 }
             }
         }
-        let _ = writeln!(text);
-        let _ = writeln!(text, "best 1-CL latency : {:.2} µs  ({})", best_lat.0, best_lat.1);
-        let _ = writeln!(text, "best throughput   : {:.2} MB/s ({})", best_tput.0, best_tput.1);
-        let _ = writeln!(
-            text,
-            "# paper's choice — k=7, M_oc=96, binary fan-out, id tree — trades a few"
-        );
-        let _ = writeln!(
-            text,
-            "# percent of each objective for contention headroom (Sections 3.3/5.2)."
-        );
+        outln!(ctx);
+        outln!(ctx, "best 1-CL latency : {:.2} µs  ({})", best_lat.0, best_lat.1);
+        outln!(ctx, "best throughput   : {:.2} MB/s ({})", best_tput.0, best_tput.1);
+        outln!(ctx, "# paper's choice — k=7, M_oc=96, binary fan-out, id tree — trades a few");
+        outln!(ctx, "# percent of each objective for contention headroom (Sections 3.3/5.2).");
 
         ctx.row("best 1CL latency", None, None, best_lat.0, 0.02, "us");
         ctx.row("best throughput", None, None, best_tput.0, 0.02, "MB/s");
@@ -147,8 +139,5 @@ pub(super) fn plan(sweep: &mut Sweep) {
             best_lat.0.is_finite() && best_tput.0 > 0.0,
             format!("lat {} | tput {}", best_lat.1, best_tput.1),
         );
-
-        out!(ctx, "{text}");
-        ctx.artifact("results/tune.txt", text);
     });
 }

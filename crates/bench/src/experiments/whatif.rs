@@ -24,7 +24,7 @@ use super::{outln, Sweep};
 use crate::{measure_scenario, Scenario};
 use oc_bcast::Algorithm;
 use scc_hal::Time;
-use scc_obs::{validate_json, CostClass, Json, WhatIfPoint, WhatIfProfile, ARTIFACT_VERSION};
+use scc_obs::{artifact, validate_json, CostClass, Json, WhatIfPoint, WhatIfProfile};
 use scc_sim::SimParams;
 
 /// The two extremes the paper contrasts.
@@ -45,9 +45,7 @@ fn factors(quick: bool) -> &'static [f64] {
 
 /// Wrap profiles in the versioned `BENCH_whatif.json` envelope.
 pub fn whatif_artifact(profiles: &[WhatIfProfile], quick: bool) -> String {
-    let doc = Json::obj()
-        .set("version", Json::Int(ARTIFACT_VERSION))
-        .set("bench", Json::Str("whatif".into()))
+    let doc = artifact::envelope("whatif")
         .set("quick", Json::Bool(quick))
         .set("profiles", Json::Arr(profiles.iter().map(WhatIfProfile::to_json).collect()));
     let rendered = doc.render();

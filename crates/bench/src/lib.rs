@@ -1,13 +1,15 @@
 //! # scc-bench — the experiment harness
 //!
 //! Every table/figure of the paper lives in the typed
-//! [`experiments`] registry (see DESIGN.md §4 for the index); the
-//! `observatory` binary runs the whole registry and emits the
-//! machine-readable conformance artifacts, while one thin wrapper
-//! binary per experiment preserves the classic
-//! `cargo run --bin figN > results/figN.txt` workflow:
+//! [`experiments`] registry (see DESIGN.md §4 for the index). One
+//! binary, `observatory`, runs the registry (or `--only ids`) and
+//! writes everything the run produced under `--artifact-dir`: each
+//! experiment's classic text at `results/<id>.txt` (the committed
+//! files), its sidecars, `BENCH_figures.json` and
+//! `results/CONFORMANCE.md`. Reproducing the committed results is
+//! `observatory --artifact-dir DIR` followed by `diff -r`.
 //!
-//! | id / binary | reproduces |
+//! | id          | reproduces                                    |
 //! |-------------|-----------------------------------------------|
 //! | `table1`    | Table 1 — fitted model parameters             |
 //! | `fig3`      | Figure 3 — put/get completion vs distance     |
@@ -22,6 +24,10 @@
 //! | `heatmap`   | Section 5 — per-link mesh occupancy (obs)     |
 //! | `whatif`    | causal what-if profiles — cost-class sensitivity |
 //! | `skew`      | message journeys — delivery skew & stragglers (obs) |
+//! | `faults`    | reliable broadcast — degradation under injected faults |
+//! | `tune`      | configuration-space sweep — best (k, M_oc, fan-out, tree) |
+//! | `soak`      | sustained reliable traffic under SLO watchdogs |
+//! | `audit`     | causal trace audit of recorded runs            |
 //!
 //! Latency is defined exactly as in the paper (Sections 5.2/6.1): the
 //! time from the source's call of the broadcast until the last core
@@ -38,10 +44,9 @@ pub mod experiments;
 pub mod pool;
 pub mod runner;
 pub use experiments::{
-    registry, run_experiment, run_experiment_full, run_standalone, whatif_artifact, ExpCtx,
-    Experiment, Sweep, Values,
+    registry, text_path, whatif_artifact, ExpCtx, Experiment, Outputs, Sweep, Values,
 };
-pub use runner::{run_experiment_jobs, run_registry, ExpOutput, RegistryRun};
+pub use runner::{run_experiment_full, run_experiment_jobs, run_registry, ExpOutput, RegistryRun};
 
 /// Default simulator configuration for the paper's experiments: the
 /// full 48-core chip.
@@ -175,83 +180,71 @@ pub fn representative_scenario(experiment_id: &str) -> Scenario {
     }
 }
 
-/// Run one recorded broadcast of `sc` under `params` and return the
-/// full event stream plus the makespan. The recorded stream is what
-/// the diff/histogram/flamegraph layers consume.
-pub fn record_run(sc: &Scenario, params: SimParams) -> Result<(Vec<ObsEvent>, Time), SimError> {
-    let (alg, cores, bytes) = (sc.alg, sc.cores, sc.lines * 32);
-    let rep = run_spmd(&sc.config(params, true), move |c| -> RmaResult<()> {
+/// The one SPMD body behind the three scenario runners: core 0 holds
+/// the deterministic payload and broadcasts it, plainly or — under a
+/// `policy` — through the reliable variant of `sc.alg` (only OC-Bcast
+/// and binomial have one). Deliberately no barrier before the
+/// broadcast: the plain barrier signals through exactly the remote
+/// flag puts a fault plan drops, so it would deadlock before the
+/// reliable protocol starts.
+fn run_scenario(
+    sc: &Scenario,
+    cfg: SimConfig,
+    policy: Option<Reliability>,
+) -> Result<(Option<Vec<ObsEvent>>, Time), SimError> {
+    let (alg, bytes) = (sc.alg, sc.lines * 32);
+    let rep = run_spmd(&cfg, move |c| -> RmaResult<()> {
         let mut alloc = MpbAllocator::new();
-        let mut b = Broadcaster::new(&mut alloc, alg, cores).expect("MPB layout fits");
+        let r = MemRange::new(0, bytes);
         if c.core() == CoreId(0) {
             let payload: Vec<u8> = (0..bytes).map(|i| (i % 253) as u8).collect();
             c.mem_write(0, &payload)?;
         }
-        b.bcast(c, CoreId(0), MemRange::new(0, bytes))
+        match (policy, alg) {
+            (None, _) => Broadcaster::new(&mut alloc, alg, c.num_cores())
+                .expect("MPB layout fits")
+                .bcast(c, CoreId(0), r),
+            (Some(policy), Algorithm::OcBcast(oc)) => OcBcast::new_reliable(&mut alloc, oc, policy)
+                .expect("MPB layout fits")
+                .bcast_reliable(c, CoreId(0), r),
+            (Some(policy), _) => ReliableBinomial::new(&mut alloc, c.num_cores(), policy)
+                .expect("MPB layout fits")
+                .bcast(c, CoreId(0), r),
+        }
     })?;
     for r in &rep.results {
         r.as_ref().map_err(|e| SimError::Engine(format!("core failed: {e}")))?;
     }
-    Ok((rep.events.expect("recording was enabled"), rep.makespan))
+    Ok((rep.events, rep.makespan))
+}
+
+/// Run one recorded broadcast of `sc` under `params` and return the
+/// full event stream plus the makespan. The recorded stream is what
+/// the diff/histogram/flamegraph layers consume.
+pub fn record_run(sc: &Scenario, params: SimParams) -> Result<(Vec<ObsEvent>, Time), SimError> {
+    let (events, makespan) = run_scenario(sc, sc.config(params, true), None)?;
+    Ok((events.expect("recording was enabled"), makespan))
 }
 
 /// Run one recorded *reliable* broadcast of `sc` under `policy` and an
 /// optional fault plan, returning the full event stream plus the
 /// makespan — the raw material of the causal audit's reliable and
-/// faulted scenarios. Only OC-Bcast and binomial have reliable
-/// variants. Deliberately no barrier before the broadcast: the plain
-/// barrier signals through exactly the remote flag puts the fault plan
-/// drops, so it would deadlock before the reliable protocol starts.
+/// faulted scenarios.
 pub fn record_reliable_run(
     sc: &Scenario,
     params: SimParams,
     faults: FaultPlan,
     policy: Reliability,
 ) -> Result<(Vec<ObsEvent>, Time), SimError> {
-    let (alg, bytes) = (sc.alg, sc.lines * 32);
     let cfg = SimConfig { faults, ..sc.config(params, true) };
-    let rep = run_spmd(&cfg, move |c| -> RmaResult<()> {
-        let mut alloc = MpbAllocator::new();
-        let payload: Vec<u8> = (0..bytes).map(|i| (i % 253) as u8).collect();
-        let r = MemRange::new(0, bytes);
-        if c.core() == CoreId(0) {
-            c.mem_write(0, &payload)?;
-        }
-        match alg {
-            Algorithm::OcBcast(oc) => {
-                let mut b = OcBcast::new_reliable(&mut alloc, oc, policy).expect("MPB layout fits");
-                b.bcast_reliable(c, CoreId(0), r)
-            }
-            _ => {
-                let mut b = ReliableBinomial::new(&mut alloc, c.num_cores(), policy)
-                    .expect("MPB layout fits");
-                b.bcast(c, CoreId(0), r)
-            }
-        }
-    })?;
-    for r in &rep.results {
-        r.as_ref().map_err(|e| SimError::Engine(format!("core failed: {e}")))?;
-    }
-    Ok((rep.events.expect("recording was enabled"), rep.makespan))
+    let (events, makespan) = run_scenario(sc, cfg, Some(policy))?;
+    Ok((events.expect("recording was enabled"), makespan))
 }
 
 /// Makespan of one unrecorded broadcast of `sc` under `params` — the
 /// cheap measurement the what-if scan repeats per (class, factor).
 pub fn measure_scenario(sc: &Scenario, params: SimParams) -> Result<Time, SimError> {
-    let (alg, cores, bytes) = (sc.alg, sc.cores, sc.lines * 32);
-    let rep = run_spmd(&sc.config(params, false), move |c| -> RmaResult<()> {
-        let mut alloc = MpbAllocator::new();
-        let mut b = Broadcaster::new(&mut alloc, alg, cores).expect("MPB layout fits");
-        if c.core() == CoreId(0) {
-            let payload: Vec<u8> = (0..bytes).map(|i| (i % 253) as u8).collect();
-            c.mem_write(0, &payload)?;
-        }
-        b.bcast(c, CoreId(0), MemRange::new(0, bytes))
-    })?;
-    for r in &rep.results {
-        r.as_ref().map_err(|e| SimError::Engine(format!("core failed: {e}")))?;
-    }
-    Ok(rep.makespan)
+    run_scenario(sc, sc.config(params, false), None).map(|(_, makespan)| makespan)
 }
 
 /// Causal what-if scan of `sc`: rerun it with every [`CostClass`]
@@ -305,14 +298,6 @@ pub fn write_series(
         let _ = writeln!(out, "csv,{x},{}", vals.join(","));
     }
     out.push('\n');
-}
-
-/// [`write_series`] straight to stdout — the form the standalone
-/// binaries use.
-pub fn print_series(title: &str, x_label: &str, col_labels: &[String], rows: &[(usize, Vec<f64>)]) {
-    let mut s = String::new();
-    write_series(&mut s, title, x_label, col_labels, rows);
-    print!("{s}");
 }
 
 #[cfg(test)]

@@ -1,13 +1,12 @@
 //! The harness-side work pool: a fixed set of scoped host threads
 //! draining a cost-ordered task queue.
 //!
-//! This is the engine behind the observatory's `--jobs N` fan-out. It
-//! is deliberately *not* the simulator's core-thread pool
-//! (`scc_sim::handoff`) — that one parks one thread per simulated core
-//! inside a single run; this one schedules whole *sweep units* (each of
-//! which may launch many simulations) across the host's cores. Results
-//! come back in submission order, so callers can merge deterministically
-//! no matter how execution interleaved.
+//! This is the engine behind the observatory's `--jobs N` fan-out: it
+//! schedules whole *sweep units* (each of which may launch many
+//! simulations, every one single-threaded — `scc-sim` runs a chip's
+//! cores as coroutines on the calling thread) across the host's cores.
+//! Results come back in submission order, so callers can merge
+//! deterministically no matter how execution interleaved.
 //!
 //! Scheduling is longest-task-first: tasks are drained in descending
 //! `cost` order (ties keep submission order) from a shared atomic
@@ -39,30 +38,10 @@ pub fn jobs_default() -> usize {
         .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
 }
 
-/// Parse `--jobs N` out of a raw argument list (the thin wrapper
-/// binaries accept nothing else), falling back to [`jobs_default`].
-pub fn jobs_from_args<I: Iterator<Item = String>>(mut args: I) -> usize {
-    while let Some(a) = args.next() {
-        if a == "--jobs" {
-            if let Some(n) = args.next().and_then(|v| v.parse::<usize>().ok()) {
-                if n >= 1 {
-                    return n;
-                }
-            }
-        } else if let Some(n) = a.strip_prefix("--jobs=").and_then(|v| v.parse::<usize>().ok()) {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    jobs_default()
-}
-
 /// Run every task and return their results in submission order.
 ///
 /// `jobs <= 1` (or a single task) executes inline on the calling
-/// thread, in submission order — the exact legacy sequential path, no
-/// threads involved. Otherwise `min(jobs, tasks)` scoped threads drain
+/// thread, in submission order, no threads involved. Otherwise `min(jobs, tasks)` scoped threads drain
 /// the queue longest-first. A panicking task propagates when the scope
 /// joins (after in-flight tasks finish).
 pub fn run_tasks<T: Send>(jobs: usize, tasks: Vec<Task<T>>) -> Vec<T> {
@@ -152,15 +131,5 @@ mod tests {
         let seen: HashSet<ThreadId> = run_tasks(4, tasks).into_iter().collect();
         assert!(seen.len() > 1, "expected >1 worker thread, saw {}", seen.len());
         assert!(!seen.contains(&std::thread::current().id()), "jobs>1 must not run inline");
-    }
-
-    #[test]
-    fn jobs_args_parsing() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>().into_iter();
-        assert_eq!(jobs_from_args(args(&["--jobs", "3"])), 3);
-        assert_eq!(jobs_from_args(args(&["--jobs=7"])), 7);
-        // Invalid values fall back to the default (≥ 1 either way).
-        assert!(jobs_from_args(args(&["--jobs", "zero"])) >= 1);
-        assert!(jobs_from_args(args(&[])) >= 1);
     }
 }

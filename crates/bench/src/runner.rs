@@ -11,23 +11,21 @@
 //! artifacts concatenated in declaration order, finalize last — on the
 //! calling thread, in registry order. Because every unit's value is a
 //! pure function of its configuration (the simulator is deterministic),
-//! the merged output is byte-identical to the sequential run at any
-//! `--jobs` count.
+//! the merged output is byte-identical at any `--jobs` count.
 //!
-//! `jobs <= 1` bypasses all of this and takes the exact legacy
-//! sequential path ([`crate::run_experiment_full`] per experiment, in
-//! registry order, on the calling thread).
+//! There is one path: at `jobs = 1` the pool runs the same task list
+//! inline, in submission order, on the calling thread.
 
-use crate::experiments::{assemble, execute_unit, Experiment, Sweep};
+use crate::experiments::{assemble, execute_unit, Experiment, Outputs, Sweep};
 use crate::pool::{run_tasks, Task};
 use scc_obs::{ExperimentReport, RunMetrics};
 
-/// One experiment's merged output, exactly what the sequential
-/// [`crate::run_experiment_full`] returns.
+/// One experiment's merged output, exactly what
+/// [`run_experiment_full`] returns.
 pub struct ExpOutput {
     pub report: ExperimentReport,
     pub text: String,
-    pub artifacts: Vec<(String, String)>,
+    pub outputs: Outputs,
 }
 
 /// Everything one registry execution produced: per-experiment outputs
@@ -38,15 +36,13 @@ pub struct RegistryRun {
 }
 
 /// Run one experiment with `jobs` workers fanning out over its sweep
-/// units. `jobs <= 1` is the exact legacy sequential path.
+/// units. Returns the structured report, the classic text, and the
+/// experiment's other outputs.
 pub fn run_experiment_jobs(
     exp: &Experiment,
     quick: bool,
     jobs: usize,
-) -> (ExperimentReport, String, Vec<(String, String)>) {
-    if jobs <= 1 {
-        return crate::run_experiment_full(exp, quick);
-    }
+) -> (ExperimentReport, String, Outputs) {
     let mut sweep = Sweep::new(quick);
     (exp.plan)(&mut sweep);
     let Sweep { units, finalize, .. } = sweep;
@@ -58,48 +54,45 @@ pub fn run_experiment_jobs(
     assemble(exp, quick, finalize, outcomes)
 }
 
+/// [`run_experiment_jobs`] on the calling thread (`jobs = 1`).
+pub fn run_experiment_full(exp: &Experiment, quick: bool) -> (ExperimentReport, String, Outputs) {
+    run_experiment_jobs(exp, quick, 1)
+}
+
 /// Run a whole registry slice with `jobs` workers shared across *all*
 /// experiments' units, merging each experiment deterministically.
 pub fn run_registry(reg: Vec<Experiment>, quick: bool, jobs: usize) -> RegistryRun {
     scc_sim::telemetry::reset_peak_in_flight();
     let wall = std::time::Instant::now();
 
-    let outputs: Vec<ExpOutput> = if jobs <= 1 {
-        reg.iter()
-            .map(|exp| {
-                let (report, text, artifacts) = crate::run_experiment_full(exp, quick);
-                ExpOutput { report, text, artifacts }
-            })
-            .collect()
-    } else {
-        // Plan every experiment, then flatten all units into ONE task
-        // list so workers drain the global longest-first queue — a
-        // heavyweight fig8b unit can overlap fig3's many light ones.
-        let mut tasks: Vec<Task<_>> = Vec::new();
-        let mut plans = Vec::with_capacity(reg.len());
-        for exp in &reg {
-            let mut sweep = Sweep::new(quick);
-            (exp.plan)(&mut sweep);
-            let Sweep { units, finalize, .. } = sweep;
-            plans.push((units.len(), finalize));
-            tasks.extend(units.into_iter().map(|u| Task {
-                cost: u.cost,
-                run: Box::new(move || execute_unit(u, quick)) as Box<_>,
-            }));
-        }
-        let mut rest = run_tasks(jobs, tasks);
-        // Unzip the flat outcome list back into per-experiment chunks
-        // (submission order == registry-then-declaration order) and
-        // finalize each on this thread, in registry order.
-        reg.iter()
-            .zip(plans)
-            .map(|(exp, (len, finalize))| {
-                let outcomes = rest.drain(..len).collect();
-                let (report, text, artifacts) = assemble(exp, quick, finalize, outcomes);
-                ExpOutput { report, text, artifacts }
-            })
-            .collect()
-    };
+    // Plan every experiment, then flatten all units into ONE task list
+    // so workers drain the global longest-first queue — a heavyweight
+    // fig8b unit can overlap fig3's many light ones.
+    let mut tasks: Vec<Task<_>> = Vec::new();
+    let mut plans = Vec::with_capacity(reg.len());
+    for exp in &reg {
+        let mut sweep = Sweep::new(quick);
+        (exp.plan)(&mut sweep);
+        let Sweep { units, finalize, .. } = sweep;
+        plans.push((units.len(), finalize));
+        tasks.extend(units.into_iter().map(|u| Task {
+            cost: u.cost,
+            run: Box::new(move || execute_unit(u, quick)) as Box<_>,
+        }));
+    }
+    let mut rest = run_tasks(jobs, tasks);
+    // Unzip the flat outcome list back into per-experiment chunks
+    // (submission order == registry-then-declaration order) and
+    // finalize each on this thread, in registry order.
+    let outputs: Vec<ExpOutput> = reg
+        .iter()
+        .zip(plans)
+        .map(|(exp, (len, finalize))| {
+            let outcomes = rest.drain(..len).collect();
+            let (report, text, outputs) = assemble(exp, quick, finalize, outcomes);
+            ExpOutput { report, text, outputs }
+        })
+        .collect();
 
     let wall_s = wall.elapsed().as_secs_f64();
     let run = RunMetrics {
@@ -124,7 +117,7 @@ mod tests {
     fn single_experiment_parallel_matches_sequential() {
         let reg = crate::registry();
         let exp = reg.iter().find(|e| e.id == "linkstress").unwrap();
-        let (r1, t1, a1) = crate::run_experiment_full(exp, true);
+        let (r1, t1, a1) = run_experiment_full(exp, true);
         let (r4, t4, a4) = run_experiment_jobs(exp, true, 4);
         assert_eq!(t1, t4, "linkstress text must be byte-identical at jobs=4");
         assert_eq!(a1, a4);

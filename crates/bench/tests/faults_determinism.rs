@@ -5,8 +5,8 @@
 //! `--jobs` count, and every shape check passes.
 
 use scc_bench::{registry, run_registry, Experiment};
-use scc_obs::parse_faults_artifact;
-use scc_obs::Json;
+use scc_obs::artifact::parse_scenarios;
+use scc_obs::{FaultCurve, Json};
 
 fn faults_only() -> Vec<Experiment> {
     registry().into_iter().filter(|e| e.id == "faults").collect()
@@ -22,17 +22,19 @@ fn faults_artifacts_are_byte_identical_at_any_jobs_count() {
     let (s, p) = (&seq.outputs[0], &par.outputs[0]);
 
     assert_eq!(s.text, p.text, "faults: text diverged between --jobs 1 and --jobs 4");
-    assert_eq!(s.artifacts, p.artifacts, "faults: artifacts diverged between job counts");
+    assert_eq!(s.outputs, p.outputs, "faults: files or summary diverged between job counts");
 
     // Both sidecars exist, parse strictly, and describe verified
     // delivery to all 47 destinations at every injected rate.
-    let names: Vec<&str> = s.artifacts.iter().map(|(n, _)| n.as_str()).collect();
+    let names: Vec<&str> = s.outputs.files.iter().map(|(n, _)| n.as_str()).collect();
+    assert!(names.contains(&"results/faults.txt"), "missing classic text: {names:?}");
     assert!(names.contains(&"BENCH_faults.json"), "missing sidecar: {names:?}");
     assert!(names.contains(&"results/FAULTS.md"), "missing sidecar: {names:?}");
 
-    let raw = &s.artifacts.iter().find(|(n, _)| n == "BENCH_faults.json").unwrap().1;
-    let curves = parse_faults_artifact(&Json::parse(raw).expect("sidecar is valid JSON"))
-        .expect("sidecar parses strictly");
+    let raw = &s.outputs.files.iter().find(|(n, _)| n == "BENCH_faults.json").unwrap().1;
+    let curves: Vec<FaultCurve> =
+        parse_scenarios(&Json::parse(raw).expect("sidecar is valid JSON"))
+            .expect("sidecar parses strictly");
     assert_eq!(curves.len(), 3, "oc_k47, oc_k7, binomial");
     for c in &curves {
         assert!(!c.points.is_empty(), "{}: empty curve", c.id);

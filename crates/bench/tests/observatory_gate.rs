@@ -3,7 +3,7 @@
 //! unperturbed re-run and (b) rejects deliberate perturbations —
 //! out-of-band rows, flipped shapes, vanished experiments.
 
-use scc_bench::{registry, run_experiment};
+use scc_bench::{registry, run_experiment_full};
 use scc_obs::report::validate_json;
 use scc_obs::{drift_gate, validate_artifact_version, ConformanceReport, Json};
 
@@ -13,7 +13,7 @@ fn small_report() -> ConformanceReport {
     let mut report = ConformanceReport::new(true);
     for exp in registry() {
         if ["fig5", "fig6", "table2", "linkstress"].contains(&exp.id) {
-            let (r, text) = run_experiment(&exp, true);
+            let (r, text, _) = run_experiment_full(&exp, true);
             assert!(!text.is_empty(), "{} produced no text", exp.id);
             report.experiments.push(r);
         }
@@ -81,7 +81,8 @@ fn gate_rejects_deliberate_perturbations() {
 /// require (a) a failing exit status, (b) a `DRIFT.md` that names the
 /// drifted experiment and the dominant hardware resource, (c) a
 /// non-empty collapsed flamegraph, and (d) a version-validated
-/// `BENCH_whatif.json`.
+/// `results/DRIFT_whatif.json` — not `BENCH_whatif.json`, which belongs
+/// to the `whatif` experiment and which a fig5-only run never writes.
 #[test]
 fn explain_names_the_drifted_experiment_and_dominant_resource() {
     let dir = std::env::temp_dir().join(format!("scc_obs_explain_{}", std::process::id()));
@@ -92,7 +93,7 @@ fn explain_names_the_drifted_experiment_and_dominant_resource() {
     // actually produces — a fresh run must trip the gate against it.
     let mut baseline = ConformanceReport::new(true);
     let fig5 = registry().into_iter().find(|e| e.id == "fig5").expect("fig5 registered");
-    let (mut rep, _) = run_experiment(&fig5, true);
+    let (mut rep, _, _) = run_experiment_full(&fig5, true);
     rep.rows[0].sim_measured *= 1.5;
     baseline.experiments.push(rep);
     std::fs::write(path("perturbed.json"), baseline.to_json().render()).expect("write baseline");
@@ -105,14 +106,6 @@ fn explain_names_the_drifted_experiment_and_dominant_resource() {
             "--baseline",
             &path("perturbed.json"),
             "--explain",
-            "--json",
-            &path("BENCH_figures.json"),
-            "--md",
-            &path("CONFORMANCE.md"),
-            "--drift",
-            &path("DRIFT.md"),
-            "--flame-dir",
-            dir.to_str().unwrap(),
             "--artifact-dir",
             dir.to_str().unwrap(),
         ])
@@ -121,7 +114,7 @@ fn explain_names_the_drifted_experiment_and_dominant_resource() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!out.status.success(), "perturbed baseline must fail the gate\n{stderr}");
 
-    let drift = std::fs::read_to_string(path("DRIFT.md")).expect("DRIFT.md written");
+    let drift = std::fs::read_to_string(path("results/DRIFT.md")).expect("DRIFT.md written");
     assert!(drift.contains("fig5"), "DRIFT.md must name the drifted experiment:\n{drift}");
     // fig5's representative scenario is the binomial 1CL baseline; its
     // dominant hardware class is the per-hop mesh latency.
@@ -132,16 +125,21 @@ fn explain_names_the_drifted_experiment_and_dominant_resource() {
     assert!(drift.contains("conservative attribution"), "diff table missing:\n{drift}");
     assert!(drift.contains("| series |"), "histogram table missing:\n{drift}");
 
-    let flame = std::fs::read_to_string(path("flame_fig5.txt")).expect("flamegraph written");
+    let flame =
+        std::fs::read_to_string(path("results/flame_fig5.txt")).expect("flamegraph written");
     assert!(!flame.trim().is_empty());
     for line in flame.lines() {
         let (_stack, count) = line.rsplit_once(' ').expect("collapsed format `stack count`");
         count.parse::<u64>().expect("counts are integers");
     }
 
-    let whatif = std::fs::read_to_string(path("BENCH_whatif.json")).expect("whatif artifact");
+    let whatif = std::fs::read_to_string(path("results/DRIFT_whatif.json")).expect("what-if scans");
     let doc = Json::parse(&whatif).expect("valid JSON");
     validate_artifact_version(&doc).expect("versioned artifact");
+    assert!(!dir.join("BENCH_whatif.json").exists(), "the explainer wrote the experiment's path");
+    for written in ["BENCH_figures.json", "results/CONFORMANCE.md", "results/fig5.txt"] {
+        assert!(dir.join(written).exists(), "{written} missing from the artifact dir");
+    }
 
     std::fs::remove_dir_all(&dir).ok();
 }

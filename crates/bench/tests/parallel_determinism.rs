@@ -40,8 +40,8 @@ fn jobs_4_output_is_byte_identical_to_sequential() {
         assert_eq!(s.report.id, p.report.id);
         assert_eq!(s.text, p.text, "{}: text diverged between --jobs 1 and --jobs 4", s.report.id);
         assert_eq!(
-            s.artifacts, p.artifacts,
-            "{}: artifacts diverged between --jobs 1 and --jobs 4",
+            s.outputs, p.outputs,
+            "{}: files or summaries diverged between --jobs 1 and --jobs 4",
             s.report.id
         );
     }

@@ -1,8 +1,8 @@
 //! Causal-audit results: the structured record behind
 //! `BENCH_audit.json` and `results/AUDIT.md`.
 //!
-//! One [`AuditScenario`] per recorded protocol run the observatory
-//! re-audited under `--audit`: the happens-before graph size, how many
+//! One [`AuditScenario`] per recorded protocol run the `audit`
+//! experiment re-audited: the happens-before graph size, how many
 //! invariant instances each checker examined, every violation found
 //! (zero on a healthy run), and the seeded mutation trials that prove
 //! the checkers are not vacuous — each trial names the mutation class
@@ -11,45 +11,49 @@
 //! names only — no floats, no timestamps — so the artifact is
 //! byte-identical across hosts and `--jobs` settings.
 
-use crate::artifact::{count, req_bool, req_u64, scenario_envelope};
-use crate::report::Json;
+use crate::artifact::{record, Hex64};
 use std::fmt::Write as _;
 
-/// One seeded mutation trial of the non-vacuity harness.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct MutationTrial {
-    /// [`crate::MutationClass::name`] of the mutation applied.
-    pub mutation: String,
-    /// Seed the mutation site was drawn with.
-    pub seed: u64,
-    /// The auditor reported at least one violation on the mutant.
-    pub detected: bool,
-    /// The expected [`crate::ViolationClass`] was among those reported.
-    pub classified: bool,
+record! {
+    /// One seeded mutation trial of the non-vacuity harness.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct MutationTrial {
+        /// [`crate::MutationClass::name`] of the mutation applied.
+        pub mutation: String => "mutation",
+        /// Seed the mutation site was drawn with.
+        pub seed: Hex64 => "seed",
+        /// The auditor reported at least one violation on the mutant.
+        pub detected: bool => "detected",
+        /// The expected [`crate::ViolationClass`] was among those reported.
+        pub classified: bool => "classified",
+    }
 }
 
-/// One recorded scenario's audit outcome.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct AuditScenario {
-    /// Stable id, e.g. `"oc_k7_faulted"` — names the row keys and CI
-    /// diffs.
-    pub id: String,
-    /// Human label, e.g. `"k=7 48c 96cl reliable+faults"`.
-    pub label: String,
-    pub cores: u64,
-    /// Recorded events audited.
-    pub events: u64,
-    /// Happens-before edges the causal graph carries.
-    pub edges: u64,
-    /// Invariant instances examined, summed over every checker.
-    pub checks: u64,
-    /// Violations found (must be 0 — the shape checks pin this).
-    pub violations: u64,
-    /// Distinct [`crate::ViolationClass::name`]s found (empty when
-    /// healthy; kept so a CI failure names the class in the diff).
-    pub classes: Vec<String>,
-    /// The mutation trials run against this scenario's stream.
-    pub mutations: Vec<MutationTrial>,
+record! {
+    /// One recorded scenario's audit outcome; `BENCH_audit.json` is
+    /// `artifact::scenarios("audit", ..)` of these.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct AuditScenario {
+        /// Stable id, e.g. `"oc_k7_faulted"` — names the row keys and CI
+        /// diffs.
+        pub id: String => "id",
+        /// Human label, e.g. `"k=7 48c 96cl reliable+faults"`.
+        pub label: String => "label",
+        pub cores: u64 => "cores",
+        /// Recorded events audited.
+        pub events: u64 => "events",
+        /// Happens-before edges the causal graph carries.
+        pub edges: u64 => "edges",
+        /// Invariant instances examined, summed over every checker.
+        pub checks: u64 => "checks",
+        /// Violations found (must be 0 — the shape checks pin this).
+        pub violations: u64 => "violations",
+        /// Distinct [`crate::ViolationClass::name`]s found (empty when
+        /// healthy; kept so a CI failure names the class in the diff).
+        pub classes: Vec<String> => "classes",
+        /// The mutation trials run against this scenario's stream.
+        pub mutations: Vec<MutationTrial> => "mutations",
+    }
 }
 
 impl AuditScenario {
@@ -57,107 +61,6 @@ impl AuditScenario {
     pub fn mutations_all_caught(&self) -> bool {
         self.mutations.iter().all(|m| m.detected && m.classified)
     }
-}
-
-/// The versioned `BENCH_audit.json` envelope, validated by
-/// [`crate::validate_artifact_version`].
-pub fn audit_artifact(scenarios: &[AuditScenario]) -> Json {
-    let arr = scenarios
-        .iter()
-        .map(|s| {
-            let muts = s
-                .mutations
-                .iter()
-                .map(|m| {
-                    Json::obj()
-                        .set("mutation", Json::Str(m.mutation.clone()))
-                        // Seeds span the full u64 range; a JSON int
-                        // (i64) would go negative past 2^63, so the
-                        // envelope carries them as hex strings.
-                        .set("seed", Json::Str(format!("{:#x}", m.seed)))
-                        .set("detected", Json::Bool(m.detected))
-                        .set("classified", Json::Bool(m.classified))
-                })
-                .collect();
-            Json::obj()
-                .set("id", Json::Str(s.id.clone()))
-                .set("label", Json::Str(s.label.clone()))
-                .set("cores", count(s.cores))
-                .set("events", count(s.events))
-                .set("edges", count(s.edges))
-                .set("checks", count(s.checks))
-                .set("violations", count(s.violations))
-                .set("classes", Json::Arr(s.classes.iter().map(|c| Json::Str(c.clone())).collect()))
-                .set("mutations", Json::Arr(muts))
-        })
-        .collect();
-    scenario_envelope("audit", arr)
-}
-
-/// Strict inverse of [`audit_artifact`] (checks the version first).
-pub fn parse_audit_artifact(doc: &Json) -> Result<Vec<AuditScenario>, String> {
-    crate::artifact::open_scenarios(doc)?
-        .iter()
-        .map(|v| {
-            let id = v
-                .get("id")
-                .and_then(Json::as_str)
-                .ok_or_else(|| "scenario missing string 'id'".to_string())?
-                .to_string();
-            let label = v
-                .get("label")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("scenario '{id}' missing string 'label'"))?
-                .to_string();
-            let classes = v
-                .get("classes")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| format!("scenario '{id}' missing 'classes' array"))?
-                .iter()
-                .map(|c| {
-                    c.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| format!("scenario '{id}': non-string class"))
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            let mutations = v
-                .get("mutations")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| format!("scenario '{id}' missing 'mutations' array"))?
-                .iter()
-                .map(|m| {
-                    Ok(MutationTrial {
-                        mutation: m
-                            .get("mutation")
-                            .and_then(Json::as_str)
-                            .ok_or_else(|| format!("scenario '{id}': trial missing 'mutation'"))?
-                            .to_string(),
-                        seed: {
-                            let s = m.get("seed").and_then(Json::as_str).ok_or_else(|| {
-                                format!("scenario '{id}': trial missing hex string 'seed'")
-                            })?;
-                            u64::from_str_radix(s.trim_start_matches("0x"), 16).map_err(|e| {
-                                format!("scenario '{id}': bad trial seed '{s}': {e}")
-                            })?
-                        },
-                        detected: req_bool(m, "detected")?,
-                        classified: req_bool(m, "classified")?,
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            Ok(AuditScenario {
-                id,
-                label,
-                cores: req_u64(v, "cores")?,
-                events: req_u64(v, "events")?,
-                edges: req_u64(v, "edges")?,
-                checks: req_u64(v, "checks")?,
-                violations: req_u64(v, "violations")?,
-                classes,
-                mutations,
-            })
-        })
-        .collect()
 }
 
 /// The human digest (`results/AUDIT.md`): one row per audited
@@ -207,7 +110,7 @@ pub fn render_audit_markdown(scenarios: &[AuditScenario]) -> String {
                     "| `{}` | {} | {:#x} | {} | {} |",
                     s.id,
                     m.mutation,
-                    m.seed,
+                    m.seed.0,
                     if m.detected { "yes" } else { "**MISSED**" },
                     if m.classified { "yes" } else { "**WRONG CLASS**" },
                 );
@@ -220,8 +123,9 @@ pub fn render_audit_markdown(scenarios: &[AuditScenario]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::{check_codec, parse_scenarios, scenarios};
     use crate::conformance::ARTIFACT_VERSION;
-    use crate::report::validate_json;
+    use crate::report::Json;
 
     fn sample() -> Vec<AuditScenario> {
         vec![
@@ -237,13 +141,13 @@ mod tests {
                 mutations: vec![
                     MutationTrial {
                         mutation: "drop-wake".into(),
-                        seed: 7,
+                        seed: Hex64(7),
                         detected: true,
                         classified: true,
                     },
                     MutationTrial {
                         mutation: "retag-epoch".into(),
-                        seed: 8,
+                        seed: Hex64(8),
                         detected: true,
                         classified: false,
                     },
@@ -265,24 +169,20 @@ mod tests {
 
     #[test]
     fn artifact_round_trips_losslessly() {
-        let scenarios = sample();
-        let text = audit_artifact(&scenarios).render();
-        validate_json(&text).unwrap();
-        let doc = Json::parse(&text).unwrap();
-        assert_eq!(parse_audit_artifact(&doc).unwrap(), scenarios);
+        check_codec("audit", &sample()).unwrap();
     }
 
     #[test]
     fn parse_rejects_bad_version_and_junk() {
         let doc = Json::obj().set("version", Json::Int(ARTIFACT_VERSION + 1));
-        assert!(parse_audit_artifact(&doc).unwrap_err().contains("!= supported"));
+        assert!(parse_scenarios::<AuditScenario>(&doc).unwrap_err().contains("!= supported"));
         let doc = Json::obj().set("version", Json::Int(ARTIFACT_VERSION));
-        assert!(parse_audit_artifact(&doc).unwrap_err().contains("scenarios"));
+        assert!(parse_scenarios::<AuditScenario>(&doc).unwrap_err().contains("scenarios"));
         // Negative counts are parse errors, never silent wraps.
-        let mut good = audit_artifact(&sample()).render();
+        let mut good = scenarios("audit", &sample()).render();
         good = good.replace("\"violations\":2", "\"violations\":-2");
         let doc = Json::parse(&good).unwrap();
-        let err = parse_audit_artifact(&doc).unwrap_err();
+        let err = parse_scenarios::<AuditScenario>(&doc).unwrap_err();
         assert!(err.contains("violations") && err.contains("-2"), "{err}");
     }
 

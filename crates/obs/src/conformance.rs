@@ -11,11 +11,13 @@
 //! host-side cost of producing them.
 //!
 //! The whole bundle serializes to/from the `BENCH_figures.json`
-//! artifact via the in-house [`Json`] layer, and [`drift_gate`]
+//! artifact through the one wire codec ([`crate::artifact`]), and
+//! [`drift_gate`]
 //! compares a fresh report against a committed baseline: a CI run fails
 //! if any measurement leaves its tolerance band, any shape check
 //! regresses, or the run modes (quick vs. full) do not match.
 
+use crate::artifact::{field, record, Wire};
 use crate::report::Json;
 use std::fmt::Write as _;
 
@@ -41,23 +43,25 @@ pub fn validate_artifact_version(doc: &Json) -> Result<(), String> {
     }
 }
 
-/// One measured point of one experiment.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ExperimentRow {
-    /// Unique key within the experiment, e.g. `"latency k=7 bytes=32"`.
-    /// The drift gate matches rows across runs by this string.
-    pub point: String,
-    /// The value printed in the paper for this point, if any.
-    pub paper_value: Option<f64>,
-    /// The analytical model's prediction, if the model covers the point.
-    pub model_prediction: Option<f64>,
-    /// What the simulator measured on this run.
-    pub sim_measured: f64,
-    /// Relative tolerance band for the drift gate: a later run violates
-    /// if `|new - old| > tolerance * max(|old|, 1e-9)`.
-    pub tolerance: f64,
-    /// Unit label for reports ("us", "MB/s", ...).
-    pub unit: String,
+record! {
+    /// One measured point of one experiment.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct ExperimentRow {
+        /// Unique key within the experiment, e.g. `"latency k=7 bytes=32"`.
+        /// The drift gate matches rows across runs by this string.
+        pub point: String => "point",
+        /// The value printed in the paper for this point, if any.
+        pub paper_value: Option<f64> => "paper",
+        /// The analytical model's prediction, if the model covers the point.
+        pub model_prediction: Option<f64> => "model",
+        /// What the simulator measured on this run.
+        pub sim_measured: f64 => "sim",
+        /// Relative tolerance band for the drift gate: a later run violates
+        /// if `|new - old| > tolerance * max(|old|, 1e-9)`.
+        pub tolerance: f64 => "tol",
+        /// Unit label for reports ("us", "MB/s", ...).
+        pub unit: String => "unit",
+    }
 }
 
 impl ExperimentRow {
@@ -69,14 +73,16 @@ impl ExperimentRow {
     }
 }
 
-/// One qualitative claim about a figure, evaluated on this run.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ShapeCheck {
-    /// Stable name the drift gate matches across runs.
-    pub name: String,
-    /// Human-readable evidence (the numbers behind the verdict).
-    pub detail: String,
-    pub pass: bool,
+record! {
+    /// One qualitative claim about a figure, evaluated on this run.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct ShapeCheck {
+        /// Stable name the drift gate matches across runs.
+        pub name: String => "name",
+        /// Human-readable evidence (the numbers behind the verdict).
+        pub detail: String => "detail",
+        pub pass: bool => "pass",
+    }
 }
 
 impl ShapeCheck {
@@ -86,31 +92,34 @@ impl ShapeCheck {
     }
 }
 
-/// Host-side cost of producing one experiment's measurements.
-///
-/// The engine counters (`sim_runs`, `sim_events`, `heap_pushes`,
-/// `coalesced_steps`) are attributed per experiment by summing each
-/// sweep unit's own run stats, so they are exact and deterministic even
-/// when experiments execute concurrently. `wall_s` is the sum of the
-/// units' individual wall times — the *sequential-equivalent* cost —
-/// which keeps its meaning under a parallel runner (the whole-run wall
-/// clock lives in [`RunMetrics`] instead).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct SelfMetrics {
-    /// Sequential-equivalent wall-clock seconds: the sum over this
-    /// experiment's sweep units of each unit's own elapsed time.
-    pub wall_s: f64,
-    /// Simulator runs launched.
-    pub sim_runs: u64,
-    /// Events retired across those runs.
-    pub sim_events: u64,
-    /// Scheduler heap pushes across those runs.
-    pub heap_pushes: u64,
-    /// Heap round-trips elided by the coalescing fast path.
-    pub coalesced_steps: u64,
-    /// Independently schedulable sweep units the experiment decomposed
-    /// into (0 in reports predating the parallel runner).
-    pub units: u64,
+record! {
+    /// Host-side cost of producing one experiment's measurements.
+    ///
+    /// The engine counters (`sim_runs`, `sim_events`, `heap_pushes`,
+    /// `coalesced_steps`) are attributed per experiment by summing each
+    /// sweep unit's own run stats, so they are exact and deterministic even
+    /// when experiments execute concurrently. `wall_s` is the sum of the
+    /// units' individual wall times — the *sequential-equivalent* cost —
+    /// which keeps its meaning under a parallel runner (the whole-run wall
+    /// clock lives in [`RunMetrics`] instead).
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct SelfMetrics {
+        /// Sequential-equivalent wall-clock seconds: the sum over this
+        /// experiment's sweep units of each unit's own elapsed time.
+        pub wall_s: f64 => "wall_s",
+        /// Simulator runs launched.
+        pub sim_runs: u64 => "sim_runs",
+        /// Events retired across those runs.
+        pub sim_events: u64 => "sim_events",
+        /// Scheduler heap pushes across those runs.
+        pub heap_pushes: u64 => "heap_pushes",
+        /// Heap round-trips elided by the coalescing fast path.
+        pub coalesced_steps: u64 => "coalesced_steps",
+        /// Independently schedulable sweep units the experiment
+        /// decomposed into.
+        pub units: u64 => "units",
+    }
+    derived { "events_per_sec" => SelfMetrics::events_per_sec }
 }
 
 impl SelfMetrics {
@@ -136,22 +145,28 @@ impl SelfMetrics {
     }
 }
 
-/// Whole-run self-metrics of one observatory invocation: how the
-/// parallel runner actually performed. Excluded from the drift gate and
-/// from `CONFORMANCE.md` (wall clock is host-dependent); carried in
-/// `BENCH_figures.json` so CI can track the speedup across PRs.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct RunMetrics {
-    /// Worker threads the runner was allowed (`--jobs`).
-    pub jobs: u64,
-    /// Sweep units executed across all experiments.
-    pub units: u64,
-    /// Actual wall-clock seconds for the whole registry run.
-    pub wall_s: f64,
-    /// Sequential-equivalent seconds (sum of per-unit wall times).
-    pub seq_s: f64,
-    /// High-water mark of concurrently executing simulations.
-    pub peak_in_flight: u64,
+record! {
+    /// Whole-run self-metrics of one observatory invocation: how the
+    /// parallel runner actually performed. Excluded from the drift gate and
+    /// from `CONFORMANCE.md` (wall clock is host-dependent); carried in
+    /// `BENCH_figures.json` so CI can track the speedup across PRs.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct RunMetrics {
+        /// Worker threads the runner was allowed (`--jobs`).
+        pub jobs: u64 => "jobs",
+        /// Sweep units executed across all experiments.
+        pub units: u64 => "units",
+        /// Actual wall-clock seconds for the whole registry run.
+        pub wall_s: f64 => "wall_s",
+        /// Sequential-equivalent seconds (sum of per-unit wall times).
+        pub seq_s: f64 => "seq_s",
+        /// High-water mark of concurrently executing simulations.
+        pub peak_in_flight: u64 => "peak_in_flight",
+    }
+    derived {
+        "speedup" => RunMetrics::speedup,
+        "units_per_sec" => RunMetrics::units_per_sec,
+    }
 }
 
 impl RunMetrics {
@@ -174,84 +189,18 @@ impl RunMetrics {
     }
 }
 
-/// Journey-layer self-metrics of one observatory invocation
-/// (`--journeys`): how many delivery timelines were reconstructed and
-/// the worst delivery latency observed. Excluded from the drift gate —
-/// like [`RunMetrics`], this block describes the run's own tracing
-/// output, not paper conformance, so it must never trip CI.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct JourneysMetrics {
-    /// Scenarios traced (one `JourneyBook` each).
-    pub scenarios: u64,
-    /// Delivery timelines reconstructed across all scenarios.
-    pub journeys: u64,
-    /// Worst per-destination delivery latency, µs (virtual time).
-    pub max_delivery_us: f64,
-}
-
-/// Fault-layer self-metrics of one observatory invocation
-/// (`--faults`): how much fault injection and recovery work the
-/// degradation sweep performed. Excluded from the drift gate for the
-/// same reason as [`JourneysMetrics`] — it describes the run's own
-/// tracing output, not paper conformance.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct FaultsMetrics {
-    /// Scenarios swept (one degradation curve each).
-    pub scenarios: u64,
-    /// Total (scenario, fault-rate) operating points measured.
-    pub points: u64,
-    /// Faults the engine injected across all points.
-    pub injected_faults: u64,
-    /// Timeout-triggered recoveries the reliable protocols performed.
-    pub recoveries: u64,
-}
-
-/// Soak-layer self-metrics of one observatory invocation (`--soak`):
-/// how much sustained traffic the soak drove and what the SLO
-/// watchdogs found. Excluded from the drift gate for the same reason
-/// as [`JourneysMetrics`] — it describes the run's own telemetry
-/// output, not paper conformance.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct SoakMetrics {
-    /// Protocols soaked (one scenario record each).
-    pub scenarios: u64,
-    /// Broadcast epochs completed across all scenarios and phases.
-    pub epochs: u64,
-    /// SLO objectives breached across the whole soak.
-    pub breaches: u64,
-    /// Forensic dump files written (Chrome trace / journey / skew).
-    pub dumps: u64,
-}
-
-/// Causal-audit self-metrics of one observatory invocation
-/// (`--audit`): how many recorded streams the auditor checked and what
-/// it found. Excluded from the drift gate for the same reason as
-/// [`JourneysMetrics`] — it describes the run's own telemetry output,
-/// not paper conformance.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct AuditMetrics {
-    /// Recorded scenario streams audited.
-    pub scenarios: u64,
-    /// Invariant instances examined across all streams.
-    pub checks: u64,
-    /// Violations found (must be 0 on healthy runs).
-    pub violations: u64,
-    /// Seeded mutation trials run by the non-vacuity harness.
-    pub mutations: u64,
-    /// Mutation trials the auditor caught with the expected class.
-    pub mutations_caught: u64,
-}
-
-/// Everything one experiment produced.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ExperimentReport {
-    /// Registry id, e.g. `"fig6"`.
-    pub id: String,
-    /// Human title, e.g. `"Figure 6: OC-Bcast latency vs. message size"`.
-    pub title: String,
-    pub rows: Vec<ExperimentRow>,
-    pub shapes: Vec<ShapeCheck>,
-    pub metrics: SelfMetrics,
+record! {
+    /// Everything one experiment produced.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct ExperimentReport {
+        /// Registry id, e.g. `"fig6"`.
+        pub id: String => "id",
+        /// Human title, e.g. `"Figure 6: OC-Bcast latency vs. message size"`.
+        pub title: String => "title",
+        pub rows: Vec<ExperimentRow> => "rows",
+        pub shapes: Vec<ShapeCheck> => "shapes",
+        pub metrics: SelfMetrics => "metrics",
+    }
 }
 
 impl ExperimentReport {
@@ -270,22 +219,19 @@ pub struct ConformanceReport {
     /// refuses to compare across modes.
     pub quick: bool,
     pub experiments: Vec<ExperimentReport>,
-    /// Whole-run runner metrics (absent in reports predating the
-    /// parallel runner, and in hand-assembled partial reports).
+    /// Whole-run runner metrics (absent in hand-assembled partial
+    /// reports).
     pub run: Option<RunMetrics>,
-    /// Journey-tracing summary (present only on `--journeys` runs;
-    /// absent in older baselines). Ignored by the drift gate.
-    pub journeys: Option<JourneysMetrics>,
-    /// Fault-sweep summary (present only on `--faults` runs; absent in
-    /// older baselines). Ignored by the drift gate.
-    pub faults: Option<FaultsMetrics>,
-    /// Soak summary (present only on `--soak` runs; absent in older
-    /// baselines). Ignored by the drift gate.
-    pub soak: Option<SoakMetrics>,
-    /// Causal-audit summary (present only on `--audit` runs; absent in
-    /// older baselines). Ignored by the drift gate.
-    pub audit: Option<AuditMetrics>,
+    /// Named summary blocks, one per experiment that describes its own
+    /// sidecars (`journeys`, `faults`, `soak`, `audit`): each is
+    /// written as a top-level key, in this order. They describe the
+    /// run's own telemetry output, not paper conformance, so the drift
+    /// gate ignores them — present, absent or wildly different.
+    pub summaries: Vec<(String, Json)>,
 }
+
+/// The top-level keys that are not summary blocks.
+const REPORT_KEYS: [&str; 4] = ["schema", "quick", "experiments", "run"];
 
 impl ConformanceReport {
     pub fn new(quick: bool) -> ConformanceReport {
@@ -294,10 +240,7 @@ impl ConformanceReport {
             quick,
             experiments: Vec::new(),
             run: None,
-            journeys: None,
-            faults: None,
-            soak: None,
-            audit: None,
+            summaries: Vec::new(),
         }
     }
 
@@ -311,206 +254,40 @@ impl ConformanceReport {
     }
 
     pub fn to_json(&self) -> Json {
-        let experiments = self
-            .experiments
-            .iter()
-            .map(|e| {
-                let rows = e
-                    .rows
-                    .iter()
-                    .map(|r| {
-                        Json::obj()
-                            .set("point", Json::Str(r.point.clone()))
-                            .set("paper", opt_num(r.paper_value))
-                            .set("model", opt_num(r.model_prediction))
-                            .set("sim", Json::Num(r.sim_measured))
-                            .set("tol", Json::Num(r.tolerance))
-                            .set("unit", Json::Str(r.unit.clone()))
-                    })
-                    .collect();
-                let shapes = e
-                    .shapes
-                    .iter()
-                    .map(|s| {
-                        Json::obj()
-                            .set("name", Json::Str(s.name.clone()))
-                            .set("detail", Json::Str(s.detail.clone()))
-                            .set("pass", Json::Bool(s.pass))
-                    })
-                    .collect();
-                let m = &e.metrics;
-                Json::obj()
-                    .set("id", Json::Str(e.id.clone()))
-                    .set("title", Json::Str(e.title.clone()))
-                    .set("rows", Json::Arr(rows))
-                    .set("shapes", Json::Arr(shapes))
-                    .set(
-                        "metrics",
-                        Json::obj()
-                            .set("wall_s", Json::Num(m.wall_s))
-                            .set("sim_runs", Json::Int(m.sim_runs as i64))
-                            .set("sim_events", Json::Int(m.sim_events as i64))
-                            .set("heap_pushes", Json::Int(m.heap_pushes as i64))
-                            .set("coalesced_steps", Json::Int(m.coalesced_steps as i64))
-                            .set("units", Json::Int(m.units as i64))
-                            .set("events_per_sec", Json::Num(m.events_per_sec())),
-                    )
-            })
-            .collect();
-        let doc = Json::obj()
+        let mut doc = Json::obj()
             .set("schema", Json::Int(self.schema))
-            .set("quick", Json::Bool(self.quick))
-            .set("experiments", Json::Arr(experiments));
-        let doc = match &self.run {
-            Some(r) => doc.set(
-                "run",
-                Json::obj()
-                    .set("jobs", Json::Int(r.jobs as i64))
-                    .set("units", Json::Int(r.units as i64))
-                    .set("wall_s", Json::Num(r.wall_s))
-                    .set("seq_s", Json::Num(r.seq_s))
-                    .set("peak_in_flight", Json::Int(r.peak_in_flight as i64))
-                    .set("speedup", Json::Num(r.speedup()))
-                    .set("units_per_sec", Json::Num(r.units_per_sec())),
-            ),
-            None => doc,
-        };
-        let doc = match &self.journeys {
-            Some(j) => doc.set(
-                "journeys",
-                Json::obj()
-                    .set("scenarios", Json::Int(j.scenarios as i64))
-                    .set("journeys", Json::Int(j.journeys as i64))
-                    .set("max_delivery_us", Json::Num(j.max_delivery_us)),
-            ),
-            None => doc,
-        };
-        let doc = match &self.faults {
-            Some(f) => doc.set(
-                "faults",
-                Json::obj()
-                    .set("scenarios", Json::Int(f.scenarios as i64))
-                    .set("points", Json::Int(f.points as i64))
-                    .set("injected_faults", Json::Int(f.injected_faults as i64))
-                    .set("recoveries", Json::Int(f.recoveries as i64)),
-            ),
-            None => doc,
-        };
-        let doc = match &self.soak {
-            Some(s) => doc.set(
-                "soak",
-                Json::obj()
-                    .set("scenarios", Json::Int(s.scenarios as i64))
-                    .set("epochs", Json::Int(s.epochs as i64))
-                    .set("breaches", Json::Int(s.breaches as i64))
-                    .set("dumps", Json::Int(s.dumps as i64)),
-            ),
-            None => doc,
-        };
-        match &self.audit {
-            Some(a) => doc.set(
-                "audit",
-                Json::obj()
-                    .set("scenarios", Json::Int(a.scenarios as i64))
-                    .set("checks", Json::Int(a.checks as i64))
-                    .set("violations", Json::Int(a.violations as i64))
-                    .set("mutations", Json::Int(a.mutations as i64))
-                    .set("mutations_caught", Json::Int(a.mutations_caught as i64)),
-            ),
-            None => doc,
+            .set("quick", self.quick.to_wire())
+            .set("experiments", self.experiments.to_wire());
+        if let Some(run) = &self.run {
+            doc = doc.set("run", run.to_wire());
         }
+        for (key, block) in &self.summaries {
+            debug_assert!(!REPORT_KEYS.contains(&key.as_str()), "summary named `{key}`");
+            doc = doc.set(key, block.clone());
+        }
+        doc
     }
 
     /// Parse a rendered report back (e.g. the committed CI baseline).
+    /// The schema is checked before any other field.
     pub fn from_json(s: &str) -> Result<ConformanceReport, String> {
         let v = Json::parse(s)?;
+        let Json::Obj(fields) = &v else { return Err("report is not a JSON object".into()) };
         let schema = v.get("schema").and_then(Json::as_i64).ok_or("missing integer 'schema'")?;
         if schema != SCHEMA_VERSION {
             return Err(format!("schema {schema} != supported {SCHEMA_VERSION}"));
         }
-        let quick = v.get("quick").and_then(Json::as_bool).ok_or("missing bool 'quick'")?;
-        let mut experiments = Vec::new();
-        for e in v.get("experiments").and_then(Json::as_arr).ok_or("missing 'experiments'")? {
-            let id = req_str(e, "id")?;
-            let title = req_str(e, "title")?;
-            let mut rows = Vec::new();
-            for r in e.get("rows").and_then(Json::as_arr).ok_or("missing 'rows'")? {
-                rows.push(ExperimentRow {
-                    point: req_str(r, "point")?,
-                    paper_value: r.get("paper").and_then(Json::as_f64),
-                    model_prediction: r.get("model").and_then(Json::as_f64),
-                    sim_measured: req_f64(r, "sim")?,
-                    tolerance: req_f64(r, "tol")?,
-                    unit: req_str(r, "unit")?,
-                });
-            }
-            let mut shapes = Vec::new();
-            for s in e.get("shapes").and_then(Json::as_arr).ok_or("missing 'shapes'")? {
-                shapes.push(ShapeCheck {
-                    name: req_str(s, "name")?,
-                    detail: req_str(s, "detail")?,
-                    pass: s.get("pass").and_then(Json::as_bool).ok_or("missing 'pass'")?,
-                });
-            }
-            let m = e.get("metrics").ok_or("missing 'metrics'")?;
-            let metrics = SelfMetrics {
-                wall_s: req_f64(m, "wall_s")?,
-                sim_runs: req_f64(m, "sim_runs")? as u64,
-                sim_events: req_f64(m, "sim_events")? as u64,
-                heap_pushes: req_f64(m, "heap_pushes")? as u64,
-                coalesced_steps: req_f64(m, "coalesced_steps")? as u64,
-                // Absent in baselines written before the parallel runner.
-                units: m.get("units").and_then(Json::as_f64).unwrap_or(0.0) as u64,
-            };
-            experiments.push(ExperimentReport { id, title, rows, shapes, metrics });
-        }
-        let run = match v.get("run") {
-            Some(r) => Some(RunMetrics {
-                jobs: req_f64(r, "jobs")? as u64,
-                units: req_f64(r, "units")? as u64,
-                wall_s: req_f64(r, "wall_s")?,
-                seq_s: req_f64(r, "seq_s")?,
-                peak_in_flight: req_f64(r, "peak_in_flight")? as u64,
-            }),
-            None => None,
-        };
-        let journeys = match v.get("journeys") {
-            Some(j) => Some(JourneysMetrics {
-                scenarios: req_f64(j, "scenarios")? as u64,
-                journeys: req_f64(j, "journeys")? as u64,
-                max_delivery_us: req_f64(j, "max_delivery_us")?,
-            }),
-            None => None,
-        };
-        let faults = match v.get("faults") {
-            Some(f) => Some(FaultsMetrics {
-                scenarios: req_f64(f, "scenarios")? as u64,
-                points: req_f64(f, "points")? as u64,
-                injected_faults: req_f64(f, "injected_faults")? as u64,
-                recoveries: req_f64(f, "recoveries")? as u64,
-            }),
-            None => None,
-        };
-        let soak = match v.get("soak") {
-            Some(s) => Some(SoakMetrics {
-                scenarios: req_f64(s, "scenarios")? as u64,
-                epochs: req_f64(s, "epochs")? as u64,
-                breaches: req_f64(s, "breaches")? as u64,
-                dumps: req_f64(s, "dumps")? as u64,
-            }),
-            None => None,
-        };
-        let audit = match v.get("audit") {
-            Some(a) => Some(AuditMetrics {
-                scenarios: req_f64(a, "scenarios")? as u64,
-                checks: req_f64(a, "checks")? as u64,
-                violations: req_f64(a, "violations")? as u64,
-                mutations: req_f64(a, "mutations")? as u64,
-                mutations_caught: req_f64(a, "mutations_caught")? as u64,
-            }),
-            None => None,
-        };
-        Ok(ConformanceReport { schema, quick, experiments, run, journeys, faults, soak, audit })
+        Ok(ConformanceReport {
+            schema,
+            quick: field(&v, "quick")?,
+            experiments: field(&v, "experiments")?,
+            run: v.get("run").map(|_| field(&v, "run")).transpose()?,
+            summaries: fields
+                .iter()
+                .filter(|(k, _)| !REPORT_KEYS.contains(&k.as_str()))
+                .cloned()
+                .collect(),
+        })
     }
 
     /// The human-readable drift report (`results/CONFORMANCE.md`).
@@ -584,26 +361,8 @@ impl ConformanceReport {
     }
 }
 
-fn opt_num(v: Option<f64>) -> Json {
-    match v {
-        Some(n) => Json::Num(n),
-        None => Json::Null,
-    }
-}
-
 fn fmt_opt(v: Option<f64>) -> String {
     v.map(|n| format!("{n:.4}")).unwrap_or_else(|| "—".into())
-}
-
-fn req_str(v: &Json, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing string '{key}'"))
-}
-
-fn req_f64(v: &Json, key: &str) -> Result<f64, String> {
-    v.get(key).and_then(Json::as_f64).ok_or_else(|| format!("missing number '{key}'"))
 }
 
 /// One reason the drift gate failed.
@@ -778,17 +537,25 @@ mod tests {
             },
         });
         r.run = Some(RunMetrics { jobs: 4, units: 3, wall_s: 0.75, seq_s: 2.0, peak_in_flight: 4 });
-        r.journeys = Some(JourneysMetrics { scenarios: 2, journeys: 96, max_delivery_us: 260.125 });
-        r.faults =
-            Some(FaultsMetrics { scenarios: 3, points: 12, injected_faults: 40, recoveries: 31 });
-        r.soak = Some(SoakMetrics { scenarios: 2, epochs: 10_000, breaches: 4, dumps: 6 });
-        r.audit = Some(AuditMetrics {
-            scenarios: 9,
-            checks: 120_000,
-            violations: 0,
-            mutations: 45,
-            mutations_caught: 45,
-        });
+        let block = |fields: &[(&str, Json)]| {
+            fields.iter().fold(Json::obj(), |j, (k, v)| j.set(k, v.clone()))
+        };
+        r.summaries = vec![
+            (
+                "journeys".into(),
+                block(&[
+                    ("scenarios", Json::Int(2)),
+                    ("journeys", Json::Int(96)),
+                    ("max_delivery_us", Json::Num(260.125)),
+                ]),
+            ),
+            ("faults".into(), block(&[("scenarios", Json::Int(3)), ("recoveries", Json::Int(31))])),
+            ("soak".into(), block(&[("epochs", Json::Int(10_000)), ("dumps", Json::Int(6))])),
+            (
+                "audit".into(),
+                block(&[("checks", Json::Int(120_000)), ("violations", Json::Int(0))]),
+            ),
+        ];
         r
     }
 
@@ -806,6 +573,20 @@ mod tests {
         assert!(ConformanceReport::from_json("{\"schema\":99}").is_err());
         assert!(ConformanceReport::from_json("not json").is_err());
         assert!(ConformanceReport::from_json("{}").is_err());
+        // Counts are strict: negatives and fractions are parse errors
+        // naming the key, never silently 0 or truncated.
+        let good = sample().to_json().render();
+        assert!(ConformanceReport::from_json(&good).is_ok());
+        for (from, to, key) in [
+            ("\"sim_runs\":10", "\"sim_runs\":-3", "sim_runs"),
+            ("\"units\":3,\"events_per_sec\"", "\"units\":1.5,\"events_per_sec\"", "units"),
+            ("\"peak_in_flight\":4", "\"peak_in_flight\":-1", "peak_in_flight"),
+            ("\"units\":3,\"events_per_sec\"", "\"events_per_sec\"", "units"),
+        ] {
+            assert!(good.contains(from), "{from} not in {good}");
+            let err = ConformanceReport::from_json(&good.replace(from, to)).unwrap_err();
+            assert!(err.contains(key), "{to}: {err}");
+        }
     }
 
     #[test]
@@ -817,78 +598,39 @@ mod tests {
         assert_eq!(d.shapes_checked, 1);
     }
 
-    /// The journeys block is self-description, not conformance: wildly
-    /// different journey metrics (or the block appearing/disappearing
-    /// entirely) must never trip the gate.
-    #[test]
-    fn gate_ignores_journey_self_metrics() {
+    /// A summary block is self-description, not conformance: a wildly
+    /// different one, or the block appearing or disappearing entirely,
+    /// must never trip the gate.
+    fn gate_ignores_summary(key: &str) {
         let base = sample();
+        let at = base.summaries.iter().position(|(k, _)| k == key).expect("sample has the block");
         let mut cur = sample();
-        cur.journeys = Some(JourneysMetrics { scenarios: 9, journeys: 9999, max_delivery_us: 1e9 });
+        cur.summaries[at].1 = Json::obj().set("scenarios", Json::Int(i64::MAX));
         assert!(drift_gate(&cur, &base).ok());
-        cur.journeys = None;
+        cur.summaries.remove(at);
         assert!(drift_gate(&cur, &base).ok());
         // And a baseline without the block accepts a run with it.
-        let mut old_base = sample();
-        old_base.journeys = None;
-        assert!(drift_gate(&sample(), &old_base).ok());
+        assert!(drift_gate(&base, &cur).ok());
     }
 
-    /// Same contract for the fault-sweep block: self-description, not
-    /// conformance — arbitrary drift (or absence) never trips the gate.
+    #[test]
+    fn gate_ignores_journey_self_metrics() {
+        gate_ignores_summary("journeys");
+    }
+
     #[test]
     fn gate_ignores_faults_self_metrics() {
-        let base = sample();
-        let mut cur = sample();
-        cur.faults = Some(FaultsMetrics {
-            scenarios: 99,
-            points: 9999,
-            injected_faults: u64::MAX,
-            recoveries: 0,
-        });
-        assert!(drift_gate(&cur, &base).ok());
-        cur.faults = None;
-        assert!(drift_gate(&cur, &base).ok());
-        let mut old_base = sample();
-        old_base.faults = None;
-        assert!(drift_gate(&sample(), &old_base).ok());
+        gate_ignores_summary("faults");
     }
 
-    /// Same contract for the soak block: self-description, not
-    /// conformance — arbitrary drift (or absence) never trips the gate.
     #[test]
     fn gate_ignores_soak_self_metrics() {
-        let base = sample();
-        let mut cur = sample();
-        cur.soak =
-            Some(SoakMetrics { scenarios: 99, epochs: u64::MAX, breaches: 9999, dumps: 9999 });
-        assert!(drift_gate(&cur, &base).ok());
-        cur.soak = None;
-        assert!(drift_gate(&cur, &base).ok());
-        let mut old_base = sample();
-        old_base.soak = None;
-        assert!(drift_gate(&sample(), &old_base).ok());
+        gate_ignores_summary("soak");
     }
 
-    /// Same contract for the audit block: self-description, not
-    /// conformance — arbitrary drift (or absence) never trips the gate.
     #[test]
     fn gate_ignores_audit_self_metrics() {
-        let base = sample();
-        let mut cur = sample();
-        cur.audit = Some(AuditMetrics {
-            scenarios: 99,
-            checks: u64::MAX,
-            violations: 9999,
-            mutations: 0,
-            mutations_caught: 0,
-        });
-        assert!(drift_gate(&cur, &base).ok());
-        cur.audit = None;
-        assert!(drift_gate(&cur, &base).ok());
-        let mut old_base = sample();
-        old_base.audit = None;
-        assert!(drift_gate(&sample(), &old_base).ok());
+        gate_ignores_summary("audit");
     }
 
     #[test]

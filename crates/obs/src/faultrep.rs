@@ -11,129 +11,54 @@
 //! `--jobs` settings — the same determinism contract as the journey
 //! book.
 
-use crate::artifact::{count, ps, req_time, req_u64, scenario_envelope};
-use crate::report::Json;
+use crate::artifact::record;
 use scc_hal::Time;
 use std::fmt::Write as _;
 
-/// One operating point of one scenario: a fault rate and what the
-/// reliable broadcast delivered there.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct FaultPoint {
-    /// Injected drop probability for remote notification flags, ppm.
-    pub drop_ppm: u64,
-    /// Injected transfer-delay probability, ppm.
-    pub delay_ppm: u64,
-    /// Destinations that returned with a verified payload.
-    pub delivered: u64,
-    /// Per-destination delivered-latency percentiles (nearest-rank).
-    pub p50: Time,
-    pub p99: Time,
-    /// Worst per-destination delivered latency.
-    pub max: Time,
-    /// Engine makespan of the run (includes the root's drain).
-    pub makespan: Time,
-    /// Faults the engine actually injected, and the virtual time they
-    /// directly stole (drop detection lag is accounted by the recovery
-    /// counters below, not here).
-    pub faults: u64,
-    pub lost: Time,
-    /// Recovery-layer counters summed over every core.
-    pub timeouts: u64,
-    pub probes: u64,
-    pub recoveries: u64,
-    pub renotifies: u64,
+record! {
+    /// One operating point of one scenario: a fault rate and what the
+    /// reliable broadcast delivered there.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct FaultPoint {
+        /// Injected drop probability for remote notification flags, ppm.
+        pub drop_ppm: u64 => "drop_ppm",
+        /// Injected transfer-delay probability, ppm.
+        pub delay_ppm: u64 => "delay_ppm",
+        /// Destinations that returned with a verified payload.
+        pub delivered: u64 => "delivered",
+        /// Per-destination delivered-latency percentiles (nearest-rank).
+        pub p50: Time => "p50_ps",
+        pub p99: Time => "p99_ps",
+        /// Worst per-destination delivered latency.
+        pub max: Time => "max_ps",
+        /// Engine makespan of the run (includes the root's drain).
+        pub makespan: Time => "makespan_ps",
+        /// Faults the engine actually injected, and the virtual time they
+        /// directly stole (drop detection lag is accounted by the recovery
+        /// counters below, not here).
+        pub faults: u64 => "faults",
+        pub lost: Time => "lost_ps",
+        /// Recovery-layer counters summed over every core.
+        pub timeouts: u64 => "timeouts",
+        pub probes: u64 => "probes",
+        pub recoveries: u64 => "recoveries",
+        pub renotifies: u64 => "renotifies",
+    }
 }
 
-/// One scenario's degradation curve, rate points in ascending order.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct FaultCurve {
-    /// Stable id, e.g. `"oc_k7"` — names the row keys and CI diffs.
-    pub id: String,
-    /// Human label, e.g. `"k=7 48c 96cl"`.
-    pub label: String,
-    pub cores: u64,
-    pub points: Vec<FaultPoint>,
-}
-
-/// The versioned `BENCH_faults.json` envelope, validated by
-/// [`crate::validate_artifact_version`].
-pub fn faults_artifact(curves: &[FaultCurve]) -> Json {
-    let arr = curves
-        .iter()
-        .map(|c| {
-            let points = c
-                .points
-                .iter()
-                .map(|p| {
-                    Json::obj()
-                        .set("drop_ppm", count(p.drop_ppm))
-                        .set("delay_ppm", count(p.delay_ppm))
-                        .set("delivered", count(p.delivered))
-                        .set("p50_ps", ps(p.p50))
-                        .set("p99_ps", ps(p.p99))
-                        .set("max_ps", ps(p.max))
-                        .set("makespan_ps", ps(p.makespan))
-                        .set("faults", count(p.faults))
-                        .set("lost_ps", ps(p.lost))
-                        .set("timeouts", count(p.timeouts))
-                        .set("probes", count(p.probes))
-                        .set("recoveries", count(p.recoveries))
-                        .set("renotifies", count(p.renotifies))
-                })
-                .collect();
-            Json::obj()
-                .set("id", Json::Str(c.id.clone()))
-                .set("label", Json::Str(c.label.clone()))
-                .set("cores", count(c.cores))
-                .set("points", Json::Arr(points))
-        })
-        .collect();
-    scenario_envelope("faults", arr)
-}
-
-/// Strict inverse of [`faults_artifact`] (checks the version first).
-pub fn parse_faults_artifact(doc: &Json) -> Result<Vec<FaultCurve>, String> {
-    crate::artifact::open_scenarios(doc)?
-        .iter()
-        .map(|v| {
-            let id = v
-                .get("id")
-                .and_then(Json::as_str)
-                .ok_or_else(|| "scenario missing string 'id'".to_string())?
-                .to_string();
-            let label = v
-                .get("label")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("scenario '{id}' missing string 'label'"))?
-                .to_string();
-            let cores = req_u64(v, "cores")?;
-            let points = v
-                .get("points")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| format!("scenario '{id}' missing 'points' array"))?
-                .iter()
-                .map(|p| {
-                    Ok(FaultPoint {
-                        drop_ppm: req_u64(p, "drop_ppm")?,
-                        delay_ppm: req_u64(p, "delay_ppm")?,
-                        delivered: req_u64(p, "delivered")?,
-                        p50: req_time(p, "p50_ps")?,
-                        p99: req_time(p, "p99_ps")?,
-                        max: req_time(p, "max_ps")?,
-                        makespan: req_time(p, "makespan_ps")?,
-                        faults: req_u64(p, "faults")?,
-                        lost: req_time(p, "lost_ps")?,
-                        timeouts: req_u64(p, "timeouts")?,
-                        probes: req_u64(p, "probes")?,
-                        recoveries: req_u64(p, "recoveries")?,
-                        renotifies: req_u64(p, "renotifies")?,
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            Ok(FaultCurve { id, label, cores, points })
-        })
-        .collect()
+record! {
+    /// One scenario's degradation curve, rate points in ascending
+    /// order; `BENCH_faults.json` is `artifact::scenarios("faults", ..)`
+    /// of these.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct FaultCurve {
+        /// Stable id, e.g. `"oc_k7"` — names the row keys and CI diffs.
+        pub id: String => "id",
+        /// Human label, e.g. `"k=7 48c 96cl"`.
+        pub label: String => "label",
+        pub cores: u64 => "cores",
+        pub points: Vec<FaultPoint> => "points",
+    }
 }
 
 /// The human digest (`results/FAULTS.md`): one degradation table per
@@ -183,8 +108,9 @@ pub fn render_faults_markdown(curves: &[FaultCurve]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::{check_codec, parse_scenarios, scenarios};
     use crate::conformance::ARTIFACT_VERSION;
-    use crate::report::validate_json;
+    use crate::report::Json;
 
     fn sample() -> Vec<FaultCurve> {
         vec![
@@ -229,24 +155,20 @@ mod tests {
 
     #[test]
     fn artifact_round_trips_losslessly() {
-        let curves = sample();
-        let text = faults_artifact(&curves).render();
-        validate_json(&text).unwrap();
-        let doc = Json::parse(&text).unwrap();
-        assert_eq!(parse_faults_artifact(&doc).unwrap(), curves);
+        check_codec("faults", &sample()).unwrap();
     }
 
     #[test]
     fn parse_rejects_bad_version_and_junk() {
         let doc = Json::obj().set("version", Json::Int(ARTIFACT_VERSION + 1));
-        assert!(parse_faults_artifact(&doc).unwrap_err().contains("!= supported"));
+        assert!(parse_scenarios::<FaultCurve>(&doc).unwrap_err().contains("!= supported"));
         let doc = Json::obj().set("version", Json::Int(ARTIFACT_VERSION));
-        assert!(parse_faults_artifact(&doc).unwrap_err().contains("scenarios"));
+        assert!(parse_scenarios::<FaultCurve>(&doc).unwrap_err().contains("scenarios"));
         // Negative counts are parse errors, never silent wraps.
-        let mut good = faults_artifact(&sample()).render();
+        let mut good = scenarios("faults", &sample()).render();
         good = good.replace("\"faults\":12", "\"faults\":-12");
         let doc = Json::parse(&good).unwrap();
-        let err = parse_faults_artifact(&doc).unwrap_err();
+        let err = parse_scenarios::<FaultCurve>(&doc).unwrap_err();
         assert!(err.contains("faults") && err.contains("-12"), "{err}");
     }
 

@@ -20,6 +20,7 @@
 //! (a pipelined put can hold a port and a router at once) therefore
 //! never double-count.
 
+use crate::artifact::{field, record, Wire};
 use crate::event::{ObsEvent, OpKind, ResourceId};
 use crate::report::Json;
 use scc_hal::{CoreId, Phase, Time};
@@ -98,20 +99,39 @@ impl LegKind {
     }
 }
 
-/// One core's delivery timeline through one collective invocation.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Journey {
-    pub core: CoreId,
-    pub epoch: u32,
-    /// The core entered the collective.
-    pub begin: Time,
-    /// The core holds the full payload.
-    pub end: Time,
-    /// Tagged transfers addressed to this core within the window.
-    pub transfers: usize,
-    /// Cache lines those transfers carried.
-    pub lines: usize,
-    legs: [Time; LegKind::COUNT],
+record! {
+    /// One core's delivery timeline through one collective invocation.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct Journey {
+        pub core: CoreId => "core",
+        pub epoch: u32 => "epoch",
+        /// The core entered the collective.
+        pub begin: Time => "begin_ps",
+        /// The core holds the full payload.
+        pub end: Time => "end_ps",
+        /// Tagged transfers addressed to this core within the window.
+        pub transfers: usize => "transfers",
+        /// Cache lines those transfers carried.
+        pub lines: usize => "lines",
+        legs: [Time; LegKind::COUNT] => "legs",
+    }
+}
+
+/// The leg dwells travel as an object keyed by [`LegKind::name`], in
+/// report order; every leg is required.
+impl Wire for [Time; LegKind::COUNT] {
+    fn to_wire(&self) -> Json {
+        Json::Obj(
+            LegKind::ALL.iter().map(|k| (k.name().into(), self[k.index()].to_wire())).collect(),
+        )
+    }
+    fn from_wire(v: &Json) -> Result<Self, String> {
+        let mut legs = [Time::ZERO; LegKind::COUNT];
+        for k in LegKind::ALL {
+            legs[k.index()] = field(v, k.name())?;
+        }
+        Ok(legs)
+    }
 }
 
 impl Journey {
@@ -131,15 +151,29 @@ impl Journey {
     }
 }
 
-/// All journeys of a recorded run.
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
-pub struct JourneyBook {
-    /// Journeys ordered by (window close, core) of reconstruction —
-    /// i.e. the order the delivery windows closed in the stream.
-    pub journeys: Vec<Journey>,
-    /// The run's makespan: the latest `Finish` (falling back to the
-    /// latest event when the stream has no `Finish`).
-    pub makespan: Time,
+record! {
+    /// All journeys of a recorded run.
+    #[derive(Clone, Debug, PartialEq, Eq, Default)]
+    pub struct JourneyBook {
+        /// The run's makespan: the latest `Finish` (falling back to the
+        /// latest event when the stream has no `Finish`).
+        pub makespan: Time => "makespan_ps",
+        /// Journeys ordered by (window close, core) of reconstruction —
+        /// i.e. the order the delivery windows closed in the stream.
+        pub journeys: Vec<Journey> => "journeys",
+    }
+}
+
+/// One scenario of `BENCH_journeys.json` — which is
+/// `artifact::scenarios("journeys", ..)` of these: the book's own keys,
+/// then the scenario id.
+impl Wire for (String, JourneyBook) {
+    fn to_wire(&self) -> Json {
+        self.1.to_wire().set("id", self.0.to_wire())
+    }
+    fn from_wire(v: &Json) -> Result<Self, String> {
+        Ok((field(v, "id")?, JourneyBook::from_wire(v)?))
+    }
 }
 
 /// Per-core raw material for the classification sweep.
@@ -260,80 +294,6 @@ impl JourneyBook {
         }
         JourneyBook { journeys, makespan }
     }
-
-    /// Serialize (one scenario's worth — the versioned artifact
-    /// envelope around several books is [`journeys_artifact`]).
-    pub fn to_json(&self) -> Json {
-        let journeys = self
-            .journeys
-            .iter()
-            .map(|j| {
-                let mut legs = Json::obj();
-                for k in LegKind::ALL {
-                    legs = legs.set(k.name(), Json::Int(j.leg(k).as_ps() as i64));
-                }
-                Json::obj()
-                    .set("core", Json::Int(i64::from(j.core.0)))
-                    .set("epoch", Json::Int(i64::from(j.epoch)))
-                    .set("begin_ps", Json::Int(j.begin.as_ps() as i64))
-                    .set("end_ps", Json::Int(j.end.as_ps() as i64))
-                    .set("transfers", Json::Int(j.transfers as i64))
-                    .set("lines", Json::Int(j.lines as i64))
-                    .set("legs", legs)
-            })
-            .collect();
-        Json::obj()
-            .set("makespan_ps", Json::Int(self.makespan.as_ps() as i64))
-            .set("journeys", Json::Arr(journeys))
-    }
-
-    /// Strict inverse of [`JourneyBook::to_json`]. Every integer field
-    /// is range-checked — a negative count or timestamp (hand-edited
-    /// or corrupted artifact) is a typed parse error, not a silently
-    /// wrapped huge value.
-    pub fn from_json(v: &Json) -> Result<JourneyBook, String> {
-        let int = |v: &Json, key: &str| -> Result<i64, String> {
-            v.get(key).and_then(Json::as_i64).ok_or_else(|| format!("missing integer key '{key}'"))
-        };
-        let ps = |v: &Json, key: &str| -> Result<Time, String> {
-            let raw = int(v, key)?;
-            let ps = u64::try_from(raw)
-                .map_err(|_| format!("key '{key}' must be a non-negative time, got {raw}"))?;
-            Ok(Time::from_ps(ps))
-        };
-        let count = |v: &Json, key: &str| -> Result<usize, String> {
-            let raw = int(v, key)?;
-            usize::try_from(raw)
-                .map_err(|_| format!("key '{key}' must be a non-negative count, got {raw}"))
-        };
-        let makespan = ps(v, "makespan_ps")?;
-        let items = v
-            .get("journeys")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| "missing 'journeys' array".to_string())?;
-        let mut journeys = Vec::with_capacity(items.len());
-        for item in items {
-            let legs_obj = item.get("legs").ok_or_else(|| "journey missing 'legs'".to_string())?;
-            let mut legs = [Time::ZERO; LegKind::COUNT];
-            for k in LegKind::ALL {
-                legs[k.index()] = ps(legs_obj, k.name())?;
-            }
-            journeys.push(Journey {
-                core: CoreId(
-                    u8::try_from(int(item, "core")?)
-                        .map_err(|_| "key 'core' out of range".to_string())?,
-                ),
-                epoch: u32::try_from(int(item, "epoch")?)
-                    .map_err(|_| "key 'epoch' out of range".to_string())?,
-                begin: ps(item, "begin_ps")?,
-                end: ps(item, "end_ps")?,
-                transfers: count(item, "transfers")?,
-                lines: count(item, "lines")?,
-                legs,
-            });
-        }
-        Ok(JourneyBook { journeys, makespan })
-    }
 }
 
 /// The boundary sweep: partition `[begin, end)` into elementary slices
@@ -437,33 +397,10 @@ fn classify(lane: &CoreLanes, begin: u64, end: u64) -> [Time; LegKind::COUNT] {
     legs
 }
 
-/// The versioned `BENCH_journeys.json` envelope: one entry per
-/// scenario, validated by `scc_obs::validate_artifact_version`.
-pub fn journeys_artifact(scenarios: &[(String, JourneyBook)]) -> Json {
-    let arr = scenarios
-        .iter()
-        .map(|(id, book)| book.to_json().set("id", Json::Str(id.clone())))
-        .collect();
-    crate::artifact::scenario_envelope("journeys", arr)
-}
-
-/// Strict inverse of [`journeys_artifact`] (checks the version first).
-pub fn parse_journeys_artifact(doc: &Json) -> Result<Vec<(String, JourneyBook)>, String> {
-    crate::artifact::open_scenarios(doc)?
-        .iter()
-        .map(|v| {
-            let id = v
-                .get("id")
-                .and_then(Json::as_str)
-                .ok_or_else(|| "scenario missing 'id'".to_string())?;
-            Ok((id.to_string(), JourneyBook::from_json(v)?))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::{check_codec, parse_scenarios, scenarios};
     use scc_hal::{MsgId, Span};
 
     fn ps(v: u64) -> Time {
@@ -596,18 +533,15 @@ mod tests {
             ObsEvent::Finish { core: CoreId(1), at: ps(900) },
         ];
         let book = JourneyBook::from_events(&events);
-        let artifact = journeys_artifact(&[("unit".to_string(), book.clone())]);
-        let parsed = Json::parse(&artifact.render()).unwrap();
-        let back = parse_journeys_artifact(&parsed).unwrap();
-        assert_eq!(back.len(), 1);
-        assert_eq!(back[0].0, "unit");
-        assert_eq!(back[0].1, book);
+        assert_eq!(book.journeys.len(), 2);
+        check_codec("journeys", &[("unit".to_string(), book)]).unwrap();
     }
 
     #[test]
     fn artifact_version_is_checked() {
-        let doc = journeys_artifact(&[]).set("version", Json::Int(999));
-        assert!(parse_journeys_artifact(&doc).is_err());
+        let doc =
+            scenarios::<(String, JourneyBook)>("journeys", &[]).set("version", Json::Int(999));
+        assert!(parse_scenarios::<(String, JourneyBook)>(&doc).is_err());
     }
 
     /// Regression: negative integers in a journeys artifact used to be
@@ -617,16 +551,16 @@ mod tests {
     fn negative_integers_are_parse_errors_not_wraps() {
         let [b, e] = window(0, 0, 0, 700);
         let book = JourneyBook::from_events(&[b, e]);
-        let good = book.to_json();
-        assert!(JourneyBook::from_json(&good).is_ok());
+        let good = book.to_wire();
+        assert!(JourneyBook::from_wire(&good).is_ok());
         for key in ["transfers", "lines", "begin_ps", "end_ps"] {
             let mut items = good.get("journeys").and_then(Json::as_arr).unwrap().to_vec();
             items[0] = items[0].clone().set(key, Json::Int(-3));
             let bad = good.clone().set("journeys", Json::Arr(items));
-            let err = JourneyBook::from_json(&bad).unwrap_err();
+            let err = JourneyBook::from_wire(&bad).unwrap_err();
             assert!(err.contains(key) && err.contains("-3"), "key {key}: {err}");
         }
         let bad = good.set("makespan_ps", Json::Int(-1));
-        assert!(JourneyBook::from_json(&bad).is_err());
+        assert!(JourneyBook::from_wire(&bad).is_err());
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! * [`event`] — the typed event model: every timed op, every resource
 //!   booking (with the resource id and the queueing wait), park/wake
-//!   pairs, baton handoffs, protocol-phase spans, all at picosecond
+//!   pairs, coroutine handoffs, protocol-phase spans, all at picosecond
 //!   resolution, behind the cheap-when-disabled [`Recorder`] trait;
 //! * [`chrome`] — Chrome `trace_event` JSON export (loads in Perfetto):
 //!   one track per core, one per contended resource, phase spans and
@@ -22,6 +22,10 @@
 //! * [`report`] — a tiny JSON builder + strict parser for the
 //!   machine-readable `BENCH_obs.json` / `BENCH_figures.json` artifacts
 //!   (this workspace has no serde);
+//! * [`artifact`] — the one wire codec on top of it: the [`Wire`] trait,
+//!   its field kinds (strict non-negative integers, ps times, hex
+//!   seeds, `Option`, `Vec`), the `record!` declaration every versioned
+//!   artifact type is written with, and the shared versioned envelope;
 //! * [`hist`] — per-phase / per-resource latency histograms with exact
 //!   nearest-rank quantiles and log₂ shapes;
 //! * [`flame`] — collapsed-stack flamegraph export
@@ -57,7 +61,14 @@
 //!   budgets, zero-recovery expectation) evaluated per epoch; breaches
 //!   trigger the flight recorder's forensic dumps;
 //! * [`soakrep`] — the soak rollup record (`BENCH_soak.json`,
-//!   `results/SOAK.md`, OpenMetrics `results/soak_metrics.txt`).
+//!   `results/SOAK.md`, OpenMetrics `results/soak_metrics.txt`);
+//! * [`causal`] — the happens-before graph of a recorded stream
+//!   (program, notification and per-resource service edges, shortest
+//!   cycle witnesses);
+//! * [`mod@audit`] — the ten-class invariant auditor over that graph, with
+//!   non-vacuity counts and the seeded mutation harness;
+//! * [`auditrep`] — the audit outcome record (`BENCH_audit.json`,
+//!   `results/AUDIT.md`).
 //!
 //! The simulator (`scc-sim`) records into this crate's [`Recorder`];
 //! collectives annotate phases through `scc_hal::Rma::span_begin`; the
@@ -87,39 +98,32 @@ pub mod slo;
 pub mod soakrep;
 pub mod whatif;
 
+pub use artifact::{Hex64, Wire};
 pub use audit::{
     audit, mutate, AuditReport, AuditSpec, CheckStat, MutationClass, Violation, ViolationClass,
 };
-pub use auditrep::{
-    audit_artifact, parse_audit_artifact, render_audit_markdown, AuditScenario, MutationTrial,
-};
+pub use auditrep::{render_audit_markdown, AuditScenario, MutationTrial};
 pub use causal::{actor, CausalGraph, Edge, EdgeKind};
 pub use chrome::{chrome_trace_json, kinds_present};
 pub use conformance::{
-    drift_gate, validate_artifact_version, AuditMetrics, ConformanceReport, DriftReport,
-    DriftViolation, ExperimentReport, ExperimentRow, FaultsMetrics, JourneysMetrics, RunMetrics,
-    SelfMetrics, ShapeCheck, SoakMetrics, ARTIFACT_VERSION,
+    drift_gate, validate_artifact_version, ConformanceReport, DriftReport, DriftViolation,
+    ExperimentReport, ExperimentRow, RunMetrics, SelfMetrics, ShapeCheck, ARTIFACT_VERSION,
 };
 pub use critpath::{
     critical_path, Breakdown, CritPathError, CriticalPath, PathSegment, SegmentKind,
 };
 pub use diff::{DiffCell, DiffReport, PhaseProfile};
 pub use event::{EventLog, FaultKind, FlightRecorder, ObsEvent, OpKind, Recorder, ResourceId};
-pub use faultrep::{
-    faults_artifact, parse_faults_artifact, render_faults_markdown, FaultCurve, FaultPoint,
-};
+pub use faultrep::{render_faults_markdown, FaultCurve, FaultPoint};
 pub use flame::flamegraph_collapsed;
 pub use heatmap::LinkHeatmap;
 pub use hist::{LatencyHistogram, RunHistograms};
-pub use journey::{journeys_artifact, parse_journeys_artifact, Journey, JourneyBook, LegKind};
+pub use journey::{Journey, JourneyBook, LegKind};
 pub use movie::CongestionMovie;
 pub use report::{validate_json, Json};
 pub use series::{UtilBucket, UtilizationSeries};
 pub use sketch::{QuantileSketch, SketchSummary, SKETCH_BUCKETS};
 pub use skew::{render_skew_markdown, RecoveryCounters, SkewReport};
 pub use slo::{EpochRollup, SloBreach, SloKind, SloPolicy};
-pub use soakrep::{
-    parse_soak_artifact, render_soak_markdown, render_soak_openmetrics, soak_artifact, SoakPhase,
-    SoakScenario,
-};
+pub use soakrep::{render_soak_markdown, render_soak_openmetrics, SoakPhase, SoakScenario};
 pub use whatif::{CostClass, WhatIfPoint, WhatIfProfile};

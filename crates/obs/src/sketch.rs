@@ -27,6 +27,7 @@
 //! less than 2×. The `soak` experiment re-checks this bound against a
 //! replayed full recording as a shape claim on every run.
 
+use crate::artifact::{field, record, Wire};
 use crate::report::Json;
 use scc_hal::Time;
 
@@ -147,48 +148,37 @@ impl QuantileSketch {
             p999: self.quantile(0.999)?,
         })
     }
+}
 
-    /// Serialize as a sparse bucket list (deterministic: ascending
-    /// bucket index, empty buckets omitted).
-    pub fn to_json(&self) -> Json {
-        let buckets: Vec<Json> = self
+record! {
+    /// One non-empty bucket of the sparse wire form.
+    struct WireBucket {
+        b: usize => "b",
+        n: u64 => "n",
+    }
+}
+
+/// A sparse bucket list (ascending bucket index, empty buckets
+/// omitted) plus the total. Hand-written because the parser also
+/// rejects unknown buckets and a total that differs from the bucket
+/// sum.
+impl Wire for QuantileSketch {
+    fn to_wire(&self) -> Json {
+        let buckets: Vec<WireBucket> = self
             .counts
             .iter()
             .enumerate()
             .filter(|(_, &n)| n > 0)
-            .map(|(b, &n)| Json::obj().set("b", Json::Int(b as i64)).set("n", Json::Int(n as i64)))
+            .map(|(b, &n)| WireBucket { b, n })
             .collect();
-        Json::obj().set("total", Json::Int(self.total as i64)).set("buckets", Json::Arr(buckets))
+        Json::obj().set("total", self.total.to_wire()).set("buckets", buckets.to_wire())
     }
 
-    /// Strict inverse of [`Self::to_json`]: rejects unknown buckets,
-    /// negative counts, and totals that don't match the bucket sum.
-    pub fn from_json(doc: &Json) -> Result<QuantileSketch, String> {
-        let total = doc
-            .get("total")
-            .and_then(Json::as_i64)
-            .ok_or_else(|| "sketch: missing integer 'total'".to_string())?;
-        let total = u64::try_from(total).map_err(|_| "sketch: negative 'total'".to_string())?;
-        let arr = doc
-            .get("buckets")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| "sketch: missing array 'buckets'".to_string())?;
+    fn from_wire(doc: &Json) -> Result<QuantileSketch, String> {
+        let total: u64 = field(doc, "total")?;
         let mut s = QuantileSketch::new();
-        for entry in arr {
-            let b = entry
-                .get("b")
-                .and_then(Json::as_i64)
-                .ok_or_else(|| "sketch bucket: missing integer 'b'".to_string())?;
-            let b = usize::try_from(b)
-                .ok()
-                .filter(|&b| b < SKETCH_BUCKETS)
-                .ok_or_else(|| format!("sketch bucket: index {b} out of range"))?;
-            let n = entry
-                .get("n")
-                .and_then(Json::as_i64)
-                .ok_or_else(|| "sketch bucket: missing integer 'n'".to_string())?;
-            let n = u64::try_from(n).map_err(|_| "sketch bucket: negative count".to_string())?;
-            s.counts[b] += n;
+        for WireBucket { b, n } in field::<Vec<WireBucket>>(doc, "buckets")? {
+            *s.counts.get_mut(b).ok_or_else(|| format!("key 'b': index {b} out of range"))? += n;
         }
         s.total = s.counts.iter().sum();
         if s.total != total {
@@ -283,21 +273,23 @@ mod tests {
         for v in [0u64, 1, 3, 900, 1024, u64::MAX] {
             s.record_ps(v);
         }
-        let doc = s.to_json();
-        let back = QuantileSketch::from_json(&doc).expect("round trip");
+        let doc = s.to_wire();
+        let back = QuantileSketch::from_wire(&doc).expect("round trip");
         assert_eq!(back, s);
         // And through the textual form.
         let reparsed = Json::parse(&doc.render()).expect("valid json");
-        assert_eq!(QuantileSketch::from_json(&reparsed).unwrap(), s);
+        assert_eq!(QuantileSketch::from_wire(&reparsed).unwrap(), s);
     }
 
     #[test]
     fn json_rejects_corruption() {
         let mut s = QuantileSketch::new();
         s.record_ps(42);
-        let tampered = s.to_json().set("total", Json::Int(7));
-        assert!(QuantileSketch::from_json(&tampered).is_err());
+        let tampered = s.to_wire().set("total", Json::Int(7));
+        assert!(QuantileSketch::from_wire(&tampered).unwrap_err().contains("bucket sum"));
         let negative = Json::obj().set("total", Json::Int(-1)).set("buckets", Json::Arr(vec![]));
-        assert!(QuantileSketch::from_json(&negative).is_err());
+        assert!(QuantileSketch::from_wire(&negative).is_err());
+        let unknown = Json::parse("{\"total\":1,\"buckets\":[{\"b\":65,\"n\":1}]}").unwrap();
+        assert!(QuantileSketch::from_wire(&unknown).unwrap_err().contains("out of range"));
     }
 }

@@ -14,6 +14,8 @@
 //! policy serializes into `BENCH_soak.json` next to its verdicts, so
 //! an artifact reader can re-derive every breach from the rollups.
 
+use crate::artifact::{record, Wire};
+use crate::report::Json;
 use scc_hal::Time;
 use std::fmt;
 
@@ -45,6 +47,17 @@ impl SloKind {
     }
 }
 
+/// Travels by [`SloKind::name`]; an unknown name is a parse error.
+impl Wire for SloKind {
+    fn to_wire(&self) -> Json {
+        Json::Str(self.name().into())
+    }
+    fn from_wire(v: &Json) -> Result<SloKind, String> {
+        let name = String::from_wire(v)?;
+        SloKind::from_name(&name).ok_or_else(|| format!("unknown SLO kind '{name}'"))
+    }
+}
+
 impl fmt::Display for SloKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
@@ -67,16 +80,18 @@ pub struct EpochRollup {
     pub faults: u64,
 }
 
-/// Declarative budgets for one protocol under soak.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SloPolicy {
-    /// Delivery-latency p99 budget per epoch; `None` disables.
-    pub p99_budget: Option<Time>,
-    /// Makespan budget per epoch; `None` disables.
-    pub makespan_budget: Option<Time>,
-    /// Expect zero recoveries (healthy traffic must never need the
-    /// reliability layer's repair path).
-    pub zero_recoveries: bool,
+record! {
+    /// Declarative budgets for one protocol under soak.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct SloPolicy {
+        /// Delivery-latency p99 budget per epoch; `None` disables.
+        pub p99_budget: Option<Time> => "p99_budget_ps",
+        /// Makespan budget per epoch; `None` disables.
+        pub makespan_budget: Option<Time> => "makespan_budget_ps",
+        /// Expect zero recoveries (healthy traffic must never need the
+        /// reliability layer's repair path).
+        pub zero_recoveries: bool => "zero_recoveries",
+    }
 }
 
 impl SloPolicy {
@@ -115,15 +130,17 @@ impl SloPolicy {
     }
 }
 
-/// One violated objective in one epoch. `observed`/`budget` are
-/// picoseconds for the time objectives and plain counts for
-/// [`SloKind::Recovery`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SloBreach {
-    pub epoch: u32,
-    pub kind: SloKind,
-    pub observed: u64,
-    pub budget: u64,
+record! {
+    /// One violated objective in one epoch. `observed`/`budget` are
+    /// picoseconds for the time objectives and plain counts for
+    /// [`SloKind::Recovery`].
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct SloBreach {
+        pub epoch: u32 => "epoch",
+        pub kind: SloKind => "kind",
+        pub observed: u64 => "observed",
+        pub budget: u64 => "budget",
+    }
 }
 
 impl SloBreach {

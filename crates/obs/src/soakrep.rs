@@ -10,50 +10,54 @@
 //! picoseconds and exact counts — the same byte-identity contract as
 //! the journey book and fault curves, at any `--jobs` setting.
 
-use crate::artifact::{count, ps, req_time, req_u64, scenario_envelope};
-use crate::report::Json;
+use crate::artifact::record;
 use crate::sketch::QuantileSketch;
-use crate::slo::{SloBreach, SloKind, SloPolicy};
+use crate::slo::{SloBreach, SloPolicy};
 use scc_hal::Time;
 use std::fmt::Write as _;
 
-/// One traffic phase of one protocol's soak: a contiguous run of
-/// epochs under one fault plan.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SoakPhase {
-    /// Stable id, e.g. `"healthy_a"` / `"faults"` / `"healthy_b"`.
-    pub id: String,
-    /// Remote-notification drop rate this phase injects, ppm.
-    pub drop_ppm: u64,
-    pub epochs: u64,
-    /// Per-destination delivered latencies, every epoch of the phase.
-    pub sketch: QuantileSketch,
-    /// Worst per-epoch makespan in the phase.
-    pub makespan_max: Time,
-    /// Recovery counters summed over the phase.
-    pub timeouts: u64,
-    pub probes: u64,
-    pub recoveries: u64,
-    pub renotifies: u64,
-    /// Faults the plan injected during the phase.
-    pub faults: u64,
-    /// Watchdog verdicts, epoch order.
-    pub breaches: Vec<SloBreach>,
-    /// Repo-relative paths of the forensic dumps this phase produced.
-    pub dumps: Vec<String>,
+record! {
+    /// One traffic phase of one protocol's soak: a contiguous run of
+    /// epochs under one fault plan.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct SoakPhase {
+        /// Stable id, e.g. `"healthy_a"` / `"faults"` / `"healthy_b"`.
+        pub id: String => "id",
+        /// Remote-notification drop rate this phase injects, ppm.
+        pub drop_ppm: u64 => "drop_ppm",
+        pub epochs: u64 => "epochs",
+        /// Per-destination delivered latencies, every epoch of the phase.
+        pub sketch: QuantileSketch => "sketch",
+        /// Worst per-epoch makespan in the phase.
+        pub makespan_max: Time => "makespan_max_ps",
+        /// Recovery counters summed over the phase.
+        pub timeouts: u64 => "timeouts",
+        pub probes: u64 => "probes",
+        pub recoveries: u64 => "recoveries",
+        pub renotifies: u64 => "renotifies",
+        /// Faults the plan injected during the phase.
+        pub faults: u64 => "faults",
+        /// Watchdog verdicts, epoch order.
+        pub breaches: Vec<SloBreach> => "breaches",
+        /// Repo-relative paths of the forensic dumps this phase produced.
+        pub dumps: Vec<String> => "dumps",
+    }
 }
 
-/// One protocol's soak: its SLO policy and its phases in traffic
-/// order.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SoakScenario {
-    /// Stable id, e.g. `"oc_k7"`.
-    pub id: String,
-    /// Human label, e.g. `"k=7 48c 8cl"`.
-    pub label: String,
-    pub cores: u64,
-    pub policy: SloPolicy,
-    pub phases: Vec<SoakPhase>,
+record! {
+    /// One protocol's soak: its SLO policy and its phases in traffic
+    /// order; `BENCH_soak.json` is `artifact::scenarios("soak", ..)` of
+    /// these.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct SoakScenario {
+        /// Stable id, e.g. `"oc_k7"`.
+        pub id: String => "id",
+        /// Human label, e.g. `"k=7 48c 8cl"`.
+        pub label: String => "label",
+        pub cores: u64 => "cores",
+        pub policy: SloPolicy => "policy",
+        pub phases: Vec<SoakPhase> => "phases",
+    }
 }
 
 impl SoakScenario {
@@ -68,169 +72,6 @@ impl SoakScenario {
     pub fn dumps(&self) -> usize {
         self.phases.iter().map(|p| p.dumps.len()).sum()
     }
-}
-
-fn opt_ps(t: Option<Time>) -> Json {
-    match t {
-        Some(t) => ps(t),
-        None => Json::Null,
-    }
-}
-
-fn opt_time(v: &Json, key: &str) -> Result<Option<Time>, String> {
-    match v.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(_) => Ok(Some(req_time(v, key)?)),
-    }
-}
-
-fn policy_json(p: &SloPolicy) -> Json {
-    Json::obj()
-        .set("p99_budget_ps", opt_ps(p.p99_budget))
-        .set("makespan_budget_ps", opt_ps(p.makespan_budget))
-        .set("zero_recoveries", Json::Bool(p.zero_recoveries))
-}
-
-fn parse_policy(v: &Json) -> Result<SloPolicy, String> {
-    Ok(SloPolicy {
-        p99_budget: opt_time(v, "p99_budget_ps")?,
-        makespan_budget: opt_time(v, "makespan_budget_ps")?,
-        zero_recoveries: v
-            .get("zero_recoveries")
-            .and_then(Json::as_bool)
-            .ok_or_else(|| "policy missing bool 'zero_recoveries'".to_string())?,
-    })
-}
-
-fn breach_json(b: &SloBreach) -> Json {
-    Json::obj()
-        .set("epoch", Json::Int(i64::from(b.epoch)))
-        .set("kind", Json::Str(b.kind.name().into()))
-        .set("observed", count(b.observed))
-        .set("budget", count(b.budget))
-}
-
-fn parse_breach(v: &Json) -> Result<SloBreach, String> {
-    let kind = v
-        .get("kind")
-        .and_then(Json::as_str)
-        .ok_or_else(|| "breach missing string 'kind'".to_string())?;
-    Ok(SloBreach {
-        epoch: u32::try_from(req_u64(v, "epoch")?)
-            .map_err(|_| "breach 'epoch' out of range".to_string())?,
-        kind: SloKind::from_name(kind).ok_or_else(|| format!("unknown SLO kind '{kind}'"))?,
-        observed: req_u64(v, "observed")?,
-        budget: req_u64(v, "budget")?,
-    })
-}
-
-/// The versioned `BENCH_soak.json` envelope, validated by
-/// [`crate::validate_artifact_version`].
-pub fn soak_artifact(scenarios: &[SoakScenario]) -> Json {
-    let arr = scenarios
-        .iter()
-        .map(|s| {
-            let phases = s
-                .phases
-                .iter()
-                .map(|p| {
-                    Json::obj()
-                        .set("id", Json::Str(p.id.clone()))
-                        .set("drop_ppm", count(p.drop_ppm))
-                        .set("epochs", count(p.epochs))
-                        .set("sketch", p.sketch.to_json())
-                        .set("makespan_max_ps", ps(p.makespan_max))
-                        .set("timeouts", count(p.timeouts))
-                        .set("probes", count(p.probes))
-                        .set("recoveries", count(p.recoveries))
-                        .set("renotifies", count(p.renotifies))
-                        .set("faults", count(p.faults))
-                        .set("breaches", Json::Arr(p.breaches.iter().map(breach_json).collect()))
-                        .set(
-                            "dumps",
-                            Json::Arr(p.dumps.iter().map(|d| Json::Str(d.clone())).collect()),
-                        )
-                })
-                .collect();
-            Json::obj()
-                .set("id", Json::Str(s.id.clone()))
-                .set("label", Json::Str(s.label.clone()))
-                .set("cores", count(s.cores))
-                .set("policy", policy_json(&s.policy))
-                .set("phases", Json::Arr(phases))
-        })
-        .collect();
-    scenario_envelope("soak", arr)
-}
-
-/// Strict inverse of [`soak_artifact`] (checks the version first).
-pub fn parse_soak_artifact(doc: &Json) -> Result<Vec<SoakScenario>, String> {
-    crate::artifact::open_scenarios(doc)?
-        .iter()
-        .map(|v| {
-            let id = v
-                .get("id")
-                .and_then(Json::as_str)
-                .ok_or_else(|| "scenario missing string 'id'".to_string())?
-                .to_string();
-            let label = v
-                .get("label")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("scenario '{id}' missing string 'label'"))?
-                .to_string();
-            let cores = req_u64(v, "cores")?;
-            let policy = parse_policy(
-                v.get("policy").ok_or_else(|| format!("scenario '{id}' missing 'policy'"))?,
-            )?;
-            let phases = v
-                .get("phases")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| format!("scenario '{id}' missing 'phases' array"))?
-                .iter()
-                .map(|p| {
-                    let pid = p
-                        .get("id")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| "phase missing string 'id'".to_string())?
-                        .to_string();
-                    let sketch = QuantileSketch::from_json(
-                        p.get("sketch").ok_or_else(|| format!("phase '{pid}' missing 'sketch'"))?,
-                    )?;
-                    Ok(SoakPhase {
-                        id: pid,
-                        drop_ppm: req_u64(p, "drop_ppm")?,
-                        epochs: req_u64(p, "epochs")?,
-                        sketch,
-                        makespan_max: req_time(p, "makespan_max_ps")?,
-                        timeouts: req_u64(p, "timeouts")?,
-                        probes: req_u64(p, "probes")?,
-                        recoveries: req_u64(p, "recoveries")?,
-                        renotifies: req_u64(p, "renotifies")?,
-                        faults: req_u64(p, "faults")?,
-                        breaches: p
-                            .get("breaches")
-                            .and_then(Json::as_arr)
-                            .ok_or_else(|| "phase missing 'breaches' array".to_string())?
-                            .iter()
-                            .map(parse_breach)
-                            .collect::<Result<Vec<_>, String>>()?,
-                        dumps: p
-                            .get("dumps")
-                            .and_then(Json::as_arr)
-                            .ok_or_else(|| "phase missing 'dumps' array".to_string())?
-                            .iter()
-                            .map(|d| {
-                                d.as_str()
-                                    .map(str::to_string)
-                                    .ok_or_else(|| "dump path must be a string".to_string())
-                            })
-                            .collect::<Result<Vec<_>, String>>()?,
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            Ok(SoakScenario { id, label, cores, policy, phases })
-        })
-        .collect()
 }
 
 fn fmt_budget(t: Option<Time>) -> String {
@@ -381,8 +222,10 @@ pub fn render_soak_openmetrics(scenarios: &[SoakScenario]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::{check_codec, parse_scenarios, scenarios};
     use crate::conformance::ARTIFACT_VERSION;
-    use crate::report::validate_json;
+    use crate::report::Json;
+    use crate::slo::SloKind;
 
     fn sample() -> Vec<SoakScenario> {
         let mut healthy_sketch = QuantileSketch::new();
@@ -440,26 +283,22 @@ mod tests {
 
     #[test]
     fn artifact_round_trips_losslessly() {
-        let scenarios = sample();
-        let text = soak_artifact(&scenarios).render();
-        validate_json(&text).unwrap();
-        let doc = Json::parse(&text).unwrap();
-        assert_eq!(parse_soak_artifact(&doc).unwrap(), scenarios);
+        check_codec("soak", &sample()).unwrap();
     }
 
     #[test]
     fn parse_rejects_bad_version_and_junk() {
         let doc = Json::obj().set("version", Json::Int(ARTIFACT_VERSION + 1));
-        assert!(parse_soak_artifact(&doc).unwrap_err().contains("!= supported"));
+        assert!(parse_scenarios::<SoakScenario>(&doc).unwrap_err().contains("!= supported"));
         let doc = Json::obj().set("version", Json::Int(ARTIFACT_VERSION));
-        assert!(parse_soak_artifact(&doc).unwrap_err().contains("scenarios"));
+        assert!(parse_scenarios::<SoakScenario>(&doc).unwrap_err().contains("scenarios"));
         // Unknown SLO kinds and negative counts are typed errors.
-        let good = soak_artifact(&sample()).render();
+        let good = scenarios("soak", &sample()).render();
         let doc =
             Json::parse(&good.replace("\"kind\":\"recovery\"", "\"kind\":\"vibes\"")).unwrap();
-        assert!(parse_soak_artifact(&doc).unwrap_err().contains("vibes"));
+        assert!(parse_scenarios::<SoakScenario>(&doc).unwrap_err().contains("vibes"));
         let doc = Json::parse(&good.replace("\"faults\":12", "\"faults\":-12")).unwrap();
-        assert!(parse_soak_artifact(&doc).unwrap_err().contains("-12"));
+        assert!(parse_scenarios::<SoakScenario>(&doc).unwrap_err().contains("-12"));
     }
 
     #[test]

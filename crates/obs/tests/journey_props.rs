@@ -1,12 +1,17 @@
 //! Property tests of the `BENCH_journeys.json` schema: any document in
-//! the schema's shape parses into journey books, re-serializes through
-//! [`journeys_artifact`], and parses back to *equal* books — the
-//! contract the observatory relies on when `--journeys` artifacts are
-//! byte-diffed across `--jobs` counts and read back by tooling.
+//! the schema's shape parses into journey books that satisfy the codec
+//! contract ([`check_codec`]: lossless, byte-stable, strict) — what the
+//! observatory relies on when the artifacts are byte-diffed across
+//! `--jobs` counts and read back by tooling.
 
 use proptest::prelude::*;
 use proptest::TestRng;
-use scc_obs::{journeys_artifact, parse_journeys_artifact, Json, LegKind, ARTIFACT_VERSION};
+use scc_obs::artifact::{check_codec, parse_scenarios};
+use scc_obs::{JourneyBook, Json, LegKind, ARTIFACT_VERSION};
+
+fn parse_books(doc: &Json) -> Result<Vec<(String, JourneyBook)>, String> {
+    parse_scenarios(doc)
+}
 
 /// One random journey object in the schema's shape. Leg dwells and the
 /// window are drawn independently — the schema layer does not enforce
@@ -47,22 +52,17 @@ fn arb_artifact(rng: &mut TestRng) -> Json {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
 
-    /// parse → re-serialize → parse is lossless for any schema-shaped
-    /// document, across a full render/parse cycle of the JSON layer.
+    /// Any schema-shaped document parses, and what it parses to
+    /// satisfies the codec contract.
     #[test]
     fn journeys_artifact_round_trips(seed in any::<u64>()) {
         let mut rng = TestRng::from_name(&format!("journeys-{seed}"));
         let doc = arb_artifact(&mut rng);
-        let books = match parse_journeys_artifact(&doc) {
+        let books = match parse_books(&doc) {
             Ok(b) => b,
             Err(e) => return Err(TestCaseError::fail(format!("parse failed: {e}"))),
         };
-        let rendered = journeys_artifact(&books).render();
-        let reparsed = Json::parse(&rendered)
-            .map_err(|e| TestCaseError::fail(format!("invalid render: {e}")))?;
-        let back = parse_journeys_artifact(&reparsed)
-            .map_err(|e| TestCaseError::fail(format!("re-parse failed: {e}")))?;
-        prop_assert_eq!(back, books);
+        check_codec("journeys", &books).map_err(TestCaseError::fail)?;
     }
 
     /// A wrong or missing version stamp is always rejected, whatever
@@ -74,10 +74,10 @@ proptest! {
         let stale = rng.gen_range_u64(0, 1 << 30) as i64;
         if stale != ARTIFACT_VERSION {
             let bad = doc.clone().set("version", Json::Int(stale));
-            prop_assert!(parse_journeys_artifact(&bad).is_err());
+            prop_assert!(parse_books(&bad).is_err());
         }
         let missing = doc.set("version", Json::Null);
-        prop_assert!(parse_journeys_artifact(&missing).is_err());
+        prop_assert!(parse_books(&missing).is_err());
     }
 
     /// Dropping any single leg key makes the strict parser fail — the
@@ -101,7 +101,7 @@ proptest! {
                 .set("id", Json::Str("s".into()))
                 .set("makespan_ps", Json::Int(0))
                 .set("journeys", Json::Arr(vec![journey]))]));
-        let err = parse_journeys_artifact(&doc).unwrap_err();
+        let err = parse_books(&doc).unwrap_err();
         prop_assert!(err.contains(dropped.name()), "error `{}` must name `{}`", err, dropped.name());
     }
 }

@@ -10,7 +10,8 @@ use proptest::prelude::*;
 use proptest::TestRng;
 use scc_hal::{CoreId, Time};
 use scc_obs::{
-    EventLog, FlightRecorder, LatencyHistogram, ObsEvent, QuantileSketch, Recorder, SKETCH_BUCKETS,
+    EventLog, FlightRecorder, LatencyHistogram, ObsEvent, QuantileSketch, Recorder, Wire,
+    SKETCH_BUCKETS,
 };
 
 /// Latencies spanning every bucket regime: zero, single-digit ps,
@@ -116,7 +117,7 @@ proptest! {
     fn json_round_trips(seed in any::<u64>()) {
         let mut rng = TestRng::from_name(&format!("json-{seed}"));
         let sketch = sketch_of(&arb_samples(&mut rng, 120));
-        let back = QuantileSketch::from_json(&sketch.to_json()).unwrap();
+        let back = QuantileSketch::from_wire(&sketch.to_wire()).unwrap();
         prop_assert_eq!(back, sketch);
     }
 
