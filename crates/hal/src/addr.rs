@@ -86,9 +86,25 @@ impl MemRange {
         MemRange { offset, len }
     }
 
+    /// One past the last byte. Only meaningful for a range that
+    /// [`fits`](Self::fits) its memory: bounds checks must not call it,
+    /// since `offset + len` of an unchecked range can overflow.
     #[inline]
     pub fn end(self) -> usize {
         self.offset + self.len
+    }
+
+    /// Whether the range lies inside a memory of `mem_len` bytes.
+    #[inline]
+    pub fn fits(self, mem_len: usize) -> bool {
+        MemRange::bytes_fit(self.offset, self.len, mem_len)
+    }
+
+    /// Whether `len` bytes at `offset` (any alignment) lie inside a
+    /// memory of `mem_len` bytes; an end that overflows `usize` does not.
+    #[inline]
+    pub fn bytes_fit(offset: usize, len: usize, mem_len: usize) -> bool {
+        offset.checked_add(len).is_some_and(|end| end <= mem_len)
     }
 
     /// Number of cache lines the transfer of this range occupies.
@@ -139,6 +155,16 @@ mod tests {
         let r = MemRange::new(0, 128);
         let s = r.slice(32, 64);
         assert_eq!((s.offset, s.len), (32, 64));
+    }
+
+    #[test]
+    fn mem_range_fits_without_overflow() {
+        assert!(MemRange::new(64, 64).fits(128));
+        assert!(!MemRange::new(64, 65).fits(128));
+        assert!(MemRange::new(128, 0).fits(128));
+        // An end past `usize::MAX` fits nowhere (and must not wrap to 32).
+        assert!(!MemRange::new(usize::MAX - 31, 64).fits(usize::MAX));
+        assert!(!MemRange::bytes_fit(usize::MAX, 2, usize::MAX));
     }
 
     #[test]

@@ -73,7 +73,7 @@ impl RtCore {
         if range.len == 0 {
             return Err(RmaError::EmptyTransfer);
         }
-        if range.end() > self.mem.len() {
+        if !range.fits(self.mem.len()) {
             return Err(RmaError::MemOutOfRange {
                 offset: range.offset,
                 len: range.len,
@@ -180,7 +180,7 @@ impl Rma for RtCore {
     }
 
     fn mem_write(&mut self, offset: usize, data: &[u8]) -> RmaResult<()> {
-        if offset + data.len() > self.mem.len() {
+        if !MemRange::bytes_fit(offset, data.len(), self.mem.len()) {
             return Err(RmaError::MemOutOfRange {
                 offset,
                 len: data.len(),
@@ -192,7 +192,7 @@ impl Rma for RtCore {
     }
 
     fn mem_read(&self, offset: usize, buf: &mut [u8]) -> RmaResult<()> {
-        if offset + buf.len() > self.mem.len() {
+        if !MemRange::bytes_fit(offset, buf.len(), self.mem.len()) {
             return Err(RmaError::MemOutOfRange {
                 offset,
                 len: buf.len(),
@@ -351,13 +351,21 @@ mod tests {
         let rep = run_spmd(&RtConfig { num_cores: 1, mem_bytes: 64 }, |c| {
             let a = c.mem_write(60, &[0; 8]).unwrap_err();
             let b = c.get_to_mpb(MpbAddr::new(CoreId(0), 255), 0, 2).unwrap_err();
+            // `offset + len` overflows: still the typed error, no wrap.
+            let far = usize::MAX - 31;
+            let wrapped = [
+                c.mem_read(far, &mut [0; 64]).unwrap_err(),
+                c.mem_write(far, &[0; 64]).unwrap_err(),
+                c.get_to_mem(MpbAddr::new(CoreId(0), 0), MemRange::new(far, 64)).unwrap_err(),
+            ];
             (
                 matches!(a, RmaError::MemOutOfRange { .. }),
                 matches!(b, RmaError::MpbOutOfRange { .. }),
+                wrapped.iter().all(|e| matches!(e, RmaError::MemOutOfRange { .. })),
             )
         })
         .unwrap();
-        assert_eq!(rep.results[0], (true, true));
+        assert_eq!(rep.results[0], (true, true, true));
     }
 
     #[test]

@@ -13,6 +13,7 @@
 use crate::params::SimParams;
 use scc_hal::{CoreId, LinkDir, MemController, Tile, Time, MPB_BYTES_PER_CORE, NUM_LINK_DIRS};
 use scc_obs::{ObsEvent, Recorder, ResourceId};
+use std::sync::OnceLock;
 
 /// Reservation calendar of a single-server resource.
 ///
@@ -20,72 +21,79 @@ use scc_obs::{ObsEvent, Recorder, ResourceId};
 /// operation simulated at event time `t` reserves resources at several
 /// instants *after* `t`, and another operation simulated next — at the
 /// same event time — may arrive at one of those resources *earlier*
-/// than an existing reservation. The calendar keeps the outstanding
-/// reservations as disjoint, start-sorted intervals and places each new
-/// request into the earliest idle gap at or after its arrival, which is
-/// exactly what the hardware's FIFO would have done.
+/// than an existing reservation. The calendar keeps the reservations as
+/// disjoint, start-sorted intervals and places each new request into
+/// the earliest idle gap at or after its arrival, which is exactly what
+/// the hardware's FIFO would have done.
+///
+/// Sortedness is what keeps a saturated resource affordable: at k = 47
+/// the root's MPB port holds a 47-long back-to-back chain, which a
+/// sorted vector walks once per arrival and an unsorted one would
+/// rescan for every candidate start.
+///
+/// Expired reservations are not removed as time passes. No reservation
+/// ever looks at them — an arrival is never before the pruning horizon,
+/// so the backward search stops at the first interval that ends at or
+/// before the arrival, and the expired ones all lie in front of it —
+/// which makes pruning purely a bound on storage: the dead prefix is
+/// dropped only when the vector is full and would otherwise reallocate.
 #[derive(Debug, Default, Clone)]
 pub struct Calendar {
-    /// Disjoint, start-sorted intervals; the live ones are
-    /// `slots[head..]`. Pruning advances `head` instead of shifting the
-    /// vector; the dead prefix is compacted away once it grows past a
-    /// small bound, so storage stays flat (no ring-buffer index math in
-    /// the hot path) and amortized O(1) per reservation.
+    /// Disjoint, start-sorted (hence also end-sorted) intervals.
     slots: Vec<(Time, Time)>,
-    head: usize,
 }
 
 impl Calendar {
     /// Reserve `service` time starting no earlier than `arrival`;
     /// returns the service start. `prune_before` must be a lower bound
-    /// on every future arrival (the scheduler's current event time), so
-    /// intervals ending before it can be dropped.
+    /// on this and every future arrival (the scheduler's current event
+    /// time), so intervals ending at or before it can be dropped.
     #[inline]
     pub fn reserve(&mut self, arrival: Time, service: Time, prune_before: Time) -> Time {
-        let mut head = self.head;
-        while let Some(&(_, end)) = self.slots.get(head) {
-            if end > prune_before {
-                break;
-            }
-            head += 1;
+        debug_assert!(arrival >= prune_before, "arrival before the pruning horizon");
+        if self.slots.len() == self.slots.capacity() {
+            self.make_room(prune_before);
         }
-        self.head = head;
-        // Events are processed in nondecreasing virtual time, so most
-        // arrivals land at or after every outstanding reservation:
-        // appending is the hot path, O(1).
-        if let Some(&(_, last_end)) = self.slots.last() {
-            if arrival < last_end && head < self.slots.len() {
-                return self.reserve_in_gap(arrival, service);
+        // Events are processed in nondecreasing virtual time, so about
+        // half of all arrivals land at or after every reservation made
+        // so far: appending is O(1).
+        match self.slots.last() {
+            Some(&(_, last_end)) if arrival < last_end => self.reserve_in_gap(arrival, service),
+            _ => {
+                self.slots.push((arrival, arrival + service));
+                arrival
             }
         }
-        if head == self.slots.len() {
-            self.slots.clear();
-            self.head = 0;
-        } else if head >= 64 {
-            self.slots.drain(..head);
-            self.head = 0;
-        }
-        self.slots.push((arrival, arrival + service));
-        arrival
     }
 
-    /// Slow path of [`reserve`](Self::reserve): the arrival conflicts
-    /// with outstanding reservations; find the earliest idle gap at or
-    /// after it. Intervals are disjoint and start-sorted (hence also
-    /// end-sorted). Conflicts cluster at the tail — a packet's return
-    /// trip books the same routers its forward trip just did — so scan
-    /// backwards from the end; this is one or two well-predicted steps
-    /// in practice, where a binary search would mispredict every probe.
+    /// The vector is full: drop the reservations that ended at or before
+    /// `horizon` (a prefix, since intervals are end-sorted) instead of
+    /// growing. Grows after all when that frees less than half of the
+    /// storage, so the shifting stays amortized O(1) per reservation and
+    /// the capacity stays within four times the most intervals ever live.
+    #[cold]
+    fn make_room(&mut self, horizon: Time) {
+        let dead = self.slots.partition_point(|&(_, end)| end <= horizon);
+        self.slots.drain(..dead);
+        let live = self.slots.len();
+        if 2 * live > self.slots.capacity() {
+            self.slots.reserve(live);
+        }
+    }
+
+    /// The arrival conflicts with the latest reservation: find the
+    /// earliest idle gap at or after it. Conflicts cluster at the tail —
+    /// a packet's return trip books the same routers its forward trip
+    /// just did — so scan backwards from the end; this is a handful of
+    /// well-predicted steps in practice, where a binary search would
+    /// mispredict every probe.
     fn reserve_in_gap(&mut self, arrival: Time, service: Time) -> Time {
         // First interval that ends after the arrival; everything before
         // it is already over and cannot conflict.
-        let mut first = self.slots.len();
-        while first > self.head && self.slots[first - 1].1 > arrival {
-            first -= 1;
-        }
+        let first = self.slots.iter().rposition(|&(_, end)| end <= arrival).map_or(0, |i| i + 1);
         let mut t0 = arrival;
         let mut idx = first;
-        while let Some(&(s, e)) = self.slots.get(idx) {
+        for &(s, e) in &self.slots[first..] {
             if s >= t0 + service {
                 break; // fits entirely in the gap before this slot
             }
@@ -98,13 +106,23 @@ impl Calendar {
         t0
     }
 
-    #[cfg(test)]
-    fn len(&self) -> usize {
-        self.slots.len() - self.head
+    /// Reservations the calendar holds storage for — the quantity lazy
+    /// pruning bounds (see `tests/calendar_oracle.rs`).
+    pub fn capacity(&self) -> usize {
+        self.slots.capacity()
     }
 }
 
 /// Aggregate counters exposed in the run report.
+///
+/// The chip accumulates queueing and service time only at the finest
+/// grain — per directed mesh link, per tile port, per memory controller
+/// ([`link_wait`](SimStats::link_wait)/[`link_busy`](SimStats::link_busy),
+/// `port_*_by_tile`, `mc_*_by_ctrl`). The coarser views of the same time
+/// (`router_*_by_tile` and the six scalar totals) are sums over those,
+/// *folded* when the stats are read ([`Chip::stats`], which is what a
+/// [`crate::SimReport`] carries), so every partition invariant documented
+/// below holds by construction.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Events popped from the queue.
@@ -190,6 +208,87 @@ impl SimStats {
             ..SimStats::default()
         }
     }
+
+    /// Recompute every coarser view from the accumulated partition:
+    /// per-tile router time from the tile's five links, and the scalar
+    /// totals from the per-resource vectors.
+    fn fold(&mut self) {
+        let sum = |v: &[Time]| v.iter().copied().sum::<Time>();
+        for (tile, links) in self.link_wait.chunks_exact(NUM_LINK_DIRS).enumerate() {
+            self.router_wait_by_tile[tile] = sum(links);
+        }
+        for (tile, links) in self.link_busy.chunks_exact(NUM_LINK_DIRS).enumerate() {
+            self.router_busy_by_tile[tile] = sum(links);
+        }
+        self.router_wait = sum(&self.router_wait_by_tile);
+        self.router_busy = sum(&self.router_busy_by_tile);
+        self.port_wait = sum(&self.port_wait_by_tile);
+        self.port_busy = sum(&self.port_busy_by_tile);
+        self.mc_wait = sum(&self.mc_wait_by_ctrl);
+        self.mc_busy = sum(&self.mc_busy_by_ctrl);
+    }
+}
+
+/// One router visit of a packet: the router's calendar to book and the
+/// directed output link (`tile * NUM_LINK_DIRS + dir`) the booking is
+/// attributed to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Hop {
+    router: u8,
+    link: u8,
+}
+
+impl Hop {
+    fn new(tile: Tile, dir: LinkDir) -> Hop {
+        Hop { router: tile.index() as u8, link: (tile.index() * NUM_LINK_DIRS + dir.index()) as u8 }
+    }
+
+    fn dir(self) -> LinkDir {
+        LinkDir::ALL[self.link as usize % NUM_LINK_DIRS]
+    }
+}
+
+/// The X-Y route of every ordered tile pair, flattened: the hops of
+/// `from -> to` are `hops[start[i]..start[i + 1]]` with
+/// `i = from * 24 + to`. Routing is static, so the table is built once
+/// per process and a packet walks a slice instead of re-deriving its
+/// route tile by tile.
+struct RouteTable {
+    hops: Vec<Hop>,
+    start: [u16; 24 * 24 + 1],
+}
+
+impl RouteTable {
+    fn build() -> RouteTable {
+        let mut hops = Vec::new();
+        let mut start = [0u16; 24 * 24 + 1];
+        for from in 0..24u8 {
+            for to in 0..24u8 {
+                let (a, b) = (Tile::from_index(from), Tile::from_index(to));
+                // The output link a router forwards the packet on: the
+                // next tile of the route, or local ejection at the
+                // destination.
+                let mut route = a.xy_route(b).peekable();
+                while let Some(tile) = route.next() {
+                    let dir = route.peek().map_or(LinkDir::Eject, |&next| tile.dir_to(next));
+                    hops.push(Hop::new(tile, dir));
+                }
+                start[from as usize * 24 + to as usize + 1] = hops.len() as u16;
+            }
+        }
+        RouteTable { hops, start }
+    }
+
+    fn get() -> &'static RouteTable {
+        static TABLE: OnceLock<RouteTable> = OnceLock::new();
+        TABLE.get_or_init(RouteTable::build)
+    }
+
+    #[inline]
+    fn route(&self, from: Tile, to: Tile) -> &[Hop] {
+        let i = from.index() * 24 + to.index();
+        &self.hops[self.start[i] as usize..self.start[i + 1] as usize]
+    }
 }
 
 /// Mutable chip state owned by the scheduler thread.
@@ -214,7 +313,11 @@ pub struct Chip {
     /// Lower bound on all future arrivals, advanced by the scheduler;
     /// lets the calendars prune expired reservations.
     prune_before: Time,
-    pub stats: SimStats,
+    routes: &'static RouteTable,
+    /// The run's counters as accumulated so far: the per-link, per-port
+    /// and per-controller rows are live, the views folded from them are
+    /// not — read through [`Chip::stats`].
+    pub(crate) stats: SimStats,
     /// Structured event sink. `None` (the default) keeps the hot path
     /// at a single never-taken branch per booking — see the
     /// `obs_equivalence` test for the zero-cost guarantee.
@@ -234,6 +337,7 @@ impl Chip {
             ports: vec![Calendar::default(); 24],
             mcs: vec![Calendar::default(); 4],
             prune_before: Time::ZERO,
+            routes: RouteTable::get(),
             stats: SimStats::sized(),
             recorder: None,
         }
@@ -247,6 +351,14 @@ impl Chip {
 
     pub fn mem_bytes(&self) -> usize {
         self.mem_bytes
+    }
+
+    /// The counters so far, with the per-tile router rows and the scalar
+    /// totals folded from the accumulated partition (see [`SimStats`]).
+    pub fn stats(&self) -> SimStats {
+        let mut stats = self.stats.clone();
+        stats.fold();
+        stats
     }
 
     // ---- byte storage -------------------------------------------------
@@ -339,34 +451,22 @@ impl Chip {
         let occupancy = self.params.router_occupancy;
         let l_hop = self.params.l_hop;
         let mut t = t;
-        let mut route = from.xy_route(to).peekable();
-        while let Some(tile) = route.next() {
-            // The output link this router forwards the packet on: the
-            // next tile of the X-Y route, or local ejection at the
-            // destination. Attributing the router's booking to its
-            // output link makes the five per-link counters of each tile
-            // an exact partition of the per-tile router aggregates.
-            let dir = match route.peek() {
-                Some(&next) => tile.dir_to(next),
-                None => LinkDir::Eject,
-            };
-            let start = self.routers[tile.index()].reserve(t, occupancy, self.prune_before);
-            let wait = start - t;
-            self.stats.router_wait += wait;
-            self.stats.router_busy += occupancy;
-            self.stats.router_wait_by_tile[tile.index()] += wait;
-            self.stats.router_busy_by_tile[tile.index()] += occupancy;
-            let link = tile.index() * NUM_LINK_DIRS + dir.index();
-            self.stats.link_wait[link] += wait;
-            self.stats.link_busy[link] += occupancy;
+        for &hop in self.routes.route(from, to) {
+            let router = hop.router as usize;
+            let start = self.routers[router].reserve(t, occupancy, self.prune_before);
+            // Attributing the router's booking to its output link makes
+            // the five per-link counters of each tile an exact partition
+            // of the per-tile router aggregates.
+            self.stats.link_wait[hop.link as usize] += start - t;
+            self.stats.link_busy[hop.link as usize] += occupancy;
             if let Some(r) = self.recorder.as_mut() {
                 r.record(ObsEvent::Wait {
                     core: issuer,
-                    resource: ResourceId::Router(tile.index() as u8),
+                    resource: ResourceId::Router(hop.router),
                     arrival: t,
                     start,
                     end: start + occupancy,
-                    link: Some(dir),
+                    link: Some(hop.dir()),
                 });
             }
             t = start + l_hop;
@@ -389,10 +489,7 @@ impl Chip {
 
     fn use_port(&mut self, issuer: CoreId, t: Time, tile: Tile, service: Time) -> Time {
         let start = self.ports[tile.index()].reserve(t, service, self.prune_before);
-        let wait = start - t;
-        self.stats.port_wait += wait;
-        self.stats.port_busy += service;
-        self.stats.port_wait_by_tile[tile.index()] += wait;
+        self.stats.port_wait_by_tile[tile.index()] += start - t;
         self.stats.port_busy_by_tile[tile.index()] += service;
         if let Some(r) = self.recorder.as_mut() {
             r.record(ObsEvent::Wait {
@@ -411,10 +508,7 @@ impl Chip {
     pub fn mc_service(&mut self, issuer: CoreId, t: Time, mc: MemController, write: bool) -> Time {
         let service = if write { self.params.mc_write } else { self.params.mc_read };
         let start = self.mcs[mc.index()].reserve(t, service, self.prune_before);
-        let wait = start - t;
-        self.stats.mc_wait += wait;
-        self.stats.mc_busy += service;
-        self.stats.mc_wait_by_ctrl[mc.index()] += wait;
+        self.stats.mc_wait_by_ctrl[mc.index()] += start - t;
         self.stats.mc_busy_by_ctrl[mc.index()] += service;
         if let Some(r) = self.recorder.as_mut() {
             r.record(ObsEvent::Wait {
@@ -451,10 +545,31 @@ mod tests {
         assert_eq!(cal.reserve(ns(105), ns(10), Time::ZERO), ns(110));
         // No gap big enough before 500: a 400ns-long request must wait.
         assert_eq!(cal.reserve(ns(105), ns(400), Time::ZERO), ns(510));
-        // Pruning drops expired slots.
-        assert_eq!(cal.len(), 4);
-        let _ = cal.reserve(ns(2000), ns(1), ns(1500));
-        assert_eq!(cal.len(), 1);
+        assert_eq!(cal.slots, [(100, 110), (110, 120), (500, 510), (510, 910)].map(slot));
+        // Expired slots stay while there is room for more ...
+        let mut t = 1600;
+        while cal.slots.len() < cal.slots.capacity() {
+            assert_eq!(cal.reserve(ns(t), ns(1), ns(1500)), ns(t));
+            t += 10;
+        }
+        assert_eq!(cal.slots[0], slot((100, 110)));
+        // ... and are dropped, in place of growing, once there is not.
+        let capacity = cal.slots.capacity();
+        assert_eq!(cal.reserve(ns(5000), ns(1), ns(4000)), ns(5000));
+        assert_eq!(cal.slots, [(5000, 5001)].map(slot));
+        assert_eq!(cal.slots.capacity(), capacity);
+        // Never looked at in between: an arrival at the horizon that
+        // conflicts with a live slot is placed among the live ones only.
+        let mut cal = Calendar::default();
+        assert_eq!(cal.reserve(ns(0), ns(10), Time::ZERO), ns(0));
+        assert_eq!(cal.reserve(ns(20), ns(10), Time::ZERO), ns(20));
+        assert_eq!(cal.reserve(ns(40), ns(10), ns(15)), ns(40));
+        assert_eq!(cal.reserve(ns(15), ns(10), ns(15)), ns(30));
+        assert_eq!(cal.slots, [(0, 10), (20, 30), (30, 40), (40, 50)].map(slot));
+    }
+
+    fn slot((start, end): (u64, u64)) -> (Time, Time) {
+        (Time::from_ns(start), Time::from_ns(end))
     }
 
     #[test]
@@ -474,7 +589,8 @@ mod tests {
         let d = from.routing_distance(to) as u64;
         let t1 = c.traverse(CoreId(0), Time::ZERO, from, to);
         assert_eq!(t1, c.params.l_hop * d);
-        assert_eq!(c.stats.router_wait, Time::ZERO);
+        assert_eq!(c.stats().router_wait, Time::ZERO);
+        assert_eq!(c.stats().router_busy, c.params.router_occupancy * d);
     }
 
     #[test]
@@ -493,7 +609,14 @@ mod tests {
         // Second packet issued at the same instant waits occupancy.
         let b = c.traverse(CoreId(0), Time::ZERO, tile, tile);
         assert_eq!(b, c.params.router_occupancy + c.params.l_hop);
-        assert_eq!(c.stats.router_wait, c.params.router_occupancy);
+        // The wait is booked on the tile's ejection link and shows up in
+        // the per-tile and total router views once folded.
+        let stats = c.stats();
+        let eject = tile.index() * NUM_LINK_DIRS + LinkDir::Eject.index();
+        assert_eq!(stats.link_wait[eject], c.params.router_occupancy);
+        assert_eq!(stats.router_wait_by_tile[tile.index()], c.params.router_occupancy);
+        assert_eq!(stats.router_wait, c.params.router_occupancy);
+        assert_eq!(stats.router_busy, c.params.router_occupancy * 2);
     }
 
     #[test]
@@ -505,7 +628,8 @@ mod tests {
         let s = c.params.mpb_port_read;
         assert_eq!(a, s);
         assert_eq!(b, s * 2);
-        assert_eq!(c.stats.port_wait, s);
+        assert_eq!(c.stats().port_wait, s);
+        assert_eq!(c.stats().port_wait_by_tile[tile.index()], s);
     }
 
     #[test]
@@ -519,6 +643,33 @@ mod tests {
         // Other controllers are independent.
         let x = c.mc_service(CoreId(0), Time::ZERO, MemController::NorthEast, false);
         assert_eq!(x, c.params.mc_read);
+        assert_eq!(c.stats().mc_wait, c.params.mc_read);
+        assert_eq!(c.stats().mc_busy, c.params.mc_read * 2 + c.params.mc_write);
+    }
+
+    #[test]
+    fn route_table_is_xy_route_with_output_links() {
+        let table = RouteTable::get();
+        for from in (0..24).map(Tile::from_index) {
+            for to in (0..24).map(Tile::from_index) {
+                let tiles: Vec<Tile> = from.xy_route(to).collect();
+                let expect: Vec<Hop> = tiles
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &tile)| {
+                        let next = tiles.get(i + 1);
+                        Hop::new(tile, next.map_or(LinkDir::Eject, |&next| tile.dir_to(next)))
+                    })
+                    .collect();
+                assert_eq!(table.route(from, to), expect, "{from} -> {to}");
+                for (hop, &tile) in expect.iter().zip(&tiles) {
+                    assert_eq!(hop.router as usize, tile.index());
+                    assert_eq!(hop.link as usize / NUM_LINK_DIRS, tile.index());
+                }
+                assert_eq!(expect.len(), from.routing_distance(to) as usize);
+                assert_eq!(expect.last().map(|h| h.dir()), Some(LinkDir::Eject));
+            }
+        }
     }
 
     #[test]

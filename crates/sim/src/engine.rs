@@ -415,7 +415,7 @@ impl Engine {
                 Ok(Submitted::Blocked)
             }
             Request::MemRead { offset, len, mut buf } => {
-                let g = if offset + len <= self.chip.mem_bytes() {
+                let g = if MemRange::bytes_fit(offset, len, self.chip.mem_bytes()) {
                     buf.clear();
                     buf.extend_from_slice(self.chip.private_slice(CoreId(core as u8), offset, len));
                     Grant::Buf { now: self.now, buf }
@@ -432,7 +432,7 @@ impl Engine {
                 self.ready(g)
             }
             Request::MemWrite { offset, buf } => {
-                let g = if offset + buf.len() <= self.chip.mem_bytes() {
+                let g = if MemRange::bytes_fit(offset, buf.len(), self.chip.mem_bytes()) {
                     self.chip
                         .private_slice_mut(CoreId(core as u8), offset, buf.len())
                         .copy_from_slice(&buf);
@@ -710,7 +710,7 @@ impl Engine {
                 end_times: std::mem::take(&mut self.end_times),
                 trace: self.trace.take(),
                 events: self.chip.recorder.as_mut().map(|r| r.drain()),
-                stats: self.chip.stats.clone(),
+                stats: self.chip.stats(),
             })
         } else {
             Err(SimError::Deadlock { parked: std::mem::take(&mut self.deadlocks) })
@@ -1359,6 +1359,29 @@ mod tests {
         })
         .unwrap();
         assert!(rep.results[0]);
+    }
+
+    #[test]
+    fn overflowing_mem_access_is_rejected_not_wrapped() {
+        // `offset + len` overflows `usize`: the bounds check must not
+        // wrap past it and let the access reach the chip's storage.
+        let cfg = SimConfig { num_cores: 1, mem_bytes: 4096, ..SimConfig::default() };
+        let far = usize::MAX - 31;
+        let rep = run_spmd(&cfg, |c| {
+            let errs = [
+                c.mem_read(far, &mut [0u8; 64]).unwrap_err(),
+                c.mem_write(far, &[0u8; 64]).unwrap_err(),
+                c.put_from_mem(MemRange::new(far, 64), MpbAddr::new(CoreId(0), 0)).unwrap_err(),
+                c.get_to_mem(MpbAddr::new(CoreId(0), 0), MemRange::new(far, 64)).unwrap_err(),
+            ];
+            // The engine is intact: a valid access still works.
+            c.mem_write(0, &[7u8; 8]).unwrap();
+            errs
+        })
+        .expect("the run completes");
+        for e in &rep.results[0] {
+            assert_eq!(*e, RmaError::MemOutOfRange { offset: far, len: 64, mem_len: 4096 });
+        }
     }
 
     #[test]

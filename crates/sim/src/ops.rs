@@ -83,7 +83,7 @@ fn check_mem(range: MemRange, mem_len: usize) -> RmaResult<()> {
     if range.len == 0 {
         return Err(RmaError::EmptyTransfer);
     }
-    if range.end() > mem_len {
+    if !range.fits(mem_len) {
         return Err(RmaError::MemOutOfRange { offset: range.offset, len: range.len, mem_len });
     }
     Ok(())
