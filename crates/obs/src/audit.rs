@@ -42,8 +42,9 @@
 
 use crate::causal::{CausalGraph, EdgeKind};
 use crate::event::{FaultKind, ObsEvent, OpKind};
-use scc_hal::{Span, Time};
-use std::collections::{BTreeSet, HashMap};
+use crate::percore::PerCore;
+use scc_hal::{CoreId, Span, Time};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// What kind of run the stream under audit recorded. The checkers need
@@ -241,6 +242,24 @@ fn group_instant(ev: &ObsEvent) -> Option<Time> {
     }
 }
 
+/// The state of `epoch`'s delivery window in one core's epoch-sorted
+/// row: 0 when the epoch has no entry.
+fn window_of(row: &[(u32, u8)], epoch: u32) -> u8 {
+    row.binary_search_by_key(&epoch, |w| w.0).map_or(0, |i| row[i].1)
+}
+
+/// Set `epoch`'s window state in one core's row, keeping the row sorted
+/// by epoch; returns the state it had (0 when it had none).
+fn set_window(row: &mut Vec<(u32, u8)>, epoch: u32, state: u8) -> u8 {
+    match row.binary_search_by_key(&epoch, |w| w.0) {
+        Ok(i) => std::mem::replace(&mut row[i].1, state),
+        Err(i) => {
+            row.insert(i, (epoch, state));
+            0
+        }
+    }
+}
+
 /// Audit one recorded stream against the invariant catalogue.
 pub fn audit(events: &[ObsEvent], spec: &AuditSpec) -> AuditReport {
     let graph = CausalGraph::build(events);
@@ -277,25 +296,31 @@ pub fn audit(events: &[ObsEvent], spec: &AuditSpec) -> AuditReport {
         .push(CheckStat { name: "edge time-consistency", checked: graph.edges.len() as u64 });
 
     // ---- single forward pass over the stream ----
-    // Per-core protocol state.
-    let mut span_stack: HashMap<u8, Vec<Span>> = HashMap::new();
-    let mut parked: HashMap<u8, usize> = HashMap::new();
-    let mut seen_parkish: HashMap<u8, bool> = HashMap::new();
-    let mut last_sample: HashMap<u8, usize> = HashMap::new();
-    let mut awaiting_repoll: HashMap<u8, usize> = HashMap::new();
-    // Last committed flag value per (owner, line); `None` = unknown
-    // bytes (payload transfer covered the line).
-    let mut last_flag: HashMap<(u8, usize), Option<u32>> = HashMap::new();
-    // Delivery windows: 0 never opened, 1 open, 2 closed.
-    let mut window_state: HashMap<(u8, u32), u8> = HashMap::new();
+    // Per-core protocol state: dense tables, so every end-of-instant
+    // and end-of-stream report below comes out in core order by
+    // construction.
+    let mut span_stack: PerCore<Vec<Span>> = PerCore::new();
+    let mut parked: PerCore<Option<usize>> = PerCore::new();
+    let mut seen_parkish: PerCore<bool> = PerCore::new();
+    let mut last_sample: PerCore<Option<usize>> = PerCore::new();
+    let mut awaiting_repoll: PerCore<Option<usize>> = PerCore::new();
+    // Last committed flag value per owner, one row entry per MPB line
+    // (256 of them on the SCC); `None` = never committed, or unknown
+    // bytes (a payload transfer covered the line).
+    let mut last_flag: PerCore<Vec<Option<u32>>> = PerCore::new();
+    // Delivery windows per core, `(epoch, state)` sorted by epoch:
+    // 1 open, 2 closed, absent = never opened.
+    let mut window_state: PerCore<Vec<(u32, u8)>> = PerCore::new();
     let mut last_close: Option<Time> = None;
     // Per-instant group state.
     let mut group_at: Option<Time> = None;
     let mut first_group = true;
-    let mut group_commits: Vec<(u8, u8, usize, usize)> = Vec::new(); // writer, owner, line, lines
-    let mut group_ops: HashMap<u8, (u64, u64, u64)> = HashMap::new(); // write ops, commits, lost
-    let mut due_wakes: Vec<(u8, u8)> = Vec::new(); // (core, writer) that must wake this instant
-                                                   // Counters.
+    // writer, owner, line, lines
+    let mut group_commits: Vec<(CoreId, CoreId, usize, usize)> = Vec::new();
+    let mut group_ops: PerCore<(u64, u64, u64)> = PerCore::new(); // write ops, commits, lost
+    let mut due_wakes: Vec<(CoreId, CoreId)> = Vec::new(); // (core, writer) that must wake this instant
+
+    // Counters.
     let (mut spans_n, mut parks_n, mut wakes_n, mut remote_wakes_n) = (0u64, 0u64, 0u64, 0u64);
     let (mut write_ops_n, mut samples_n, mut waits_n, mut tagged_n) = (0u64, 0u64, 0u64, 0u64);
     let (mut self_wakes_n, mut windows_n) = (0u64, 0u64);
@@ -303,35 +328,35 @@ pub fn audit(events: &[ObsEvent], spec: &AuditSpec) -> AuditReport {
 
     let flush_group = |at: Time,
                        first: bool,
-                       group_ops: &mut HashMap<u8, (u64, u64, u64)>,
-                       group_commits: &mut Vec<(u8, u8, usize, usize)>,
-                       due_wakes: &mut Vec<(u8, u8)>,
+                       group_ops: &mut PerCore<(u64, u64, u64)>,
+                       group_commits: &mut Vec<(CoreId, CoreId, usize, usize)>,
+                       due_wakes: &mut Vec<(CoreId, CoreId)>,
                        violations: &mut Vec<Violation>,
                        window: bool| {
         let tolerate = window && first;
-        let mut cores: Vec<&u8> = group_ops.keys().collect();
-        cores.sort_unstable();
-        for &&c in &cores {
-            let (ops, commits, lost) = group_ops[&c];
+        for (c, &(ops, commits, lost)) in group_ops.iter() {
             if ops != commits + lost && !tolerate {
                 violations.push(Violation {
-                        class: ViolationClass::CommitFault,
-                        at,
-                        detail: format!(
-                            "core {c} at {at}: {ops} write op(s) vs {commits} commit(s) + {lost} lost notification(s)"
-                        ),
-                    });
+                    class: ViolationClass::CommitFault,
+                    at,
+                    detail: format!(
+                        "core {} at {at}: {ops} write op(s) vs {commits} commit(s) + {lost} lost notification(s)",
+                        c.index()
+                    ),
+                });
             }
         }
         for &(core, writer) in due_wakes.iter() {
             if !tolerate {
                 violations.push(Violation {
-                        class: ViolationClass::LostWakeup,
-                        at,
-                        detail: format!(
-                            "core {writer} committed over core {core}'s watched line at {at} but no wake followed"
-                        ),
-                    });
+                    class: ViolationClass::LostWakeup,
+                    at,
+                    detail: format!(
+                        "core {} committed over core {}'s watched line at {at} but no wake followed",
+                        writer.index(),
+                        core.index()
+                    ),
+                });
             }
         }
         group_ops.clear();
@@ -359,21 +384,21 @@ pub fn audit(events: &[ObsEvent], spec: &AuditSpec) -> AuditReport {
 
         // A park's "failed poll" marker survives only until the core's
         // next attributed event (the park itself consumes it).
-        let a = crate::causal::actor(ev).0;
-        let prev_sample = last_sample.get(&a).copied();
+        let a = crate::causal::actor(ev);
+        let prev_sample = *last_sample.at(a);
         let was_sample = matches!(ev, ObsEvent::FlagSample { .. });
         let keep_sample = matches!(ev, ObsEvent::Wait { .. }); // waits precede their op
         if !was_sample && !keep_sample {
-            last_sample.remove(&a);
+            *last_sample.at(a) = None;
         }
 
         match *ev {
             ObsEvent::SpanBegin { core, span, .. } => {
-                span_stack.entry(core.0).or_default().push(span);
+                span_stack.at(core).push(span);
             }
             ObsEvent::SpanEnd { core, span, at } => {
                 spans_n += 1;
-                match span_stack.entry(core.0).or_default().pop() {
+                match span_stack.at(core).pop() {
                     Some(open) if open == span => {}
                     Some(open) => violations.push(Violation {
                         class: ViolationClass::SpanNesting,
@@ -403,11 +428,11 @@ pub fn audit(events: &[ObsEvent], spec: &AuditSpec) -> AuditReport {
             ObsEvent::Op { core, kind, start, end, msg, .. } => {
                 if WRITE_KINDS.contains(&kind) {
                     write_ops_n += 1;
-                    group_ops.entry(core.0).or_default().0 += 1;
+                    group_ops.at(core).0 += 1;
                 }
-                if let Some(line) = awaiting_repoll.get(&core.0).copied() {
+                if let Some(line) = *awaiting_repoll.at(core) {
                     if kind != OpKind::FlagRead {
-                        awaiting_repoll.remove(&core.0);
+                        *awaiting_repoll.at(core) = None;
                         violations.push(Violation {
                             class: ViolationClass::FlagProtocol,
                             at: end,
@@ -420,7 +445,7 @@ pub fn audit(events: &[ObsEvent], spec: &AuditSpec) -> AuditReport {
                 }
                 if let Some(m) = msg {
                     tagged_n += 1;
-                    match window_state.get(&(core.0, m.epoch)).copied().unwrap_or(0) {
+                    match window_of(window_state.at(core), m.epoch) {
                         1 => {}
                         0 if spec.window => {} // window opened before the dump
                         state => violations.push(Violation {
@@ -439,22 +464,24 @@ pub fn audit(events: &[ObsEvent], spec: &AuditSpec) -> AuditReport {
                 }
             }
             ObsEvent::MpbWrite { owner, line, lines, writer, value, .. } => {
-                group_ops.entry(writer.0).or_default().1 += 1;
-                group_commits.push((writer.0, owner.0, line, lines));
-                for l in line..line + lines {
-                    last_flag.insert((owner.0, l), value.filter(|_| lines == 1));
+                group_ops.at(writer).1 += 1;
+                group_commits.push((writer, owner, line, lines));
+                let flags = last_flag.at(owner);
+                if flags.len() < line + lines {
+                    flags.resize(line + lines, None);
                 }
-                if let Some(&watched) = parked.get(&owner.0) {
+                flags[line..line + lines].fill(value.filter(|_| lines == 1));
+                if let Some(watched) = *parked.at(owner) {
                     if (line..line + lines).contains(&watched) {
-                        due_wakes.push((owner.0, writer.0));
+                        due_wakes.push((owner, writer));
                     }
                 }
             }
             ObsEvent::FlagSample { core, line, value, at } => {
                 samples_n += 1;
-                last_sample.insert(core.0, line);
-                if let Some(Some(committed)) = last_flag.get(&(core.0, line)) {
-                    if *committed != value {
+                *last_sample.at(core) = Some(line);
+                if let Some(&Some(committed)) = last_flag.at(core).get(line) {
+                    if committed != value {
                         violations.push(Violation {
                             class: ViolationClass::FlagProtocol,
                             at,
@@ -465,14 +492,14 @@ pub fn audit(events: &[ObsEvent], spec: &AuditSpec) -> AuditReport {
                         });
                     }
                 }
-                if awaiting_repoll.get(&core.0) == Some(&line) {
-                    awaiting_repoll.remove(&core.0);
+                if *awaiting_repoll.at(core) == Some(line) {
+                    *awaiting_repoll.at(core) = None;
                 }
             }
             ObsEvent::Park { core, line, at } => {
                 parks_n += 1;
-                let first_for_core = !seen_parkish.insert(core.0, true).unwrap_or(false);
-                if parked.insert(core.0, line).is_some() {
+                let first_for_core = !std::mem::replace(seen_parkish.at(core), true);
+                if parked.at(core).replace(line).is_some() {
                     violations.push(Violation {
                         class: ViolationClass::ParkWake,
                         at,
@@ -492,8 +519,8 @@ pub fn audit(events: &[ObsEvent], spec: &AuditSpec) -> AuditReport {
             }
             ObsEvent::Wake { core, line, at, writer } => {
                 wakes_n += 1;
-                let first_for_core = !seen_parkish.insert(core.0, true).unwrap_or(false);
-                let was_parked = parked.remove(&core.0);
+                let first_for_core = !std::mem::replace(seen_parkish.at(core), true);
+                let was_parked = parked.take(core);
                 if was_parked.is_none() && !(spec.window && first_for_core) {
                     violations.push(Violation {
                         class: ViolationClass::ParkWake,
@@ -534,9 +561,9 @@ pub fn audit(events: &[ObsEvent], spec: &AuditSpec) -> AuditReport {
                     }
                 } else {
                     remote_wakes_n += 1;
-                    due_wakes.retain(|&(c, w)| !(c == core.0 && w == writer.0));
+                    due_wakes.retain(|&(c, w)| !(c == core && w == writer));
                     let covered = group_commits.iter().any(|&(w, owner, l, n)| {
-                        w == writer.0 && owner == core.0 && (l..l + n).contains(&line)
+                        w == writer && owner == core && (l..l + n).contains(&line)
                     });
                     if !(covered || spec.window && first_group) {
                         violations.push(Violation {
@@ -550,7 +577,7 @@ pub fn audit(events: &[ObsEvent], spec: &AuditSpec) -> AuditReport {
                         });
                     }
                     if was_parked.is_some() {
-                        awaiting_repoll.insert(core.0, line);
+                        *awaiting_repoll.at(core) = Some(line);
                     }
                 }
             }
@@ -565,9 +592,9 @@ pub fn audit(events: &[ObsEvent], spec: &AuditSpec) -> AuditReport {
                 }
             }
             ObsEvent::DeliveryBegin { core, epoch, at } => {
-                match window_state.insert((core.0, epoch), 1) {
-                    None | Some(0) => {}
-                    Some(_) => violations.push(Violation {
+                match set_window(window_state.at(core), epoch, 1) {
+                    0 => {}
+                    _ => violations.push(Violation {
                         class: ViolationClass::Delivery,
                         at,
                         detail: format!(
@@ -579,16 +606,16 @@ pub fn audit(events: &[ObsEvent], spec: &AuditSpec) -> AuditReport {
             }
             ObsEvent::DeliveryEnd { core, epoch, at } => {
                 windows_n += 1;
-                match window_state.insert((core.0, epoch), 2) {
-                    Some(1) => {}
-                    None | Some(0) if spec.window => {} // opened before the dump
+                match set_window(window_state.at(core), epoch, 2) {
+                    1 => {}
+                    0 if spec.window => {} // opened before the dump
                     state => violations.push(Violation {
                         class: ViolationClass::Delivery,
                         at,
                         detail: format!(
                             "core {} closed delivery window for epoch {epoch} that was {}",
                             core.index(),
-                            if state == Some(2) { "already closed" } else { "never open" }
+                            if state == 2 { "already closed" } else { "never open" }
                         ),
                     }),
                 }
@@ -597,7 +624,7 @@ pub fn audit(events: &[ObsEvent], spec: &AuditSpec) -> AuditReport {
             ObsEvent::Fault { kind, at, .. } => {
                 if kind == FaultKind::LostNotification {
                     faults_seen += 1;
-                    group_ops.entry(crate::causal::actor(ev).0).or_default().2 += 1;
+                    group_ops.at(a).2 += 1;
                 }
                 if !spec.faulted {
                     violations.push(Violation {
@@ -624,34 +651,35 @@ pub fn audit(events: &[ObsEvent], spec: &AuditSpec) -> AuditReport {
 
     // ---- end-of-stream obligations ----
     if !spec.window {
-        let mut open_spans: Vec<(u8, usize)> =
-            span_stack.iter().filter(|(_, s)| !s.is_empty()).map(|(c, s)| (*c, s.len())).collect();
-        open_spans.sort_unstable();
-        for (core, n) in open_spans {
+        for (core, open) in span_stack.iter().filter(|(_, open)| !open.is_empty()) {
             violations.push(Violation {
                 class: ViolationClass::SpanNesting,
                 at: Time::ZERO,
-                detail: format!("core {core} finished with {n} span(s) still open"),
+                detail: format!(
+                    "core {} finished with {} span(s) still open",
+                    core.index(),
+                    open.len()
+                ),
             });
         }
-        let mut still_parked: Vec<u8> = parked.keys().copied().collect();
-        still_parked.sort_unstable();
-        for core in still_parked {
+        for (core, _) in parked.iter().filter(|(_, watched)| watched.is_some()) {
             violations.push(Violation {
                 class: ViolationClass::ParkWake,
                 at: Time::ZERO,
-                detail: format!("core {core} is still parked at end of run"),
+                detail: format!("core {} is still parked at end of run", core.index()),
             });
         }
-        let mut open_windows: Vec<(u8, u32)> =
-            window_state.iter().filter(|(_, &s)| s == 1).map(|(&(c, e), _)| (c, e)).collect();
-        open_windows.sort_unstable();
-        for (core, epoch) in open_windows {
-            violations.push(Violation {
-                class: ViolationClass::Delivery,
-                at: Time::ZERO,
-                detail: format!("core {core} never closed its delivery window for epoch {epoch}"),
-            });
+        for (core, windows) in window_state.iter() {
+            for &(epoch, _) in windows.iter().filter(|w| w.1 == 1) {
+                violations.push(Violation {
+                    class: ViolationClass::Delivery,
+                    at: Time::ZERO,
+                    detail: format!(
+                        "core {} never closed its delivery window for epoch {epoch}",
+                        core.index()
+                    ),
+                });
+            }
         }
     }
     if let Some(m) = spec.makespan {
@@ -1069,6 +1097,73 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Cores 47, 3 and 0 each break the same invariants in the same
+    /// instant, recorded in that (descending) order. Reports come out in
+    /// ascending core order — per instant for commit/fault pairing, per
+    /// checker at end of stream, windows by (core, epoch) — with these
+    /// exact texts: the order is the per-core tables' own.
+    #[test]
+    fn same_instant_violations_report_in_core_order() {
+        let span = Span::new(Phase::NotifyWait, 0);
+        let mut events = Vec::new();
+        for c in [47, 3, 0].map(CoreId) {
+            events.push(ObsEvent::DeliveryBegin { core: c, epoch: 5, at: ns(0) });
+            if c == CoreId(47) {
+                events.push(ObsEvent::DeliveryBegin { core: c, epoch: 2, at: ns(0) });
+            }
+            events.push(ObsEvent::SpanBegin { core: c, span, at: ns(0) });
+            // A flag write that never commits.
+            events.push(ObsEvent::Op {
+                core: c,
+                kind: OpKind::FlagPut,
+                lines: 1,
+                start: ns(0),
+                end: ns(10),
+                msg: None,
+            });
+        }
+        for c in [47, 3, 0].map(CoreId) {
+            events.push(ObsEvent::FlagSample { core: c, line: 1, value: 0, at: ns(10) });
+            events.push(ObsEvent::Park { core: c, line: 1, at: ns(10) });
+        }
+        let rep = audit(&events, &AuditSpec::plain());
+        let got: Vec<(ViolationClass, &str)> =
+            rep.violations.iter().map(|v| (v.class, v.detail.as_str())).collect();
+        let commit = |c| {
+            format!("core {c} at 0.010us: 1 write op(s) vs 0 commit(s) + 0 lost notification(s)")
+        };
+        let want: Vec<(ViolationClass, String)> = vec![
+            (ViolationClass::CommitFault, commit(0)),
+            (ViolationClass::CommitFault, commit(3)),
+            (ViolationClass::CommitFault, commit(47)),
+            (ViolationClass::SpanNesting, "core 0 finished with 1 span(s) still open".into()),
+            (ViolationClass::SpanNesting, "core 3 finished with 1 span(s) still open".into()),
+            (ViolationClass::SpanNesting, "core 47 finished with 1 span(s) still open".into()),
+            (ViolationClass::ParkWake, "core 0 is still parked at end of run".into()),
+            (ViolationClass::ParkWake, "core 3 is still parked at end of run".into()),
+            (ViolationClass::ParkWake, "core 47 is still parked at end of run".into()),
+            (
+                ViolationClass::Delivery,
+                "core 0 never closed its delivery window for epoch 5".into(),
+            ),
+            (
+                ViolationClass::Delivery,
+                "core 3 never closed its delivery window for epoch 5".into(),
+            ),
+            (
+                ViolationClass::Delivery,
+                "core 47 never closed its delivery window for epoch 2".into(),
+            ),
+            (
+                ViolationClass::Delivery,
+                "core 47 never closed its delivery window for epoch 5".into(),
+            ),
+        ];
+        let want: Vec<(ViolationClass, &str)> =
+            want.iter().map(|(c, d)| (*c, d.as_str())).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

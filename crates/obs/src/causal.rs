@@ -28,10 +28,17 @@
 //! ([`crate::audit`]) runs its invariant checkers over this graph; the
 //! graph itself offers the two structural checks every stream must
 //! pass regardless of protocol: acyclicity and edge time-consistency.
+//!
+//! Building and checking cost a table lookup per event: per-core
+//! cursors live in [`PerCore`] tables, per-resource booking lists in a
+//! table by [`ResourceId::index`] (so service edges are emitted in
+//! resource order without sorting the resources), and
+//! [`CausalGraph::acyclic`] runs Kahn's algorithm over a compressed
+//! sparse row adjacency in two `u32` vectors.
 
-use crate::event::ObsEvent;
+use crate::event::{ObsEvent, ResourceId};
+use crate::percore::PerCore;
 use scc_hal::{CoreId, Time};
-use std::collections::HashMap;
 
 /// Which happens-before source produced an edge.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -107,15 +114,17 @@ impl<'a> CausalGraph<'a> {
     pub fn build(events: &'a [ObsEvent]) -> CausalGraph<'a> {
         let mut edges = Vec::with_capacity(events.len() * 2);
         // Last event index per core's program order.
-        let mut prev: HashMap<u8, usize> = HashMap::new();
+        let mut prev: PerCore<Option<usize>> = PerCore::new();
         // Handoff waiting for the receiver's next event.
-        let mut pending_handoff: HashMap<u8, usize> = HashMap::new();
+        let mut pending_handoff: PerCore<Option<usize>> = PerCore::new();
         // Latest MpbWrite index per writer (wake provenance).
-        let mut last_commit: HashMap<u8, usize> = HashMap::new();
-        // Per-resource bookings: (service start, index).
-        let mut service: HashMap<crate::event::ResourceId, Vec<(Time, usize)>> = HashMap::new();
-        // Open delivery windows.
-        let mut open_window: HashMap<(u8, u32), usize> = HashMap::new();
+        let mut last_commit: PerCore<Option<usize>> = PerCore::new();
+        // Bookings `(service start, index)` per resource, by dense
+        // resource index.
+        let mut service: Vec<Vec<(Time, usize)>> = vec![Vec::new(); ResourceId::SLOTS];
+        // Open delivery windows `(epoch, index)` per core — a handful
+        // at most, so a row is searched linearly.
+        let mut open_window: PerCore<Vec<(u32, usize)>> = PerCore::new();
 
         for (i, ev) in events.iter().enumerate() {
             match *ev {
@@ -124,26 +133,25 @@ impl<'a> CausalGraph<'a> {
                 // handoffs are concurrent with the yielding core's
                 // in-flight work — neither joins a program chain.
                 ObsEvent::Wait { resource, start, .. } => {
-                    service.entry(resource).or_default().push((start, i));
+                    service[resource.index()].push((start, i));
                     continue;
                 }
                 ObsEvent::Handoff { to, .. } => {
-                    pending_handoff.insert(to.0, i);
+                    *pending_handoff.at(to) = Some(i);
                     continue;
                 }
                 _ => {}
             }
             let a = actor(ev);
-            if let Some(&p) = prev.get(&a.0) {
+            if let Some(p) = prev.at(a).replace(i) {
                 edges.push(Edge { from: p, to: i, kind: EdgeKind::Program });
             }
-            prev.insert(a.0, i);
-            if let Some(h) = pending_handoff.remove(&a.0) {
+            if let Some(h) = pending_handoff.take(a) {
                 edges.push(Edge { from: h, to: i, kind: EdgeKind::Handoff });
             }
             match *ev {
                 ObsEvent::MpbWrite { writer, .. } => {
-                    last_commit.insert(writer.0, i);
+                    *last_commit.at(writer) = Some(i);
                 }
                 ObsEvent::Wake { core, line, at, writer } if writer != core => {
                     // Prefer the committing write; fall back to the
@@ -151,12 +159,11 @@ impl<'a> CausalGraph<'a> {
                     // streams still get a causal edge when one
                     // exists (never a later-instant one, which
                     // would fabricate a time violation).
-                    let commit = last_commit.get(&writer.0).copied().filter(|&c| {
+                    let commit = last_commit.at(writer).filter(|&c| {
                         matches!(events[c], ObsEvent::MpbWrite { owner, line: l, lines, at: w_at, .. }
                             if w_at == at && owner == core && (l..l + lines).contains(&line))
                     });
-                    let fallback =
-                        || prev.get(&writer.0).copied().filter(|&p| events[p].at() <= at);
+                    let fallback = || prev.at(writer).filter(|&p| events[p].at() <= at);
                     if let Some(src) = commit.or_else(fallback) {
                         if src != i {
                             edges.push(Edge { from: src, to: i, kind: EdgeKind::Wake });
@@ -164,10 +171,16 @@ impl<'a> CausalGraph<'a> {
                     }
                 }
                 ObsEvent::DeliveryBegin { core, epoch, .. } => {
-                    open_window.insert((core.0, epoch), i);
+                    let open = open_window.at(core);
+                    match open.iter_mut().find(|w| w.0 == epoch) {
+                        Some(w) => w.1 = i,
+                        None => open.push((epoch, i)),
+                    }
                 }
                 ObsEvent::DeliveryEnd { core, epoch, .. } => {
-                    if let Some(b) = open_window.remove(&(core.0, epoch)) {
+                    let open = open_window.at(core);
+                    if let Some(pos) = open.iter().position(|w| w.0 == epoch) {
+                        let (_, b) = open.swap_remove(pos);
                         edges.push(Edge { from: b, to: i, kind: EdgeKind::Window });
                     }
                 }
@@ -175,12 +188,12 @@ impl<'a> CausalGraph<'a> {
             }
         }
 
-        // Service order per resource: bookings chained by service start
-        // (ties broken by stream index, which is deterministic).
-        let mut resources: Vec<_> = service.into_iter().collect();
-        resources.sort_by_key(|(r, _)| *r);
-        for (_, mut bookings) in resources {
-            bookings.sort_by_key(|&(start, i)| (start, i));
+        // Service order per resource, resources in `ResourceId` order
+        // (that is what the dense index is): bookings chained by
+        // service start, ties broken by stream index — the pairs are
+        // unique, so the unstable sort is deterministic.
+        for bookings in &mut service {
+            bookings.sort_unstable();
             for w in bookings.windows(2) {
                 edges.push(Edge { from: w[0].1, to: w[1].1, kind: EdgeKind::Service });
             }
@@ -191,21 +204,46 @@ impl<'a> CausalGraph<'a> {
 
     /// Kahn's algorithm. `Ok(())` when every node topologically sorts;
     /// otherwise the indices of events stuck on a cycle.
+    ///
+    /// The adjacency is compressed sparse rows in two `u32` vectors —
+    /// node `u`'s successors are `targets[starts[u]..starts[u + 1]]` —
+    /// so a 100 k-event stream costs three allocations, not one per
+    /// node with an out-edge. Streams are far below `u32::MAX` events.
     pub fn acyclic(&self) -> Result<(), Vec<usize>> {
         let n = self.events.len();
-        let mut indegree = vec![0usize; n];
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
+        assert!(
+            n < u32::MAX as usize && self.edges.len() < u32::MAX as usize,
+            "stream too large for 32-bit node indices"
+        );
+        let mut indegree = vec![0u32; n];
+        // Counting sort of the edges by source. Out-degrees are counted
+        // two slots up, so that after the prefix sum `starts[u + 1]` is
+        // where `u`'s row begins; filling advances it to where the row
+        // ends, which is where `u + 1`'s begins — leaving `starts[u]`
+        // the start of row `u`.
+        let mut starts = vec![0u32; n + 2];
         for e in &self.edges {
-            adj[e.from].push(e.to);
+            starts[e.from + 2] += 1;
             indegree[e.to] += 1;
         }
-        let mut stack: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
+        for u in 2..n + 2 {
+            starts[u] += starts[u - 1];
+        }
+        let mut targets = vec![0u32; self.edges.len()];
+        for e in &self.edges {
+            let slot = &mut starts[e.from + 1];
+            targets[*slot as usize] = e.to as u32;
+            *slot += 1;
+        }
+
+        let mut stack: Vec<u32> = (0..n as u32).filter(|&i| indegree[i as usize] == 0).collect();
         let mut seen = 0usize;
         while let Some(u) = stack.pop() {
             seen += 1;
-            for &v in &adj[u] {
-                indegree[v] -= 1;
-                if indegree[v] == 0 {
+            let u = u as usize;
+            for &v in &targets[starts[u] as usize..starts[u + 1] as usize] {
+                indegree[v as usize] -= 1;
+                if indegree[v as usize] == 0 {
                     stack.push(v);
                 }
             }
@@ -362,6 +400,58 @@ mod tests {
         ];
         let g = CausalGraph::build(&events);
         assert!(g.edges.iter().any(|e| e.kind == EdgeKind::Handoff && e.from == 1 && e.to == 2));
+    }
+
+    /// The textbook Kahn on a `Vec<Vec<usize>>` adjacency — the oracle
+    /// for the CSR one.
+    fn naive_stuck(n: usize, edges: &[Edge]) -> Vec<usize> {
+        let mut indegree = vec![0usize; n];
+        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for e in edges {
+            adj[e.from].push(e.to);
+            indegree[e.to] += 1;
+        }
+        let mut stack: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
+        while let Some(u) = stack.pop() {
+            for &v in &adj[u] {
+                indegree[v] -= 1;
+                if indegree[v] == 0 {
+                    stack.push(v);
+                }
+            }
+        }
+        (0..n).filter(|&i| indegree[i] > 0).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 512, ..Default::default() })]
+
+        /// Random forward edges (duplicates included) form a DAG; a
+        /// planted back path of `cycle` nodes (0 = none, 1 = self-loop)
+        /// closes a cycle. Either way the CSR Kahn reports exactly the
+        /// stuck set of the naive one.
+        #[test]
+        fn csr_kahn_agrees_with_the_naive_one(
+            n in 1usize..48,
+            raw in proptest::collection::vec((0usize..4096, 0usize..4096), 0..160),
+            cycle in 0usize..6,
+        ) {
+            let events: Vec<ObsEvent> = (0..n).map(|i| op(0, i as u64, i as u64 + 1)).collect();
+            let mut edges: Vec<Edge> = raw
+                .iter()
+                .map(|&(a, b)| (a % n, b % n))
+                .filter(|(a, b)| a != b)
+                .map(|(a, b)| Edge { from: a.min(b), to: a.max(b), kind: EdgeKind::Program })
+                .collect();
+            let ring: Vec<usize> = (0..cycle.min(n)).map(|i| (i * 7 + 3) % n).collect();
+            for (i, &from) in ring.iter().enumerate() {
+                edges.push(Edge { from, to: ring[(i + 1) % ring.len()], kind: EdgeKind::Wake });
+            }
+            let want = naive_stuck(n, &edges);
+            let got = CausalGraph { events: &events, edges }.acyclic().err().unwrap_or_default();
+            proptest::prop_assert_eq!(&got, &want);
+            proptest::prop_assert_eq!(got.is_empty(), ring.is_empty());
+        }
     }
 
     #[test]

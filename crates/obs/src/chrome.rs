@@ -10,12 +10,19 @@
 //! [`crate::series`]) still covers them.
 //!
 //! Timestamps: the format's `ts`/`dur` are microseconds; we print six
-//! decimal places, which is exactly the engine's picosecond resolution.
+//! decimal places, which is exactly the engine's picosecond resolution —
+//! and print them from the integer picoseconds (`ps / 10^6`, a point,
+//! `ps % 10^6` zero-padded), which is exact for every `u64` and equal to
+//! the `{:.6}` rendering of `ps as f64 / 1e6` for every `ps < 2^52`
+//! (≈ 75 simulated minutes; beyond that it is the float that rounds).
+//!
+//! The writer is one pass into one `String`: every event is appended
+//! in place, piece by piece, with no per-event temporaries.
 
 use crate::event::{ObsEvent, OpKind, ResourceId};
-use scc_hal::Time;
-use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write as _;
+use crate::percore::PerCore;
+use scc_hal::{Span, Time};
+use std::fmt::{self, Write as _};
 
 /// Track (tid) layout inside the resource process: stable, readable
 /// ordering — ports first, then routers, then memory controllers.
@@ -27,71 +34,135 @@ fn resource_tid(r: ResourceId) -> usize {
     }
 }
 
-fn us(t: Time) -> String {
-    format!("{:.6}", t.as_us_f64())
+/// Append `v` in decimal, left-padded with zeros to `width` digits.
+fn push_uint(out: &mut String, mut v: u64, width: usize) {
+    let mut buf = [b'0'; 20];
+    let mut i = buf.len();
+    while v > 0 {
+        i -= 1;
+        buf[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+    }
+    for &digit in &buf[i.min(buf.len() - width)..] {
+        out.push(digit as char);
+    }
 }
 
+/// Append `t` as microseconds with six decimals.
+fn push_us(out: &mut String, t: Time) {
+    push_uint(out, t.as_ps() / 1_000_000, 1);
+    out.push('.');
+    push_uint(out, t.as_ps() % 1_000_000, 6);
+}
+
+/// How a complete ("X") and a thread-scoped instant ("i") event open.
+const COMPLETE: &str = "{\"ph\":\"X\",\"pid\":";
+const INSTANT: &str = "{\"ph\":\"i\",\"s\":\"t\",\"pid\":";
+
+/// The output document under construction. An event is written as
+/// `complete`/`instant`/`phase`, then zero or more `arg_*`, then
+/// `close`.
 struct Emitter {
     out: String,
     first: bool,
+    in_args: bool,
 }
 
 impl Emitter {
-    fn new() -> Emitter {
-        Emitter { out: String::from("{\"traceEvents\":["), first: true }
+    fn new(events: usize) -> Emitter {
+        // ≈ 123 bytes per event in practice; one allocation up front
+        // instead of a dozen doublings of a multi-megabyte buffer.
+        let mut out = String::with_capacity(events * 128 + 256);
+        out.push_str("{\"traceEvents\":[");
+        Emitter { out, first: true, in_args: false }
     }
 
-    fn raw(&mut self, obj: &str) {
+    /// The comma between two elements of `traceEvents`.
+    fn separate(&mut self) {
         if !self.first {
             self.out.push(',');
         }
         self.first = false;
-        self.out.push_str(obj);
     }
 
-    /// A complete ("X") event. `args` is pre-rendered JSON object body
-    /// (without braces), or empty.
-    #[allow(clippy::too_many_arguments)]
-    fn complete(
-        &mut self,
-        pid: u32,
-        tid: usize,
-        cat: &str,
-        name: &str,
-        start: Time,
-        end: Time,
-        args: &str,
-    ) {
-        let mut o = format!(
-            "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"cat\":\"{cat}\",\"name\":\"{name}\",\"ts\":{},\"dur\":{}",
-            us(start),
-            us(end.saturating_sub(start)),
-        );
-        if !args.is_empty() {
-            let _ = write!(o, ",\"args\":{{{args}}}");
-        }
-        o.push('}');
-        self.raw(&o);
+    /// `{"ph":…,"pid":P,"tid":T,"cat":"C","name":"` — `open` is the
+    /// text up to the pid; the name and the closing quote are the
+    /// caller's.
+    fn head(&mut self, open: &str, pid: u32, tid: usize, cat: &str) {
+        self.separate();
+        self.out.push_str(open);
+        push_uint(&mut self.out, pid as u64, 1);
+        self.out.push_str(",\"tid\":");
+        push_uint(&mut self.out, tid as u64, 1);
+        self.out.push_str(",\"cat\":\"");
+        self.out.push_str(cat);
+        self.out.push_str("\",\"name\":\"");
+    }
+
+    fn ts(&mut self, at: Time) {
+        self.out.push_str("\",\"ts\":");
+        push_us(&mut self.out, at);
+    }
+
+    fn ts_dur(&mut self, start: Time, end: Time) {
+        self.ts(start);
+        self.out.push_str(",\"dur\":");
+        push_us(&mut self.out, end.saturating_sub(start));
+    }
+
+    /// A complete ("X") event.
+    fn complete(&mut self, pid: u32, tid: usize, cat: &str, name: &str, start: Time, end: Time) {
+        self.head(COMPLETE, pid, tid, cat);
+        self.out.push_str(name);
+        self.ts_dur(start, end);
+    }
+
+    /// A complete event on a core track for one protocol-phase span.
+    fn phase(&mut self, tid: usize, span: Span, begin: Time, end: Time) {
+        self.head(COMPLETE, 0, tid, "phase");
+        self.out.push_str(span.phase.name());
+        self.out.push(' ');
+        push_uint(&mut self.out, span.arg as u64, 1);
+        self.ts_dur(begin, end);
+        self.close();
     }
 
     /// An instant ("i") thread-scoped event.
-    fn instant(&mut self, pid: u32, tid: usize, cat: &str, name: &str, at: Time, args: &str) {
-        let mut o = format!(
-            "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{tid},\"cat\":\"{cat}\",\"name\":\"{name}\",\"ts\":{}",
-            us(at)
-        );
-        if !args.is_empty() {
-            let _ = write!(o, ",\"args\":{{{args}}}");
-        }
-        o.push('}');
-        self.raw(&o);
+    fn instant(&mut self, pid: u32, tid: usize, cat: &str, name: &str, at: Time) {
+        self.head(INSTANT, pid, tid, cat);
+        self.out.push_str(name);
+        self.ts(at);
     }
 
-    fn metadata(&mut self, pid: u32, tid: Option<usize>, what: &str, name: &str) {
-        let tid_part = tid.map(|t| format!(",\"tid\":{t}")).unwrap_or_default();
-        self.raw(&format!(
-            "{{\"ph\":\"M\",\"pid\":{pid}{tid_part},\"name\":\"{what}\",\"args\":{{\"name\":\"{name}\"}}}}"
-        ));
+    fn arg_key(&mut self, key: &str) {
+        self.out.push_str(if self.in_args { ",\"" } else { ",\"args\":{\"" });
+        self.in_args = true;
+        self.out.push_str(key);
+        self.out.push_str("\":");
+    }
+
+    fn arg_uint(&mut self, key: &str, v: usize) {
+        self.arg_key(key);
+        push_uint(&mut self.out, v as u64, 1);
+    }
+
+    fn arg_us(&mut self, key: &str, t: Time) {
+        self.arg_key(key);
+        push_us(&mut self.out, t);
+    }
+
+    fn close(&mut self) {
+        self.out.push_str(if self.in_args { "}}" } else { "}" });
+        self.in_args = false;
+    }
+
+    fn metadata(&mut self, pid: u32, tid: Option<usize>, what: &str, name: fmt::Arguments<'_>) {
+        self.separate();
+        let _ = write!(self.out, "{{\"ph\":\"M\",\"pid\":{pid}");
+        if let Some(t) = tid {
+            let _ = write!(self.out, ",\"tid\":{t}");
+        }
+        let _ = write!(self.out, ",\"name\":\"{what}\",\"args\":{{\"name\":\"{name}\"}}}}");
     }
 
     fn finish(mut self) -> String {
@@ -102,9 +173,9 @@ impl Emitter {
 
 /// Render a recorded event stream as Chrome `trace_event` JSON.
 pub fn chrome_trace_json(events: &[ObsEvent]) -> String {
-    let mut cores: BTreeSet<usize> = BTreeSet::new();
-    let mut contended: BTreeSet<ResourceId> = BTreeSet::new();
-    let mut seen_resources: BTreeSet<ResourceId> = BTreeSet::new();
+    let mut cores: PerCore<bool> = PerCore::new();
+    // By dense resource index.
+    let mut contended = [false; ResourceId::SLOTS];
     let mut horizon = Time::ZERO;
     for ev in events {
         horizon = horizon.max(ev.at());
@@ -120,94 +191,89 @@ pub fn chrome_trace_json(events: &[ObsEvent]) -> String {
             | ObsEvent::Finish { core, .. }
             | ObsEvent::FlagSample { core, .. }
             | ObsEvent::Fault { core, .. } => {
-                cores.insert(core.index());
+                *cores.at(core) = true;
             }
             ObsEvent::Handoff { from, to, .. } => {
-                cores.insert(from.index());
-                cores.insert(to.index());
+                *cores.at(from) = true;
+                *cores.at(to) = true;
             }
             ObsEvent::MpbWrite { owner, writer, .. } => {
-                cores.insert(owner.index());
-                cores.insert(writer.index());
+                *cores.at(owner) = true;
+                *cores.at(writer) = true;
             }
             ObsEvent::Wait { resource, arrival, start, .. } => {
-                seen_resources.insert(resource);
                 if start > arrival {
-                    contended.insert(resource);
+                    contended[resource.index()] = true;
                 }
             }
         }
     }
 
-    let mut em = Emitter::new();
-    em.metadata(0, None, "process_name", "cores");
-    em.metadata(1, None, "process_name", "resources");
-    for &c in &cores {
-        em.metadata(0, Some(c), "thread_name", &format!("core {c}"));
+    let mut em = Emitter::new(events.len());
+    em.metadata(0, None, "process_name", format_args!("cores"));
+    em.metadata(1, None, "process_name", format_args!("resources"));
+    for (c, _) in cores.iter().filter(|(_, &seen)| seen) {
+        em.metadata(0, Some(c.index()), "thread_name", format_args!("core {}", c.index()));
     }
-    for &r in &contended {
-        em.metadata(1, Some(resource_tid(r)), "thread_name", &format!("{r}"));
+    for r in ResourceId::all().filter(|r| contended[r.index()]) {
+        em.metadata(1, Some(resource_tid(r)), "thread_name", format_args!("{r}"));
     }
 
     // Per-core open state for park intervals and phase spans.
-    let mut parked_at: BTreeMap<usize, Time> = BTreeMap::new();
-    let mut span_stack: BTreeMap<usize, Vec<(scc_hal::Span, Time)>> = BTreeMap::new();
+    let mut parked_at: PerCore<Option<Time>> = PerCore::new();
+    let mut span_stack: PerCore<Vec<(Span, Time)>> = PerCore::new();
 
     for ev in events {
         match *ev {
             ObsEvent::Op { core, kind, lines, start, end, .. } => {
-                let args = format!("\"lines\":{lines}");
-                em.complete(0, core.index(), "op", kind.short(), start, end, &args);
+                em.complete(0, core.index(), "op", kind.short(), start, end);
+                em.arg_uint("lines", lines);
+                em.close();
             }
             ObsEvent::Compute { core, start, end } => {
-                em.complete(0, core.index(), "op", "compute", start, end, "");
+                em.complete(0, core.index(), "op", "compute", start, end);
+                em.close();
             }
             ObsEvent::Park { core, at, .. } => {
-                parked_at.insert(core.index(), at);
+                *parked_at.at(core) = Some(at);
             }
             ObsEvent::Wake { core, at, writer, line } => {
-                if let Some(p) = parked_at.remove(&core.index()) {
-                    let args = format!("\"line\":{line},\"writer\":{}", writer.index());
-                    em.complete(0, core.index(), "sched", "parked", p, at, &args);
+                if let Some(p) = parked_at.take(core) {
+                    em.complete(0, core.index(), "sched", "parked", p, at);
+                    em.arg_uint("line", line);
+                    em.arg_uint("writer", writer.index());
+                    em.close();
                 }
             }
             ObsEvent::Handoff { from, to, at } => {
-                let args = format!("\"from\":{}", from.index());
-                em.instant(0, to.index(), "sched", "handoff", at, &args);
+                em.instant(0, to.index(), "sched", "handoff", at);
+                em.arg_uint("from", from.index());
+                em.close();
             }
             ObsEvent::SpanBegin { core, span, at } => {
-                span_stack.entry(core.index()).or_default().push((span, at));
+                span_stack.at(core).push((span, at));
             }
             ObsEvent::SpanEnd { core, at, .. } => {
-                if let Some((span, begin)) = span_stack.entry(core.index()).or_default().pop() {
-                    let name = format!("{} {}", span.phase.name(), span.arg);
-                    em.complete(0, core.index(), "phase", &name, begin, at, "");
+                if let Some((span, begin)) = span_stack.at(core).pop() {
+                    em.phase(core.index(), span, begin, at);
                 }
             }
             ObsEvent::Wait { core, resource, arrival, start, end, .. } => {
-                if contended.contains(&resource) {
-                    let args = format!(
-                        "\"core\":{},\"wait_us\":{}",
-                        core.index(),
-                        us(start.saturating_sub(arrival))
-                    );
-                    em.complete(
-                        1,
-                        resource_tid(resource),
-                        "svc",
-                        resource.class(),
-                        start,
-                        end,
-                        &args,
-                    );
+                if contended[resource.index()] {
+                    em.complete(1, resource_tid(resource), "svc", resource.class(), start, end);
+                    em.arg_uint("core", core.index());
+                    em.arg_us("wait_us", start.saturating_sub(arrival));
+                    em.close();
                 }
             }
             ObsEvent::Finish { core, at } => {
-                em.instant(0, core.index(), "sched", "finish", at, "");
+                em.instant(0, core.index(), "sched", "finish", at);
+                em.close();
             }
             ObsEvent::Fault { core, kind, at, lost } => {
-                let args = format!("\"lost_us\":{}", us(lost));
-                em.instant(0, core.index(), "fault", kind.name(), at, &args);
+                em.instant(0, core.index(), "fault", kind.name(), at);
+                em.arg_us("lost_us", lost);
+                em.close();
             }
             // Delivery windows are a journey-level concept; the Chrome
             // export keeps its committed shape and leaves them to the
@@ -222,13 +288,15 @@ pub fn chrome_trace_json(events: &[ObsEvent]) -> String {
 
     // Close anything left open (deadlocked parks, unbalanced spans) at
     // the horizon so the trace stays well-formed.
-    for (core, p) in parked_at {
-        em.complete(0, core, "sched", "parked", p, horizon, "");
+    for (core, p) in parked_at.iter() {
+        if let Some(p) = *p {
+            em.complete(0, core.index(), "sched", "parked", p, horizon);
+            em.close();
+        }
     }
-    for (core, stack) in span_stack {
-        for (span, begin) in stack.into_iter().rev() {
-            let name = format!("{} {}", span.phase.name(), span.arg);
-            em.complete(0, core, "phase", &name, begin, horizon, "");
+    for (core, stack) in span_stack.iter() {
+        for &(span, begin) in stack.iter().rev() {
+            em.phase(core.index(), span, begin, horizon);
         }
     }
 
@@ -251,10 +319,47 @@ pub fn kinds_present(events: &[ObsEvent]) -> Vec<OpKind> {
 mod tests {
     use super::*;
     use crate::report::validate_json;
-    use scc_hal::{CoreId, Phase, Span};
+    use scc_hal::{CoreId, Phase};
 
     fn ns(v: u64) -> Time {
         Time::from_ns(v)
+    }
+
+    /// The float rendering the integer printer replaced — kept as the
+    /// oracle: the two agree wherever `ps as f64` is exact and the
+    /// `{:.6}` rounding of the quotient lands on the true digits.
+    fn us_reference(t: Time) -> String {
+        format!("{:.6}", t.as_us_f64())
+    }
+
+    fn us(ps: u64) -> String {
+        let mut out = String::new();
+        push_us(&mut out, Time::from_ps(ps));
+        out
+    }
+
+    #[test]
+    fn integer_us_printing_matches_the_float_reference_at_the_edges() {
+        for ps in [0, 1, 999_999, 1_000_000, 1_000_000_000_000, (1 << 52) - 1] {
+            assert_eq!(us(ps), us_reference(Time::from_ps(ps)), "{ps} ps");
+        }
+        assert_eq!(us(0), "0.000000");
+        assert_eq!(us(1_000_001), "1.000001");
+        // Past 2^53 the float form is the inexact one; the integer form
+        // stays the true decimal.
+        assert_eq!(us(u64::MAX), "18446744073709.551615");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 4096, ..Default::default() })]
+
+        /// Every magnitude below the 2^52 ps bound, not just the huge
+        /// values a uniform draw would produce.
+        #[test]
+        fn integer_us_printing_matches_the_float_reference(bits in 1u32..=52, raw in 0u64..u64::MAX) {
+            let ps = raw & ((1u64 << bits) - 1);
+            proptest::prop_assert_eq!(us(ps), us_reference(Time::from_ps(ps)), "{} ps", ps);
+        }
     }
 
     #[test]

@@ -17,8 +17,9 @@
 
 use crate::critpath::{critical_path, CritPathError, SegmentKind};
 use crate::event::ObsEvent;
+use crate::percore::PerCore;
 use crate::report::Json;
-use scc_hal::Time;
+use scc_hal::{CoreId, Time};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -50,28 +51,28 @@ impl PhaseProfile {
 
         // Per-core phase timelines: breakpoints (time, innermost phase)
         // from the span edges, in stream order (nondecreasing per core).
-        let mut breakpoints: BTreeMap<usize, Vec<(Time, Option<&'static str>)>> = BTreeMap::new();
-        let mut stacks: BTreeMap<usize, Vec<&'static str>> = BTreeMap::new();
+        let mut breakpoints: PerCore<Vec<(Time, Option<&'static str>)>> = PerCore::new();
+        let mut stacks: PerCore<Vec<&'static str>> = PerCore::new();
         for ev in events {
             match *ev {
                 ObsEvent::SpanBegin { core, span, at } => {
-                    let stack = stacks.entry(core.index()).or_default();
+                    let stack = stacks.at(core);
                     stack.push(span.phase.name());
-                    breakpoints.entry(core.index()).or_default().push((at, stack.last().copied()));
+                    breakpoints.at(core).push((at, stack.last().copied()));
                 }
                 ObsEvent::SpanEnd { core, span, at } => {
-                    let stack = stacks.entry(core.index()).or_default();
+                    let stack = stacks.at(core);
                     if let Some(pos) = stack.iter().rposition(|f| *f == span.phase.name()) {
                         stack.truncate(pos);
                     }
-                    breakpoints.entry(core.index()).or_default().push((at, stack.last().copied()));
+                    breakpoints.at(core).push((at, stack.last().copied()));
                 }
                 _ => {}
             }
         }
 
-        let phase_at = |core: usize, t: Time| -> &'static str {
-            let Some(bps) = breakpoints.get(&core) else { return OUTSIDE_PHASE };
+        let phase_at = |core: CoreId, t: Time| -> &'static str {
+            let Some(bps) = breakpoints.get(core) else { return OUTSIDE_PHASE };
             let i = bps.partition_point(|&(at, _)| at <= t);
             i.checked_sub(1).and_then(|i| bps[i].1).unwrap_or(OUTSIDE_PHASE)
         };
@@ -86,7 +87,7 @@ impl PhaseProfile {
             // The whole segment is attributed to the innermost phase
             // open at its start — segments are short (one op), and a
             // whole-segment attribution keeps the partition exact.
-            let phase = phase_at(s.core.index(), s.start);
+            let phase = phase_at(s.core, s.start);
             let dim = match s.kind {
                 SegmentKind::Op(_) => "op-service",
                 SegmentKind::Compute => "compute",

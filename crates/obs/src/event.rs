@@ -96,6 +96,28 @@ impl ResourceId {
             ResourceId::Port(i) | ResourceId::Router(i) | ResourceId::Mc(i) => *i as usize,
         }
     }
+
+    /// Size of a table indexed by [`ResourceId::index`].
+    pub const SLOTS: usize = 3 * 256;
+
+    /// Dense index for per-resource tables. It orders resources exactly
+    /// as `Ord` does — ports, then routers, then memory controllers,
+    /// each by instance — so walking a table by index is walking it in
+    /// `ResourceId` order.
+    pub fn index(&self) -> usize {
+        match *self {
+            ResourceId::Port(i) => i as usize,
+            ResourceId::Router(i) => 256 + i as usize,
+            ResourceId::Mc(i) => 512 + i as usize,
+        }
+    }
+
+    /// Every representable id, in [`ResourceId::index`] order.
+    pub fn all() -> impl Iterator<Item = ResourceId> {
+        let classes: [fn(u8) -> ResourceId; 3] =
+            [ResourceId::Port, ResourceId::Router, ResourceId::Mc];
+        classes.into_iter().flat_map(|class| (0..=u8::MAX).map(class))
+    }
 }
 
 impl fmt::Display for ResourceId {
@@ -351,6 +373,14 @@ mod tests {
         assert_eq!(format!("{}", ResourceId::Port(11)), "port[11]");
         assert_eq!(format!("{}", ResourceId::Router(0)), "router[0]");
         assert_eq!(format!("{}", ResourceId::Mc(3)), "mc[3]");
+    }
+
+    #[test]
+    fn dense_resource_index_is_injective_and_ordered_like_ord() {
+        let all: Vec<ResourceId> = ResourceId::all().collect();
+        assert_eq!(all.len(), ResourceId::SLOTS);
+        assert!(all.windows(2).all(|w| w[0] < w[1] && w[0].index() + 1 == w[1].index()));
+        assert_eq!(all[0].index(), 0);
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! output lines are sorted so the export is byte-deterministic.
 
 use crate::event::ObsEvent;
-use scc_hal::Time;
+use crate::percore::PerCore;
+use scc_hal::{CoreId, Time};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -32,36 +33,35 @@ pub fn flamegraph_collapsed(events: &[ObsEvent], root: &str) -> String {
         Open(&'static str),
         Close(&'static str),
     }
-    let mut edges: BTreeMap<usize, Vec<(Time, Edge)>> = BTreeMap::new();
-    let mut last_seen: BTreeMap<usize, Time> = BTreeMap::new();
+    let mut edges: PerCore<Vec<(Time, Edge)>> = PerCore::new();
+    let mut last_seen: PerCore<Option<Time>> = PerCore::new();
     for ev in events {
         match *ev {
             ObsEvent::SpanBegin { core, span, at } => {
-                edges.entry(core.index()).or_default().push((at, Edge::Open(span.phase.name())));
+                edges.at(core).push((at, Edge::Open(span.phase.name())));
             }
             ObsEvent::SpanEnd { core, span, at } => {
-                edges.entry(core.index()).or_default().push((at, Edge::Close(span.phase.name())));
+                edges.at(core).push((at, Edge::Close(span.phase.name())));
             }
             _ => {}
         }
         // Track each core's last observed instant so trailing tail time
         // (after the last span closes, up to Finish) is still charged.
         for c in cores_of(ev) {
-            let t = ev.at();
-            let e = last_seen.entry(c).or_insert(t);
-            *e = (*e).max(t);
+            let seen = last_seen.at(c);
+            *seen = (*seen).max(Some(ev.at()));
         }
     }
 
     let mut weights: BTreeMap<String, u64> = BTreeMap::new();
-    for (core, core_edges) in &edges {
+    for (core, core_edges) in edges.iter().filter(|(_, e)| !e.is_empty()) {
         let mut stack: Vec<&'static str> = Vec::new();
         let mut cursor = Time::ZERO;
         let mut charge = |stack: &[&'static str], from: Time, to: Time| {
             if to <= from {
                 return;
             }
-            let mut key = format!("{root};core {core}");
+            let mut key = format!("{root};core {}", core.index());
             for frame in stack {
                 key.push(';');
                 key.push_str(frame);
@@ -84,16 +84,16 @@ pub fn flamegraph_collapsed(events: &[ObsEvent], root: &str) -> String {
         }
         // Tail: time after the last span edge up to the core's last
         // observed instant (Finish, last op completion, …).
-        if let Some(&end) = last_seen.get(core) {
+        if let Some(&Some(end)) = last_seen.get(core) {
             charge(&stack, cursor, end);
         }
     }
     // Cores with activity but no spans still get their lifetime charged
     // to the root frame, so a span-free trace is a flat (not empty)
     // graph.
-    for (core, &end) in &last_seen {
-        if !edges.contains_key(core) {
-            let key = format!("{root};core {core}");
+    for (core, end) in last_seen.iter() {
+        if let Some(end) = end.filter(|_| edges.at(core).is_empty()) {
+            let key = format!("{root};core {}", core.index());
             *weights.entry(key).or_insert(0) += end.as_ps();
         }
     }
@@ -111,7 +111,7 @@ pub fn flamegraph_collapsed(events: &[ObsEvent], root: &str) -> String {
     out
 }
 
-fn cores_of(ev: &ObsEvent) -> impl Iterator<Item = usize> {
+fn cores_of(ev: &ObsEvent) -> impl Iterator<Item = CoreId> {
     let (a, b) = match *ev {
         ObsEvent::Op { core, .. }
         | ObsEvent::Wait { core, .. }
@@ -123,10 +123,10 @@ fn cores_of(ev: &ObsEvent) -> impl Iterator<Item = usize> {
         | ObsEvent::DeliveryEnd { core, .. }
         | ObsEvent::Finish { core, .. }
         | ObsEvent::FlagSample { core, .. }
-        | ObsEvent::Fault { core, .. } => (core.index(), None),
-        ObsEvent::Wake { core, .. } => (core.index(), None),
-        ObsEvent::MpbWrite { owner, writer, .. } => (owner.index(), Some(writer.index())),
-        ObsEvent::Handoff { from, to, .. } => (from.index(), Some(to.index())),
+        | ObsEvent::Fault { core, .. } => (core, None),
+        ObsEvent::Wake { core, .. } => (core, None),
+        ObsEvent::MpbWrite { owner, writer, .. } => (owner, Some(writer)),
+        ObsEvent::Handoff { from, to, .. } => (from, Some(to)),
     };
     std::iter::once(a).chain(b)
 }

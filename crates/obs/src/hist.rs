@@ -13,6 +13,7 @@
 //! for rendering.
 
 use crate::event::ObsEvent;
+use crate::percore::PerCore;
 use scc_hal::Time;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -122,14 +123,14 @@ impl RunHistograms {
     pub fn build(events: &[ObsEvent]) -> RunHistograms {
         let mut hg = RunHistograms::default();
         // Per-core stack of (phase name, begin time).
-        let mut stacks: BTreeMap<usize, Vec<(&'static str, Time)>> = BTreeMap::new();
+        let mut stacks: PerCore<Vec<(&'static str, Time)>> = PerCore::new();
         for ev in events {
             match *ev {
                 ObsEvent::SpanBegin { core, span, at } => {
-                    stacks.entry(core.index()).or_default().push((span.phase.name(), at));
+                    stacks.at(core).push((span.phase.name(), at));
                 }
                 ObsEvent::SpanEnd { core, span, at } => {
-                    let stack = stacks.entry(core.index()).or_default();
+                    let stack = stacks.at(core);
                     // Pop to the matching begin; mismatches (error-path
                     // unwinds) discard the inner frames.
                     if let Some(pos) =

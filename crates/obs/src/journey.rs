@@ -22,9 +22,9 @@
 
 use crate::artifact::{field, record, Wire};
 use crate::event::{ObsEvent, OpKind, ResourceId};
+use crate::percore::PerCore;
 use crate::report::Json;
 use scc_hal::{CoreId, Phase, Time};
-use std::collections::BTreeMap;
 
 /// Where one slice of a journey's time went.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -205,9 +205,9 @@ impl JourneyBook {
     /// Reconstruct every journey from a recorded event stream.
     pub fn from_events(events: &[ObsEvent]) -> JourneyBook {
         // Pass 1: delivery windows, per-core lanes, makespan.
-        let mut open: BTreeMap<u8, (u32, Time)> = BTreeMap::new();
+        let mut open: PerCore<Option<(u32, Time)>> = PerCore::new();
         let mut windows: Vec<(CoreId, u32, Time, Time)> = Vec::new();
-        let mut lanes: BTreeMap<u8, CoreLanes> = BTreeMap::new();
+        let mut lanes: PerCore<CoreLanes> = PerCore::new();
         let mut finish = Time::ZERO;
         let mut latest = Time::ZERO;
         let mut any_finish = false;
@@ -215,20 +215,20 @@ impl JourneyBook {
             latest = latest.max(ev.at());
             match *ev {
                 ObsEvent::DeliveryBegin { core, epoch, at } => {
-                    open.insert(core.0, (epoch, at));
+                    *open.at(core) = Some((epoch, at));
                 }
                 ObsEvent::DeliveryEnd { core, epoch, at } => {
-                    if let Some((e, b)) = open.remove(&core.0) {
+                    if let Some((e, b)) = open.take(core) {
                         if e == epoch {
                             windows.push((core, epoch, b, at));
                         }
                     }
                 }
                 ObsEvent::Op { core, kind, start, end, .. } => {
-                    lanes.entry(core.0).or_default().ops.push((start.as_ps(), end.as_ps(), kind));
+                    lanes.at(core).ops.push((start.as_ps(), end.as_ps(), kind));
                 }
                 ObsEvent::Wait { core, resource, arrival, start, end, .. } => {
-                    lanes.entry(core.0).or_default().waits.push((
+                    lanes.at(core).waits.push((
                         arrival.as_ps(),
                         start.as_ps(),
                         end.as_ps(),
@@ -236,21 +236,20 @@ impl JourneyBook {
                     ));
                 }
                 ObsEvent::Park { core, at, .. } => {
-                    lanes.entry(core.0).or_default().parks.push((at.as_ps(), u64::MAX));
+                    lanes.at(core).parks.push((at.as_ps(), u64::MAX));
                 }
                 ObsEvent::Wake { core, at, .. } => {
-                    let lane = lanes.entry(core.0).or_default();
-                    if let Some(p) = lane.parks.last_mut() {
+                    if let Some(p) = lanes.at(core).parks.last_mut() {
                         if p.1 == u64::MAX {
                             p.1 = at.as_ps();
                         }
                     }
                 }
                 ObsEvent::SpanBegin { core, span, at } => {
-                    lanes.entry(core.0).or_default().stack.push((span.phase, at.as_ps()));
+                    lanes.at(core).stack.push((span.phase, at.as_ps()));
                 }
                 ObsEvent::SpanEnd { core, at, .. } => {
-                    let lane = lanes.entry(core.0).or_default();
+                    let lane = lanes.at(core);
                     if let Some((phase, start)) = lane.stack.pop() {
                         let depth = lane.stack.len();
                         lane.spans.push((start, at.as_ps(), phase, depth));
@@ -270,7 +269,7 @@ impl JourneyBook {
         let mut journeys: Vec<Journey> = windows
             .iter()
             .map(|&(core, epoch, begin, end)| {
-                let lane = lanes.get(&core.0).unwrap_or(&empty);
+                let lane = lanes.get(core).unwrap_or(&empty);
                 Journey {
                     core,
                     epoch,

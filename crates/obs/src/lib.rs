@@ -10,6 +10,9 @@
 //!   booking (with the resource id and the queueing wait), park/wake
 //!   pairs, coroutine handoffs, protocol-phase spans, all at picosecond
 //!   resolution, behind the cheap-when-disabled [`Recorder`] trait;
+//! * [`percore`] — [`PerCore`], the dense `CoreId`-indexed table every
+//!   stream walker below keeps its per-core state in (iteration in
+//!   core order is structural, not a sort);
 //! * [`chrome`] — Chrome `trace_event` JSON export (loads in Perfetto):
 //!   one track per core, one per contended resource, phase spans and
 //!   parked intervals on the core tracks;
@@ -90,6 +93,7 @@ pub mod heatmap;
 pub mod hist;
 pub mod journey;
 pub mod movie;
+pub mod percore;
 pub mod report;
 pub mod series;
 pub mod sketch;
@@ -120,6 +124,7 @@ pub use heatmap::LinkHeatmap;
 pub use hist::{LatencyHistogram, RunHistograms};
 pub use journey::{Journey, JourneyBook, LegKind};
 pub use movie::CongestionMovie;
+pub use percore::PerCore;
 pub use report::{validate_json, Json};
 pub use series::{UtilBucket, UtilizationSeries};
 pub use sketch::{QuantileSketch, SketchSummary, SKETCH_BUCKETS};

@@ -4,6 +4,17 @@
 //! the `trace` binary before CI does); [`Json::parse`] materializes the
 //! value tree, which the conformance harness uses to read committed
 //! `BENCH_figures.json` baselines back for the drift gate.
+//!
+//! The parser is RFC 8259 strict — one top-level value; no leading
+//! zeros, bare `-`, trailing commas or raw control characters — and
+//! bounded: containers nest at most [`MAX_NESTING`] deep, so hostile
+//! input is an `Err`, never a stack overflow. It allocates each
+//! container once: the members of every open array and object collect
+//! on two parser-owned stacks and are drained into an exactly-sized
+//! `Vec` when the container closes. Strings without escapes are one
+//! slice copy of the input, and integers are accumulated in the digit
+//! loop (`str::parse::<f64>` runs only for fractions, exponents and
+//! magnitudes beyond `i64`).
 
 use std::fmt::Write as _;
 
@@ -34,13 +45,13 @@ impl Json {
     /// become [`Json::Int`]; everything else numeric becomes
     /// [`Json::Num`].
     pub fn parse(s: &str) -> Result<Json, String> {
-        let b = s.as_bytes();
-        let mut p = Parser { b, i: 0 };
+        let mut p =
+            Parser { s, b: s.as_bytes(), i: 0, depth: 0, items: Vec::new(), fields: Vec::new() };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.i != b.len() {
-            return Err(format!("trailing garbage at byte {}", p.i));
+        if p.i != p.b.len() {
+            return p.err("trailing garbage");
         }
         Ok(v)
     }
@@ -122,11 +133,7 @@ impl Json {
             Json::Int(i) => {
                 let _ = write!(out, "{i}");
             }
-            Json::Str(s) => {
-                out.push('"');
-                out.push_str(&escape(s));
-                out.push('"');
-            }
+            Json::Str(s) => write_str(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, v) in items.iter().enumerate() {
@@ -143,9 +150,8 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push('"');
-                    out.push_str(&escape(k));
-                    out.push_str("\":");
+                    write_str(out, k);
+                    out.push(':');
                     v.write(out);
                 }
                 out.push('}');
@@ -154,22 +160,31 @@ impl Json {
     }
 }
 
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+/// Append `s` as a quoted JSON string: runs of plain characters are
+/// copied whole, only the characters that need an escape are rewritten.
+fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
+        }
+        // Escaped bytes are ASCII, so `plain..i` is on char boundaries.
+        out.push_str(&s[plain..i]);
+        plain = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
-    out
+    out.push_str(&s[plain..]);
+    out.push('"');
 }
 
 /// Strict JSON syntax check. Returns the first error with a byte
@@ -178,9 +193,22 @@ pub fn validate_json(s: &str) -> Result<(), String> {
     Json::parse(s).map(|_| ())
 }
 
+/// Deepest container nesting [`Json::parse`] accepts. Committed
+/// artifacts nest at most 8 deep; the bound exists so that parsing is
+/// recursion of bounded depth whatever the input.
+pub const MAX_NESTING: usize = 128;
+
 struct Parser<'a> {
+    s: &'a str,
     b: &'a [u8],
     i: usize,
+    /// Containers currently open.
+    depth: usize,
+    /// Elements of every open array, innermost last: an array owns the
+    /// tail of this stack from the length it found when it opened.
+    items: Vec<Json>,
+    /// Likewise the members of every open object.
+    fields: Vec<(String, Json)>,
 }
 
 impl Parser<'_> {
@@ -202,7 +230,7 @@ impl Parser<'_> {
             Some(b't') => self.lit("true").map(|()| Json::Bool(true)),
             Some(b'f') => self.lit("false").map(|()| Json::Bool(false)),
             Some(b'n') => self.lit("null").map(|()| Json::Null),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => self.number(),
+            Some(b'-' | b'0'..=b'9') => self.number(),
             _ => self.err("expected a JSON value"),
         }
     }
@@ -216,26 +244,47 @@ impl Parser<'_> {
         }
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    /// Skip a run of digits; false when there was none.
+    fn digits(&mut self) -> bool {
         let start = self.i;
-        if self.b.get(self.i) == Some(&b'-') {
+        while matches!(self.b.get(self.i), Some(b'0'..=b'9')) {
             self.i += 1;
         }
-        let digits = |p: &mut Self| {
-            let s = p.i;
-            while matches!(p.b.get(p.i), Some(c) if c.is_ascii_digit()) {
-                p.i += 1;
+        self.i > start
+    }
+
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`
+    fn number(&mut self) -> Result<Json, String> {
+        let start = self.i;
+        let negative = self.b[self.i] == b'-';
+        if negative {
+            self.i += 1;
+        }
+        // The integer part, accumulated as it is scanned; `None` once
+        // it no longer fits a u64.
+        let mut magnitude = Some(0u64);
+        match self.b.get(self.i) {
+            Some(b'0') => {
+                self.i += 1;
+                if matches!(self.b.get(self.i), Some(b'0'..=b'9')) {
+                    return self.err("leading zero");
+                }
             }
-            p.i > s
-        };
-        if !digits(self) {
-            return self.err("expected digits");
+            Some(b'1'..=b'9') => {
+                while let Some(d @ b'0'..=b'9') = self.b.get(self.i) {
+                    magnitude = magnitude
+                        .and_then(|m| m.checked_mul(10))
+                        .and_then(|m| m.checked_add(u64::from(d - b'0')));
+                    self.i += 1;
+                }
+            }
+            _ => return self.err("expected digits"),
         }
         let mut integral = true;
         if self.b.get(self.i) == Some(&b'.') {
             self.i += 1;
             integral = false;
-            if !digits(self) {
+            if !self.digits() {
                 return self.err("expected fraction digits");
             }
         }
@@ -245,27 +294,44 @@ impl Parser<'_> {
             if matches!(self.b.get(self.i), Some(b'+' | b'-')) {
                 self.i += 1;
             }
-            if !digits(self) {
+            if !self.digits() {
                 return self.err("expected exponent digits");
             }
         }
-        debug_assert!(self.i > start);
-        // Safety of from_utf8: the matched range is ASCII by construction.
-        let text = std::str::from_utf8(&self.b[start..self.i]).unwrap();
-        if integral {
-            if let Ok(i) = text.parse::<i64>() {
+        if let (true, Some(m)) = (integral, magnitude) {
+            // `0 - m` covers i64::MIN, whose magnitude has no i64.
+            let int = if negative { 0i64.checked_sub_unsigned(m) } else { i64::try_from(m).ok() };
+            if let Some(i) = int {
                 return Ok(Json::Int(i));
             }
         }
-        match text.parse::<f64>() {
+        match self.s[start..self.i].parse::<f64>() {
             Ok(n) => Ok(Json::Num(n)),
             Err(_) => self.err("unrepresentable number"),
         }
     }
 
+    /// Index of the first byte at or after `self.i` that ends a run of
+    /// plain string characters: `"`, `\`, a control byte, or the end of
+    /// input. All of those are ASCII, so they never fall inside a
+    /// multi-byte scalar and the run is a valid `&str` slice.
+    fn plain_run_end(&self) -> usize {
+        self.b[self.i..]
+            .iter()
+            .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+            .map_or(self.b.len(), |n| self.i + n)
+    }
+
     fn string(&mut self) -> Result<String, String> {
         self.i += 1; // opening quote
-        let mut out = String::new();
+        let start = self.i;
+        self.i = self.plain_run_end();
+        if self.b.get(self.i) == Some(&b'"') {
+            // No escapes: the string is one slice of the input.
+            self.i += 1;
+            return Ok(self.s[start..self.i - 1].to_owned());
+        }
+        let mut out = String::from(&self.s[start..self.i]);
         loop {
             match self.b.get(self.i) {
                 None => return self.err("unterminated string"),
@@ -275,86 +341,53 @@ impl Parser<'_> {
                 }
                 Some(b'\\') => {
                     self.i += 1;
-                    match self.b.get(self.i) {
-                        Some(b'"') => {
-                            out.push('"');
-                            self.i += 1;
-                        }
-                        Some(b'\\') => {
-                            out.push('\\');
-                            self.i += 1;
-                        }
-                        Some(b'/') => {
-                            out.push('/');
-                            self.i += 1;
-                        }
-                        Some(b'b') => {
-                            out.push('\u{8}');
-                            self.i += 1;
-                        }
-                        Some(b'f') => {
-                            out.push('\u{c}');
-                            self.i += 1;
-                        }
-                        Some(b'n') => {
-                            out.push('\n');
-                            self.i += 1;
-                        }
-                        Some(b'r') => {
-                            out.push('\r');
-                            self.i += 1;
-                        }
-                        Some(b't') => {
-                            out.push('\t');
-                            self.i += 1;
-                        }
+                    let c = match self.b.get(self.i) {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
                         Some(b'u') => {
                             self.i += 1;
-                            let hi = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&hi) {
-                                // High surrogate: require the low half.
-                                if self.b.get(self.i) != Some(&b'\\')
-                                    || self.b.get(self.i + 1) != Some(&b'u')
-                                {
-                                    return self.err("lone high surrogate");
-                                }
-                                self.i += 2;
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return self.err("bad low surrogate");
-                                }
-                                let cp = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                                char::from_u32(cp)
-                                    .ok_or_else(|| "bad surrogate pair".to_string())?
-                            } else {
-                                char::from_u32(hi)
-                                    .ok_or_else(|| format!("lone surrogate at byte {}", self.i))?
-                            };
-                            out.push(c);
+                            out.push(self.unicode_escape()?);
+                            continue;
                         }
                         _ => return self.err("bad escape"),
-                    }
+                    };
+                    out.push(c);
+                    self.i += 1;
                 }
                 Some(c) if *c < 0x20 => return self.err("control char in string"),
                 Some(_) => {
-                    // Copy the whole run of plain characters at once.
-                    // `"`, `\` and control bytes are ASCII, so they can
-                    // never appear inside a multi-byte scalar and the
-                    // span below always ends on a UTF-8 boundary (the
-                    // input came from a &str).
-                    let start = self.i;
-                    while let Some(&c) = self.b.get(self.i) {
-                        if c == b'"' || c == b'\\' || c < 0x20 {
-                            break;
-                        }
-                        self.i += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.b[start..self.i])
-                            .map_err(|_| "invalid utf-8".to_string())?,
-                    );
+                    let run = self.i;
+                    self.i = self.plain_run_end();
+                    out.push_str(&self.s[run..self.i]);
                 }
             }
+        }
+    }
+
+    /// The scalar of a `\uXXXX` escape (or surrogate pair), with
+    /// `self.i` just past the `u`.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let hi = self.hex4()?;
+        if (0xD800..0xDC00).contains(&hi) {
+            // High surrogate: require the low half.
+            if self.b.get(self.i) != Some(&b'\\') || self.b.get(self.i + 1) != Some(&b'u') {
+                return self.err("lone high surrogate");
+            }
+            self.i += 2;
+            let lo = self.hex4()?;
+            if !(0xDC00..0xE000).contains(&lo) {
+                return self.err("bad low surrogate");
+            }
+            let cp = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+            char::from_u32(cp).ok_or_else(|| "bad surrogate pair".to_string())
+        } else {
+            char::from_u32(hi).ok_or_else(|| format!("lone surrogate at byte {}", self.i))
         }
     }
 
@@ -374,61 +407,80 @@ impl Parser<'_> {
         Ok(v)
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    /// Step over a container's opening bracket, or refuse to nest
+    /// deeper than [`MAX_NESTING`].
+    fn open(&mut self) -> Result<(), String> {
+        if self.depth == MAX_NESTING {
+            return self.err(&format!("nesting deeper than {MAX_NESTING}"));
+        }
+        self.depth += 1;
         self.i += 1;
         self.skip_ws();
-        let mut fields = Vec::new();
+        Ok(())
+    }
+
+    fn object(&mut self) -> Result<Json, String> {
+        self.open()?;
+        let base = self.fields.len();
         if self.b.get(self.i) == Some(&b'}') {
             self.i += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            if self.b.get(self.i) != Some(&b'"') {
-                return self.err("expected object key");
-            }
-            let key = self.string()?;
-            self.skip_ws();
-            if self.b.get(self.i) != Some(&b':') {
-                return self.err("expected ':'");
-            }
-            self.i += 1;
-            self.skip_ws();
-            let v = self.value()?;
-            fields.push((key, v));
-            self.skip_ws();
-            match self.b.get(self.i) {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(Json::Obj(fields));
+        } else {
+            loop {
+                self.skip_ws();
+                if self.b.get(self.i) != Some(&b'"') {
+                    return self.err("expected object key");
                 }
-                _ => return self.err("expected ',' or '}'"),
+                let key = self.string()?;
+                self.skip_ws();
+                if self.b.get(self.i) != Some(&b':') {
+                    return self.err("expected ':'");
+                }
+                self.i += 1;
+                self.skip_ws();
+                let v = self.value()?;
+                self.fields.push((key, v));
+                self.skip_ws();
+                match self.b.get(self.i) {
+                    Some(b',') => self.i += 1,
+                    Some(b'}') => {
+                        self.i += 1;
+                        break;
+                    }
+                    _ => return self.err("expected ',' or '}'"),
+                }
             }
         }
+        self.depth -= 1;
+        let mut fields = Vec::with_capacity(self.fields.len() - base);
+        fields.extend(self.fields.drain(base..));
+        Ok(Json::Obj(fields))
     }
 
     fn array(&mut self) -> Result<Json, String> {
-        self.i += 1;
-        self.skip_ws();
-        let mut items = Vec::new();
+        self.open()?;
+        let base = self.items.len();
         if self.b.get(self.i) == Some(&b']') {
             self.i += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.b.get(self.i) {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(Json::Arr(items));
+        } else {
+            loop {
+                self.skip_ws();
+                let v = self.value()?;
+                self.items.push(v);
+                self.skip_ws();
+                match self.b.get(self.i) {
+                    Some(b',') => self.i += 1,
+                    Some(b']') => {
+                        self.i += 1;
+                        break;
+                    }
+                    _ => return self.err("expected ',' or ']'"),
                 }
-                _ => return self.err("expected ',' or ']'"),
             }
         }
+        self.depth -= 1;
+        let mut items = Vec::with_capacity(self.items.len() - base);
+        items.extend(self.items.drain(base..));
+        Ok(Json::Arr(items))
     }
 }
 
@@ -472,8 +524,90 @@ mod tests {
 
     #[test]
     fn validator_rejects_invalid() {
-        for s in ["", "{", "[1,]", "{\"a\":}", "{'a':1}", "01x", "\"abc", "{} {}", "nulll"] {
+        for s in ["", "{", "[1,]", "{\"a\":}", "{'a':1}", "01x", "\"abc", "{} {}", "nulll", "-"] {
             assert!(validate_json(s).is_err(), "{s} should be rejected");
+        }
+    }
+
+    /// RFC 8259: `int = zero / ( digit1-9 *DIGIT )`. The parser used to
+    /// take any digit run, so `01` was `Int(1)`.
+    #[test]
+    fn leading_zeros_are_rejected_with_a_byte_offset() {
+        for (s, at) in [("01", 1), ("-012", 2), ("00.5", 1), ("[007]", 2), ("{\"a\":-00}", 7)] {
+            let e = Json::parse(s).expect_err(s);
+            assert_eq!(e, format!("leading zero at byte {at}"), "{s}");
+        }
+        assert_eq!(Json::parse("0").unwrap(), Json::Int(0));
+        assert_eq!(Json::parse("-0").unwrap(), Json::Int(0));
+        assert_eq!(Json::parse("0.5").unwrap(), Json::Num(0.5));
+        assert_eq!(Json::parse("-0.5e3").unwrap(), Json::Num(-500.0));
+        assert_eq!(Json::parse("[0,10,100]").unwrap().as_arr().unwrap().len(), 3);
+    }
+
+    fn nested(open: &str, depth: usize, close: &str) -> String {
+        format!("{}{}", open.repeat(depth), close.repeat(depth))
+    }
+
+    /// Nesting is bounded, so hostile depth is an `Err` — it used to be
+    /// unbounded recursion and a stack-overflow abort of the process.
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        let e = Json::parse(&"[".repeat(1_000_000)).unwrap_err();
+        assert_eq!(e, "nesting deeper than 128 at byte 128");
+        let e = Json::parse(&"{\"a\":".repeat(1_000_000)).unwrap_err();
+        assert_eq!(e, format!("nesting deeper than 128 at byte {}", 128 * 5));
+        // Exactly at the limit parses; one past does not — for arrays,
+        // objects, and a mix of the two.
+        validate_json(&nested("[", MAX_NESTING, "]")).unwrap();
+        validate_json(&nested("{\"a\":", MAX_NESTING, "}").replace(":}", ":1}")).unwrap();
+        validate_json(&nested("[{\"k\":", MAX_NESTING / 2, "}]").replace(":}", ":0}")).unwrap();
+        assert!(validate_json(&nested("[", MAX_NESTING + 1, "]")).is_err());
+        assert!(validate_json(&nested("[{\"k\":", MAX_NESTING / 2, "}]").replace(":}", ":[]}"))
+            .is_err());
+        // Depth is what is open at once, not what the document holds.
+        validate_json(&format!("[{}]", vec!["[[]]"; 1000].join(","))).unwrap();
+    }
+
+    #[test]
+    fn integer_edges_fall_back_to_floats_only_beyond_i64() {
+        assert_eq!(Json::parse("-9223372036854775808").unwrap(), Json::Int(i64::MIN));
+        assert_eq!(Json::parse("9223372036854775807").unwrap(), Json::Int(i64::MAX));
+        assert_eq!(Json::parse("9223372036854775808").unwrap(), Json::Num(9223372036854775808.0));
+        assert_eq!(Json::parse("-9223372036854775809").unwrap(), Json::Num(-9223372036854775809.0));
+        assert_eq!(Json::parse("18446744073709551616").unwrap(), Json::Num(18446744073709551616.0));
+        assert!(matches!(Json::parse(&"7".repeat(400)).unwrap(), Json::Num(_)));
+        assert_eq!(Json::parse("1e2").unwrap(), Json::Num(100.0));
+        assert_eq!(Json::parse("12.0").unwrap(), Json::Num(12.0));
+    }
+
+    /// Every container the parser builds is allocated once, at its
+    /// final size.
+    #[test]
+    fn parsed_containers_are_exactly_sized() {
+        fn check(v: &Json) {
+            match v {
+                Json::Arr(items) => {
+                    assert_eq!(items.capacity(), items.len());
+                    items.iter().for_each(check);
+                }
+                Json::Obj(fields) => {
+                    assert_eq!(fields.capacity(), fields.len());
+                    for (k, v) in fields {
+                        assert_eq!(k.capacity(), k.len());
+                        check(v);
+                    }
+                }
+                Json::Str(s) => assert_eq!(s.capacity(), s.len()),
+                _ => {}
+            }
+        }
+        for n in [0, 1, 9] {
+            let arr = Json::Arr((0..n).map(Json::Int).collect());
+            let obj = (0..n).fold(Json::obj(), |o, i| o.set(&format!("k{i}"), arr.clone()));
+            let doc = Json::Arr(vec![obj.clone(), arr, Json::Str("plain".into()), obj]);
+            let back = Json::parse(&doc.render()).unwrap();
+            assert_eq!(back, doc);
+            check(&back);
         }
     }
 
