@@ -22,8 +22,8 @@
 //! byte-identical at any `--jobs` count.
 
 use super::{outln, Sweep};
-use crate::{record_reliable_run, record_run, Scenario};
-use oc_bcast::{Algorithm, Reliability};
+use crate::{policy, record_reliable_run, record_run, Scenario};
+use oc_bcast::Algorithm;
 use scc_hal::Time;
 use scc_obs::{
     artifact, audit, mutate, render_audit_markdown, AuditScenario, AuditSpec, Hex64, MutationClass,
@@ -68,13 +68,6 @@ impl Mode {
             Mode::Faulted => AuditSpec::faulted(),
         }
     }
-}
-
-/// Same timeout rationale as the `faults` experiment: above the
-/// longest legitimate fault-free wait, so recovery traffic in the
-/// stream is always fault-caused.
-fn policy() -> Reliability {
-    Reliability { timeout: Time::from_us_f64(600.0), ..Reliability::standard() }
 }
 
 /// The `faults` experiment's 50 000 ppm operating point: high enough

@@ -14,7 +14,8 @@
 //! byte-identical at any `--jobs` count.
 
 use super::{outln, Sweep};
-use oc_bcast::{OcBcast, OcConfig, RelStats, Reliability, ReliableBinomial};
+use crate::policy;
+use oc_bcast::{Algorithm, Broadcaster, RelStats};
 use scc_hal::{CoreId, MemRange, Rma, RmaExt, RmaResult, Time};
 use scc_obs::{artifact, render_faults_markdown, FaultCurve, FaultPoint, LatencyHistogram, Wire};
 use scc_rcce::MpbAllocator;
@@ -27,40 +28,14 @@ const ROOT: CoreId = CoreId(0);
 /// Transfers hit by the delay fault stall this long.
 const DELAY: Time = Time(5_000_000); // 5 µs
 
-/// The sweep's reliability policy: [`Reliability::standard`] with the
-/// timeout raised above the longest *legitimate* fault-free wait —
-/// the reliable binomial's deepest rank waits ~450 µs for its first
-/// line at 96 cache lines on 48 cores. Tuning the timeout under that
-/// bound makes the policy fire on healthy waits (the full sweep showed
-/// 42 spurious timeouts at rate 0); above it, every timeout the table
-/// reports is fault-caused, which is what the fault-free shape check
-/// pins.
-fn policy() -> Reliability {
-    Reliability { timeout: Time::from_us_f64(600.0), ..Reliability::standard() }
-}
-
-/// Which reliable protocol a scenario drives.
-#[derive(Clone, Copy)]
-enum Proto {
-    /// Reliable OC-Bcast with the given fan-out.
-    Oc(usize),
-    /// The reliable binomial-tree baseline.
-    Binomial,
-}
-
-impl Proto {
-    fn label(self) -> String {
-        match self {
-            Proto::Oc(k) => format!("k={k}"),
-            Proto::Binomial => "binomial".to_string(),
-        }
-    }
-}
-
 /// Same contention spectrum as the `skew` experiment: the flat-tree
 /// extreme, the paper's default operating point, and the baseline.
-fn scenarios() -> Vec<(&'static str, Proto)> {
-    vec![("oc_k47", Proto::Oc(47)), ("oc_k7", Proto::Oc(7)), ("binomial", Proto::Binomial)]
+fn scenarios() -> Vec<(&'static str, Algorithm)> {
+    vec![
+        ("oc_k47", Algorithm::oc_with_k(47)),
+        ("oc_k7", Algorithm::oc_with_k(7)),
+        ("binomial", Algorithm::Binomial),
+    ]
 }
 
 /// Remote-notification drop rates, ppm; transfers are delayed at half
@@ -97,7 +72,7 @@ struct Measured {
 
 /// Run one reliable broadcast under the given drop rate and collect
 /// the delivered-latency distribution plus the recovery counters.
-fn run_point(proto: Proto, lines: usize, drop_ppm: u32) -> Measured {
+fn run_point(alg: Algorithm, lines: usize, drop_ppm: u32) -> Measured {
     let bytes = lines * 32;
     let cfg = SimConfig {
         num_cores: CORES,
@@ -123,23 +98,12 @@ fn run_point(proto: Proto, lines: usize, drop_ppm: u32) -> Measured {
         if c.core() == ROOT {
             c.mem_write(0, &payload)?;
         }
-        let (t0, t1, stats) = match proto {
-            Proto::Oc(k) => {
-                let mut bc = OcBcast::new_reliable(&mut alloc, OcConfig::with_k(k), policy())
-                    .expect("MPB layout fits");
-                let t0 = c.now();
-                bc.bcast_reliable(c, ROOT, r)?;
-                (t0, c.now(), bc.rel_stats().unwrap_or_default())
-            }
-            Proto::Binomial => {
-                let mut bc = ReliableBinomial::new(&mut alloc, c.num_cores(), policy())
-                    .expect("MPB layout fits");
-                let t0 = c.now();
-                bc.bcast(c, ROOT, r)?;
-                (t0, c.now(), bc.stats())
-            }
-        };
-        Ok((t0, t1, c.mem_to_vec(r)? == payload, stats))
+        let mut b = Broadcaster::new_reliable(&mut alloc, alg, c.num_cores(), policy())
+            .expect("reliable variant fits the MPB");
+        let t0 = c.now();
+        b.bcast(c, ROOT, r)?;
+        let t1 = c.now();
+        Ok((t0, t1, c.mem_to_vec(r)? == payload, b.rel_stats()))
     })
     .expect("fault sweep run");
     let per: Vec<(Time, Time, bool, RelStats)> =
@@ -154,10 +118,7 @@ fn run_point(proto: Proto, lines: usize, drop_ppm: u32) -> Measured {
         rel: RelStats::default(),
     };
     for (i, (_, t1, ok, stats)) in per.iter().enumerate() {
-        m.rel.timeouts += stats.timeouts;
-        m.rel.probes += stats.probes;
-        m.rel.recoveries += stats.recoveries;
-        m.rel.renotifies += stats.renotifies;
+        m.rel.accumulate(*stats);
         if i != ROOT.index() {
             m.latencies.push(*t1 - root_call);
             m.delivered += u64::from(*ok);
@@ -168,13 +129,13 @@ fn run_point(proto: Proto, lines: usize, drop_ppm: u32) -> Measured {
 
 pub(super) fn plan(sweep: &mut Sweep) {
     let lines = msg_lines(sweep.quick);
-    for (id, proto) in scenarios() {
+    for (id, alg) in scenarios() {
         for rate in rates(sweep.quick) {
             // Heavier rates do more recovery work — weight them so the
             // longest-task-first scheduler starts them early.
             let cost = lines as u64 * (1 + u64::from(rate) / 25_000);
             sweep.value_unit_w(format!("faults {id} drop={rate}ppm"), cost, move |_| {
-                run_point(proto, lines, rate)
+                run_point(alg, lines, rate)
             });
         }
     }
@@ -188,10 +149,10 @@ pub(super) fn plan(sweep: &mut Sweep) {
         );
         outln!(ctx, "# drop = remote-notification loss (ppm); transfers delayed {DELAY} at drop/2");
         let mut curves: Vec<FaultCurve> = Vec::new();
-        for (id, proto) in scenarios() {
+        for (id, alg) in scenarios() {
             let mut curve = FaultCurve {
                 id: id.to_string(),
-                label: format!("{} {CORES}c {lines}cl", proto.label()),
+                label: format!("{} {CORES}c {lines}cl", alg.label()),
                 cores: CORES as u64,
                 points: Vec::new(),
             };

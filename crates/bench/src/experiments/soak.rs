@@ -20,7 +20,8 @@
 //! `BENCH_figures.json` are byte-identical at any `--jobs`.
 
 use super::{outln, Sweep};
-use oc_bcast::{OcBcast, OcConfig, RelStats, Reliability, ReliableBinomial};
+use crate::policy;
+use oc_bcast::{Algorithm, Broadcaster, RelStats};
 use scc_hal::{CoreId, MemRange, Rma, RmaExt, RmaResult, Time};
 use scc_obs::{
     artifact, audit, chrome_trace_json, render_skew_markdown, render_soak_markdown,
@@ -46,13 +47,6 @@ const FLIGHT_WINDOW: usize = 16_384;
 /// chunks in epoch order); the rest are listed as breaches only.
 const MAX_DUMPS: usize = 2;
 
-/// Same reliability policy as the `faults` experiment: timeout above
-/// the longest legitimate fault-free wait, so healthy phases must stay
-/// timeout-free and every reported recovery is fault-caused.
-fn policy() -> Reliability {
-    Reliability { timeout: Time::from_us_f64(600.0), ..Reliability::standard() }
-}
-
 /// The watchdog budgets. Healthy epochs on this configuration finish
 /// well under 100 µs end to end; a recovery stalls its epoch by the
 /// 600 µs timeout. The budgets sit between those regimes, so healthy
@@ -66,12 +60,6 @@ fn slo() -> SloPolicy {
     }
 }
 
-#[derive(Clone, Copy)]
-enum Proto {
-    Oc(usize),
-    Binomial,
-}
-
 /// One traffic phase: `epochs` back-to-back broadcasts under one drop
 /// rate, split into `chunk` -epoch units.
 struct PhasePlan {
@@ -83,7 +71,7 @@ struct PhasePlan {
 
 struct ScenarioPlan {
     id: &'static str,
-    proto: Proto,
+    alg: Algorithm,
     phases: Vec<PhasePlan>,
 }
 
@@ -113,16 +101,9 @@ fn scenarios(quick: bool) -> Vec<ScenarioPlan> {
         ]
     };
     vec![
-        ScenarioPlan { id: "oc_k7", proto: Proto::Oc(7), phases: phases(oc) },
-        ScenarioPlan { id: "binomial", proto: Proto::Binomial, phases: phases(bin) },
+        ScenarioPlan { id: "oc_k7", alg: Algorithm::oc_with_k(7), phases: phases(oc) },
+        ScenarioPlan { id: "binomial", alg: Algorithm::Binomial, phases: phases(bin) },
     ]
-}
-
-fn label(proto: Proto, lines: usize) -> String {
-    match proto {
-        Proto::Oc(k) => format!("k={k} {CORES}c {lines}cl"),
-        Proto::Binomial => format!("binomial {CORES}c {lines}cl"),
-    }
 }
 
 /// Epoch payloads differ so a stale buffer can never verify.
@@ -160,7 +141,7 @@ struct ChunkOut {
 
 /// Run one chunk: `epochs` broadcasts in one shared reliable context.
 fn run_chunk(
-    proto: Proto,
+    alg: Algorithm,
     lines: usize,
     drop_ppm: u32,
     base_epoch: usize,
@@ -187,37 +168,18 @@ fn run_chunk(
         let mut alloc = MpbAllocator::new();
         let r = MemRange::new(0, bytes);
         let mut out = Vec::with_capacity(epochs);
-        match proto {
-            Proto::Oc(k) => {
-                let mut bc = OcBcast::new_reliable(&mut alloc, OcConfig::with_k(k), policy())
-                    .expect("MPB layout fits");
-                for e in 0..epochs {
-                    let payload = payload_for(base_epoch + e, bytes);
-                    if c.core() == ROOT {
-                        c.mem_write(0, &payload)?;
-                    }
-                    let t0 = c.now();
-                    bc.bcast_reliable(c, ROOT, r)?;
-                    let t1 = c.now();
-                    let ok = c.mem_to_vec(r)? == payload;
-                    out.push((t0, t1, ok, bc.rel_stats().unwrap_or_default()));
-                }
+        let mut b = Broadcaster::new_reliable(&mut alloc, alg, c.num_cores(), policy())
+            .expect("reliable variant fits the MPB");
+        for e in 0..epochs {
+            let payload = payload_for(base_epoch + e, bytes);
+            if c.core() == ROOT {
+                c.mem_write(0, &payload)?;
             }
-            Proto::Binomial => {
-                let mut bc = ReliableBinomial::new(&mut alloc, c.num_cores(), policy())
-                    .expect("MPB layout fits");
-                for e in 0..epochs {
-                    let payload = payload_for(base_epoch + e, bytes);
-                    if c.core() == ROOT {
-                        c.mem_write(0, &payload)?;
-                    }
-                    let t0 = c.now();
-                    bc.bcast(c, ROOT, r)?;
-                    let t1 = c.now();
-                    let ok = c.mem_to_vec(r)? == payload;
-                    out.push((t0, t1, ok, bc.stats()));
-                }
-            }
+            let t0 = c.now();
+            b.bcast(c, ROOT, r)?;
+            let t1 = c.now();
+            let ok = c.mem_to_vec(r)? == payload;
+            out.push((t0, t1, ok, b.rel_stats()));
         }
         Ok(out)
     })
@@ -277,7 +239,7 @@ pub(super) fn plan(sweep: &mut Sweep) {
     let lines = msg_lines(sweep.quick);
     for sc in scenarios(sweep.quick) {
         let mut base = 0usize;
-        let proto = sc.proto;
+        let alg = sc.alg;
         for ph in &sc.phases {
             let mut done = 0usize;
             while done < ph.epochs {
@@ -287,7 +249,7 @@ pub(super) fn plan(sweep: &mut Sweep) {
                 // flight ring — start them early.
                 let cost = n as u64 * if drop > 0 { 4 } else { 1 };
                 sweep.value_unit_w(format!("soak {id} {phase_id} e{start}"), cost, move |_| {
-                    run_chunk(proto, lines, drop, start, n)
+                    run_chunk(alg, lines, drop, start, n)
                 });
                 done += n;
             }
@@ -307,7 +269,7 @@ pub(super) fn plan(sweep: &mut Sweep) {
         for sc in scenarios(ctx.quick) {
             let mut scenario = SoakScenario {
                 id: sc.id.to_string(),
-                label: label(sc.proto, lines),
+                label: format!("{} {CORES}c {lines}cl", sc.alg.label()),
                 cores: CORES as u64,
                 policy: slo(),
                 phases: Vec::new(),

@@ -34,8 +34,8 @@
 //! returns, measured with globally comparable clocks after aligning
 //! the cores on a barrier.
 
-use oc_bcast::{Algorithm, Broadcaster, OcBcast, Reliability, ReliableBinomial};
-use scc_hal::{CoreId, MemRange, Rma, RmaResult, Time};
+use oc_bcast::{Algorithm, Broadcaster, Reliability, ReliableError};
+use scc_hal::{CoreId, MemRange, Rma, RmaError, RmaResult, Time};
 use scc_obs::{CostClass, ObsEvent, WhatIfPoint, WhatIfProfile};
 use scc_rcce::{Barrier, MpbAllocator};
 use scc_sim::{run_spmd, FaultPlan, SimConfig, SimError, SimParams};
@@ -180,13 +180,26 @@ pub fn representative_scenario(experiment_id: &str) -> Scenario {
     }
 }
 
+/// The reliability policy of every reliable run the harness makes
+/// (`faults`, `soak`, `audit` and their tests):
+/// [`Reliability::standard`] with the timeout raised above the longest
+/// *legitimate* fault-free wait — the reliable binomial's deepest rank
+/// waits ~450 µs for its first line at 96 cache lines on 48 cores.
+/// Under that bound the policy fires on healthy waits (the full fault
+/// sweep showed 42 spurious timeouts at rate 0); above it, every
+/// timeout a report shows is fault-caused, which is what the fault-free
+/// shape checks pin.
+pub fn policy() -> Reliability {
+    Reliability { timeout: Time::from_us_f64(600.0), ..Reliability::standard() }
+}
+
 /// The one SPMD body behind the three scenario runners: core 0 holds
 /// the deterministic payload and broadcasts it, plainly or — under a
-/// `policy` — through the reliable variant of `sc.alg` (only OC-Bcast
-/// and binomial have one). Deliberately no barrier before the
-/// broadcast: the plain barrier signals through exactly the remote
-/// flag puts a fault plan drops, so it would deadlock before the
-/// reliable protocol starts.
+/// `policy` — through the reliable variant of `sc.alg`; an algorithm
+/// without one fails the run with [`ReliableError`]'s message.
+/// Deliberately no barrier before the broadcast: the plain barrier
+/// signals through exactly the remote flag puts a fault plan drops, so
+/// it would deadlock before the reliable protocol starts.
 fn run_scenario(
     sc: &Scenario,
     cfg: SimConfig,
@@ -200,17 +213,11 @@ fn run_scenario(
             let payload: Vec<u8> = (0..bytes).map(|i| (i % 253) as u8).collect();
             c.mem_write(0, &payload)?;
         }
-        match (policy, alg) {
-            (None, _) => Broadcaster::new(&mut alloc, alg, c.num_cores())
-                .expect("MPB layout fits")
-                .bcast(c, CoreId(0), r),
-            (Some(policy), Algorithm::OcBcast(oc)) => OcBcast::new_reliable(&mut alloc, oc, policy)
-                .expect("MPB layout fits")
-                .bcast_reliable(c, CoreId(0), r),
-            (Some(policy), _) => ReliableBinomial::new(&mut alloc, c.num_cores(), policy)
-                .expect("MPB layout fits")
-                .bcast(c, CoreId(0), r),
-        }
+        let b = match policy {
+            None => Broadcaster::new(&mut alloc, alg, c.num_cores()).map_err(ReliableError::from),
+            Some(policy) => Broadcaster::new_reliable(&mut alloc, alg, c.num_cores(), policy),
+        };
+        b.map_err(|e| RmaError::Engine(e.to_string()))?.bcast(c, CoreId(0), r)
     })?;
     for r in &rep.results {
         r.as_ref().map_err(|e| SimError::Engine(format!("core failed: {e}")))?;
@@ -321,6 +328,16 @@ mod tests {
         let s = sweep_sizes(&cfg, Algorithm::oc_default(), &[1, 8, 64, 128], 0, 1).unwrap();
         for w in s.windows(2) {
             assert!(w[1].1.latency_us > w[0].1.latency_us);
+        }
+    }
+
+    #[test]
+    fn reliable_run_of_an_algorithm_without_a_reliable_variant_is_an_error() {
+        for alg in [Algorithm::ScatterAllgather, Algorithm::RmaScatterAllgather] {
+            let sc = Scenario::new(alg, 8, 4);
+            let e = record_reliable_run(&sc, SimParams::default(), FaultPlan::default(), policy())
+                .expect_err("no binomial stream under an s-ag label");
+            assert!(e.to_string().contains("has no reliable variant"), "{e}");
         }
     }
 

@@ -3,18 +3,14 @@
 //! to zero violations, and the seeded mutation harness must corrupt
 //! those same streams detectably.
 
-use oc_bcast::{Algorithm, Reliability};
-use scc_bench::{record_reliable_run, record_run, Scenario};
+use oc_bcast::Algorithm;
+use scc_bench::{policy, record_reliable_run, record_run, Scenario};
 use scc_hal::Time;
 use scc_obs::{audit, mutate, AuditSpec, MutationClass};
 use scc_sim::{FaultPlan, SimParams};
 
 const CORES: usize = 48;
 const LINES: usize = 16;
-
-fn policy() -> Reliability {
-    Reliability { timeout: Time::from_us_f64(600.0), ..Reliability::standard() }
-}
 
 fn faulty_plan() -> FaultPlan {
     FaultPlan {

@@ -1,13 +1,18 @@
 //! Unified broadcast front-end: one enum selecting any of the three
-//! algorithms the paper compares, with a common collective entry point.
-//! This is what the benchmark harness and the examples drive.
+//! algorithms the paper compares, with a common collective entry point
+//! — plain ([`Broadcaster::new`]) or reliable under a retry policy
+//! ([`Broadcaster::new_reliable`]); either way [`Broadcaster::bcast`]
+//! is the only call a harness makes. This is what the benchmark
+//! harness and the examples drive.
 
 use crate::binomial::binomial_bcast;
 use crate::ocbcast::{OcBcast, OcConfig};
+use crate::reliable::{RelStats, Reliability, ReliableBinomial};
 use crate::rma_sag::RmaSag;
 use crate::scatter_allgather::scatter_allgather_bcast;
 use scc_hal::{CoreId, MemRange, Rma, RmaResult};
 use scc_rcce::{MpbAllocator, MpbExhausted, RcceComm};
+use std::fmt;
 
 /// Which broadcast algorithm to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -47,9 +52,42 @@ impl Algorithm {
 /// A ready-to-use broadcaster holding whichever MPB context its
 /// algorithm needs. Construct identically on every core.
 pub enum Broadcaster {
+    /// Plain or reliable — the context knows.
     Oc(OcBcast),
-    TwoSided { comm: RcceComm, alg: Algorithm },
+    TwoSided {
+        comm: RcceComm,
+        alg: Algorithm,
+    },
     OneSidedSag(RmaSag),
+    ReliableBinomial(ReliableBinomial),
+}
+
+/// Why [`Broadcaster::new_reliable`] built nothing.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ReliableError {
+    /// The algorithm has no reliable variant (only OC-Bcast and the
+    /// binomial tree do); nothing is substituted for it.
+    NoReliableVariant(Algorithm),
+    Mpb(MpbExhausted),
+}
+
+impl fmt::Display for ReliableError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ReliableError::NoReliableVariant(alg) => {
+                write!(f, "{} has no reliable variant", alg.label())
+            }
+            ReliableError::Mpb(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for ReliableError {}
+
+impl From<MpbExhausted> for ReliableError {
+    fn from(e: MpbExhausted) -> ReliableError {
+        ReliableError::Mpb(e)
+    }
 }
 
 impl Broadcaster {
@@ -70,12 +108,46 @@ impl Broadcaster {
         }
     }
 
+    /// Reserve MPB resources for the reliable variant of `alg` under
+    /// `policy`: every flag wait carries a deadline and recovers from
+    /// lost flags (see [`crate::reliable`]). Algorithms without such a
+    /// variant are an error, never a silent substitute.
+    pub fn new_reliable(
+        alloc: &mut MpbAllocator,
+        alg: Algorithm,
+        num_cores: usize,
+        policy: Reliability,
+    ) -> Result<Broadcaster, ReliableError> {
+        match alg {
+            Algorithm::OcBcast(cfg) => {
+                Ok(Broadcaster::Oc(OcBcast::new_reliable(alloc, cfg, policy)?))
+            }
+            Algorithm::Binomial => {
+                Ok(Broadcaster::ReliableBinomial(ReliableBinomial::new(alloc, num_cores, policy)?))
+            }
+            Algorithm::ScatterAllgather | Algorithm::RmaScatterAllgather => {
+                Err(ReliableError::NoReliableVariant(alg))
+            }
+        }
+    }
+
     /// Release the MPB resources.
     pub fn release(self, alloc: &mut MpbAllocator) {
         match self {
             Broadcaster::Oc(oc) => oc.release(alloc),
             Broadcaster::TwoSided { comm, .. } => comm.release(alloc),
             Broadcaster::OneSidedSag(sag) => sag.release(alloc),
+            Broadcaster::ReliableBinomial(rb) => rb.release(alloc),
+        }
+    }
+
+    /// What the recovery machinery did so far on this core; all zero
+    /// on a plain broadcaster.
+    pub fn rel_stats(&self) -> RelStats {
+        match self {
+            Broadcaster::Oc(oc) => oc.rel_stats().unwrap_or_default(),
+            Broadcaster::ReliableBinomial(rb) => rb.stats(),
+            Broadcaster::TwoSided { .. } | Broadcaster::OneSidedSag(_) => RelStats::default(),
         }
     }
 
@@ -92,6 +164,7 @@ impl Broadcaster {
                 }
             },
             Broadcaster::OneSidedSag(sag) => sag.bcast(c, root, msg),
+            Broadcaster::ReliableBinomial(rb) => rb.bcast(c, root, msg),
         }
     }
 }
@@ -165,6 +238,56 @@ mod tests {
         })
         .unwrap();
         assert!(rep.results.into_iter().all(|r| r.unwrap()));
+    }
+
+    #[test]
+    fn reliable_scatter_allgather_is_a_typed_error() {
+        for alg in [Algorithm::ScatterAllgather, Algorithm::RmaScatterAllgather] {
+            let mut alloc = MpbAllocator::new();
+            let free = alloc.lines_free();
+            let e = Broadcaster::new_reliable(&mut alloc, alg, 48, Reliability::standard());
+            assert_eq!(e.err(), Some(ReliableError::NoReliableVariant(alg)));
+            assert_eq!(alloc.lines_free(), free, "a refused request reserves nothing");
+        }
+    }
+
+    #[test]
+    fn reliable_broadcasters_deliver_and_report_stats() {
+        let len = 2 * 96 * 32 + 50;
+        let msg: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+        for alg in [Algorithm::oc_default(), Algorithm::Binomial] {
+            let cfg = SimConfig {
+                num_cores: 12,
+                mem_bytes: 1 << 20,
+                faults: scc_sim::FaultPlan { drop_notification_ppm: 100_000, ..Default::default() },
+                ..SimConfig::default()
+            };
+            let m = msg.clone();
+            let rep = run_spmd(&cfg, move |c| -> RmaResult<(Vec<u8>, RelStats)> {
+                let mut alloc = MpbAllocator::new();
+                let mut b = Broadcaster::new_reliable(
+                    &mut alloc,
+                    alg,
+                    c.num_cores(),
+                    Reliability::standard(),
+                )
+                .unwrap();
+                let r = MemRange::new(0, m.len());
+                if c.core() == CoreId(3) {
+                    c.mem_write(0, &m)?;
+                }
+                b.bcast(c, CoreId(3), r)?;
+                Ok((c.mem_to_vec(r)?, b.rel_stats()))
+            })
+            .unwrap_or_else(|e| panic!("{}: {e}", alg.label()));
+            let mut total = RelStats::default();
+            for r in rep.results {
+                let (got, stats) = r.unwrap();
+                assert_eq!(got, msg, "{}", alg.label());
+                total.accumulate(stats);
+            }
+            assert!(total.recoveries > 0, "{}: faults must be recovered: {total:?}", alg.label());
+        }
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub mod topo;
 pub mod tree;
 
 pub use alltoall::OnesidedGroup;
-pub use bcast::{Algorithm, Broadcaster};
+pub use bcast::{Algorithm, Broadcaster, ReliableError};
 pub use binomial::binomial_bcast;
 pub use collectives::{oc_allgather, oc_allreduce, OcReduce, ReduceOp};
 pub use ocbcast::{OcBcast, OcConfig};

@@ -21,9 +21,11 @@
 //! handshake recover independently this way, a dropped flag in either
 //! direction stalls neither side for longer than a few probe rounds.
 //!
-//! Everything is policy-gated by [`Reliability`]: with the default
-//! (disabled) policy the reliable entry points delegate to the plain
-//! protocols, keeping the failure-free fast path byte-identical.
+//! A [`Reliability`] policy only sets the deadlines and the retry
+//! budget. *Whether* a broadcast is reliable is decided by the context
+//! it runs on: [`crate::OcBcast::new_reliable`] arms the one OC-Bcast
+//! chunk loop with it, [`ReliableBinomial`] is the baseline's reliable
+//! form, and [`crate::Broadcaster::new_reliable`] picks between them.
 
 use crate::tree::{binomial_children, binomial_parent};
 use scc_hal::{
@@ -32,19 +34,11 @@ use scc_hal::{
 };
 use scc_rcce::{MpbAllocator, MpbExhausted, MpbRegion};
 
-/// Retry policy for the reliable collectives.
-///
-/// The default is **disabled**: reliable entry points behave exactly
-/// like their plain counterparts (same ops in the same order), so
-/// existing results stay byte-identical. [`Reliability::standard`]
-/// enables recovery with parameters that sit well above the longest
-/// legitimate wait of the shipped experiments, so failure-free runs
-/// rarely probe spuriously (a spurious probe is harmless — it only
-/// costs a one-line get).
+/// Retry policy for the reliable collectives: how long a flag wait is
+/// patient and how often it retries. The plain protocols are reached
+/// by building a plain context, not through a policy value.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Reliability {
-    /// Master switch; `false` delegates to the plain protocols.
-    pub enabled: bool,
     /// Patience of the first wait on any flag; later attempts multiply
     /// it by `backoff`.
     pub timeout: Time,
@@ -57,21 +51,12 @@ pub struct Reliability {
     pub backoff: u32,
 }
 
-impl Default for Reliability {
-    fn default() -> Self {
-        Reliability {
-            enabled: false,
-            timeout: Time::from_us_f64(150.0),
-            max_retries: 12,
-            backoff: 2,
-        }
-    }
-}
-
 impl Reliability {
-    /// The enabled policy used by the `faults` experiment.
+    /// Parameters that sit well above the longest legitimate wait of
+    /// most shipped runs, so failure-free runs rarely probe spuriously
+    /// (a spurious probe is harmless — it only costs a one-line get).
     pub fn standard() -> Reliability {
-        Reliability { enabled: true, ..Reliability::default() }
+        Reliability { timeout: Time::from_us_f64(150.0), max_retries: 12, backoff: 2 }
     }
 }
 
@@ -119,8 +104,7 @@ pub(crate) fn probe_remote_flag<R: Rma>(
 /// deadline/retry schedule. On each expiry, `recover` may declare the
 /// condition effectively met (it probed a peer's progress mirror and
 /// found the awaited event already happened — only the flag was
-/// lost); otherwise the wait repeats with multiplied patience. With a
-/// disabled policy this is exactly a plain `flag_wait_local`.
+/// lost); otherwise the wait repeats with multiplied patience.
 pub(crate) fn wait_ge_or_recover<R, F>(
     c: &mut R,
     policy: &Reliability,
@@ -128,24 +112,21 @@ pub(crate) fn wait_ge_or_recover<R, F>(
     line: usize,
     want: u32,
     mut recover: F,
-) -> RmaResult<u32>
+) -> RmaResult<()>
 where
     R: Rma,
     F: FnMut(&mut R, &mut RelStats) -> RmaResult<bool>,
 {
-    if !policy.enabled {
-        return Ok(c.flag_wait_local(line, &mut |v| v.0 >= want)?.0);
-    }
     let mut patience = policy.timeout;
     for _ in 0..=policy.max_retries {
         let deadline = c.now() + patience;
         match c.flag_wait_local_until(line, &mut |v| v.0 >= want, deadline) {
-            Ok(v) => return Ok(v.0),
+            Ok(_) => return Ok(()),
             Err(RmaError::Timeout { .. }) => {
                 stats.timeouts += 1;
                 if recover(c, stats)? {
                     stats.recoveries += 1;
-                    return Ok(want);
+                    return Ok(());
                 }
                 patience = patience * u64::from(policy.backoff.max(2));
             }
@@ -276,7 +257,6 @@ impl ReliableBinomial {
         let me = c.core();
         let rr = (me.index() + p - root.index()) % p;
         let abs = |rel: usize| CoreId(((root.index() + rel) % p) as u8);
-        let chunk_bytes = self.payload.lines * CACHE_LINE_BYTES;
         let n_chunks = bytes_to_lines(msg.len).div_ceil(self.payload.lines).max(1);
         let e = self.epoch;
         self.epoch += 1;
@@ -286,7 +266,6 @@ impl ReliableBinomial {
             "message too long for the 16-bit transfer counters"
         );
 
-        let policy = self.policy;
         let mut stats = RelStats::default();
         let children = binomial_children(rr, p);
 
@@ -300,17 +279,7 @@ impl ReliableBinomial {
                     .expect("a non-root is one of its parent's children");
                 spanned(c, Span::of(Phase::Dissemination), |c| {
                     tagged(c, MsgId::new(e, par, me, 0), |c| {
-                        self.recv_from(
-                            c,
-                            par,
-                            j,
-                            msg,
-                            n_chunks,
-                            chunk_bytes,
-                            e,
-                            &policy,
-                            &mut stats,
-                        )
+                        self.recv_from(c, par, j, msg, n_chunks, e, &mut stats)
                     })
                 })?;
             }
@@ -318,18 +287,7 @@ impl ReliableBinomial {
                 let dst = abs(*child_rel);
                 spanned(c, Span::new(Phase::Round, j as u32), |c| {
                     tagged(c, MsgId::new(e, me, dst, 0), |c| {
-                        self.send_to(
-                            c,
-                            dst,
-                            j,
-                            msg,
-                            n_chunks,
-                            chunk_bytes,
-                            rr == 0,
-                            e,
-                            &policy,
-                            &mut stats,
-                        )
+                        self.send_to(c, dst, j, msg, n_chunks, rr == 0, e, &mut stats)
                     })
                 })?;
             }
@@ -343,16 +301,10 @@ impl ReliableBinomial {
                 spanned(c, Span::of(Phase::Ack), |c| {
                     for (j, child_rel) in children.iter().enumerate() {
                         let child = abs(*child_rel);
-                        wait_ge_or_recover(
-                            c,
-                            &policy,
-                            &mut stats,
-                            self.ready.line(j),
-                            want,
-                            |c, stats| {
-                                Ok(probe_remote_flag(c, stats, child, rp_line, scratch)? >= want)
-                            },
-                        )?;
+                        let line = self.ready.line(j);
+                        wait_ge_or_recover(c, &self.policy, &mut stats, line, want, |c, stats| {
+                            Ok(probe_remote_flag(c, stats, child, rp_line, scratch)? >= want)
+                        })?;
                     }
                     Ok(())
                 })?;
@@ -371,12 +323,11 @@ impl ReliableBinomial {
         j: usize,
         msg: MemRange,
         n_chunks: usize,
-        chunk_bytes: usize,
         e: u32,
-        policy: &Reliability,
         stats: &mut RelStats,
     ) -> RmaResult<()> {
         let me = c.core();
+        let chunk_bytes = self.payload.lines * CACHE_LINE_BYTES;
         let sp_line = self.send_prog.first_line;
         let scratch = self.scratch.first_line;
         let mut off = 0usize;
@@ -390,7 +341,7 @@ impl ReliableBinomial {
             // mirror at or past our transfer's counter proves the
             // payload already sits in our buffer.
             let want_prog = enc(e, (j * n_chunks + ck) as u32 + 1);
-            wait_ge_or_recover(c, policy, stats, self.sent.first_line, v, |c, stats| {
+            wait_ge_or_recover(c, &self.policy, stats, self.sent.first_line, v, |c, stats| {
                 Ok(probe_remote_flag(c, stats, par, sp_line, scratch)? >= want_prog)
             })?;
             let len = (msg.len - off).min(chunk_bytes);
@@ -414,13 +365,12 @@ impl ReliableBinomial {
         j: usize,
         msg: MemRange,
         n_chunks: usize,
-        chunk_bytes: usize,
         from_root: bool,
         e: u32,
-        policy: &Reliability,
         stats: &mut RelStats,
     ) -> RmaResult<()> {
         let me = c.core();
+        let chunk_bytes = self.payload.lines * CACHE_LINE_BYTES;
         let rp_line = self.ready_prog.first_line;
         let scratch = self.scratch.first_line;
         let mut off = 0usize;
@@ -428,7 +378,7 @@ impl ReliableBinomial {
             let v = enc(e, ck as u32 + 1);
             // If the child's ready flag is lost, its local mirror
             // proves it posted readiness; its buffer is free.
-            wait_ge_or_recover(c, policy, stats, self.ready.line(j), v, |c, stats| {
+            wait_ge_or_recover(c, &self.policy, stats, self.ready.line(j), v, |c, stats| {
                 Ok(probe_remote_flag(c, stats, dst, rp_line, scratch)? >= v)
             })?;
             let len = (msg.len - off).min(chunk_bytes);
@@ -495,12 +445,6 @@ mod tests {
         check(&cfg(48), Reliability::standard(), 0, 300 * 32);
         check(&cfg(12), Reliability::standard(), 7, 500);
         check(&cfg(2), Reliability::standard(), 1, 100);
-    }
-
-    #[test]
-    fn disabled_policy_uses_plain_waits() {
-        let stats = check(&cfg(16), Reliability::default(), 0, 2000);
-        assert_eq!(stats, RelStats::default());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! * **wake causality**: the committing [`ObsEvent::MpbWrite`] (or,
 //!   for streams predating the commit events, the writer's latest
 //!   event) happens-before the [`ObsEvent::Wake`] it caused;
-//! * **baton handoffs**: [`ObsEvent::Handoff`] happens-before the
+//! * **handoffs**: [`ObsEvent::Handoff`] happens-before the
 //!   receiving core's next program event (the receiver resumes at the
 //!   handoff instant, so everything it records next is at or after
 //!   it);
@@ -75,28 +75,12 @@ pub struct Edge {
     pub kind: EdgeKind,
 }
 
-/// The core whose program order an event belongs to.
-///
-/// `MpbWrite` belongs to its *writer* (the commit is the tail end of
-/// the writer's op); `Handoff` to the core handing the baton away (the
-/// receiving side gets a [`EdgeKind::Handoff`] edge instead).
+/// The core whose program order an event belongs to: the first of
+/// [`ObsEvent::cores`] (`MpbWrite` → its writer, `Handoff` → the core
+/// handing the baton away; the receiving side gets an
+/// [`EdgeKind::Handoff`] edge instead).
 pub fn actor(ev: &ObsEvent) -> CoreId {
-    match *ev {
-        ObsEvent::Op { core, .. }
-        | ObsEvent::Wait { core, .. }
-        | ObsEvent::Park { core, .. }
-        | ObsEvent::Wake { core, .. }
-        | ObsEvent::Compute { core, .. }
-        | ObsEvent::SpanBegin { core, .. }
-        | ObsEvent::SpanEnd { core, .. }
-        | ObsEvent::DeliveryBegin { core, .. }
-        | ObsEvent::DeliveryEnd { core, .. }
-        | ObsEvent::FlagSample { core, .. }
-        | ObsEvent::Finish { core, .. }
-        | ObsEvent::Fault { core, .. } => core,
-        ObsEvent::MpbWrite { writer, .. } => writer,
-        ObsEvent::Handoff { from, .. } => from,
-    }
+    ev.cores().0
 }
 
 /// A happens-before DAG over one recorded stream. Nodes are indices

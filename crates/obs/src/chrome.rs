@@ -179,32 +179,15 @@ pub fn chrome_trace_json(events: &[ObsEvent]) -> String {
     let mut horizon = Time::ZERO;
     for ev in events {
         horizon = horizon.max(ev.at());
-        match *ev {
-            ObsEvent::Op { core, .. }
-            | ObsEvent::Compute { core, .. }
-            | ObsEvent::Park { core, .. }
-            | ObsEvent::Wake { core, .. }
-            | ObsEvent::SpanBegin { core, .. }
-            | ObsEvent::SpanEnd { core, .. }
-            | ObsEvent::DeliveryBegin { core, .. }
-            | ObsEvent::DeliveryEnd { core, .. }
-            | ObsEvent::Finish { core, .. }
-            | ObsEvent::FlagSample { core, .. }
-            | ObsEvent::Fault { core, .. } => {
-                *cores.at(core) = true;
-            }
-            ObsEvent::Handoff { from, to, .. } => {
-                *cores.at(from) = true;
-                *cores.at(to) = true;
-            }
-            ObsEvent::MpbWrite { owner, writer, .. } => {
-                *cores.at(owner) = true;
-                *cores.at(writer) = true;
-            }
-            ObsEvent::Wait { resource, arrival, start, .. } => {
-                if start > arrival {
-                    contended[resource.index()] = true;
-                }
+        // A booking names a resource track; every other event names
+        // the core track(s) it is drawn on.
+        if let ObsEvent::Wait { resource, arrival, start, .. } = *ev {
+            contended[resource.index()] |= start > arrival;
+        } else {
+            let (actor, other) = ev.cores();
+            *cores.at(actor) = true;
+            if let Some(other) = other {
+                *cores.at(other) = true;
             }
         }
     }

@@ -9,8 +9,8 @@
 //! 1. A core's timeline is an alternating sequence of activities (ops,
 //!    computes) and gaps; a gap exists only because the core was parked
 //!    on a flag (or had genuinely finished earlier work and was waiting
-//!    to be scheduled, which the baton engine never does — cores run the
-//!    moment their grant time arrives).
+//!    to be scheduled, which the engine never does — a core runs the
+//!    moment its grant time arrives).
 //! 2. A [`ObsEvent::Wake`] is recorded at the *completion time of the
 //!    writer's op*. So when the backward walk hits a gap on core `c`
 //!    ending at time `t`, the latest `Wake { core: c, at <= t }` names
@@ -233,24 +233,16 @@ struct Activity {
 pub fn critical_path(events: &[ObsEvent]) -> Result<CriticalPath, CritPathError> {
     let num_cores = events
         .iter()
-        .map(|e| match *e {
-            ObsEvent::Op { core, .. }
-            | ObsEvent::Wait { core, .. }
-            | ObsEvent::Park { core, .. }
-            | ObsEvent::Compute { core, .. }
-            | ObsEvent::SpanBegin { core, .. }
-            | ObsEvent::SpanEnd { core, .. }
-            | ObsEvent::DeliveryBegin { core, .. }
-            | ObsEvent::DeliveryEnd { core, .. }
-            | ObsEvent::Finish { core, .. }
-            | ObsEvent::FlagSample { core, .. }
-            | ObsEvent::Fault { core, .. } => core.index() + 1,
+        .map(|e| {
+            let (actor, other) = e.cores();
             // A wake's `writer` is a core the walk may jump to, so it
             // must size the tables even if the writer logged nothing
             // else (malformed or truncated streams must not panic).
-            ObsEvent::Wake { core, writer, .. } => core.index().max(writer.index()) + 1,
-            ObsEvent::MpbWrite { owner, writer, .. } => owner.index().max(writer.index()) + 1,
-            ObsEvent::Handoff { from, to, .. } => from.index().max(to.index()) + 1,
+            let other = match *e {
+                ObsEvent::Wake { writer, .. } => Some(writer),
+                _ => other,
+            };
+            actor.index().max(other.map_or(0, CoreId::index)) + 1
         })
         .max()
         .ok_or(CritPathError::EmptyStream)?;
@@ -377,8 +369,8 @@ pub fn critical_path(events: &[ObsEvent]) -> Result<CriticalPath, CritPathError>
                     Some((at, writer)) => {
                         if at < t {
                             // The waiter sat runnable between the wake
-                            // and `t` — shouldn't happen in the baton
-                            // engine, but account for it rather than
+                            // and `t` — the engine never schedules that
+                            // way, but account for it rather than
                             // losing coverage.
                             segments.push(idle(core, at, t));
                         }

@@ -250,10 +250,37 @@ impl ObsEvent {
             ObsEvent::Compute { end, .. } => end,
         }
     }
+
+    /// Whose event this is: the core whose program order it belongs to
+    /// and, for the two kinds that touch a second core, that core.
+    ///
+    /// `MpbWrite` belongs to its *writer* (the commit is the tail end
+    /// of the writer's op) and names the MPB's owner second; `Handoff`
+    /// belongs to the core handing the baton away and names the
+    /// receiver second. A `Wake`'s `writer` is provenance, not a
+    /// participant, and is not reported here.
+    pub fn cores(&self) -> (CoreId, Option<CoreId>) {
+        match *self {
+            ObsEvent::Op { core, .. }
+            | ObsEvent::Wait { core, .. }
+            | ObsEvent::Park { core, .. }
+            | ObsEvent::Wake { core, .. }
+            | ObsEvent::Compute { core, .. }
+            | ObsEvent::SpanBegin { core, .. }
+            | ObsEvent::SpanEnd { core, .. }
+            | ObsEvent::DeliveryBegin { core, .. }
+            | ObsEvent::DeliveryEnd { core, .. }
+            | ObsEvent::FlagSample { core, .. }
+            | ObsEvent::Finish { core, .. }
+            | ObsEvent::Fault { core, .. } => (core, None),
+            ObsEvent::MpbWrite { writer, owner, .. } => (writer, Some(owner)),
+            ObsEvent::Handoff { from, to, .. } => (from, Some(to)),
+        }
+    }
 }
 
-/// The sink the engine feeds. `Send` because the recorder lives inside
-/// the engine state, which migrates across pooled core threads.
+/// The sink the engine feeds. The one-thread engine never moves it;
+/// `Send` only keeps the chip state that boxes a recorder `Send`.
 pub trait Recorder: Send {
     fn record(&mut self, ev: ObsEvent);
 

@@ -14,7 +14,7 @@
 
 use crate::event::ObsEvent;
 use crate::percore::PerCore;
-use scc_hal::{CoreId, Time};
+use scc_hal::Time;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -47,7 +47,8 @@ pub fn flamegraph_collapsed(events: &[ObsEvent], root: &str) -> String {
         }
         // Track each core's last observed instant so trailing tail time
         // (after the last span closes, up to Finish) is still charged.
-        for c in cores_of(ev) {
+        let (actor, other) = ev.cores();
+        for c in std::iter::once(actor).chain(other) {
             let seen = last_seen.at(c);
             *seen = (*seen).max(Some(ev.at()));
         }
@@ -109,26 +110,6 @@ pub fn flamegraph_collapsed(events: &[ObsEvent], root: &str) -> String {
         }
     }
     out
-}
-
-fn cores_of(ev: &ObsEvent) -> impl Iterator<Item = CoreId> {
-    let (a, b) = match *ev {
-        ObsEvent::Op { core, .. }
-        | ObsEvent::Wait { core, .. }
-        | ObsEvent::Park { core, .. }
-        | ObsEvent::Compute { core, .. }
-        | ObsEvent::SpanBegin { core, .. }
-        | ObsEvent::SpanEnd { core, .. }
-        | ObsEvent::DeliveryBegin { core, .. }
-        | ObsEvent::DeliveryEnd { core, .. }
-        | ObsEvent::Finish { core, .. }
-        | ObsEvent::FlagSample { core, .. }
-        | ObsEvent::Fault { core, .. } => (core, None),
-        ObsEvent::Wake { core, .. } => (core, None),
-        ObsEvent::MpbWrite { owner, writer, .. } => (owner, Some(writer)),
-        ObsEvent::Handoff { from, to, .. } => (from, Some(to)),
-    };
-    std::iter::once(a).chain(b)
 }
 
 #[cfg(test)]

@@ -2,15 +2,14 @@
 //!
 //! One OS thread per simulated core; the 48 MPBs live in one shared
 //! block of atomics, flags carry acquire/release ordering, and `now()`
-//! reads the wall clock. This backend exists for two reasons:
-//!
-//! 1. **Concurrency soundness** — the collectives' flag protocols run
-//!    under real parallelism and real memory reordering here, not under
-//!    the simulator's serialized schedule; the stress tests in this
-//!    crate and in `tests/` hammer exactly that.
-//! 2. **Real measurements** — the Criterion benches in `scc-bench`
-//!    compare the algorithms with actual threads (the repro band for
-//!    this paper prescribes shared-memory emulation).
+//! reads the wall clock. This backend exists for **concurrency
+//! soundness**: the collectives' flag protocols — plain and reliable —
+//! run under real parallelism and real memory reordering here, not
+//! under the simulator's serialized schedule; the stress tests in this
+//! crate and in `tests/` hammer exactly that (the repro band for this
+//! paper prescribes shared-memory emulation). Deadlines are wall-clock
+//! here, so a reliable wait may time out spuriously; the probe that
+//! follows is harmless.
 //!
 //! ## Memory model
 //!

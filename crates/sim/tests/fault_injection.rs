@@ -178,7 +178,7 @@ fn fault_time_tiles_into_journey_legs() {
         if c.core().index() == 0 {
             c.mem_write(0, &msg)?;
         }
-        bc.bcast_reliable(c, CoreId(0), r)
+        bc.bcast(c, CoreId(0), r)
     })
     .unwrap();
     for r in rep.results {
