@@ -158,26 +158,15 @@ pub trait Rma {
     /// lost doorbell from hanging a run forever: reliable collectives
     /// catch the timeout and probe/retry instead of spinning.
     ///
-    /// The default implementation is a plain poll loop — each failed
-    /// poll costs one local MPB read, so the clock always advances and
-    /// the loop always terminates. Engines with a park/wake scheduler
-    /// override it to park with a timer instead of busy-polling.
+    /// There is no default: a backend waits in one loop that serves
+    /// this and [`Rma::flag_wait_local`] alike, so both forms yield,
+    /// park and notice a dead peer the same way.
     fn flag_wait_local_until(
         &mut self,
         line: usize,
         pred: &mut dyn FnMut(FlagValue) -> bool,
         deadline: Time,
-    ) -> RmaResult<FlagValue> {
-        loop {
-            let v = self.flag_read_local(line)?;
-            if pred(v) {
-                return Ok(v);
-            }
-            if self.now() >= deadline {
-                return Err(RmaError::Timeout { core: self.core(), line, deadline });
-            }
-        }
-    }
+    ) -> RmaResult<FlagValue>;
 
     // ---- private memory host access (untimed; setup & verification) --
 
@@ -233,27 +222,6 @@ pub trait RmaExt: Rma {
     /// later chunk's notification first).
     fn flag_wait_ge(&mut self, line: usize, value: FlagValue) -> RmaResult<FlagValue> {
         self.flag_wait_local(line, &mut |v| v >= value)
-    }
-
-    /// Deadline-aware [`RmaExt::flag_wait_eq`].
-    fn flag_wait_eq_until(
-        &mut self,
-        line: usize,
-        value: FlagValue,
-        deadline: Time,
-    ) -> RmaResult<()> {
-        self.flag_wait_local_until(line, &mut |v| v == value, deadline)?;
-        Ok(())
-    }
-
-    /// Deadline-aware [`RmaExt::flag_wait_ge`].
-    fn flag_wait_ge_until(
-        &mut self,
-        line: usize,
-        value: FlagValue,
-        deadline: Time,
-    ) -> RmaResult<FlagValue> {
-        self.flag_wait_local_until(line, &mut |v| v >= value, deadline)
     }
 
     /// Read a whole message back out of private memory (untimed), for

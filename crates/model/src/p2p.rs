@@ -130,6 +130,7 @@ mod tests {
         assert!((m.l_mpb_w(1) - 0.131).abs() < 1e-12);
         assert!((m.c_mpb_w(1) - 0.136).abs() < 1e-12);
         assert!((m.c_mpb_r(1) - 0.136).abs() < 1e-12);
+        assert!((m.l_mem_w(1) - 0.466).abs() < 1e-12);
         assert!((m.c_mem_w(1) - 0.471).abs() < 1e-12);
         assert!((m.c_mem_r(1) - 0.218).abs() < 1e-12);
         // d = 9 (maximum on the mesh).

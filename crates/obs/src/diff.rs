@@ -105,11 +105,6 @@ impl PhaseProfile {
     pub fn cell_total(&self) -> Time {
         Time::from_ps(self.cells.values().sum())
     }
-
-    /// Sum of one dimension across phases.
-    pub fn dimension_total(&self, dim: &str) -> Time {
-        Time::from_ps(self.cells.iter().filter(|((_, d), _)| *d == dim).map(|(_, v)| v).sum())
-    }
 }
 
 /// One cell of the differential table.

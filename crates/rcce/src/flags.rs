@@ -10,7 +10,7 @@
 //!   the value it expects next, and stale values from earlier rounds
 //!   are simply smaller.
 
-use scc_hal::{CoreId, FlagValue, MpbAddr, Rma, RmaResult, Time};
+use scc_hal::{CoreId, FlagValue, MpbAddr, Rma, RmaResult};
 
 /// A binary flag living at the same MPB line on every core.
 #[derive(Clone, Copy, Debug)]
@@ -39,14 +39,6 @@ impl BinFlag {
         c.flag_wait_local(self.line, &mut |v| v == Self::SET)?;
         Ok(())
     }
-
-    /// Deadline-aware [`BinFlag::wait_set`]: surfaces
-    /// [`scc_hal::RmaError::Timeout`] instead of waiting forever when
-    /// the set was lost.
-    pub fn wait_set_until<R: Rma>(&self, c: &mut R, deadline: Time) -> RmaResult<()> {
-        c.flag_wait_local_until(self.line, &mut |v| v == Self::SET, deadline)?;
-        Ok(())
-    }
 }
 
 /// A monotone sequence flag living at the same MPB line on every core.
@@ -65,14 +57,6 @@ impl SeqFlag {
     /// observed value (which may be newer).
     pub fn wait_ge<R: Rma>(&self, c: &mut R, seq: u32) -> RmaResult<u32> {
         let v = c.flag_wait_local(self.line, &mut |v| v.0 >= seq)?;
-        Ok(v.0)
-    }
-
-    /// Deadline-aware [`SeqFlag::wait_ge`]: surfaces
-    /// [`scc_hal::RmaError::Timeout`] instead of waiting forever when
-    /// the signal was lost.
-    pub fn wait_ge_until<R: Rma>(&self, c: &mut R, seq: u32, deadline: Time) -> RmaResult<u32> {
-        let v = c.flag_wait_local_until(self.line, &mut |v| v.0 >= seq, deadline)?;
         Ok(v.0)
     }
 

@@ -10,8 +10,7 @@
 //! * [`flags`] — binary and sequence-valued one-line flags;
 //! * [`sendrecv`] — blocking, chunked two-sided send/receive with the
 //!   RCCE ready/sent handshake;
-//! * [`barrier`] — dissemination barrier.
-
+//! * [`barrier`] — dissemination barrier;
 //! * [`pipe`] — iRCCE-style pipelined point-to-point transfer between
 //!   a fixed pair of cores (the double-buffering blueprint the paper
 //!   borrows in Section 4.2).

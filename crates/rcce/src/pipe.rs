@@ -16,7 +16,7 @@
 
 use crate::alloc::{MpbAllocator, MpbExhausted, MpbRegion};
 use scc_hal::{
-    bytes_to_lines, CoreId, FlagValue, MemRange, MpbAddr, Rma, RmaResult, Time, CACHE_LINE_BYTES,
+    bytes_to_lines, CoreId, FlagValue, MemRange, MpbAddr, Rma, RmaResult, CACHE_LINE_BYTES,
 };
 
 /// A dedicated, pipelined channel between cores `a` and `b`.
@@ -86,28 +86,6 @@ impl Pipe {
     /// Pipelined blocking send of `src` to the other endpoint; must be
     /// matched by exactly one [`Pipe::recv`] there with the same length.
     pub fn send<R: Rma>(&mut self, c: &mut R, src: MemRange) -> RmaResult<()> {
-        self.send_impl(c, src, None)
-    }
-
-    /// Deadline-aware [`Pipe::send`]: each per-chunk wait on the
-    /// consumed flag gets its own deadline of `now + patience`; a wait
-    /// that exceeds it surfaces [`scc_hal::RmaError::Timeout`] instead
-    /// of spinning forever on a stalled receiver.
-    pub fn send_deadline<R: Rma>(
-        &mut self,
-        c: &mut R,
-        src: MemRange,
-        patience: Time,
-    ) -> RmaResult<()> {
-        self.send_impl(c, src, Some(patience))
-    }
-
-    fn send_impl<R: Rma>(
-        &mut self,
-        c: &mut R,
-        src: MemRange,
-        patience: Option<Time>,
-    ) -> RmaResult<()> {
         let me = c.core();
         let peer = self.other(me);
         let chunk_bytes = self.chunk_bytes();
@@ -121,15 +99,7 @@ impl Pipe {
             // Double buffering: half `h` may be refilled once the chunk
             // that previously occupied it (i − 2) was consumed.
             if i >= 2 {
-                match patience {
-                    None => {
-                        c.flag_wait_local(self.ready[h], &mut |v| v.0 >= seq - 2)?;
-                    }
-                    Some(p) => {
-                        let dl = c.now() + p;
-                        c.flag_wait_local_until(self.ready[h], &mut |v| v.0 >= seq - 2, dl)?;
-                    }
-                }
+                c.flag_wait_local(self.ready[h], &mut |v| v.0 >= seq - 2)?;
             }
             let len = (src.len - off).min(chunk_bytes);
             if len > 0 {
@@ -143,28 +113,6 @@ impl Pipe {
 
     /// Pipelined blocking receive into `dst` from the other endpoint.
     pub fn recv<R: Rma>(&mut self, c: &mut R, dst: MemRange) -> RmaResult<()> {
-        self.recv_impl(c, dst, None)
-    }
-
-    /// Deadline-aware [`Pipe::recv`]: each per-chunk wait on the sent
-    /// flag gets its own deadline of `now + patience`; a wait that
-    /// exceeds it surfaces [`scc_hal::RmaError::Timeout`] instead of
-    /// spinning forever on a lost notification.
-    pub fn recv_deadline<R: Rma>(
-        &mut self,
-        c: &mut R,
-        dst: MemRange,
-        patience: Time,
-    ) -> RmaResult<()> {
-        self.recv_impl(c, dst, Some(patience))
-    }
-
-    fn recv_impl<R: Rma>(
-        &mut self,
-        c: &mut R,
-        dst: MemRange,
-        patience: Option<Time>,
-    ) -> RmaResult<()> {
         let me = c.core();
         let peer = self.other(me);
         let chunk_bytes = self.chunk_bytes();
@@ -175,15 +123,7 @@ impl Pipe {
         for i in 0..n {
             let seq = base + i as u32 + 1;
             let h = i % 2;
-            match patience {
-                None => {
-                    c.flag_wait_local(self.sent[h], &mut |v| v.0 >= seq)?;
-                }
-                Some(p) => {
-                    let dl = c.now() + p;
-                    c.flag_wait_local_until(self.sent[h], &mut |v| v.0 >= seq, dl)?;
-                }
-            }
+            c.flag_wait_local(self.sent[h], &mut |v| v.0 >= seq)?;
             let len = (dst.len - off).min(chunk_bytes);
             if len > 0 {
                 c.get_to_mem(MpbAddr::new(me, self.halves[h].first_line), dst.slice(off, len))?;

@@ -35,7 +35,7 @@
 
 use crate::alloc::{MpbAllocator, MpbExhausted, MpbRegion};
 use crate::flags::BinFlag;
-use scc_hal::{bytes_to_lines, CoreId, MemRange, MpbAddr, Rma, RmaResult, Time, CACHE_LINE_BYTES};
+use scc_hal::{bytes_to_lines, CoreId, MemRange, MpbAddr, Rma, RmaResult, CACHE_LINE_BYTES};
 
 /// The payload lines RCCE proper would have (bit-packed flags); kept as
 /// the reference constant for the analytical model.
@@ -94,28 +94,14 @@ impl RcceComm {
     /// Blocking send of `src` (from private memory) to core `dst`.
     /// Must be matched by a [`RcceComm::recv`] on `dst`.
     pub fn send<R: Rma>(&self, c: &mut R, dst: CoreId, src: MemRange) -> RmaResult<()> {
-        self.send_impl(c, dst, src, false, None)
+        self.send_impl(c, dst, src, false)
     }
 
     /// Like [`RcceComm::send`], but the message is known to be hot in
     /// the sender's cache (a just-received message being forwarded, as
     /// in every non-root level of the baselines' trees).
     pub fn send_cached<R: Rma>(&self, c: &mut R, dst: CoreId, src: MemRange) -> RmaResult<()> {
-        self.send_impl(c, dst, src, true, None)
-    }
-
-    /// Deadline-aware [`RcceComm::send`]: each per-chunk wait on the
-    /// receiver's ready flag gets its own deadline of `now + patience`;
-    /// a wait that exceeds it surfaces [`scc_hal::RmaError::Timeout`]
-    /// instead of spinning forever on an unmatched (or dead) receiver.
-    pub fn send_deadline<R: Rma>(
-        &self,
-        c: &mut R,
-        dst: CoreId,
-        src: MemRange,
-        patience: Time,
-    ) -> RmaResult<()> {
-        self.send_impl(c, dst, src, false, Some(patience))
+        self.send_impl(c, dst, src, true)
     }
 
     fn send_impl<R: Rma>(
@@ -124,7 +110,6 @@ impl RcceComm {
         dst: CoreId,
         src: MemRange,
         cached: bool,
-        patience: Option<Time>,
     ) -> RmaResult<()> {
         assert!(dst.index() < self.num_cores && dst != c.core(), "bad send target {dst}");
         let ready_line = self.ready.line(dst.index());
@@ -132,13 +117,7 @@ impl RcceComm {
         let mut sent_bytes = 0usize;
         loop {
             let chunk = (src.len - sent_bytes).min(self.payload.lines * CACHE_LINE_BYTES);
-            match patience {
-                None => c.flag_wait_local(ready_line, &mut |v| v == BinFlag::SET)?,
-                Some(p) => {
-                    let dl = c.now() + p;
-                    c.flag_wait_local_until(ready_line, &mut |v| v == BinFlag::SET, dl)?
-                }
-            };
+            c.flag_wait_local(ready_line, &mut |v| v == BinFlag::SET)?;
             c.flag_put(MpbAddr::new(me, ready_line), BinFlag::UNSET)?;
             if chunk > 0 {
                 let part = src.slice(sent_bytes, chunk);
@@ -159,30 +138,6 @@ impl RcceComm {
 
     /// Blocking receive from core `src` into `dst` (private memory).
     pub fn recv<R: Rma>(&self, c: &mut R, src: CoreId, dst: MemRange) -> RmaResult<()> {
-        self.recv_impl(c, src, dst, None)
-    }
-
-    /// Deadline-aware [`RcceComm::recv`]: each per-chunk wait on the
-    /// sent flag gets its own deadline of `now + patience`; a wait
-    /// that exceeds it surfaces [`scc_hal::RmaError::Timeout`] instead
-    /// of spinning forever on a lost notification.
-    pub fn recv_deadline<R: Rma>(
-        &self,
-        c: &mut R,
-        src: CoreId,
-        dst: MemRange,
-        patience: Time,
-    ) -> RmaResult<()> {
-        self.recv_impl(c, src, dst, Some(patience))
-    }
-
-    fn recv_impl<R: Rma>(
-        &self,
-        c: &mut R,
-        src: CoreId,
-        dst: MemRange,
-        patience: Option<Time>,
-    ) -> RmaResult<()> {
         assert!(src.index() < self.num_cores && src != c.core(), "bad recv source {src}");
         let me = c.core();
         let my_ready_on_sender = self.ready.line(me.index());
@@ -190,13 +145,7 @@ impl RcceComm {
         loop {
             let chunk = (dst.len - recv_bytes).min(self.payload.lines * CACHE_LINE_BYTES);
             c.flag_put(MpbAddr::new(src, my_ready_on_sender), BinFlag::SET)?;
-            match patience {
-                None => self.sent.wait_set(c)?,
-                Some(p) => {
-                    let dl = c.now() + p;
-                    self.sent.wait_set_until(c, dl)?;
-                }
-            }
+            self.sent.wait_set(c)?;
             self.sent.reset_local(c)?;
             if chunk > 0 {
                 c.get_to_mem(

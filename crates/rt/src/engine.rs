@@ -25,12 +25,6 @@ impl Default for RtConfig {
     }
 }
 
-impl RtConfig {
-    pub fn with_cores(num_cores: usize) -> RtConfig {
-        RtConfig { num_cores, ..RtConfig::default() }
-    }
-}
-
 /// Whole-run failure.
 #[derive(Debug)]
 pub enum RtError {
@@ -98,6 +92,34 @@ impl RtCore {
         }
         Ok(())
     }
+
+    /// The one flag-wait loop: poll, bail out if a peer died, give up
+    /// at the deadline if there is one, else yield and poll again.
+    fn wait(
+        &self,
+        line: usize,
+        pred: &mut dyn FnMut(FlagValue) -> bool,
+        deadline: Option<Time>,
+    ) -> RmaResult<FlagValue> {
+        self.check_mpb(MpbAddr::new(self.id, line.min(MPB_LINES_PER_CORE - 1)), 1)?;
+        let addr = MpbAddr::new(self.id, line);
+        loop {
+            let v = self.mpb.flag_load(addr);
+            if pred(v) {
+                return Ok(v);
+            }
+            if self.poisoned.load(Ordering::Relaxed) {
+                return Err(RmaError::Engine(
+                    "a peer core panicked while this core was waiting".into(),
+                ));
+            }
+            if let Some(deadline) = deadline.filter(|&d| self.now() >= d) {
+                return Err(RmaError::Timeout { core: self.id, line, deadline });
+            }
+            // Always yield: cores may outnumber hardware threads.
+            std::thread::yield_now();
+        }
+    }
 }
 
 impl Rma for RtCore {
@@ -162,21 +184,16 @@ impl Rma for RtCore {
         line: usize,
         pred: &mut dyn FnMut(FlagValue) -> bool,
     ) -> RmaResult<FlagValue> {
-        self.check_mpb(MpbAddr::new(self.id, line.min(MPB_LINES_PER_CORE - 1)), 1)?;
-        let addr = MpbAddr::new(self.id, line);
-        loop {
-            let v = self.mpb.flag_load(addr);
-            if pred(v) {
-                return Ok(v);
-            }
-            if self.poisoned.load(Ordering::Relaxed) {
-                return Err(RmaError::Engine(
-                    "a peer core panicked while this core was waiting".into(),
-                ));
-            }
-            // Always yield: cores may outnumber hardware threads.
-            std::thread::yield_now();
-        }
+        self.wait(line, pred, None)
+    }
+
+    fn flag_wait_local_until(
+        &mut self,
+        line: usize,
+        pred: &mut dyn FnMut(FlagValue) -> bool,
+        deadline: Time,
+    ) -> RmaResult<FlagValue> {
+        self.wait(line, pred, Some(deadline))
     }
 
     fn mem_write(&mut self, offset: usize, data: &[u8]) -> RmaResult<()> {

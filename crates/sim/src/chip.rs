@@ -152,9 +152,9 @@ pub struct SimStats {
     /// round-trips elided. `events == heap_pushes + coalesced_steps`
     /// on every successful run.
     pub coalesced_steps: u64,
-    /// Grants delivered to a core other than the one running the event
+    /// Wakes delivered to a core other than the one running the event
     /// loop — each one changes the runnable core (a coroutine switch).
-    /// Grants returned inline to the requesting core are not counted.
+    /// Wakes returned inline to the calling core are not counted.
     pub handoffs: u64,
     /// Per-tile breakdown of [`port_wait`](SimStats::port_wait)
     /// (24 entries; `sum == port_wait` on every run).

@@ -10,12 +10,12 @@
 //!
 //! There is no scheduler. The engine state (chip, event heap, pending
 //! ops) sits in one `RefCell` and the event loop is executed by
-//! whichever core is currently runnable: when a core issues a timed
-//! request it keeps processing events inline until either its own grant
-//! is produced (it simply returns — the common case for back-to-back
-//! operations of one core) or a grant for another core comes up, in
-//! which case it deposits the grant in that core's cell and switches
-//! stacks straight to it — a *handoff*, counted in
+//! whichever core is currently runnable: a core that issues an op, parks
+//! or computes calls the engine to schedule it, then keeps processing
+//! events inline until either its own wake comes up (it simply returns —
+//! the common case for back-to-back operations of one core) or another
+//! core's does, in which case it deposits the wake in that core's cell
+//! and switches stacks straight to it — a *handoff*, counted in
 //! [`SimStats::handoffs`]. It resumes when some later handoff names it.
 //! The suspension point sits *below* the blocking [`Rma`] calls, so
 //! protocol code stays ordinary blocking code and runs unchanged on the
@@ -52,7 +52,7 @@ use scc_hal::{
     CoreId, FlagValue, MemRange, MpbAddr, MsgId, Rma, RmaError, RmaResult, Span, Time, NUM_CORES,
 };
 use scc_obs::{EventLog, FaultKind, FlightRecorder, ObsEvent};
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, RefCell, RefMut};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -116,10 +116,6 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    pub fn with_cores(num_cores: usize) -> SimConfig {
-        SimConfig { num_cores, ..SimConfig::default() }
-    }
-
     /// Default config with the flight recorder on: retain the last
     /// `capacity` events in a bounded ring (see [`SimConfig::flight`]).
     pub fn flight(capacity: usize) -> SimConfig {
@@ -170,57 +166,17 @@ pub struct SimReport<R> {
     pub events: Option<Vec<ObsEvent>>,
 }
 
-// ---- messages ----------------------------------------------------------
+// ---- wakes ---------------------------------------------------------------
 
-enum Request {
-    /// A timed operation; `msg` is the message tag active on the
-    /// issuing core (always `None` when recording is off).
-    Op {
-        op: Op,
-        msg: Option<MsgId>,
-    },
-    Park {
-        line: usize,
-        /// With a deadline, the engine schedules a timer that unparks
-        /// the core when it fires first; the waiter then re-reads the
-        /// flag and surfaces [`RmaError::Timeout`] itself.
-        deadline: Option<Time>,
-    },
-    Compute(Time),
-    /// Untimed private-memory write; `buf` is the core's reusable
-    /// scratch buffer carrying the payload, returned in the grant.
-    MemWrite {
-        offset: usize,
-        buf: Vec<u8>,
-    },
-    /// Untimed private-memory read; the engine fills `buf` in place.
-    MemRead {
-        offset: usize,
-        len: usize,
-        buf: Vec<u8>,
-    },
-}
-
-enum Grant {
-    Go {
-        now: Time,
-    },
-    /// Completion of a MemRead/MemWrite: hands the scratch buffer back.
-    Buf {
-        now: Time,
-        buf: Vec<u8>,
-    },
-    Flag {
-        now: Time,
-        value: FlagValue,
-    },
-    /// Validation failure; returns the scratch buffer when the request
-    /// carried one, so rejection does not leak the core's buffer.
-    Rejected {
-        err: RmaError,
-        buf: Option<Vec<u8>>,
-    },
-    Deadlock,
+/// What a blocked core is resumed with; the instant travels beside it.
+enum Wake {
+    /// Start, compute done, op complete, or a park ended (by a write or
+    /// by its timer — the waiter re-reads the flag either way).
+    Go,
+    /// A flag read completed with this value.
+    Flag(FlagValue),
+    /// Nothing will ever write the line this core is parked on.
+    Deadlock(usize),
 }
 
 // ---- event queue ---------------------------------------------------------
@@ -270,21 +226,12 @@ impl PartialOrd for Event {
 
 /// What one turn of the event loop produced.
 enum Advanced {
-    /// Core `.0` becomes runnable and receives grant `.1`.
-    Granted(usize, Grant),
+    /// Core `.0` becomes runnable and is resumed with wake `.1`.
+    Woken(usize, Wake),
     /// Every core finished; the run result can be assembled.
     RunComplete,
     /// The engine wedged; the run must be aborted.
     Fatal(String),
-}
-
-enum Submitted {
-    /// The request completed immediately (untimed or rejected); the
-    /// submitting core stays runnable.
-    Ready(Grant),
-    /// The request scheduled future events; the submitter must drive
-    /// the event loop.
-    Blocked,
 }
 
 /// All mutable engine state, owned by the `RefCell` in [`Shared`].
@@ -302,16 +249,16 @@ struct Engine {
     /// Fault-injection state; `None` for an empty plan, so the default
     /// path pays a single never-taken branch per hook.
     faults: Option<FaultState>,
-    /// Cores whose next `Resume` must deliver `Grant::Deadlock`.
-    deadlock_notified: Vec<bool>,
-    finished: Vec<bool>,
+    /// The line a core was parked on when the deadlock detector woke
+    /// it: its next `Resume` delivers `Wake::Deadlock` with that line.
+    deadlock_notified: Vec<Option<usize>>,
     end_times: Vec<Time>,
     done: usize,
     n: usize,
     deadlocks: Vec<(CoreId, usize)>,
     deadlock_rounds: u32,
     trace: Option<Vec<OpTrace>>,
-    /// Set once the run is being torn down; every later submit fails.
+    /// Set once the run is being torn down; every later call fails.
     fatal: bool,
 }
 
@@ -334,8 +281,7 @@ impl Engine {
             parked: vec![None; n],
             park_seq: vec![0; n],
             faults: (!cfg.faults.is_empty()).then(|| FaultState::new(cfg.faults.clone())),
-            deadlock_notified: vec![false; n],
-            finished: vec![false; n],
+            deadlock_notified: vec![None; n],
             end_times: vec![Time::ZERO; n],
             done: 0,
             n,
@@ -365,126 +311,74 @@ impl Engine {
         }
     }
 
-    fn granted(&mut self, core: usize, grant: Grant) -> Advanced {
-        Advanced::Granted(core, grant)
-    }
-
-    fn ready(&mut self, g: Grant) -> Result<Submitted, SimError> {
-        Ok(Submitted::Ready(g))
-    }
-
-    /// Feed one request of `core` into the engine. `Ready` responses
-    /// leave the core runnable; `Blocked` means the core must drive
-    /// [`advance`](Self::advance) until a grant emerges.
-    fn submit(&mut self, core: usize, req: Request) -> Result<Submitted, SimError> {
-        if self.fatal {
-            return Err(SimError::Engine("engine torn down".into()));
-        }
-        match req {
-            Request::Compute(t) => {
-                let at = self.now + t;
-                self.record(ObsEvent::Compute {
+    /// Schedule the timed operation `op` of `core`; `msg` is the message
+    /// tag active on the core (always `None` when recording is off). A
+    /// rejected op is neither counted nor scheduled. On `Ok` the core
+    /// must drive [`advance`](Self::advance) until its wake comes up —
+    /// as it must after [`park`](Self::park) and
+    /// [`compute`](Self::compute).
+    fn issue(&mut self, core: usize, op: Op, msg: Option<MsgId>) -> RmaResult<()> {
+        ops::validate(&self.chip, CoreId(core as u8), &op)?;
+        self.chip.stats.ops += 1;
+        let mut overhead = ops::op_overhead(&self.chip, &op);
+        if self.faults.is_some() {
+            let extra = self
+                .faults
+                .as_ref()
+                .map_or(Time::ZERO, |f| f.slow_extra(CoreId(core as u8), self.now));
+            if extra > Time::ZERO {
+                self.chip.stats.faults += 1;
+                self.chip.stats.fault_lost += extra;
+                self.record(ObsEvent::Fault {
                     core: CoreId(core as u8),
-                    start: self.now,
-                    end: at,
+                    kind: FaultKind::CoreSlow,
+                    at: self.now,
+                    lost: extra,
                 });
-                self.push(at, EventKind::Resume(core));
-                Ok(Submitted::Blocked)
-            }
-            Request::Park { line, deadline } => {
-                if line >= scc_hal::MPB_LINES_PER_CORE {
-                    return self.ready(Grant::Rejected {
-                        err: RmaError::MpbOutOfRange {
-                            addr: MpbAddr::new(CoreId(core as u8), 0),
-                            lines: line,
-                        },
-                        buf: None,
-                    });
-                }
-                self.chip.stats.parks += 1;
-                self.record(ObsEvent::Park { core: CoreId(core as u8), line, at: self.now });
-                self.parked[core] = Some(line);
-                self.park_seq[core] += 1;
-                if let Some(dl) = deadline {
-                    // The timer keeps the queue non-empty, so a core
-                    // waiting with a deadline can never trip the
-                    // deadlock detector — it wakes and recovers.
-                    let token = self.park_seq[core];
-                    self.push(dl.max(self.now), EventKind::Timeout(core, token));
-                }
-                Ok(Submitted::Blocked)
-            }
-            Request::MemRead { offset, len, mut buf } => {
-                let g = if MemRange::bytes_fit(offset, len, self.chip.mem_bytes()) {
-                    buf.clear();
-                    buf.extend_from_slice(self.chip.private_slice(CoreId(core as u8), offset, len));
-                    Grant::Buf { now: self.now, buf }
-                } else {
-                    Grant::Rejected {
-                        err: RmaError::MemOutOfRange {
-                            offset,
-                            len,
-                            mem_len: self.chip.mem_bytes(),
-                        },
-                        buf: Some(buf),
-                    }
-                };
-                self.ready(g)
-            }
-            Request::MemWrite { offset, buf } => {
-                let g = if MemRange::bytes_fit(offset, buf.len(), self.chip.mem_bytes()) {
-                    self.chip
-                        .private_slice_mut(CoreId(core as u8), offset, buf.len())
-                        .copy_from_slice(&buf);
-                    Grant::Buf { now: self.now, buf }
-                } else {
-                    Grant::Rejected {
-                        err: RmaError::MemOutOfRange {
-                            offset,
-                            len: buf.len(),
-                            mem_len: self.chip.mem_bytes(),
-                        },
-                        buf: Some(buf),
-                    }
-                };
-                self.ready(g)
-            }
-            Request::Op { op, msg } => {
-                if let Err(e) = ops::validate(&self.chip, CoreId(core as u8), &op) {
-                    return self.ready(Grant::Rejected { err: e, buf: None });
-                }
-                self.chip.stats.ops += 1;
-                let mut overhead = ops::op_overhead(&self.chip, &op);
-                if self.faults.is_some() {
-                    let extra = self
-                        .faults
-                        .as_ref()
-                        .map_or(Time::ZERO, |f| f.slow_extra(CoreId(core as u8), self.now));
-                    if extra > Time::ZERO {
-                        self.chip.stats.faults += 1;
-                        self.chip.stats.fault_lost += extra;
-                        self.record(ObsEvent::Fault {
-                            core: CoreId(core as u8),
-                            kind: FaultKind::CoreSlow,
-                            at: self.now,
-                            lost: extra,
-                        });
-                        overhead += extra;
-                    }
-                }
-                let remaining = ops::total_lines(&op);
-                self.pending[core] = Some(PendingOp { op, remaining, issued: self.now, msg });
-                self.push(self.now + overhead, EventKind::Step(core));
-                Ok(Submitted::Blocked)
+                overhead += extra;
             }
         }
+        let remaining = ops::total_lines(&op);
+        self.pending[core] = Some(PendingOp { op, remaining, issued: self.now, msg });
+        self.push(self.now + overhead, EventKind::Step(core));
+        Ok(())
+    }
+
+    /// Park `core` until its flag `line` is written. With a deadline,
+    /// a timer unparks the core when it fires first; the waiter then
+    /// re-reads the flag and surfaces [`RmaError::Timeout`] itself.
+    fn park(&mut self, core: usize, line: usize, deadline: Option<Time>) -> RmaResult<()> {
+        if line >= scc_hal::MPB_LINES_PER_CORE {
+            return Err(RmaError::MpbOutOfRange {
+                addr: MpbAddr::new(CoreId(core as u8), 0),
+                lines: line,
+            });
+        }
+        self.chip.stats.parks += 1;
+        self.record(ObsEvent::Park { core: CoreId(core as u8), line, at: self.now });
+        self.parked[core] = Some(line);
+        self.park_seq[core] += 1;
+        if let Some(dl) = deadline {
+            // The timer keeps the queue non-empty, so a core waiting
+            // with a deadline can never trip the deadlock detector —
+            // it wakes and recovers.
+            let token = self.park_seq[core];
+            self.push(dl.max(self.now), EventKind::Timeout(core, token));
+        }
+        Ok(())
+    }
+
+    /// Let `t` of pure local work pass on `core`.
+    fn compute(&mut self, core: usize, t: Time) {
+        let at = self.now + t;
+        self.record(ObsEvent::Compute { core: CoreId(core as u8), start: self.now, end: at });
+        self.push(at, EventKind::Resume(core));
     }
 
     /// Record that `core` finished. The caller must then drive
     /// [`advance`](Self::advance) to find the next runnable core (or
     /// complete the run).
-    fn submit_finish(&mut self, core: usize) {
-        self.finished[core] = true;
+    fn retire(&mut self, core: usize) {
         self.end_times[core] = self.now;
         self.record(ObsEvent::Finish { core: CoreId(core as u8), at: self.now });
         self.done += 1;
@@ -509,16 +403,12 @@ impl Engine {
             self.chip.set_prune_horizon(self.now);
             match ev.kind {
                 EventKind::Resume(i) => {
-                    let g = if std::mem::take(&mut self.deadlock_notified[i]) {
-                        Grant::Deadlock
-                    } else {
-                        Grant::Go { now: self.now }
-                    };
-                    return self.granted(i, g);
+                    let wake = self.deadlock_notified[i].take().map_or(Wake::Go, Wake::Deadlock);
+                    return Advanced::Woken(i, wake);
                 }
                 EventKind::Step(i) => {
-                    if let Some(g) = self.step(i) {
-                        return self.granted(i, g);
+                    if let Some(wake) = self.step(i) {
+                        return Advanced::Woken(i, wake);
                     }
                 }
                 EventKind::Timeout(i, token) => {
@@ -534,7 +424,7 @@ impl Engine {
                                 at: self.now,
                                 writer: CoreId(i as u8),
                             });
-                            return self.granted(i, Grant::Go { now: self.now });
+                            return Advanced::Woken(i, Wake::Go);
                         }
                     }
                     // Stale timer: a write woke the core first (or it
@@ -546,7 +436,7 @@ impl Engine {
 
     /// Process a `Step` event for core `i`, coalescing subsequent line
     /// steps while no other queued event can precede them. Returns the
-    /// grant once the whole op completed, `None` if the next line went
+    /// wake once the whole op completed, `None` if the next line went
     /// back to the heap.
     ///
     /// Invariant: a coalesced step is taken only when the just-computed
@@ -556,7 +446,7 @@ impl Engine {
     /// is exactly what popping from the heap would have done. Elided
     /// pops still increment `stats.events`; only `stats.heap_pushes`
     /// and `stats.coalesced_steps` reveal which path executed.
-    fn step(&mut self, i: usize) -> Option<Grant> {
+    fn step(&mut self, i: usize) -> Option<Wake> {
         loop {
             let p = self.pending[i].as_mut().expect("Step without a pending op");
             if p.remaining == 0 {
@@ -615,7 +505,7 @@ impl Engine {
         }
     }
 
-    fn apply_op(&mut self, core: usize, op: &Op) -> Grant {
+    fn apply_op(&mut self, core: usize, op: &Op) -> Wake {
         if self.faults.is_some() {
             // Lost notification: only *remote* flag deposits traverse a
             // mesh link and can be dropped. The transfer's time was
@@ -632,12 +522,12 @@ impl Engine {
                         at: self.now,
                         lost: Time::ZERO,
                     });
-                    return Grant::Go { now: self.now };
+                    return Wake::Go;
                 }
             }
         }
         match ops::apply(&mut self.chip, CoreId(core as u8), op) {
-            Effect::None => Grant::Go { now: self.now },
+            Effect::None => Wake::Go,
             Effect::Flag(value) => {
                 if let Op::ReadLine { line } = op {
                     self.record(ObsEvent::FlagSample {
@@ -647,7 +537,7 @@ impl Engine {
                         at: self.now,
                     });
                 }
-                Grant::Flag { now: self.now, value }
+                Wake::Flag(value)
             }
             Effect::Wrote(region) => {
                 self.record(ObsEvent::MpbWrite {
@@ -675,16 +565,16 @@ impl Engine {
                         }
                     }
                 }
-                Grant::Go { now: self.now }
+                Wake::Go
             }
         }
     }
 
     /// Queue empty but cores unfinished: everyone left is parked on a
     /// flag that no scheduled op will ever write. Notify them one at a
-    /// time through ordinary `Resume` events so their subsequent
-    /// requests keep a deterministic order. Returns a message if the
-    /// engine is wedged beyond recovery.
+    /// time through ordinary `Resume` events so their subsequent calls
+    /// keep a deterministic order. Returns a message if the engine is
+    /// wedged beyond recovery.
     fn handle_deadlock(&mut self) -> Option<String> {
         self.deadlock_rounds += 1;
         if self.deadlock_rounds > 100 {
@@ -698,7 +588,7 @@ impl Engine {
         for v in victims {
             let line = self.parked[v].take().expect("victim must be parked");
             self.deadlocks.push((CoreId(v as u8), line));
-            self.deadlock_notified[v] = true;
+            self.deadlock_notified[v] = Some(line);
             self.push(self.now, EventKind::Resume(v));
         }
         None
@@ -730,9 +620,10 @@ struct RunOutput {
 /// ever held across a context switch.
 struct Shared {
     engine: RefCell<Engine>,
-    /// Per-core cell for the grant a core is resumed with. A core
-    /// resumed with an empty cell is being torn down.
-    grants: Vec<Cell<Option<Grant>>>,
+    /// Per-core cell for the instant and wake a core is resumed with
+    /// across a handoff. A core resumed with an empty cell is being
+    /// torn down.
+    wakes: Vec<Cell<Option<(Time, Wake)>>>,
     /// Where each suspended (or not yet started) core resumes.
     cores: Vec<Cell<Context>>,
     /// Where `run_spmd` itself resumes: when the last core finishes or
@@ -745,7 +636,7 @@ struct Shared {
 }
 
 impl Shared {
-    /// Tear the run down: flag the engine fatal, so every later request
+    /// Tear the run down: flag the engine fatal, so every later call
     /// fails, and record `err` unless an outcome is already set.
     fn abort(&self, err: SimError) {
         self.engine.borrow_mut().fatal = true;
@@ -753,12 +644,12 @@ impl Shared {
     }
 
     /// Make `to` the runnable core: count and record the handoff,
-    /// deposit its grant, and return the context to switch to.
-    fn hand_off(&self, eng: &mut Engine, from: CoreId, to: usize, grant: Grant) -> Context {
+    /// deposit its wake, and return the context to switch to.
+    fn hand_off(&self, eng: &mut Engine, from: CoreId, to: usize, wake: Wake) -> Context {
         eng.chip.stats.handoffs += 1;
         let at = eng.now;
         eng.record(ObsEvent::Handoff { from, to: CoreId(to as u8), at });
-        self.grants[to].set(Some(grant));
+        self.wakes[to].set(Some((at, wake)));
         self.cores[to].get()
     }
 }
@@ -766,8 +657,8 @@ impl Shared {
 // ---- the per-core handle ---------------------------------------------------
 
 /// The [`Rma`] endpoint handed to the SPMD closure for one simulated
-/// core. Requests are fed straight into the shared engine; virtual
-/// time advances only through timed operations.
+/// core. Every call borrows the shared engine and calls it directly;
+/// virtual time advances only through timed operations.
 pub struct SimCore {
     id: CoreId,
     num_cores: usize,
@@ -776,82 +667,101 @@ pub struct SimCore {
     /// branch (no engine borrow) when recording is off.
     recording: bool,
     now: Cell<Time>,
-    parked_line: Cell<usize>,
     /// Message tag applied to subsequent timed ops ([`Rma::msg_tag`]).
     /// Only ever set while recording, so untraced runs carry `None`
     /// with zero bookkeeping.
     cur_msg: Cell<Option<MsgId>>,
-    /// Reusable payload buffer for untimed memory requests; it rides
-    /// along in the request and comes back in the grant, so steady
-    /// state does no allocation per call.
-    scratch: RefCell<Vec<u8>>,
     shared: Rc<Shared>,
 }
 
 impl SimCore {
-    /// Submit one request and run the engine until this core's grant is
-    /// available — inline when possible, suspended across one handoff
-    /// when another core must run first.
-    fn rpc(&self, req: Request) -> RmaResult<Grant> {
+    /// Borrow the engine — unless the run is being torn down, when
+    /// every call fails instead.
+    fn engine(&self) -> RmaResult<RefMut<'_, Engine>> {
+        let eng = self.shared.engine.borrow_mut();
+        if eng.fatal {
+            return Err(RmaError::Engine("engine torn down".into()));
+        }
+        Ok(eng)
+    }
+
+    /// Run the event loop until this core is woken — inline when its
+    /// own wake comes up first, suspended across one handoff when
+    /// another core must run first. The borrow moves in and is dropped
+    /// before any switch.
+    fn block(&self, mut eng: RefMut<'_, Engine>) -> RmaResult<Wake> {
         let me = self.id.index();
         let shared = &*self.shared;
-        let mut eng = shared.engine.borrow_mut();
-        let grant = match eng.submit(me, req).map_err(|e| RmaError::Engine(e.to_string()))? {
-            Submitted::Ready(g) => g,
-            Submitted::Blocked => match eng.advance() {
-                Advanced::Granted(core, g) if core == me => g,
-                Advanced::Granted(core, g) => {
-                    let next = shared.hand_off(&mut eng, self.id, core, g);
-                    drop(eng);
-                    // SAFETY: `next` is where `core` last suspended (or
-                    // its prepared start): the engine grants only cores
-                    // that are blocked in a request or not yet started,
-                    // and each saved context is resumed once, by the
-                    // handoff that names it. `run_spmd` keeps every
-                    // stack leased until all cores have returned.
-                    unsafe { coro::switch(shared.cores[me].as_ptr(), next) };
-                    shared.grants[me]
-                        .take()
-                        .ok_or_else(|| RmaError::Engine("run aborted".into()))?
-                }
-                Advanced::RunComplete => {
-                    // Unreachable: this core has not finished. Treat it
-                    // as a wedge rather than trusting the impossible.
-                    drop(eng);
-                    shared.abort(SimError::Engine("run completed with a core mid-op".into()));
-                    return Err(RmaError::Engine("engine wedged".into()));
-                }
-                Advanced::Fatal(msg) => {
-                    drop(eng);
-                    shared.abort(SimError::Engine(msg.clone()));
-                    return Err(RmaError::Engine(msg));
-                }
-            },
+        let (at, wake) = match eng.advance() {
+            Advanced::Woken(core, wake) if core == me => (eng.now, wake),
+            Advanced::Woken(core, wake) => {
+                let next = shared.hand_off(&mut eng, self.id, core, wake);
+                drop(eng);
+                // SAFETY: `next` is where `core` last suspended (or its
+                // prepared start): the engine wakes only cores that are
+                // blocked in a call or not yet started, and each saved
+                // context is resumed once, by the handoff that names
+                // it. `run_spmd` keeps every stack leased until all
+                // cores have returned.
+                unsafe { coro::switch(shared.cores[me].as_ptr(), next) };
+                shared.wakes[me].take().ok_or_else(|| RmaError::Engine("run aborted".into()))?
+            }
+            wedged => {
+                // `RunComplete` is unreachable — this core has not
+                // finished — and is a wedge like any other.
+                let msg = match wedged {
+                    Advanced::Fatal(msg) => msg,
+                    _ => "run completed with a core mid-call".into(),
+                };
+                drop(eng);
+                shared.abort(SimError::Engine(msg.clone()));
+                return Err(RmaError::Engine(msg));
+            }
         };
-        match grant {
-            Grant::Rejected { err, buf } => {
-                if let Some(b) = buf {
-                    self.scratch.replace(b);
-                }
-                Err(err)
-            }
-            Grant::Deadlock => {
-                Err(RmaError::Deadlock { core: self.id, line: self.parked_line.get() })
-            }
-            g => {
-                match &g {
-                    Grant::Go { now } | Grant::Buf { now, .. } | Grant::Flag { now, .. } => {
-                        self.now.set(*now)
-                    }
-                    _ => unreachable!(),
-                }
-                Ok(g)
-            }
+        self.now.set(at);
+        match wake {
+            Wake::Deadlock(line) => Err(RmaError::Deadlock { core: self.id, line }),
+            wake => Ok(wake),
         }
     }
 
-    fn op(&self, op: Op) -> RmaResult<Grant> {
-        self.rpc(Request::Op { op, msg: self.cur_msg.get() })
+    fn op(&self, op: Op) -> RmaResult<Wake> {
+        let mut eng = self.engine()?;
+        eng.issue(self.id.index(), op, self.cur_msg.get())?;
+        self.block(eng)
+    }
+
+    /// The one flag-wait loop: poll, give up at the deadline if there
+    /// is one, else park until the line is written (or the deadline's
+    /// timer fires) and poll again.
+    fn wait(
+        &self,
+        line: usize,
+        pred: &mut dyn FnMut(FlagValue) -> bool,
+        deadline: Option<Time>,
+    ) -> RmaResult<FlagValue> {
+        loop {
+            let Wake::Flag(v) = self.op(Op::ReadLine { line })? else {
+                return Err(RmaError::Engine("flag read returned no value".into()));
+            };
+            if pred(v) {
+                return Ok(v);
+            }
+            if let Some(deadline) = deadline.filter(|&d| self.now.get() >= d) {
+                return Err(RmaError::Timeout { core: self.id, line, deadline });
+            }
+            let mut eng = self.engine()?;
+            eng.park(self.id.index(), line, deadline)?;
+            self.block(eng)?;
+        }
+    }
+
+    fn check_mem(&self, offset: usize, len: usize) -> RmaResult<()> {
+        if MemRange::bytes_fit(offset, len, self.mem_bytes) {
+            Ok(())
+        } else {
+            Err(RmaError::MemOutOfRange { offset, len, mem_len: self.mem_bytes })
+        }
     }
 
     /// Retire this core: record its end time, then keep the event loop
@@ -864,14 +774,14 @@ impl SimCore {
         if eng.fatal {
             return shared.caller.get();
         }
-        eng.submit_finish(self.id.index());
+        eng.retire(self.id.index());
         match eng.advance() {
             Advanced::RunComplete => {
                 let result = eng.make_result();
                 shared.outcome.borrow_mut().get_or_insert(result);
                 shared.caller.get()
             }
-            Advanced::Granted(core, g) => shared.hand_off(&mut eng, self.id, core, g),
+            Advanced::Woken(core, wake) => shared.hand_off(&mut eng, self.id, core, wake),
             Advanced::Fatal(msg) => {
                 drop(eng);
                 shared.abort(SimError::Engine(msg));
@@ -880,31 +790,14 @@ impl SimCore {
         }
     }
 
-    /// Deposit a span event into the recorder. Spans carry no virtual
-    /// time of their own — they are stamped with this core's current
-    /// clock — so annotating a collective cannot perturb the run. Only
-    /// reached when recording.
-    fn record_span(&self, begin: bool, span: Span) {
-        let at = self.now.get();
-        let ev = if begin {
-            ObsEvent::SpanBegin { core: self.id, span, at }
-        } else {
-            ObsEvent::SpanEnd { core: self.id, span, at }
-        };
-        self.shared.engine.borrow_mut().record(ev);
-    }
-
-    /// Deposit a delivery-window boundary. Same discipline as
-    /// [`record_span`](Self::record_span): untimed, stamped with this
-    /// core's clock, only reached while recording.
-    fn record_delivery(&self, begin: bool, epoch: u32) {
-        let at = self.now.get();
-        let ev = if begin {
-            ObsEvent::DeliveryBegin { core: self.id, epoch, at }
-        } else {
-            ObsEvent::DeliveryEnd { core: self.id, epoch, at }
-        };
-        self.shared.engine.borrow_mut().record(ev);
+    /// Deposit an untimed annotation — a span or delivery-window
+    /// boundary — into the recorder. It carries no virtual time of its
+    /// own: `ev` is handed this core's id and current clock, so
+    /// annotating a collective cannot perturb the run.
+    fn annotate(&self, ev: impl FnOnce(CoreId, Time) -> ObsEvent) {
+        if self.recording {
+            self.shared.engine.borrow_mut().record(ev(self.id, self.now.get()));
+        }
     }
 }
 
@@ -950,10 +843,8 @@ impl Rma for SimCore {
     }
 
     fn flag_read_local(&mut self, line: usize) -> RmaResult<FlagValue> {
-        match self.op(Op::ReadLine { line })? {
-            Grant::Flag { value, .. } => Ok(value),
-            _ => Err(RmaError::Engine("flag read returned no value".into())),
-        }
+        // A read is a wait that any value satisfies: one poll, no park.
+        self.wait(line, &mut |_| true, None)
     }
 
     fn flag_wait_local(
@@ -961,14 +852,7 @@ impl Rma for SimCore {
         line: usize,
         pred: &mut dyn FnMut(FlagValue) -> bool,
     ) -> RmaResult<FlagValue> {
-        loop {
-            let v = self.flag_read_local(line)?;
-            if pred(v) {
-                return Ok(v);
-            }
-            self.parked_line.set(line);
-            self.rpc(Request::Park { line, deadline: None })?;
-        }
+        self.wait(line, pred, None)
     }
 
     fn flag_wait_local_until(
@@ -977,60 +861,38 @@ impl Rma for SimCore {
         pred: &mut dyn FnMut(FlagValue) -> bool,
         deadline: Time,
     ) -> RmaResult<FlagValue> {
-        loop {
-            let v = self.flag_read_local(line)?;
-            if pred(v) {
-                return Ok(v);
-            }
-            if self.now() >= deadline {
-                return Err(RmaError::Timeout { core: self.id, line, deadline });
-            }
-            self.parked_line.set(line);
-            self.rpc(Request::Park { line, deadline: Some(deadline) })?;
-        }
+        self.wait(line, pred, Some(deadline))
     }
 
     fn mem_write(&mut self, offset: usize, data: &[u8]) -> RmaResult<()> {
-        let mut buf = self.scratch.take();
-        buf.clear();
-        buf.extend_from_slice(data);
-        match self.rpc(Request::MemWrite { offset, buf })? {
-            Grant::Buf { buf, .. } => {
-                self.scratch.replace(buf);
-                Ok(())
-            }
-            _ => Err(RmaError::Engine("memory write returned no buffer".into())),
-        }
+        let mut eng = self.engine()?;
+        self.check_mem(offset, data.len())?;
+        eng.chip.private_slice_mut(self.id, offset, data.len()).copy_from_slice(data);
+        Ok(())
     }
 
     fn mem_read(&self, offset: usize, buf: &mut [u8]) -> RmaResult<()> {
-        let scratch = self.scratch.take();
-        match self.rpc(Request::MemRead { offset, len: buf.len(), buf: scratch })? {
-            Grant::Buf { buf: filled, .. } => {
-                buf.copy_from_slice(&filled);
-                self.scratch.replace(filled);
-                Ok(())
-            }
-            _ => Err(RmaError::Engine("memory read returned no bytes".into())),
-        }
+        let mut eng = self.engine()?;
+        self.check_mem(offset, buf.len())?;
+        buf.copy_from_slice(eng.chip.private_slice(self.id, offset, buf.len()));
+        Ok(())
     }
 
     fn compute(&mut self, t: Time) {
         // Plain time passage cannot fail except on engine teardown,
         // where the error will surface on the next fallible call.
-        let _ = self.rpc(Request::Compute(t));
+        if let Ok(mut eng) = self.engine() {
+            eng.compute(self.id.index(), t);
+            let _ = self.block(eng);
+        }
     }
 
     fn span_begin(&mut self, span: Span) {
-        if self.recording {
-            self.record_span(true, span);
-        }
+        self.annotate(|core, at| ObsEvent::SpanBegin { core, span, at });
     }
 
     fn span_end(&mut self, span: Span) {
-        if self.recording {
-            self.record_span(false, span);
-        }
+        self.annotate(|core, at| ObsEvent::SpanEnd { core, span, at });
     }
 
     fn msg_tag(&mut self, msg: Option<MsgId>) {
@@ -1040,15 +902,11 @@ impl Rma for SimCore {
     }
 
     fn delivery_begin(&mut self, epoch: u32) {
-        if self.recording {
-            self.record_delivery(true, epoch);
-        }
+        self.annotate(|core, at| ObsEvent::DeliveryBegin { core, epoch, at });
     }
 
     fn delivery_end(&mut self, epoch: u32) {
-        if self.recording {
-            self.record_delivery(false, epoch);
-        }
+        self.annotate(|core, at| ObsEvent::DeliveryEnd { core, epoch, at });
     }
 }
 
@@ -1079,16 +937,11 @@ impl<R, F: Fn(&mut SimCore) -> R> Task<'_, R, F> {
                 num_cores: self.cfg.num_cores,
                 mem_bytes: self.cfg.mem_bytes,
                 recording: self.cfg.record || self.cfg.flight > 0,
-                now: Cell::new(Time::ZERO),
-                parked_line: Cell::new(0),
+                // A core is first resumed by the handoff of its start wake.
+                now: Cell::new(shared.wakes[i].take().map_or(Time::ZERO, |(at, _)| at)),
                 cur_msg: Cell::new(None),
-                scratch: RefCell::new(Vec::new()),
                 shared: Rc::clone(shared),
             };
-            // A core is first resumed by the handoff of its start grant.
-            if let Some(Grant::Go { now }) = shared.grants[i].take() {
-                core.now.set(now);
-            }
             let r = (self.f)(&mut core);
             (r, core.finish())
         }));
@@ -1113,7 +966,7 @@ impl<R, F: Fn(&mut SimCore) -> R> Task<'_, R, F> {
         let next = unsafe { &*(arg as *const Self) }.run();
         let mut retired = Context::null();
         // SAFETY: `next` is a suspended core's or the caller's saved
-        // context (see `rpc`); this stack holds no live locals and is
+        // context (see `block`); this stack holds no live locals and is
         // never resumed.
         unsafe { coro::switch(&mut retired, next) };
         unreachable!("a finished core was resumed")
@@ -1143,7 +996,7 @@ where
     let _in_flight = crate::telemetry::InFlightGuard::enter();
     let shared = Rc::new(Shared {
         engine: RefCell::new(Engine::new(cfg)),
-        grants: (0..n).map(|_| Cell::new(None)).collect(),
+        wakes: (0..n).map(|_| Cell::new(None)).collect(),
         cores: (0..n).map(|_| Cell::new(Context::null())).collect(),
         caller: Cell::new(Context::null()),
         outcome: RefCell::new(None),
@@ -1168,15 +1021,15 @@ where
         ));
     }
 
-    // Kick the run: hand the first grant (core 0's start `Go`) over and
+    // Kick the run: hand the first wake (core 0's start `Go`) over and
     // leave this stack until the last core finishes or the run aborts.
     let first = {
         let mut eng = shared.engine.borrow_mut();
         match eng.advance() {
             // The kick has no issuing core; record it as the run
             // appearing at its first runnable core.
-            Advanced::Granted(core, g) => {
-                Some(shared.hand_off(&mut eng, CoreId(core as u8), core, g))
+            Advanced::Woken(core, wake) => {
+                Some(shared.hand_off(&mut eng, CoreId(core as u8), core, wake))
             }
             Advanced::RunComplete | Advanced::Fatal(_) => None,
         }
@@ -1189,14 +1042,14 @@ where
     }
 
     // Back here the run completed or aborted. After an abort, cores are
-    // still suspended mid-call: resume each with no grant, so its call
+    // still suspended mid-call: resume each with no wake, so its call
     // fails, its closure returns or unwinds, and its locals are dropped
     // before the stacks and the borrowed `f` go away.
     for (task, ctx) in tasks.iter().zip(&shared.cores) {
         if task.live.get() {
             assert!(shared.engine.borrow().fatal, "a completed run left a core suspended");
             // SAFETY: control is here, so a live core is suspended in
-            // `rpc` at the context it saved; with the engine fatal it
+            // `block` at the context it saved; with the engine fatal it
             // runs to its end without another handoff and switches back.
             unsafe { coro::switch(shared.caller.as_ptr(), ctx.get()) };
         }
@@ -1385,9 +1238,9 @@ mod tests {
     }
 
     #[test]
-    fn mem_rw_reuses_the_scratch_buffer_across_rejections() {
-        // A rejected access must hand the scratch buffer back so later
-        // valid accesses still see correct data.
+    fn mem_rw_is_intact_after_rejections() {
+        // A rejected access must leave the core able to make valid
+        // accesses that still see correct data.
         let cfg = SimConfig { num_cores: 1, mem_bytes: 64, ..SimConfig::default() };
         let rep = run_spmd(&cfg, |c| {
             assert!(c.mem_write(60, &[1u8; 8]).is_err());
@@ -1399,6 +1252,59 @@ mod tests {
         })
         .unwrap();
         assert_eq!(rep.results[0], [7u8; 8]);
+    }
+
+    #[test]
+    fn rejected_calls_schedule_and_count_nothing() {
+        // One ring program, run bare and with rejected calls of every
+        // kind wedged between its valid ones: a rejection must leave no
+        // count, no event and no virtual time behind.
+        let run = |noise: bool| {
+            let cfg =
+                SimConfig { num_cores: 4, mem_bytes: 4096, record: true, ..Default::default() };
+            run_spmd(&cfg, move |c| {
+                let right = CoreId(((c.core().index() + 1) % 4) as u8);
+                let reject = |c: &mut SimCore| {
+                    if !noise {
+                        return;
+                    }
+                    let (far, near) = (MpbAddr::new(right, 250), MpbAddr::new(right, 0));
+                    let rejected = [
+                        c.put_from_mpb(0, far, 20),
+                        c.get_to_mpb(far, 0, 20),
+                        c.put_from_mem(MemRange::new(0, 64), MpbAddr::new(right, 255)),
+                        c.put_from_mpb(0, near, 0),
+                        c.get_to_mem(near, MemRange::new(0, 0)),
+                        c.mem_write(4090, &[1u8; 8]),
+                        c.mem_read(4090, &mut [0u8; 8]),
+                        c.flag_put(MpbAddr::new(CoreId(9), 0), FlagValue(1)),
+                        c.flag_wait_eq(256, FlagValue(1)),
+                    ];
+                    assert!(rejected.iter().all(Result::is_err), "{rejected:?}");
+                };
+                for round in 1..=3u32 {
+                    reject(c);
+                    c.mem_write(0, &[round as u8; 64]).unwrap();
+                    c.put_from_mem(MemRange::new(0, 64), MpbAddr::new(right, 8)).unwrap();
+                    reject(c);
+                    c.flag_put(MpbAddr::new(right, 1), FlagValue(round)).unwrap();
+                    reject(c);
+                    c.flag_wait_ge(1, FlagValue(round)).unwrap();
+                    c.compute(Time::US);
+                    c.get_to_mem(MpbAddr::new(c.core(), 8), MemRange::new(64, 64)).unwrap();
+                    reject(c);
+                }
+                c.mem_to_vec(MemRange::new(64, 64)).unwrap()
+            })
+            .unwrap()
+        };
+        let (bare, noisy) = (run(false), run(true));
+        assert_eq!(noisy.results, vec![vec![3u8; 64]; 4]);
+        assert_eq!(noisy.results, bare.results);
+        assert_eq!(noisy.stats, bare.stats);
+        assert_eq!(noisy.end_times, bare.end_times);
+        assert_eq!(noisy.events, bare.events);
+        assert!(bare.stats.parks > 0 && bare.events.is_some_and(|e| e.len() > 100));
     }
 
     #[test]

@@ -252,8 +252,8 @@ pub fn simulate_whole(chip: &mut Chip, issuer: CoreId, op: &Op, t: Time) -> Time
     t
 }
 
-/// Apply the memory effects of a completed op and produce the grant
-/// payload. Linearization point of every op is its completion time;
+/// Apply the memory effects of a completed op and say what they were.
+/// Linearization point of every op is its completion time;
 /// the scheduler calls this exactly then.
 pub fn apply(chip: &mut Chip, issuer: CoreId, op: &Op) -> Effect {
     match op {

@@ -160,11 +160,6 @@ impl Drop for InFlightGuard {
     }
 }
 
-/// Simulations executing right now.
-pub fn in_flight() -> u64 {
-    IN_FLIGHT.load(Ordering::Relaxed)
-}
-
 /// High-water mark of concurrently executing simulations since the
 /// last [`reset_peak_in_flight`].
 pub fn peak_in_flight() -> u64 {

@@ -25,7 +25,7 @@ fn full_chip() -> SimConfig {
 
 #[test]
 fn panic_with_47_cores_suspended_drops_every_closures_locals() {
-    let (drops, aborted) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    let (drops, aborted, inert) = (AtomicUsize::new(0), AtomicUsize::new(0), AtomicUsize::new(0));
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         run_spmd(&full_chip(), |c| {
             let _guard = Guard(&drops);
@@ -43,6 +43,19 @@ fn panic_with_47_cores_suspended_drops_every_closures_locals() {
             if matches!(r, Err(RmaError::Engine(_))) {
                 aborted.fetch_add(1, Ordering::Relaxed);
             }
+            // The run is being torn down: every further call fails
+            // typed, moves no byte and suspends nobody. (Counted, not
+            // asserted: a second panic in here would be swallowed.)
+            let mut buf = [0xA5u8; 8];
+            let after = [
+                c.mem_write(0, &[1u8; 8]),
+                c.mem_read(0, &mut buf),
+                c.flag_put(MpbAddr::new(CoreId(0), 1), FlagValue(1)),
+            ];
+            c.compute(Time::US);
+            if after.iter().all(|r| matches!(r, Err(RmaError::Engine(_)))) && buf == [0xA5u8; 8] {
+                inert.fetch_add(1, Ordering::Relaxed);
+            }
         })
         .map(drop)
     }));
@@ -50,6 +63,11 @@ fn panic_with_47_cores_suspended_drops_every_closures_locals() {
     assert_eq!(payload.downcast_ref::<&str>().copied(), Some("core 47 exploded"));
     assert_eq!(drops.load(Ordering::Relaxed), NUM_CORES, "a suspended closure's locals leaked");
     assert_eq!(aborted.load(Ordering::Relaxed), NUM_CORES - 1, "pending calls fail typed");
+    assert_eq!(
+        inert.load(Ordering::Relaxed),
+        NUM_CORES - 1,
+        "later calls fail typed, buffers intact"
+    );
 }
 
 #[test]
