@@ -3,20 +3,25 @@
 # A file counts up to (not including) its first `#[cfg(test)]` line;
 # blank lines and comments count, `tests/` directories do not.
 #
-#   ci/loc.sh             one row per crates/*/src, plus the total
+#   ci/loc.sh             one row per crates/*/src, plus the total;
+#                         exits 1 if the total exceeds the number in
+#                         ci/loc.max ("growth needs a reason": a PR
+#                         that grows the tree raises it in its diff)
 #   ci/loc.sh FILE...     one row per named file
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if [ "$#" -gt 0 ]; then
     by=file
+    max=0
     files=("$@")
 else
     by=crate
+    max=$(<ci/loc.max)
     mapfile -t files < <(find crates/*/src -name '*.rs' | sort)
 fi
 
-awk -v by="$by" '
+awk -v by="$by" -v max="$max" '
     FNR == 1 {
         in_tests = 0
         key = FILENAME
@@ -28,5 +33,9 @@ awk -v by="$by" '
     END {
         for (i = 1; i <= keys; i++) printf "%7d  %s\n", lines[order[i]], order[i]
         printf "%7d  total\n", total
+        if (max > 0 && total > max) {
+            printf "total exceeds ci/loc.max (%d)\n", max
+            exit 1
+        }
     }
 ' "${files[@]}"

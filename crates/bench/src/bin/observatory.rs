@@ -11,9 +11,9 @@
 //! cargo run --release -p scc-bench --bin observatory [--quick]
 //!     [--jobs N]               host worker threads fanning out over
 //!                              experiments AND their sweep units
-//!                              (default: SCC_JOBS or all host cores;
-//!                              every artifact is byte-identical at any
-//!                              job count)
+//!                              (default: all host cores; every
+//!                              artifact is byte-identical at any job
+//!                              count)
 //!     [--only fig3,fig8a]      run a subset of the registry
 //!     [--artifact-dir DIR]     where everything lands (".", i.e. the
 //!                              committed results/ tree):
@@ -43,8 +43,7 @@
 //! changes the verdict, it only adds diagnosis).
 
 use scc_bench::{
-    quick, record_run, registry, representative_scenario, run_registry, whatif_artifact,
-    whatif_profile,
+    record_run, registry, representative_scenario, run_registry, whatif_artifact, whatif_profile,
 };
 use scc_obs::report::validate_json;
 use scc_obs::{
@@ -75,7 +74,7 @@ impl Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        quick: quick(),
+        quick: false,
         jobs: scc_bench::pool::jobs_default(),
         only: None,
         baseline: None,

@@ -95,7 +95,7 @@ pub fn text_path(id: &str) -> String {
 /// classic text output, the structured rows and shape checks, and the
 /// experiment's other [`Outputs`].
 pub struct ExpCtx {
-    /// Reduced sweeps (`SCC_BENCH_QUICK=1` / `observatory --quick`).
+    /// Reduced sweeps (`observatory --quick`).
     pub quick: bool,
     /// The experiment's classic text, verbatim.
     pub out: String,
@@ -195,7 +195,7 @@ pub struct Unit {
 
 /// An experiment described as data: ordered units plus a finalize step.
 pub struct Sweep {
-    /// Reduced sweeps (`SCC_BENCH_QUICK=1` / `observatory --quick`).
+    /// Reduced sweeps (`observatory --quick`).
     pub quick: bool,
     pub(crate) units: Vec<Unit>,
     pub(crate) finalize: Option<FinalizeFn>,

@@ -54,12 +54,6 @@ pub fn paper_chip() -> SimConfig {
     SimConfig { num_cores: 48, mem_bytes: 4 << 20, ..SimConfig::default() }
 }
 
-/// Reduced-cost knob: set `SCC_BENCH_QUICK=1` to shrink repetition
-/// counts and sweep densities (used in CI and the test suite).
-pub fn quick() -> bool {
-    std::env::var_os("SCC_BENCH_QUICK").is_some_and(|v| v != "0")
-}
-
 /// Result of one latency measurement series.
 #[derive(Clone, Debug)]
 pub struct BcastTiming {

@@ -28,14 +28,9 @@ pub struct Task<T> {
     pub run: TaskFn<T>,
 }
 
-/// The default worker count: `SCC_JOBS` when set to a positive integer,
-/// otherwise the host's available parallelism.
+/// The default worker count: the host's available parallelism.
 pub fn jobs_default() -> usize {
-    std::env::var("SCC_JOBS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
+    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
 /// Run every task and return their results in submission order.

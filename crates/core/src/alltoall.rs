@@ -2,8 +2,9 @@
 //!
 //! These round out the collective family the paper's Section 7 aims at
 //! (and that RCKMPI would need), built from the same ingredients as
-//! OC-Bcast: pipelined `put`s into the consumer's double-buffered MPB
-//! halves, sequence flags, and `get`s to off-chip memory.
+//! OC-Bcast and over the same window as the one-sided
+//! scatter-allgather: every transfer is a [`Pipe`] push into the
+//! consumer's double-buffered MPB halves and a pull to off-chip memory.
 //!
 //! Communication structure:
 //!
@@ -12,14 +13,15 @@
 //!   moves each byte exactly once (the same aggregate as a tree
 //!   scatter, without intermediate copies).
 //! * [`OnesidedGroup::gather`] — the mirror image: every core pushes
-//!   its slice to the root, which drains them in rank order.
+//!   its slice to the root, which drains them in rank order, granting
+//!   each producer its turn through a flag of the group's own.
 //! * [`OnesidedGroup::alltoall`] — `P − 1` shift rounds; in round `r`
-//!   core `i` pushes its slice for core `i + r` and pulls from core
-//!   `i − r`. Rounds are barrier-separated: with changing partners,
-//!   unsolicited one-sided writes would otherwise race ahead into
-//!   buffers a slower core is still using (the same hazard the
-//!   one-sided scatter-allgather's phase barrier handles; see
-//!   `rma_sag`).
+//!   core `i` exchanges ([`Pipe::exchange`]) its slice for core `i + r`
+//!   against the one from core `i − r`. Rounds are barrier-separated:
+//!   with changing partners, unsolicited one-sided writes would
+//!   otherwise race ahead into buffers a slower core is still using
+//!   (the same hazard the one-sided scatter-allgather's phase barrier
+//!   handles; see `rma_sag`).
 //!
 //! Slices are the deterministic line-aligned partition of
 //! [`crate::scatter_allgather::slice_range`]; `alltoall` interprets the
@@ -27,18 +29,16 @@
 //! same layout.
 
 use crate::scatter_allgather::slice_range;
-use scc_hal::{
-    bytes_to_lines, CoreId, FlagValue, MemRange, MpbAddr, Rma, RmaResult, CACHE_LINE_BYTES,
-};
-use scc_rcce::{Barrier, MpbAllocator, MpbExhausted, MpbRegion};
+use scc_hal::{CoreId, MemRange, Rma, RmaResult};
+use scc_rcce::{Barrier, MpbAllocator, MpbExhausted, MpbRegion, Pipe, SeqFlag};
 
 /// Context for the personalized collectives (symmetric allocation).
 #[derive(Clone, Debug)]
 pub struct OnesidedGroup {
-    notify: MpbRegion,
-    done: MpbRegion,
-    bufs: [MpbRegion; 2],
+    pipe: Pipe,
     barrier: Barrier,
+    /// One line: the gather root's "your turn" grant to a producer.
+    turn: MpbRegion,
     seq: u32,
 }
 
@@ -48,13 +48,9 @@ impl OnesidedGroup {
         num_cores: usize,
         half_lines: usize,
     ) -> Result<OnesidedGroup, MpbExhausted> {
-        assert!(half_lines >= 1);
-        let notify = alloc.alloc(2)?;
-        let done = alloc.alloc(2)?;
-        let b0 = alloc.alloc(half_lines)?;
-        let b1 = alloc.alloc(half_lines)?;
+        let pipe = Pipe::new(alloc, half_lines)?;
         let barrier = Barrier::new(alloc, num_cores)?;
-        Ok(OnesidedGroup { notify, done, bufs: [b0, b1], barrier, seq: 0 })
+        Ok(OnesidedGroup { pipe, barrier, turn: alloc.alloc(1)?, seq: 0 })
     }
 
     pub fn with_defaults(
@@ -65,68 +61,19 @@ impl OnesidedGroup {
     }
 
     pub fn release(self, alloc: &mut MpbAllocator) {
-        alloc.free(self.notify);
-        alloc.free(self.done);
-        alloc.free(self.bufs[0]);
-        alloc.free(self.bufs[1]);
+        self.pipe.release(alloc);
         self.barrier.release(alloc);
+        alloc.free(self.turn);
     }
 
-    fn chunk_bytes(&self) -> usize {
-        self.bufs[0].lines * CACHE_LINE_BYTES
-    }
-
-    fn chunks_of(&self, bytes: usize) -> usize {
-        bytes_to_lines(bytes).div_ceil(self.bufs[0].lines).max(1)
-    }
-
-    /// Pipelined producer side of one transfer; drains before returning
-    /// (partners change between transfers).
-    fn push<R: Rma>(&self, c: &mut R, dst: CoreId, src: MemRange, seq_base: u32) -> RmaResult<()> {
-        let n = self.chunks_of(src.len);
-        let chunk_bytes = self.chunk_bytes();
-        let mut off = 0usize;
-        let mut last = [0u32; 2];
-        for i in 0..n {
-            let seq = seq_base + i as u32 + 1;
-            let h = i % 2;
-            if last[h] > 0 {
-                c.flag_wait_local(self.done.line(h), &mut |v| v.0 >= last[h])?;
-            }
-            let len = (src.len - off).min(chunk_bytes);
-            if len > 0 {
-                c.put_from_mem(src.slice(off, len), MpbAddr::new(dst, self.bufs[h].first_line))?;
-            }
-            c.flag_put(MpbAddr::new(dst, self.notify.line(h)), FlagValue(seq))?;
-            last[h] = seq;
-            off += len;
-        }
-        for (h, &seq) in last.iter().enumerate() {
-            if seq > 0 {
-                c.flag_wait_local(self.done.line(h), &mut |v| v.0 >= seq)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Consumer side of one transfer.
-    fn pull<R: Rma>(&self, c: &mut R, src: CoreId, dst: MemRange, seq_base: u32) -> RmaResult<()> {
-        let n = self.chunks_of(dst.len);
-        let chunk_bytes = self.chunk_bytes();
-        let me = c.core();
-        let mut off = 0usize;
-        for i in 0..n {
-            let seq = seq_base + i as u32 + 1;
-            let h = i % 2;
-            c.flag_wait_local(self.notify.line(h), &mut |v| v.0 >= seq)?;
-            let len = (dst.len - off).min(chunk_bytes);
-            if len > 0 {
-                c.get_to_mem(MpbAddr::new(me, self.bufs[h].first_line), dst.slice(off, len))?;
-            }
-            c.flag_put(MpbAddr::new(src, self.done.line(h)), FlagValue(seq))?;
-            off += len;
-        }
-        Ok(())
+    /// Reserve one sequence range per core for a rooted collective over
+    /// `msg`; the result maps `j` to core `j`, its slice and the base
+    /// of its range.
+    fn slices(&mut self, msg: MemRange, p: usize) -> impl Fn(usize) -> (CoreId, MemRange, u32) {
+        let stride = self.pipe.chunks_of(slice_range(msg, p, 0).len.max(1)) as u32;
+        let base = self.seq;
+        self.seq += p as u32 * stride;
+        move |j| (CoreId(j as u8), slice_range(msg, p, j), base + j as u32 * stride)
     }
 
     /// Scatter: the `root`'s `msg` buffer is cut into `P` slices; core
@@ -137,30 +84,20 @@ impl OnesidedGroup {
         if msg.len == 0 || p <= 1 {
             return Ok(());
         }
-        let me = c.core();
-        let max_chunks = self.chunks_of(slice_range(msg, p, 0).len.max(1)) as u32;
-        let base = self.seq;
-        self.seq += p as u32 * max_chunks;
-
-        if me == root {
-            for j in 0..p {
-                if j == root.index() {
-                    continue;
-                }
-                let slice = slice_range(msg, p, j);
-                if slice.len > 0 {
-                    self.push(c, CoreId(j as u8), slice, base + j as u32 * max_chunks)?;
-                }
+        let slice_of = self.slices(msg, p);
+        if c.core() == root {
+            for j in (0..p).filter(|&j| j != root.index()) {
+                let (to, slice, seq_base) = slice_of(j);
+                self.pipe.push(c, to, slice, seq_base, false, None)?;
+                // Changing receiver: drain.
+                self.pipe.drain(c)?;
             }
         } else {
-            let slice = slice_range(msg, p, me.index());
-            if slice.len > 0 {
-                self.pull(c, root, slice, base + me.index() as u32 * max_chunks)?;
-            }
+            let (_, slice, seq_base) = slice_of(c.core().index());
+            self.pipe.pull(c, root, slice, seq_base, None)?;
         }
         // Collective boundary (next collective may have different pairs).
-        self.barrier.wait(c)?;
-        Ok(())
+        self.barrier.wait(c)
     }
 
     /// Gather: core `j`'s slice `j` lands in the root's buffer; the
@@ -170,41 +107,30 @@ impl OnesidedGroup {
         if msg.len == 0 || p <= 1 {
             return Ok(());
         }
-        let me = c.core();
-        let max_chunks = self.chunks_of(slice_range(msg, p, 0).len.max(1)) as u32;
-        let base = self.seq;
-        self.seq += p as u32 * max_chunks;
-
+        let slice_of = self.slices(msg, p);
         // The root's two MPB halves are the shared resource: producers
         // must take turns, or their chunks and sequence flags clobber
-        // each other. The root grants turn `j` (a flag in producer j's
-        // own MPB, unused during a gather) right before pulling from j.
-        let turn_base = base + p as u32 * max_chunks;
-        self.seq += p as u32;
-        if me == root {
-            for j in 0..p {
-                if j == root.index() {
-                    continue;
-                }
-                let slice = slice_range(msg, p, j);
+        // each other. The root grants producer `j` its turn (the first
+        // sequence of `j`'s range, in `j`'s own MPB) right before
+        // pulling from it.
+        let turn = SeqFlag { line: self.turn.first_line };
+        if c.core() == root {
+            for j in (0..p).filter(|&j| j != root.index()) {
+                let (from, slice, seq_base) = slice_of(j);
                 if slice.len > 0 {
-                    c.flag_put(
-                        MpbAddr::new(CoreId(j as u8), self.notify.line(0)),
-                        FlagValue(turn_base + j as u32 + 1),
-                    )?;
-                    self.pull(c, CoreId(j as u8), slice, base + j as u32 * max_chunks)?;
+                    turn.signal(c, from, seq_base + 1)?;
+                    self.pipe.pull(c, from, slice, seq_base, None)?;
                 }
             }
         } else {
-            let slice = slice_range(msg, p, me.index());
+            let (_, slice, seq_base) = slice_of(c.core().index());
             if slice.len > 0 {
-                let my_turn = turn_base + me.index() as u32 + 1;
-                c.flag_wait_local(self.notify.line(0), &mut |v| v.0 >= my_turn)?;
-                self.push(c, root, slice, base + me.index() as u32 * max_chunks)?;
+                turn.wait_ge(c, seq_base + 1)?;
+                self.pipe.push(c, root, slice, seq_base, false, None)?;
+                self.pipe.drain(c)?;
             }
         }
-        self.barrier.wait(c)?;
-        Ok(())
+        self.barrier.wait(c)
     }
 
     /// Personalized all-to-all: `send` holds `P` slices (slice `j` is
@@ -234,58 +160,24 @@ impl OnesidedGroup {
             c.mem_read(mine_src.offset, &mut buf)?;
             c.mem_write(mine_dst.offset, &buf)?;
         }
-        if p <= 1 {
-            return Ok(());
-        }
 
-        let max_chunks = self.chunks_of(slice_range(send, p, 0).len.max(1)) as u32;
+        let max_chunks = self.pipe.chunks_of(slice_range(send, p, 0).len.max(1)) as u32;
         for r in 1..p {
             let to = (me + r) % p;
             let from = (me + p - r) % p;
-            let base = self.seq;
-            self.seq += 2 * max_chunks;
-            let out = slice_range(send, p, to);
-            let inc = slice_range(recv, p, from);
-            // Each round is a permutation (shift by r). The op order
-            // must break the rendezvous cycle along each shift-cycle:
-            // the minimum member of a cycle pulls first and everyone
-            // else pushes first, so completions unwind around the
-            // cycle (a parity rule deadlocks when the shift is even —
-            // all members of a cycle share parity). The barrier
-            // separates rounds because partners change.
-            if pulls_first(me, r, p) {
-                if inc.len > 0 {
-                    self.pull(c, CoreId(from as u8), inc, base)?;
-                }
-                if out.len > 0 {
-                    self.push(c, CoreId(to as u8), out, base)?;
-                }
-            } else {
-                if out.len > 0 {
-                    self.push(c, CoreId(to as u8), out, base)?;
-                }
-                if inc.len > 0 {
-                    self.pull(c, CoreId(from as u8), inc, base)?;
-                }
-            }
+            let out = (CoreId(to as u8), slice_range(send, p, to), None);
+            let inc = (CoreId(from as u8), slice_range(recv, p, from), None);
+            // Each round is a permutation (shift by r) whose cycles all
+            // push and pull at once: the lagged exchange keeps them
+            // from wedging. The barrier separates rounds because
+            // partners change — and proves the window empty.
+            self.pipe.exchange(c, out, inc, self.seq, false)?;
+            self.seq += max_chunks;
             self.barrier.wait(c)?;
+            self.pipe.quiesced();
         }
         Ok(())
     }
-}
-
-/// True iff `me` is the minimum member of its cycle under the shift-by
-/// `r` permutation of `0..p` — the designated pull-first member that
-/// breaks the round's rendezvous cycle.
-fn pulls_first(me: usize, r: usize, p: usize) -> bool {
-    let mut m = (me + r) % p;
-    while m != me {
-        if m < me {
-            return false;
-        }
-        m = (m + r) % p;
-    }
-    true
 }
 
 #[cfg(test)]
@@ -385,36 +277,53 @@ mod tests {
         let _ = recv;
     }
 
-    #[test]
-    fn alltoall_large_slices_and_odd_p() {
-        let p = 5;
-        let len = p * 3 * 96 * 32; // 3 chunks per slice
+    /// `rounds` all-to-alls of `slice_bytes` per pair on one context
+    /// with `half_lines`-line halves; every received byte is checked
+    /// against its (from, to, round) pattern.
+    fn transposes(p: usize, half_lines: usize, slice_bytes: usize, rounds: u8) {
+        let len = p * slice_bytes;
         let rep = run_spmd(&cfg(p), move |c| -> RmaResult<bool> {
             let mut alloc = MpbAllocator::new();
-            let mut g = OnesidedGroup::with_defaults(&mut alloc, p).unwrap();
+            let mut g = OnesidedGroup::new(&mut alloc, p, half_lines).unwrap();
             let send = MemRange::new(0, len);
             let recv = MemRange::new((len + 64).next_multiple_of(32), len);
             let me = c.core().index() as u8;
-            for j in 0..p {
-                let s = slice_range(send, p, j);
-                let fill: Vec<u8> =
-                    (0..s.len).map(|i| (i as u8).wrapping_mul(7) ^ (me * 13 + j as u8)).collect();
-                c.mem_write(s.offset, &fill)?;
-            }
-            g.alltoall(c, send, recv)?;
+            let fill = |from: u8, to: u8, round: u8, i: usize| {
+                (i as u8).wrapping_mul(7) ^ (from * 13 + to + round * 101)
+            };
             let mut ok = true;
-            for j in 0..p {
-                let s = slice_range(MemRange::new(0, len), p, j);
-                let mut buf = vec![0u8; s.len];
-                c.mem_read(recv.offset + s.offset, &mut buf)?;
-                for (i, &b) in buf.iter().enumerate() {
-                    ok &= b == (i as u8).wrapping_mul(7) ^ (j as u8 * 13 + me);
+            for round in 0..rounds {
+                for j in 0..p {
+                    let s = slice_range(send, p, j);
+                    let out: Vec<u8> = (0..s.len).map(|i| fill(me, j as u8, round, i)).collect();
+                    c.mem_write(s.offset, &out)?;
+                }
+                g.alltoall(c, send, recv)?;
+                for j in 0..p {
+                    let got = c.mem_to_vec(slice_range(recv, p, j))?;
+                    ok &= got.iter().enumerate().all(|(i, &b)| b == fill(j as u8, me, round, i));
                 }
             }
             Ok(ok)
         })
-        .unwrap();
-        assert!(rep.results.into_iter().all(|r| r.unwrap()));
+        .unwrap_or_else(|e| panic!("p={p} half={half_lines} slice={slice_bytes}: {e}"));
+        assert!(rep.results.into_iter().all(|r| r.unwrap()), "p={p} half={half_lines}");
+    }
+
+    #[test]
+    fn alltoall_large_slices_and_odd_p() {
+        transposes(5, 96, 3 * 96 * 32, 1); // 3 chunks per slice
+    }
+
+    /// Slices longer than the window, shifts with one cycle and with
+    /// several (even and odd), and a context that is used again: every
+    /// member of a shift cycle pushes and pulls at once, so only the
+    /// interleaving of the two keeps a round from wedging.
+    #[test]
+    fn alltoall_three_chunk_slices_on_a_reused_context() {
+        for p in [4, 6, 7] {
+            transposes(p, 8, 3 * 8 * 32 - 5, 2);
+        }
     }
 
     #[test]

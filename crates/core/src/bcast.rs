@@ -100,7 +100,7 @@ impl Broadcaster {
         match alg {
             Algorithm::OcBcast(cfg) => Ok(Broadcaster::Oc(OcBcast::new(alloc, cfg)?)),
             Algorithm::RmaScatterAllgather => {
-                Ok(Broadcaster::OneSidedSag(RmaSag::with_defaults(alloc, num_cores)?))
+                Ok(Broadcaster::OneSidedSag(RmaSag::new(alloc, num_cores)?))
             }
             other => {
                 Ok(Broadcaster::TwoSided { comm: RcceComm::new(alloc, num_cores)?, alg: other })

@@ -5,30 +5,28 @@
 //!
 //! Same communication structure as the RCCE_comm baseline (binomial
 //! scatter of `P` slices, then `P − 1` ring rounds), but each hop is a
-//! direct RMA pipeline instead of a rendezvous send/receive:
-//!
-//! * the producer `put`s chunks straight into the consumer's MPB
-//!   buffers (two halves, double-buffered) and raises a sequence-valued
-//!   notify flag per half;
-//! * the consumer `get`s each chunk to off-chip memory and raises the
-//!   producer's done flag;
-//! * no ready/sent handshake, no waiting for the partner to arrive —
-//!   the flag discipline alone paces the pipeline, so the producer's
-//!   `put` of chunk `i+1` overlaps the consumer's `get` of chunk `i`.
+//! direct RMA pipeline through one [`Pipe`] instead of a rendezvous
+//! send/receive: the producer `put`s chunks straight into the
+//! consumer's double-buffered MPB halves, the consumer `get`s them to
+//! off-chip memory, and the window's sequence flags alone pace the
+//! two — no ready/sent handshake, no waiting for the partner to arrive.
 //!
 //! Protocol soundness notes (the subtle parts):
 //!
-//! * **Scatter** pairs change from step to step, so a sender fully
-//!   drains each transfer (waits for the final done flags) before
-//!   starting the next one — otherwise a slow previous receiver's late
-//!   done write could clobber the current receiver's and wedge the
-//!   sender. The scatter tree has no cycles, so draining cannot
-//!   deadlock.
+//! * **Scatter** pairs change from step to step, so a sender drains
+//!   each transfer ([`Pipe::drain`]) before starting the next one —
+//!   otherwise a slow previous receiver's late `ready` write could
+//!   clobber the current receiver's and wedge the sender. The scatter
+//!   tree has no cycles, so draining cannot deadlock.
 //! * **Allgather** pairs are fixed (always send to the left
-//!   neighbour), so done lines have a single writer each and sequence
-//!   accounting per buffer half is exact; rounds pipeline through the
-//!   two halves with no drain, and the two-chunk slack is what breaks
-//!   the ring's circular wait.
+//!   neighbour), so `ready` lines have a single writer each and rounds
+//!   pipeline through the two halves with no drain. Every core both
+//!   pushes and pulls in every round, which is a circular wait unless
+//!   the two are interleaved: a round is one [`Pipe::exchange`], whose
+//!   pulls lag its pushes by one chunk. (Pushing a whole slice before
+//!   pulling deadlocks as soon as a slice outgrows the two halves —
+//!   every core then waits on its consumer before serving its
+//!   producer.)
 //! * A trailing dissemination barrier separates consecutive
 //!   collectives: the first puts of a new collective have no
 //!   buffer-occupancy information about forsaken pairs from the
@@ -37,153 +35,35 @@
 
 use crate::scatter_allgather::slice_range;
 use scc_hal::{
-    bytes_to_lines, delivering, spanned, tagged, CoreId, FlagValue, MemRange, MpbAddr, MsgId,
-    Phase, Rma, RmaResult, Span, CACHE_LINE_BYTES,
+    delivering, spanned, CoreId, MemRange, Phase, Rma, RmaResult, Span, CACHE_LINE_BYTES,
 };
-use scc_rcce::{Barrier, MpbAllocator, MpbExhausted, MpbRegion};
+use scc_rcce::{Barrier, MpbAllocator, MpbExhausted, Pipe};
+
+/// Lines per buffer half, mirroring OC-Bcast's chunking.
+const HALF_LINES: usize = 96;
 
 /// One-sided scatter-allgather context (symmetric allocation).
 #[derive(Clone, Debug)]
 pub struct RmaSag {
-    /// Per-half "chunk available" flags in this core's MPB.
-    notify: MpbRegion,
-    /// Per-half "chunk consumed" flags in this core's MPB.
-    done: MpbRegion,
-    /// Two payload halves.
-    bufs: [MpbRegion; 2],
+    pipe: Pipe,
     barrier: Barrier,
     seq: u32,
-    /// Invocation counter for journey annotations (see [`MsgId`]).
+    /// Invocation counter for journey annotations (see [`scc_hal::MsgId`]).
     epoch: u32,
 }
 
 impl RmaSag {
-    /// Reserve two `half_lines` buffers plus four flag lines and the
-    /// trailing barrier's lines. 96-line halves mirror OC-Bcast's
-    /// chunking.
-    pub fn new(
-        alloc: &mut MpbAllocator,
-        num_cores: usize,
-        half_lines: usize,
-    ) -> Result<RmaSag, MpbExhausted> {
-        assert!(half_lines >= 1);
-        let notify = alloc.alloc(2)?;
-        let done = alloc.alloc(2)?;
-        let b0 = alloc.alloc(half_lines)?;
-        let b1 = alloc.alloc(half_lines)?;
+    /// Reserve the window (two 96-line halves plus four flag lines) and
+    /// the barrier's lines.
+    pub fn new(alloc: &mut MpbAllocator, num_cores: usize) -> Result<RmaSag, MpbExhausted> {
+        let pipe = Pipe::new(alloc, HALF_LINES)?;
         let barrier = Barrier::new(alloc, num_cores)?;
-        Ok(RmaSag { notify, done, bufs: [b0, b1], barrier, seq: 0, epoch: 0 })
-    }
-
-    /// Default configuration: 96-line halves.
-    pub fn with_defaults(
-        alloc: &mut MpbAllocator,
-        num_cores: usize,
-    ) -> Result<RmaSag, MpbExhausted> {
-        Self::new(alloc, num_cores, 96)
+        Ok(RmaSag { pipe, barrier, seq: 0, epoch: 0 })
     }
 
     pub fn release(self, alloc: &mut MpbAllocator) {
-        alloc.free(self.notify);
-        alloc.free(self.done);
-        alloc.free(self.bufs[0]);
-        alloc.free(self.bufs[1]);
+        self.pipe.release(alloc);
         self.barrier.release(alloc);
-    }
-
-    fn chunk_bytes(&self) -> usize {
-        self.bufs[0].lines * CACHE_LINE_BYTES
-    }
-
-    fn chunks_of(&self, bytes: usize) -> usize {
-        bytes_to_lines(bytes).div_ceil(self.bufs[0].lines).max(1)
-    }
-
-    /// Producer side of one pipelined transfer: put `src` into `dst`'s
-    /// halves chunk by chunk. `drain` waits for the final done flags
-    /// (required when the next transfer goes to a different core).
-    /// `first_line` is the offset of `src` within the whole message in
-    /// cache lines (journey tags name absolute message lines).
-    #[allow(clippy::too_many_arguments)]
-    fn push<R: Rma>(
-        &self,
-        c: &mut R,
-        dst: CoreId,
-        src: MemRange,
-        seq_base: u32,
-        drain: bool,
-        last_half_seq: &mut [u32; 2],
-        epoch: u32,
-        first_line: u32,
-    ) -> RmaResult<()> {
-        let n = self.chunks_of(src.len);
-        let chunk_bytes = self.chunk_bytes();
-        let me = c.core();
-        let mut off = 0usize;
-        for i in 0..n {
-            let seq = seq_base + i as u32 + 1;
-            let h = i % 2;
-            if last_half_seq[h] > 0 {
-                c.flag_wait_local(self.done.line(h), &mut |v| v.0 >= last_half_seq[h])?;
-            }
-            let len = (src.len - off).min(chunk_bytes);
-            let msg = MsgId::new(epoch, me, dst, first_line + (off / CACHE_LINE_BYTES) as u32);
-            tagged(c, msg, |c| {
-                if len > 0 {
-                    c.put_from_mem_cached(
-                        src.slice(off, len),
-                        MpbAddr::new(dst, self.bufs[h].first_line),
-                    )?;
-                }
-                c.flag_put(MpbAddr::new(dst, self.notify.line(h)), FlagValue(seq))
-            })?;
-            last_half_seq[h] = seq;
-            off += len;
-        }
-        if drain {
-            for (h, seq) in last_half_seq.iter_mut().enumerate() {
-                if *seq > 0 {
-                    let expect = *seq;
-                    c.flag_wait_local(self.done.line(h), &mut |v| v.0 >= expect)?;
-                }
-                *seq = 0;
-            }
-        }
-        Ok(())
-    }
-
-    /// Consumer side: receive a pipelined transfer from `src_core`.
-    /// `first_line` mirrors [`RmaSag::push`].
-    fn pull<R: Rma>(
-        &self,
-        c: &mut R,
-        src_core: CoreId,
-        dst: MemRange,
-        seq_base: u32,
-        epoch: u32,
-        first_line: u32,
-    ) -> RmaResult<()> {
-        let n = self.chunks_of(dst.len);
-        let chunk_bytes = self.chunk_bytes();
-        let me = c.core();
-        let mut off = 0usize;
-        for i in 0..n {
-            let seq = seq_base + i as u32 + 1;
-            let h = i % 2;
-            c.flag_wait_local(self.notify.line(h), &mut |v| v.0 >= seq)?;
-            let len = (dst.len - off).min(chunk_bytes);
-            let line = first_line + (off / CACHE_LINE_BYTES) as u32;
-            if len > 0 {
-                tagged(c, MsgId::new(epoch, src_core, me, line), |c| {
-                    c.get_to_mem(MpbAddr::new(me, self.bufs[h].first_line), dst.slice(off, len))
-                })?;
-            }
-            tagged(c, MsgId::new(epoch, me, src_core, line), |c| {
-                c.flag_put(MpbAddr::new(src_core, self.done.line(h)), FlagValue(seq))
-            })?;
-            off += len;
-        }
-        Ok(())
     }
 
     /// Collective broadcast with the one-sided scatter-allgather
@@ -201,19 +81,20 @@ impl RmaSag {
             let last = slice_range(msg, p, hi - 1);
             msg.slice(first.offset - msg.offset, last.end() - first.offset)
         };
-        // First cache line of a fragment within the whole message.
-        let first_line = |r: MemRange| ((r.offset - msg.offset) / CACHE_LINE_BYTES) as u32;
         let epoch = self.epoch;
         self.epoch += 1;
+        // Journey tags name absolute message lines: a fragment's tag is
+        // its first cache line within the whole message.
+        let tag = |r: MemRange| Some((epoch, ((r.offset - msg.offset) / CACHE_LINE_BYTES) as u32));
 
         // Deterministic sequence budget: scatter steps are numbered by
         // halving depth, allgather rounds after them; every transfer
         // gets a disjoint, globally agreed seq range.
-        let max_group_chunks = self.chunks_of(msg.len) as u32 + 1;
+        let max_group_chunks = self.pipe.chunks_of(msg.len) as u32 + 1;
         let scatter_steps = (p as f64).log2().ceil() as u32;
         let base = self.seq;
         let ag_base = base + scatter_steps * max_group_chunks;
-        let slice_chunks = self.chunks_of(slice_range(msg, p, 0).len.max(1)) as u32;
+        let slice_chunks = self.pipe.chunks_of(slice_range(msg, p, 0).len.max(1)) as u32;
         self.seq = ag_base + (p as u32 - 1) * slice_chunks;
 
         // ---- one-sided scatter (recursive halving) --------------------
@@ -222,27 +103,16 @@ impl RmaSag {
                 let mut lo = 0usize;
                 let mut hi = p;
                 let mut step = 0u32;
-                let mut last_half_seq = [0u32; 2];
                 while hi - lo > 1 {
                     let mid = lo + (hi - lo).div_ceil(2);
                     let group = slices(mid, hi);
                     let seq_base = base + step * max_group_chunks;
-                    if group.len > 0 {
-                        if rr == lo {
-                            // Changing receiver next step: drain.
-                            self.push(
-                                c,
-                                abs(mid),
-                                group,
-                                seq_base,
-                                true,
-                                &mut last_half_seq,
-                                epoch,
-                                first_line(group),
-                            )?;
-                        } else if rr == mid {
-                            self.pull(c, abs(lo), group, seq_base, epoch, first_line(group))?;
-                        }
+                    if rr == lo {
+                        // Changing receiver next step: drain.
+                        self.pipe.push(c, abs(mid), group, seq_base, true, tag(group))?;
+                        self.pipe.drain(c)?;
+                    } else if rr == mid {
+                        self.pipe.pull(c, abs(lo), group, seq_base, tag(group))?;
                     }
                     if rr < mid {
                         hi = mid;
@@ -266,36 +136,23 @@ impl RmaSag {
             let left = abs((rr + p - 1) % p);
             let right = abs((rr + 1) % p);
             spanned(c, Span::of(Phase::Allgather), |c| {
-                let mut half_seq = [0u32; 2];
                 for r in 0..p - 1 {
                     let out = slice_range(msg, p, (rr + r) % p);
                     let inc = slice_range(msg, p, (rr + r + 1) % p);
                     let seq_base = ag_base + r as u32 * slice_chunks;
                     spanned(c, Span::new(Phase::Round, r as u32), |c| {
-                        if out.len > 0 {
-                            self.push(
-                                c,
-                                left,
-                                out,
-                                seq_base,
-                                false,
-                                &mut half_seq,
-                                epoch,
-                                first_line(out),
-                            )?;
-                        }
-                        if inc.len > 0 {
-                            self.pull(c, right, inc, seq_base, epoch, first_line(inc))?;
-                        }
-                        Ok(())
+                        let (out, inc) = ((left, out, tag(out)), (right, inc, tag(inc)));
+                        self.pipe.exchange(c, out, inc, seq_base, true)
                     })?;
                 }
                 Ok(())
             })?;
 
             // Collective boundary: nobody may reuse buffers/flags until
-            // every core has consumed its final chunks.
+            // every core has consumed its final chunks — after which
+            // the window is known empty.
             spanned(c, Span::new(Phase::Barrier, 1), |c| self.barrier.wait(c))?;
+            self.pipe.quiesced();
             Ok(())
         })
     }
@@ -316,21 +173,31 @@ mod tests {
     }
 
     fn check(p: usize, root: u8, len: usize) {
-        let msg = pattern(len, root);
-        let expect = msg.clone();
-        let rep = run_spmd(&cfg(p), move |c| -> RmaResult<Vec<u8>> {
+        check_rounds(p, &[root], len);
+    }
+
+    /// One broadcast per root, back to back on one context, the payload
+    /// (seeded by the root) verified at every core after each.
+    fn check_rounds(p: usize, roots: &[u8], len: usize) {
+        let rounds = roots.to_vec();
+        let rep = run_spmd(&cfg(p), move |c| -> RmaResult<bool> {
             let mut alloc = MpbAllocator::new();
-            let mut sag = RmaSag::with_defaults(&mut alloc, c.num_cores()).unwrap();
-            let r = MemRange::new(0, msg.len());
-            if c.core() == CoreId(root) {
-                c.mem_write(0, &msg)?;
+            let mut sag = RmaSag::new(&mut alloc, c.num_cores()).unwrap();
+            let r = MemRange::new(0, len);
+            let mut ok = true;
+            for &root in &rounds {
+                let msg = pattern(len, root);
+                if c.core() == CoreId(root) {
+                    c.mem_write(0, &msg)?;
+                }
+                sag.bcast(c, CoreId(root), r)?;
+                ok &= c.mem_to_vec(r)? == msg;
             }
-            sag.bcast(c, CoreId(root), r)?;
-            c.mem_to_vec(r)
+            Ok(ok)
         })
-        .unwrap_or_else(|e| panic!("p={p} root={root} len={len}: {e}"));
+        .unwrap_or_else(|e| panic!("p={p} roots={roots:?} len={len}: {e}"));
         for (i, r) in rep.results.iter().enumerate() {
-            assert_eq!(r.as_ref().unwrap(), &expect, "core {i} (p={p}, len={len})");
+            assert!(*r.as_ref().unwrap(), "core {i} (p={p}, roots={roots:?}, len={len})");
         }
     }
 
@@ -354,11 +221,22 @@ mod tests {
         check(48, 0, 100); // empty slices
     }
 
+    /// More than two chunks per slice (> 192 CL): a ring round no
+    /// longer fits the window, and pushing a whole slice before pulling
+    /// parks every core on its `ready` flag (`SimError::Deadlock`).
+    #[test]
+    fn slices_longer_than_the_window() {
+        for (p, lines) in [(4usize, 193usize), (8, 300), (48, 193)] {
+            check(p, 0, p * lines * 32);
+        }
+        check_rounds(24, &[0, 5, 10], 24 * 200 * 32);
+    }
+
     #[test]
     fn repeated_collectives() {
         let rep = run_spmd(&cfg(8), |c| -> RmaResult<bool> {
             let mut alloc = MpbAllocator::new();
-            let mut sag = RmaSag::with_defaults(&mut alloc, 8).unwrap();
+            let mut sag = RmaSag::new(&mut alloc, 8).unwrap();
             let mut ok = true;
             for round in 0..4u8 {
                 let len = 1000 + round as usize * 3777;
@@ -395,7 +273,7 @@ mod tests {
                 }
                 match which {
                     0 => {
-                        let mut sag = RmaSag::with_defaults(&mut alloc, 24).unwrap();
+                        let mut sag = RmaSag::new(&mut alloc, 24).unwrap();
                         sag.bcast(c, CoreId(0), r)
                     }
                     1 => {

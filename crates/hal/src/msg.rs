@@ -51,15 +51,15 @@ impl fmt::Display for MsgId {
     }
 }
 
-/// Run `f` with every timed operation tagged as carrying `msg`. The tag
-/// is cleared on the way out — on the error path too — so operations
-/// outside the bracket never inherit a stale identity.
+/// Run `f` with every timed operation tagged as carrying `msg` (`None`:
+/// untagged). The tag is cleared on the way out — on the error path too
+/// — so operations outside the bracket never inherit a stale identity.
 pub fn tagged<R: Rma + ?Sized, T>(
     c: &mut R,
-    msg: MsgId,
+    msg: impl Into<Option<MsgId>>,
     f: impl FnOnce(&mut R) -> RmaResult<T>,
 ) -> RmaResult<T> {
-    c.msg_tag(Some(msg));
+    c.msg_tag(msg.into());
     let out = f(c);
     c.msg_tag(None);
     out

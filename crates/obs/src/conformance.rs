@@ -214,7 +214,7 @@ impl ExperimentReport {
 #[derive(Clone, Debug, PartialEq)]
 pub struct ConformanceReport {
     pub schema: i64,
-    /// Whether the run used reduced sweeps (`SCC_BENCH_QUICK=1`).
+    /// Whether the run used reduced sweeps (`observatory --quick`).
     /// Quick and full runs measure different points, so the drift gate
     /// refuses to compare across modes.
     pub quick: bool,

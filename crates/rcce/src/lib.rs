@@ -11,9 +11,9 @@
 //! * [`sendrecv`] — blocking, chunked two-sided send/receive with the
 //!   RCCE ready/sent handshake;
 //! * [`barrier`] — dissemination barrier;
-//! * [`pipe`] — iRCCE-style pipelined point-to-point transfer between
-//!   a fixed pair of cores (the double-buffering blueprint the paper
-//!   borrows in Section 4.2).
+//! * [`pipe`] — the double-buffered one-sided window (iRCCE's
+//!   pipelining, the blueprint the paper borrows in Section 4.2) that
+//!   every one-sided pipeline of `oc-bcast` pushes and pulls through.
 
 pub mod alloc;
 pub mod barrier;

@@ -42,14 +42,14 @@ proptest! {
         let expect = msg.clone();
         let rep = run_spmd(&cfg(2), move |c| -> RmaResult<Option<Vec<u8>>> {
             let mut alloc = MpbAllocator::new();
-            let mut pipe = Pipe::between(&mut alloc, CoreId(0), CoreId(1), half).unwrap();
+            let mut pipe = Pipe::new(&mut alloc, half).unwrap();
             let r = MemRange::new(0, msg.len());
             if c.core().index() == 0 {
                 c.mem_write(0, &msg)?;
-                pipe.send(c, r)?;
+                pipe.push(c, CoreId(1), r, 0, false, None)?;
                 Ok(None)
             } else {
-                pipe.recv(c, r)?;
+                pipe.pull(c, CoreId(0), r, 0, None)?;
                 Ok(Some(c.mem_to_vec(r)?))
             }
         }).unwrap();

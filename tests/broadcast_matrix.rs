@@ -67,6 +67,7 @@ fn algorithms() -> Vec<Algorithm> {
         Algorithm::oc_with_k(47),
         Algorithm::Binomial,
         Algorithm::ScatterAllgather,
+        Algorithm::RmaScatterAllgather,
     ]
 }
 
@@ -141,15 +142,22 @@ fn sim_various_roots() {
 }
 
 #[test]
-fn sim_one_megabyte_oc() {
-    // The largest message of Figure 8b.
-    check_sim(12, Setup::plain(Algorithm::oc_default()), 0, 1 << 20);
+fn sim_one_megabyte() {
+    // The largest message of Figure 8b: 2 731 CL per slice, far past
+    // the two chunks a one-sided window holds.
+    for alg in
+        [Algorithm::oc_default(), Algorithm::ScatterAllgather, Algorithm::RmaScatterAllgather]
+    {
+        check_sim(12, Setup::plain(alg), 0, 1 << 20);
+    }
 }
 
 #[test]
 fn rt_all_algorithms() {
     for alg in algorithms() {
         check_rt(6, Setup::plain(alg), 0, 5000);
+        // Slices longer than a double-buffered window, context reused.
+        check_rt(4, Setup { rounds: 2, ..Setup::plain(alg) }, 1, 4 * 200 * 32);
     }
 }
 
