@@ -1,7 +1,6 @@
 //! Record one broadcast and emit every observability artifact at once:
 //!
-//! * a text Gantt + per-core op summary on stdout (the quick look that
-//!   used to be the `gantt` binary);
+//! * a text Gantt + per-core op summary on stdout (the quick look);
 //! * `results/trace_<label>.json` — Chrome trace_event JSON, loadable
 //!   in Perfetto (`ui.perfetto.dev`): one track per core with ops,
 //!   parked intervals and protocol-phase spans, plus one track per
@@ -11,20 +10,20 @@
 //! * a critical-path report on stdout (latency attributed to op
 //!   service, port/router/MC queueing, compute and idle), with the
 //!   invariant `sum(segments) == makespan` asserted;
-//! * `BENCH_obs.json` — the machine-readable roll-up CI checks.
+//! * `results/BENCH_obs.json` — the machine-readable roll-up.
 //!
 //! Run: `cargo run --release -p scc-bench --bin trace -- \
 //!        --collective ocbcast --lines 96 [--cores 48] [--k 7] \
 //!        [--buckets 60] [--width 100] [--out results]`
 
-use oc_bcast::{Algorithm, Broadcaster, OcConfig};
-use scc_hal::{CoreId, MemRange, Rma, RmaResult, Time};
+use oc_bcast::{Algorithm, OcConfig};
+use scc_bench::{record_run, Scenario};
+use scc_hal::Time;
 use scc_obs::{
-    chrome_trace_json, critical_path, flamegraph_collapsed, validate_json, Json, ObsEvent,
-    UtilizationSeries, ARTIFACT_VERSION,
+    chrome_trace_json, critical_path, flamegraph_collapsed, render_gantt, summarize, validate_json,
+    Json, ObsEvent, UtilizationSeries, ARTIFACT_VERSION,
 };
-use scc_rcce::MpbAllocator;
-use scc_sim::{render_gantt, run_spmd, summarize, SimConfig};
+use scc_sim::SimParams;
 
 struct Opts {
     collective: String,
@@ -63,6 +62,11 @@ fn parse_opts() -> Opts {
     if !(1..=48).contains(&o.cores) {
         die("--cores must be in 1..=48");
     }
+    for (flag, v, min) in [("--k", o.k, 1), ("--buckets", o.buckets, 1), ("--width", o.width, 10)] {
+        if v < min {
+            die(&format!("{flag} must be at least {min}"));
+        }
+    }
     o
 }
 
@@ -75,9 +79,7 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Write an artifact, exiting nonzero with the path and OS error on
-/// failure (a missing results dir or a read-only checkout must not
-/// surface as a panic backtrace).
+/// Write an artifact; a read-only checkout is a `die`, not a backtrace.
 fn write_artifact(path: &str, contents: &str) {
     std::fs::write(path, contents).unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
 }
@@ -96,40 +98,19 @@ fn main() {
     let o = parse_opts();
     let alg = algorithm(&o);
     let p = o.cores;
-    let bytes = o.lines * 32;
     let label = format!("{}_{}cl", o.collective, o.lines);
 
-    let cfg = SimConfig {
-        num_cores: p,
-        mem_bytes: (bytes.next_power_of_two()).max(1 << 20),
-        trace: true,
-        record: true,
-        ..SimConfig::default()
-    };
-    let rep = run_spmd(&cfg, move |c| -> RmaResult<()> {
-        let mut alloc = MpbAllocator::new();
-        let mut b = Broadcaster::new(&mut alloc, alg, p).expect("MPB layout fits");
-        let r = MemRange::new(0, bytes);
-        if c.core().index() == 0 {
-            let payload: Vec<u8> = (0..bytes).map(|i| (i % 253) as u8).collect();
-            c.mem_write(0, &payload)?;
-        }
-        b.bcast(c, CoreId(0), r)
-    })
-    .expect("simulation");
-    for r in &rep.results {
-        r.as_ref().expect("core ok");
-    }
-    let events = rep.events.as_deref().expect("recording enabled");
+    // An MPB layout that does not fit fails every core, not the process.
+    let (events, makespan) = record_run(&Scenario::new(alg, p, o.lines), SimParams::default())
+        .unwrap_or_else(|e| die(&format!("{} cannot run (is --k too large?): {e}", alg.label())));
+    let events = events.as_slice();
 
     // ---- quick look: Gantt + per-core summary --------------------------
     println!("{} — {} cache lines, P={p}, one broadcast\n", alg.label(), o.lines);
-    let trace = rep.trace.as_deref().expect("trace enabled");
-    print!("{}", render_gantt(trace, p, o.width));
+    print!("{}", render_gantt(events, p, o.width));
     println!();
-    let summary = summarize(trace, p);
     println!("{:>4} {:>6} {:>7} {:>12} {:>12}", "core", "ops", "lines", "busy", "polling");
-    for (i, s) in summary.per_core.iter().enumerate() {
+    for (i, s) in summarize(events, p).iter().enumerate() {
         println!(
             "{:>4} {:>6} {:>7} {:>12} {:>12}",
             format!("C{i}"),
@@ -140,13 +121,24 @@ fn main() {
         );
     }
     println!();
-    let span = rep.makespan.as_ns_f64();
-    println!("makespan: {}  ({} events recorded)", rep.makespan, events.len());
+    let span = makespan.as_ns_f64();
+    println!("makespan: {makespan}  ({} events recorded)", events.len());
+    // Service time booked on a resource class: the stream's `Wait`s
+    // carry exactly what `SimStats::{port,router,mc}_busy` sum.
+    let busy = |class: &str| -> f64 {
+        let booked = events.iter().filter_map(|ev| match *ev {
+            ObsEvent::Wait { resource, start, end, .. } if resource.class() == class => {
+                Some(end - start)
+            }
+            _ => None,
+        });
+        booked.sum::<Time>().as_ns_f64()
+    };
     println!(
         "utilization — MPB ports: {:.1}%  routers: {:.2}%  memory controllers: {:.1}%",
-        rep.stats.port_busy.as_ns_f64() / (span * 24.0) * 100.0,
-        rep.stats.router_busy.as_ns_f64() / (span * 24.0) * 100.0,
-        rep.stats.mc_busy.as_ns_f64() / (span * 4.0) * 100.0,
+        busy("port") / (span * 24.0) * 100.0,
+        busy("router") / (span * 24.0) * 100.0,
+        busy("mc") / (span * 4.0) * 100.0,
     );
 
     // ---- critical path -------------------------------------------------
@@ -155,13 +147,7 @@ fn main() {
     print!("{}", cp.render());
     let b = cp.breakdown();
     assert_eq!(b.total(), cp.total(), "critical-path segments must sum exactly to the path length");
-    assert_eq!(
-        cp.total(),
-        rep.makespan,
-        "critical path must cover the whole broadcast: {} vs {}",
-        cp.total(),
-        rep.makespan
-    );
+    assert_eq!(cp.total(), makespan, "critical path must cover the whole broadcast");
 
     // ---- artifacts -----------------------------------------------------
     std::fs::create_dir_all(&o.out)
@@ -171,7 +157,7 @@ fn main() {
     let trace_path = format!("{}/trace_{label}.json", o.out);
     write_artifact(&trace_path, &chrome);
 
-    let series = UtilizationSeries::build(events, rep.makespan, o.buckets);
+    let series = UtilizationSeries::build(events, makespan, o.buckets);
     let csv_path = format!("{}/util_{label}.csv", o.out);
     write_artifact(&csv_path, &series.to_csv());
 
@@ -180,6 +166,7 @@ fn main() {
     write_artifact(&flame_path, &flame);
 
     let us = |t: Time| Json::Num(t.as_us_f64());
+    let spans = events.iter().filter(|e| matches!(e, ObsEvent::SpanBegin { .. })).count();
     let mut peak = Json::obj();
     for (class, frac) in series.peak_busy() {
         peak = peak.set(class, Json::Num(frac));
@@ -191,9 +178,9 @@ fn main() {
         .set("label", Json::Str(alg.label()))
         .set("cores", Json::Int(p as i64))
         .set("lines", Json::Int(o.lines as i64))
-        .set("makespan_us", us(rep.makespan))
+        .set("makespan_us", us(makespan))
         .set("events", Json::Int(events.len() as i64))
-        .set("spans", Json::Int(count_spans(events) as i64))
+        .set("spans", Json::Int(spans as i64))
         .set(
             "critical_path",
             Json::obj()
@@ -209,23 +196,16 @@ fn main() {
         .set("peak_busy", peak)
         .set(
             "artifacts",
-            Json::Arr(vec![
-                Json::Str(trace_path.clone()),
-                Json::Str(csv_path.clone()),
-                Json::Str(flame_path.clone()),
-            ]),
+            Json::Arr([&trace_path, &csv_path, &flame_path].map(|p| Json::Str(p.clone())).into()),
         );
     let rendered = bench.render();
     validate_json(&rendered).expect("BENCH_obs.json is valid");
-    write_artifact("BENCH_obs.json", &(rendered + "\n"));
+    let bench_path = format!("{}/BENCH_obs.json", o.out);
+    write_artifact(&bench_path, &(rendered + "\n"));
 
     println!();
     println!("# wrote {trace_path} (open in ui.perfetto.dev)");
     println!("# wrote {csv_path}");
     println!("# wrote {flame_path} (collapsed stacks for inferno/speedscope)");
-    println!("# wrote BENCH_obs.json");
-}
-
-fn count_spans(events: &[ObsEvent]) -> usize {
-    events.iter().filter(|e| matches!(e, ObsEvent::SpanBegin { .. })).count()
+    println!("# wrote {bench_path}");
 }

@@ -298,7 +298,9 @@ pub fn audit(events: &[ObsEvent], spec: &AuditSpec) -> AuditReport {
     // ---- single forward pass over the stream ----
     // Per-core protocol state: dense tables, so every end-of-instant
     // and end-of-stream report below comes out in core order by
-    // construction.
+    // construction. The span stack and park table are exact-match on
+    // purpose, not `crate::lanes::Lanes`: this pass reports the closes
+    // that tolerant rule absorbs (`SpanNesting`, `ParkWake`).
     let mut span_stack: PerCore<Vec<Span>> = PerCore::new();
     let mut parked: PerCore<Option<usize>> = PerCore::new();
     let mut seen_parkish: PerCore<bool> = PerCore::new();

@@ -19,9 +19,10 @@
 //! The writer is one pass into one `String`: every event is appended
 //! in place, piece by piece, with no per-event temporaries.
 
-use crate::event::{ObsEvent, OpKind, ResourceId};
+use crate::event::{ObsEvent, ResourceId};
+use crate::lanes::{Closed, Lanes};
 use crate::percore::PerCore;
-use scc_hal::{Span, Time};
+use scc_hal::Time;
 use std::fmt::{self, Write as _};
 
 /// Track (tid) layout inside the resource process: stable, readable
@@ -60,8 +61,8 @@ const COMPLETE: &str = "{\"ph\":\"X\",\"pid\":";
 const INSTANT: &str = "{\"ph\":\"i\",\"s\":\"t\",\"pid\":";
 
 /// The output document under construction. An event is written as
-/// `complete`/`instant`/`phase`, then zero or more `arg_*`, then
-/// `close`.
+/// `complete`/`instant`, then zero or more `arg_*`, then `close` —
+/// or, for what [`Lanes`] closed, as one `closed`.
 struct Emitter {
     out: String,
     first: bool,
@@ -117,13 +118,26 @@ impl Emitter {
         self.ts_dur(start, end);
     }
 
-    /// A complete event on a core track for one protocol-phase span.
-    fn phase(&mut self, tid: usize, span: Span, begin: Time, end: Time) {
-        self.head(COMPLETE, 0, tid, "phase");
-        self.out.push_str(span.phase.name());
-        self.out.push(' ');
-        push_uint(&mut self.out, span.arg as u64, 1);
-        self.ts_dur(begin, end);
+    /// What [`Lanes`] closed, as a complete event on its core's track:
+    /// a protocol-phase span, or a parked interval carrying the wake's
+    /// line and writer.
+    fn closed(&mut self, closed: Closed) {
+        match closed {
+            Closed::Span { core, span, begin, end, .. } => {
+                self.head(COMPLETE, 0, core.index(), "phase");
+                self.out.push_str(span.phase.name());
+                self.out.push(' ');
+                push_uint(&mut self.out, span.arg as u64, 1);
+                self.ts_dur(begin, end);
+            }
+            Closed::Park { core, begin, end, wake } => {
+                self.complete(0, core.index(), "sched", "parked", begin, end);
+                if let Some((line, writer)) = wake {
+                    self.arg_uint("line", line);
+                    self.arg_uint("writer", writer.index());
+                }
+            }
+        }
         self.close();
     }
 
@@ -202,10 +216,7 @@ pub fn chrome_trace_json(events: &[ObsEvent]) -> String {
         em.metadata(1, Some(resource_tid(r)), "thread_name", format_args!("{r}"));
     }
 
-    // Per-core open state for park intervals and phase spans.
-    let mut parked_at: PerCore<Option<Time>> = PerCore::new();
-    let mut span_stack: PerCore<Vec<(Span, Time)>> = PerCore::new();
-
+    let mut lanes = Lanes::default();
     for ev in events {
         match *ev {
             ObsEvent::Op { core, kind, lines, start, end, .. } => {
@@ -217,29 +228,19 @@ pub fn chrome_trace_json(events: &[ObsEvent]) -> String {
                 em.complete(0, core.index(), "op", "compute", start, end);
                 em.close();
             }
-            ObsEvent::Park { core, at, .. } => {
-                *parked_at.at(core) = Some(at);
-            }
-            ObsEvent::Wake { core, at, writer, line } => {
-                if let Some(p) = parked_at.take(core) {
-                    em.complete(0, core.index(), "sched", "parked", p, at);
-                    em.arg_uint("line", line);
-                    em.arg_uint("writer", writer.index());
-                    em.close();
+            // Park intervals and phase spans are drawn when they close.
+            ObsEvent::Park { .. }
+            | ObsEvent::Wake { .. }
+            | ObsEvent::SpanBegin { .. }
+            | ObsEvent::SpanEnd { .. } => {
+                if let Some(closed) = lanes.step(ev) {
+                    em.closed(closed);
                 }
             }
             ObsEvent::Handoff { from, to, at } => {
                 em.instant(0, to.index(), "sched", "handoff", at);
                 em.arg_uint("from", from.index());
                 em.close();
-            }
-            ObsEvent::SpanBegin { core, span, at } => {
-                span_stack.at(core).push((span, at));
-            }
-            ObsEvent::SpanEnd { core, at, .. } => {
-                if let Some((span, begin)) = span_stack.at(core).pop() {
-                    em.phase(core.index(), span, begin, at);
-                }
             }
             ObsEvent::Wait { core, resource, arrival, start, end, .. } => {
                 if contended[resource.index()] {
@@ -271,38 +272,19 @@ pub fn chrome_trace_json(events: &[ObsEvent]) -> String {
 
     // Close anything left open (deadlocked parks, unbalanced spans) at
     // the horizon so the trace stays well-formed.
-    for (core, p) in parked_at.iter() {
-        if let Some(p) = *p {
-            em.complete(0, core.index(), "sched", "parked", p, horizon);
-            em.close();
-        }
-    }
-    for (core, stack) in span_stack.iter() {
-        for &(span, begin) in stack.iter().rev() {
-            em.phase(core.index(), span, begin, horizon);
-        }
+    for closed in lanes.finish(horizon) {
+        em.closed(closed);
     }
 
     em.finish()
 }
 
-/// Which op kinds appear in a stream — exporters and text renderers use
-/// this to build legends that cannot drift from the data.
-pub fn kinds_present(events: &[ObsEvent]) -> Vec<OpKind> {
-    let mut present: Vec<OpKind> = Vec::new();
-    for k in OpKind::ALL {
-        if events.iter().any(|e| matches!(*e, ObsEvent::Op { kind, .. } if kind == k)) {
-            present.push(k);
-        }
-    }
-    present
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::OpKind;
     use crate::report::validate_json;
-    use scc_hal::{CoreId, Phase};
+    use scc_hal::{CoreId, Phase, Span};
 
     fn ns(v: u64) -> Time {
         Time::from_ns(v)
@@ -425,28 +407,5 @@ mod tests {
         validate_json(&json).unwrap();
         assert!(json.contains("drain 0"));
         assert!(json.contains("parked"));
-    }
-
-    #[test]
-    fn kinds_present_orders_by_all() {
-        let events = vec![
-            ObsEvent::Op {
-                core: CoreId(0),
-                kind: OpKind::FlagPut,
-                lines: 1,
-                start: ns(0),
-                end: ns(1),
-                msg: None,
-            },
-            ObsEvent::Op {
-                core: CoreId(0),
-                kind: OpKind::PutFromMem,
-                lines: 1,
-                start: ns(1),
-                end: ns(2),
-                msg: None,
-            },
-        ];
-        assert_eq!(kinds_present(&events), vec![OpKind::PutFromMem, OpKind::FlagPut]);
     }
 }

@@ -17,6 +17,7 @@
 
 use crate::critpath::{critical_path, CritPathError, SegmentKind};
 use crate::event::ObsEvent;
+use crate::lanes::Lanes;
 use crate::percore::PerCore;
 use crate::report::Json;
 use scc_hal::{CoreId, Time};
@@ -52,22 +53,12 @@ impl PhaseProfile {
         // Per-core phase timelines: breakpoints (time, innermost phase)
         // from the span edges, in stream order (nondecreasing per core).
         let mut breakpoints: PerCore<Vec<(Time, Option<&'static str>)>> = PerCore::new();
-        let mut stacks: PerCore<Vec<&'static str>> = PerCore::new();
+        let mut lanes = Lanes::default();
         for ev in events {
-            match *ev {
-                ObsEvent::SpanBegin { core, span, at } => {
-                    let stack = stacks.at(core);
-                    stack.push(span.phase.name());
-                    breakpoints.at(core).push((at, stack.last().copied()));
-                }
-                ObsEvent::SpanEnd { core, span, at } => {
-                    let stack = stacks.at(core);
-                    if let Some(pos) = stack.iter().rposition(|f| *f == span.phase.name()) {
-                        stack.truncate(pos);
-                    }
-                    breakpoints.at(core).push((at, stack.last().copied()));
-                }
-                _ => {}
+            if let ObsEvent::SpanBegin { core, at, .. } | ObsEvent::SpanEnd { core, at, .. } = *ev {
+                lanes.step(ev);
+                let innermost = lanes.open_spans(core).last().map(|(span, _)| span.phase.name());
+                breakpoints.at(core).push((at, innermost));
             }
         }
 

@@ -16,7 +16,7 @@ use std::fmt;
 ///
 /// This lives here (rather than in `scc-sim`) so exporters and the
 /// critical-path extractor can name operations without depending on
-/// the simulator; `scc-sim` re-exports it from its `trace` module.
+/// the simulator, which maps its ops onto it (`scc_sim::ops::op_kind`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum OpKind {
     PutFromMem,
@@ -344,10 +344,6 @@ impl FlightRecorder {
     /// counts).
     pub fn new(capacity: usize) -> FlightRecorder {
         FlightRecorder { buf: Vec::with_capacity(capacity), head: 0, seen: 0, capacity }
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// How many events are currently retained (`min(seen, capacity)`).

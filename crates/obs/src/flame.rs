@@ -13,89 +13,59 @@
 //! output lines are sorted so the export is byte-deterministic.
 
 use crate::event::ObsEvent;
+use crate::lanes::Lanes;
 use crate::percore::PerCore;
-use scc_hal::Time;
+use scc_hal::{CoreId, Span, Time};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Fold `events` into collapsed-stack lines with `root` as the common
 /// bottom frame (conventionally the collective's name).
 ///
-/// Each core's timeline is walked once; the span between consecutive
-/// span-boundary instants is charged to the stack open during it. Time
-/// before a core's first event or outside any span is charged to the
-/// `root;core N` frame, so per-core totals equal each core's observed
-/// lifetime and the graph never under-reports.
+/// The stream is walked once; on each core the time between
+/// consecutive span-boundary instants is charged to the stack open
+/// during it. Time before a core's first event or outside any span is
+/// charged to the `root;core N` frame, so per-core totals equal each
+/// core's observed lifetime and the graph never under-reports.
 pub fn flamegraph_collapsed(events: &[ObsEvent], root: &str) -> String {
-    // Per-core boundary instants: (time, open phase-name or None=close).
-    #[derive(Clone, Copy)]
-    enum Edge {
-        Open(&'static str),
-        Close(&'static str),
-    }
-    let mut edges: PerCore<Vec<(Time, Edge)>> = PerCore::new();
-    let mut last_seen: PerCore<Option<Time>> = PerCore::new();
+    let mut weights: BTreeMap<String, u64> = BTreeMap::new();
+    let mut charge = |core: CoreId, stack: &[(Span, Time)], from: Time, to: Time| {
+        if to <= from {
+            return;
+        }
+        let mut key = format!("{root};core {}", core.index());
+        for (span, _) in stack {
+            key.push(';');
+            key.push_str(span.phase.name());
+        }
+        *weights.entry(key).or_insert(0) += (to - from).as_ps();
+    };
+
+    let mut lanes = Lanes::default();
+    // Per core: the instant charged up to, and the last instant seen.
+    let mut clock: PerCore<(Time, Option<Time>)> = PerCore::new();
     for ev in events {
-        match *ev {
-            ObsEvent::SpanBegin { core, span, at } => {
-                edges.at(core).push((at, Edge::Open(span.phase.name())));
-            }
-            ObsEvent::SpanEnd { core, span, at } => {
-                edges.at(core).push((at, Edge::Close(span.phase.name())));
-            }
-            _ => {}
+        if let ObsEvent::SpanBegin { core, at, .. } | ObsEvent::SpanEnd { core, at, .. } = *ev {
+            let upto = &mut clock.at(core).0;
+            charge(core, lanes.open_spans(core), *upto, at);
+            *upto = (*upto).max(at);
+            lanes.step(ev);
         }
         // Track each core's last observed instant so trailing tail time
         // (after the last span closes, up to Finish) is still charged.
         let (actor, other) = ev.cores();
         for c in std::iter::once(actor).chain(other) {
-            let seen = last_seen.at(c);
+            let seen = &mut clock.at(c).1;
             *seen = (*seen).max(Some(ev.at()));
         }
     }
-
-    let mut weights: BTreeMap<String, u64> = BTreeMap::new();
-    for (core, core_edges) in edges.iter().filter(|(_, e)| !e.is_empty()) {
-        let mut stack: Vec<&'static str> = Vec::new();
-        let mut cursor = Time::ZERO;
-        let mut charge = |stack: &[&'static str], from: Time, to: Time| {
-            if to <= from {
-                return;
-            }
-            let mut key = format!("{root};core {}", core.index());
-            for frame in stack {
-                key.push(';');
-                key.push_str(frame);
-            }
-            *weights.entry(key).or_insert(0) += (to - from).as_ps();
-        };
-        for &(at, edge) in core_edges {
-            charge(&stack, cursor, at);
-            cursor = cursor.max(at);
-            match edge {
-                Edge::Open(name) => stack.push(name),
-                Edge::Close(name) => {
-                    // Pop to the matching open; error-path unwinds may
-                    // close an outer span with inner frames still open.
-                    if let Some(pos) = stack.iter().rposition(|f| *f == name) {
-                        stack.truncate(pos);
-                    }
-                }
-            }
-        }
-        // Tail: time after the last span edge up to the core's last
-        // observed instant (Finish, last op completion, …).
-        if let Some(&Some(end)) = last_seen.get(core) {
-            charge(&stack, cursor, end);
-        }
-    }
-    // Cores with activity but no spans still get their lifetime charged
-    // to the root frame, so a span-free trace is a flat (not empty)
-    // graph.
-    for (core, end) in last_seen.iter() {
-        if let Some(end) = end.filter(|_| edges.at(core).is_empty()) {
-            let key = format!("{root};core {}", core.index());
-            *weights.entry(key).or_insert(0) += end.as_ps();
+    // Tail: time after a core's last span edge up to its last observed
+    // instant (Finish, last op completion, …). A core with activity but
+    // no spans is charged its whole lifetime here, so a span-free trace
+    // is a flat (not empty) graph.
+    for (core, &(upto, seen)) in clock.iter() {
+        if let Some(end) = seen {
+            charge(core, lanes.open_spans(core), upto, end);
         }
     }
 

@@ -13,7 +13,7 @@
 //! for rendering.
 
 use crate::event::ObsEvent;
-use crate::percore::PerCore;
+use crate::lanes::{Closed, Lanes};
 use scc_hal::Time;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -116,38 +116,19 @@ pub struct RunHistograms {
 }
 
 impl RunHistograms {
-    /// Build from an event stream. Spans nest per core (LIFO); an
+    /// Build from an event stream. Spans pair by the [`Lanes`] rule: an
     /// unmatched `SpanEnd` is ignored, an unmatched `SpanBegin` simply
     /// never yields a sample — partial streams degrade, they don't
     /// panic.
     pub fn build(events: &[ObsEvent]) -> RunHistograms {
         let mut hg = RunHistograms::default();
-        // Per-core stack of (phase name, begin time).
-        let mut stacks: PerCore<Vec<(&'static str, Time)>> = PerCore::new();
+        let mut lanes = Lanes::default();
         for ev in events {
-            match *ev {
-                ObsEvent::SpanBegin { core, span, at } => {
-                    stacks.at(core).push((span.phase.name(), at));
-                }
-                ObsEvent::SpanEnd { core, span, at } => {
-                    let stack = stacks.at(core);
-                    // Pop to the matching begin; mismatches (error-path
-                    // unwinds) discard the inner frames.
-                    if let Some(pos) =
-                        stack.iter().rposition(|(name, _)| *name == span.phase.name())
-                    {
-                        let (name, begin) = stack[pos];
-                        stack.truncate(pos);
-                        hg.phases.entry(name).or_default().record(at.saturating_sub(begin));
-                    }
-                }
-                ObsEvent::Wait { resource, arrival, start, .. } => {
-                    hg.waits
-                        .entry(resource.class())
-                        .or_default()
-                        .record(start.saturating_sub(arrival));
-                }
-                _ => {}
+            if let Some(Closed::Span { span, begin, end, .. }) = lanes.step(ev) {
+                hg.phases.entry(span.phase.name()).or_default().record(end.saturating_sub(begin));
+            }
+            if let ObsEvent::Wait { resource, arrival, start, .. } = *ev {
+                hg.waits.entry(resource.class()).or_default().record(start.saturating_sub(arrival));
             }
         }
         hg
@@ -163,32 +144,16 @@ impl RunHistograms {
             Some(t) => format!("{:.3}us", t.as_us_f64()),
             None => "—".into(),
         };
-        // Stable order: phases first (protocol order via BTreeMap on
-        // name is alphabetical; fine for a report), then wait classes.
-        let phase_keys: Vec<&'static str> = self.phases.keys().copied().collect();
-        for k in phase_keys {
-            let h = self.phases.get_mut(k).expect("key just listed");
+        // Stable order: phases first (`BTreeMap` on the name is
+        // alphabetical; fine for a report), then wait classes.
+        let phases = self.phases.iter_mut().map(|(k, h)| (format!("phase {k}"), h));
+        let waits = self.waits.iter_mut().map(|(k, h)| (format!("{k}-wait"), h));
+        for (series, h) in phases.chain(waits) {
             let (p50, p90, p99) = (h.quantile(0.50), h.quantile(0.90), h.quantile(0.99));
             let (mx, total, spark) = (h.max(), h.total(), h.sparkline());
             let _ = writeln!(
                 out,
-                "| phase {k} | {} | {} | {} | {} | {} | {:.3}us | `{spark}` |",
-                h.count(),
-                fmt(p50),
-                fmt(p90),
-                fmt(p99),
-                fmt(mx),
-                total.as_us_f64(),
-            );
-        }
-        let wait_keys: Vec<&'static str> = self.waits.keys().copied().collect();
-        for k in wait_keys {
-            let h = self.waits.get_mut(k).expect("key just listed");
-            let (p50, p90, p99) = (h.quantile(0.50), h.quantile(0.90), h.quantile(0.99));
-            let (mx, total, spark) = (h.max(), h.total(), h.sparkline());
-            let _ = writeln!(
-                out,
-                "| {k}-wait | {} | {} | {} | {} | {} | {:.3}us | `{spark}` |",
+                "| {series} | {} | {} | {} | {} | {} | {:.3}us | `{spark}` |",
                 h.count(),
                 fmt(p50),
                 fmt(p90),

@@ -22,6 +22,7 @@
 
 use crate::artifact::{field, record, Wire};
 use crate::event::{ObsEvent, OpKind, ResourceId};
+use crate::lanes::{Closed, Lanes};
 use crate::percore::PerCore;
 use crate::report::Json;
 use scc_hal::{CoreId, Phase, Time};
@@ -183,13 +184,11 @@ struct CoreLanes {
     ops: Vec<(u64, u64, OpKind)>,
     /// `(arrival, start, end, resource)` of every booking.
     waits: Vec<(u64, u64, u64, ResourceId)>,
-    /// `park .. wake` intervals; an unwoken park extends to `u64::MAX`
-    /// and is clipped by the window.
+    /// `park .. wake` intervals; an unwoken park extends to the last
+    /// event of the stream and is clipped by the window.
     parks: Vec<(u64, u64)>,
-    /// `(start, end, phase, depth)` of closed wait-phase spans.
-    spans: Vec<(u64, u64, Phase, usize)>,
-    /// Open span stack: `(phase, start, depth)`.
-    stack: Vec<(Phase, u64)>,
+    /// `(start, end, leg, depth)` of closed wait-phase spans.
+    spans: Vec<(u64, u64, LegKind, usize)>,
 }
 
 /// Wait-ish phases map to a leg; payload phases don't claim time.
@@ -208,11 +207,22 @@ impl JourneyBook {
         let mut open: PerCore<Option<(u32, Time)>> = PerCore::new();
         let mut windows: Vec<(CoreId, u32, Time, Time)> = Vec::new();
         let mut lanes: PerCore<CoreLanes> = PerCore::new();
-        let mut finish = Time::ZERO;
+        let mut open_lanes = Lanes::default();
+        let mut finish: Option<Time> = None;
         let mut latest = Time::ZERO;
-        let mut any_finish = false;
         for ev in events {
             latest = latest.max(ev.at());
+            match open_lanes.step(ev) {
+                Some(Closed::Span { core, span, begin, end, depth }) => {
+                    if let Some(leg) = span_leg(span.phase) {
+                        lanes.at(core).spans.push((begin.as_ps(), end.as_ps(), leg, depth));
+                    }
+                }
+                Some(Closed::Park { core, begin, end, .. }) => {
+                    lanes.at(core).parks.push((begin.as_ps(), end.as_ps()));
+                }
+                None => {}
+            }
             match *ev {
                 ObsEvent::DeliveryBegin { core, epoch, at } => {
                     *open.at(core) = Some((epoch, at));
@@ -235,34 +245,18 @@ impl JourneyBook {
                         resource,
                     ));
                 }
-                ObsEvent::Park { core, at, .. } => {
-                    lanes.at(core).parks.push((at.as_ps(), u64::MAX));
-                }
-                ObsEvent::Wake { core, at, .. } => {
-                    if let Some(p) = lanes.at(core).parks.last_mut() {
-                        if p.1 == u64::MAX {
-                            p.1 = at.as_ps();
-                        }
-                    }
-                }
-                ObsEvent::SpanBegin { core, span, at } => {
-                    lanes.at(core).stack.push((span.phase, at.as_ps()));
-                }
-                ObsEvent::SpanEnd { core, at, .. } => {
-                    let lane = lanes.at(core);
-                    if let Some((phase, start)) = lane.stack.pop() {
-                        let depth = lane.stack.len();
-                        lane.spans.push((start, at.as_ps(), phase, depth));
-                    }
-                }
-                ObsEvent::Finish { at, .. } => {
-                    finish = finish.max(at);
-                    any_finish = true;
-                }
+                ObsEvent::Finish { at, .. } => finish = finish.max(Some(at)),
                 _ => {}
             }
         }
-        let makespan = if any_finish { finish } else { latest };
+        let makespan = finish.unwrap_or(latest);
+        // A park nobody woke lasts to the end of the stream; a span
+        // nobody closed claims no time.
+        for closed in open_lanes.finish(latest) {
+            if let Closed::Park { core, begin, end, .. } = closed {
+                lanes.at(core).parks.push((begin.as_ps(), end.as_ps()));
+            }
+        }
 
         // Pass 2: classify each window and count its tagged transfers.
         let empty = CoreLanes::default();
@@ -326,10 +320,8 @@ fn classify(lane: &CoreLanes, begin: u64, end: u64) -> [Time; LegKind::COUNT] {
     for &(s, e) in &lane.parks {
         edge(s, e);
     }
-    for &(s, e, phase, _) in &lane.spans {
-        if span_leg(phase).is_some() {
-            edge(s, e);
-        }
+    for &(s, e, ..) in &lane.spans {
+        edge(s, e);
     }
     bounds.sort_unstable();
     bounds.dedup();
@@ -370,8 +362,7 @@ fn classify(lane: &CoreLanes, begin: u64, end: u64) -> [Time; LegKind::COUNT] {
             paint(s, e, 3, LegKind::FlagNotify);
         }
     }
-    for &(s, e, phase, depth) in &lane.spans {
-        let Some(k) = span_leg(phase) else { continue };
+    for &(s, e, k, depth) in &lane.spans {
         if let Some((s, e)) = clip(s, e) {
             let lo = bounds.partition_point(|&x| x < s);
             let hi = bounds.partition_point(|&x| x < e);

@@ -13,6 +13,9 @@
 //! * [`percore`] — [`PerCore`], the dense `CoreId`-indexed table every
 //!   stream walker below keeps its per-core state in (iteration in
 //!   core order is structural, not a sort);
+//! * [`lanes`] — [`Lanes`], the one stepper that pairs span begins
+//!   with ends and parks with wakes under the five span/park walkers;
+//! * [`trace`] — the text Gantt and per-core summary of the `Op` events;
 //! * [`chrome`] — Chrome `trace_event` JSON export (loads in Perfetto):
 //!   one track per core, one per contended resource, phase spans and
 //!   parked intervals on the core tracks;
@@ -92,6 +95,7 @@ pub mod grid;
 pub mod heatmap;
 pub mod hist;
 pub mod journey;
+pub mod lanes;
 pub mod movie;
 pub mod percore;
 pub mod report;
@@ -100,6 +104,7 @@ pub mod sketch;
 pub mod skew;
 pub mod slo;
 pub mod soakrep;
+pub mod trace;
 pub mod whatif;
 
 pub use artifact::{Hex64, Wire};
@@ -108,7 +113,7 @@ pub use audit::{
 };
 pub use auditrep::{render_audit_markdown, AuditScenario, MutationTrial};
 pub use causal::{actor, CausalGraph, Edge, EdgeKind};
-pub use chrome::{chrome_trace_json, kinds_present};
+pub use chrome::chrome_trace_json;
 pub use conformance::{
     drift_gate, validate_artifact_version, ConformanceReport, DriftReport, DriftViolation,
     ExperimentReport, ExperimentRow, RunMetrics, SelfMetrics, ShapeCheck, ARTIFACT_VERSION,
@@ -123,6 +128,7 @@ pub use flame::flamegraph_collapsed;
 pub use heatmap::LinkHeatmap;
 pub use hist::{LatencyHistogram, RunHistograms};
 pub use journey::{Journey, JourneyBook, LegKind};
+pub use lanes::{Closed, Lanes};
 pub use movie::CongestionMovie;
 pub use percore::PerCore;
 pub use report::{validate_json, Json};
@@ -131,4 +137,5 @@ pub use sketch::{QuantileSketch, SketchSummary, SKETCH_BUCKETS};
 pub use skew::{render_skew_markdown, RecoveryCounters, SkewReport};
 pub use slo::{EpochRollup, SloBreach, SloKind, SloPolicy};
 pub use soakrep::{render_soak_markdown, render_soak_openmetrics, SoakPhase, SoakScenario};
+pub use trace::{render_gantt, summarize, CoreSummary};
 pub use whatif::{CostClass, WhatIfPoint, WhatIfProfile};

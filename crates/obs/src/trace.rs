@@ -1,103 +1,76 @@
-//! Optional op-level tracing: when enabled in [`crate::SimConfig`],
-//! every timed RMA operation is recorded with its issue and completion
-//! times, giving a per-core timeline of the collective — the quick-look
-//! tool behind the `trace` binary's text Gantt. The full structured
-//! event stream (queue waits, park/wake, phase spans) lives in
-//! `scc-obs`; this module keeps the lightweight per-op view.
+//! The quick look at a recorded stream: a text Gantt and a per-core
+//! summary of its [`ObsEvent::Op`] events — what the `trace` binary
+//! prints before the structured exporters run. Every other event kind
+//! is skipped.
 
-use scc_hal::{CoreId, MsgId, Time};
+use crate::event::{ObsEvent, OpKind};
+use scc_hal::Time;
 
-pub use scc_obs::OpKind;
-
-/// One traced operation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OpTrace {
-    pub core: CoreId,
-    pub kind: OpKind,
-    pub lines: usize,
-    pub start: Time,
-    pub end: Time,
-    /// Message fragment the op carried, when the collective tagged it
-    /// (see [`scc_hal::msg`]). Not rendered by the Gantt view.
-    pub msg: Option<MsgId>,
-}
-
-/// Per-core, per-kind aggregate of a trace.
-#[derive(Clone, Debug, Default)]
-pub struct TraceSummary {
-    /// `(ops, lines, busy time)` per kind, indexed per core.
-    pub per_core: Vec<CoreSummary>,
-}
-
+/// One core's totals over the ops it issued.
 #[derive(Clone, Debug, Default)]
 pub struct CoreSummary {
     pub ops: usize,
     pub lines: usize,
     pub busy: Time,
+    /// The part of `busy` spent in flag reads.
     pub polling: Time,
 }
 
-/// Aggregate a trace into per-core totals.
-pub fn summarize(trace: &[OpTrace], num_cores: usize) -> TraceSummary {
+/// Per-core op totals, indexed by core.
+pub fn summarize(events: &[ObsEvent], num_cores: usize) -> Vec<CoreSummary> {
     let mut per_core = vec![CoreSummary::default(); num_cores];
-    for t in trace {
-        let s = &mut per_core[t.core.index()];
+    for ev in events {
+        let ObsEvent::Op { core, kind, lines, start, end, .. } = *ev else { continue };
+        let s = &mut per_core[core.index()];
         s.ops += 1;
-        s.lines += t.lines;
-        s.busy += t.end - t.start;
-        if t.kind == OpKind::FlagRead {
-            s.polling += t.end - t.start;
+        s.lines += lines;
+        s.busy += end - start;
+        if kind == OpKind::FlagRead {
+            s.polling += end - start;
         }
     }
-    TraceSummary { per_core }
+    per_core
 }
 
 /// The glyph legend, generated from [`OpKind::ALL`] so it cannot drift
 /// from the renderer when op kinds are added (`FlagRead` renders as
 /// idle and is left out).
 fn legend() -> String {
-    let mut parts = Vec::new();
-    for k in OpKind::ALL {
-        if k.glyph() != b'.' {
-            parts.push(format!("{}={}", k.glyph() as char, k.short()));
-        }
-    }
-    parts.join(", ")
+    let work = OpKind::ALL.iter().filter(|k| k.glyph() != b'.');
+    work.map(|k| format!("{}={}", k.glyph() as char, k.short())).collect::<Vec<_>>().join(", ")
 }
 
-/// Render a fixed-width text Gantt chart of the trace: one row per
-/// core, `width` character cells spanning `[0, horizon]`, each cell
-/// showing the op that was active (last-writer-wins within a cell).
+/// Render a fixed-width text Gantt chart of the ops: one row per core,
+/// `width >= 10` character cells spanning `[0, horizon]` (the last op
+/// completion), each cell showing the op that was active
+/// (last-writer-wins within a cell).
 ///
-/// A trace containing only polls (or only zero-length ops) renders as
+/// A stream containing only polls (or only zero-length ops) renders as
 /// all-idle rows, not as "(empty trace)": the run *did* something — it
 /// waited — and the timeline should say so.
-pub fn render_gantt(trace: &[OpTrace], num_cores: usize, width: usize) -> String {
+pub fn render_gantt(events: &[ObsEvent], num_cores: usize, width: usize) -> String {
     assert!(width >= 10);
-    if trace.is_empty() {
+    let is_op = |ev: &&ObsEvent| matches!(ev, ObsEvent::Op { .. });
+    let Some(horizon) = events.iter().filter(is_op).map(ObsEvent::at).max() else {
         return String::from("(empty trace)\n");
-    }
-    let horizon = trace.iter().map(|t| t.end).fold(Time::ZERO, Time::max);
+    };
     let mut rows = vec![vec![b'.'; width]; num_cores];
-    for t in trace {
-        let glyph = t.kind.glyph();
+    for ev in events {
+        let ObsEvent::Op { core, kind, start, end, .. } = *ev else { continue };
+        let glyph = kind.glyph();
         if glyph == b'.' || horizon == Time::ZERO {
             continue;
         }
-        // Cell index of an instant: floor(t * width / horizon), so an
-        // op ending exactly at the horizon maps to cell `width` — an
-        // exclusive bound that must be clamped before indexing. The
-        // start is clamped too (`a <= width - 1`), and every op paints
+        // Cell of an instant: floor(t * width / horizon). An op ending
+        // exactly at the horizon maps to the exclusive bound `width`,
+        // so both ends are clamped before indexing, and every op paints
         // at least the cell it starts in.
         let cell = |x: Time| (x.as_ps() as u128 * width as u128 / horizon.as_ps() as u128) as usize;
-        let a = cell(t.start).min(width - 1);
-        let b = cell(t.end).max(a + 1).min(width);
-        for c in &mut rows[t.core.index()][a..b] {
-            *c = glyph;
-        }
+        let a = cell(start).min(width - 1);
+        let b = cell(end).max(a + 1).min(width);
+        rows[core.index()][a..b].fill(glyph);
     }
-    let mut out = String::new();
-    out.push_str(&format!("time 0 .. {horizon}  ({})\n", legend()));
+    let mut out = format!("time 0 .. {horizon}  ({})\n", legend());
     for (i, row) in rows.iter().enumerate() {
         out.push_str(&format!("C{i:<2} |{}|\n", String::from_utf8_lossy(row)));
     }
@@ -107,9 +80,10 @@ pub fn render_gantt(trace: &[OpTrace], num_cores: usize, width: usize) -> String
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scc_hal::CoreId;
 
-    fn t(core: u8, kind: OpKind, start: u64, end: u64) -> OpTrace {
-        OpTrace {
+    fn t(core: u8, kind: OpKind, start: u64, end: u64) -> ObsEvent {
+        ObsEvent::Op {
             core: CoreId(core),
             kind,
             lines: 1,
@@ -124,14 +98,20 @@ mod tests {
         let trace = vec![
             t(0, OpKind::PutFromMem, 0, 100),
             t(0, OpKind::FlagPut, 100, 120),
+            // Not an op: neither counted nor timed.
+            ObsEvent::Compute {
+                core: CoreId(0),
+                start: Time::from_ns(120),
+                end: Time::from_ns(900),
+            },
             t(1, OpKind::FlagRead, 0, 50),
             t(1, OpKind::GetToMpb, 50, 200),
         ];
         let s = summarize(&trace, 2);
-        assert_eq!(s.per_core[0].ops, 2);
-        assert_eq!(s.per_core[0].busy, Time::from_ns(120));
-        assert_eq!(s.per_core[0].polling, Time::ZERO);
-        assert_eq!(s.per_core[1].polling, Time::from_ns(50));
+        assert_eq!(s[0].ops, 2);
+        assert_eq!(s[0].busy, Time::from_ns(120));
+        assert_eq!(s[0].polling, Time::ZERO);
+        assert_eq!(s[1].polling, Time::from_ns(50));
     }
 
     #[test]
@@ -147,9 +127,12 @@ mod tests {
         assert!(cells[..10].contains('P') && !cells[10..].contains('P'), "{g}");
     }
 
+    /// No op in the stream is an empty trace, whatever else it holds.
     #[test]
     fn empty_trace() {
         assert_eq!(render_gantt(&[], 4, 20), "(empty trace)\n");
+        let finish = ObsEvent::Finish { core: CoreId(0), at: Time::from_ns(5) };
+        assert_eq!(render_gantt(&[finish], 4, 20), "(empty trace)\n");
     }
 
     /// An op ending exactly at the horizon maps to the exclusive cell

@@ -39,7 +39,7 @@
 //! smaller sequence number and would run first, so the fast path only
 //! triggers on *strictly earlier* completions — and each elided heap
 //! round-trip still counts in `SimStats::events`, keeping counters,
-//! traces and end times bit-identical to a run with coalescing
+//! recorded streams and end times bit-identical to a run with coalescing
 //! disabled (see `SimConfig::coalesce`).
 
 use crate::chip::{Chip, SimStats};
@@ -47,7 +47,6 @@ use crate::coro::{self, Context};
 use crate::fault::{FaultPlan, FaultState};
 use crate::ops::{self, Effect, Op};
 use crate::params::SimParams;
-use crate::trace::OpTrace;
 use scc_hal::{
     CoreId, FlagValue, MemRange, MpbAddr, MsgId, Rma, RmaError, RmaResult, Span, Time, NUM_CORES,
 };
@@ -68,9 +67,6 @@ pub struct SimConfig {
     pub mem_bytes: usize,
     /// Chip timing parameters.
     pub params: SimParams,
-    /// Record an [`OpTrace`] entry per timed operation (costs memory
-    /// proportional to the op count; off by default).
-    pub trace: bool,
     /// Step op lines in a tight loop while no other event can
     /// intervene (default on). Virtual-time behaviour is identical
     /// either way; the knob exists so tests can regress-check that
@@ -106,20 +102,11 @@ impl Default for SimConfig {
             num_cores: NUM_CORES,
             mem_bytes: 4 << 20,
             params: SimParams::default(),
-            trace: false,
             coalesce: true,
             record: false,
             flight: 0,
             faults: FaultPlan::default(),
         }
-    }
-}
-
-impl SimConfig {
-    /// Default config with the flight recorder on: retain the last
-    /// `capacity` events in a bounded ring (see [`SimConfig::flight`]).
-    pub fn flight(capacity: usize) -> SimConfig {
-        SimConfig { flight: capacity, ..SimConfig::default() }
     }
 }
 
@@ -160,8 +147,6 @@ pub struct SimReport<R> {
     pub makespan: Time,
     /// Engine counters.
     pub stats: SimStats,
-    /// Op-level trace, when enabled in the config.
-    pub trace: Option<Vec<OpTrace>>,
     /// Structured event stream, when [`SimConfig::record`] was set.
     pub events: Option<Vec<ObsEvent>>,
 }
@@ -257,7 +242,6 @@ struct Engine {
     n: usize,
     deadlocks: Vec<(CoreId, usize)>,
     deadlock_rounds: u32,
-    trace: Option<Vec<OpTrace>>,
     /// Set once the run is being torn down; every later call fails.
     fatal: bool,
 }
@@ -287,7 +271,6 @@ impl Engine {
             n,
             deadlocks: Vec::new(),
             deadlock_rounds: 0,
-            trace: cfg.trace.then(Vec::new),
             fatal: false,
         };
         for i in 0..n {
@@ -451,16 +434,6 @@ impl Engine {
             let p = self.pending[i].as_mut().expect("Step without a pending op");
             if p.remaining == 0 {
                 let done = self.pending[i].take().expect("pending vanished");
-                if let Some(tr) = self.trace.as_mut() {
-                    tr.push(OpTrace {
-                        core: CoreId(i as u8),
-                        kind: ops::op_kind(&done.op),
-                        lines: ops::total_lines(&done.op),
-                        start: done.issued,
-                        end: self.now,
-                        msg: done.msg,
-                    });
-                }
                 self.record(ObsEvent::Op {
                     core: CoreId(i as u8),
                     kind: ops::op_kind(&done.op),
@@ -598,7 +571,6 @@ impl Engine {
         if self.deadlocks.is_empty() {
             Ok(RunOutput {
                 end_times: std::mem::take(&mut self.end_times),
-                trace: self.trace.take(),
                 events: self.chip.recorder.as_mut().map(|r| r.drain()),
                 stats: self.chip.stats(),
             })
@@ -610,7 +582,6 @@ impl Engine {
 
 struct RunOutput {
     end_times: Vec<Time>,
-    trace: Option<Vec<OpTrace>>,
     events: Option<Vec<ObsEvent>>,
     stats: SimStats,
 }
@@ -1069,7 +1040,6 @@ where
         end_times: out.end_times,
         makespan,
         stats: out.stats,
-        trace: out.trace,
         events: out.events,
     })
 }

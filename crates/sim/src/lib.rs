@@ -26,7 +26,6 @@ pub mod microbench;
 pub mod ops;
 pub mod params;
 pub mod telemetry;
-pub mod trace;
 
 pub use chip::SimStats;
 pub use engine::{run_spmd, SimConfig, SimCore, SimError, SimReport};
@@ -34,4 +33,3 @@ pub use fault::{FaultPlan, SlowWindow};
 pub use microbench::{measure_contention, measure_link_stress, measure_p2p, P2pKind};
 pub use params::SimParams;
 pub use telemetry::EngineTotals;
-pub use trace::{render_gantt, summarize, OpKind, OpTrace, TraceSummary};

@@ -1,7 +1,7 @@
 //! Regression guard for the engine's coalesced fast path: a run with
 //! `coalesce: true` must be observationally identical to one with
 //! `coalesce: false` — same per-core end times, same event count, same
-//! op-level trace entry by entry. Only `heap_pushes` and
+//! recorded event stream entry by entry. Only `heap_pushes` and
 //! `coalesced_steps` may differ, since they record *how* the event
 //! order was produced, not what it was.
 
@@ -41,7 +41,7 @@ fn run(coalesce: bool, cores: usize) -> SimReport<RmaResult<Time>> {
     let cfg = SimConfig {
         num_cores: cores,
         mem_bytes: 4096,
-        trace: true,
+        record: true,
         coalesce,
         ..SimConfig::default()
     };
@@ -76,11 +76,14 @@ fn coalesced_run_is_observationally_identical() {
             );
         }
 
-        let ft = fast.trace.expect("trace enabled");
-        let st = slow.trace.expect("trace enabled");
-        assert_eq!(ft.len(), st.len(), "trace length diverged at P={cores}");
+        // The whole recorded stream is equal — every op, and every
+        // booking, park, wake and handoff around it — not only its
+        // `Op` projection.
+        let ft = fast.events.expect("recording enabled");
+        let st = slow.events.expect("recording enabled");
+        assert_eq!(ft.len(), st.len(), "stream length diverged at P={cores}");
         for (a, b) in ft.iter().zip(&st) {
-            assert_eq!(a, b, "trace entry diverged at P={cores}");
+            assert_eq!(a, b, "stream entry diverged at P={cores}");
         }
 
         // The fast path must actually have fired (otherwise this test

@@ -2,18 +2,19 @@
 
 use proptest::prelude::*;
 use scc_hal::{CoreId, MemRange, MpbAddr, Rma, RmaResult, Time, CACHE_LINE_BYTES};
-use scc_sim::{run_spmd, summarize, SimConfig};
+use scc_obs::{summarize, ObsEvent};
+use scc_sim::{run_spmd, SimConfig};
 
-fn cfg(n: usize, trace: bool) -> SimConfig {
-    SimConfig { num_cores: n, mem_bytes: 1 << 16, trace, ..SimConfig::default() }
+fn cfg(n: usize, record: bool) -> SimConfig {
+    SimConfig { num_cores: n, mem_bytes: 1 << 16, record, ..SimConfig::default() }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, .. ProptestConfig::default() })]
 
-    /// The trace accounts for every timed op, busy intervals are
-    /// well-formed and bounded by the makespan, and the lines-moved
-    /// counter matches the trace.
+    /// The recorded stream's `Op` events account for every timed op,
+    /// busy intervals are well-formed and bounded by the makespan, and
+    /// the lines-moved counter matches them.
     #[test]
     fn trace_is_consistent(ops in proptest::collection::vec((0u8..4, 1usize..20), 1..30)) {
         let program = ops.clone();
@@ -38,23 +39,30 @@ proptest! {
             }
             Ok(())
         }).unwrap();
-        let trace = rep.trace.as_deref().unwrap();
+        let events = rep.events.as_deref().unwrap();
+        // `(core, lines, start, end)` of every op, in stream order.
+        let trace: Vec<_> = events
+            .iter()
+            .filter_map(|ev| match *ev {
+                ObsEvent::Op { core, lines, start, end, .. } => Some((core, lines, start, end)),
+                _ => None,
+            })
+            .collect();
         prop_assert_eq!(trace.len() as u64, rep.stats.ops);
         prop_assert_eq!(trace.len(), ops.len());
-        let total_lines: usize = trace.iter().map(|t| t.lines).sum();
+        let total_lines: usize = trace.iter().map(|&(_, lines, ..)| lines).sum();
         prop_assert_eq!(total_lines as u64, rep.stats.lines_moved);
-        for t in trace {
-            prop_assert!(t.start <= t.end);
-            prop_assert!(t.end <= rep.makespan);
+        for &(_, _, start, end) in &trace {
+            prop_assert!(start <= end);
+            prop_assert!(end <= rep.makespan);
         }
         // Ops of one core never overlap (single outstanding transaction).
         let mut last_end = Time::ZERO;
-        for t in trace.iter().filter(|t| t.core == CoreId(0)) {
-            prop_assert!(t.start >= last_end, "ops overlap");
-            last_end = t.end;
+        for &(_, _, start, end) in trace.iter().filter(|t| t.0 == CoreId(0)) {
+            prop_assert!(start >= last_end, "ops overlap");
+            last_end = end;
         }
-        let s = summarize(trace, 2);
-        prop_assert!(s.per_core[0].busy <= rep.makespan);
+        prop_assert!(summarize(events, 2)[0].busy <= rep.makespan);
     }
 
     /// Virtual time equals the sum of contention-free op costs for a
