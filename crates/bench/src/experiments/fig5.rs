@@ -29,8 +29,8 @@ fn print_tree(ctx: &mut ExpCtx, p: usize, k: usize, root: u8) -> (usize, usize) 
     for c in (0..p).map(|i| CoreId(i as u8)) {
         if let Some(group) = NotifyGroup::of_parent(&tree, c, 2) {
             outln!(ctx, "  group of {c}:");
-            for m in group.members() {
-                let f = group.forwards(*m);
+            for (pos, m) in group.members().iter().enumerate() {
+                let f = group.forwards(pos);
                 if !f.is_empty() {
                     let list: Vec<String> = f.iter().map(|x| x.to_string()).collect();
                     outln!(ctx, "    {m} -> {}", list.join(", "));

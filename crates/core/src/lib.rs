@@ -16,7 +16,8 @@
 //!   re-expressed over one-sided RMA (extension);
 //! * [`alltoall`] — one-sided personalized scatter/gather/all-to-all
 //!   (extension);
-//! * [`topo`] — tree layouts incl. a topology-aware builder (extension);
+//! * [`topo`] — tree layouts incl. a topology-aware builder (extension),
+//!   and the one core's neighbourhood a broadcast call derives;
 //! * [`bcast`] — a unified front-end used by benches and examples;
 //! * [`collectives`] — the paper's future-work extensions built from
 //!   the same RMA machinery: reduce and allgather (Section 7).

@@ -27,10 +27,16 @@
 //! roots — need no flag resets and no separating barrier: stale values
 //! are always strictly smaller than any sequence they could be
 //! mistaken for.
+//!
+//! A call needs only the caller's part of the tree — parent, done slot,
+//! children, and whom to forward to in the two notification groups it
+//! sits in — and derives it afresh from `(P, k, root)`: on the paper's
+//! id-based tree that is `O(k)` arithmetic with no heap allocation, so
+//! a broadcast's host cost does not grow with `P` before its first op
+//! (see [`crate::topo`]).
 
 use crate::reliable::{probe_remote_flag, wait_ge_or_recover, RelStats, Reliability};
-use crate::topo::{TreeLayout, TreeStrategy};
-use crate::tree::NotifyGroup;
+use crate::topo::{Neighbourhood, TreeStrategy};
 use scc_hal::{
     bytes_to_lines, delivering, spanned, tagged, CoreId, FlagValue, MemRange, MpbAddr, MsgId,
     Phase, Rma, RmaResult, Span, CACHE_LINE_BYTES,
@@ -215,20 +221,15 @@ impl OcBcast {
         }
         let total_lines = bytes_to_lines(msg.len);
         let n_chunks = total_lines.div_ceil(self.cfg.chunk_lines);
-        let tree = TreeLayout::build(self.cfg.strategy, p, self.cfg.k, root);
         let me = c.core();
+        let nb = Neighbourhood::of(&self.cfg, p, root, me);
+        let (parent, children, my_done_slot) = (nb.parent, nb.children(), nb.child_index);
 
         let base = self.seq;
         self.seq += n_chunks as u32;
         let epoch = self.epoch;
         self.epoch += 1;
 
-        let parent = tree.parent(me);
-        let children = tree.children(me).to_vec();
-        let parent_group = parent
-            .and_then(|par| NotifyGroup::new(par, tree.children(par), self.cfg.notify_fanout));
-        let own_group = NotifyGroup::new(me, &children, self.cfg.notify_fanout);
-        let my_done_slot = tree.child_index(me);
         let leaf_direct = children.is_empty() && self.cfg.leaf_direct;
         // Double buffering: chunk `c` may overwrite its buffer once the
         // children are done with `c - lag`.
@@ -266,7 +267,7 @@ impl OcBcast {
                     // (i) forward the notification inside the parent's
                     // group.
                     spanned(c, Span::new(Phase::NotifyForward, ch), |c| {
-                        self.notify_forward(c, parent_group.as_ref(), me, epoch, fl, seq)
+                        self.notify_forward(c, nb.parent_forwards(), me, epoch, fl, seq)
                     })?;
                     if leaf_direct {
                         // Section 5.4 optimization: straight to memory.
@@ -292,7 +293,7 @@ impl OcBcast {
                     if chunk < lag {
                         return Ok(());
                     }
-                    self.wait_children_done(c, &mut stats, &children, seq - lag as u32, my_avail)
+                    self.wait_children_done(c, &mut stats, children, seq - lag as u32, my_avail)
                 })?;
                 spanned(c, Span::new(Phase::Dissemination, ch), |c| {
                     tagged(c, MsgId::new(epoch, parent.unwrap_or(me), me, fl), |c| match parent {
@@ -313,7 +314,7 @@ impl OcBcast {
                 }
                 // (iv) notify our own children.
                 spanned(c, Span::new(Phase::NotifyForward, ch), |c| {
-                    self.notify_forward(c, own_group.as_ref(), me, epoch, fl, seq)
+                    self.notify_forward(c, nb.own_forwards(), me, epoch, fl, seq)
                 })?;
                 if parent.is_some() {
                     // (v) copy to private off-chip memory (the root's
@@ -333,7 +334,7 @@ impl OcBcast {
             if !children.is_empty() {
                 let last_seq = base + n_chunks as u32;
                 spanned(c, Span::of(Phase::Drain), |c| {
-                    self.wait_children_done(c, &mut stats, &children, last_seq, my_avail)
+                    self.wait_children_done(c, &mut stats, children, last_seq, my_avail)
                 })?;
             }
             Ok(())
@@ -437,19 +438,18 @@ impl OcBcast {
         c.flag_put(MpbAddr::new(c.core(), mirror(rel).first_line), FlagValue(seq))
     }
 
-    /// Send the notification for `seq` to our successors in `group`'s
-    /// notification tree (no-ops for leaves of the notification tree).
+    /// Send the notification for `seq` to our successors in a
+    /// notification tree (none for its leaves).
     fn notify_forward<R: Rma>(
         &self,
         c: &mut R,
-        group: Option<&NotifyGroup>,
+        targets: &[CoreId],
         me: CoreId,
         epoch: u32,
         first_line: u32,
         seq: u32,
     ) -> RmaResult<()> {
-        let Some(group) = group else { return Ok(()) };
-        for target in group.forwards(me) {
+        for &target in targets {
             tagged(c, MsgId::new(epoch, me, target, first_line), |c| {
                 c.flag_put(MpbAddr::new(target, self.notify.first_line), FlagValue(seq))
             })?;

@@ -10,7 +10,8 @@
 //! distance by ~40% on the full chip. The tree-building section of the
 //! `ablation` bench binary quantifies the latency effect.
 
-use crate::tree::KaryTree;
+use crate::ocbcast::OcConfig;
+use crate::tree::{KaryTree, NotifyGroup};
 use scc_hal::CoreId;
 
 /// Which propagation tree OC-Bcast builds.
@@ -28,7 +29,9 @@ pub enum TreeStrategy {
 ///
 /// Computed identically on every core from `(P, k, root, strategy)` —
 /// a pure function, so the symmetric-SPMD convention holds just as for
-/// MPB allocation.
+/// MPB allocation. Building one is `O(P²)` work, which OC-Bcast does
+/// per call only for [`TreeStrategy::TopologyAware`] (no benchmark
+/// workload runs it).
 ///
 /// ```
 /// use oc_bcast::{TreeLayout, TreeStrategy};
@@ -216,6 +219,53 @@ impl TreeLayout {
     }
 }
 
+/// One core's part of a propagation tree: its parent, its done slot
+/// there, its children, and whom it forwards a notification to in its
+/// parent's group (as child slot `i`, heap position `i + 1`) and in its
+/// own (as the head) — all one `OcBcast::bcast` call needs.
+#[derive(Debug)]
+pub(crate) struct Neighbourhood {
+    pub(crate) parent: Option<CoreId>,
+    pub(crate) child_index: Option<usize>,
+    parent_group: Option<NotifyGroup>,
+    own_group: Option<NotifyGroup>,
+}
+
+impl Neighbourhood {
+    /// `me`'s neighbourhood in `cfg`'s tree over `p` cores from `root`.
+    pub(crate) fn of(cfg: &OcConfig, p: usize, root: CoreId, me: CoreId) -> Neighbourhood {
+        let f = cfg.notify_fanout;
+        let (parent, child_index, parent_group, own_group) = match cfg.strategy {
+            TreeStrategy::ById => {
+                let t = KaryTree::new(p, cfg.k, root);
+                let group = |c| NotifyGroup::of_parent(&t, c, f);
+                (t.parent(me), t.child_index(me), t.parent(me).and_then(group), group(me))
+            }
+            TreeStrategy::TopologyAware => {
+                let t = TreeLayout::topology_aware(p, cfg.k, root);
+                let group = |c| NotifyGroup::new(c, t.children(c).iter().copied(), f);
+                (t.parent(me), t.child_index(me), t.parent(me).and_then(group), group(me))
+            }
+        };
+        Neighbourhood { parent, child_index, parent_group, own_group }
+    }
+
+    /// The core's children, in done-slot order.
+    pub(crate) fn children(&self) -> &[CoreId] {
+        self.own_group.as_ref().map_or(&[], NotifyGroup::children)
+    }
+
+    /// Whom the core forwards a notification to in its parent's group.
+    pub(crate) fn parent_forwards(&self) -> &[CoreId] {
+        self.parent_group.as_ref().zip(self.child_index).map_or(&[], |(g, i)| g.forwards(i + 1))
+    }
+
+    /// Whom the core forwards a notification to in its own group.
+    pub(crate) fn own_forwards(&self) -> &[CoreId] {
+        self.own_group.as_ref().map_or(&[], |group| group.forwards(0))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,6 +347,70 @@ mod tests {
         assert!(topo.children(CoreId(0)).contains(&CoreId(1)));
         let topo5 = TreeLayout::topology_aware(48, 7, CoreId(5));
         assert!(topo5.children(CoreId(5)).contains(&CoreId(4)));
+    }
+
+    /// What the pre-arithmetic `OcBcast::bcast` derived from a whole
+    /// layout: the group of `head` as a member list, and the slice its
+    /// member `who` forwards to, found by scanning for it.
+    fn oracle_forwards(l: &TreeLayout, head: CoreId, who: CoreId, f: usize) -> Vec<CoreId> {
+        let members: Vec<CoreId> = std::iter::once(head).chain(l.children(head).to_vec()).collect();
+        let pos = members.iter().position(|&m| m == who).expect("a member");
+        members.iter().copied().skip(pos * f + 1).take(f).collect()
+    }
+
+    /// `me`'s neighbourhood under `strategy` against the layout's.
+    fn check_neighbourhood(s: TreeStrategy, l: &TreeLayout, k: usize, me: CoreId, f: usize) {
+        let (p, root) = (l.num_cores(), l.root());
+        let cfg = OcConfig { k, notify_fanout: f, strategy: s, ..OcConfig::default() };
+        let nb = Neighbourhood::of(&cfg, p, root, me);
+        let at = format!("p={p} k={k} root={root} core={me} fanout={f}");
+        assert_eq!(nb.parent, l.parent(me), "{at}");
+        assert_eq!(nb.children(), l.children(me), "{at}");
+        assert_eq!(nb.child_index, l.child_index(me), "{at}");
+        match l.parent(me) {
+            Some(par) => {
+                let group = nb.parent_group.expect("a parent has a group");
+                let members: Vec<CoreId> =
+                    std::iter::once(par).chain(l.children(par).to_vec()).collect();
+                assert_eq!(group.members(), members, "{at}");
+                for (pos, &m) in members.iter().enumerate() {
+                    assert_eq!(group.forwards(pos), oracle_forwards(l, par, m, f), "{at}");
+                }
+                assert_eq!(nb.parent_forwards(), oracle_forwards(l, par, me, f), "{at}");
+            }
+            None => assert!(nb.parent_group.is_none() && nb.parent_forwards().is_empty()),
+        }
+        match nb.own_group {
+            Some(group) => {
+                assert_eq!(group.members()[0], me, "{at}");
+                assert_eq!(nb.own_forwards(), oracle_forwards(l, me, me, f), "{at}");
+            }
+            None => assert!(l.children(me).is_empty() && nb.own_forwards().is_empty(), "{at}"),
+        }
+    }
+
+    #[test]
+    fn neighbourhood_equals_the_materialised_layout() {
+        let every_core = |p: usize| (0..p).map(|i| CoreId(i as u8));
+        let small = (1..=12usize).flat_map(|p| (1..=p + 1).map(move |k| (p, k)));
+        let full = [1usize, 2, 7, 47, 63].map(|k| (NUM_CORES, k));
+        for (p, k) in small.chain(full) {
+            for root in every_core(p) {
+                let layout = TreeLayout::from_kary(p, k, root);
+                for me in every_core(p) {
+                    for f in 1..=3 {
+                        check_neighbourhood(TreeStrategy::ById, &layout, k, me, f);
+                    }
+                }
+            }
+        }
+        // The topology-aware tree is read back from its layout.
+        for root in [CoreId(0), CoreId(13)] {
+            let layout = TreeLayout::topology_aware(NUM_CORES, 7, root);
+            for me in every_core(NUM_CORES) {
+                check_neighbourhood(TreeStrategy::TopologyAware, &layout, 7, me, 2);
+            }
+        }
     }
 
     #[test]

@@ -76,9 +76,13 @@ impl KaryTree {
 
     /// The children of `core`, in rank order (at most `k`).
     pub fn children(&self, core: CoreId) -> Vec<CoreId> {
-        let r = self.rank_of(core);
-        let first = r * self.k + 1;
-        (first..first + self.k).take_while(|&c| c < self.p).map(|c| self.core_of(c)).collect()
+        self.child_ranks(core).map(|r| self.core_of(r)).collect()
+    }
+
+    /// The ranks of `core`'s children: `ik+1 ..= (i+1)k`, cut at `P`.
+    fn child_ranks(&self, core: CoreId) -> std::ops::Range<usize> {
+        let first = self.rank_of(core).saturating_mul(self.k).saturating_add(1);
+        first.min(self.p)..first.saturating_add(self.k).min(self.p)
     }
 
     /// The position of `core` among its parent's children (0-based);
@@ -121,16 +125,22 @@ impl KaryTree {
     }
 }
 
+/// A parent and at most 63 children: `k ≤ 63` is the most done-flag
+/// lines an OC-Bcast context fits (see `OcBcast::new`).
+const MAX_GROUP: usize = 64;
+
 /// The notification group of one parent: the parent plus its (at most
 /// k) propagation children, arranged as an f-ary heap for notification
 /// forwarding. The paper uses `f = 2` ("binary notification tree"); the
 /// fan-out is kept configurable for the ablation benches (`f >= k`
-/// degenerates to the parent notifying every child itself).
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// degenerates to the parent notifying every child itself). Members
+/// live inline: building a group is `O(k)` and allocation-free.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NotifyGroup {
-    /// `members[0]` is the parent; `members[1..]` the children in rank
-    /// order.
-    members: Vec<CoreId>,
+    /// `members[0]` is the parent; `members[1..len]` the children in
+    /// rank order; the rest repeats the parent.
+    members: [CoreId; MAX_GROUP],
+    len: usize,
     fanout: usize,
 }
 
@@ -138,40 +148,39 @@ impl NotifyGroup {
     /// Build the group for `parent` in `tree`. Returns `None` if the
     /// parent has no children (no notifications to send).
     pub fn of_parent(tree: &KaryTree, parent: CoreId, fanout: usize) -> Option<NotifyGroup> {
-        Self::new(parent, &tree.children(parent), fanout)
+        Self::new(parent, tree.child_ranks(parent).map(|r| tree.core_of(r)), fanout)
     }
 
     /// Build the group from an explicit child list (any tree layout).
-    pub fn new(parent: CoreId, children: &[CoreId], fanout: usize) -> Option<NotifyGroup> {
+    pub fn new(
+        parent: CoreId,
+        children: impl IntoIterator<Item = CoreId>,
+        fanout: usize,
+    ) -> Option<NotifyGroup> {
         assert!(fanout >= 1);
-        if children.is_empty() {
-            return None;
+        let mut group = NotifyGroup { members: [parent; MAX_GROUP], len: 1, fanout };
+        for child in children {
+            assert!(group.len < MAX_GROUP, "a notification group holds at most 63 children");
+            group.members[group.len] = child;
+            group.len += 1;
         }
-        let mut members = Vec::with_capacity(children.len() + 1);
-        members.push(parent);
-        members.extend_from_slice(children);
-        Some(NotifyGroup { members, fanout })
+        (group.len > 1).then_some(group)
     }
 
-    /// Heap position of `core` within the group (parent = 0).
-    pub fn position(&self, core: CoreId) -> Option<usize> {
-        self.members.iter().position(|&m| m == core)
-    }
-
-    /// The cores `core` must forward the notification to, in order.
-    pub fn forwards(&self, core: CoreId) -> Vec<CoreId> {
-        let Some(pos) = self.position(core) else {
-            return Vec::new();
-        };
-        let first = pos * self.fanout + 1;
-        (first..first + self.fanout)
-            .take_while(|&i| i < self.members.len())
-            .map(|i| self.members[i])
-            .collect()
+    /// The cores the member at heap position `pos` (parent = 0, child
+    /// slot `i` = `i + 1`) forwards the notification to, in order.
+    pub fn forwards(&self, pos: usize) -> &[CoreId] {
+        let first = pos.saturating_mul(self.fanout).saturating_add(1).min(self.len);
+        &self.members[first..first.saturating_add(self.fanout).min(self.len)]
     }
 
     pub fn members(&self) -> &[CoreId] {
-        &self.members
+        &self.members[..self.len]
+    }
+
+    /// The parent's children, in slot order.
+    pub fn children(&self) -> &[CoreId] {
+        &self.members[1..self.len]
     }
 }
 
@@ -233,18 +242,21 @@ mod tests {
     fn figure5_notification_trees() {
         let t = KaryTree::new(12, 7, CoreId(0));
         let c = |i: u8| CoreId(i);
+        // Group of C0: heap position = core id.
         let g0 = NotifyGroup::of_parent(&t, c(0), 2).unwrap();
-        assert_eq!(g0.forwards(c(0)), vec![c(1), c(2)]);
-        assert_eq!(g0.forwards(c(1)), vec![c(3), c(4)]);
-        assert_eq!(g0.forwards(c(2)), vec![c(5), c(6)]);
-        assert_eq!(g0.forwards(c(3)), vec![c(7)]);
-        assert_eq!(g0.forwards(c(4)), Vec::<CoreId>::new());
-        assert_eq!(g0.forwards(c(7)), Vec::<CoreId>::new());
+        assert_eq!(g0.forwards(0), [c(1), c(2)]);
+        assert_eq!(g0.forwards(1), [c(3), c(4)]);
+        assert_eq!(g0.forwards(2), [c(5), c(6)]);
+        assert_eq!(g0.forwards(3), [c(7)]);
+        assert_eq!(g0.forwards(4), []);
+        assert_eq!(g0.forwards(7), []);
 
+        // Group of C1: C1, C8, C9, … at positions 0, 1, 2, ….
         let g1 = NotifyGroup::of_parent(&t, c(1), 2).unwrap();
-        assert_eq!(g1.forwards(c(1)), vec![c(8), c(9)]);
-        assert_eq!(g1.forwards(c(8)), vec![c(10), c(11)]);
-        assert_eq!(g1.forwards(c(9)), Vec::<CoreId>::new());
+        assert_eq!(g1.members(), [c(1), c(8), c(9), c(10), c(11)]);
+        assert_eq!(g1.forwards(0), [c(8), c(9)]);
+        assert_eq!(g1.forwards(1), [c(10), c(11)]);
+        assert_eq!(g1.forwards(2), []);
 
         // Leaves have no group of their own.
         assert!(NotifyGroup::of_parent(&t, c(5), 2).is_none());
@@ -326,8 +338,8 @@ mod tests {
     fn sequential_fanout_degenerates_to_parent_does_all() {
         let t = KaryTree::new(48, 7, CoreId(0));
         let g = NotifyGroup::of_parent(&t, CoreId(0), 64).unwrap();
-        assert_eq!(g.forwards(CoreId(0)).len(), 7);
-        assert!(g.forwards(CoreId(1)).is_empty());
+        assert_eq!(g.forwards(0).len(), 7);
+        assert!(g.forwards(1).is_empty());
     }
 
     #[test]

@@ -780,25 +780,51 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// One seeded item of `candidates()`: counted, then walked to, so no
+/// candidate list is built.
+fn pick<T, I: Iterator<Item = T>>(rng: &mut u64, candidates: impl Fn() -> I) -> Option<T> {
+    let count = candidates().count();
+    if count == 0 {
+        return None;
+    }
+    candidates().nth((splitmix64(rng) % count as u64) as usize)
+}
+
+/// Indices of the events `keep` holds for.
+fn sites<'a>(
+    events: &'a [ObsEvent],
+    keep: impl Fn(&ObsEvent) -> bool + 'a,
+) -> impl Iterator<Item = usize> + 'a {
+    events.iter().enumerate().filter(move |(_, e)| keep(e)).map(|(i, _)| i)
+}
+
+/// One seeded pair `(a, b)` of `sites`, `b` among the 64 sites after
+/// `a`, for which `eligible` holds — pairs ordered by `a`, then `b`.
+fn pick_pair(
+    rng: &mut u64,
+    sites: &[usize],
+    eligible: impl Fn(usize, usize) -> bool,
+) -> Option<(usize, usize)> {
+    pick(rng, || {
+        sites
+            .iter()
+            .enumerate()
+            .flat_map(|(n, &a)| sites[n + 1..].iter().take(64).map(move |&b| (a, b)))
+            .filter(|&(a, b)| eligible(a, b))
+    })
+}
+
 /// Apply one seeded mutation of `class` to the stream. Returns a
 /// description of what was corrupted, or `None` when the stream has no
 /// eligible site (e.g. [`MutationClass::DeleteFault`] on a healthy
 /// run).
 pub fn mutate(events: &mut Vec<ObsEvent>, class: MutationClass, seed: u64) -> Option<String> {
     let mut rng = seed ^ 0xA076_1D64_78BD_642F;
-    let pick = |rng: &mut u64, n: usize| (splitmix64(rng) % n as u64) as usize;
     match class {
         MutationClass::DropWake => {
-            let sites: Vec<usize> = events
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| matches!(e, ObsEvent::Wake { core, writer, .. } if core != writer))
-                .map(|(i, _)| i)
-                .collect();
-            if sites.is_empty() {
-                return None;
-            }
-            let i = sites[pick(&mut rng, sites.len())];
+            let remote_wake =
+                |e: &ObsEvent| matches!(e, ObsEvent::Wake { core, writer, .. } if core != writer);
+            let i = pick(&mut rng, || sites(events, remote_wake))?;
             let desc = format!("dropped {:?} at index {i}", events[i]);
             events.remove(i);
             Some(desc)
@@ -807,29 +833,14 @@ pub fn mutate(events: &mut Vec<ObsEvent>, class: MutationClass, seed: u64) -> Op
             // Eligible pair: same resource, i served first, j arrived
             // after i's service started — swapping their intervals
             // forces j to be served before it arrived.
-            let waits: Vec<usize> = events
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| matches!(e, ObsEvent::Wait { .. }))
-                .map(|(i, _)| i)
-                .collect();
-            let mut pairs: Vec<(usize, usize)> = Vec::new();
-            for (n, &i) in waits.iter().enumerate() {
-                let ObsEvent::Wait { resource: ri, start: si, .. } = events[i] else { continue };
-                for &j in waits.iter().skip(n + 1).take(64) {
-                    let ObsEvent::Wait { resource: rj, arrival: aj, start: sj, .. } = events[j]
-                    else {
-                        continue;
-                    };
-                    if ri == rj && si < sj && aj > si {
-                        pairs.push((i, j));
-                    }
-                }
-            }
-            if pairs.is_empty() {
-                return None;
-            }
-            let (i, j) = pairs[pick(&mut rng, pairs.len())];
+            let waits: Vec<usize> = sites(events, |e| matches!(e, ObsEvent::Wait { .. })).collect();
+            let (i, j) = pick_pair(&mut rng, &waits, |i, j| match (events[i], events[j]) {
+                (
+                    ObsEvent::Wait { resource: ri, start: si, .. },
+                    ObsEvent::Wait { resource: rj, arrival: aj, start: sj, .. },
+                ) => ri == rj && si < sj && aj > si,
+                _ => false,
+            })?;
             let (
                 ObsEvent::Wait { start: si, end: ei, .. },
                 ObsEvent::Wait { start: sj, end: ej, .. },
@@ -848,31 +859,13 @@ pub fn mutate(events: &mut Vec<ObsEvent>, class: MutationClass, seed: u64) -> Op
             Some(format!("swapped service intervals of bookings {i} and {j}"))
         }
         MutationClass::CrossSpanClose => {
-            let closes: Vec<(usize, Span)> = events
-                .iter()
-                .enumerate()
-                .filter_map(|(i, e)| match *e {
-                    ObsEvent::SpanEnd { span, .. } => Some((i, span)),
-                    _ => None,
-                })
-                .collect();
-            let mut pairs: Vec<(usize, usize)> = Vec::new();
-            for (n, &(i, si)) in closes.iter().enumerate() {
-                for &(j, sj) in closes.iter().skip(n + 1).take(64) {
-                    if si != sj {
-                        pairs.push((i, j));
-                    }
-                }
-            }
-            if pairs.is_empty() {
-                return None;
-            }
-            let (i, j) = pairs[pick(&mut rng, pairs.len())];
-            let (ObsEvent::SpanEnd { span: si, .. }, ObsEvent::SpanEnd { span: sj, .. }) =
-                (events[i], events[j])
-            else {
-                return None;
+            let span = |e: ObsEvent| match e {
+                ObsEvent::SpanEnd { span, .. } => Some(span),
+                _ => None,
             };
+            let closes: Vec<usize> = sites(events, |e| span(*e).is_some()).collect();
+            let (i, j) = pick_pair(&mut rng, &closes, |i, j| span(events[i]) != span(events[j]))?;
+            let (Some(si), Some(sj)) = (span(events[i]), span(events[j])) else { return None };
             let set = |ev: &mut ObsEvent, s: Span| {
                 if let ObsEvent::SpanEnd { span, .. } = ev {
                     *span = s;
@@ -883,16 +876,9 @@ pub fn mutate(events: &mut Vec<ObsEvent>, class: MutationClass, seed: u64) -> Op
             Some(format!("crossed span closes {i} and {j}"))
         }
         MutationClass::RetagEpoch => {
-            let sites: Vec<usize> = events
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| matches!(e, ObsEvent::Op { msg: Some(_), .. }))
-                .map(|(i, _)| i)
-                .collect();
-            if sites.is_empty() {
-                return None;
-            }
-            let i = sites[pick(&mut rng, sites.len())];
+            let i = pick(&mut rng, || {
+                sites(events, |e| matches!(e, ObsEvent::Op { msg: Some(_), .. }))
+            })?;
             if let ObsEvent::Op { msg: Some(m), .. } = &mut events[i] {
                 m.epoch = m.epoch.wrapping_add(1000);
                 Some(format!("retagged op {i} to epoch {}", m.epoch))
@@ -901,18 +887,10 @@ pub fn mutate(events: &mut Vec<ObsEvent>, class: MutationClass, seed: u64) -> Op
             }
         }
         MutationClass::DeleteFault => {
-            let sites: Vec<usize> = events
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| {
-                    matches!(e, ObsEvent::Fault { kind: FaultKind::LostNotification, .. })
-                })
-                .map(|(i, _)| i)
-                .collect();
-            if sites.is_empty() {
-                return None;
-            }
-            let i = sites[pick(&mut rng, sites.len())];
+            let lost = |e: &ObsEvent| {
+                matches!(e, ObsEvent::Fault { kind: FaultKind::LostNotification, .. })
+            };
+            let i = pick(&mut rng, || sites(events, lost))?;
             let desc = format!("deleted {:?} at index {i}", events[i]);
             events.remove(i);
             Some(desc)

@@ -13,6 +13,7 @@
 use crate::params::SimParams;
 use scc_hal::{CoreId, LinkDir, MemController, Tile, Time, MPB_BYTES_PER_CORE, NUM_LINK_DIRS};
 use scc_obs::{ObsEvent, Recorder, ResourceId};
+use std::cell::Cell;
 use std::sync::OnceLock;
 
 /// Reservation calendar of a single-server resource.
@@ -298,6 +299,9 @@ pub struct Chip {
     mem_bytes: usize,
     /// MPB contents, `num_cores * 8 KB`, indexed by core then byte.
     mpb: Vec<u8>,
+    /// Per core, the end of what the three MPB writers have written;
+    /// past it the MPB is still zero, so a reset zeroes only below it.
+    mpb_written: Vec<usize>,
     /// Private off-chip memory of each core, grown lazily: logically
     /// `mem_bytes` of zeroes, but backed only up to the highest byte a
     /// run has actually touched (a 48-core chip would otherwise zero
@@ -324,6 +328,11 @@ pub struct Chip {
     pub recorder: Option<Box<dyn Recorder>>,
 }
 
+thread_local! {
+    /// The last finished run's chip on this host thread.
+    static WARM: Cell<Option<Chip>> = const { Cell::new(None) };
+}
+
 impl Chip {
     pub fn new(params: SimParams, num_cores: usize, mem_bytes: usize) -> Chip {
         assert!((1..=scc_hal::NUM_CORES).contains(&num_cores));
@@ -332,6 +341,7 @@ impl Chip {
             num_cores,
             mem_bytes,
             mpb: vec![0u8; num_cores * MPB_BYTES_PER_CORE],
+            mpb_written: vec![0; num_cores],
             private: (0..num_cores).map(|_| Vec::new()).collect(),
             routers: vec![Calendar::default(); 24],
             ports: vec![Calendar::default(); 24],
@@ -341,6 +351,32 @@ impl Chip {
             stats: SimStats::sized(),
             recorder: None,
         }
+    }
+
+    /// A chip in the state [`Chip::new`] returns: this host thread's
+    /// last one (see [`Chip::release`]) reset in place when it has
+    /// `num_cores` cores — storage kept, contents cleared — else new.
+    pub(crate) fn lease(params: SimParams, num_cores: usize, mem_bytes: usize) -> Chip {
+        let Some(mut chip) = WARM.take().filter(|chip| chip.num_cores == num_cores) else {
+            return Chip::new(params, num_cores, mem_bytes);
+        };
+        for (core, written) in chip.mpb_written.iter_mut().enumerate() {
+            let base = core * MPB_BYTES_PER_CORE;
+            chip.mpb[base..base + *written].fill(0);
+            *written = 0;
+        }
+        for calendar in chip.routers.iter_mut().chain(&mut chip.ports).chain(&mut chip.mcs) {
+            calendar.slots.clear();
+        }
+        let (prune_before, stats, recorder) = (Time::ZERO, SimStats::sized(), None);
+        Chip { params, mem_bytes, prune_before, stats, recorder, ..chip }
+    }
+
+    /// Keep this finished run's chip for the thread's next
+    /// [`Chip::lease`]; its private memory is released now.
+    pub(crate) fn release(mut self) {
+        self.private.iter_mut().for_each(|mem| *mem = Vec::new());
+        WARM.set(Some(self));
     }
 
     /// Advance the pruning horizon (called by the scheduler with its
@@ -369,8 +405,15 @@ impl Chip {
     }
 
     pub fn mpb_slice_mut(&mut self, core: CoreId, byte_off: usize, len: usize) -> &mut [u8] {
+        self.mark_written(core, byte_off + len);
         let base = core.index() * MPB_BYTES_PER_CORE + byte_off;
         &mut self.mpb[base..base + len]
+    }
+
+    #[inline]
+    fn mark_written(&mut self, core: CoreId, end: usize) {
+        let written = &mut self.mpb_written[core.index()];
+        *written = (*written).max(end);
     }
 
     /// Materialize `core`'s private memory up to `len` bytes (4 KB
@@ -418,6 +461,7 @@ impl Chip {
         len: usize,
     ) {
         self.private_grow(src, src_off + len);
+        self.mark_written(dst, dst_byte + len);
         let base = dst.index() * MPB_BYTES_PER_CORE + dst_byte;
         let (mpb, private) = (&mut self.mpb, &self.private);
         mpb[base..base + len].copy_from_slice(&private[src.index()][src_off..src_off + len]);
@@ -436,6 +480,7 @@ impl Chip {
         if s == d {
             return;
         }
+        self.mark_written(dst, dst_byte + len);
         // Regions may belong to the same vector and may overlap;
         // copy_within has memmove semantics and allocates nothing.
         self.mpb.copy_within(s..s + len, d);

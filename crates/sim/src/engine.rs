@@ -249,7 +249,7 @@ struct Engine {
 impl Engine {
     fn new(cfg: &SimConfig) -> Engine {
         let n = cfg.num_cores;
-        let mut chip = Chip::new(cfg.params, n, cfg.mem_bytes);
+        let mut chip = Chip::lease(cfg.params, n, cfg.mem_bytes);
         if cfg.record {
             chip.recorder = Some(Box::new(EventLog::new()));
         } else if cfg.flight > 0 {
@@ -953,7 +953,9 @@ impl<R, F: Fn(&mut SimCore) -> R> Task<'_, R, F> {
 ///
 /// Every closure runs as a coroutine on the calling thread, each on a
 /// stack of [`coro::STACK_BYTES`]; stacks are kept warm per host thread,
-/// so back-to-back runs (sweeps, benches) map none after the first.
+/// so back-to-back runs (sweeps, benches) map none after the first, and
+/// so is the last run's chip, reset in place for the next run with the
+/// same `num_cores` (see `Chip::lease`) — a run cannot tell.
 /// If a closure panics, the others' pending calls fail with
 /// [`RmaError::Engine`], every closure's locals are dropped, and the
 /// first panic is re-raised here.
@@ -1026,13 +1028,17 @@ where
         }
     }
     coro::checkin(stacks);
-    if let Some(p) = shared.panic.take() {
+    // The tasks borrow `shared`; with their results out and every core
+    // handle gone with its closure, the chip can be kept warm.
+    let results: Option<Vec<R>> = tasks.into_iter().map(|t| t.result.into_inner()).collect();
+    let shared = Rc::into_inner(shared).expect("a finished run holds the only handle");
+    shared.engine.into_inner().chip.release();
+    if let Some(p) = shared.panic.into_inner() {
         resume_unwind(p);
     }
 
-    let out = shared.outcome.take().expect("a run ends with an outcome")?;
-    let results: Vec<R> =
-        tasks.iter().map(|t| t.result.take().expect("a completed run has every result")).collect();
+    let out = shared.outcome.into_inner().expect("a run ends with an outcome")?;
+    let results = results.expect("a completed run has every result");
     let makespan = out.end_times.iter().copied().fold(Time::ZERO, Time::max);
     crate::telemetry::add_run(&out.stats);
     Ok(SimReport {

@@ -1,0 +1,113 @@
+//! Allocation ratchet: the exact number of heap allocations a *warm*
+//! run makes — the third of three identical runs on a fresh host
+//! thread — for three broadcast shapes. A count is a property of the
+//! code, not of the host (ROADMAP item 2(a)), so it is pinned exactly.
+//!
+//! THE CONSTANTS BELOW MAY ONLY GO DOWN. A change that lowers a count
+//! lowers its constant in the same diff; one that raises a count is a
+//! regression of the short-run path, not a constant to update.
+//!
+//! Counted: calls to `alloc`, `alloc_zeroed` and `realloc` made by the
+//! measuring thread, so parallel tests do not perturb each other.
+
+use oc_bcast::{Algorithm, Broadcaster};
+use scc_hal::{CoreId, MemRange, Rma, RmaExt, RmaResult};
+use scc_rcce::MpbAllocator;
+use scc_sim::{run_spmd, SimConfig};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocations made by this thread. Const-initialised and free of
+    /// drop glue, so touching it never allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn count() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` unchanged after bumping a
+// thread-local counter that never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// The benchmark closure's shape — `MpbAllocator::new`,
+/// `Broadcaster::new`, the root's `mem_write`, `calls` broadcasts of one
+/// cache line, `mem_to_vec` — run three times on a fresh host thread;
+/// returns what the third run allocated. Two runs bring every growable
+/// store to its steady size: the second still finds the odd calendar
+/// full at a different moment than the first did, the third no longer.
+fn warm_allocs(num_cores: usize, alg: Algorithm, calls: usize) -> u64 {
+    let measure = move || {
+        let cfg = SimConfig { num_cores, mem_bytes: 1 << 18, ..SimConfig::default() };
+        let (root, payload) = (CoreId(num_cores as u8 / 2), [0x5Au8; 32]);
+        let range = MemRange::new(0, payload.len());
+        let run = || {
+            let rep = run_spmd(&cfg, |c| -> RmaResult<bool> {
+                let mut alloc = MpbAllocator::new();
+                let mut b = Broadcaster::new(&mut alloc, alg, num_cores).expect("fits");
+                if c.core() == root {
+                    c.mem_write(0, &payload)?;
+                }
+                for _ in 0..calls {
+                    b.bcast(c, root, range)?;
+                }
+                Ok(c.mem_to_vec(range)? == payload)
+            })
+            .expect("the run completes");
+            assert!(rep.results.iter().all(|r| r == &Ok(true)), "{:?}", rep.results);
+        };
+        run();
+        run();
+        let before = ALLOCS.get();
+        run();
+        ALLOCS.get() - before
+    };
+    std::thread::spawn(measure).join().expect("the measuring thread returns")
+}
+
+#[test]
+fn warm_run_allocations_are_pinned() {
+    let got = [
+        warm_allocs(48, Algorithm::oc_with_k(7), 1),
+        warm_allocs(48, Algorithm::Binomial, 1),
+        warm_allocs(6, Algorithm::oc_with_k(2), 1),
+    ];
+    // 48-core OC k=7, 48-core binomial, 6-core OC k=2 (1 CL each).
+    assert_eq!(got, [171, 196, 46]);
+}
+
+#[test]
+fn oc_bcast_calls_allocate_nothing() {
+    // The id-based tree is arithmetic and a warm chip keeps its
+    // storage: three broadcasts on one context allocate exactly what
+    // one does, engine included, on any chip size.
+    for (p, k) in [(48, 7), (48, 47), (6, 2)] {
+        let alg = Algorithm::oc_with_k(k);
+        assert_eq!(warm_allocs(p, alg, 3), warm_allocs(p, alg, 1), "P={p} k={k}");
+    }
+}
