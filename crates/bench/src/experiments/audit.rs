@@ -21,7 +21,7 @@
 //! mutation seeds are deterministic, so every artifact is
 //! byte-identical at any `--jobs` count.
 
-use super::{outln, Sweep};
+use super::{outln, Point, Sweep};
 use crate::{policy, record_reliable_run, record_run, Scenario};
 use oc_bcast::Algorithm;
 use scc_hal::Time;
@@ -29,7 +29,7 @@ use scc_obs::{
     artifact, audit, mutate, render_audit_markdown, AuditScenario, AuditSpec, Hex64, MutationClass,
     MutationTrial, Wire,
 };
-use scc_sim::{FaultPlan, SimParams};
+use scc_sim::{FaultPlan, SimError, SimParams};
 
 /// The paper's full chip; the auditor earns its keep at scale.
 const CORES: usize = 48;
@@ -83,49 +83,45 @@ fn faulty_plan() -> FaultPlan {
     }
 }
 
-fn msg_lines(quick: bool) -> usize {
-    if quick {
-        32
-    } else {
-        96
-    }
+/// One audited scenario: its stable id, the protocol run, the mode,
+/// and its index among the nine (it seeds the mutation trials).
+struct Audited {
+    id: String,
+    sc: Scenario,
+    mode: Mode,
+    index: u64,
 }
 
-/// `(stable id, protocol, mode)` for all nine audited scenarios.
-fn scenarios(quick: bool) -> Vec<(String, Scenario, Mode)> {
-    let lines = msg_lines(quick);
-    let protos = [
-        ("oc_k47", Algorithm::oc_with_k(47)),
-        ("oc_k7", Algorithm::oc_with_k(7)),
-        ("binomial", Algorithm::Binomial),
-    ];
-    let mut out = Vec::new();
-    for (pid, alg) in protos {
-        for mode in [Mode::Plain, Mode::Reliable, Mode::Faulted] {
-            out.push((format!("{pid}_{}", mode.name()), Scenario::new(alg, CORES, lines), mode));
-        }
+impl Point for Audited {
+    fn key(&self) -> String {
+        format!("audit {}", self.id)
     }
-    out
+    // Faulted units record, audit, and then re-audit five mutants of
+    // the same stream — weight them accordingly.
+    fn cost(&self) -> u64 {
+        self.sc.lines as u64 * if self.mode == Mode::Faulted { 6 } else { 1 }
+    }
 }
 
 /// Record one scenario, audit it, and (for faulted streams) run the
 /// five-class mutation matrix against the same events.
-fn run_point(id: &str, sc: &Scenario, mode: Mode, scenario_index: u64) -> AuditScenario {
+fn run_point(point: &Audited) -> Result<AuditScenario, SimError> {
+    let Audited { id, sc, mode, index } = point;
+    let mode = *mode;
     let (events, makespan) = match mode {
         Mode::Plain => record_run(sc, SimParams::default()),
         Mode::Reliable => {
             record_reliable_run(sc, SimParams::default(), FaultPlan::default(), policy())
         }
         Mode::Faulted => record_reliable_run(sc, SimParams::default(), faulty_plan(), policy()),
-    }
-    .expect("recorded broadcast");
+    }?;
     let spec = mode.spec().with_makespan(makespan);
     let rep = audit(&events, &spec);
 
     let mut mutations = Vec::new();
     if mode == Mode::Faulted {
         for (ci, class) in MutationClass::ALL.into_iter().enumerate() {
-            let seed = MUTATION_SEED ^ (scenario_index << 8) ^ ci as u64;
+            let seed = MUTATION_SEED ^ (index << 8) ^ ci as u64;
             let mut corrupted = events.clone();
             // `mutate` returning None means the stream had no eligible
             // site — recorded as an undetected trial so the shape
@@ -147,7 +143,7 @@ fn run_point(id: &str, sc: &Scenario, mode: Mode, scenario_index: u64) -> AuditS
         }
     }
 
-    AuditScenario {
+    Ok(AuditScenario {
         id: id.to_string(),
         label: format!("{} {}", sc.label, mode.name()),
         cores: CORES as u64,
@@ -157,30 +153,30 @@ fn run_point(id: &str, sc: &Scenario, mode: Mode, scenario_index: u64) -> AuditS
         violations: rep.violations.len() as u64,
         classes: rep.classes().iter().map(|c| c.name().to_string()).collect(),
         mutations,
-    }
+    })
 }
 
-pub(super) fn plan(sweep: &mut Sweep) {
-    for (si, (id, sc, mode)) in scenarios(sweep.quick).into_iter().enumerate() {
-        // Faulted units record, audit, and then re-audit five mutants
-        // of the same stream — weight them accordingly.
-        let cost = sc.lines as u64 * if mode == Mode::Faulted { 6 } else { 1 };
-        sweep.value_unit_w(format!("audit {id}"), cost, move |_| {
-            run_point(&id, &sc, mode, si as u64)
-        });
-    }
-
-    sweep.finalize(move |ctx, mut values| {
-        let scs = scenarios(ctx.quick);
-        outln!(
-            ctx,
-            "# causal trace audit, {CORES}-core recorded broadcasts ({} cache lines)",
-            msg_lines(ctx.quick)
-        );
+pub(super) fn plan(quick: bool) -> Sweep {
+    let lines = if quick { 32 } else { 96 };
+    let protos = [
+        ("oc_k47", Algorithm::oc_with_k(47)),
+        ("oc_k7", Algorithm::oc_with_k(7)),
+        ("binomial", Algorithm::Binomial),
+    ];
+    // All nine audited scenarios: every protocol in every mode.
+    let modes = [Mode::Plain, Mode::Reliable, Mode::Faulted];
+    let points = protos.into_iter().flat_map(|(pid, alg)| modes.map(|mode| (pid, alg, mode)));
+    let points = points.enumerate().map(|(i, (pid, alg, mode))| Audited {
+        id: format!("{pid}_{}", mode.name()),
+        sc: Scenario::new(alg, CORES, lines),
+        mode,
+        index: i as u64,
+    });
+    Sweep::points(points.collect(), run_point, move |ctx, pairs| {
+        outln!(ctx, "# causal trace audit, {CORES}-core recorded broadcasts ({lines} cache lines)");
         outln!(ctx, "# healthy streams must show 0 violations; mutants must be caught");
         let mut audited: Vec<AuditScenario> = Vec::new();
-        for (id, _, mode) in &scs {
-            let s = values.next_as::<AuditScenario>();
+        for (Audited { id, mode, .. }, s) in pairs {
             outln!(
                 ctx,
                 "{id:<18} {:>6} events {:>6} edges {:>7} checks  {} violation(s){}",
@@ -211,7 +207,7 @@ pub(super) fn plan(sweep: &mut Sweep) {
                 s.checks > 100 && s.edges > 0,
                 format!("{} checks, {} edges", s.checks, s.edges),
             );
-            if *mode == Mode::Faulted {
+            if mode == Mode::Faulted {
                 ctx.shape(
                     &format!("{id}: every mutation class is detected and classified"),
                     s.mutations.len() == MutationClass::ALL.len() && s.mutations_all_caught(),
@@ -250,5 +246,5 @@ pub(super) fn plan(sweep: &mut Sweep) {
                 ),
             ],
         );
-    });
+    })
 }

@@ -13,13 +13,13 @@
 //! drawn in deterministic event order, so every artifact is
 //! byte-identical at any `--jobs` count.
 
-use super::{outln, Sweep};
-use crate::policy;
+use super::{outln, Point, Sweep};
+use crate::{core_results, policy, setup};
 use oc_bcast::{Algorithm, Broadcaster, RelStats};
 use scc_hal::{CoreId, MemRange, Rma, RmaExt, RmaResult, Time};
 use scc_obs::{artifact, render_faults_markdown, FaultCurve, FaultPoint, LatencyHistogram, Wire};
 use scc_rcce::MpbAllocator;
-use scc_sim::{run_spmd, FaultPlan, SimConfig};
+use scc_sim::{run_spmd, FaultPlan, SimConfig, SimError};
 
 /// The paper's full chip; fault tolerance is only interesting at scale.
 const CORES: usize = 48;
@@ -28,31 +28,24 @@ const ROOT: CoreId = CoreId(0);
 /// Transfers hit by the delay fault stall this long.
 const DELAY: Time = Time(5_000_000); // 5 µs
 
-/// Same contention spectrum as the `skew` experiment: the flat-tree
-/// extreme, the paper's default operating point, and the baseline.
-fn scenarios() -> Vec<(&'static str, Algorithm)> {
-    vec![
-        ("oc_k47", Algorithm::oc_with_k(47)),
-        ("oc_k7", Algorithm::oc_with_k(7)),
-        ("binomial", Algorithm::Binomial),
-    ]
+/// One reliable broadcast of `lines` cache lines under one drop rate.
+struct Rate {
+    id: &'static str,
+    alg: Algorithm,
+    lines: usize,
+    /// Remote-notification drop rate, ppm; transfers are delayed at
+    /// half the drop rate so both fault classes stress every point.
+    drop_ppm: u32,
 }
 
-/// Remote-notification drop rates, ppm; transfers are delayed at half
-/// the drop rate so both fault classes stress every point.
-fn rates(quick: bool) -> Vec<u32> {
-    if quick {
-        vec![0, 50_000]
-    } else {
-        vec![0, 20_000, 50_000, 100_000]
+impl Point for Rate {
+    fn key(&self) -> String {
+        format!("faults {} drop={}ppm", self.id, self.drop_ppm)
     }
-}
-
-fn msg_lines(quick: bool) -> usize {
-    if quick {
-        32
-    } else {
-        96
+    // Heavier rates do more recovery work — weight them so the
+    // longest-task-first scheduler starts them early.
+    fn cost(&self) -> u64 {
+        self.lines as u64 * (1 + u64::from(self.drop_ppm) / 25_000)
     }
 }
 
@@ -72,7 +65,7 @@ struct Measured {
 
 /// Run one reliable broadcast under the given drop rate and collect
 /// the delivered-latency distribution plus the recovery counters.
-fn run_point(alg: Algorithm, lines: usize, drop_ppm: u32) -> Measured {
+fn run_point(&Rate { alg, lines, drop_ppm, .. }: &Rate) -> Result<Measured, SimError> {
     let bytes = lines * 32;
     let cfg = SimConfig {
         num_cores: CORES,
@@ -98,16 +91,13 @@ fn run_point(alg: Algorithm, lines: usize, drop_ppm: u32) -> Measured {
         if c.core() == ROOT {
             c.mem_write(0, &payload)?;
         }
-        let mut b = Broadcaster::new_reliable(&mut alloc, alg, c.num_cores(), policy())
-            .expect("reliable variant fits the MPB");
+        let mut b = setup(Broadcaster::new_reliable(&mut alloc, alg, c.num_cores(), policy()))?;
         let t0 = c.now();
         b.bcast(c, ROOT, r)?;
         let t1 = c.now();
         Ok((t0, t1, c.mem_to_vec(r)? == payload, b.rel_stats()))
-    })
-    .expect("fault sweep run");
-    let per: Vec<(Time, Time, bool, RelStats)> =
-        rep.results.into_iter().map(|r| r.expect("reliable bcast must complete")).collect();
+    })?;
+    let per = core_results(rep.results)?;
     let root_call = per[ROOT.index()].0;
     let mut m = Measured {
         latencies: Vec::with_capacity(CORES - 1),
@@ -124,40 +114,39 @@ fn run_point(alg: Algorithm, lines: usize, drop_ppm: u32) -> Measured {
             m.delivered += u64::from(*ok);
         }
     }
-    m
+    Ok(m)
 }
 
-pub(super) fn plan(sweep: &mut Sweep) {
-    let lines = msg_lines(sweep.quick);
-    for (id, alg) in scenarios() {
-        for rate in rates(sweep.quick) {
-            // Heavier rates do more recovery work — weight them so the
-            // longest-task-first scheduler starts them early.
-            let cost = lines as u64 * (1 + u64::from(rate) / 25_000);
-            sweep.value_unit_w(format!("faults {id} drop={rate}ppm"), cost, move |_| {
-                run_point(alg, lines, rate)
-            });
-        }
-    }
-
-    sweep.finalize(move |ctx, mut values| {
-        let rates = rates(ctx.quick);
-        let lines = msg_lines(ctx.quick);
+pub(super) fn plan(quick: bool) -> Sweep {
+    let lines = if quick { 32 } else { 96 };
+    let rates: &[u32] = if quick { &[0, 50_000] } else { &[0, 20_000, 50_000, 100_000] };
+    // Same contention spectrum as the `skew` experiment: the flat-tree
+    // extreme, the paper's default operating point, and the baseline.
+    let scenarios = [
+        ("oc_k47", Algorithm::oc_with_k(47)),
+        ("oc_k7", Algorithm::oc_with_k(7)),
+        ("binomial", Algorithm::Binomial),
+    ];
+    let points = scenarios
+        .into_iter()
+        .flat_map(|(id, alg)| rates.iter().map(move |&drop_ppm| Rate { id, alg, lines, drop_ppm }));
+    Sweep::points(points.collect(), run_point, move |ctx, pairs| {
         outln!(
             ctx,
             "# reliable broadcast under injected faults, {CORES} cores, {lines} cache lines"
         );
         outln!(ctx, "# drop = remote-notification loss (ppm); transfers delayed {DELAY} at drop/2");
         let mut curves: Vec<FaultCurve> = Vec::new();
-        for (id, alg) in scenarios() {
+        for rates in pairs.chunk_by(|a, b| a.0.id == b.0.id) {
+            let Rate { id, alg, .. } = rates[0].0;
             let mut curve = FaultCurve {
                 id: id.to_string(),
                 label: format!("{} {CORES}c {lines}cl", alg.label()),
                 cores: CORES as u64,
                 points: Vec::new(),
             };
-            for &rate in &rates {
-                let m = values.next_as::<Measured>();
+            for (point, m) in rates {
+                let rate = point.drop_ppm;
                 let mut hist = LatencyHistogram::new();
                 for &l in &m.latencies {
                     hist.record(l);
@@ -226,7 +215,7 @@ pub(super) fn plan(sweep: &mut Sweep) {
                 clean.faults == 0 && clean.timeouts == 0 && clean.recoveries == 0,
                 format!("{} faults, {} timeouts at rate 0", clean.faults, clean.timeouts),
             );
-            let top = curve.points.last().expect("at least one rate");
+            let top = &curve.points[curve.points.len() - 1];
             ctx.shape(
                 &format!("{id}: faults fire and are absorbed at the top rate"),
                 top.faults > 0 && top.recoveries > 0,
@@ -250,5 +239,5 @@ pub(super) fn plan(sweep: &mut Sweep) {
                 ("recoveries", points().map(|p| p.recoveries).sum::<u64>().to_wire()),
             ],
         );
-    });
+    })
 }

@@ -3,10 +3,10 @@
 //! MPB, (b) the same for concurrent 1-cache-line puts, as the number
 //! of concurrent accessors grows.
 
-use super::{outln, Sweep};
+use super::{outln, Point, Sweep};
 use crate::paper_chip;
 use scc_model::ClosedQueue;
-use scc_sim::measure_contention;
+use scc_sim::{measure_contention, SimError};
 
 fn counts(quick: bool) -> &'static [usize] {
     if quick {
@@ -16,31 +16,44 @@ fn counts(quick: bool) -> &'static [usize] {
     }
 }
 
-const PANELS: [(&str, usize, bool, u32, &str); 2] = [
+/// `(title, lines, puts, reps, tag)` per panel.
+type Panel = (&'static str, usize, bool, u32, &'static str);
+
+const PANELS: [Panel; 2] = [
     ("Concurrent MPB get completion time (128 cache lines)", 128, false, 2, "get128"),
     ("Concurrent MPB put completion time (1 cache line)", 1, true, 50, "put1"),
 ];
 
-pub(super) fn plan(sweep: &mut Sweep) {
-    let counts = counts(sweep.quick);
-    // One unit per (panel, accessor count): the simulator measurement
-    // reduced to (avg, min, max). The queueing-model overlay is pure
-    // arithmetic and stays in finalize.
-    for (_, lines, puts, reps, tag) in PANELS {
-        for &n in counts {
-            sweep.value_unit_w(format!("{tag} n={n}"), (lines * n) as u64, move |_| {
-                let cfg = paper_chip();
-                let v = measure_contention(&cfg, n, lines, puts, reps).expect("sim");
-                let us: Vec<f64> = v.iter().map(|t| t.as_us_f64()).collect();
-                let avg = us.iter().sum::<f64>() / us.len() as f64;
-                let min = us.iter().copied().fold(f64::INFINITY, f64::min);
-                let max = us.iter().copied().fold(0.0f64, f64::max);
-                (avg, min, max)
-            });
-        }
-    }
+/// One panel at one accessor count: the simulator measurement reduced
+/// to (avg, min, max). The queueing-model overlay is pure arithmetic and
+/// stays in finalize.
+struct Load {
+    panel: Panel,
+    n: usize,
+}
 
-    sweep.finalize(move |ctx, mut values| {
+impl Point for Load {
+    fn key(&self) -> String {
+        format!("{} n={}", self.panel.4, self.n)
+    }
+    fn cost(&self) -> u64 {
+        (self.panel.1 * self.n) as u64
+    }
+}
+
+fn measure(&Load { panel: (_, lines, puts, reps, _), n }: &Load) -> Result<[f64; 3], SimError> {
+    let v = measure_contention(&paper_chip(), n, lines, puts, reps)?;
+    let us: Vec<f64> = v.iter().map(|t| t.as_us_f64()).collect();
+    let avg = us.iter().sum::<f64>() / us.len() as f64;
+    let min = us.iter().copied().fold(f64::INFINITY, f64::min);
+    let max = us.iter().copied().fold(0.0f64, f64::max);
+    Ok([avg, min, max])
+}
+
+pub(super) fn plan(quick: bool) -> Sweep {
+    let loads =
+        PANELS.iter().flat_map(|&panel| counts(quick).iter().map(move |&n| Load { panel, n }));
+    Sweep::points(loads.collect(), measure, |ctx, pairs| {
         // The closed-queueing bound model of scc-model (an extension: the
         // paper declares contention hard to model) overlays each panel.
         let get_model = ClosedQueue::get_scenario(128, 9.0, 0.010, 0.126, 0.005);
@@ -48,27 +61,25 @@ pub(super) fn plan(sweep: &mut Sweep) {
             think_us: 0.069 + 0.136 + (0.126 + 2.0 * 9.0 * 0.005) - 0.018,
             service_us: 0.018,
         };
-        for (title, _, _, _, tag) in PANELS {
+        let labels = ["avg_us", "min_us", "max_us", "model_us"].map(String::from);
+        for panel in pairs.chunk_by(|a, b| a.0.panel == b.0.panel) {
+            let (title, _, _, _, tag) = panel[0].0.panel;
             let model = if tag == "get128" { &get_model } else { &put_model };
-            let labels = vec![
-                "avg_us".to_string(),
-                "min_us".to_string(),
-                "max_us".to_string(),
-                "model_us".to_string(),
-            ];
-            let mut rows = Vec::new();
-            for &n in counts {
-                let (avg, min, max) = values.next_as::<(f64, f64, f64)>();
-                rows.push((n, vec![avg, min, max, model.cycle_estimate_us(n)]));
-            }
+            let rows: Vec<(usize, Vec<f64>)> = panel
+                .iter()
+                .map(|(Load { n, .. }, [avg, min, max])| {
+                    (*n, vec![*avg, *min, *max, model.cycle_estimate_us(*n)])
+                })
+                .collect();
             ctx.series(title, "accessors", &labels, &rows);
             for (n, cols) in &rows {
                 ctx.row(format!("{tag} n={n} avg"), None, Some(cols[3]), cols[0], 0.05, "us");
             }
 
-            // Shape checks mirroring Section 3.3's findings.
+            // Shape checks mirroring Section 3.3's findings; a missing
+            // count fails its claim.
             let at = |n: usize| rows.iter().find(|r| r.0 == n).map(|r| r.1[0]);
-            let single = at(1).expect("n=1 measured");
+            let single = at(1).unwrap_or(f64::NAN);
             if let Some(a24) = at(24) {
                 ctx.shape(
                     &format!("{tag}: no measurable contention up to 24 accessors"),
@@ -76,7 +87,7 @@ pub(super) fn plan(sweep: &mut Sweep) {
                     format!("n=1 {single:.3} µs vs n=24 {a24:.3} µs"),
                 );
             }
-            let a47 = at(47).expect("n=47 measured");
+            let a47 = at(47).unwrap_or(f64::NAN);
             ctx.shape(
                 &format!("{tag}: visible contention at 47 accessors"),
                 a47 > single * 1.3,
@@ -84,5 +95,5 @@ pub(super) fn plan(sweep: &mut Sweep) {
             );
         }
         outln!(ctx, "# knee past 24 accessors, clear contention at 47 — as in Figure 4");
-    });
+    })
 }

@@ -5,12 +5,13 @@
 use super::{out, outln, ExpCtx, Sweep};
 use oc_bcast::{KaryTree, NotifyGroup};
 use scc_hal::CoreId;
+use std::convert::Infallible;
 
 /// Print one tree and return `(depth, cores seen across all levels)`.
-fn print_tree(ctx: &mut ExpCtx, p: usize, k: usize, root: u8) -> (usize, usize) {
-    let tree = KaryTree::new(p, k, CoreId(root));
-    outln!(ctx, "# message propagation tree: P = {p}, k = {k}, source C{root}");
-    let mut level: Vec<CoreId> = vec![tree.root()];
+fn print_tree(ctx: &mut ExpCtx, tree: &KaryTree) -> (usize, usize) {
+    let (p, k, root) = (tree.num_cores(), tree.degree(), tree.root());
+    outln!(ctx, "# message propagation tree: P = {p}, k = {k}, source C{}", root.index());
+    let mut level: Vec<CoreId> = vec![root];
     let mut depth = 0;
     let mut seen = 0;
     while !level.is_empty() {
@@ -27,7 +28,7 @@ fn print_tree(ctx: &mut ExpCtx, p: usize, k: usize, root: u8) -> (usize, usize) 
     }
     outln!(ctx, "# binary notification trees (parent → forwarded-to):");
     for c in (0..p).map(|i| CoreId(i as u8)) {
-        if let Some(group) = NotifyGroup::of_parent(&tree, c, 2) {
+        if let Some(group) = NotifyGroup::of_parent(tree, c, 2) {
             outln!(ctx, "  group of {c}:");
             for (pos, m) in group.members().iter().enumerate() {
                 let f = group.forwards(pos);
@@ -42,27 +43,29 @@ fn print_tree(ctx: &mut ExpCtx, p: usize, k: usize, root: u8) -> (usize, usize) 
     (depth, seen)
 }
 
-pub(super) fn plan(sweep: &mut Sweep) {
-    // Pure tree printing — cheap enough to stay one unit.
-    sweep.unit("trees", run);
-}
-
-fn run(ctx: &mut ExpCtx) {
-    // The paper's figure.
-    let (d12, seen12) = print_tree(ctx, 12, 7, 0);
-    // The experimental configuration.
-    let (d48, seen48) = print_tree(ctx, 48, 7, 0);
-
-    ctx.row("levels P=12 k=7", None, Some(3.0), d12 as f64, 0.0, "levels");
-    ctx.row("levels P=48 k=7", None, Some(3.0), d48 as f64, 0.0, "levels");
-    ctx.shape(
-        "every core appears exactly once in each propagation tree",
-        seen12 == 12 && seen48 == 48,
-        format!("P=12 covered {seen12}, P=48 covered {seen48}"),
-    );
-    ctx.shape(
-        "k=7 reaches 48 cores in two forwarding hops (depth 2)",
-        d12 == 3 && d48 == 3,
-        format!("levels incl. root: P=12 -> {d12}, P=48 -> {d48}"),
-    );
+pub(super) fn plan(_quick: bool) -> Sweep {
+    // Pure tree building — cheap enough to stay one unit: the paper's
+    // figure, then the experimental configuration.
+    Sweep::points(
+        vec!["trees"],
+        |_| Ok::<_, Infallible>([12, 48].map(|p| KaryTree::new(p, 7, CoreId(0)))),
+        |ctx, pairs| {
+            for (_, [t12, t48]) in pairs {
+                let (d12, seen12) = print_tree(ctx, &t12);
+                let (d48, seen48) = print_tree(ctx, &t48);
+                ctx.row("levels P=12 k=7", None, Some(3.0), d12 as f64, 0.0, "levels");
+                ctx.row("levels P=48 k=7", None, Some(3.0), d48 as f64, 0.0, "levels");
+                ctx.shape(
+                    "every core appears exactly once in each propagation tree",
+                    seen12 == 12 && seen48 == 48,
+                    format!("P=12 covered {seen12}, P=48 covered {seen48}"),
+                );
+                ctx.shape(
+                    "k=7 reaches 48 cores in two forwarding hops (depth 2)",
+                    d12 == 3 && d48 == 3,
+                    format!("levels incl. root: P=12 -> {d12}, P=48 -> {d48}"),
+                );
+            }
+        },
+    )
 }

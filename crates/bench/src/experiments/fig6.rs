@@ -4,32 +4,38 @@
 
 use super::{outln, ExpCtx, Sweep};
 use scc_model::bcast::FullModelCfg;
-use scc_model::series::fig6_curves;
-use scc_model::ModelParams;
+use scc_model::series::{fig6_curves, LatencyCurve};
+use scc_model::{ModelError, ModelParams};
 
-pub(super) fn plan(sweep: &mut Sweep) {
-    // Model-only (no simulator in the loop) — one unit.
-    sweep.unit("curves", run);
+const KS: [usize; 3] = [2, 7, 47];
+
+type Panel = (&'static str, Vec<LatencyCurve>);
+
+pub(super) fn plan(_quick: bool) -> Sweep {
+    // Model-only (no simulator in the loop) — one unit computes both
+    // panels' curves.
+    Sweep::points(vec!["curves"], |_| panels(), finalize)
 }
 
-fn run(ctx: &mut ExpCtx) {
+fn panels() -> Result<Vec<Panel>, ModelError> {
+    [
+        ("Figure 6a — modeled broadcast latency (µs), P = 48", (1..=180).step_by(4).collect()),
+        ("Figure 6b — zoom on small messages", (1..=30).collect::<Vec<usize>>()),
+    ]
+    .into_iter()
+    .map(|(title, sizes)| {
+        Ok((title, fig6_curves(&ModelParams::paper(), &FullModelCfg::default(), 48, &KS, &sizes)?))
+    })
+    .collect()
+}
+
+fn finalize(ctx: &mut ExpCtx, pairs: Vec<(&'static str, Vec<Panel>)>) {
     let params = ModelParams::paper();
     let cfg = FullModelCfg::default();
-    let ks = [2usize, 7, 47];
-
-    for (title, sizes) in [
-        (
-            "Figure 6a — modeled broadcast latency (µs), P = 48",
-            (1..=180).step_by(4).collect::<Vec<usize>>(),
-        ),
-        ("Figure 6b — zoom on small messages", (1..=30).collect::<Vec<usize>>()),
-    ] {
-        let curves = fig6_curves(&params, &cfg, 48, &ks, &sizes).expect("static sweep");
+    for (title, curves) in pairs.iter().flat_map(|(_, panels)| panels) {
         let labels: Vec<String> = curves.iter().map(|c| c.label.clone()).collect();
-        let rows: Vec<(usize, Vec<f64>)> = sizes
-            .iter()
-            .enumerate()
-            .map(|(i, &m)| (m, curves.iter().map(|c| c.points[i].1).collect()))
+        let rows: Vec<(usize, Vec<f64>)> = (curves[0].points.iter().enumerate())
+            .map(|(i, &(m, _))| (m, curves.iter().map(|c| c.points[i].1).collect()))
             .collect();
         ctx.series(title, "cache_lines", &labels, &rows);
     }
@@ -38,7 +44,7 @@ fn run(ctx: &mut ExpCtx) {
     // simulator in the loop), so `sim` and `model` coincide and the
     // drift gate tracks changes to the analytical code itself.
     for m in [1usize, 29, 96, 177] {
-        for k in &ks {
+        for k in &KS {
             let v = scc_model::oc_latency_full(&params, &cfg, 48, m, *k);
             ctx.row(format!("latency k={k} m={m}"), None, Some(v), v, 0.01, "us");
         }

@@ -2,7 +2,7 @@
 //! 48-core chip — OC-Bcast (k = 2, 7, 47) against the RCCE_comm
 //! binomial tree, sizes up to 2·M_oc = 192 cache lines.
 
-use super::{outln, Sweep};
+use super::{outln, ExpCtx, Sweep};
 use crate::{measure_bcast, paper_algorithms, paper_chip};
 use oc_bcast::Algorithm;
 use scc_hal::CoreId;
@@ -16,95 +16,92 @@ fn sizes(quick: bool) -> Vec<usize> {
     }
 }
 
-pub(super) fn plan(sweep: &mut Sweep) {
-    let sizes = sizes(sweep.quick);
-    let algs = paper_algorithms(Algorithm::Binomial);
-    let (warmup, reps) = (1, 3);
+pub(super) fn plan(quick: bool) -> Sweep {
+    // One unit per (algorithm, size) point.
+    let sizes = sizes(quick);
+    let points = paper_algorithms(Algorithm::Binomial)
+        .into_iter()
+        .flat_map(|alg| sizes.iter().map(move |&m| (alg, m)))
+        .collect();
+    Sweep::points(
+        points,
+        |&(alg, m)| {
+            measure_bcast(&paper_chip(), alg, CoreId(0), m * 32, 1, 3).map(|t| t.latency_us)
+        },
+        finalize,
+    )
+}
 
-    // One unit per (algorithm, size) point, weighted by size so the
-    // pool schedules the heavy large-message runs first.
-    for &alg in &algs {
-        for &m in &sizes {
-            sweep.value_unit_w(format!("{} m={m}", alg.label()), m as u64, move |_| {
-                let cfg = paper_chip();
-                measure_bcast(&cfg, alg, CoreId(0), m * 32, warmup, reps).expect("sim").latency_us
-            });
+fn finalize(ctx: &mut ExpCtx, pairs: Vec<((Algorithm, usize), f64)>) {
+    let columns: Vec<_> = pairs.chunk_by(|a, b| a.0 .0 == b.0 .0).collect();
+    let labels: Vec<String> = columns.iter().map(|c| c[0].0 .0.label()).collect();
+    let rows: Vec<(usize, Vec<f64>)> = (columns[0].iter().enumerate())
+        .map(|(i, &((_, m), _))| (m, columns.iter().map(|c| c[i].1).collect()))
+        .collect();
+    ctx.series(
+        "Figure 8a — measured broadcast latency (µs), P = 48",
+        "cache_lines",
+        &labels,
+        &rows,
+    );
+
+    // Structured rows with the contention-free model's prediction
+    // alongside each simulator measurement.
+    let predictor = Predictor::paper();
+    for i in 0..rows.len() {
+        for &((alg, m), sim) in columns.iter().map(|c| &c[i]) {
+            let model = match alg {
+                Algorithm::OcBcast(c) => Some(predictor.oc_latency_us(48, m, c.k)),
+                Algorithm::Binomial => Some(predictor.binomial_latency_us(48, m)),
+                _ => None,
+            };
+            ctx.row(format!("latency {} m={m}", alg.label()), None, model, sim, 0.02, "us");
         }
     }
 
-    sweep.finalize(move |ctx, mut values| {
-        let labels: Vec<String> = algs.iter().map(|a| a.label()).collect();
-        let columns: Vec<Vec<f64>> =
-            algs.iter().map(|_| sizes.iter().map(|_| values.next_as::<f64>()).collect()).collect();
-        let rows: Vec<(usize, Vec<f64>)> = sizes
-            .iter()
-            .enumerate()
-            .map(|(i, &m)| (m, columns.iter().map(|c| c[i]).collect()))
-            .collect();
-        ctx.series(
-            "Figure 8a — measured broadcast latency (µs), P = 48",
-            "cache_lines",
-            &labels,
-            &rows,
-        );
-
-        // Structured rows with the contention-free model's prediction
-        // alongside each simulator measurement.
-        let predictor = Predictor::paper();
-        for (m, cols) in &rows {
-            for (label, sim) in labels.iter().zip(cols) {
-                let model = match label.as_str() {
-                    "k=2" => Some(predictor.oc_latency_us(48, *m, 2)),
-                    "k=7" => Some(predictor.oc_latency_us(48, *m, 7)),
-                    "k=47" => Some(predictor.oc_latency_us(48, *m, 47)),
-                    "binomial" => Some(predictor.binomial_latency_us(48, *m)),
-                    _ => None,
-                };
-                ctx.row(format!("latency {label} m={m}"), None, model, *sim, 0.02, "us");
-            }
-        }
-
-        // Section 6.2.1 claims.
-        let col = |label: &str| labels.iter().position(|l| l == label).expect("column");
-        let at = |m: usize, label: &str| rows.iter().find(|r| r.0 == m).expect("row").1[col(label)];
-        let improvement = 1.0 - at(1, "k=7") / at(1, "binomial");
+    // Section 6.2.1 claims; a point the sweep lacks fails its claim.
+    let at = |m: usize, alg: Algorithm| {
+        pairs.iter().find(|(p, _)| *p == (alg, m)).map_or(f64::NAN, |(_, v)| *v)
+    };
+    let (k2, k7, binomial) =
+        (Algorithm::oc_with_k(2), Algorithm::oc_with_k(7), Algorithm::Binomial);
+    let improvement = 1.0 - at(1, k7) / at(1, binomial);
+    outln!(
+        ctx,
+        "# 1-CL latency: k=7 {:.2} µs vs binomial {:.2} µs — {:.0}% improvement (paper: ≥27%)",
+        at(1, k7),
+        at(1, binomial),
+        improvement * 100.0
+    );
+    ctx.shape(
+        "1-CL latency improves ≥27% over the binomial tree",
+        improvement >= 0.27,
+        format!(
+            "k=7 {:.2} µs vs binomial {:.2} µs ({:.0}%)",
+            at(1, k7),
+            at(1, binomial),
+            improvement * 100.0
+        ),
+    );
+    if !ctx.quick {
+        let k7_gain_over_k2 = 1.0 - at(144, k7) / at(144, k2);
         outln!(
             ctx,
-            "# 1-CL latency: k=7 {:.2} µs vs binomial {:.2} µs — {:.0}% improvement (paper: ≥27%)",
-            at(1, "k=7"),
-            at(1, "binomial"),
-            improvement * 100.0
+            "# 96–192 CL: k=7 is {:.0}% better than k=2 (paper: ~25%)",
+            k7_gain_over_k2 * 100.0
         );
         ctx.shape(
-            "1-CL latency improves ≥27% over the binomial tree",
-            improvement >= 0.27,
-            format!(
-                "k=7 {:.2} µs vs binomial {:.2} µs ({:.0}%)",
-                at(1, "k=7"),
-                at(1, "binomial"),
-                improvement * 100.0
-            ),
+            "k=7 clearly beats k=2 at 144 CL",
+            k7_gain_over_k2 > 0.10,
+            format!("{:.0}% gain", k7_gain_over_k2 * 100.0),
         );
-        if !ctx.quick {
-            let k7_gain_over_k2 = 1.0 - at(144, "k=7") / at(144, "k=2");
-            outln!(
-                ctx,
-                "# 96–192 CL: k=7 is {:.0}% better than k=2 (paper: ~25%)",
-                k7_gain_over_k2 * 100.0
-            );
-            ctx.shape(
-                "k=7 clearly beats k=2 at 144 CL",
-                k7_gain_over_k2 > 0.10,
-                format!("{:.0}% gain", k7_gain_over_k2 * 100.0),
-            );
-            // The gap to binomial grows with size.
-            let gap1 = at(1, "binomial") - at(1, "k=7");
-            let gap192 = at(192, "binomial") - at(192, "k=7");
-            ctx.shape(
-                "the gap to binomial grows with message size",
-                gap192 > gap1,
-                format!("gap at 1 CL {gap1:.2} µs, at 192 CL {gap192:.2} µs"),
-            );
-        }
-    });
+        // The gap to binomial grows with size.
+        let gap1 = at(1, binomial) - at(1, k7);
+        let gap192 = at(192, binomial) - at(192, k7);
+        ctx.shape(
+            "the gap to binomial grows with message size",
+            gap192 > gap1,
+            format!("gap at 1 CL {gap1:.2} µs, at 192 CL {gap192:.2} µs"),
+        );
+    }
 }

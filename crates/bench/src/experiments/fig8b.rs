@@ -2,7 +2,7 @@
 //! (logarithmic x, 1 … 32768 cache lines = 1 MiB) — OC-Bcast
 //! (k = 2, 7, 47) against the RCCE_comm scatter-allgather.
 
-use super::{outln, Sweep};
+use super::{outln, ExpCtx, Sweep};
 use crate::{measure_bcast, paper_algorithms, paper_chip};
 use oc_bcast::Algorithm;
 use scc_hal::CoreId;
@@ -16,101 +16,97 @@ fn sizes(quick: bool) -> Vec<usize> {
     }
 }
 
-pub(super) fn plan(sweep: &mut Sweep) {
-    let sizes = sizes(sweep.quick);
-    let algs = paper_algorithms(Algorithm::ScatterAllgather);
-    let (warmup, reps) = (0, 1); // deterministic simulator: one shot is exact
-
+pub(super) fn plan(quick: bool) -> Sweep {
     // One unit per (algorithm, size); the 32768-line points dwarf the
-    // 1-line ones, so cost = size keeps the schedule's tail short.
-    for &alg in &algs {
-        for &m in &sizes {
-            sweep.value_unit_w(format!("{} m={m}", alg.label()), m as u64, move |_| {
-                let cfg = paper_chip();
-                measure_bcast(&cfg, alg, CoreId(0), m * 32, warmup, reps)
-                    .expect("sim")
-                    .throughput_mb_s
-            });
+    // 1-line ones, so cost = size keeps the schedule's tail short. The
+    // simulator is deterministic: one shot is exact.
+    let sizes = sizes(quick);
+    let points = paper_algorithms(Algorithm::ScatterAllgather)
+        .into_iter()
+        .flat_map(|alg| sizes.iter().map(move |&m| (alg, m)))
+        .collect();
+    Sweep::points(
+        points,
+        |&(alg, m)| {
+            measure_bcast(&paper_chip(), alg, CoreId(0), m * 32, 0, 1).map(|t| t.throughput_mb_s)
+        },
+        finalize,
+    )
+}
+
+fn finalize(ctx: &mut ExpCtx, pairs: Vec<((Algorithm, usize), f64)>) {
+    let columns: Vec<_> = pairs.chunk_by(|a, b| a.0 .0 == b.0 .0).collect();
+    let labels: Vec<String> = columns.iter().map(|c| c[0].0 .0.label()).collect();
+    let rows: Vec<(usize, Vec<f64>)> = (columns[0].iter().enumerate())
+        .map(|(i, &((_, m), _))| (m, columns.iter().map(|c| c[i].1).collect()))
+        .collect();
+    ctx.series(
+        "Figure 8b — measured broadcast throughput (MB/s), P = 48, log-x",
+        "cache_lines",
+        &labels,
+        &rows,
+    );
+
+    // Structured rows; for the OC variants the contention-free model
+    // turns its latency into a per-size throughput prediction (there is
+    // no closed-form per-size s-ag latency).
+    let predictor = Predictor::paper();
+    for i in 0..rows.len() {
+        for &((alg, m), sim) in columns.iter().map(|c| &c[i]) {
+            let model = match alg {
+                Algorithm::OcBcast(c) => {
+                    Some(m as f64 * 32.0 / predictor.oc_latency_us(48, m, c.k))
+                }
+                _ => None,
+            };
+            ctx.row(format!("throughput {} m={m}", alg.label()), None, model, sim, 0.02, "MB/s");
         }
     }
 
-    sweep.finalize(move |ctx, mut values| {
-        let labels: Vec<String> = algs.iter().map(|a| a.label()).collect();
-        let columns: Vec<Vec<f64>> =
-            algs.iter().map(|_| sizes.iter().map(|_| values.next_as::<f64>()).collect()).collect();
-        let rows: Vec<(usize, Vec<f64>)> = sizes
-            .iter()
-            .enumerate()
-            .map(|(i, &m)| (m, columns.iter().map(|c| c[i]).collect()))
-            .collect();
-        ctx.series(
-            "Figure 8b — measured broadcast throughput (MB/s), P = 48, log-x",
-            "cache_lines",
-            &labels,
-            &rows,
-        );
+    // Section 6.2.2 claims; a point the sweep lacks fails its claim.
+    let at = |m: usize, alg: Algorithm| {
+        pairs.iter().find(|(p, _)| *p == (alg, m)).map_or(f64::NAN, |(_, v)| *v)
+    };
+    let (k7, k47, sag) =
+        (Algorithm::oc_with_k(7), Algorithm::oc_with_k(47), Algorithm::ScatterAllgather);
+    let big = rows.last().map_or(0, |r| r.0);
+    let ratio = at(big, k7) / at(big, sag);
+    outln!(
+        ctx,
+        "# peak: k=7 {:.2} MB/s vs s-ag {:.2} MB/s — {ratio:.2}x (paper: almost 3x)",
+        at(big, k7),
+        at(big, sag)
+    );
+    ctx.shape(
+        "OC-Bcast clearly dominates scatter-allgather at peak",
+        ratio > 2.0,
+        format!("k=7 {:.2} MB/s vs s-ag {:.2} MB/s ({ratio:.2}x)", at(big, k7), at(big, sag)),
+    );
 
-        // Structured rows; for the OC variants the contention-free model
-        // turns its latency into a per-size throughput prediction.
-        let predictor = Predictor::paper();
-        for (m, cols) in &rows {
-            for (label, sim) in labels.iter().zip(cols) {
-                let model = match label.as_str() {
-                    "k=2" => Some(*m as f64 * 32.0 / predictor.oc_latency_us(48, *m, 2)),
-                    "k=7" => Some(*m as f64 * 32.0 / predictor.oc_latency_us(48, *m, 7)),
-                    "k=47" => Some(*m as f64 * 32.0 / predictor.oc_latency_us(48, *m, 47)),
-                    _ => None, // no closed-form per-size s-ag latency
-                };
-                ctx.row(format!("throughput {label} m={m}"), None, model, *sim, 0.02, "MB/s");
-            }
-        }
-
-        let col = |label: &str| labels.iter().position(|l| l == label).expect("column");
-        let at = |m: usize, label: &str| rows.iter().find(|r| r.0 == m).expect("row").1[col(label)];
-
-        // Section 6.2.2 claims.
-        let big = *sizes.last().expect("sizes");
-        let ratio = at(big, "k=7") / at(big, "s-ag");
+    // The 97-cache-line dip: the second, 1-line chunk adds a pipeline
+    // traversal without adding payload. On the real SCC the per-chunk
+    // software overhead made this a ~25% drop; the simulator's chunk
+    // overhead is the (much smaller) modeled flag traffic, so the dip
+    // is visible but shallow — strongest for k = 47, where the extra
+    // chunk costs the root another 47-flag polling round.
+    for alg in [k7, k47] {
+        let k = alg.label();
+        let dip = at(97, alg) / at(96, alg);
         outln!(
             ctx,
-            "# peak: k=7 {:.2} MB/s vs s-ag {:.2} MB/s — {ratio:.2}x (paper: almost 3x)",
-            at(big, "k=7"),
-            at(big, "s-ag")
+            "# 97-CL dip ({k}): {:.2} MB/s vs {:.2} MB/s at 96 CL (ratio {dip:.3})",
+            at(97, alg),
+            at(96, alg)
         );
         ctx.shape(
-            "OC-Bcast clearly dominates scatter-allgather at peak",
-            ratio > 2.0,
-            format!(
-                "k=7 {:.2} MB/s vs s-ag {:.2} MB/s ({ratio:.2}x)",
-                at(big, "k=7"),
-                at(big, "s-ag")
-            ),
+            &format!("97 CL never beats 96 CL per byte ({k})"),
+            dip <= 1.0,
+            format!("ratio {dip:.3}"),
         );
-
-        // The 97-cache-line dip: the second, 1-line chunk adds a pipeline
-        // traversal without adding payload. On the real SCC the per-chunk
-        // software overhead made this a ~25% drop; the simulator's chunk
-        // overhead is the (much smaller) modeled flag traffic, so the dip
-        // is visible but shallow — strongest for k = 47, where the extra
-        // chunk costs the root another 47-flag polling round.
-        for k in ["k=7", "k=47"] {
-            let dip = at(97, k) / at(96, k);
-            outln!(
-                ctx,
-                "# 97-CL dip ({k}): {:.2} MB/s vs {:.2} MB/s at 96 CL (ratio {dip:.3})",
-                at(97, k),
-                at(96, k)
-            );
-            ctx.shape(
-                &format!("97 CL never beats 96 CL per byte ({k})"),
-                dip <= 1.0,
-                format!("ratio {dip:.3}"),
-            );
-        }
-        ctx.shape(
-            "the chunk-boundary dip is visible at k=47",
-            at(97, "k=47") / at(96, "k=47") < 0.99,
-            format!("ratio {:.3}", at(97, "k=47") / at(96, "k=47")),
-        );
-    });
+    }
+    ctx.shape(
+        "the chunk-boundary dip is visible at k=47",
+        at(97, k47) / at(96, k47) < 0.99,
+        format!("ratio {:.3}", at(97, k47) / at(96, k47)),
+    );
 }

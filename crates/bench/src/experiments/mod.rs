@@ -1,33 +1,36 @@
 //! The typed experiment registry behind the `observatory` harness.
 //!
 //! Every paper figure/table is one [`Experiment`]: a *plan* function
-//! that describes the experiment as a [`Sweep`] — an ordered list of
-//! independent measurement [`Unit`]s plus one finalize step that turns
-//! the units' values into everything the experiment produces: the
-//! classic human-readable text (the committed `results/<id>.txt`), the
-//! structured [`ExperimentRow`]s for the drift gate, the
-//! [`ShapeCheck`]s for the paper's qualitative claims, and — for the
-//! experiments that have them — sidecar files and a named summary
-//! block for `BENCH_figures.json`. The experiment owns all of these
-//! ([`Outputs`]); `observatory` only writes them under
+//! that declares the experiment as a [`Sweep`] — its list of measurement
+//! points, the function that measures one point, and one finalize step
+//! that turns every `(point, value)` pair into everything the experiment
+//! produces: the classic human-readable text (the committed
+//! `results/<id>.txt`), the structured [`ExperimentRow`]s for the drift
+//! gate, the [`ShapeCheck`]s for the paper's qualitative claims, and —
+//! for the experiments that have them — sidecar files and a named
+//! summary block for `BENCH_figures.json`. The experiment owns all of
+//! these ([`Outputs`]); `observatory` only writes them under
 //! `--artifact-dir`.
 //!
-//! Expressing sweeps as data is what makes the parallel runner
-//! (`crate::runner`) possible: units carry no ordering dependencies, so
-//! they can execute on any host thread in any order, and the merge —
-//! unit outputs concatenated in declaration order, then finalize —
-//! reconstructs exactly the sequential output. Determinism of the
-//! artifacts follows from determinism of the simulator: a unit's value
-//! depends only on its own configuration, never on when or where it
-//! ran.
+//! Each point is one *unit*: the runner (`crate::runner`) may measure
+//! the units on any host thread in any order, because a unit only
+//! returns data — it writes no text, rows or files. Finalize is the one
+//! writer and sees the values in declaration order, so the artifacts
+//! are the same at any job count; a value depends only on its own
+//! point, never on when or where it was measured. A unit that fails
+//! (every measurement returns `Result`) becomes a failing shape check
+//! named after its key, and its experiment's finalize does not run.
 //!
 //! Each unit is individually metered (its own wall time plus the engine
 //! counters of exactly the `run_spmd` calls it made, via the
 //! thread-local telemetry scope), so per-experiment [`SelfMetrics`]
 //! stay exact even when experiments interleave across threads.
 
+use crate::pool::Task;
+use oc_bcast::Algorithm;
 use scc_obs::{ExperimentReport, ExperimentRow, Json, SelfMetrics, ShapeCheck};
-use std::any::Any;
+use std::fmt::Display;
+use std::sync::OnceLock;
 
 mod ablation;
 mod audit;
@@ -91,9 +94,9 @@ pub fn text_path(id: &str) -> String {
     }
 }
 
-/// Mutable context a sweep unit (or finalize step) fills in: the
-/// classic text output, the structured rows and shape checks, and the
-/// experiment's other [`Outputs`].
+/// What a finalize step fills in: the classic text output, the
+/// structured rows and shape checks, and the experiment's other
+/// [`Outputs`].
 pub struct ExpCtx {
     /// Reduced sweeps (`observatory --quick`).
     pub quick: bool,
@@ -108,7 +111,7 @@ pub struct ExpCtx {
 }
 
 impl ExpCtx {
-    pub fn new(quick: bool) -> ExpCtx {
+    fn new(quick: bool) -> ExpCtx {
         ExpCtx {
             quick,
             out: String::new(),
@@ -158,7 +161,8 @@ impl ExpCtx {
         pass
     }
 
-    /// [`crate::write_series`] into this context's text buffer.
+    /// Render rows of `(x, columns…)` as an aligned table with a CSV
+    /// twin (the CSV block is what EXPERIMENTS.md embeds).
     pub fn series(
         &mut self,
         title: &str,
@@ -166,111 +170,139 @@ impl ExpCtx {
         col_labels: &[String],
         rows: &[(usize, Vec<f64>)],
     ) {
-        crate::write_series(&mut self.out, title, x_label, col_labels, rows);
+        outln!(self, "# {title}");
+        out!(self, "# {x_label:>8}");
+        for l in col_labels {
+            out!(self, " {l:>12}");
+        }
+        outln!(self);
+        for (x, cols) in rows {
+            out!(self, "{x:>10}");
+            for v in cols {
+                out!(self, " {v:>12.3}");
+            }
+            outln!(self);
+        }
+        outln!(self);
+        outln!(self, "csv,{x_label},{}", col_labels.join(","));
+        for (x, cols) in rows {
+            let vals: Vec<String> = cols.iter().map(|v| format!("{v:.4}")).collect();
+            outln!(self, "csv,{x},{}", vals.join(","));
+        }
+        outln!(self);
     }
 }
 
-/// Type-erased value a measurement unit hands to its sweep's finalize
-/// step.
-pub type UnitValue = Box<dyn Any + Send>;
-
-/// Boxed unit body: writes into its own [`ExpCtx`], may return a value.
-pub type UnitFn = Box<dyn FnOnce(&mut ExpCtx) -> Option<UnitValue> + Send>;
-
-/// Boxed finalize step: consumes the units' values in declaration order.
-pub type FinalizeFn = Box<dyn FnOnce(&mut ExpCtx, Values) + Send>;
-
-/// One independently schedulable piece of an experiment: a closure that
-/// may write output into its own [`ExpCtx`] and may return a value for
-/// the finalize step. Units of one sweep must be mutually independent —
-/// the runner may execute them in any order, on any thread.
-pub struct Unit {
-    /// Unique (within the sweep) stable key; merge order is declaration
-    /// order, the key exists for debugging and duplicate detection.
-    pub(crate) key: String,
+/// One measurement point of a sweep: it names its unit and weighs it.
+pub trait Point {
+    /// Stable key, unique within the sweep; a failed unit's shape check
+    /// carries it.
+    fn key(&self) -> String;
     /// Relative weight for longest-task-first scheduling.
-    pub(crate) cost: u64,
-    pub(crate) run: UnitFn,
+    fn cost(&self) -> u64 {
+        1
+    }
 }
 
-/// An experiment described as data: ordered units plus a finalize step.
+/// A single-unit sweep names its one point.
+impl Point for &'static str {
+    fn key(&self) -> String {
+        self.to_string()
+    }
+}
+
+/// One broadcast of `m` cache lines under one algorithm (Figures
+/// 8a/8b), weighted by size so the heavy large-message runs start first.
+impl Point for (Algorithm, usize) {
+    fn key(&self) -> String {
+        format!("{} m={}", self.0.label(), self.1)
+    }
+    fn cost(&self) -> u64 {
+        self.1 as u64
+    }
+}
+
+/// A sweep's typed points, measurement and finalize behind one
+/// object-safe face — the registry's only type-erased hand-off.
+trait Plan: Sync {
+    /// Measure point `i` and keep its value; `Err` is the error text.
+    fn run(&self, i: usize) -> Result<(), String>;
+    /// Hand every `(point, value)` pair to finalize, in declaration
+    /// order (no call when a value is missing).
+    fn finalize(self: Box<Self>, ctx: &mut ExpCtx);
+}
+
+struct Typed<P, T, R, F> {
+    points: Vec<P>,
+    values: Vec<OnceLock<T>>,
+    run: R,
+    finalize: F,
+}
+
+impl<P, T, R, F> Plan for Typed<P, T, R, F>
+where
+    P: Sync,
+    T: Send + Sync,
+    R: Fn(&P) -> Result<T, String> + Sync,
+    F: FnOnce(&mut ExpCtx, Vec<(P, T)>) + Sync,
+{
+    fn run(&self, i: usize) -> Result<(), String> {
+        let _ = self.values[i].set((self.run)(&self.points[i])?);
+        Ok(())
+    }
+
+    fn finalize(self: Box<Self>, ctx: &mut ExpCtx) {
+        let Typed { points, values, finalize, .. } = *self;
+        let pairs = points.into_iter().zip(values).map(|(p, v)| Some((p, v.into_inner()?)));
+        if let Some(pairs) = pairs.collect() {
+            finalize(ctx, pairs);
+        }
+    }
+}
+
+/// An experiment described as data: its points, one unit each, and the
+/// finalize step that turns their values into its outputs.
 pub struct Sweep {
-    /// Reduced sweeps (`observatory --quick`).
-    pub quick: bool,
-    pub(crate) units: Vec<Unit>,
-    pub(crate) finalize: Option<FinalizeFn>,
+    /// `(key, cost)` of every unit, in declaration order.
+    units: Vec<(String, u64)>,
+    plan: Box<dyn Plan>,
 }
 
 impl Sweep {
-    pub fn new(quick: bool) -> Sweep {
-        Sweep { quick, units: Vec::new(), finalize: None }
-    }
-
-    fn push(&mut self, key: String, cost: u64, run: UnitFn) {
-        assert!(!self.units.iter().any(|u| u.key == key), "duplicate unit key `{key}`");
-        self.units.push(Unit { key, cost, run });
-    }
-
-    /// Add a self-contained unit: it writes its own output and returns
-    /// no value (its text/rows/shapes merge in declaration order).
-    pub fn unit(&mut self, key: impl Into<String>, f: impl FnOnce(&mut ExpCtx) + Send + 'static) {
-        self.push(
-            key.into(),
-            1,
-            Box::new(move |ctx| {
-                f(ctx);
-                None
+    /// Declare a sweep: `run` measures one point (any thread, any
+    /// order), `finalize` receives every point with its value in
+    /// declaration order and writes all of the experiment's output.
+    pub fn points<P, T, E>(
+        points: Vec<P>,
+        run: impl Fn(&P) -> Result<T, E> + Sync + 'static,
+        finalize: impl FnOnce(&mut ExpCtx, Vec<(P, T)>) + Sync + 'static,
+    ) -> Sweep
+    where
+        P: Point + Sync + 'static,
+        T: Send + Sync + 'static,
+        E: Display,
+    {
+        Sweep {
+            units: points.iter().map(|p| (p.key(), p.cost())).collect(),
+            plan: Box::new(Typed {
+                values: points.iter().map(|_| OnceLock::new()).collect(),
+                points,
+                run: move |p: &P| run(p).map_err(|e| e.to_string()),
+                finalize,
             }),
-        );
-    }
-
-    /// Add a measurement unit whose value the finalize step consumes
-    /// (in declaration order, via [`Values::next_as`]).
-    pub fn value_unit<T: Send + 'static>(
-        &mut self,
-        key: impl Into<String>,
-        f: impl FnOnce(&mut ExpCtx) -> T + Send + 'static,
-    ) {
-        self.value_unit_w(key, 1, f);
-    }
-
-    /// [`Self::value_unit`] with an explicit scheduling weight — use
-    /// when units of one sweep differ wildly in runtime (e.g. message
-    /// size in cache lines).
-    pub fn value_unit_w<T: Send + 'static>(
-        &mut self,
-        key: impl Into<String>,
-        cost: u64,
-        f: impl FnOnce(&mut ExpCtx) -> T + Send + 'static,
-    ) {
-        self.push(key.into(), cost, Box::new(move |ctx| Some(Box::new(f(ctx)) as UnitValue)));
-    }
-
-    /// Set the finalize step: runs after every unit, receives the
-    /// units' values in declaration order, and its output merges last.
-    pub fn finalize(&mut self, f: impl FnOnce(&mut ExpCtx, Values) + Send + 'static) {
-        assert!(self.finalize.is_none(), "a sweep has exactly one finalize step");
-        self.finalize = Some(Box::new(f));
-    }
-}
-
-/// The values the measurement units produced, in declaration order.
-pub struct Values {
-    items: std::vec::IntoIter<(String, Option<UnitValue>)>,
-}
-
-impl Values {
-    /// Take the next value (skipping valueless units) as a `T`. Panics
-    /// with the unit's key on a type mismatch — a plan/finalize bug.
-    pub fn next_as<T: 'static>(&mut self) -> T {
-        for (key, v) in self.items.by_ref() {
-            if let Some(v) = v {
-                return *v.downcast::<T>().unwrap_or_else(|_| {
-                    panic!("unit `{key}`: finalize expected a {}", std::any::type_name::<T>())
-                });
-            }
         }
-        panic!("finalize consumed more values than the sweep's units produced");
+    }
+
+    /// One metered task per unit, in declaration order.
+    pub(crate) fn tasks(&self) -> impl Iterator<Item = Task<'_, UnitOutcome>> {
+        self.units.iter().enumerate().map(move |(i, &(_, cost))| Task {
+            cost,
+            run: Box::new(move || metered(|| self.plan.run(i))) as Box<_>,
+        })
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.units.len()
     }
 }
 
@@ -280,167 +312,85 @@ pub struct Experiment {
     pub id: &'static str,
     /// Human title used in `results/CONFORMANCE.md`.
     pub title: &'static str,
-    /// Describe the experiment as a [`Sweep`].
-    pub plan: fn(&mut Sweep),
+    /// Declare the experiment, full or reduced (`--quick`), as a
+    /// [`Sweep`].
+    pub plan: fn(bool) -> Sweep,
 }
 
 /// Every experiment the observatory knows, in paper order.
 pub fn registry() -> Vec<Experiment> {
-    vec![
-        Experiment {
-            id: "table1", title: "Table 1 — fitted model parameters", plan: table1::plan
-        },
-        Experiment {
-            id: "fig3",
-            title: "Figure 3 — put/get completion time vs distance",
-            plan: fig3::plan,
-        },
-        Experiment { id: "fig4", title: "Figure 4 — MPB contention", plan: fig4::plan },
-        Experiment {
-            id: "fig5",
-            title: "Figure 5 — propagation and notification trees",
-            plan: fig5::plan,
-        },
-        Experiment {
-            id: "fig6", title: "Figure 6 — modeled broadcast latency", plan: fig6::plan
-        },
-        Experiment {
-            id: "table2", title: "Table 2 — modeled peak throughput", plan: table2::plan
-        },
-        Experiment {
-            id: "fig8a",
-            title: "Figure 8a — measured broadcast latency",
-            plan: fig8a::plan,
-        },
-        Experiment {
-            id: "fig8b",
-            title: "Figure 8b — measured broadcast throughput",
-            plan: fig8b::plan,
-        },
-        Experiment {
-            id: "linkstress",
-            title: "Section 3.3 — mesh link stress",
-            plan: linkstress::plan,
-        },
-        Experiment { id: "ablation", title: "Design-choice ablations", plan: ablation::plan },
-        Experiment {
-            id: "heatmap",
-            title: "Section 5 — per-link mesh occupancy heatmaps",
-            plan: heatmap::plan,
-        },
-        Experiment {
-            id: "whatif",
-            title: "Causal what-if profiles — cost-class sensitivity",
-            plan: whatif::plan,
-        },
-        Experiment {
-            id: "skew",
-            title: "Message journeys — delivery skew & straggler attribution",
-            plan: skew::plan,
-        },
-        Experiment {
-            id: "faults",
-            title: "Reliable broadcast — degradation under injected faults",
-            plan: faults::plan,
-        },
-        Experiment {
-            id: "tune",
-            title: "Configuration-space sweep — best (k, M_oc, fan-out, tree)",
-            plan: tune::plan,
-        },
-        Experiment {
-            id: "soak",
-            title: "Soak — sustained reliable traffic under SLO watchdogs",
-            plan: soak::plan,
-        },
-        Experiment {
-            id: "audit",
-            title: "Causal trace audit — happens-before conformance of recorded runs",
-            plan: audit::plan,
-        },
-    ]
+    type Entry = (&'static str, &'static str, fn(bool) -> Sweep);
+    let table: [Entry; 17] = [
+        ("table1", "Table 1 — fitted model parameters", table1::plan),
+        ("fig3", "Figure 3 — put/get completion time vs distance", fig3::plan),
+        ("fig4", "Figure 4 — MPB contention", fig4::plan),
+        ("fig5", "Figure 5 — propagation and notification trees", fig5::plan),
+        ("fig6", "Figure 6 — modeled broadcast latency", fig6::plan),
+        ("table2", "Table 2 — modeled peak throughput", table2::plan),
+        ("fig8a", "Figure 8a — measured broadcast latency", fig8a::plan),
+        ("fig8b", "Figure 8b — measured broadcast throughput", fig8b::plan),
+        ("linkstress", "Section 3.3 — mesh link stress", linkstress::plan),
+        ("ablation", "Design-choice ablations", ablation::plan),
+        ("heatmap", "Section 5 — per-link mesh occupancy heatmaps", heatmap::plan),
+        ("whatif", "Causal what-if profiles — cost-class sensitivity", whatif::plan),
+        ("skew", "Message journeys — delivery skew & straggler attribution", skew::plan),
+        ("faults", "Reliable broadcast — degradation under injected faults", faults::plan),
+        ("tune", "Configuration-space sweep — best (k, M_oc, fan-out, tree)", tune::plan),
+        ("soak", "Soak — sustained reliable traffic under SLO watchdogs", soak::plan),
+        ("audit", "Causal trace audit — happens-before conformance of recorded runs", audit::plan),
+    ];
+    table.into_iter().map(|(id, title, plan)| Experiment { id, title, plan }).collect()
 }
 
-/// What one executed unit produced: its context (text/rows/shapes/
-/// outputs), its value for finalize, and its own metered cost.
-pub(crate) struct UnitOutcome {
-    pub(crate) key: String,
-    pub(crate) ctx: ExpCtx,
-    pub(crate) value: Option<UnitValue>,
-    pub(crate) metrics: SelfMetrics,
-}
+/// What one executed unit produced: success or its error text, and its
+/// own metered cost.
+pub(crate) type UnitOutcome = (Result<(), String>, SelfMetrics);
 
-/// Execute one unit on the calling thread, metering its wall time and
-/// exactly its own engine work (thread-local telemetry scope — safe
-/// under any number of concurrently executing units).
-pub(crate) fn execute_unit(unit: Unit, quick: bool) -> UnitOutcome {
-    let mut ctx = ExpCtx::new(quick);
+/// Run `f` on the calling thread, metering its wall time and exactly
+/// its own engine work (thread-local telemetry scope — safe under any
+/// number of concurrently executing units).
+fn metered<R>(f: impl FnOnce() -> R) -> (R, SelfMetrics) {
     let _ = scc_sim::telemetry::take_thread();
     let wall = std::time::Instant::now();
-    let value = (unit.run)(&mut ctx);
+    let r = f();
     let wall_s = wall.elapsed().as_secs_f64();
     let d = scc_sim::telemetry::take_thread();
-    UnitOutcome {
-        key: unit.key,
-        ctx,
-        value,
-        metrics: SelfMetrics {
-            wall_s,
-            sim_runs: d.runs,
-            sim_events: d.events,
-            heap_pushes: d.heap_pushes,
-            coalesced_steps: d.coalesced_steps,
-            units: 0, // set by `assemble` to the merged unit count
-        },
-    }
+    let metrics = SelfMetrics {
+        wall_s,
+        sim_runs: d.runs,
+        sim_events: d.events,
+        heap_pushes: d.heap_pushes,
+        coalesced_steps: d.coalesced_steps,
+        units: 0, // `assemble` counts the experiment's units
+    };
+    (r, metrics)
 }
 
-/// Merge executed units (in declaration order — the caller must pass
-/// them so) and run the finalize step. This is the deterministic-merge
-/// half of the parallel runner: given the same unit values, the result
-/// is byte-identical however the units were scheduled.
+/// Turn a sweep's executed units (in declaration order — the caller
+/// must pass them so) into its report: a failing shape per failed unit,
+/// else the finalize step. This is the deterministic-merge half of the
+/// parallel runner: given the same unit values, the result is
+/// byte-identical however the units were scheduled.
 pub(crate) fn assemble(
     exp: &Experiment,
     quick: bool,
-    finalize: Option<FinalizeFn>,
+    sweep: Sweep,
     outcomes: Vec<UnitOutcome>,
 ) -> (ExperimentReport, String, Outputs) {
-    let unit_count = outcomes.len() as u64;
-    let mut text = String::new();
-    let mut rows = Vec::new();
-    let mut shapes = Vec::new();
-    let mut outputs = Outputs::default();
-    let mut metrics = SelfMetrics::default();
-    let mut merge = |ctx: ExpCtx, m: &SelfMetrics| {
-        text.push_str(&ctx.out);
-        rows.extend(ctx.rows);
-        shapes.extend(ctx.shapes);
-        outputs.files.extend(ctx.outputs.files);
-        outputs.summaries.extend(ctx.outputs.summaries);
-        metrics.absorb(m);
-    };
-    let mut values = Vec::with_capacity(outcomes.len());
-    for o in outcomes {
-        merge(o.ctx, &o.metrics);
-        values.push((o.key, o.value));
+    let mut ctx = ExpCtx::new(quick);
+    let mut metrics = SelfMetrics { units: outcomes.len() as u64, ..SelfMetrics::default() };
+    for ((key, _), (result, m)) in sweep.units.iter().zip(outcomes) {
+        metrics.absorb(&m);
+        if let Err(e) = result {
+            ctx.shape(&format!("unit `{key}`"), false, e);
+        }
     }
-    if let Some(f) = finalize {
-        let values = Values { items: values.into_iter() };
-        let fin = execute_unit(
-            Unit {
-                key: "finalize".to_string(),
-                cost: 0,
-                run: Box::new(move |ctx| {
-                    f(ctx, values);
-                    None
-                }),
-            },
-            quick,
-        );
-        merge(fin.ctx, &fin.metrics);
+    if ctx.shapes.is_empty() {
+        let ((), m) = metered(|| sweep.plan.finalize(&mut ctx));
+        metrics.absorb(&m);
     }
-    metrics.units = unit_count;
-    outputs.files.insert(0, (text_path(exp.id), text.clone()));
+    let ExpCtx { out, rows, shapes, mut outputs, .. } = ctx;
+    outputs.files.insert(0, (text_path(exp.id), out.clone()));
     let report = ExperimentReport {
         id: exp.id.to_string(),
         title: exp.title.to_string(),
@@ -448,12 +398,13 @@ pub(crate) fn assemble(
         shapes,
         metrics,
     };
-    (report, text, outputs)
+    (report, out, outputs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_experiment_jobs;
 
     #[test]
     fn registry_ids_are_unique_and_stable() {
@@ -484,35 +435,110 @@ mod tests {
     #[test]
     fn every_experiment_decomposes_into_units() {
         for exp in registry() {
-            let mut sweep = Sweep::new(true);
-            (exp.plan)(&mut sweep);
-            assert!(!sweep.units.is_empty(), "{}: empty sweep", exp.id);
-            // Keys are asserted unique at push time; re-check here so a
-            // relaxed push never slips through.
-            let mut keys: Vec<&str> = sweep.units.iter().map(|u| u.key.as_str()).collect();
-            keys.sort_unstable();
-            keys.dedup();
-            assert_eq!(keys.len(), sweep.units.len(), "{}: duplicate keys", exp.id);
+            for quick in [true, false] {
+                let sweep = (exp.plan)(quick);
+                assert_ne!(sweep.len(), 0, "{}: empty sweep", exp.id);
+                let mut keys: Vec<&str> = sweep.units.iter().map(|u| u.0.as_str()).collect();
+                keys.sort_unstable();
+                keys.dedup();
+                assert_eq!(keys.len(), sweep.len(), "{}: duplicate keys", exp.id);
+            }
+        }
+    }
+
+    /// Per-experiment unit counts, quick and full, as planned before the
+    /// sweeps became typed. `results/CONFORMANCE.md` prints the full
+    /// ones; tier-1 never runs the full observatory, so a merged or
+    /// split unit would otherwise surface only in CI.
+    #[test]
+    fn registry_unit_counts_are_pinned() {
+        const COUNTS: [(&str, usize, usize); 17] = [
+            ("table1", 18, 18),
+            ("fig3", 26, 26),
+            ("fig4", 8, 22),
+            ("fig5", 1, 1),
+            ("fig6", 1, 1),
+            ("table2", 1, 1),
+            ("fig8a", 16, 60),
+            ("fig8b", 20, 60),
+            ("linkstress", 2, 2),
+            ("ablation", 21, 21),
+            ("heatmap", 4, 4),
+            ("whatif", 12, 12),
+            ("skew", 3, 3),
+            ("faults", 6, 12),
+            ("tune", 2, 15),
+            ("soak", 10, 60),
+            ("audit", 9, 9),
+        ];
+        let planned: Vec<(&str, usize, usize)> = registry()
+            .iter()
+            .map(|e| (e.id, (e.plan)(true).len(), (e.plan)(false).len()))
+            .collect();
+        assert_eq!(planned, COUNTS);
+    }
+
+    /// A test point with an explicit weight.
+    struct Weighted(&'static str, u64);
+
+    impl Point for Weighted {
+        fn key(&self) -> String {
+            self.0.to_string()
+        }
+        fn cost(&self) -> u64 {
+            self.1
         }
     }
 
     #[test]
     fn values_flow_from_units_to_finalize_in_declaration_order() {
-        let mut sweep = Sweep::new(true);
-        sweep.value_unit("a", |_| 10u64);
-        sweep.unit("textual", |ctx| outln!(ctx, "mid"));
-        sweep.value_unit_w("b", 99, |_| 32u64);
-        sweep.finalize(|ctx, mut values| {
-            let a = values.next_as::<u64>();
-            let b = values.next_as::<u64>();
-            outln!(ctx, "sum {}", a + b);
-        });
-        let Sweep { units, finalize, .. } = sweep;
-        let outcomes = units.into_iter().map(|u| execute_unit(u, true)).collect();
-        let exp = Experiment { id: "t", title: "t", plan: |_| {} };
-        let (report, text, outputs) = assemble(&exp, true, finalize, outcomes);
-        assert_eq!(text, "mid\nsum 42\n");
-        assert_eq!(outputs.files, vec![("results/t.txt".to_string(), text)]);
+        // The heavy last point runs first at jobs = 2; finalize still
+        // sees the declaration order.
+        let exp = Experiment {
+            id: "t",
+            title: "t",
+            plan: |_| {
+                Sweep::points(
+                    vec![Weighted("a", 1), Weighted("b", 1), Weighted("c", 99)],
+                    |p| Ok::<_, String>(p.0.len() as u64 * if p.1 > 1 { 32 } else { 5 }),
+                    |ctx, pairs| {
+                        for (p, v) in &pairs {
+                            out!(ctx, "{}={v} ", p.0);
+                        }
+                        outln!(ctx, "sum {}", pairs.iter().map(|(_, v)| v).sum::<u64>());
+                    },
+                )
+            },
+        };
+        for jobs in [1, 2] {
+            let (report, text, outputs) = run_experiment_jobs(&exp, true, jobs);
+            assert_eq!(text, "a=5 b=5 c=32 sum 42\n");
+            assert_eq!(outputs.files, vec![("results/t.txt".to_string(), text)]);
+            assert_eq!(report.metrics.units, 3);
+            assert!(report.shapes.is_empty());
+        }
+    }
+
+    #[test]
+    fn a_failing_unit_fails_its_experiment_not_the_process() {
+        let exp = Experiment {
+            id: "t",
+            title: "t",
+            plan: |_| {
+                Sweep::points(
+                    vec!["ok", "broken", "fine"],
+                    |p| if *p == "broken" { Err(format!("{p}: no route")) } else { Ok(1u8) },
+                    |ctx, _| outln!(ctx, "finalize ran"),
+                )
+            },
+        };
+        let (report, text, outputs) = run_experiment_jobs(&exp, true, 2);
+        assert_eq!(text, "", "finalize must not run after a failed unit");
+        assert_eq!(outputs.files, vec![("results/t.txt".to_string(), String::new())]);
         assert_eq!(report.metrics.units, 3);
+        assert!(!report.shapes_pass());
+        assert_eq!(report.shapes.len(), 1, "{:?}", report.shapes);
+        assert!(report.shapes[0].name.contains("broken"), "{:?}", report.shapes[0]);
+        assert_eq!(report.shapes[0].detail, "broken: no route");
     }
 }

@@ -11,58 +11,51 @@
 //! per scenario (`results/movie_<id>.txt`), and the `journeys` summary
 //! block of `BENCH_figures.json` from the same books.
 
-use super::{outln, Sweep};
+use super::{outln, Point, Sweep};
 use crate::{record_run, Scenario};
 use oc_bcast::Algorithm;
 use scc_hal::Time;
 use scc_obs::{artifact, CongestionMovie, JourneyBook, Json, SkewReport, Wire};
-use scc_sim::SimParams;
+use scc_sim::{SimError, SimParams};
 
 /// Frames per congestion movie: enough to see the root-column burst
 /// travel without drowning the text artifact.
 const MOVIE_FRAMES: usize = 8;
 
-/// `(stable id, scenario)` pairs; the id names the movie artifact.
-fn scenarios(quick: bool) -> Vec<(&'static str, Scenario)> {
-    let lines = if quick { 32 } else { 96 };
-    vec![
-        ("oc_k47", Scenario::new(Algorithm::oc_with_k(47), 48, lines)),
-        ("oc_k7", Scenario::new(Algorithm::oc_with_k(7), 48, lines)),
-        ("binomial", Scenario::new(Algorithm::Binomial, 48, lines)),
-    ]
-}
+/// One recorded scenario; the stable id names the movie artifact.
+struct Journeys(&'static str, Scenario);
 
-/// What one recorded scenario hands to finalize.
-struct Traced {
-    book: JourneyBook,
-    movie: String,
-}
-
-pub(super) fn plan(sweep: &mut Sweep) {
-    for (id, sc) in scenarios(sweep.quick) {
-        sweep.value_unit_w(format!("journeys {id}"), sc.lines as u64, move |_| {
-            let (events, _makespan) =
-                record_run(&sc, SimParams::default()).expect("recorded broadcast");
-            Traced {
-                book: JourneyBook::from_events(&events),
-                movie: CongestionMovie::from_events(&events, MOVIE_FRAMES).render(&sc.label),
-            }
-        });
+impl Point for Journeys {
+    fn key(&self) -> String {
+        format!("journeys {}", self.0)
     }
+    fn cost(&self) -> u64 {
+        self.1.lines as u64
+    }
+}
 
-    sweep.finalize(move |ctx, mut values| {
-        let scs = scenarios(ctx.quick);
+/// The scenario's journey book and its rendered congestion movie.
+fn trace(Journeys(_, sc): &Journeys) -> Result<(JourneyBook, String), SimError> {
+    let (events, _makespan) = record_run(sc, SimParams::default())?;
+    let movie = CongestionMovie::from_events(&events, MOVIE_FRAMES).render(&sc.label);
+    Ok((JourneyBook::from_events(&events), movie))
+}
+
+pub(super) fn plan(quick: bool) -> Sweep {
+    let lines = if quick { 32 } else { 96 };
+    let scenarios = vec![
+        Journeys("oc_k47", Scenario::new(Algorithm::oc_with_k(47), 48, lines)),
+        Journeys("oc_k7", Scenario::new(Algorithm::oc_with_k(7), 48, lines)),
+        Journeys("binomial", Scenario::new(Algorithm::Binomial, 48, lines)),
+    ];
+    Sweep::points(scenarios, trace, move |ctx, pairs| {
         outln!(
             ctx,
-            "# per-destination delivery skew, 48-core broadcasts ({} cache lines from C0)",
-            scs[0].1.lines
+            "# per-destination delivery skew, 48-core broadcasts ({lines} cache lines from C0)"
         );
         let mut books: Vec<(String, JourneyBook)> = Vec::new();
         let mut skews: Vec<SkewReport> = Vec::new();
-        for (id, sc) in &scs {
-            let traced = values.next_as::<Traced>();
-            let book = traced.book;
-
+        for (Journeys(id, sc), (book, movie)) in pairs {
             // The exactness invariants this module exists to guard.
             let conserved = book.journeys.iter().all(|j| j.legs_total() == j.latency());
             ctx.shape(
@@ -106,7 +99,7 @@ pub(super) fn plan(sweep: &mut Sweep) {
                 )),
             );
 
-            ctx.artifact(format!("results/movie_{id}.txt"), traced.movie);
+            ctx.artifact(format!("results/movie_{id}.txt"), movie);
             books.push((id.to_string(), book));
             skews.push(skew);
         }
@@ -125,5 +118,5 @@ pub(super) fn plan(sweep: &mut Sweep) {
                 ),
             ],
         );
-    });
+    })
 }

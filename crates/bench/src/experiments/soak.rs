@@ -19,8 +19,8 @@
 //! `results/soak_metrics.txt` and the `soak` summary block of
 //! `BENCH_figures.json` are byte-identical at any `--jobs`.
 
-use super::{outln, Sweep};
-use crate::policy;
+use super::{outln, Point, Sweep};
+use crate::{core_results, policy, setup};
 use oc_bcast::{Algorithm, Broadcaster, RelStats};
 use scc_hal::{CoreId, MemRange, Rma, RmaExt, RmaResult, Time};
 use scc_obs::{
@@ -29,7 +29,7 @@ use scc_obs::{
     QuantileSketch, RecoveryCounters, SkewReport, SloPolicy, SoakPhase, SoakScenario, Wire,
 };
 use scc_rcce::MpbAllocator;
-use scc_sim::{run_spmd, FaultPlan, SimConfig};
+use scc_sim::{run_spmd, FaultPlan, SimConfig, SimError};
 
 /// Soak trades chip scale for epoch volume: half the chip, small
 /// messages, ten thousand broadcasts.
@@ -60,50 +60,57 @@ fn slo() -> SloPolicy {
     }
 }
 
-/// One traffic phase: `epochs` back-to-back broadcasts under one drop
-/// rate, split into `chunk` -epoch units.
-struct PhasePlan {
-    id: &'static str,
-    drop_ppm: u32,
-    epochs: usize,
-    chunk: usize,
-}
-
-struct ScenarioPlan {
-    id: &'static str,
+/// One unit: `epochs` back-to-back broadcasts of `lines` cache lines,
+/// the `start`-th onwards of its scenario, in one traffic phase.
+struct Chunk {
+    scenario: &'static str,
     alg: Algorithm,
-    phases: Vec<PhasePlan>,
+    lines: usize,
+    phase: &'static str,
+    drop_ppm: u32,
+    start: usize,
+    epochs: usize,
 }
 
-fn msg_lines(quick: bool) -> usize {
-    if quick {
-        4
-    } else {
-        8
+impl Point for Chunk {
+    fn key(&self) -> String {
+        format!("soak {} {} e{}", self.scenario, self.phase, self.start)
+    }
+    // Fault-phase chunks do recovery work and carry the flight ring —
+    // start them early.
+    fn cost(&self) -> u64 {
+        self.epochs as u64 * if self.drop_ppm > 0 { 4 } else { 1 }
     }
 }
 
-/// Mid-run fault phase between two healthy phases. The full oc_k7 soak
-/// is the acceptance workload: 10,000 epochs. Quick mode keeps the
-/// same three-phase shape at a few dozen epochs (with a denser drop
-/// rate so the short fault phase still faults).
-fn scenarios(quick: bool) -> Vec<ScenarioPlan> {
-    let (oc, bin, rate) = if quick {
-        ((48, 24, 24), (40, 20, 20), 20_000)
+/// Mid-run fault phase between two healthy phases, each split into
+/// chunks. The full oc_k7 soak is the acceptance workload: 10,000
+/// epochs. Quick mode keeps the same three-phase shape at a few dozen
+/// epochs (with a denser drop rate so the short fault phase still
+/// faults).
+fn chunks(quick: bool) -> Vec<Chunk> {
+    let (lines, oc, bin, rate) = if quick {
+        (4, (48, 24, 24), (40, 20, 20), 20_000)
     } else {
-        ((4_000, 2_000, 200), (400, 200, 100), 2_000)
+        (8, (4_000, 2_000, 200), (400, 200, 100), 2_000)
     };
-    let phases = |sizes: (usize, usize, usize)| {
-        vec![
-            PhasePlan { id: "healthy_a", drop_ppm: 0, epochs: sizes.0, chunk: sizes.2 },
-            PhasePlan { id: "faults", drop_ppm: rate, epochs: sizes.1, chunk: sizes.2 },
-            PhasePlan { id: "healthy_b", drop_ppm: 0, epochs: sizes.0, chunk: sizes.2 },
-        ]
-    };
-    vec![
-        ScenarioPlan { id: "oc_k7", alg: Algorithm::oc_with_k(7), phases: phases(oc) },
-        ScenarioPlan { id: "binomial", alg: Algorithm::Binomial, phases: phases(bin) },
-    ]
+    let mut out = Vec::new();
+    for (scenario, alg, (healthy, faulty, chunk)) in
+        [("oc_k7", Algorithm::oc_with_k(7), oc), ("binomial", Algorithm::Binomial, bin)]
+    {
+        let mut start = 0;
+        for (phase, drop_ppm, epochs) in
+            [("healthy_a", 0, healthy), ("faults", rate, faulty), ("healthy_b", 0, healthy)]
+        {
+            let end = start + epochs;
+            while start < end {
+                let epochs = chunk.min(end - start);
+                out.push(Chunk { scenario, alg, lines, phase, drop_ppm, start, epochs });
+                start += epochs;
+            }
+        }
+    }
+    out
 }
 
 /// Epoch payloads differ so a stale buffer can never verify.
@@ -140,13 +147,8 @@ struct ChunkOut {
 }
 
 /// Run one chunk: `epochs` broadcasts in one shared reliable context.
-fn run_chunk(
-    alg: Algorithm,
-    lines: usize,
-    drop_ppm: u32,
-    base_epoch: usize,
-    epochs: usize,
-) -> ChunkOut {
+fn run_chunk(chunk: &Chunk) -> Result<ChunkOut, SimError> {
+    let &Chunk { alg, lines, drop_ppm, start: base_epoch, epochs, .. } = chunk;
     let bytes = lines * 32;
     let cfg = SimConfig {
         num_cores: CORES,
@@ -168,8 +170,7 @@ fn run_chunk(
         let mut alloc = MpbAllocator::new();
         let r = MemRange::new(0, bytes);
         let mut out = Vec::with_capacity(epochs);
-        let mut b = Broadcaster::new_reliable(&mut alloc, alg, c.num_cores(), policy())
-            .expect("reliable variant fits the MPB");
+        let mut b = setup(Broadcaster::new_reliable(&mut alloc, alg, c.num_cores(), policy()))?;
         for e in 0..epochs {
             let payload = payload_for(base_epoch + e, bytes);
             if c.core() == ROOT {
@@ -182,11 +183,9 @@ fn run_chunk(
             out.push((t0, t1, ok, b.rel_stats()));
         }
         Ok(out)
-    })
-    .expect("soak chunk run");
+    })?;
 
-    let per: Vec<Vec<(Time, Time, bool, RelStats)>> =
-        rep.results.into_iter().map(|r| r.expect("reliable bcast must complete")).collect();
+    let per = core_results(rep.results)?;
     let mut out = ChunkOut {
         rollups: Vec::with_capacity(epochs),
         sketch: QuantileSketch::new(),
@@ -223,7 +222,9 @@ fn run_chunk(
         }
         out.rollups.push(EpochRollup {
             epoch: (base_epoch + e) as u32,
-            p99: hist.quantile(0.99).expect("every epoch has destinations"),
+            // Without destinations there is no latency: zero, as the
+            // makespan.
+            p99: hist.quantile(0.99).unwrap_or(makespan),
             makespan,
             timeouts,
             recoveries,
@@ -232,33 +233,12 @@ fn run_chunk(
             faults: 0,
         });
     }
-    out
+    Ok(out)
 }
 
-pub(super) fn plan(sweep: &mut Sweep) {
-    let lines = msg_lines(sweep.quick);
-    for sc in scenarios(sweep.quick) {
-        let mut base = 0usize;
-        let alg = sc.alg;
-        for ph in &sc.phases {
-            let mut done = 0usize;
-            while done < ph.epochs {
-                let n = ph.chunk.min(ph.epochs - done);
-                let (id, phase_id, drop, start) = (sc.id, ph.id, ph.drop_ppm, base + done);
-                // Fault-phase chunks do recovery work and carry the
-                // flight ring — start them early.
-                let cost = n as u64 * if drop > 0 { 4 } else { 1 };
-                sweep.value_unit_w(format!("soak {id} {phase_id} e{start}"), cost, move |_| {
-                    run_chunk(alg, lines, drop, start, n)
-                });
-                done += n;
-            }
-            base += ph.epochs;
-        }
-    }
-
-    sweep.finalize(move |ctx, mut values| {
-        let lines = msg_lines(ctx.quick);
+pub(super) fn plan(quick: bool) -> Sweep {
+    Sweep::points(chunks(quick), run_chunk, |ctx, pairs| {
+        let lines = pairs[0].0.lines;
         outln!(ctx, "# soak: back-to-back reliable broadcasts, {CORES} cores, {lines} cache lines");
         outln!(ctx, "# SLO per epoch: p99 <= 300 us, makespan <= 450 us, zero recoveries");
         let mut report: Vec<SoakScenario> = Vec::new();
@@ -266,20 +246,23 @@ pub(super) fn plan(sweep: &mut Sweep) {
         // `(dump stem, invariant instances checked, violations)` for
         // every flight window dumped below.
         let mut dump_audits: Vec<(String, u64, u64)> = Vec::new();
-        for sc in scenarios(ctx.quick) {
+        for sc in pairs.chunk_by(|a, b| a.0.scenario == b.0.scenario) {
+            let (id, alg) = (sc[0].0.scenario, sc[0].0.alg);
             let mut scenario = SoakScenario {
-                id: sc.id.to_string(),
-                label: format!("{} {CORES}c {lines}cl", sc.alg.label()),
+                id: id.to_string(),
+                label: format!("{} {CORES}c {lines}cl", alg.label()),
                 cores: CORES as u64,
                 policy: slo(),
                 phases: Vec::new(),
             };
             let mut dumps_left = MAX_DUMPS;
-            for ph in &sc.phases {
+            for ph in sc.chunk_by(|a, b| a.0.phase == b.0.phase) {
+                let (phase_id, drop_ppm) = (ph[0].0.phase, ph[0].0.drop_ppm);
+                let epochs: usize = ph.iter().map(|(c, _)| c.epochs).sum();
                 let mut phase = SoakPhase {
-                    id: ph.id.to_string(),
-                    drop_ppm: u64::from(ph.drop_ppm),
-                    epochs: ph.epochs as u64,
+                    id: phase_id.to_string(),
+                    drop_ppm: u64::from(drop_ppm),
+                    epochs: epochs as u64,
                     sketch: QuantileSketch::new(),
                     makespan_max: Time::ZERO,
                     timeouts: 0,
@@ -291,9 +274,7 @@ pub(super) fn plan(sweep: &mut Sweep) {
                     dumps: Vec::new(),
                 };
                 let mut exact = LatencyHistogram::new();
-                let mut done = 0usize;
-                while done < ph.epochs {
-                    let chunk = values.next_as::<ChunkOut>();
+                for (_, chunk) in ph {
                     let n = chunk.rollups.len();
                     all_verified &= chunk.verified;
                     phase.sketch.merge(&chunk.sketch);
@@ -319,7 +300,7 @@ pub(super) fn plan(sweep: &mut Sweep) {
                             dumps_left -= 1;
                             let first = chunk.rollups[0].epoch;
                             let last = chunk.rollups[n - 1].epoch;
-                            let stem = format!("results/soak_dump_{}_e{first:05}-{last:05}", sc.id);
+                            let stem = format!("results/soak_dump_{id}_e{first:05}-{last:05}");
                             // Audit the retained window before dumping
                             // it: a breach explains *slow*, never
                             // *wrong* — window mode tolerates the
@@ -331,7 +312,7 @@ pub(super) fn plan(sweep: &mut Sweep) {
                                 arep.violations.len() as u64,
                             ));
                             ctx.artifact(format!("{stem}_trace.json"), chrome_trace_json(window));
-                            let book = (sc.id.to_string(), JourneyBook::from_events(window));
+                            let book = (id.to_string(), JourneyBook::from_events(window));
                             ctx.artifact(
                                 format!("{stem}_journeys.json"),
                                 artifact::scenarios("journeys", std::slice::from_ref(&book))
@@ -340,7 +321,7 @@ pub(super) fn plan(sweep: &mut Sweep) {
                             let book = book.1;
                             phase.dumps.push(format!("{stem}_trace.json"));
                             phase.dumps.push(format!("{stem}_journeys.json"));
-                            if let Some(skew) = SkewReport::from_book(sc.id, &book) {
+                            if let Some(skew) = SkewReport::from_book(id, &book) {
                                 let skew = skew.with_recovery(RecoveryCounters {
                                     timeouts: phase.timeouts,
                                     probes: phase.probes,
@@ -355,15 +336,14 @@ pub(super) fn plan(sweep: &mut Sweep) {
                             }
                         }
                     }
-                    done += n;
                 }
                 let us = |t: Option<Time>| t.map_or(0.0, |t| t.as_us_f64());
                 let p50 = us(phase.sketch.quantile(0.50));
                 let p99 = us(phase.sketch.quantile(0.99));
-                ctx.row(format!("{} {} delivery p50", sc.id, ph.id), None, None, p50, 0.02, "us");
-                ctx.row(format!("{} {} delivery p99", sc.id, ph.id), None, None, p99, 0.02, "us");
+                ctx.row(format!("{id} {phase_id} delivery p50"), None, None, p50, 0.02, "us");
+                ctx.row(format!("{id} {phase_id} delivery p99"), None, None, p99, 0.02, "us");
                 ctx.row(
-                    format!("{} {} makespan max", sc.id, ph.id),
+                    format!("{id} {phase_id} makespan max"),
                     None,
                     None,
                     phase.makespan_max.as_us_f64(),
@@ -374,9 +354,9 @@ pub(super) fn plan(sweep: &mut Sweep) {
                     ctx,
                     "{:<10} {:<10} {:>6} epochs  p50 {:>9.3}  p99 {:>9.3} us  \
                      {:>4} recoveries  {:>4} breaches  {} dumps",
-                    sc.id,
-                    ph.id,
-                    ph.epochs,
+                    id,
+                    phase_id,
+                    epochs,
                     p50,
                     p99,
                     phase.recoveries,
@@ -390,7 +370,7 @@ pub(super) fn plan(sweep: &mut Sweep) {
                 let sk = phase.sketch.quantile(0.99).expect("phase has latencies");
                 let ex = exact.quantile(0.99).expect("phase has latencies");
                 ctx.shape(
-                    &format!("{}/{}: sketch p99 within its bucket bound of exact", sc.id, ph.id),
+                    &format!("{id}/{phase_id}: sketch p99 within its bucket bound of exact"),
                     sk >= ex && (ex == Time::ZERO || sk.as_ps() < 2 * ex.as_ps()),
                     format!("sketch {:.3} us, exact {:.3} us", sk.as_us_f64(), ex.as_us_f64()),
                 );
@@ -464,5 +444,5 @@ pub(super) fn plan(sweep: &mut Sweep) {
                 ("dumps", report.iter().map(SoakScenario::dumps).sum::<usize>().to_wire()),
             ],
         );
-    });
+    })
 }

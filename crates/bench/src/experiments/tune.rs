@@ -4,114 +4,86 @@
 //!
 //! Registry port of the former standalone `tune` binary: each
 //! admissible `(k, M_oc)` cell is one schedulable unit measuring all
-//! four (fan-out × strategy) variants; finalize replays the original
-//! nested-loop order so the text — and the committed
-//! `results/tune.txt` — stays byte-identical.
+//! four (fan-out × strategy) variants; finalize walks the cells in
+//! declaration order, so the text — and the committed
+//! `results/tune.txt` — keeps the original nested-loop order.
 
-use super::{outln, Sweep};
+use super::{outln, Point, Sweep};
 use crate::{measure_bcast, paper_chip};
 use oc_bcast::{Algorithm, OcConfig, TreeStrategy};
 use scc_hal::CoreId;
+use scc_sim::SimError;
 
-const FANOUTS: [usize; 2] = [2, 3];
-const STRATEGIES: [TreeStrategy; 2] = [TreeStrategy::ById, TreeStrategy::TopologyAware];
+/// The (fan-out × strategy) variants of one cell, nested-loop order.
+const VARIANTS: [(usize, TreeStrategy); 4] = [
+    (2, TreeStrategy::ById),
+    (2, TreeStrategy::TopologyAware),
+    (3, TreeStrategy::ById),
+    (3, TreeStrategy::TopologyAware),
+];
 
-fn ks(quick: bool) -> &'static [usize] {
-    if quick {
-        &[2, 7]
-    } else {
-        &[2, 4, 7, 12, 24, 47]
+/// One admissible `(k, M_oc)` cell; `large` is the throughput run's
+/// message size in bytes.
+struct Cell {
+    k: usize,
+    chunk_lines: usize,
+    large: usize,
+}
+
+impl Point for Cell {
+    fn key(&self) -> String {
+        format!("tune k={} M_oc={}", self.k, self.chunk_lines)
+    }
+    // The large-message throughput run dominates; weight by the fan-out
+    // depth so k=2's deep trees start early.
+    fn cost(&self) -> u64 {
+        48 / self.k as u64 + 1
     }
 }
 
-fn chunks(quick: bool) -> &'static [usize] {
-    if quick {
-        &[96]
-    } else {
-        &[48, 96, 120]
-    }
-}
-
-/// k + 1 flags + two buffers + the measurement harness's 6 barrier
-/// lines must fit the MPB.
-fn fits(k: usize, chunk_lines: usize) -> bool {
-    1 + k + 2 * chunk_lines + 6 <= 256
-}
-
-/// Measure one `(k, M_oc)` cell: `(latency_us, throughput_mb_s)` per
-/// (fan-out × strategy) variant, nested-loop order.
-fn measure_cell(quick: bool, k: usize, chunk_lines: usize) -> Vec<(f64, f64)> {
+/// Measure one cell: `(latency_us, throughput_mb_s)` per variant.
+fn measure_cell(&Cell { k, chunk_lines, large }: &Cell) -> Result<Vec<(f64, f64)>, SimError> {
     let cfg = paper_chip();
     let small = 32; // 1 CL
-    let large = if quick { 96 * 32 * 8 } else { 96 * 32 * 24 };
-    let mut out = Vec::with_capacity(FANOUTS.len() * STRATEGIES.len());
-    for &notify_fanout in &FANOUTS {
-        for &strategy in &STRATEGIES {
-            let oc = OcConfig { k, chunk_lines, notify_fanout, strategy, ..OcConfig::default() };
-            let lat = measure_bcast(&cfg, Algorithm::OcBcast(oc), CoreId(0), small, 1, 2)
-                .expect("sim")
-                .latency_us;
-            let tput = measure_bcast(&cfg, Algorithm::OcBcast(oc), CoreId(0), large, 0, 1)
-                .expect("sim")
-                .throughput_mb_s;
-            out.push((lat, tput));
-        }
+    let mut out = Vec::with_capacity(VARIANTS.len());
+    for (notify_fanout, strategy) in VARIANTS {
+        let oc = OcConfig { k, chunk_lines, notify_fanout, strategy, ..OcConfig::default() };
+        let lat = measure_bcast(&cfg, Algorithm::OcBcast(oc), CoreId(0), small, 1, 2)?.latency_us;
+        let tput = measure_bcast(&cfg, Algorithm::OcBcast(oc), CoreId(0), large, 0, 1)?;
+        out.push((lat, tput.throughput_mb_s));
     }
-    out
+    Ok(out)
 }
 
-pub(super) fn plan(sweep: &mut Sweep) {
-    let quick = sweep.quick;
-    for &k in ks(quick) {
-        for &chunk_lines in chunks(quick) {
-            if !fits(k, chunk_lines) {
-                continue;
-            }
-            // The large-message throughput run dominates; weight by the
-            // fan-out depth so k=2's deep trees start early.
-            sweep.value_unit_w(
-                format!("tune k={k} M_oc={chunk_lines}"),
-                48 / k as u64 + 1,
-                move |_| measure_cell(quick, k, chunk_lines),
-            );
-        }
-    }
-
-    sweep.finalize(|ctx, mut values| {
+pub(super) fn plan(quick: bool) -> Sweep {
+    let (ks, chunks): (&[usize], &[usize]) =
+        if quick { (&[2, 7], &[96]) } else { (&[2, 4, 7, 12, 24, 47], &[48, 96, 120]) };
+    let large = if quick { 96 * 32 * 8 } else { 96 * 32 * 24 };
+    let cells = ks
+        .iter()
+        .flat_map(|&k| chunks.iter().map(move |&chunk_lines| Cell { k, chunk_lines, large }))
+        // k + 1 flags + two buffers + the measurement harness's 6
+        // barrier lines must fit the MPB.
+        .filter(|c| 1 + c.k + 2 * c.chunk_lines + 6 <= 256);
+    Sweep::points(cells.collect(), measure_cell, |ctx, pairs| {
         let mut best_lat: (f64, String) = (f64::INFINITY, String::new());
         let mut best_tput: (f64, String) = (0.0, String::new());
-        let mut paper_cell: Option<(f64, f64)> = None;
+        let mut paper_cell = (f64::NAN, f64::NAN);
 
         outln!(ctx, "{:<42} {:>10} {:>10}", "configuration", "1CL (µs)", "peak MB/s");
-        for &k in ks(ctx.quick) {
-            for &chunk_lines in chunks(ctx.quick) {
-                if !fits(k, chunk_lines) {
-                    continue;
+        for (Cell { k, chunk_lines, .. }, variants) in &pairs {
+            for (&(notify_fanout, strategy), &(lat, tput)) in VARIANTS.iter().zip(variants) {
+                let label =
+                    format!("k={k:<2} M_oc={chunk_lines:<3} fanout={notify_fanout} {:?}", strategy);
+                outln!(ctx, "{label:<42} {lat:>10.2} {tput:>10.2}");
+                if lat < best_lat.0 {
+                    best_lat = (lat, label.clone());
                 }
-                let cell = values.next_as::<Vec<(f64, f64)>>();
-                let mut variants = cell.into_iter();
-                for &notify_fanout in &FANOUTS {
-                    for &strategy in &STRATEGIES {
-                        let (lat, tput) = variants.next().expect("4 variants per cell");
-                        let label = format!(
-                            "k={k:<2} M_oc={chunk_lines:<3} fanout={notify_fanout} {:?}",
-                            strategy
-                        );
-                        outln!(ctx, "{label:<42} {lat:>10.2} {tput:>10.2}");
-                        if lat < best_lat.0 {
-                            best_lat = (lat, label.clone());
-                        }
-                        if tput > best_tput.0 {
-                            best_tput = (tput, label);
-                        }
-                        if k == 7
-                            && chunk_lines == 96
-                            && notify_fanout == 2
-                            && strategy == TreeStrategy::ById
-                        {
-                            paper_cell = Some((lat, tput));
-                        }
-                    }
+                if tput > best_tput.0 {
+                    best_tput = (tput, label);
+                }
+                if (*k, *chunk_lines, notify_fanout, strategy) == (7, 96, 2, TreeStrategy::ById) {
+                    paper_cell = (lat, tput);
                 }
             }
         }
@@ -123,7 +95,9 @@ pub(super) fn plan(sweep: &mut Sweep) {
 
         ctx.row("best 1CL latency", None, None, best_lat.0, 0.02, "us");
         ctx.row("best throughput", None, None, best_tput.0, 0.02, "MB/s");
-        let (paper_lat, paper_tput) = paper_cell.expect("grid covers the paper's k=7 M_oc=96");
+        // A grid without the paper's cell leaves these NaN, which fails
+        // the claim below.
+        let (paper_lat, paper_tput) = paper_cell;
         ctx.row("paper config 1CL latency", None, None, paper_lat, 0.02, "us");
         ctx.row("paper config throughput", None, None, paper_tput, 0.02, "MB/s");
         ctx.shape(
@@ -139,5 +113,5 @@ pub(super) fn plan(sweep: &mut Sweep) {
             best_lat.0.is_finite() && best_tput.0 > 0.0,
             format!("lat {} | tput {}", best_lat.1, best_tput.1),
         );
-    });
+    })
 }

@@ -9,6 +9,13 @@
 //! `results/CONFORMANCE.md`. Reproducing the committed results is
 //! `observatory --artifact-dir DIR` followed by `diff -r`.
 //!
+//! An experiment is a [`Sweep`]: its measurement points, declared once
+//! and typed, one unit each; units return data or an error (a failed
+//! unit is a failed shape check, not a panic), and one finalize step
+//! turns every `(point, value)` pair into all of the experiment's
+//! output. [`runner`] fans the units of every selected experiment out
+//! over `--jobs` host threads.
+//!
 //! | id          | reproduces                                    |
 //! |-------------|-----------------------------------------------|
 //! | `table1`    | Table 1 — fitted model parameters             |
@@ -43,9 +50,7 @@ use scc_sim::{run_spmd, FaultPlan, SimConfig, SimError, SimParams};
 pub mod experiments;
 pub mod pool;
 pub mod runner;
-pub use experiments::{
-    registry, text_path, whatif_artifact, ExpCtx, Experiment, Outputs, Sweep, Values,
-};
+pub use experiments::{registry, text_path, whatif_artifact, ExpCtx, Experiment, Outputs, Sweep};
 pub use runner::{run_experiment_full, run_experiment_jobs, run_registry, ExpOutput, RegistryRun};
 
 /// Default simulator configuration for the paper's experiments: the
@@ -77,8 +82,8 @@ pub fn measure_bcast(
     assert!(reps >= 1 && bytes >= 1);
     let rep = run_spmd(cfg, move |c| -> RmaResult<(Vec<Time>, Vec<Time>)> {
         let mut alloc = MpbAllocator::new();
-        let mut bar = Barrier::new(&mut alloc, c.num_cores()).expect("barrier lines");
-        let mut b = Broadcaster::new(&mut alloc, alg, c.num_cores()).expect("bcast lines");
+        let mut bar = setup(Barrier::new(&mut alloc, c.num_cores()))?;
+        let mut b = setup(Broadcaster::new(&mut alloc, alg, c.num_cores()))?;
         let r = MemRange::new(0, bytes);
         if c.core() == root {
             // Deterministic payload so receivers could verify.
@@ -98,33 +103,32 @@ pub fn measure_bcast(
         }
         Ok((starts, ends))
     })?;
-    let per_core: Vec<_> = rep
-        .results
-        .into_iter()
-        .map(|r| r.map_err(|e| SimError::Engine(format!("core failed: {e}"))))
-        .collect::<Result<_, _>>()?;
+    let per_core = core_results(rep.results)?;
     let mut total_us = 0.0;
     for i in 0..reps {
         let start = per_core[root.index()].0[i];
-        let end = per_core.iter().map(|(_, e)| e[i]).max().expect("cores");
+        // The root's own end is one of the ends, so folding from its
+        // start takes the latest end.
+        let end = per_core.iter().fold(start, |end, (_, e)| end.max(e[i]));
         total_us += (end - start).as_us_f64();
     }
     let latency_us = total_us / reps as f64;
     Ok(BcastTiming { latency_us, throughput_mb_s: bytes as f64 / latency_us })
 }
 
-/// Sweep message sizes (in cache lines) for one algorithm.
-pub fn sweep_sizes(
-    cfg: &SimConfig,
-    alg: Algorithm,
-    sizes_lines: &[usize],
-    warmup: usize,
-    reps: usize,
-) -> Result<Vec<(usize, BcastTiming)>, SimError> {
-    sizes_lines
-        .iter()
-        .map(|&m| Ok((m, measure_bcast(cfg, alg, CoreId(0), m * 32, warmup, reps)?)))
+/// Every core's result, or the first core's failure as the run's error.
+pub(crate) fn core_results<T>(results: Vec<RmaResult<T>>) -> Result<Vec<T>, SimError> {
+    results
+        .into_iter()
+        .map(|r| r.map_err(|e| SimError::Engine(format!("core failed: {e}"))))
         .collect()
+}
+
+/// A core's set-up failure — an MPB layout that does not fit, an
+/// algorithm without a reliable variant — as the error its closure
+/// returns.
+pub(crate) fn setup<T>(r: Result<T, impl std::fmt::Display>) -> RmaResult<T> {
+    r.map_err(|e| RmaError::Engine(e.to_string()))
 }
 
 /// One concrete broadcast setup the drift explainer can re-run: the
@@ -211,12 +215,15 @@ fn run_scenario(
             None => Broadcaster::new(&mut alloc, alg, c.num_cores()).map_err(ReliableError::from),
             Some(policy) => Broadcaster::new_reliable(&mut alloc, alg, c.num_cores(), policy),
         };
-        b.map_err(|e| RmaError::Engine(e.to_string()))?.bcast(c, CoreId(0), r)
+        setup(b)?.bcast(c, CoreId(0), r)
     })?;
-    for r in &rep.results {
-        r.as_ref().map_err(|e| SimError::Engine(format!("core failed: {e}")))?;
-    }
+    core_results(rep.results)?;
     Ok((rep.events, rep.makespan))
+}
+
+/// The stream of a run made with recording on.
+fn recorded(events: Option<Vec<ObsEvent>>) -> Result<Vec<ObsEvent>, SimError> {
+    events.ok_or_else(|| SimError::Engine("a recorded run returned no stream".to_string()))
 }
 
 /// Run one recorded broadcast of `sc` under `params` and return the
@@ -224,7 +231,7 @@ fn run_scenario(
 /// the diff/histogram/flamegraph layers consume.
 pub fn record_run(sc: &Scenario, params: SimParams) -> Result<(Vec<ObsEvent>, Time), SimError> {
     let (events, makespan) = run_scenario(sc, sc.config(params, true), None)?;
-    Ok((events.expect("recording was enabled"), makespan))
+    Ok((recorded(events)?, makespan))
 }
 
 /// Run one recorded *reliable* broadcast of `sc` under `policy` and an
@@ -239,7 +246,7 @@ pub fn record_reliable_run(
 ) -> Result<(Vec<ObsEvent>, Time), SimError> {
     let cfg = SimConfig { faults, ..sc.config(params, true) };
     let (events, makespan) = run_scenario(sc, cfg, Some(policy))?;
-    Ok((events.expect("recording was enabled"), makespan))
+    Ok((recorded(events)?, makespan))
 }
 
 /// Makespan of one unrecorded broadcast of `sc` under `params` — the
@@ -269,38 +276,6 @@ pub fn paper_algorithms(baseline: Algorithm) -> Vec<Algorithm> {
     vec![Algorithm::oc_with_k(2), Algorithm::oc_with_k(7), Algorithm::oc_with_k(47), baseline]
 }
 
-/// Render rows of `(x, columns…)` as an aligned table with a CSV twin
-/// (the CSV block is what EXPERIMENTS.md embeds), appended to `out`.
-pub fn write_series(
-    out: &mut String,
-    title: &str,
-    x_label: &str,
-    col_labels: &[String],
-    rows: &[(usize, Vec<f64>)],
-) {
-    use std::fmt::Write as _;
-    let _ = writeln!(out, "# {title}");
-    let _ = write!(out, "# {x_label:>8}");
-    for l in col_labels {
-        let _ = write!(out, " {l:>12}");
-    }
-    out.push('\n');
-    for (x, cols) in rows {
-        let _ = write!(out, "{x:>10}");
-        for v in cols {
-            let _ = write!(out, " {v:>12.3}");
-        }
-        out.push('\n');
-    }
-    out.push('\n');
-    let _ = writeln!(out, "csv,{x_label},{}", col_labels.join(","));
-    for (x, cols) in rows {
-        let vals: Vec<String> = cols.iter().map(|v| format!("{v:.4}")).collect();
-        let _ = writeln!(out, "csv,{x},{}", vals.join(","));
-    }
-    out.push('\n');
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,9 +294,11 @@ mod tests {
     #[test]
     fn sweep_is_monotone_in_size_for_oc() {
         let cfg = SimConfig { num_cores: 8, mem_bytes: 1 << 18, ..SimConfig::default() };
-        let s = sweep_sizes(&cfg, Algorithm::oc_default(), &[1, 8, 64, 128], 0, 1).unwrap();
+        let s = [1, 8, 64, 128].map(|m| {
+            measure_bcast(&cfg, Algorithm::oc_default(), CoreId(0), m * 32, 0, 1).unwrap()
+        });
         for w in s.windows(2) {
-            assert!(w[1].1.latency_us > w[0].1.latency_us);
+            assert!(w[1].latency_us > w[0].latency_us);
         }
     }
 

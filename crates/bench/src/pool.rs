@@ -17,15 +17,16 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Boxed body of a [`Task`].
-pub type TaskFn<T> = Box<dyn FnOnce() -> T + Send>;
+/// Boxed body of a [`Task`]; it may borrow from the caller, since every
+/// task finishes before [`run_tasks`] returns.
+pub type TaskFn<'a, T> = Box<dyn FnOnce() -> T + Send + 'a>;
 
 /// One schedulable unit of harness work.
-pub struct Task<T> {
+pub struct Task<'a, T> {
     /// Relative weight used for longest-task-first ordering; any
     /// monotone proxy for runtime works (e.g. message size in lines).
     pub cost: u64,
-    pub run: TaskFn<T>,
+    pub run: TaskFn<'a, T>,
 }
 
 /// The default worker count: the host's available parallelism.
@@ -39,7 +40,7 @@ pub fn jobs_default() -> usize {
 /// thread, in submission order, no threads involved. Otherwise `min(jobs, tasks)` scoped threads drain
 /// the queue longest-first. A panicking task propagates when the scope
 /// joins (after in-flight tasks finish).
-pub fn run_tasks<T: Send>(jobs: usize, tasks: Vec<Task<T>>) -> Vec<T> {
+pub fn run_tasks<T: Send>(jobs: usize, tasks: Vec<Task<'_, T>>) -> Vec<T> {
     let n = tasks.len();
     if jobs <= 1 || n <= 1 {
         return tasks.into_iter().map(|t| (t.run)()).collect();
@@ -50,7 +51,7 @@ pub fn run_tasks<T: Send>(jobs: usize, tasks: Vec<Task<T>>) -> Vec<T> {
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&a, &b| tasks[b].cost.cmp(&tasks[a].cost));
 
-    let queue: Vec<Mutex<Option<TaskFn<T>>>> =
+    let queue: Vec<Mutex<Option<TaskFn<'_, T>>>> =
         tasks.into_iter().map(|t| Mutex::new(Some(t.run))).collect();
     let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
@@ -88,7 +89,7 @@ pub fn run_tasks<T: Send>(jobs: usize, tasks: Vec<Task<T>>) -> Vec<T> {
 mod tests {
     use super::*;
 
-    fn tasks_squaring(n: usize) -> Vec<Task<usize>> {
+    fn tasks_squaring(n: usize) -> Vec<Task<'static, usize>> {
         (0..n).map(|i| Task { cost: (i % 5) as u64, run: Box::new(move || i * i) }).collect()
     }
 

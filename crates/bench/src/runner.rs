@@ -7,17 +7,17 @@
 //! so a wide experiment's units and a narrow experiment's units share
 //! the same worker threads (level 1: across experiments, level 2:
 //! within one experiment). Unit outcomes come back in submission order;
-//! each experiment's chunk is then assembled — text, rows, shapes, and
-//! artifacts concatenated in declaration order, finalize last — on the
-//! calling thread, in registry order. Because every unit's value is a
+//! each experiment's chunk is then assembled — unit metrics absorbed,
+//! finalize run over the values in declaration order — on the calling
+//! thread, in registry order. Because every unit's value is a
 //! pure function of its configuration (the simulator is deterministic),
 //! the merged output is byte-identical at any `--jobs` count.
 //!
 //! There is one path: at `jobs = 1` the pool runs the same task list
 //! inline, in submission order, on the calling thread.
 
-use crate::experiments::{assemble, execute_unit, Experiment, Outputs, Sweep};
-use crate::pool::{run_tasks, Task};
+use crate::experiments::{assemble, Experiment, Outputs, Sweep};
+use crate::pool::run_tasks;
 use scc_obs::{ExperimentReport, RunMetrics};
 
 /// One experiment's merged output, exactly what
@@ -43,15 +43,9 @@ pub fn run_experiment_jobs(
     quick: bool,
     jobs: usize,
 ) -> (ExperimentReport, String, Outputs) {
-    let mut sweep = Sweep::new(quick);
-    (exp.plan)(&mut sweep);
-    let Sweep { units, finalize, .. } = sweep;
-    let tasks: Vec<Task<_>> = units
-        .into_iter()
-        .map(|u| Task { cost: u.cost, run: Box::new(move || execute_unit(u, quick)) as Box<_> })
-        .collect();
-    let outcomes = run_tasks(jobs, tasks);
-    assemble(exp, quick, finalize, outcomes)
+    let sweep = (exp.plan)(quick);
+    let outcomes = run_tasks(jobs, sweep.tasks().collect());
+    assemble(exp, quick, sweep, outcomes)
 }
 
 /// [`run_experiment_jobs`] on the calling thread (`jobs = 1`).
@@ -68,28 +62,17 @@ pub fn run_registry(reg: Vec<Experiment>, quick: bool, jobs: usize) -> RegistryR
     // Plan every experiment, then flatten all units into ONE task list
     // so workers drain the global longest-first queue — a heavyweight
     // fig8b unit can overlap fig3's many light ones.
-    let mut tasks: Vec<Task<_>> = Vec::new();
-    let mut plans = Vec::with_capacity(reg.len());
-    for exp in &reg {
-        let mut sweep = Sweep::new(quick);
-        (exp.plan)(&mut sweep);
-        let Sweep { units, finalize, .. } = sweep;
-        plans.push((units.len(), finalize));
-        tasks.extend(units.into_iter().map(|u| Task {
-            cost: u.cost,
-            run: Box::new(move || execute_unit(u, quick)) as Box<_>,
-        }));
-    }
-    let mut rest = run_tasks(jobs, tasks);
+    let sweeps: Vec<Sweep> = reg.iter().map(|exp| (exp.plan)(quick)).collect();
+    let mut rest = run_tasks(jobs, sweeps.iter().flat_map(Sweep::tasks).collect()).into_iter();
     // Unzip the flat outcome list back into per-experiment chunks
     // (submission order == registry-then-declaration order) and
     // finalize each on this thread, in registry order.
     let outputs: Vec<ExpOutput> = reg
         .iter()
-        .zip(plans)
-        .map(|(exp, (len, finalize))| {
-            let outcomes = rest.drain(..len).collect();
-            let (report, text, outputs) = assemble(exp, quick, finalize, outcomes);
+        .zip(sweeps)
+        .map(|(exp, sweep)| {
+            let outcomes = rest.by_ref().take(sweep.len()).collect();
+            let (report, text, outputs) = assemble(exp, quick, sweep, outcomes);
             ExpOutput { report, text, outputs }
         })
         .collect();
