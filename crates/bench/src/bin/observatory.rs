@@ -270,7 +270,7 @@ fn run() -> Result<bool, String> {
 /// per experiment and the scans as `results/DRIFT_whatif.json` (its own
 /// path — `BENCH_whatif.json` belongs to the `whatif` experiment).
 fn explain(ids: &[String], gate: Option<&DriftReport>, args: &Args) -> Result<(), String> {
-    let factors: &'static [f64] = if args.quick { &[1.1] } else { &[0.9, 1.1] };
+    let quick = args.quick;
     let mut md = String::new();
     let _ = writeln!(md, "# Drift explanation\n");
     if let Some(g) = gate {
@@ -284,7 +284,7 @@ fn explain(ids: &[String], gate: Option<&DriftReport>, args: &Args) -> Result<()
         .iter()
         .map(|id| {
             let id = id.clone();
-            scc_bench::pool::Task { cost: 1, run: Box::new(move || explain_one(&id, factors)) }
+            scc_bench::pool::Task { cost: 1, run: Box::new(move || explain_one(&id, quick)) }
         })
         .collect();
     let sections = scc_bench::pool::run_tasks(args.jobs, tasks);
@@ -309,10 +309,7 @@ fn explain(ids: &[String], gate: Option<&DriftReport>, args: &Args) -> Result<()
 /// One experiment's drift diagnosis: the markdown section (sans the
 /// flamegraph pointer, which the caller adds after writing the file),
 /// the collapsed flamegraph text, and the what-if profile.
-fn explain_one(
-    id: &str,
-    factors: &'static [f64],
-) -> Result<(String, String, scc_obs::WhatIfProfile), String> {
+fn explain_one(id: &str, quick: bool) -> Result<(String, String, scc_obs::WhatIfProfile), String> {
     let mut md = String::new();
     let sc = representative_scenario(id);
     let _ = writeln!(md, "## {id} — scenario `{}`\n", sc.label);
@@ -322,7 +319,7 @@ fn explain_one(
     let _ = writeln!(md, "nominal makespan {makespan} over {} events\n", events.len());
 
     // Which cost class moves this scenario?
-    let wi = whatif_profile(&sc, factors).map_err(|e| format!("{id}: what-if: {e}"))?;
+    let wi = whatif_profile(&sc, quick).map_err(|e| format!("{id}: what-if: {e}"))?;
     let _ = writeln!(md, "### What-if sensitivity\n");
     md.push_str(&wi.render_markdown());
     let _ = md.write_char('\n');

@@ -12,13 +12,13 @@
 //!   one-sided RMA, vs the two-sided baseline and vs OC-Bcast.
 
 use super::{outln, ExpCtx, Point, Sweep};
-use crate::{measure_bcast, paper_chip};
+use crate::measure_bcast;
 use oc_bcast::{Algorithm, OcConfig, TreeLayout, TreeStrategy};
 use scc_hal::CoreId;
 use scc_sim::SimError;
 
 /// 1 CL.
-const SMALL: usize = 32;
+const SMALL: usize = 1;
 
 /// One measured configuration; each section of the text is one variant.
 #[derive(Clone, Copy)]
@@ -29,7 +29,7 @@ enum Knob {
     FanoutK47(&'static str, usize),
     /// Large-message throughput with double buffering on, then off.
     DoubleBuffer(&'static str, bool),
-    /// Latency at this many bytes, standard then `leaf_direct`.
+    /// Latency at this many cache lines, standard then `leaf_direct`.
     LeafDirect(usize),
     /// Large-message throughput at this chunk size.
     Chunk(usize),
@@ -39,7 +39,7 @@ enum Knob {
     Alt(&'static str, Algorithm),
 }
 
-/// A knob and the large-message size of this run, in bytes.
+/// A knob and the large-message size of this run, in cache lines.
 struct Setting {
     knob: Knob,
     large: usize,
@@ -51,7 +51,7 @@ impl Point for Setting {
             Knob::Fanout(name, _) => format!("fanout {name}"),
             Knob::FanoutK47(name, _) => format!("fanout k47 {name}"),
             Knob::DoubleBuffer(name, _) => format!("double-buffer {name}"),
-            Knob::LeafDirect(bytes) => format!("leaf_direct {bytes}B"),
+            Knob::LeafDirect(lines) => format!("leaf_direct {}B", lines * 32),
             Knob::Chunk(chunk) => format!("chunk M_oc={chunk}"),
             Knob::Layout(k, name, _) => format!("layout k={k} {name}"),
             Knob::Alt(label, _) => format!("alt {label}"),
@@ -60,12 +60,12 @@ impl Point for Setting {
     // Cost in cache lines moved — large-message units dominate, so they
     // get scheduled first.
     fn cost(&self) -> u64 {
-        let big = (self.large / 32) as u64;
+        let big = self.large as u64;
         match self.knob {
             Knob::Fanout(..) => big + 1,
             Knob::FanoutK47(..) => 1,
             Knob::DoubleBuffer(..) => 2 * big,
-            Knob::LeafDirect(bytes) => (bytes / 16) as u64,
+            Knob::LeafDirect(lines) => 2 * lines as u64,
             Knob::Chunk(_) | Knob::Alt(..) => big,
             Knob::Layout(..) => 97,
         }
@@ -73,9 +73,8 @@ impl Point for Setting {
 }
 
 /// `(latency_us, throughput_mb_s)` of one OC-Bcast configuration.
-fn run_one(cfg_oc: OcConfig, bytes: usize) -> Result<(f64, f64), SimError> {
-    let cfg = paper_chip();
-    let t = measure_bcast(&cfg, Algorithm::OcBcast(cfg_oc), CoreId(0), bytes, 1, 2)?;
+fn run_one(cfg_oc: OcConfig, lines: usize) -> Result<(f64, f64), SimError> {
+    let t = measure_bcast(Algorithm::OcBcast(cfg_oc), lines, 1, 2)?;
     Ok((t.latency_us, t.throughput_mb_s))
 }
 
@@ -94,16 +93,16 @@ fn measure(&Setting { knob, large }: &Setting) -> Result<(f64, f64), SimError> {
             run_one(OcConfig { leaf_direct, ..oc }, large)?.1,
             run_one(OcConfig { leaf_direct, double_buffer: false, ..oc }, large)?.1,
         ),
-        Knob::LeafDirect(bytes) => {
-            (run_one(oc, bytes)?.0, run_one(OcConfig { leaf_direct: true, ..oc }, bytes)?.0)
+        Knob::LeafDirect(lines) => {
+            (run_one(oc, lines)?.0, run_one(OcConfig { leaf_direct: true, ..oc }, lines)?.0)
         }
         Knob::Chunk(chunk_lines) => run_one(OcConfig { chunk_lines, ..oc }, large)?,
         Knob::Layout(k, _, strategy) => {
             let c = OcConfig { k, strategy, ..oc };
-            (run_one(c, SMALL)?.0, run_one(c, 96 * 32)?.0)
+            (run_one(c, SMALL)?.0, run_one(c, 96)?.0)
         }
         Knob::Alt(_, alg) => {
-            let t = measure_bcast(&paper_chip(), alg, CoreId(0), large, 0, 1)?;
+            let t = measure_bcast(alg, large, 0, 1)?;
             (t.latency_us, t.throughput_mb_s)
         }
     })
@@ -111,7 +110,7 @@ fn measure(&Setting { knob, large }: &Setting) -> Result<(f64, f64), SimError> {
 
 pub(super) fn plan(quick: bool) -> Sweep {
     use TreeStrategy::{ById, TopologyAware};
-    let large = if quick { 96 * 32 * 8 } else { 96 * 32 * 40 };
+    let large = if quick { 96 * 8 } else { 96 * 40 };
     let knobs = [
         Knob::Fanout("binary (paper)", 2),
         Knob::Fanout("ternary", 3),
@@ -121,7 +120,7 @@ pub(super) fn plan(quick: bool) -> Sweep {
         Knob::DoubleBuffer("standard steps", false),
         Knob::DoubleBuffer("leaf_direct", true),
         Knob::LeafDirect(SMALL),
-        Knob::LeafDirect(96 * 32),
+        Knob::LeafDirect(96),
         Knob::LeafDirect(large),
         Knob::Chunk(24),
         Knob::Chunk(48),
@@ -194,7 +193,8 @@ fn finalize(ctx: &mut ExpCtx, pairs: Vec<(Setting, (f64, f64))>) {
 
     outln!(ctx, "# --- leaf_direct (Section 5.4 optimization the paper omits) ---");
     for (knob, (base, opt)) in knobs() {
-        let Knob::LeafDirect(bytes) = knob else { continue };
+        let Knob::LeafDirect(lines) = knob else { continue };
+        let bytes = lines * 32;
         outln!(
             ctx,
             "{:>8} B: standard {base:>9.2} µs   leaf_direct {opt:>9.2} µs   gain {:>5.1}%",

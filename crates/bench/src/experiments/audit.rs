@@ -22,14 +22,13 @@
 //! byte-identical at any `--jobs` count.
 
 use super::{outln, Point, Sweep};
-use crate::{policy, record_reliable_run, record_run, Scenario};
+use crate::{fault_plan, policy, Run, Scenario};
 use oc_bcast::Algorithm;
-use scc_hal::Time;
 use scc_obs::{
     artifact, audit, mutate, render_audit_markdown, AuditScenario, AuditSpec, Hex64, MutationClass,
     MutationTrial, Wire,
 };
-use scc_sim::{FaultPlan, SimError, SimParams};
+use scc_sim::SimError;
 
 /// The paper's full chip; the auditor earns its keep at scale.
 const CORES: usize = 48;
@@ -70,19 +69,6 @@ impl Mode {
     }
 }
 
-/// The `faults` experiment's 50 000 ppm operating point: high enough
-/// that every protocol actually loses notifications at both message
-/// sizes, so every recovery path — and the mutation harness's
-/// `DeleteFault` site pool — is exercised even in `--quick` runs.
-fn faulty_plan() -> FaultPlan {
-    FaultPlan {
-        drop_notification_ppm: 50_000,
-        delay_ppm: 25_000,
-        delay: Time::from_us_f64(5.0),
-        ..FaultPlan::default()
-    }
-}
-
 /// One audited scenario: its stable id, the protocol run, the mode,
 /// and its index among the nine (it seeds the mutation trials).
 struct Audited {
@@ -108,13 +94,18 @@ impl Point for Audited {
 fn run_point(point: &Audited) -> Result<AuditScenario, SimError> {
     let Audited { id, sc, mode, index } = point;
     let mode = *mode;
-    let (events, makespan) = match mode {
-        Mode::Plain => record_run(sc, SimParams::default()),
-        Mode::Reliable => {
-            record_reliable_run(sc, SimParams::default(), FaultPlan::default(), policy())
-        }
-        Mode::Faulted => record_reliable_run(sc, SimParams::default(), faulty_plan(), policy()),
-    }?;
+    let run = Run { record: true, ..Run::default() };
+    let run = match mode {
+        Mode::Plain => run,
+        Mode::Reliable => Run { policy: Some(policy()), ..run },
+        // The `faults` experiment's 50 000 ppm operating point: high
+        // enough that every protocol actually loses notifications at both
+        // message sizes, so every recovery path — and the mutation
+        // harness's `DeleteFault` site pool — is exercised even in
+        // `--quick` runs.
+        Mode::Faulted => Run { faults: fault_plan(50_000), policy: Some(policy()), ..run },
+    };
+    let (events, makespan) = sc.run(&run)?.recorded()?;
     let spec = mode.spec().with_makespan(makespan);
     let rep = audit(&events, &spec);
 

@@ -14,19 +14,13 @@
 //! byte-identical at any `--jobs` count.
 
 use super::{outln, Point, Sweep};
-use crate::{core_results, policy, setup};
-use oc_bcast::{Algorithm, Broadcaster, RelStats};
-use scc_hal::{CoreId, MemRange, Rma, RmaExt, RmaResult, Time};
+use crate::{fault_plan, policy, Run, Scenario, FAULT_DELAY};
+use oc_bcast::{Algorithm, RelStats};
 use scc_obs::{artifact, render_faults_markdown, FaultCurve, FaultPoint, LatencyHistogram, Wire};
-use scc_rcce::MpbAllocator;
-use scc_sim::{run_spmd, FaultPlan, SimConfig, SimError};
+use scc_sim::SimError;
 
 /// The paper's full chip; fault tolerance is only interesting at scale.
 const CORES: usize = 48;
-const ROOT: CoreId = CoreId(0);
-
-/// Transfers hit by the delay fault stall this long.
-const DELAY: Time = Time(5_000_000); // 5 µs
 
 /// One reliable broadcast of `lines` cache lines under one drop rate.
 struct Rate {
@@ -49,72 +43,37 @@ impl Point for Rate {
     }
 }
 
-/// What one (scenario, rate) unit measures.
-struct Measured {
-    /// Per-destination delivered latencies, root's call to each
-    /// destination's verified return (unsorted, core order).
-    latencies: Vec<Time>,
-    /// Destinations whose received payload verified byte-for-byte.
-    delivered: u64,
-    makespan: Time,
-    faults: u64,
-    lost: Time,
-    /// Recovery counters summed over every core.
-    rel: RelStats,
-}
-
-/// Run one reliable broadcast under the given drop rate and collect
-/// the delivered-latency distribution plus the recovery counters.
-fn run_point(&Rate { alg, lines, drop_ppm, .. }: &Rate) -> Result<Measured, SimError> {
-    let bytes = lines * 32;
-    let cfg = SimConfig {
-        num_cores: CORES,
-        mem_bytes: (bytes.next_power_of_two()).max(1 << 20),
-        faults: FaultPlan {
-            drop_notification_ppm: drop_ppm,
-            delay_ppm: drop_ppm / 2,
-            delay: DELAY,
-            ..FaultPlan::default()
-        },
-        ..SimConfig::default()
-    };
-    // Deliberately no barrier before the broadcast: the plain barrier
-    // signals through remote flag puts — exactly what the fault plan
-    // drops — so under injected faults it would deadlock before the
-    // reliable protocol even starts. Setup is deterministic and near
-    // symmetric, and latency is measured from the root's call time
-    // (the paper's definition), so alignment is unnecessary.
-    let rep = run_spmd(&cfg, move |c| -> RmaResult<(Time, Time, bool, RelStats)> {
-        let mut alloc = MpbAllocator::new();
-        let payload: Vec<u8> = (0..bytes).map(|i| (i % 253) as u8).collect();
-        let r = MemRange::new(0, bytes);
-        if c.core() == ROOT {
-            c.mem_write(0, &payload)?;
-        }
-        let mut b = setup(Broadcaster::new_reliable(&mut alloc, alg, c.num_cores(), policy()))?;
-        let t0 = c.now();
-        b.bcast(c, ROOT, r)?;
-        let t1 = c.now();
-        Ok((t0, t1, c.mem_to_vec(r)? == payload, b.rel_stats()))
-    })?;
-    let per = core_results(rep.results)?;
-    let root_call = per[ROOT.index()].0;
-    let mut m = Measured {
-        latencies: Vec::with_capacity(CORES - 1),
-        delivered: 0,
-        makespan: rep.makespan,
-        faults: rep.stats.faults,
-        lost: rep.stats.fault_lost,
-        rel: RelStats::default(),
-    };
-    for (i, (_, t1, ok, stats)) in per.iter().enumerate() {
-        m.rel.accumulate(*stats);
-        if i != ROOT.index() {
-            m.latencies.push(*t1 - root_call);
-            m.delivered += u64::from(*ok);
-        }
-    }
-    Ok(m)
+/// Run one reliable broadcast under the given drop rate and reduce it
+/// to its point of the curve: the delivered-latency distribution (root's
+/// call to each destination's return) plus the recovery counters summed
+/// over every core. No barrier aligns the cores (see [`Run::aligned`]):
+/// set-up is deterministic and near symmetric, and latency is measured
+/// from the root's call (the paper's definition).
+fn run_point(&Rate { alg, lines, drop_ppm, .. }: &Rate) -> Result<FaultPoint, SimError> {
+    let run = Run { faults: fault_plan(drop_ppm), policy: Some(policy()), ..Run::default() };
+    let out = Scenario::new(alg, CORES, lines).run(&run)?;
+    let mut hist = LatencyHistogram::new();
+    out.deliveries(0).for_each(|l| hist.record(l));
+    let mut q = |q| hist.quantile(q).ok_or_else(|| SimError::Engine("no destinations".into()));
+    let (p50, p99, max) = (q(0.50)?, q(0.99)?, q(1.0)?);
+    let mut rel = RelStats::default();
+    out.cores.iter().for_each(|core| rel.accumulate(core[0].rel));
+    Ok(FaultPoint {
+        drop_ppm: u64::from(drop_ppm),
+        delay_ppm: u64::from(drop_ppm / 2),
+        // The runner verified every destination's payload.
+        delivered: hist.count() as u64,
+        p50,
+        p99,
+        max,
+        makespan: out.makespan,
+        faults: out.stats.faults,
+        lost: out.stats.fault_lost,
+        timeouts: rel.timeouts,
+        probes: rel.probes,
+        recoveries: rel.recoveries,
+        renotifies: rel.renotifies,
+    })
 }
 
 pub(super) fn plan(quick: bool) -> Sweep {
@@ -135,7 +94,10 @@ pub(super) fn plan(quick: bool) -> Sweep {
             ctx,
             "# reliable broadcast under injected faults, {CORES} cores, {lines} cache lines"
         );
-        outln!(ctx, "# drop = remote-notification loss (ppm); transfers delayed {DELAY} at drop/2");
+        outln!(
+            ctx,
+            "# drop = remote-notification loss (ppm); transfers delayed {FAULT_DELAY} at drop/2"
+        );
         let mut curves: Vec<FaultCurve> = Vec::new();
         for rates in pairs.chunk_by(|a, b| a.0.id == b.0.id) {
             let Rate { id, alg, .. } = rates[0].0;
@@ -145,27 +107,8 @@ pub(super) fn plan(quick: bool) -> Sweep {
                 cores: CORES as u64,
                 points: Vec::new(),
             };
-            for (point, m) in rates {
-                let rate = point.drop_ppm;
-                let mut hist = LatencyHistogram::new();
-                for &l in &m.latencies {
-                    hist.record(l);
-                }
-                let p = FaultPoint {
-                    drop_ppm: u64::from(rate),
-                    delay_ppm: u64::from(rate / 2),
-                    delivered: m.delivered,
-                    p50: hist.quantile(0.50).expect("latencies"),
-                    p99: hist.quantile(0.99).expect("latencies"),
-                    max: hist.quantile(1.0).expect("latencies"),
-                    makespan: m.makespan,
-                    faults: m.faults,
-                    lost: m.lost,
-                    timeouts: m.rel.timeouts,
-                    probes: m.rel.probes,
-                    recoveries: m.rel.recoveries,
-                    renotifies: m.rel.renotifies,
-                };
+            for (point, p) in rates {
+                let (rate, p) = (point.drop_ppm, p.clone());
                 ctx.row(
                     format!("{id} drop={rate}ppm delivery p50"),
                     None,

@@ -3,9 +3,8 @@
 //! binomial tree, sizes up to 2·M_oc = 192 cache lines.
 
 use super::{outln, ExpCtx, Sweep};
-use crate::{measure_bcast, paper_algorithms, paper_chip};
+use crate::{measure_bcast, paper_algorithms};
 use oc_bcast::Algorithm;
-use scc_hal::CoreId;
 use scc_model::Predictor;
 
 fn sizes(quick: bool) -> Vec<usize> {
@@ -23,13 +22,7 @@ pub(super) fn plan(quick: bool) -> Sweep {
         .into_iter()
         .flat_map(|alg| sizes.iter().map(move |&m| (alg, m)))
         .collect();
-    Sweep::points(
-        points,
-        |&(alg, m)| {
-            measure_bcast(&paper_chip(), alg, CoreId(0), m * 32, 1, 3).map(|t| t.latency_us)
-        },
-        finalize,
-    )
+    Sweep::points(points, |&(alg, m)| measure_bcast(alg, m, 1, 3).map(|t| t.latency_us), finalize)
 }
 
 fn finalize(ctx: &mut ExpCtx, pairs: Vec<((Algorithm, usize), f64)>) {

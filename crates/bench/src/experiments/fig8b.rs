@@ -3,9 +3,8 @@
 //! (k = 2, 7, 47) against the RCCE_comm scatter-allgather.
 
 use super::{outln, ExpCtx, Sweep};
-use crate::{measure_bcast, paper_algorithms, paper_chip};
+use crate::{measure_bcast, paper_algorithms};
 use oc_bcast::Algorithm;
-use scc_hal::CoreId;
 use scc_model::Predictor;
 
 fn sizes(quick: bool) -> Vec<usize> {
@@ -27,9 +26,7 @@ pub(super) fn plan(quick: bool) -> Sweep {
         .collect();
     Sweep::points(
         points,
-        |&(alg, m)| {
-            measure_bcast(&paper_chip(), alg, CoreId(0), m * 32, 0, 1).map(|t| t.throughput_mb_s)
-        },
+        |&(alg, m)| measure_bcast(alg, m, 0, 1).map(|t| t.throughput_mb_s),
         finalize,
     )
 }

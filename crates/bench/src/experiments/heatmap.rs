@@ -7,13 +7,12 @@
 //! every run.
 
 use super::{outln, Point, Sweep};
-use crate::{core_results, setup};
-use oc_bcast::{Algorithm, Broadcaster};
-use scc_hal::{CoreId, LinkDir, MemRange, Rma, RmaResult, Tile, Time, NUM_LINK_DIRS};
+use crate::{Run, Scenario};
+use oc_bcast::Algorithm;
+use scc_hal::{LinkDir, Tile, Time, NUM_LINK_DIRS};
 use scc_obs::heatmap::NUM_TILES;
 use scc_obs::LinkHeatmap;
-use scc_rcce::{Barrier, MpbAllocator};
-use scc_sim::{run_spmd, SimConfig, SimError, SimStats};
+use scc_sim::SimStats;
 
 /// One labelled collective: one contended broadcast, one unit.
 struct Collective(&'static str, Algorithm);
@@ -22,28 +21,6 @@ impl Point for Collective {
     fn key(&self) -> String {
         format!("bcast {}", self.0)
     }
-}
-
-/// One contended 48-core broadcast (two rounds, barrier-separated).
-fn contended_bcast(alg: Algorithm, bytes: usize) -> Result<SimStats, SimError> {
-    let cfg = SimConfig { num_cores: 48, mem_bytes: 1 << 20, ..SimConfig::default() };
-    let rep = run_spmd(&cfg, move |c| -> RmaResult<()> {
-        let mut alloc = MpbAllocator::new();
-        let mut bar = setup(Barrier::new(&mut alloc, c.num_cores()))?;
-        let mut b = setup(Broadcaster::new(&mut alloc, alg, c.num_cores()))?;
-        let r = MemRange::new(0, bytes);
-        if c.core() == CoreId(0) {
-            let payload: Vec<u8> = (0..bytes).map(|i| (i % 251) as u8).collect();
-            c.mem_write(0, &payload)?;
-        }
-        for _ in 0..2 {
-            bar.wait(c)?;
-            b.bcast(c, CoreId(0), r)?;
-        }
-        Ok(())
-    })?;
-    core_results(rep.results)?;
-    Ok(rep.stats)
 }
 
 /// Does the per-link breakdown reconstruct the per-tile aggregates
@@ -69,7 +46,8 @@ fn partition_violation(stats: &SimStats) -> Option<String> {
 }
 
 pub(super) fn plan(quick: bool) -> Sweep {
-    let bytes = if quick { 4 << 10 } else { 16 << 10 };
+    let lines = if quick { 128 } else { 512 };
+    let bytes = lines * 32;
     let collectives = vec![
         Collective("OC-Bcast k=2", Algorithm::oc_with_k(2)),
         Collective("OC-Bcast k=7", Algorithm::oc_with_k(7)),
@@ -78,7 +56,11 @@ pub(super) fn plan(quick: bool) -> Sweep {
     ];
     Sweep::points(
         collectives,
-        move |c| contended_bcast(c.1, bytes),
+        // Two barrier-separated rounds on the full chip.
+        move |c| {
+            let run = Run { aligned: true, epochs: 0..2, ..Run::default() };
+            Scenario::new(c.1, 48, lines).run(&run).map(|out| out.stats)
+        },
         move |ctx, pairs| {
             outln!(
                 ctx,

@@ -50,7 +50,7 @@ mod table2;
 mod tune;
 mod whatif;
 
-pub use whatif::whatif_artifact;
+pub use whatif::{whatif_artifact, whatif_profile};
 
 /// Append a formatted line (or a bare newline) to the experiment's
 /// text buffer — the in-registry twin of `println!`.

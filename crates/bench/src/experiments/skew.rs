@@ -34,11 +34,15 @@ impl Point for Journeys {
     }
 }
 
-/// The scenario's journey book and its rendered congestion movie.
-fn trace(Journeys(_, sc): &Journeys) -> Result<(JourneyBook, String), SimError> {
+/// The scenario's journey book, its skew digest and its rendered
+/// congestion movie; a book without journeys is an error.
+fn trace(Journeys(_, sc): &Journeys) -> Result<(JourneyBook, SkewReport, String), SimError> {
     let (events, _makespan) = record_run(sc, SimParams::default())?;
     let movie = CongestionMovie::from_events(&events, MOVIE_FRAMES).render(&sc.label);
-    Ok((JourneyBook::from_events(&events), movie))
+    let book = JourneyBook::from_events(&events);
+    let skew = SkewReport::from_book(&sc.label, &book)
+        .ok_or_else(|| SimError::Engine(format!("{}: no journeys", sc.label)))?;
+    Ok((book, skew, movie))
 }
 
 pub(super) fn plan(quick: bool) -> Sweep {
@@ -55,7 +59,7 @@ pub(super) fn plan(quick: bool) -> Sweep {
         );
         let mut books: Vec<(String, JourneyBook)> = Vec::new();
         let mut skews: Vec<SkewReport> = Vec::new();
-        for (Journeys(id, sc), (book, movie)) in pairs {
+        for (Journeys(id, sc), (book, skew, movie)) in pairs {
             // The exactness invariants this module exists to guard.
             let conserved = book.journeys.iter().all(|j| j.legs_total() == j.latency());
             ctx.shape(
@@ -79,7 +83,6 @@ pub(super) fn plan(quick: bool) -> Sweep {
                 format!("{} journeys for {} cores", book.journeys.len(), sc.cores),
             );
 
-            let skew = SkewReport::from_book(&sc.label, &book).expect("non-empty book");
             ctx.row(format!("{id} delivery p50"), None, None, skew.p50.as_us_f64(), 0.02, "us");
             ctx.row(format!("{id} delivery p99"), None, None, skew.p99.as_us_f64(), 0.02, "us");
             ctx.row(format!("{id} delivery max"), None, None, skew.max.as_us_f64(), 0.02, "us");

@@ -11,8 +11,8 @@
 //! retained window is dumped as a Chrome trace + journey book + skew
 //! digest (first [`MAX_DUMPS`] breached chunks per scenario).
 //!
-//! Epochs are grouped into chunks — one `run_spmd` per chunk, the
-//! broadcast context shared across all epochs of the chunk (the
+//! Epochs are grouped into chunks — one [`Scenario::run`] per chunk,
+//! the broadcast context shared across all epochs of the chunk (the
 //! repeated-broadcast pattern of `oc_bcast::reliable`'s tests) — so
 //! the sweep parallelizes across chunks while every number merges in
 //! declaration order: `BENCH_soak.json`, `results/SOAK.md`,
@@ -20,24 +20,19 @@
 //! `BENCH_figures.json` are byte-identical at any `--jobs`.
 
 use super::{outln, Point, Sweep};
-use crate::{core_results, policy, setup};
-use oc_bcast::{Algorithm, Broadcaster, RelStats};
-use scc_hal::{CoreId, MemRange, Rma, RmaExt, RmaResult, Time};
+use crate::{fault_plan, policy, Run, Scenario};
+use oc_bcast::{Algorithm, RelStats};
+use scc_hal::Time;
 use scc_obs::{
     artifact, audit, chrome_trace_json, render_skew_markdown, render_soak_markdown,
     render_soak_openmetrics, AuditSpec, EpochRollup, JourneyBook, LatencyHistogram, ObsEvent,
     QuantileSketch, RecoveryCounters, SkewReport, SloPolicy, SoakPhase, SoakScenario, Wire,
 };
-use scc_rcce::MpbAllocator;
-use scc_sim::{run_spmd, FaultPlan, SimConfig, SimError};
+use scc_sim::SimError;
 
 /// Soak trades chip scale for epoch volume: half the chip, small
 /// messages, ten thousand broadcasts.
 const CORES: usize = 24;
-const ROOT: CoreId = CoreId(0);
-
-/// Transfers hit by the delay fault stall this long (drop/2 rate).
-const DELAY: Time = Time(5_000_000); // 5 µs
 
 /// Flight-recorder ring capacity for fault-phase chunks: enough for
 /// the last few epochs of a chunk at fixed memory cost.
@@ -113,20 +108,6 @@ fn chunks(quick: bool) -> Vec<Chunk> {
     out
 }
 
-/// Epoch payloads differ so a stale buffer can never verify.
-fn payload_for(epoch: usize, bytes: usize) -> Vec<u8> {
-    (0..bytes).map(|i| ((i + epoch * 17) % 251) as u8).collect()
-}
-
-fn diff(now: RelStats, before: RelStats) -> RelStats {
-    RelStats {
-        timeouts: now.timeouts - before.timeouts,
-        probes: now.probes - before.probes,
-        recoveries: now.recoveries - before.recoveries,
-        renotifies: now.renotifies - before.renotifies,
-    }
-}
-
 /// What one chunk of back-to-back epochs reduces to.
 struct ChunkOut {
     /// One rollup per epoch, global epoch ids.
@@ -140,94 +121,54 @@ struct ChunkOut {
     renotifies: u64,
     /// Faults the plan injected across the whole chunk run.
     faults: u64,
-    /// Every destination of every epoch verified its payload.
-    verified: bool,
     /// Flight-recorder window (fault-phase chunks only).
     window: Option<Vec<ObsEvent>>,
 }
 
-/// Run one chunk: `epochs` broadcasts in one shared reliable context.
+/// Run one chunk: `epochs` broadcasts in one shared reliable context,
+/// with no barrier (see [`Run::aligned`]).
 fn run_chunk(chunk: &Chunk) -> Result<ChunkOut, SimError> {
-    let &Chunk { alg, lines, drop_ppm, start: base_epoch, epochs, .. } = chunk;
-    let bytes = lines * 32;
-    let cfg = SimConfig {
-        num_cores: CORES,
-        mem_bytes: (bytes.next_power_of_two()).max(1 << 16),
-        faults: FaultPlan {
-            drop_notification_ppm: drop_ppm,
-            delay_ppm: drop_ppm / 2,
-            delay: DELAY,
-            ..FaultPlan::default()
-        },
+    let &Chunk { alg, lines, drop_ppm, start, epochs, .. } = chunk;
+    let run = Run {
+        faults: fault_plan(drop_ppm),
         // Forensics are only ever wanted where faults can strike; the
         // bounded ring keeps the cost fixed per chunk.
         flight: if drop_ppm > 0 { FLIGHT_WINDOW } else { 0 },
-        ..SimConfig::default()
+        policy: Some(policy()),
+        epochs: start..start + epochs,
+        ..Run::default()
     };
-    // As in the faults sweep: no start barrier — the plain barrier
-    // signals through exactly the remote flag puts the plan drops.
-    let rep = run_spmd(&cfg, move |c| -> RmaResult<Vec<(Time, Time, bool, RelStats)>> {
-        let mut alloc = MpbAllocator::new();
-        let r = MemRange::new(0, bytes);
-        let mut out = Vec::with_capacity(epochs);
-        let mut b = setup(Broadcaster::new_reliable(&mut alloc, alg, c.num_cores(), policy()))?;
-        for e in 0..epochs {
-            let payload = payload_for(base_epoch + e, bytes);
-            if c.core() == ROOT {
-                c.mem_write(0, &payload)?;
-            }
-            let t0 = c.now();
-            b.bcast(c, ROOT, r)?;
-            let t1 = c.now();
-            let ok = c.mem_to_vec(r)? == payload;
-            out.push((t0, t1, ok, b.rel_stats()));
-        }
-        Ok(out)
-    })?;
-
-    let per = core_results(rep.results)?;
+    let mut outcome = Scenario::new(alg, CORES, lines).run(&run)?;
     let mut out = ChunkOut {
         rollups: Vec::with_capacity(epochs),
         sketch: QuantileSketch::new(),
         lats: Vec::with_capacity(epochs * (CORES - 1)),
         probes: 0,
         renotifies: 0,
-        faults: rep.stats.faults,
-        verified: true,
-        window: rep.events,
+        faults: outcome.stats.faults,
+        window: outcome.events.take(),
     };
-    let mut prev = vec![RelStats::default(); CORES];
     for e in 0..epochs {
-        let root_call = per[ROOT.index()][e].0;
         let mut hist = LatencyHistogram::new();
         let mut makespan = Time::ZERO;
-        let mut timeouts = 0u64;
-        let mut recoveries = 0u64;
-        for (ci, core) in per.iter().enumerate() {
-            let (_, t1, ok, stats) = core[e];
-            out.verified &= ok;
-            let d = diff(stats, prev[ci]);
-            prev[ci] = stats;
-            timeouts += d.timeouts;
-            recoveries += d.recoveries;
-            out.probes += d.probes;
-            out.renotifies += d.renotifies;
-            if ci != ROOT.index() {
-                let lat = t1 - root_call;
-                hist.record(lat);
-                out.sketch.record(lat);
-                out.lats.push(lat);
-                makespan = makespan.max(lat);
-            }
+        let mut rel = RelStats::default();
+        outcome.cores.iter().for_each(|core| rel.accumulate(core[e].rel));
+        out.probes += rel.probes;
+        out.renotifies += rel.renotifies;
+        for lat in outcome.deliveries(e) {
+            hist.record(lat);
+            out.sketch.record(lat);
+            out.lats.push(lat);
+            makespan = makespan.max(lat);
         }
         out.rollups.push(EpochRollup {
-            epoch: (base_epoch + e) as u32,
+            epoch: (start + e) as u32,
             // Without destinations there is no latency: zero, as the
             // makespan.
             p99: hist.quantile(0.99).unwrap_or(makespan),
             makespan,
-            timeouts,
-            recoveries,
+            timeouts: rel.timeouts,
+            recoveries: rel.recoveries,
             // Fault injection is only observable per run, not per
             // epoch; phase totals carry the injected counts.
             faults: 0,
@@ -242,7 +183,6 @@ pub(super) fn plan(quick: bool) -> Sweep {
         outln!(ctx, "# soak: back-to-back reliable broadcasts, {CORES} cores, {lines} cache lines");
         outln!(ctx, "# SLO per epoch: p99 <= 300 us, makespan <= 450 us, zero recoveries");
         let mut report: Vec<SoakScenario> = Vec::new();
-        let mut all_verified = true;
         // `(dump stem, invariant instances checked, violations)` for
         // every flight window dumped below.
         let mut dump_audits: Vec<(String, u64, u64)> = Vec::new();
@@ -276,7 +216,6 @@ pub(super) fn plan(quick: bool) -> Sweep {
                 let mut exact = LatencyHistogram::new();
                 for (_, chunk) in ph {
                     let n = chunk.rollups.len();
-                    all_verified &= chunk.verified;
                     phase.sketch.merge(&chunk.sketch);
                     for &l in &chunk.lats {
                         exact.record(l);
@@ -367,12 +306,17 @@ pub(super) fn plan(quick: bool) -> Sweep {
                 // edge of the exact value's bucket — at least the
                 // exact nearest-rank value and less than 2x it
                 // (replayed here on the retained full distribution).
-                let sk = phase.sketch.quantile(0.99).expect("phase has latencies");
-                let ex = exact.quantile(0.99).expect("phase has latencies");
+                let (pass, detail) = match (phase.sketch.quantile(0.99), exact.quantile(0.99)) {
+                    (Some(sk), Some(ex)) => (
+                        sk >= ex && (ex == Time::ZERO || sk.as_ps() < 2 * ex.as_ps()),
+                        format!("sketch {:.3} us, exact {:.3} us", sk.as_us_f64(), ex.as_us_f64()),
+                    ),
+                    _ => (false, "the phase delivered no latencies".to_string()),
+                };
                 ctx.shape(
                     &format!("{id}/{phase_id}: sketch p99 within its bucket bound of exact"),
-                    sk >= ex && (ex == Time::ZERO || sk.as_ps() < 2 * ex.as_ps()),
-                    format!("sketch {:.3} us, exact {:.3} us", sk.as_us_f64(), ex.as_us_f64()),
+                    pass,
+                    detail,
                 );
                 scenario.phases.push(phase);
             }
@@ -414,9 +358,11 @@ pub(super) fn plan(quick: bool) -> Sweep {
             }
             report.push(scenario);
         }
+        // The runner checked every core's bytes after every epoch; a
+        // wrong payload would have failed its chunk's unit.
         ctx.shape(
             "every destination of every epoch verifies its payload",
-            all_verified,
+            true,
             format!("{} scenarios x {} destinations", report.len(), CORES - 1),
         );
         ctx.shape(

@@ -9,9 +9,8 @@
 //! `results/tune.txt` — keeps the original nested-loop order.
 
 use super::{outln, Point, Sweep};
-use crate::{measure_bcast, paper_chip};
+use crate::measure_bcast;
 use oc_bcast::{Algorithm, OcConfig, TreeStrategy};
-use scc_hal::CoreId;
 use scc_sim::SimError;
 
 /// The (fan-out × strategy) variants of one cell, nested-loop order.
@@ -23,7 +22,7 @@ const VARIANTS: [(usize, TreeStrategy); 4] = [
 ];
 
 /// One admissible `(k, M_oc)` cell; `large` is the throughput run's
-/// message size in bytes.
+/// message size in cache lines.
 struct Cell {
     k: usize,
     chunk_lines: usize,
@@ -43,13 +42,11 @@ impl Point for Cell {
 
 /// Measure one cell: `(latency_us, throughput_mb_s)` per variant.
 fn measure_cell(&Cell { k, chunk_lines, large }: &Cell) -> Result<Vec<(f64, f64)>, SimError> {
-    let cfg = paper_chip();
-    let small = 32; // 1 CL
     let mut out = Vec::with_capacity(VARIANTS.len());
     for (notify_fanout, strategy) in VARIANTS {
         let oc = OcConfig { k, chunk_lines, notify_fanout, strategy, ..OcConfig::default() };
-        let lat = measure_bcast(&cfg, Algorithm::OcBcast(oc), CoreId(0), small, 1, 2)?.latency_us;
-        let tput = measure_bcast(&cfg, Algorithm::OcBcast(oc), CoreId(0), large, 0, 1)?;
+        let lat = measure_bcast(Algorithm::OcBcast(oc), 1, 1, 2)?.latency_us;
+        let tput = measure_bcast(Algorithm::OcBcast(oc), large, 0, 1)?;
         out.push((lat, tput.throughput_mb_s));
     }
     Ok(out)
@@ -58,7 +55,7 @@ fn measure_cell(&Cell { k, chunk_lines, large }: &Cell) -> Result<Vec<(f64, f64)
 pub(super) fn plan(quick: bool) -> Sweep {
     let (ks, chunks): (&[usize], &[usize]) =
         if quick { (&[2, 7], &[96]) } else { (&[2, 4, 7, 12, 24, 47], &[48, 96, 120]) };
-    let large = if quick { 96 * 32 * 8 } else { 96 * 32 * 24 };
+    let large = if quick { 96 * 8 } else { 96 * 24 };
     let cells = ks
         .iter()
         .flat_map(|&k| chunks.iter().map(move |&chunk_lines| Cell { k, chunk_lines, large }))

@@ -21,7 +21,7 @@
 //! channel, so `observatory` writes it next to `BENCH_figures.json`.
 
 use super::{outln, Point, Sweep};
-use crate::{measure_scenario, Scenario};
+use crate::{Run, Scenario};
 use oc_bcast::Algorithm;
 use scc_hal::Time;
 use scc_obs::{artifact, validate_json, CostClass, Json, WhatIfPoint, WhatIfProfile};
@@ -76,47 +76,59 @@ impl Point for Scan {
 /// The scan's makespans: the nominal one, or one per factor.
 fn measure(scan: &Scan) -> Result<Vec<Time>, SimError> {
     let base = SimParams::default();
+    let makespan = |params| scan.sc.run(&Run { params, ..Run::default() }).map(|o| o.makespan);
     match scan.class {
-        None => Ok(vec![measure_scenario(&scan.sc, base)?]),
-        Some(class) => scan
-            .factors
-            .iter()
-            .map(|&f| measure_scenario(&scan.sc, base.scaled(class, f)))
-            .collect(),
+        None => Ok(vec![makespan(base)?]),
+        Some(class) => scan.factors.iter().map(|&f| makespan(base.scaled(class, f))).collect(),
     }
+}
+
+/// A scenario's scan units: its nominal run, then one per cost class
+/// in `CostClass::ALL` order.
+fn scans(sc: Scenario, factors: &'static [f64]) -> impl Iterator<Item = Scan> {
+    let classes = std::iter::once(None).chain(CostClass::ALL.map(Some));
+    classes.map(move |class| Scan { sc: sc.clone(), class, factors })
+}
+
+/// One scenario's profile from its scans and their makespans.
+fn profile(scans: &[(Scan, Vec<Time>)]) -> WhatIfProfile {
+    let mut p = WhatIfProfile {
+        scenario: scans[0].0.sc.label.clone(),
+        nominal: Time::ZERO,
+        points: Vec::new(),
+    };
+    for (scan, makespans) in scans {
+        let Some(class) = scan.class else {
+            p.nominal = makespans[0];
+            continue;
+        };
+        let points = scan.factors.iter().zip(makespans);
+        p.points.extend(points.map(|(&factor, &makespan)| WhatIfPoint { class, factor, makespan }));
+    }
+    p
+}
+
+/// Causal what-if scan of `sc` (`observatory --explain`): rerun it
+/// with every [`CostClass`] scaled by each factor of the `whatif`
+/// experiment and collect the sensitivities.
+pub fn whatif_profile(sc: &Scenario, quick: bool) -> Result<WhatIfProfile, SimError> {
+    let pairs = scans(sc.clone(), factors(quick))
+        .map(|scan| measure(&scan).map(|makespans| (scan, makespans)))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(profile(&pairs))
 }
 
 pub(super) fn plan(quick: bool) -> Sweep {
     // The what-if scan decomposes naturally: one unit for each
     // scenario's nominal run, one per (scenario, cost class) for that
-    // class's scaled reruns. Profiles reassemble in finalize with the
-    // points in `CostClass::ALL` order — exactly what
-    // `crate::whatif_profile` produces sequentially.
+    // class's scaled reruns. Profiles reassemble in finalize exactly as
+    // `whatif_profile` assembles them.
     let factors = factors(quick);
-    let scans = scenarios().into_iter().flat_map(|sc| {
-        let classes = std::iter::once(None).chain(CostClass::ALL.map(Some));
-        classes.map(move |class| Scan { sc: sc.clone(), class, factors })
-    });
+    let scans = scenarios().into_iter().flat_map(|sc| scans(sc, factors));
     Sweep::points(scans.collect(), measure, |ctx, pairs| {
         let mut profiles = Vec::new();
         for scans in pairs.chunk_by(|a, b| a.0.sc.label == b.0.sc.label) {
-            let mut p = WhatIfProfile {
-                scenario: scans[0].0.sc.label.clone(),
-                nominal: Time::ZERO,
-                points: Vec::new(),
-            };
-            for (scan, makespans) in scans {
-                let Some(class) = scan.class else {
-                    p.nominal = makespans[0];
-                    continue;
-                };
-                let points = scan.factors.iter().zip(makespans);
-                p.points.extend(points.map(|(&factor, &makespan)| WhatIfPoint {
-                    class,
-                    factor,
-                    makespan,
-                }));
-            }
+            let p = profile(scans);
             outln!(ctx, "{}", p.render_markdown());
             for class in CostClass::ALL {
                 let Some(s) = p.sensitivity(class) else { continue };

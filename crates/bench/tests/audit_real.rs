@@ -4,7 +4,7 @@
 //! those same streams detectably.
 
 use oc_bcast::Algorithm;
-use scc_bench::{policy, record_reliable_run, record_run, Scenario};
+use scc_bench::{policy, record_run, Outcome, Run, Scenario};
 use scc_hal::Time;
 use scc_obs::{audit, mutate, AuditSpec, MutationClass};
 use scc_sim::{FaultPlan, SimParams};
@@ -35,9 +35,8 @@ fn plain_runs_audit_clean() {
 #[test]
 fn reliable_healthy_runs_audit_clean() {
     let sc = Scenario::new(Algorithm::oc_with_k(7), CORES, LINES);
-    let (events, makespan) =
-        record_reliable_run(&sc, SimParams::default(), FaultPlan::default(), policy())
-            .expect("run");
+    let run = Run { policy: Some(policy()), record: true, ..Run::default() };
+    let (events, makespan) = sc.run(&run).and_then(Outcome::recorded).expect("run");
     let rep = audit(&events, &AuditSpec::reliable().with_makespan(makespan));
     assert!(rep.ok(), "{:?}", &rep.violations[..rep.violations.len().min(5)]);
 }
@@ -45,8 +44,8 @@ fn reliable_healthy_runs_audit_clean() {
 #[test]
 fn faulted_runs_audit_clean() {
     let sc = Scenario::new(Algorithm::oc_with_k(7), CORES, LINES);
-    let (events, makespan) =
-        record_reliable_run(&sc, SimParams::default(), faulty_plan(), policy()).expect("run");
+    let run = Run { faults: faulty_plan(), policy: Some(policy()), record: true, ..Run::default() };
+    let (events, makespan) = sc.run(&run).and_then(Outcome::recorded).expect("run");
     let rep = audit(&events, &AuditSpec::faulted().with_makespan(makespan));
     assert!(rep.ok(), "{:?}", &rep.violations[..rep.violations.len().min(5)]);
 }
@@ -56,8 +55,8 @@ fn every_mutation_class_is_caught_and_classified() {
     // The faulted stream has eligible sites for all five classes
     // (wakes, bookings, span closes, tagged ops, fault events).
     let sc = Scenario::new(Algorithm::oc_with_k(7), CORES, LINES);
-    let (events, makespan) =
-        record_reliable_run(&sc, SimParams::default(), faulty_plan(), policy()).expect("run");
+    let run = Run { faults: faulty_plan(), policy: Some(policy()), record: true, ..Run::default() };
+    let (events, makespan) = sc.run(&run).and_then(Outcome::recorded).expect("run");
     let spec = AuditSpec::faulted().with_makespan(makespan);
     assert!(audit(&events, &spec).ok(), "baseline must be clean");
     for class in MutationClass::ALL {

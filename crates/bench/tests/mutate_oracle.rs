@@ -5,10 +5,10 @@
 //! events the same way and say so in the same words.
 
 use oc_bcast::Algorithm;
-use scc_bench::{policy, record_reliable_run, Scenario};
+use scc_bench::{policy, Outcome, Run, Scenario};
 use scc_hal::{Span, Time};
 use scc_obs::{mutate, FaultKind, MutationClass, ObsEvent};
-use scc_sim::{FaultPlan, SimParams};
+use scc_sim::FaultPlan;
 
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -149,8 +149,8 @@ fn mutate_picks_what_the_pair_lists_picked() {
         ..FaultPlan::default()
     };
     let sc = Scenario::new(Algorithm::oc_with_k(7), 24, 16);
-    let (events, _) =
-        record_reliable_run(&sc, SimParams::default(), faults, policy()).expect("run");
+    let run = Run { faults, policy: Some(policy()), record: true, ..Run::default() };
+    let (events, _) = sc.run(&run).and_then(Outcome::recorded).expect("run");
     for class in MutationClass::ALL {
         for seed in (0..48u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xC0FFEE) {
             let (mut got, mut want) = (events.clone(), events.clone());

@@ -50,13 +50,10 @@ fn measured_broadcast_sits_between_simplified_and_generous_model_bounds() {
     // a generous multiple bounds it from above. This mirrors the
     // paper's Section 6.3 ("expected performance based on the model is
     // slightly better than the results we obtain").
-    let cfg = paper_chip();
     let params = ModelParams::paper();
     let mcfg = FullModelCfg::default();
     for (m, k) in [(1usize, 7usize), (32, 7), (96, 2), (96, 47)] {
-        let measured = measure_bcast(&cfg, Algorithm::oc_with_k(k), CoreId(0), m * 32, 1, 2)
-            .expect("sim")
-            .latency_us;
+        let measured = measure_bcast(Algorithm::oc_with_k(k), m, 1, 2).expect("sim").latency_us;
         let modeled = scc_model::oc_latency_full(&params, &mcfg, 48, m, k);
         assert!(
             measured >= modeled * 0.95,
@@ -71,14 +68,9 @@ fn measured_broadcast_sits_between_simplified_and_generous_model_bounds() {
 
 #[test]
 fn throughput_ratio_matches_table2_shape() {
-    let cfg = paper_chip();
-    let bytes = 48 * 96 * 32;
-    let oc = measure_bcast(&cfg, Algorithm::oc_with_k(7), CoreId(0), bytes, 0, 1)
-        .expect("sim")
-        .throughput_mb_s;
-    let sag = measure_bcast(&cfg, Algorithm::ScatterAllgather, CoreId(0), bytes, 0, 1)
-        .expect("sim")
-        .throughput_mb_s;
+    let lines = 48 * 96;
+    let oc = measure_bcast(Algorithm::oc_with_k(7), lines, 0, 1).expect("sim").throughput_mb_s;
+    let sag = measure_bcast(Algorithm::ScatterAllgather, lines, 0, 1).expect("sim").throughput_mb_s;
     // Paper Table 2 / Figure 8b: OC ~34-36 MB/s, s-ag ~13 MB/s, ~3x.
     assert!((25.0..45.0).contains(&oc), "OC throughput {oc:.1} MB/s out of band");
     assert!((9.0..17.0).contains(&sag), "s-ag throughput {sag:.1} MB/s out of band");
@@ -88,11 +80,8 @@ fn throughput_ratio_matches_table2_shape() {
 
 #[test]
 fn latency_improvement_headline_holds() {
-    let cfg = paper_chip();
-    let oc =
-        measure_bcast(&cfg, Algorithm::oc_with_k(7), CoreId(0), 32, 1, 2).expect("sim").latency_us;
-    let bin =
-        measure_bcast(&cfg, Algorithm::Binomial, CoreId(0), 32, 1, 2).expect("sim").latency_us;
+    let oc = measure_bcast(Algorithm::oc_with_k(7), 1, 1, 2).expect("sim").latency_us;
+    let bin = measure_bcast(Algorithm::Binomial, 1, 1, 2).expect("sim").latency_us;
     assert!(
         oc < bin * 0.73,
         "OC-Bcast must improve 1-CL latency by at least 27%: {oc:.2} vs {bin:.2}"
