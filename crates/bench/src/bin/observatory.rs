@@ -303,7 +303,7 @@ fn explain(ids: &[String], gate: Option<&DriftReport>, args: &Args) -> Result<()
         profiles.push(wi);
     }
     write_file(&args.in_dir("results/DRIFT.md"), &md)?;
-    write_file(&args.in_dir("results/DRIFT_whatif.json"), &whatif_artifact(&profiles, args.quick))
+    write_file(&args.in_dir("results/DRIFT_whatif.json"), &whatif_artifact(&profiles, args.quick)?)
 }
 
 /// One experiment's drift diagnosis: the markdown section (sans the

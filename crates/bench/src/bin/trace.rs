@@ -142,7 +142,7 @@ fn main() {
     );
 
     // ---- critical path -------------------------------------------------
-    let cp = critical_path(events).expect("non-empty event stream");
+    let cp = critical_path(events).unwrap_or_else(|e| die(&format!("critical path: {e}")));
     println!();
     print!("{}", cp.render());
     let b = cp.breakdown();
@@ -153,7 +153,7 @@ fn main() {
     std::fs::create_dir_all(&o.out)
         .unwrap_or_else(|e| die(&format!("cannot create {}: {e}", o.out)));
     let chrome = chrome_trace_json(events);
-    validate_json(&chrome).expect("chrome trace JSON is valid");
+    validate_json(&chrome).unwrap_or_else(|e| die(&format!("chrome trace JSON: {e}")));
     let trace_path = format!("{}/trace_{label}.json", o.out);
     write_artifact(&trace_path, &chrome);
 
@@ -199,7 +199,7 @@ fn main() {
             Json::Arr([&trace_path, &csv_path, &flame_path].map(|p| Json::Str(p.clone())).into()),
         );
     let rendered = bench.render();
-    validate_json(&rendered).expect("BENCH_obs.json is valid");
+    validate_json(&rendered).unwrap_or_else(|e| die(&format!("BENCH_obs.json: {e}")));
     let bench_path = format!("{}/BENCH_obs.json", o.out);
     write_artifact(&bench_path, &(rendered + "\n"));
 

@@ -131,7 +131,13 @@ fn finalize(ctx: &mut ExpCtx, pairs: Vec<(Probe, Vec<f64>)>) {
         }
     }
 
-    let (fitted, rms) = fit_params(&s).expect("samples cover every category");
+    let (fitted, rms) = match fit_params(&s) {
+        Ok(fit) => fit,
+        Err(e) => {
+            ctx.shape("the samples fit all eight parameters", false, e.to_string());
+            return;
+        }
+    };
     let paper = ModelParams::paper();
 
     outln!(ctx, "# Table 1 — model parameters (µs): simulator-fitted vs paper");

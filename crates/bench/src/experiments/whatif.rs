@@ -43,14 +43,15 @@ fn factors(quick: bool) -> &'static [f64] {
     }
 }
 
-/// Wrap profiles in the versioned `BENCH_whatif.json` envelope.
-pub fn whatif_artifact(profiles: &[WhatIfProfile], quick: bool) -> String {
+/// Wrap profiles in the versioned `BENCH_whatif.json` envelope; `Err`
+/// if the rendered document does not parse back.
+pub fn whatif_artifact(profiles: &[WhatIfProfile], quick: bool) -> Result<String, String> {
     let doc = artifact::envelope("whatif")
         .set("quick", Json::Bool(quick))
         .set("profiles", Json::Arr(profiles.iter().map(WhatIfProfile::to_json).collect()));
     let rendered = doc.render();
-    validate_json(&rendered).expect("BENCH_whatif.json must validate");
-    rendered + "\n"
+    validate_json(&rendered).map_err(|e| format!("BENCH_whatif.json: {e}"))?;
+    Ok(rendered + "\n")
 }
 
 /// One unit of a scenario's scan: its nominal run (`class: None`) or
@@ -150,7 +151,12 @@ pub(super) fn plan(quick: bool) -> Sweep {
             }
             profiles.push(p);
         }
-        ctx.artifact("BENCH_whatif.json", whatif_artifact(&profiles, ctx.quick));
+        match whatif_artifact(&profiles, ctx.quick) {
+            Ok(text) => ctx.artifact("BENCH_whatif.json", text),
+            Err(e) => {
+                ctx.shape("BENCH_whatif.json is valid JSON", false, e);
+            }
+        }
 
         // The claims contrast the two scenarios; without both, their
         // shape checks are missing and the drift gate says so.
@@ -223,7 +229,7 @@ mod tests {
             nominal: scc_hal::Time::from_ns(100),
             points: vec![],
         }];
-        let text = whatif_artifact(&profiles, true);
+        let text = whatif_artifact(&profiles, true).unwrap();
         let doc = Json::parse(&text).unwrap();
         scc_obs::validate_artifact_version(&doc).unwrap();
         assert!(text.contains("\"bench\""), "{text}");

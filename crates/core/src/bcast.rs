@@ -207,8 +207,8 @@ mod tests {
 
     #[test]
     fn switching_algorithms_in_one_run_via_release() {
-        // The kmeans example pattern: use OC-Bcast, release it, then use
-        // scatter-allgather with the same MPB.
+        // Use OC-Bcast, release it, then use scatter-allgather with the
+        // same MPB.
         let cfg = SimConfig { num_cores: 8, mem_bytes: 1 << 20, ..SimConfig::default() };
         let rep = run_spmd(&cfg, |c| -> RmaResult<bool> {
             let len = 5000;

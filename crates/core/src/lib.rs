@@ -14,13 +14,11 @@
 //!   two-sided send/receive (Section 5);
 //! * [`rma_sag`] — the Section 5.4 alternative: scatter-allgather
 //!   re-expressed over one-sided RMA (extension);
-//! * [`alltoall`] — one-sided personalized scatter/gather/all-to-all
-//!   (extension);
 //! * [`topo`] — tree layouts incl. a topology-aware builder (extension),
 //!   and the one core's neighbourhood a broadcast call derives;
 //! * [`bcast`] — a unified front-end used by benches and examples;
-//! * [`collectives`] — the paper's future-work extensions built from
-//!   the same RMA machinery: reduce and allgather (Section 7).
+//! * [`reliable`] — the timeout/retry policy and the reliable binomial
+//!   baseline (extension).
 //!
 //! Everything is written against [`scc_hal::Rma`], so it runs both on
 //! the deterministic SCC simulator (`scc-sim`) and on real threads
@@ -51,10 +49,8 @@
 //! }
 //! ```
 
-pub mod alltoall;
 pub mod bcast;
 pub mod binomial;
-pub mod collectives;
 pub mod ocbcast;
 pub mod reliable;
 pub mod rma_sag;
@@ -62,10 +58,8 @@ pub mod scatter_allgather;
 pub mod topo;
 pub mod tree;
 
-pub use alltoall::OnesidedGroup;
 pub use bcast::{Algorithm, Broadcaster, ReliableError};
 pub use binomial::binomial_bcast;
-pub use collectives::{oc_allgather, oc_allreduce, OcReduce, ReduceOp};
 pub use ocbcast::{OcBcast, OcConfig};
 pub use reliable::{RelStats, Reliability, ReliableBinomial};
 pub use rma_sag::RmaSag;

@@ -15,9 +15,8 @@
 //! * [`fit`] — least-squares extraction of Table-1 parameters from
 //!   microbenchmark samples (used to close the model ↔ simulator loop);
 //! * [`series`] — data series for Figure 6 and Table 2;
-//! * [`predict`] — a unified [`Predictor`] facade the `observatory`
-//!   harness uses to pair every simulator measurement with the model's
-//!   prediction for the same point;
+//! * [`predict`] — [`Predictor`], the full model's OC-Bcast and
+//!   binomial latencies that Figures 8a/8b pair with the simulator;
 //! * [`error`] — typed [`ModelError`]s for the fallible entry points
 //!   (degenerate fits, empty sweeps).
 //!
@@ -43,4 +42,4 @@ pub use error::ModelError;
 pub use fit::{fit_params, FitSamples, LinearFit};
 pub use p2p::P2p;
 pub use params::ModelParams;
-pub use predict::{Predictor, RmaOp};
+pub use predict::Predictor;

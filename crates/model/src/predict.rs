@@ -1,50 +1,15 @@
-//! One front door to the model for experiment harnesses.
+//! The full model's broadcast latencies, bound to the paper's
+//! parameters.
 //!
-//! The `observatory` harness in `scc-bench` pairs every simulator
-//! measurement with the analytical model's prediction for the same
-//! point; [`Predictor`] collects those predictions behind a single
-//! value so the harness does not assemble `P2p`/`FullModelCfg`/
-//! `ClosedQueue` piecemeal (and so the pairing logic has one obvious
-//! place to live).
-//!
-//! Operations are named by the model-side [`RmaOp`] — the model crate
-//! sits below the simulator, so it cannot use `scc_sim::P2pKind`;
-//! harnesses map between the two one-to-one.
+//! Figures 8a and 8b pair each simulated OC-Bcast and binomial latency
+//! with the model's prediction for the same point; [`Predictor`] holds
+//! the Table-1 parameters and the default [`FullModelCfg`] those
+//! predictions use. The other model quantities a harness needs
+//! ([`crate::P2p`], [`crate::ClosedQueue`],
+//! [`crate::series::table2_rows`]) it calls directly.
 
-use crate::bcast::{
-    binomial_latency_full, oc_latency_full, oc_throughput_full, sag_throughput_full, FullModelCfg,
-};
-use crate::contention::ClosedQueue;
-use crate::error::ModelError;
-use crate::p2p::P2p;
+use crate::bcast::{binomial_latency_full, oc_latency_full, FullModelCfg};
 use crate::params::ModelParams;
-use crate::series;
-
-/// The four timed RMA primitives of Figure 2, model-side.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum RmaOp {
-    /// `put` local MPB → remote MPB (Formula 7).
-    PutMpb,
-    /// `get` remote MPB → local MPB (Formula 11).
-    GetMpb,
-    /// `put` private memory → remote MPB (Formula 8).
-    PutMem,
-    /// `get` remote MPB → private memory (Formula 12).
-    GetMem,
-}
-
-impl RmaOp {
-    pub const ALL: [RmaOp; 4] = [RmaOp::PutMpb, RmaOp::GetMpb, RmaOp::PutMem, RmaOp::GetMem];
-
-    pub fn short(self) -> &'static str {
-        match self {
-            RmaOp::PutMpb => "put_mpb",
-            RmaOp::GetMpb => "get_mpb",
-            RmaOp::PutMem => "put_mem",
-            RmaOp::GetMem => "get_mem",
-        }
-    }
-}
 
 /// Model predictions bound to one parameter set.
 #[derive(Clone, Copy, Debug)]
@@ -55,36 +20,9 @@ pub struct Predictor {
 
 impl Predictor {
     /// Predictions from the paper's Table-1 parameters — what every
-    /// experiment compares the simulator against by default.
+    /// experiment compares the simulator against.
     pub fn paper() -> Predictor {
-        Predictor::with_params(ModelParams::paper())
-    }
-
-    /// Predictions from custom (e.g. freshly fitted) parameters.
-    pub fn with_params(params: ModelParams) -> Predictor {
-        Predictor { params, cfg: FullModelCfg::default() }
-    }
-
-    pub fn params(&self) -> &ModelParams {
-        &self.params
-    }
-
-    fn p2p(&self) -> P2p {
-        P2p::new(self.params)
-    }
-
-    /// Completion time (µs) of one RMA primitive of `lines` cache
-    /// lines. `d_src`/`d_dst` are router distances; MPB-local ends
-    /// (the caller's own buffer) are distance 1 per the paper and the
-    /// unused distance of the pure-MPB ops is ignored.
-    pub fn p2p_completion_us(&self, op: RmaOp, lines: usize, d_src: u32, d_dst: u32) -> f64 {
-        let m = self.p2p();
-        match op {
-            RmaOp::PutMpb => m.c_put_mpb(lines, d_dst),
-            RmaOp::GetMpb => m.c_get_mpb(lines, d_src),
-            RmaOp::PutMem => m.c_put_mem(lines, d_src, d_dst),
-            RmaOp::GetMem => m.c_get_mem(lines, d_src, d_dst),
-        }
+        Predictor { params: ModelParams::paper(), cfg: FullModelCfg::default() }
     }
 
     /// Full-model OC-Bcast latency (µs) at `p` cores, `lines` cache
@@ -97,37 +35,6 @@ impl Predictor {
     pub fn binomial_latency_us(&self, p: usize, lines: usize) -> f64 {
         binomial_latency_full(&self.params, &self.cfg, p, lines)
     }
-
-    /// Full-model OC-Bcast peak throughput (MB/s).
-    pub fn oc_peak_throughput_mb_s(&self, p: usize, k: usize) -> f64 {
-        oc_throughput_full(&self.params, &self.cfg, p, k)
-    }
-
-    /// Full-model scatter-allgather peak throughput (MB/s).
-    pub fn sag_peak_throughput_mb_s(&self, p: usize) -> f64 {
-        sag_throughput_full(&self.params, &self.cfg, p)
-    }
-
-    /// Latency-optimal tree degree for `(p, lines)`.
-    pub fn best_k(&self, p: usize, lines: usize) -> Result<(usize, f64), ModelError> {
-        series::best_k(&self.params, &self.cfg, p, lines)
-    }
-
-    /// Closed-queue estimate of the mean per-accessor cycle (µs) when
-    /// `n` cores issue `lines`-line gets against one MPB at mean
-    /// distance `d` — the Figure 4a scenario. `port_service_us` is the
-    /// port's share of the per-line overhead (the simulator's
-    /// decomposition of `o_mpb`).
-    pub fn contended_get_cycle_us(
-        &self,
-        lines: usize,
-        n: usize,
-        d: f64,
-        port_service_us: f64,
-    ) -> f64 {
-        ClosedQueue::get_scenario(lines, d, port_service_us, self.params.o_mpb, self.params.l_hop)
-            .cycle_estimate_us(n)
-    }
 }
 
 #[cfg(test)]
@@ -135,42 +42,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn p2p_predictions_match_the_formulas() {
-        let pr = Predictor::paper();
-        let m = P2p::new(ModelParams::paper());
-        assert_eq!(pr.p2p_completion_us(RmaOp::GetMpb, 4, 5, 1), m.c_get_mpb(4, 5));
-        assert_eq!(pr.p2p_completion_us(RmaOp::PutMpb, 4, 1, 5), m.c_put_mpb(4, 5));
-        assert_eq!(pr.p2p_completion_us(RmaOp::GetMem, 96, 1, 2), m.c_get_mem(96, 1, 2));
-        assert_eq!(pr.p2p_completion_us(RmaOp::PutMem, 96, 2, 1), m.c_put_mem(96, 2, 1));
-    }
-
-    #[test]
     fn bcast_predictions_are_consistent_with_series() {
         let pr = Predictor::paper();
-        let rows = series::table2_rows(pr.params(), &FullModelCfg::default(), 48, &[7]).unwrap();
-        assert_eq!(rows[0].1, pr.oc_peak_throughput_mb_s(48, 7));
-        assert_eq!(rows[1].1, pr.sag_peak_throughput_mb_s(48));
         assert!(pr.oc_latency_us(48, 96, 7) > pr.oc_latency_us(48, 1, 7));
         assert!(pr.binomial_latency_us(48, 1) > pr.oc_latency_us(48, 1, 7));
-        assert_eq!(
-            pr.best_k(48, 1).unwrap(),
-            series::best_k(pr.params(), &FullModelCfg::default(), 48, 1).unwrap()
-        );
-    }
-
-    #[test]
-    fn contention_estimate_has_the_figure4_knee() {
-        let pr = Predictor::paper();
-        let solo = pr.contended_get_cycle_us(128, 1, 9.0, 0.010);
-        assert!(pr.contended_get_cycle_us(128, 24, 9.0, 0.010) < 1.10 * solo);
-        assert!(pr.contended_get_cycle_us(128, 47, 9.0, 0.010) > 1.25 * solo);
-    }
-
-    #[test]
-    fn op_names_are_distinct() {
-        let mut names: Vec<_> = RmaOp::ALL.iter().map(|o| o.short()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), 4);
     }
 }

@@ -13,7 +13,7 @@
 //! * [`barrier`] — dissemination barrier;
 //! * [`pipe`] — the double-buffered one-sided window (iRCCE's
 //!   pipelining, the blueprint the paper borrows in Section 4.2) that
-//!   every one-sided pipeline of `oc-bcast` pushes and pulls through.
+//!   `oc-bcast`'s one-sided scatter-allgather pushes and pulls through.
 
 pub mod alloc;
 pub mod barrier;

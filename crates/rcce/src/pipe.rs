@@ -1,5 +1,5 @@
-//! The double-buffered RMA window every one-sided pipeline in this
-//! suite goes through — iRCCE's pipelining (Clauss et al., the library
+//! The double-buffered RMA window of the one-sided scatter-allgather
+//! (`oc_bcast::RmaSag`) — iRCCE's pipelining (Clauss et al., the library
 //! the paper credits for the double-buffering idea, Section 4.2) as
 //! one reusable protocol instead of one copy per collective.
 //!

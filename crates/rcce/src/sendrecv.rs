@@ -181,16 +181,28 @@ mod tests {
         (0..len).map(|i| (i as u8).wrapping_mul(31).wrapping_add(seed)).collect()
     }
 
-    fn comm_for<R: Rma>(c: &R) -> RcceComm {
-        let mut alloc = MpbAllocator::new();
-        RcceComm::new(&mut alloc, c.num_cores()).unwrap()
+    /// The default context: the payload takes every line left.
+    fn whole_mpb(alloc: &mut MpbAllocator, num_cores: usize) -> RcceComm {
+        RcceComm::new(alloc, num_cores).unwrap()
     }
 
-    fn round_trip(len: usize) {
+    /// A 4-line payload allocated after another protocol's region, the
+    /// way a context shares the MPB: many handshake chunks, none of its
+    /// lines at the start of the MPB.
+    fn four_lines_after_another(alloc: &mut MpbAllocator, num_cores: usize) -> RcceComm {
+        alloc.alloc(8).unwrap();
+        RcceComm::with_payload_lines(alloc, num_cores, 4).unwrap()
+    }
+
+    fn comm_for<R: Rma>(c: &R) -> RcceComm {
+        whole_mpb(&mut MpbAllocator::new(), c.num_cores())
+    }
+
+    fn round_trip(ctx: fn(&mut MpbAllocator, usize) -> RcceComm, len: usize) {
         let msg = payload(len, 7);
         let expect = msg.clone();
         let rep = run_spmd(&cfg(2), move |c| -> RmaResult<Option<Vec<u8>>> {
-            let comm = comm_for(c);
+            let comm = ctx(&mut MpbAllocator::new(), c.num_cores());
             if c.core().index() == 0 {
                 c.mem_write(0, &msg)?;
                 comm.send(c, CoreId(1), MemRange::new(0, msg.len()))?;
@@ -207,17 +219,21 @@ mod tests {
 
     #[test]
     fn small_message() {
-        round_trip(1);
-        round_trip(32);
-        round_trip(100);
+        round_trip(whole_mpb, 1);
+        round_trip(whole_mpb, 32);
+        round_trip(whole_mpb, 100);
     }
 
     #[test]
     fn exactly_one_chunk_and_multi_chunk() {
         // chunk size for a 2-core run: 256 - 2 - 1 = 253 lines.
-        round_trip(253 * CACHE_LINE_BYTES);
-        round_trip(253 * CACHE_LINE_BYTES + 1);
-        round_trip(3 * 253 * CACHE_LINE_BYTES + 77);
+        round_trip(whole_mpb, 253 * CACHE_LINE_BYTES);
+        round_trip(whole_mpb, 253 * CACHE_LINE_BYTES + 1);
+        round_trip(whole_mpb, 3 * 253 * CACHE_LINE_BYTES + 77);
+        // A 4-line context: one chunk, two chunks, and 80 chunks.
+        round_trip(four_lines_after_another, 128);
+        round_trip(four_lines_after_another, 129);
+        round_trip(four_lines_after_another, 10 * 1024);
     }
 
     #[test]
@@ -229,6 +245,10 @@ mod tests {
         assert_eq!(comm.chunks_for(1), 1);
         assert_eq!(comm.chunks_for(comm.chunk_lines() * 32), 1);
         assert_eq!(comm.chunks_for(comm.chunk_lines() * 32 + 1), 2);
+        let small = four_lines_after_another(&mut MpbAllocator::new(), 48);
+        assert_eq!(small.chunk_lines(), 4);
+        assert_eq!(small.chunks_for(128), 1);
+        assert_eq!(small.chunks_for(129), 2);
     }
 
     #[test]
@@ -339,5 +359,9 @@ mod tests {
         assert_eq!(alloc.lines_free(), 0);
         comm.release(&mut alloc);
         assert_eq!(alloc.lines_free(), 256);
+        let small = four_lines_after_another(&mut alloc, 48);
+        assert_eq!(alloc.lines_free(), 256 - 8 - 48 - 1 - 4);
+        small.release(&mut alloc);
+        assert_eq!(alloc.lines_free(), 256 - 8);
     }
 }

@@ -8,8 +8,8 @@
 
 use crate::engine::{run_spmd, SimConfig, SimError};
 use scc_hal::{
-    core_at_mpb_distance, core_with_mem_distance, CoreId, FlagValue, MemRange, MpbAddr, Rma,
-    RmaExt, Time, CACHE_LINE_BYTES,
+    core_at_mpb_distance, core_with_mem_distance, CoreId, MemRange, MpbAddr, Rma, Time,
+    CACHE_LINE_BYTES,
 };
 
 /// Which point-to-point operation a microbenchmark measures (the four
@@ -163,30 +163,6 @@ fn probe_on_tile(x: u8, y: u8) -> CoreId {
     scc_hal::Tile::new(x, y).cores()[0]
 }
 
-/// A tiny end-to-end smoke program used in tests and the quickstart:
-/// core 0 stages a message and every other core pulls it directly
-/// (star, no tree) — not the paper's algorithm, just a harness check.
-pub fn naive_star_broadcast(cfg: &SimConfig, payload: &[u8]) -> Result<Vec<Vec<u8>>, SimError> {
-    let len = payload.len();
-    assert!(len > 0 && len <= 192 * CACHE_LINE_BYTES);
-    let msg = payload.to_vec();
-    let rep = run_spmd(cfg, move |c| -> Vec<u8> {
-        if c.core().index() == 0 {
-            c.mem_write(0, &msg).unwrap();
-            c.put_from_mem(MemRange::new(0, len), MpbAddr::new(CoreId(0), 1)).unwrap();
-            for peer in 1..c.num_cores() {
-                c.flag_put(MpbAddr::new(CoreId(peer as u8), 0), FlagValue(1)).unwrap();
-            }
-            msg.clone()
-        } else {
-            c.flag_wait_eq(0, FlagValue(1)).unwrap();
-            c.get_to_mem(MpbAddr::new(CoreId(0), 1), MemRange::new(0, len)).unwrap();
-            c.mem_to_vec(MemRange::new(0, len)).unwrap()
-        }
-    })?;
-    Ok(rep.results)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,21 +230,5 @@ mod tests {
             ratio < 1.05,
             "mesh must not be a source of contention (Section 3.3): ratio {ratio}"
         );
-    }
-
-    #[test]
-    fn star_broadcast_delivers_payload_everywhere() {
-        let cfg = SimConfig {
-            num_cores: 8,
-            mem_bytes: 16 * 1024,
-            params: SimParams::default(),
-            ..SimConfig::default()
-        };
-        let payload: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
-        let results = naive_star_broadcast(&cfg, &payload).unwrap();
-        assert_eq!(results.len(), 8);
-        for (i, r) in results.iter().enumerate() {
-            assert_eq!(r, &payload, "core {i} got corrupted payload");
-        }
     }
 }

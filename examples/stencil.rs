@@ -1,9 +1,8 @@
-//! 1-D heat-diffusion stencil on the simulated SCC — the
-//! latency-sensitive counterpart to the `kmeans` example: every time
-//! step the boundary controller (core 0) broadcasts a *one-cache-line*
-//! control record (current boundary drive + step scaling), and
-//! neighbouring cores exchange one-cell halos over two-sided
-//! send/receive.
+//! 1-D heat-diffusion stencil on the simulated SCC, a latency-bound
+//! application: every time step the boundary controller (core 0)
+//! broadcasts a *one-cache-line* control record (current boundary
+//! drive + step scaling), and neighbouring cores exchange one-cell
+//! halos over two-sided send/receive.
 //!
 //! With hundreds of steps, the small-message broadcast latency is on
 //! the critical path, so OC-Bcast's ≥27% latency win over the binomial

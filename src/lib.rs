@@ -9,12 +9,10 @@
 //! * [`scc_rt`] — real-thread shared-memory backend
 //! * [`scc_rcce`] — RCCE-style layer: flags, send/recv, barrier
 //! * [`oc_bcast`] — OC-Bcast and the baseline broadcasts (paper Section 4)
-//! * [`scc_mpi`] — MPI-flavoured facade over the collective stack (paper Section 7)
 
 pub use oc_bcast;
 pub use scc_hal;
 pub use scc_model;
-pub use scc_mpi;
 pub use scc_rcce;
 pub use scc_rt;
 pub use scc_sim;
