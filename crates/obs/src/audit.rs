@@ -44,7 +44,7 @@ use crate::causal::{CausalGraph, EdgeKind};
 use crate::event::{FaultKind, ObsEvent, OpKind};
 use crate::percore::PerCore;
 use scc_hal::{CoreId, Span, Time};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// What kind of run the stream under audit recorded. The checkers need
@@ -798,20 +798,37 @@ fn sites<'a>(
     events.iter().enumerate().filter(move |(_, e)| keep(e)).map(|(i, _)| i)
 }
 
-/// One seeded pair `(a, b)` of `sites`, `b` among the 64 sites after
-/// `a`, for which `eligible` holds — pairs ordered by `a`, then `b`.
-fn pick_pair(
+/// One seeded pair of sites `(i, j)` and their keys — the events `key`
+/// maps to a group and a key, `j` among the 64 sites after `i` and in its
+/// group, `eligible` on the keys — ordered by `i`, then `j`. One pass
+/// counts each site's partners among its group's recent sites only.
+fn pick_pair<K: Copy>(
     rng: &mut u64,
-    sites: &[usize],
-    eligible: impl Fn(usize, usize) -> bool,
-) -> Option<(usize, usize)> {
-    pick(rng, || {
-        sites
-            .iter()
-            .enumerate()
-            .flat_map(|(n, &a)| sites[n + 1..].iter().take(64).map(move |&b| (a, b)))
-            .filter(|&(a, b)| eligible(a, b))
-    })
+    events: &[ObsEvent],
+    key: impl Fn(&ObsEvent) -> Option<(usize, K)>,
+    eligible: impl Fn(K, K) -> bool,
+) -> Option<((usize, K), (usize, K))> {
+    let sites = || events.iter().enumerate().filter_map(|(i, e)| Some((i, key(e)?)));
+    let (mut recent, mut counts) = (BTreeMap::<_, Vec<(usize, K)>>::new(), Vec::new());
+    for (b, (_, (group, kb))) in sites().enumerate() {
+        let window = recent.entry(group).or_default();
+        window.retain(|&(a, _)| a + 64 >= b);
+        for &(a, ka) in window.iter() {
+            counts[a] += u8::from(eligible(ka, kb));
+        }
+        window.push((b, kb));
+        counts.push(0u8);
+    }
+    let mut nth = splitmix64(rng).checked_rem(counts.iter().map(|&c| u64::from(c)).sum())?;
+    let mut a = 0;
+    while nth >= u64::from(counts[a]) {
+        nth -= u64::from(counts[a]);
+        a += 1;
+    }
+    let mut window = sites().skip(a);
+    let (i, (group, ka)) = window.next()?;
+    let mut partners = window.take(64).filter(|&(_, (g, kb))| g == group && eligible(ka, kb));
+    partners.nth(nth as usize).map(|(j, (_, kb))| ((i, ka), (j, kb)))
 }
 
 /// Apply one seeded mutation of `class` to the stream. Returns a
@@ -833,21 +850,14 @@ pub fn mutate(events: &mut Vec<ObsEvent>, class: MutationClass, seed: u64) -> Op
             // Eligible pair: same resource, i served first, j arrived
             // after i's service started — swapping their intervals
             // forces j to be served before it arrived.
-            let waits: Vec<usize> = sites(events, |e| matches!(e, ObsEvent::Wait { .. })).collect();
-            let (i, j) = pick_pair(&mut rng, &waits, |i, j| match (events[i], events[j]) {
-                (
-                    ObsEvent::Wait { resource: ri, start: si, .. },
-                    ObsEvent::Wait { resource: rj, arrival: aj, start: sj, .. },
-                ) => ri == rj && si < sj && aj > si,
-                _ => false,
-            })?;
-            let (
-                ObsEvent::Wait { start: si, end: ei, .. },
-                ObsEvent::Wait { start: sj, end: ej, .. },
-            ) = (events[i], events[j])
-            else {
-                return None;
+            let wait = |e: &ObsEvent| match *e {
+                ObsEvent::Wait { resource, arrival, start, end, .. } => {
+                    Some((resource.index(), (arrival, start, end)))
+                }
+                _ => None,
             };
+            let eligible = |(_, si, _), (aj, sj, _)| si < sj && aj > si;
+            let ((i, (_, si, ei)), (j, (_, sj, ej))) = pick_pair(&mut rng, events, wait, eligible)?;
             let set = |ev: &mut ObsEvent, s: Time, e: Time| {
                 if let ObsEvent::Wait { start, end, .. } = ev {
                     *start = s;
@@ -863,9 +873,8 @@ pub fn mutate(events: &mut Vec<ObsEvent>, class: MutationClass, seed: u64) -> Op
                 ObsEvent::SpanEnd { span, .. } => Some(span),
                 _ => None,
             };
-            let closes: Vec<usize> = sites(events, |e| span(*e).is_some()).collect();
-            let (i, j) = pick_pair(&mut rng, &closes, |i, j| span(events[i]) != span(events[j]))?;
-            let (Some(si), Some(sj)) = (span(events[i]), span(events[j])) else { return None };
+            let close = |e: &ObsEvent| Some((0, span(*e)?));
+            let ((i, si), (j, sj)) = pick_pair(&mut rng, events, close, |a, b| a != b)?;
             let set = |ev: &mut ObsEvent, s: Span| {
                 if let ObsEvent::SpanEnd { span, .. } = ev {
                     *span = s;

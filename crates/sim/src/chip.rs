@@ -307,6 +307,9 @@ pub struct Chip {
     /// run has actually touched (a 48-core chip would otherwise zero
     /// 48 x `mem_bytes` on every `run_spmd`).
     private: Vec<Vec<u8>>,
+    /// Per core, the end of what the two private writers have written;
+    /// past it private memory is still zero, as with `mpb_written`.
+    private_written: Vec<usize>,
     /// Reservation calendar per mesh router (one per tile, 24 entries).
     routers: Vec<Calendar>,
     /// Calendar per tile MPB port (the two cores of a tile share the
@@ -333,6 +336,13 @@ thread_local! {
     static WARM: Cell<Option<Chip>> = const { Cell::new(None) };
 }
 
+/// Raise `core`'s written-byte mark in `marks` to `end`.
+#[inline]
+fn raise(marks: &mut [usize], core: CoreId, end: usize) {
+    let mark = &mut marks[core.index()];
+    *mark = (*mark).max(end);
+}
+
 impl Chip {
     pub fn new(params: SimParams, num_cores: usize, mem_bytes: usize) -> Chip {
         assert!((1..=scc_hal::NUM_CORES).contains(&num_cores));
@@ -343,6 +353,7 @@ impl Chip {
             mpb: vec![0u8; num_cores * MPB_BYTES_PER_CORE],
             mpb_written: vec![0; num_cores],
             private: (0..num_cores).map(|_| Vec::new()).collect(),
+            private_written: vec![0; num_cores],
             routers: vec![Calendar::default(); 24],
             ports: vec![Calendar::default(); 24],
             mcs: vec![Calendar::default(); 4],
@@ -365,6 +376,11 @@ impl Chip {
             chip.mpb[base..base + *written].fill(0);
             *written = 0;
         }
+        for (mem, written) in chip.private.iter_mut().zip(&mut chip.private_written) {
+            mem.truncate(mem_bytes);
+            let end = std::mem::take(written).min(mem.len());
+            mem[..end].fill(0);
+        }
         for calendar in chip.routers.iter_mut().chain(&mut chip.ports).chain(&mut chip.mcs) {
             calendar.slots.clear();
         }
@@ -373,9 +389,14 @@ impl Chip {
     }
 
     /// Keep this finished run's chip for the thread's next
-    /// [`Chip::lease`]; its private memory is released now.
+    /// [`Chip::lease`]. A core's private memory stays too when it is at
+    /// most one 4 KB page (its growth unit), which the lease re-zeroes
+    /// below its written mark; larger storage is released now, so a
+    /// warm chip pins at most a page per core.
     pub(crate) fn release(mut self) {
-        self.private.iter_mut().for_each(|mem| *mem = Vec::new());
+        for mem in self.private.iter_mut().filter(|mem| mem.capacity() > 4096) {
+            *mem = Vec::new();
+        }
         WARM.set(Some(self));
     }
 
@@ -405,22 +426,16 @@ impl Chip {
     }
 
     pub fn mpb_slice_mut(&mut self, core: CoreId, byte_off: usize, len: usize) -> &mut [u8] {
-        self.mark_written(core, byte_off + len);
+        raise(&mut self.mpb_written, core, byte_off + len);
         let base = core.index() * MPB_BYTES_PER_CORE + byte_off;
         &mut self.mpb[base..base + len]
     }
 
-    #[inline]
-    fn mark_written(&mut self, core: CoreId, end: usize) {
-        let written = &mut self.mpb_written[core.index()];
-        *written = (*written).max(end);
-    }
-
-    /// Materialize `core`'s private memory up to `len` bytes (4 KB
+    /// Materialize `core`'s private memory up to `len` bytes (page
     /// granularity, zero-filled — untouched memory reads as zeroes).
     fn private_grow(&mut self, core: CoreId, len: usize) {
-        debug_assert!(len <= self.mem_bytes);
         let mem = &mut self.private[core.index()];
+        debug_assert!(len <= self.mem_bytes && mem.len() <= self.mem_bytes);
         if mem.len() < len {
             mem.resize(len.next_multiple_of(4096).min(self.mem_bytes), 0);
         }
@@ -433,6 +448,7 @@ impl Chip {
 
     pub fn private_slice_mut(&mut self, core: CoreId, off: usize, len: usize) -> &mut [u8] {
         self.private_grow(core, off + len);
+        raise(&mut self.private_written, core, off + len);
         &mut self.private[core.index()][off..off + len]
     }
 
@@ -447,6 +463,7 @@ impl Chip {
         len: usize,
     ) {
         self.private_grow(dst, dst_off + len);
+        raise(&mut self.private_written, dst, dst_off + len);
         let base = src.index() * MPB_BYTES_PER_CORE + src_byte;
         let (mpb, private) = (&self.mpb, &mut self.private);
         private[dst.index()][dst_off..dst_off + len].copy_from_slice(&mpb[base..base + len]);
@@ -461,7 +478,7 @@ impl Chip {
         len: usize,
     ) {
         self.private_grow(src, src_off + len);
-        self.mark_written(dst, dst_byte + len);
+        raise(&mut self.mpb_written, dst, dst_byte + len);
         let base = dst.index() * MPB_BYTES_PER_CORE + dst_byte;
         let (mpb, private) = (&mut self.mpb, &self.private);
         mpb[base..base + len].copy_from_slice(&private[src.index()][src_off..src_off + len]);
@@ -480,7 +497,7 @@ impl Chip {
         if s == d {
             return;
         }
-        self.mark_written(dst, dst_byte + len);
+        raise(&mut self.mpb_written, dst, dst_byte + len);
         // Regions may belong to the same vector and may overlap;
         // copy_within has memmove semantics and allocates nothing.
         self.mpb.copy_within(s..s + len, d);

@@ -8,8 +8,8 @@
 
 use crate::engine::{run_spmd, SimConfig, SimError};
 use scc_hal::{
-    core_at_mpb_distance, core_with_mem_distance, CoreId, MemRange, MpbAddr, Rma, Time,
-    CACHE_LINE_BYTES,
+    core_at_mpb_distance, core_with_mem_distance, CoreId, MemRange, MpbAddr, Rma, RmaError,
+    RmaResult, Time, CACHE_LINE_BYTES,
 };
 
 /// Which point-to-point operation a microbenchmark measures (the four
@@ -41,34 +41,36 @@ pub fn measure_p2p(
         P2pKind::GetMpb | P2pKind::PutMpb => CoreId(0),
         // For memory ops the issuer determines the distance.
         P2pKind::GetMem | P2pKind::PutMem => core_with_mem_distance(d, cfg.num_cores)
-            .unwrap_or_else(|| panic!("no core with memory distance {d}")),
+            .ok_or_else(|| SimError::Engine(format!("no core with memory distance {d}")))?,
     };
     let peer = match kind {
         P2pKind::GetMpb | P2pKind::PutMpb => core_at_mpb_distance(CoreId(0), d, cfg.num_cores)
-            .unwrap_or_else(|| panic!("no core at MPB distance {d}")),
+            .ok_or_else(|| SimError::Engine(format!("no core at MPB distance {d}")))?,
         // Memory panels keep the MPB side local (own MPB, d = 1).
         P2pKind::GetMem | P2pKind::PutMem => issuer,
     };
-    let rep = run_spmd(cfg, move |c| -> Time {
+    let mut rep = run_spmd(cfg, move |c| -> RmaResult<Time> {
         if c.core() != issuer {
-            return Time::ZERO;
+            return Ok(Time::ZERO);
         }
+        let mem = MemRange::new(0, lines * CACHE_LINE_BYTES);
         let t0 = c.now();
         for _ in 0..reps {
             match kind {
-                P2pKind::GetMpb => c.get_to_mpb(MpbAddr::new(peer, 0), 0, lines).unwrap(),
-                P2pKind::PutMpb => c.put_from_mpb(0, MpbAddr::new(peer, 0), lines).unwrap(),
-                P2pKind::GetMem => c
-                    .get_to_mem(MpbAddr::new(peer, 0), MemRange::new(0, lines * CACHE_LINE_BYTES))
-                    .unwrap(),
-                P2pKind::PutMem => c
-                    .put_from_mem(MemRange::new(0, lines * CACHE_LINE_BYTES), MpbAddr::new(peer, 0))
-                    .unwrap(),
+                P2pKind::GetMpb => c.get_to_mpb(MpbAddr::new(peer, 0), 0, lines)?,
+                P2pKind::PutMpb => c.put_from_mpb(0, MpbAddr::new(peer, 0), lines)?,
+                P2pKind::GetMem => c.get_to_mem(MpbAddr::new(peer, 0), mem)?,
+                P2pKind::PutMem => c.put_from_mem(mem, MpbAddr::new(peer, 0))?,
             }
         }
-        (c.now() - t0) / reps as u64
+        Ok((c.now() - t0) / reps as u64)
     })?;
-    Ok(rep.results[issuer.index()])
+    rep.results.swap_remove(issuer.index()).map_err(refused)
+}
+
+/// A refused op, as the error a microbenchmark returns.
+fn refused(e: RmaError) -> SimError {
+    SimError::Engine(e.to_string())
 }
 
 /// Per-core completion times of the MPB-contention experiment of
@@ -90,26 +92,26 @@ pub fn measure_contention(
     // Accessors are the highest-numbered cores, so core 0 is never an
     // accessor of itself and tile 0's port serves only remote traffic.
     let first = cfg.num_cores - accessors;
-    let rep = run_spmd(cfg, move |c| -> Option<Time> {
+    let rep = run_spmd(cfg, move |c| -> RmaResult<Option<Time>> {
         let me = c.core().index();
         if me < first {
             // Victim and idle cores: core 0 just waits for a "finished"
             // count — no, it simply returns; its MPB needs no owner
             // cooperation for RMA.
-            return None;
+            return Ok(None);
         }
         let slot = 1 + (me - first); // distinct line per putter
         let t0 = c.now();
         for _ in 0..reps {
             if puts {
-                c.put_from_mpb(0, MpbAddr::new(CoreId(0), slot), lines).unwrap();
+                c.put_from_mpb(0, MpbAddr::new(CoreId(0), slot), lines)?;
             } else {
-                c.get_to_mpb(MpbAddr::new(CoreId(0), 0), 0, lines).unwrap();
+                c.get_to_mpb(MpbAddr::new(CoreId(0), 0), 0, lines)?;
             }
         }
-        Some((c.now() - t0) / reps as u64)
+        Ok(Some((c.now() - t0) / reps as u64))
     })?;
-    Ok(rep.results.into_iter().flatten().collect())
+    rep.results.into_iter().filter_map(Result::transpose).collect::<RmaResult<_>>().map_err(refused)
 }
 
 /// The Section 3.3 link-stress experiment: all cores outside tiles
@@ -129,29 +131,31 @@ pub fn measure_link_stress(
     let target_core = probe_on_tile(3, 2);
 
     let probe_once = |background: bool| -> Result<Time, SimError> {
-        let rep = run_spmd(cfg, move |c| -> Option<Time> {
+        let rep = run_spmd(cfg, move |c| -> RmaResult<Option<Time>> {
             let me = c.core();
             let my_tile = me.tile();
             if me == probe_core {
                 let t0 = c.now();
                 for _ in 0..reps {
-                    c.get_to_mpb(MpbAddr::new(target_core, 0), 0, lines).unwrap();
+                    c.get_to_mpb(MpbAddr::new(target_core, 0), 0, lines)?;
                 }
-                return Some((c.now() - t0) / reps as u64);
+                return Ok(Some((c.now() - t0) / reps as u64));
             }
             if !background || my_tile.y == 2 && (my_tile.x == 2 || my_tile.x == 3) {
-                return None;
+                return Ok(None);
             }
             // Pull data from the opposite side of the mesh in row 2, so
             // X-Y routing drives every packet through (2,2)-(3,2).
             let opposite_x = if my_tile.x >= 3 { 0 } else { 5 };
             let victim = scc_hal::Tile::new(opposite_x, 2).cores()[0];
             for _ in 0..3 * reps {
-                c.get_to_mpb(MpbAddr::new(victim, 0), 0, 128).unwrap();
+                c.get_to_mpb(MpbAddr::new(victim, 0), 0, 128)?;
             }
-            None
+            Ok(None)
         })?;
-        Ok(rep.results[probe_core.index()].expect("probe must measure"))
+        let times = rep.results.into_iter().collect::<RmaResult<Vec<_>>>().map_err(refused)?;
+        times[probe_core.index()]
+            .ok_or_else(|| SimError::Engine("the link-stress probe did not measure".into()))
     };
 
     let loaded = probe_once(true)?;
@@ -199,6 +203,23 @@ mod tests {
         // o_put_mem + 8·(C_mem_r(2) + C_mpb_w(1))
         let expect = 190 + 8 * ((208 + 20) + (126 + 10));
         assert_eq!(c, Time::from_ns(expect));
+    }
+
+    #[test]
+    fn a_missing_core_or_a_refused_op_is_an_error() {
+        let cfg = cfg();
+        let far = measure_p2p(&cfg, P2pKind::GetMpb, 1, 99, 1).unwrap_err();
+        assert_eq!(far.to_string(), "engine failure: no core at MPB distance 99");
+        let far = measure_p2p(&cfg, P2pKind::PutMem, 1, 99, 1).unwrap_err();
+        assert_eq!(far.to_string(), "engine failure: no core with memory distance 99");
+        // 4 KB of lines fit the MPB but not a 1 KB private memory.
+        let small = SimConfig { mem_bytes: 1024, ..cfg.clone() };
+        let e = measure_p2p(&small, P2pKind::GetMem, 128, 1, 1).unwrap_err();
+        assert!(e.to_string().contains("private memory access out of range"), "{e}");
+        let e = measure_contention(&cfg, 8, 300, false, 1).unwrap_err();
+        assert!(e.to_string().contains("MPB access out of range"), "{e}");
+        let e = measure_link_stress(&cfg, 300, 1).unwrap_err();
+        assert!(e.to_string().contains("MPB access out of range"), "{e}");
     }
 
     #[test]

@@ -240,18 +240,6 @@ pub fn simulate_line(chip: &mut Chip, issuer: CoreId, op: &Op, t: Time) -> Time 
     }
 }
 
-/// Convenience for tests and microbenchmark cross-checks: full op
-/// completion time in a contention-free chip (overhead plus all lines
-/// back to back).
-pub fn simulate_whole(chip: &mut Chip, issuer: CoreId, op: &Op, t: Time) -> Time {
-    chip.stats.ops += 1;
-    let mut t = t + op_overhead(chip, op);
-    for _ in 0..total_lines(op) {
-        t = simulate_line(chip, issuer, op, t);
-    }
-    t
-}
-
 /// Apply the memory effects of a completed op and say what they were.
 /// Linearization point of every op is its completion time;
 /// the scheduler calls this exactly then.
@@ -309,6 +297,17 @@ mod tests {
 
     fn fixture() -> Chip {
         Chip::new(SimParams::default(), 48, 64 * 1024)
+    }
+
+    /// Full op completion time in a contention-free chip (overhead
+    /// plus all lines back to back).
+    fn simulate_whole(chip: &mut Chip, issuer: CoreId, op: &Op, t: Time) -> Time {
+        chip.stats.ops += 1;
+        let mut t = t + op_overhead(chip, op);
+        for _ in 0..total_lines(op) {
+            t = simulate_line(chip, issuer, op, t);
+        }
+        t
     }
 
     /// Contention-free op timings must reproduce the closed-form model

@@ -98,27 +98,6 @@ impl Default for SimParams {
 }
 
 impl SimParams {
-    /// The end-to-end `o^mpb` this parameter set induces for reads
-    /// (must equal Table 1's 0.126 µs with defaults).
-    pub fn o_mpb_read_total(&self) -> Time {
-        self.o_core_mpb_read + self.mpb_port_read
-    }
-
-    /// End-to-end `o^mpb` for writes.
-    pub fn o_mpb_write_total(&self) -> Time {
-        self.o_core_mpb_write + self.mpb_port_write
-    }
-
-    /// End-to-end `o^mem_r`.
-    pub fn o_mem_read_total(&self) -> Time {
-        self.o_core_mem_read + self.mc_read
-    }
-
-    /// End-to-end `o^mem_w`.
-    pub fn o_mem_write_total(&self) -> Time {
-        self.o_core_mem_write + self.mc_write
-    }
-
     /// A copy of these parameters with one [`CostClass`] uniformly
     /// scaled by `factor` — the simulator-side hook of the causal
     /// what-if profiler (`scc_obs::whatif`). Scaling is applied to
@@ -158,6 +137,29 @@ impl SimParams {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SimParams {
+        /// The end-to-end `o^mpb` this parameter set induces for reads
+        /// (must equal Table 1's 0.126 µs with defaults).
+        fn o_mpb_read_total(&self) -> Time {
+            self.o_core_mpb_read + self.mpb_port_read
+        }
+
+        /// End-to-end `o^mpb` for writes.
+        fn o_mpb_write_total(&self) -> Time {
+            self.o_core_mpb_write + self.mpb_port_write
+        }
+
+        /// End-to-end `o^mem_r`.
+        fn o_mem_read_total(&self) -> Time {
+            self.o_core_mem_read + self.mc_read
+        }
+
+        /// End-to-end `o^mem_w`.
+        fn o_mem_write_total(&self) -> Time {
+            self.o_core_mem_write + self.mc_write
+        }
+    }
 
     #[test]
     fn defaults_recompose_table1() {

@@ -1,14 +1,16 @@
 //! Allocation ratchet: the exact number of heap allocations a *warm*
 //! run makes — the third of three identical runs on a fresh host
-//! thread — for three broadcast shapes. A count is a property of the
-//! code, not of the host (ROADMAP item 2(a)), so it is pinned exactly.
+//! thread — and the bytes they request, for three broadcast shapes. A
+//! count is a property of the code, not of the host, so it is pinned
+//! exactly.
 //!
 //! THE CONSTANTS BELOW MAY ONLY GO DOWN. A change that lowers a count
 //! lowers its constant in the same diff; one that raises a count is a
 //! regression of the short-run path, not a constant to update.
 //!
 //! Counted: calls to `alloc`, `alloc_zeroed` and `realloc` made by the
-//! measuring thread, so parallel tests do not perturb each other.
+//! measuring thread, so parallel tests do not perturb each other, and
+//! the size each asks for (a `realloc`'s new size).
 
 use oc_bcast::{Algorithm, Broadcaster};
 use scc_hal::{CoreId, MemRange, Rma, RmaExt, RmaResult};
@@ -18,32 +20,43 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 thread_local! {
-    /// Allocations made by this thread. Const-initialised and free of
-    /// drop glue, so touching it never allocates.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Allocations made by this thread and the bytes they asked for.
+    /// Const-initialised and free of drop glue, so touching it never
+    /// allocates.
+    static ALLOCS: Cell<Allocs> = const { Cell::new(Allocs { count: 0, bytes: 0 }) };
+}
+
+/// What a thread has allocated so far.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Allocs {
+    count: u64,
+    bytes: u64,
 }
 
 struct Counting;
 
-fn count() {
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+fn count(bytes: usize) {
+    let _ = ALLOCS.try_with(|n| {
+        let Allocs { count, bytes: total } = n.get();
+        n.set(Allocs { count: count + 1, bytes: total + bytes as u64 });
+    });
 }
 
 // SAFETY: every method forwards to `System` unchanged after bumping a
 // thread-local counter that never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -61,7 +74,7 @@ static GLOBAL: Counting = Counting;
 /// returns what the third run allocated. Two runs bring every growable
 /// store to its steady size: the second still finds the odd calendar
 /// full at a different moment than the first did, the third no longer.
-fn warm_allocs(num_cores: usize, alg: Algorithm, calls: usize) -> u64 {
+fn warm_allocs(num_cores: usize, alg: Algorithm, calls: usize) -> Allocs {
     let measure = move || {
         let cfg = SimConfig { num_cores, mem_bytes: 1 << 18, ..SimConfig::default() };
         let (root, payload) = (CoreId(num_cores as u8 / 2), [0x5Au8; 32]);
@@ -85,7 +98,8 @@ fn warm_allocs(num_cores: usize, alg: Algorithm, calls: usize) -> u64 {
         run();
         let before = ALLOCS.get();
         run();
-        ALLOCS.get() - before
+        let after = ALLOCS.get();
+        Allocs { count: after.count - before.count, bytes: after.bytes - before.bytes }
     };
     std::thread::spawn(measure).join().expect("the measuring thread returns")
 }
@@ -98,7 +112,8 @@ fn warm_run_allocations_are_pinned() {
         warm_allocs(6, Algorithm::oc_with_k(2), 1),
     ];
     // 48-core OC k=7, 48-core binomial, 6-core OC k=2 (1 CL each).
-    assert_eq!(got, [171, 196, 46]);
+    assert_eq!(got.map(|a| a.count), [123, 148, 40]);
+    assert_eq!(got.map(|a| a.bytes), [26_016, 26_848, 9_968]);
 }
 
 #[test]

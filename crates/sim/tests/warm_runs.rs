@@ -215,6 +215,10 @@ fn a_warm_chip_leaves_no_trace() {
     };
     let write_via = |w| Case::new(48, 1 << 14, Body::Write(w));
     let read = Case::new(48, 1 << 14, Body::ReadAll);
+    let one_line = |mem_bytes| {
+        let body = Body::Bcast { alg: oc(7), reliable: false, lines: 1, root: 0 };
+        Case::new(48, mem_bytes, body)
+    };
     // Interleaved so that most runs inherit a chip another
     // configuration left dirty; each read inherits a write's.
     let cases = [
@@ -235,7 +239,13 @@ fn a_warm_chip_leaves_no_trace() {
         write_via(Writer::FromMem),
         read.clone(),
         write_via(Writer::FromMpb),
+        read.clone(),
+        // A sub-page private write keeps its page: the read must find it
+        // re-zeroed, the 64-byte run must find it cut to its memory.
+        one_line(1 << 14),
         read,
+        one_line(1 << 14),
+        one_line(64),
     ];
     for (i, case) in cases.iter().enumerate() {
         let warm = case.run();
