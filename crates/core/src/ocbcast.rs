@@ -182,10 +182,6 @@ impl OcBcast {
         }
     }
 
-    pub fn config(&self) -> &OcConfig {
-        &self.cfg
-    }
-
     /// Collective broadcast: the `root` sends `msg.len` bytes starting
     /// at `msg.offset` of its private memory; every other core receives
     /// into the same range of its own private memory. All cores must
@@ -362,11 +358,6 @@ impl OcBcast {
         msg: MemRange,
     ) -> RmaResult<()> {
         self.bcast(c, root, msg)
-    }
-
-    /// Total chunks a message of `bytes` occupies with this config.
-    pub fn chunks_for(&self, bytes: usize) -> usize {
-        bytes_to_lines(bytes).div_ceil(self.cfg.chunk_lines).max(1)
     }
 
     fn buf_for(&self, chunk: usize) -> MpbRegion {

@@ -238,11 +238,6 @@ impl ReliableBinomial {
         self.stats
     }
 
-    /// Payload lines per handshake chunk.
-    pub fn chunk_lines(&self) -> usize {
-        self.payload.lines
-    }
-
     /// Collective reliable broadcast; all cores must call with
     /// identical `root` and `msg`. Returns only once every child of
     /// this core has acknowledged consuming the final chunk, so a

@@ -38,13 +38,11 @@ pub enum TreeStrategy {
 /// use scc_hal::CoreId;
 /// let by_id = TreeLayout::build(TreeStrategy::ById, 48, 7, CoreId(0));
 /// let topo = TreeLayout::build(TreeStrategy::TopologyAware, 48, 7, CoreId(0));
-/// assert_eq!(by_id.depth(), topo.depth());
 /// // The topology-aware layout cuts aggregate mesh distance ~40%.
 /// assert!(topo.total_parent_distance() < by_id.total_parent_distance());
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TreeLayout {
-    root: CoreId,
     parent: Vec<Option<CoreId>>,
     children: Vec<Vec<CoreId>>,
     child_index: Vec<Option<usize>>,
@@ -54,7 +52,7 @@ impl TreeLayout {
     /// Materialize the paper's id-based k-ary tree.
     pub fn from_kary(p: usize, k: usize, root: CoreId) -> TreeLayout {
         let tree = KaryTree::new(p, k, root);
-        let mut layout = TreeLayout::empty(p, root);
+        let mut layout = TreeLayout::empty(p);
         for c in (0..p).map(|i| CoreId(i as u8)) {
             layout.parent[c.index()] = tree.parent(c);
             layout.children[c.index()] = tree.children(c);
@@ -81,7 +79,7 @@ impl TreeLayout {
     /// bench). Deterministic: all ties break on core id.
     pub fn topology_aware(p: usize, k: usize, root: CoreId) -> TreeLayout {
         assert!(p >= 1 && k >= 1 && root.index() < p);
-        let mut layout = TreeLayout::empty(p, root);
+        let mut layout = TreeLayout::empty(p);
         let mut unassigned: Vec<CoreId> =
             (0..p).map(|i| CoreId(i as u8)).filter(|&c| c != root).collect();
         let mut frontier = vec![root];
@@ -163,17 +161,12 @@ impl TreeLayout {
         }
     }
 
-    fn empty(p: usize, root: CoreId) -> TreeLayout {
+    fn empty(p: usize) -> TreeLayout {
         TreeLayout {
-            root,
             parent: vec![None; p],
             children: vec![Vec::new(); p],
             child_index: vec![None; p],
         }
-    }
-
-    pub fn root(&self) -> CoreId {
-        self.root
     }
 
     pub fn num_cores(&self) -> usize {
@@ -191,20 +184,6 @@ impl TreeLayout {
     /// Slot of `c` among its parent's children (its done-flag index).
     pub fn child_index(&self, c: CoreId) -> Option<usize> {
         self.child_index[c.index()]
-    }
-
-    pub fn depth_of(&self, c: CoreId) -> usize {
-        let mut d = 0;
-        let mut cur = c;
-        while let Some(p) = self.parent(cur) {
-            cur = p;
-            d += 1;
-        }
-        d
-    }
-
-    pub fn depth(&self) -> usize {
-        (0..self.num_cores()).map(|i| self.depth_of(CoreId(i as u8))).max().unwrap_or(0)
     }
 
     /// Sum over non-root cores of the mesh distance to their parent —
@@ -271,10 +250,30 @@ mod tests {
     use super::*;
     use scc_hal::NUM_CORES;
 
+    /// The one core without a parent.
+    fn root_of(l: &TreeLayout) -> CoreId {
+        let mut roots =
+            (0..l.num_cores()).map(|i| CoreId(i as u8)).filter(|&c| l.parent(c).is_none());
+        let root = roots.next().expect("a root");
+        assert_eq!(roots.next(), None, "one root");
+        root
+    }
+
+    /// Levels below the root.
+    fn depth(l: &TreeLayout) -> usize {
+        let depth_of = |mut c: CoreId| {
+            let mut d = 0;
+            while let Some(p) = l.parent(c) {
+                (c, d) = (p, d + 1);
+            }
+            d
+        };
+        (0..l.num_cores()).map(|i| depth_of(CoreId(i as u8))).max().unwrap_or(0)
+    }
+
     fn check_well_formed(l: &TreeLayout, p: usize, k: usize) {
         let mut seen = vec![0u32; p];
-        seen[l.root().index()] += 1;
-        assert_eq!(l.parent(l.root()), None);
+        seen[root_of(l).index()] += 1;
         for i in 0..p {
             let c = CoreId(i as u8);
             assert!(l.children(c).len() <= k, "degree bound violated at {c}");
@@ -306,7 +305,7 @@ mod tests {
         let l = TreeLayout::from_kary(12, 7, CoreId(0));
         assert_eq!(l.children(CoreId(0)), (1..=7).map(CoreId).collect::<Vec<_>>().as_slice());
         assert_eq!(l.children(CoreId(1)), (8..=11).map(CoreId).collect::<Vec<_>>().as_slice());
-        assert_eq!(l.depth(), 2);
+        assert_eq!(depth(&l), 2);
     }
 
     #[test]
@@ -332,10 +331,10 @@ mod tests {
     fn topology_aware_keeps_logarithmic_depth() {
         // Greedy BFS fills each level completely before descending, so
         // the depth matches the id tree's.
-        for k in [2usize, 7, 47] {
+        for k in [2usize, 7, 24, 47] {
             let topo = TreeLayout::topology_aware(48, k, CoreId(0));
             let by_id = TreeLayout::from_kary(48, k, CoreId(0));
-            assert_eq!(topo.depth(), by_id.depth(), "k={k}");
+            assert_eq!(depth(&topo), depth(&by_id), "k={k}");
         }
     }
 
@@ -360,7 +359,7 @@ mod tests {
 
     /// `me`'s neighbourhood under `strategy` against the layout's.
     fn check_neighbourhood(s: TreeStrategy, l: &TreeLayout, k: usize, me: CoreId, f: usize) {
-        let (p, root) = (l.num_cores(), l.root());
+        let (p, root) = (l.num_cores(), root_of(l));
         let cfg = OcConfig { k, notify_fanout: f, strategy: s, ..OcConfig::default() };
         let nb = Neighbourhood::of(&cfg, p, root, me);
         let at = format!("p={p} k={k} root={root} core={me} fanout={f}");

@@ -23,7 +23,6 @@ use scc_hal::CoreId;
 /// assert_eq!(tree.children(CoreId(0)).len(), 7);
 /// assert_eq!(tree.children(CoreId(1)), (8..=11).map(CoreId).collect::<Vec<_>>());
 /// assert_eq!(tree.parent(CoreId(9)), Some(CoreId(1)));
-/// assert_eq!(tree.depth(), 2);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct KaryTree {
@@ -95,33 +94,6 @@ impl KaryTree {
         } else {
             Some((r - 1) % self.k)
         }
-    }
-
-    /// Levels below the root (`O(log_k P)` in the paper's formulas).
-    pub fn depth(&self) -> usize {
-        if self.p <= 1 {
-            return 0;
-        }
-        let mut covered = 1usize;
-        let mut width = 1usize;
-        let mut depth = 0usize;
-        while covered < self.p {
-            width = width.saturating_mul(self.k);
-            covered = covered.saturating_add(width);
-            depth += 1;
-        }
-        depth
-    }
-
-    /// Depth of one core (root is 0).
-    pub fn depth_of(&self, core: CoreId) -> usize {
-        let mut d = 0;
-        let mut c = core;
-        while let Some(p) = self.parent(c) {
-            c = p;
-            d += 1;
-        }
-        d
     }
 }
 
@@ -217,6 +189,20 @@ pub fn binomial_children(rr: usize, p: usize) -> Vec<usize> {
 mod tests {
     use super::*;
 
+    /// Depth of one core (root is 0).
+    fn depth_of(t: &KaryTree, mut c: CoreId) -> usize {
+        let mut d = 0;
+        while let Some(p) = t.parent(c) {
+            (c, d) = (p, d + 1);
+        }
+        d
+    }
+
+    /// Levels below the root.
+    fn depth(t: &KaryTree) -> usize {
+        (0..t.num_cores()).map(|i| depth_of(t, CoreId(i as u8))).max().unwrap_or(0)
+    }
+
     /// Figure 5 of the paper: P = 12, k = 7, source core 0.
     #[test]
     fn figure5_propagation_tree() {
@@ -234,7 +220,7 @@ mod tests {
         for i in 8..=11 {
             assert_eq!(t.parent(c(i)), Some(c(1)));
         }
-        assert_eq!(t.depth(), 2);
+        assert_eq!(depth(&t), 2);
     }
 
     /// Figure 5's binary notification trees.
@@ -316,21 +302,21 @@ mod tests {
             }
             if let Some(p) = t.parent(c) {
                 assert!(t.children(p).contains(&c));
-                assert_eq!(t.depth_of(c), t.depth_of(p) + 1);
+                assert_eq!(depth_of(&t, c), depth_of(&t, p) + 1);
             }
         }
-        assert_eq!(t.depth(), 2);
-        assert_eq!(t.depth_of(CoreId(13)), 0);
+        assert_eq!(depth(&t), 2);
+        assert_eq!(depth_of(&t, CoreId(13)), 0);
     }
 
     #[test]
     fn k47_star_and_k1_chain() {
         let star = KaryTree::new(48, 47, CoreId(0));
         assert_eq!(star.children(CoreId(0)).len(), 47);
-        assert_eq!(star.depth(), 1);
+        assert_eq!(depth(&star), 1);
 
         let chain = KaryTree::new(5, 1, CoreId(0));
-        assert_eq!(chain.depth(), 4);
+        assert_eq!(depth(&chain), 4);
         assert_eq!(chain.children(CoreId(2)), vec![CoreId(3)]);
     }
 

@@ -104,9 +104,6 @@ pub trait Rma {
     /// same role).
     fn now(&self) -> Time;
 
-    /// Size in bytes of this core's private off-chip memory.
-    fn mem_len(&self) -> usize;
-
     // ---- one-sided data movement -----------------------------------
 
     /// `put`: copy `src.lines()` cache lines from this core's private

@@ -75,20 +75,6 @@ impl Phase {
             Phase::Barrier => "barrier",
         }
     }
-
-    /// Inverse of [`Phase::name`] — lets report consumers (the diff
-    /// renderer, baseline parsers) recover the phase from its stable
-    /// string form.
-    pub fn from_name(name: &str) -> Option<Phase> {
-        Phase::ALL.into_iter().find(|p| p.name() == name)
-    }
-
-    /// Is this phase *waiting* (polling a flag, gating on a buffer)
-    /// rather than *moving payload*? Used by reports to separate
-    /// synchronization time from transfer time.
-    pub const fn is_wait(self) -> bool {
-        matches!(self, Phase::NotifyWait | Phase::BufferWait | Phase::Drain | Phase::Barrier)
-    }
 }
 
 /// One protocol-phase annotation: a phase plus a free argument (chunk
@@ -143,21 +129,9 @@ mod tests {
 
     #[test]
     fn all_names_are_unique_and_round_trip() {
-        for p in Phase::ALL {
-            assert_eq!(Phase::from_name(p.name()), Some(p));
-        }
-        assert_eq!(Phase::from_name("no-such-phase"), None);
         let mut names: Vec<&str> = Phase::ALL.iter().map(|p| p.name()).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), Phase::ALL.len());
-    }
-
-    #[test]
-    fn wait_phases_are_the_sync_ones() {
-        assert!(Phase::NotifyWait.is_wait());
-        assert!(Phase::Barrier.is_wait());
-        assert!(!Phase::Dissemination.is_wait());
-        assert!(!Phase::Round.is_wait());
     }
 }

@@ -27,12 +27,6 @@ impl NotifyCosts {
     pub fn from_p2p(m: &P2p, d: u32) -> NotifyCosts {
         NotifyCosts { flag_put: m.c_put_mpb(1, d), poll: m.c_mpb_r(1) }
     }
-
-    /// Zero-cost notification (turns the complete models into the
-    /// simplified critical-path formulas; used in tests).
-    pub fn free() -> NotifyCosts {
-        NotifyCosts { flag_put: 0.0, poll: 0.0 }
-    }
 }
 
 /// Number of levels **below the root** of the k-ary propagation tree for

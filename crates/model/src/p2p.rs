@@ -4,7 +4,10 @@
 //! For each operation the paper models the **completion time** `C` (time
 //! for the operation to return to the caller) and the **latency** `L`
 //! (time until the data is visible at the destination). Completion of a
-//! write includes the acknowledgment hop back; latency does not.
+//! write includes the acknowledgment hop back; latency does not. The
+//! broadcast models (Formulas 13–16) compose completion times only, so
+//! only the `C` forms are kept here; the write and put latencies (1),
+//! (4), (9) and (10) are not.
 //!
 //! `d` counts routers traversed; `m` counts cache lines.
 
@@ -32,12 +35,6 @@ impl P2p {
 
     // ---- single-cache-line primitives --------------------------------
 
-    /// (1) `L^mpb_w(d) = o^mpb + d·Lhop` — latency of writing one line
-    /// to an MPB at distance `d`.
-    pub fn l_mpb_w(&self, d: u32) -> f64 {
-        self.p.o_mpb + d as f64 * self.p.l_hop
-    }
-
     /// (2) `C^mpb_w(d) = o^mpb + 2d·Lhop` — the write completes when the
     /// MPB's acknowledgment has travelled back.
     pub fn c_mpb_w(&self, d: u32) -> f64 {
@@ -48,11 +45,6 @@ impl P2p {
     /// request and receives the line, so latency equals completion.
     pub fn c_mpb_r(&self, d: u32) -> f64 {
         self.p.o_mpb + 2.0 * d as f64 * self.p.l_hop
-    }
-
-    /// (4) `L^mem_w(d) = o^mem_w + d·Lhop`.
-    pub fn l_mem_w(&self, d: u32) -> f64 {
-        self.p.o_mem_w + d as f64 * self.p.l_hop
     }
 
     /// (5) `C^mem_w(d) = o^mem_w + 2d·Lhop`.
@@ -79,25 +71,6 @@ impl P2p {
     /// distance `d_dst`.
     pub fn c_put_mem(&self, m: usize, d_src: u32, d_dst: u32) -> f64 {
         self.p.o_mem_put + m as f64 * (self.c_mem_r(d_src) + self.c_mpb_w(d_dst))
-    }
-
-    /// (9) latency of the MPB-sourced put: the last line does not wait
-    /// for its acknowledgment.
-    pub fn l_put_mpb(&self, m: usize, d_dst: u32) -> f64 {
-        assert!(m >= 1, "latency of an empty put is undefined");
-        self.p.o_mpb_put
-            + m as f64 * self.c_mpb_r(1)
-            + (m as f64 - 1.0) * self.c_mpb_w(d_dst)
-            + self.l_mpb_w(d_dst)
-    }
-
-    /// (10) latency of the memory-sourced put.
-    pub fn l_put_mem(&self, m: usize, d_src: u32, d_dst: u32) -> f64 {
-        assert!(m >= 1, "latency of an empty put is undefined");
-        self.p.o_mem_put
-            + m as f64 * self.c_mem_r(d_src)
-            + (m as f64 - 1.0) * self.c_mpb_w(d_dst)
-            + self.l_mpb_w(d_dst)
     }
 
     // ---- get ----------------------------------------------------------
@@ -127,10 +100,8 @@ mod tests {
     fn single_line_primitives_at_table1_values() {
         let m = p2p();
         // d = 1: hand-computed from Table 1.
-        assert!((m.l_mpb_w(1) - 0.131).abs() < 1e-12);
         assert!((m.c_mpb_w(1) - 0.136).abs() < 1e-12);
         assert!((m.c_mpb_r(1) - 0.136).abs() < 1e-12);
-        assert!((m.l_mem_w(1) - 0.466).abs() < 1e-12);
         assert!((m.c_mem_w(1) - 0.471).abs() < 1e-12);
         assert!((m.c_mem_r(1) - 0.218).abs() < 1e-12);
         // d = 9 (maximum on the mesh).
@@ -150,20 +121,6 @@ mod tests {
                 ratio > 1.05 && ratio < 1.35,
                 "distance penalty for {lines} CL out of range: {ratio}"
             );
-        }
-    }
-
-    #[test]
-    fn completion_dominates_latency_for_puts() {
-        let m = p2p();
-        for lines in [1usize, 4, 96] {
-            for d in [1u32, 5, 9] {
-                assert!(m.c_put_mpb(lines, d) >= m.l_put_mpb(lines, d));
-                assert!(m.c_put_mem(lines, d.min(4), d) >= m.l_put_mem(lines, d.min(4), d));
-                // The gap is exactly the last acknowledgment hop.
-                let gap = m.c_put_mpb(lines, d) - m.l_put_mpb(lines, d);
-                assert!((gap - d as f64 * m.p.l_hop).abs() < 1e-12);
-            }
         }
     }
 

@@ -8,8 +8,6 @@
 //! transaction at a time — transferring `m` lines costs `m` times one
 //! line.
 
-use scc_hal::Time;
-
 /// Model parameters, Table 1. All values in microseconds.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ModelParams {
@@ -69,12 +67,6 @@ impl ModelParams {
         ]
         .iter()
         .all(|v| v.is_finite() && *v > 0.0)
-    }
-
-    /// Convert a model time in microseconds into the `Time` unit used by
-    /// the engines.
-    pub fn us(t: f64) -> Time {
-        Time::from_us_f64(t)
     }
 }
 

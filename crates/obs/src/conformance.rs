@@ -43,7 +43,7 @@ pub fn validate_artifact_version(doc: &Json) -> Result<(), String> {
     }
 }
 
-record! {
+record! { parse
     /// One measured point of one experiment.
     #[derive(Clone, Debug, PartialEq)]
     pub struct ExperimentRow {
@@ -73,7 +73,7 @@ impl ExperimentRow {
     }
 }
 
-record! {
+record! { parse
     /// One qualitative claim about a figure, evaluated on this run.
     #[derive(Clone, Debug, PartialEq)]
     pub struct ShapeCheck {
@@ -92,7 +92,7 @@ impl ShapeCheck {
     }
 }
 
-record! {
+record! { parse
     /// Host-side cost of producing one experiment's measurements.
     ///
     /// The engine counters (`sim_runs`, `sim_events`, `heap_pushes`,
@@ -145,7 +145,7 @@ impl SelfMetrics {
     }
 }
 
-record! {
+record! { parse
     /// Whole-run self-metrics of one observatory invocation: how the
     /// parallel runner actually performed. Excluded from the drift gate and
     /// from `CONFORMANCE.md` (wall clock is host-dependent); carried in
@@ -189,7 +189,7 @@ impl RunMetrics {
     }
 }
 
-record! {
+record! { parse
     /// Everything one experiment produced.
     #[derive(Clone, Debug, PartialEq)]
     pub struct ExperimentReport {

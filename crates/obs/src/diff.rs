@@ -19,7 +19,6 @@ use crate::critpath::{critical_path, CritPathError, SegmentKind};
 use crate::event::ObsEvent;
 use crate::lanes::Lanes;
 use crate::percore::PerCore;
-use crate::report::Json;
 use scc_hal::{CoreId, Time};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -91,11 +90,6 @@ impl PhaseProfile {
         }
         Ok(PhaseProfile { cells, makespan: cp.total() })
     }
-
-    /// Sum over all cells — by construction equal to `makespan`.
-    pub fn cell_total(&self) -> Time {
-        Time::from_ps(self.cells.values().sum())
-    }
 }
 
 /// One cell of the differential table.
@@ -155,12 +149,6 @@ impl DiffReport {
         self.cells.iter().map(|c| c.delta_ps()).sum()
     }
 
-    /// The cell contributing the largest absolute delta, if any time
-    /// moved at all.
-    pub fn dominant(&self) -> Option<&DiffCell> {
-        self.cells.first().filter(|c| c.delta_ps() != 0)
-    }
-
     /// Markdown: header with the makespan movement, then the table of
     /// cells with non-zero delta (largest movers first), then the
     /// conservation line.
@@ -203,27 +191,6 @@ impl DiffReport {
             d as f64 / 1e6,
         );
         out
-    }
-
-    /// JSON form, for machine consumers of `DRIFT.md`'s sidecar.
-    pub fn to_json(&self) -> Json {
-        let cells = self
-            .cells
-            .iter()
-            .map(|c| {
-                Json::obj()
-                    .set("phase", Json::Str(c.phase.into()))
-                    .set("dimension", Json::Str(c.dimension.into()))
-                    .set("base_ps", Json::Int(c.base_ps as i64))
-                    .set("cand_ps", Json::Int(c.cand_ps as i64))
-                    .set("delta_ps", Json::Int(c.delta_ps()))
-            })
-            .collect();
-        Json::obj()
-            .set("base_makespan_ps", Json::Int(self.base_makespan.as_ps() as i64))
-            .set("cand_makespan_ps", Json::Int(self.cand_makespan.as_ps() as i64))
-            .set("delta_makespan_ps", Json::Int(self.delta_makespan_ps()))
-            .set("cells", Json::Arr(cells))
     }
 }
 
@@ -271,7 +238,7 @@ mod tests {
     fn cells_partition_the_makespan() {
         let p = PhaseProfile::build(&sample_events(100)).unwrap();
         assert_eq!(p.makespan, ns(100));
-        assert_eq!(p.cell_total(), p.makespan);
+        assert_eq!(p.cells.values().sum::<u64>(), p.makespan.as_ps());
         assert_eq!(p.cells[&("disseminate", "op-service")], ns(90).as_ps());
         assert_eq!(p.cells[&(OUTSIDE_PHASE, "idle")], ns(10).as_ps());
     }
@@ -290,7 +257,7 @@ mod tests {
         let p = PhaseProfile::build(&events).unwrap();
         assert_eq!(p.cells[&("disseminate", "op-service")], ns(75).as_ps());
         assert_eq!(p.cells[&("disseminate", "port-wait")], ns(15).as_ps());
-        assert_eq!(p.cell_total(), p.makespan);
+        assert_eq!(p.cells.values().sum::<u64>(), p.makespan.as_ps());
     }
 
     #[test]
@@ -300,7 +267,7 @@ mod tests {
         let diff = DiffReport::between(&base, &cand);
         assert_eq!(diff.delta_makespan_ps(), ns(40).as_ps() as i64);
         assert_eq!(diff.cell_delta_sum_ps(), diff.delta_makespan_ps());
-        let dom = diff.dominant().unwrap();
+        let dom = &diff.cells[0];
         assert_eq!((dom.phase, dom.dimension), ("disseminate", "op-service"));
         let md = diff.render_markdown();
         assert!(md.contains("conservative attribution"), "{md}");
@@ -313,23 +280,11 @@ mod tests {
         let diff = DiffReport::between(&p, &p);
         assert_eq!(diff.delta_makespan_ps(), 0);
         assert_eq!(diff.cell_delta_sum_ps(), 0);
-        assert!(diff.dominant().is_none());
+        assert!(diff.cells.iter().all(|c| c.delta_ps() == 0));
     }
 
     #[test]
     fn degenerate_streams_propagate_typed_errors() {
         assert_eq!(PhaseProfile::build(&[]).unwrap_err(), CritPathError::EmptyStream);
-    }
-
-    #[test]
-    fn json_sidecar_is_valid() {
-        let base = PhaseProfile::build(&sample_events(100)).unwrap();
-        let cand = PhaseProfile::build(&sample_events(120)).unwrap();
-        let diff = DiffReport::between(&base, &cand);
-        assert_eq!(diff.delta_makespan_ps(), ns(20).as_ps() as i64);
-        let j = diff.to_json().render();
-        assert!(crate::validate_json(&j).is_ok(), "{j}");
-        assert!(j.contains("delta_makespan_ps"), "{j}");
-        assert!(j.contains("cells"), "{j}");
     }
 }

@@ -299,10 +299,6 @@ impl EventLog {
     pub fn new() -> EventLog {
         EventLog { events: Vec::new() }
     }
-
-    pub fn events(&self) -> &[ObsEvent] {
-        &self.events
-    }
 }
 
 impl Recorder for EventLog {
@@ -333,39 +329,20 @@ pub struct FlightRecorder {
     buf: Vec<ObsEvent>,
     /// Next slot to overwrite once the ring is full.
     head: usize,
-    /// Total events ever offered (drives the window accounting).
-    seen: u64,
     capacity: usize,
 }
 
 impl FlightRecorder {
     /// A ring holding the last `capacity` events. Capacity 0 is legal:
-    /// the recorder accepts and forgets everything (`seen` still
-    /// counts).
+    /// the recorder accepts and forgets everything.
     pub fn new(capacity: usize) -> FlightRecorder {
-        FlightRecorder { buf: Vec::with_capacity(capacity), head: 0, seen: 0, capacity }
-    }
-
-    /// How many events are currently retained (`min(seen, capacity)`).
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Total events offered over the recorder's lifetime, including
-    /// those the ring has since evicted.
-    pub fn seen(&self) -> u64 {
-        self.seen
+        FlightRecorder { buf: Vec::with_capacity(capacity), head: 0, capacity }
     }
 }
 
 impl Recorder for FlightRecorder {
     #[inline]
     fn record(&mut self, ev: ObsEvent) {
-        self.seen += 1;
         if self.capacity == 0 {
             return;
         }
@@ -432,11 +409,9 @@ mod tests {
         for i in 0..7 {
             ring.record(finish(0, i));
         }
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.seen(), 7);
         let window = ring.drain();
         assert_eq!(window, vec![finish(0, 4), finish(0, 5), finish(0, 6)]);
-        assert!(ring.is_empty());
+        assert!(ring.drain().is_empty());
     }
 
     #[test]
@@ -455,7 +430,6 @@ mod tests {
         let mut ring = FlightRecorder::new(0);
         ring.record(finish(0, 1));
         ring.record(finish(0, 2));
-        assert_eq!(ring.seen(), 2);
         assert!(ring.drain().is_empty());
     }
 
@@ -463,10 +437,9 @@ mod tests {
     fn event_log_records_and_drains() {
         let mut log = EventLog::new();
         log.record(ObsEvent::Finish { core: CoreId(0), at: Time::from_ns(5) });
-        assert_eq!(log.events().len(), 1);
         let drained = log.drain();
         assert_eq!(drained.len(), 1);
-        assert!(log.events().is_empty());
+        assert!(log.drain().is_empty());
         assert_eq!(drained[0].at(), Time::from_ns(5));
     }
 }

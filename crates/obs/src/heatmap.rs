@@ -14,11 +14,11 @@
 //! * [`LinkHeatmap::from_events`] — by folding a recorded [`ObsEvent`]
 //!   stream, summing the service and queueing time of every router
 //!   `Wait` that carries a [`LinkDir`]. On the same run both
-//!   constructions agree exactly.
+//!   constructions agree exactly (`link_partition.rs` in `scc-sim`
+//!   asserts it on a recorded contended broadcast).
 //!
-//! Renderers: an ASCII 6×4 mesh (one cell per tile, one digit of
-//! busy-occupancy per directed link, normalized to the hottest link)
-//! and a long-form CSV for external plotting.
+//! The renderer is an ASCII 6×4 mesh: one cell per tile, one digit of
+//! busy-occupancy per directed link, normalized to the hottest link.
 
 use crate::event::{ObsEvent, ResourceId};
 use scc_hal::{LinkDir, Tile, Time, NUM_LINK_DIRS, TILE_COLS, TILE_ROWS};
@@ -73,24 +73,6 @@ impl LinkHeatmap {
         self.busy[tile * NUM_LINK_DIRS + dir.index()]
     }
 
-    pub fn wait(&self, tile: usize, dir: LinkDir) -> Time {
-        self.wait[tile * NUM_LINK_DIRS + dir.index()]
-    }
-
-    /// Per-tile `(busy, wait)` sums over the five directed links — by
-    /// the partition property these equal the simulator's per-tile
-    /// router aggregates.
-    pub fn tile_totals(&self) -> Vec<(Time, Time)> {
-        (0..NUM_TILES)
-            .map(|t| {
-                let base = t * NUM_LINK_DIRS;
-                let b = self.busy[base..base + NUM_LINK_DIRS].iter().copied().sum();
-                let w = self.wait[base..base + NUM_LINK_DIRS].iter().copied().sum();
-                (b, w)
-            })
-            .collect()
-    }
-
     /// The hottest directed link by service time.
     pub fn peak(&self) -> (Tile, LinkDir, Time) {
         let (slot, &t) =
@@ -114,26 +96,6 @@ impl LinkHeatmap {
         }));
         let (pt, pd, pb) = self.peak();
         let _ = writeln!(out, "peak link: tile {pt} dir {pd} busy {:.3}us", pb.as_us_f64());
-        out
-    }
-
-    /// Long-form CSV: `tile,x,y,dir,busy_us,wait_us` per directed link.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("tile,x,y,dir,busy_us,wait_us\n");
-        for t in 0..NUM_TILES {
-            let tile = Tile::from_index(t as u8);
-            for dir in LinkDir::ALL {
-                let _ = writeln!(
-                    out,
-                    "{t},{},{},{},{:.6},{:.6}",
-                    tile.x,
-                    tile.y,
-                    dir.short(),
-                    self.busy(t, dir).as_us_f64(),
-                    self.wait(t, dir).as_us_f64(),
-                );
-            }
-        }
         out
     }
 }
@@ -176,7 +138,6 @@ mod tests {
         ];
         let hm = LinkHeatmap::from_events(&events);
         assert_eq!(hm.busy(0, LinkDir::East), ns(40));
-        assert_eq!(hm.wait(0, LinkDir::East), ns(35));
         assert_eq!(hm.busy(1, LinkDir::Eject), ns(20));
         assert_eq!(hm.busy(0, LinkDir::West), Time::ZERO);
 
@@ -186,18 +147,6 @@ mod tests {
         wait[LinkDir::East.index()] = ns(35);
         busy[NUM_LINK_DIRS + LinkDir::Eject.index()] = ns(20);
         assert_eq!(hm, LinkHeatmap::from_slices(&busy, &wait));
-    }
-
-    #[test]
-    fn tile_totals_partition() {
-        let hm = LinkHeatmap::from_events(&[
-            router_wait(3, LinkDir::North, 0, 0, 10),
-            router_wait(3, LinkDir::South, 0, 2, 12),
-            router_wait(3, LinkDir::Eject, 0, 0, 5),
-        ]);
-        let totals = hm.tile_totals();
-        assert_eq!(totals[3], (ns(25), ns(2)));
-        assert_eq!(totals[0], (Time::ZERO, Time::ZERO));
     }
 
     #[test]
@@ -214,13 +163,5 @@ mod tests {
         assert!(art.contains("peak link: tile (0,0) dir E"), "{art}");
         // 4 tile rows * 2 lines + header(2) + floor + peak line.
         assert_eq!(art.lines().count(), 12, "{art}");
-    }
-
-    #[test]
-    fn csv_has_one_row_per_directed_link() {
-        let hm = LinkHeatmap::from_events(&[router_wait(5, LinkDir::West, 0, 1, 4)]);
-        let csv = hm.to_csv();
-        assert_eq!(csv.lines().count(), 1 + NUM_TILES * NUM_LINK_DIRS);
-        assert!(csv.lines().any(|l| l.starts_with("5,5,0,W,0.003000,0.001000")), "{csv}");
     }
 }

@@ -20,7 +20,7 @@
 //! (a pipelined put can hold a port and a router at once) therefore
 //! never double-count.
 
-use crate::artifact::{field, record, Wire};
+use crate::artifact::{record, Wire};
 use crate::event::{ObsEvent, OpKind, ResourceId};
 use crate::lanes::{Closed, Lanes};
 use crate::percore::PerCore;
@@ -81,10 +81,6 @@ impl LegKind {
         }
     }
 
-    pub fn from_name(name: &str) -> Option<LegKind> {
-        LegKind::ALL.into_iter().find(|k| k.name() == name)
-    }
-
     pub const fn index(self) -> usize {
         match self {
             LegKind::Inject => 0,
@@ -119,19 +115,12 @@ record! {
 }
 
 /// The leg dwells travel as an object keyed by [`LegKind::name`], in
-/// report order; every leg is required.
+/// report order.
 impl Wire for [Time; LegKind::COUNT] {
     fn to_wire(&self) -> Json {
         Json::Obj(
             LegKind::ALL.iter().map(|k| (k.name().into(), self[k.index()].to_wire())).collect(),
         )
-    }
-    fn from_wire(v: &Json) -> Result<Self, String> {
-        let mut legs = [Time::ZERO; LegKind::COUNT];
-        for k in LegKind::ALL {
-            legs[k.index()] = field(v, k.name())?;
-        }
-        Ok(legs)
     }
 }
 
@@ -171,9 +160,6 @@ record! {
 impl Wire for (String, JourneyBook) {
     fn to_wire(&self) -> Json {
         self.1.to_wire().set("id", self.0.to_wire())
-    }
-    fn from_wire(v: &Json) -> Result<Self, String> {
-        Ok((field(v, "id")?, JourneyBook::from_wire(v)?))
     }
 }
 
@@ -390,7 +376,8 @@ fn classify(lane: &CoreLanes, begin: u64, end: u64) -> [Time; LegKind::COUNT] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::artifact::{check_codec, parse_scenarios, scenarios};
+    use crate::artifact::scenarios;
+    use crate::conformance::validate_artifact_version;
     use scc_hal::{MsgId, Span};
 
     fn ps(v: u64) -> Time {
@@ -407,7 +394,6 @@ mod tests {
     #[test]
     fn leg_names_round_trip_and_are_unique() {
         for k in LegKind::ALL {
-            assert_eq!(LegKind::from_name(k.name()), Some(k));
             assert_eq!(LegKind::ALL[k.index()], k);
         }
         let mut names: Vec<&str> = LegKind::ALL.iter().map(|k| k.name()).collect();
@@ -524,33 +510,16 @@ mod tests {
         ];
         let book = JourneyBook::from_events(&events);
         assert_eq!(book.journeys.len(), 2);
-        check_codec("journeys", &[("unit".to_string(), book)]).unwrap();
+        let text = scenarios("journeys", &[("unit".to_string(), book)]).render();
+        assert_eq!(Json::parse(&text).unwrap().render(), text);
+        assert!(text.contains("\"transfers\":1,\"lines\":96,"), "{text}");
     }
 
     #[test]
     fn artifact_version_is_checked() {
-        let doc =
-            scenarios::<(String, JourneyBook)>("journeys", &[]).set("version", Json::Int(999));
-        assert!(parse_scenarios::<(String, JourneyBook)>(&doc).is_err());
-    }
-
-    /// Regression: negative integers in a journeys artifact used to be
-    /// cast with `as`, wrapping silently into huge counts. They must be
-    /// typed parse errors instead.
-    #[test]
-    fn negative_integers_are_parse_errors_not_wraps() {
-        let [b, e] = window(0, 0, 0, 700);
-        let book = JourneyBook::from_events(&[b, e]);
-        let good = book.to_wire();
-        assert!(JourneyBook::from_wire(&good).is_ok());
-        for key in ["transfers", "lines", "begin_ps", "end_ps"] {
-            let mut items = good.get("journeys").and_then(Json::as_arr).unwrap().to_vec();
-            items[0] = items[0].clone().set(key, Json::Int(-3));
-            let bad = good.clone().set("journeys", Json::Arr(items));
-            let err = JourneyBook::from_wire(&bad).unwrap_err();
-            assert!(err.contains(key) && err.contains("-3"), "key {key}: {err}");
-        }
-        let bad = good.set("makespan_ps", Json::Int(-1));
-        assert!(JourneyBook::from_wire(&bad).is_err());
+        let doc = scenarios::<(String, JourneyBook)>("journeys", &[]);
+        validate_artifact_version(&doc).unwrap();
+        let stale = doc.set("version", Json::Int(999));
+        assert!(validate_artifact_version(&stale).unwrap_err().contains("999"));
     }
 }

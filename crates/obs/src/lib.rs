@@ -28,10 +28,12 @@
 //! * [`report`] — a tiny JSON builder + strict parser for the
 //!   machine-readable `BENCH_obs.json` / `BENCH_figures.json` artifacts
 //!   (this workspace has no serde);
-//! * [`artifact`] — the one wire codec on top of it: the [`Wire`] trait,
-//!   its field kinds (strict non-negative integers, ps times, hex
+//! * [`artifact`] — the one wire codec on top of it: the [`Wire`]
+//!   writer trait, its field kinds (non-negative integers, ps times, hex
 //!   seeds, `Option`, `Vec`), the `record!` declaration every versioned
-//!   artifact type is written with, and the shared versioned envelope;
+//!   artifact type is written with, the shared versioned envelope, and
+//!   the strict `Parse` half for the one artifact read back
+//!   (`BENCH_figures.json`);
 //! * [`hist`] — per-phase / per-resource latency histograms with exact
 //!   nearest-rank quantiles and log₂ shapes;
 //! * [`flame`] — collapsed-stack flamegraph export
@@ -133,7 +135,7 @@ pub use movie::CongestionMovie;
 pub use percore::PerCore;
 pub use report::{validate_json, Json};
 pub use series::{UtilBucket, UtilizationSeries};
-pub use sketch::{QuantileSketch, SketchSummary, SKETCH_BUCKETS};
+pub use sketch::{QuantileSketch, SKETCH_BUCKETS};
 pub use skew::{render_skew_markdown, RecoveryCounters, SkewReport};
 pub use slo::{EpochRollup, SloBreach, SloKind, SloPolicy};
 pub use soakrep::{render_soak_markdown, render_soak_openmetrics, SoakPhase, SoakScenario};

@@ -12,7 +12,7 @@
 use crate::event::{ObsEvent, ResourceId};
 use crate::grid;
 use crate::heatmap::NUM_TILES;
-use scc_hal::{LinkDir, Time, NUM_LINK_DIRS};
+use scc_hal::{Time, NUM_LINK_DIRS};
 use std::fmt::Write as _;
 
 /// Time-sliced per-link busy occupancy.
@@ -63,17 +63,6 @@ impl CongestionMovie {
         self.frames.len()
     }
 
-    /// Busy time of one directed link within one frame.
-    pub fn frame_busy(&self, frame: usize, tile: usize, dir: LinkDir) -> Time {
-        self.frames[frame][tile * NUM_LINK_DIRS + dir.index()]
-    }
-
-    /// Total busy per link summed over all frames — equals the whole
-    /// run's heatmap busy exactly (the frames partition the horizon).
-    pub fn total_busy(&self, tile: usize, dir: LinkDir) -> Time {
-        self.frames.iter().map(|f| f[tile * NUM_LINK_DIRS + dir.index()]).sum()
-    }
-
     /// The global maximum cell across every frame (the `9` reference).
     pub fn global_max(&self) -> Time {
         self.frames.iter().flatten().copied().max().unwrap_or(Time::ZERO)
@@ -109,7 +98,7 @@ impl CongestionMovie {
 mod tests {
     use super::*;
     use crate::heatmap::LinkHeatmap;
-    use scc_hal::CoreId;
+    use scc_hal::{CoreId, LinkDir};
 
     fn ps(v: u64) -> Time {
         Time::from_ps(v)
@@ -135,20 +124,23 @@ mod tests {
         ];
         let movie = CongestionMovie::from_events(&events, 4);
         assert_eq!(movie.num_frames(), 4);
+        let frame_busy =
+            |f: usize, t: usize, dir: LinkDir| movie.frames[f][t * NUM_LINK_DIRS + dir.index()];
         // The spanning interval contributes 250 ps to every frame.
         for f in 0..4 {
-            assert_eq!(movie.frame_busy(f, 0, LinkDir::East), ps(250));
+            assert_eq!(frame_busy(f, 0, LinkDir::East), ps(250));
         }
         // The centered interval straddles frames 1 and 2 exactly.
-        assert_eq!(movie.frame_busy(0, 5, LinkDir::Eject), Time::ZERO);
-        assert_eq!(movie.frame_busy(1, 5, LinkDir::Eject), ps(250));
-        assert_eq!(movie.frame_busy(2, 5, LinkDir::Eject), ps(250));
-        assert_eq!(movie.frame_busy(3, 5, LinkDir::Eject), Time::ZERO);
+        assert_eq!(frame_busy(0, 5, LinkDir::Eject), Time::ZERO);
+        assert_eq!(frame_busy(1, 5, LinkDir::Eject), ps(250));
+        assert_eq!(frame_busy(2, 5, LinkDir::Eject), ps(250));
+        assert_eq!(frame_busy(3, 5, LinkDir::Eject), Time::ZERO);
         // Per-link totals equal the whole-run heatmap (exact partition).
         let hm = LinkHeatmap::from_events(&events);
         for t in 0..NUM_TILES {
             for dir in LinkDir::ALL {
-                assert_eq!(movie.total_busy(t, dir), hm.busy(t, dir), "tile {t} {dir:?}");
+                let total: Time = (0..4).map(|f| frame_busy(f, t, dir)).sum();
+                assert_eq!(total, hm.busy(t, dir), "tile {t} {dir:?}");
             }
         }
     }

@@ -27,7 +27,7 @@
 //! less than 2×. The `soak` experiment re-checks this bound against a
 //! replayed full recording as a shape claim on every run.
 
-use crate::artifact::{field, record, Wire};
+use crate::artifact::{record, Wire};
 use crate::report::Json;
 use scc_hal::Time;
 
@@ -46,15 +46,6 @@ impl Default for QuantileSketch {
     fn default() -> QuantileSketch {
         QuantileSketch { counts: [0; SKETCH_BUCKETS], total: 0 }
     }
-}
-
-/// The standard quantile set the soak rollups report.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SketchSummary {
-    pub p50: Time,
-    pub p90: Time,
-    pub p99: Time,
-    pub p999: Time,
 }
 
 impl QuantileSketch {
@@ -98,15 +89,6 @@ impl QuantileSketch {
         self.total
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
-    /// The raw bucket counters (index = bucket).
-    pub fn buckets(&self) -> &[u64; SKETCH_BUCKETS] {
-        &self.counts
-    }
-
     /// Fold `other` in. Exact: the result is bit-identical to a sketch
     /// that recorded both streams in any order.
     pub fn merge(&mut self, other: &QuantileSketch) {
@@ -138,16 +120,6 @@ impl QuantileSketch {
     pub fn quantile(&self, q: f64) -> Option<Time> {
         self.quantile_ps(q).map(Time::from_ps)
     }
-
-    /// The p50/p90/p99/p999 rollup. `None` on an empty sketch.
-    pub fn summary(&self) -> Option<SketchSummary> {
-        Some(SketchSummary {
-            p50: self.quantile(0.50)?,
-            p90: self.quantile(0.90)?,
-            p99: self.quantile(0.99)?,
-            p999: self.quantile(0.999)?,
-        })
-    }
 }
 
 record! {
@@ -159,9 +131,7 @@ record! {
 }
 
 /// A sparse bucket list (ascending bucket index, empty buckets
-/// omitted) plus the total. Hand-written because the parser also
-/// rejects unknown buckets and a total that differs from the bucket
-/// sum.
+/// omitted) plus the total.
 impl Wire for QuantileSketch {
     fn to_wire(&self) -> Json {
         let buckets: Vec<WireBucket> = self
@@ -172,19 +142,6 @@ impl Wire for QuantileSketch {
             .map(|(b, &n)| WireBucket { b, n })
             .collect();
         Json::obj().set("total", self.total.to_wire()).set("buckets", buckets.to_wire())
-    }
-
-    fn from_wire(doc: &Json) -> Result<QuantileSketch, String> {
-        let total: u64 = field(doc, "total")?;
-        let mut s = QuantileSketch::new();
-        for WireBucket { b, n } in field::<Vec<WireBucket>>(doc, "buckets")? {
-            *s.counts.get_mut(b).ok_or_else(|| format!("key 'b': index {b} out of range"))? += n;
-        }
-        s.total = s.counts.iter().sum();
-        if s.total != total {
-            return Err(format!("sketch: total {total} != bucket sum {}", s.total));
-        }
-        Ok(s)
     }
 }
 
@@ -218,9 +175,8 @@ mod tests {
     #[test]
     fn empty_sketch_has_no_quantiles() {
         let s = QuantileSketch::new();
-        assert!(s.is_empty());
+        assert_eq!(s.count(), 0);
         assert_eq!(s.quantile(0.5), None);
-        assert_eq!(s.summary(), None);
     }
 
     #[test]
@@ -273,23 +229,13 @@ mod tests {
         for v in [0u64, 1, 3, 900, 1024, u64::MAX] {
             s.record_ps(v);
         }
-        let doc = s.to_wire();
-        let back = QuantileSketch::from_wire(&doc).expect("round trip");
-        assert_eq!(back, s);
-        // And through the textual form.
-        let reparsed = Json::parse(&doc.render()).expect("valid json");
-        assert_eq!(QuantileSketch::from_wire(&reparsed).unwrap(), s);
-    }
-
-    #[test]
-    fn json_rejects_corruption() {
-        let mut s = QuantileSketch::new();
-        s.record_ps(42);
-        let tampered = s.to_wire().set("total", Json::Int(7));
-        assert!(QuantileSketch::from_wire(&tampered).unwrap_err().contains("bucket sum"));
-        let negative = Json::obj().set("total", Json::Int(-1)).set("buckets", Json::Arr(vec![]));
-        assert!(QuantileSketch::from_wire(&negative).is_err());
-        let unknown = Json::parse("{\"total\":1,\"buckets\":[{\"b\":65,\"n\":1}]}").unwrap();
-        assert!(QuantileSketch::from_wire(&unknown).unwrap_err().contains("out of range"));
+        // Sparse, ascending, and the total equals the bucket sum.
+        let text = s.to_wire().render();
+        assert_eq!(Json::parse(&text).unwrap().render(), text);
+        assert_eq!(
+            text,
+            "{\"total\":6,\"buckets\":[{\"b\":0,\"n\":1},{\"b\":1,\"n\":1},{\"b\":2,\"n\":1},\
+             {\"b\":10,\"n\":1},{\"b\":11,\"n\":1},{\"b\":64,\"n\":1}]}"
+        );
     }
 }

@@ -222,8 +222,7 @@ pub fn render_soak_openmetrics(scenarios: &[SoakScenario]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::artifact::{check_codec, parse_scenarios, scenarios};
-    use crate::conformance::ARTIFACT_VERSION;
+    use crate::artifact::scenarios;
     use crate::report::Json;
     use crate::slo::SloKind;
 
@@ -283,22 +282,9 @@ mod tests {
 
     #[test]
     fn artifact_round_trips_losslessly() {
-        check_codec("soak", &sample()).unwrap();
-    }
-
-    #[test]
-    fn parse_rejects_bad_version_and_junk() {
-        let doc = Json::obj().set("version", Json::Int(ARTIFACT_VERSION + 1));
-        assert!(parse_scenarios::<SoakScenario>(&doc).unwrap_err().contains("!= supported"));
-        let doc = Json::obj().set("version", Json::Int(ARTIFACT_VERSION));
-        assert!(parse_scenarios::<SoakScenario>(&doc).unwrap_err().contains("scenarios"));
-        // Unknown SLO kinds and negative counts are typed errors.
-        let good = scenarios("soak", &sample()).render();
-        let doc =
-            Json::parse(&good.replace("\"kind\":\"recovery\"", "\"kind\":\"vibes\"")).unwrap();
-        assert!(parse_scenarios::<SoakScenario>(&doc).unwrap_err().contains("vibes"));
-        let doc = Json::parse(&good.replace("\"faults\":12", "\"faults\":-12")).unwrap();
-        assert!(parse_scenarios::<SoakScenario>(&doc).unwrap_err().contains("-12"));
+        let text = scenarios("soak", &sample()).render();
+        assert_eq!(Json::parse(&text).unwrap().render(), text);
+        assert!(text.contains("\"kind\":\"recovery\""), "{text}");
     }
 
     #[test]

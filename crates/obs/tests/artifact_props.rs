@@ -1,17 +1,27 @@
-//! The codec contract ([`check_codec`]: render → parse → equal, render
-//! → parse → render byte-stable, every integer set negative rejected
-//! naming its key, wrong `version` rejected first) on random
-//! `BENCH_faults.json` and `BENCH_soak.json` scenario lists. The
-//! journey and audit artifacts get the same property in
-//! `journey_props.rs` and `audit_props.rs`.
+//! The writer's codec contract on random `BENCH_faults.json` and
+//! `BENCH_soak.json` scenario lists: the rendered artifact is
+//! versioned, parses, and renders back byte for byte. Sidecars are
+//! written, never read back, so that is the whole contract; the audit
+//! artifact gets the same property in `audit_props.rs`.
 
 use proptest::prelude::*;
 use proptest::TestRng;
 use scc_hal::Time;
-use scc_obs::artifact::check_codec;
+use scc_obs::artifact::{scenarios, Wire};
 use scc_obs::{
-    FaultCurve, FaultPoint, QuantileSketch, SloBreach, SloKind, SloPolicy, SoakPhase, SoakScenario,
+    validate_artifact_version, FaultCurve, FaultPoint, Json, QuantileSketch, SloBreach, SloKind,
+    SloPolicy, SoakPhase, SoakScenario,
 };
+
+fn check_codec<T: Wire>(bench: &str, items: &[T]) -> Result<(), String> {
+    let text = scenarios(bench, items).render();
+    let doc = Json::parse(&text).map_err(|e| format!("render does not parse: {e}"))?;
+    validate_artifact_version(&doc)?;
+    match doc.render() == text {
+        true => Ok(()),
+        false => Err("render -> parse -> render is not byte-stable".into()),
+    }
+}
 
 /// Counts and picoseconds up to the largest value a JSON integer holds.
 fn arb_u64(rng: &mut TestRng) -> u64 {

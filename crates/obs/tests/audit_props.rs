@@ -3,14 +3,15 @@
 //! accept everything the protocol allows), a random seeded mutation of
 //! such a stream must be detected *and* carry the expected violation
 //! class (the checkers reject what the protocol forbids), and the
-//! `BENCH_audit.json` envelope round-trips losslessly.
+//! `BENCH_audit.json` envelope renders to JSON that parses back to the
+//! same bytes, with every full-range seed intact.
 
 use proptest::prelude::*;
 use proptest::TestRng;
 use scc_hal::{CoreId, MsgId, Phase, Span, Time};
 use scc_obs::event::ResourceId;
 use scc_obs::{
-    artifact::check_codec, audit, mutate, AuditScenario, AuditSpec, Hex64, MutationClass,
+    artifact::scenarios, audit, mutate, AuditScenario, AuditSpec, Hex64, Json, MutationClass,
     MutationTrial, ObsEvent, OpKind,
 };
 
@@ -197,7 +198,7 @@ proptest! {
         let mut rng = TestRng::from_name(&format!("artifact-{seed}"));
         let n = rng.gen_range_u64(0, 5);
         let names = ["oc_k47", "oc_k7", "binomial", "ring", "scatter"];
-        let scenarios: Vec<AuditScenario> = (0..n)
+        let items: Vec<AuditScenario> = (0..n)
             .map(|i| {
                 let m = rng.gen_range_u64(0, 6);
                 AuditScenario {
@@ -222,6 +223,20 @@ proptest! {
                 }
             })
             .collect();
-        check_codec("audit", &scenarios).map_err(TestCaseError::fail)?;
+        let text = scenarios("audit", &items).render();
+        let doc = Json::parse(&text).map_err(TestCaseError::fail)?;
+        prop_assert_eq!(doc.render(), text);
+        let seeds: Vec<u64> = doc
+            .get("scenarios")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .flat_map(|s| s.get("mutations").and_then(Json::as_arr).unwrap())
+            .map(|t| t.get("seed").and_then(Json::as_str).unwrap())
+            .map(|h| u64::from_str_radix(h.trim_start_matches("0x"), 16).unwrap())
+            .collect();
+        let want: Vec<u64> =
+            items.iter().flat_map(|s| &s.mutations).map(|t| t.seed.0).collect();
+        prop_assert_eq!(seeds, want);
     }
 }

@@ -50,11 +50,6 @@ impl Barrier {
         }
         Ok(())
     }
-
-    /// Number of completed barrier episodes (diagnostics).
-    pub fn epoch(&self) -> u32 {
-        self.epoch
-    }
 }
 
 #[cfg(test)]
@@ -105,7 +100,7 @@ mod tests {
                 c.compute(Time::from_ns(100 * ((me + round) % 5)));
                 bar.wait(c)?;
             }
-            Ok(bar.epoch())
+            Ok(bar.epoch)
         })
         .unwrap();
         for r in rep.results {

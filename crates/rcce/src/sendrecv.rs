@@ -35,7 +35,7 @@
 
 use crate::alloc::{MpbAllocator, MpbExhausted, MpbRegion};
 use crate::flags::BinFlag;
-use scc_hal::{bytes_to_lines, CoreId, MemRange, MpbAddr, Rma, RmaResult, CACHE_LINE_BYTES};
+use scc_hal::{CoreId, MemRange, MpbAddr, Rma, RmaResult, CACHE_LINE_BYTES};
 
 /// The payload lines RCCE proper would have (bit-packed flags); kept as
 /// the reference constant for the analytical model.
@@ -84,11 +84,6 @@ impl RcceComm {
         alloc.free(self.ready);
         alloc.free(MpbRegion { first_line: self.sent.line, lines: 1 });
         alloc.free(self.payload);
-    }
-
-    /// Payload lines per handshake chunk.
-    pub fn chunk_lines(&self) -> usize {
-        self.payload.lines
     }
 
     /// Blocking send of `src` (from private memory) to core `dst`.
@@ -158,12 +153,6 @@ impl RcceComm {
                 return Ok(());
             }
         }
-    }
-
-    /// Number of handshake chunks a message of `bytes` needs with this
-    /// context (at least one: zero-byte messages still synchronize).
-    pub fn chunks_for(&self, bytes: usize) -> usize {
-        bytes_to_lines(bytes).div_ceil(self.payload.lines).max(1)
     }
 }
 
@@ -240,15 +229,10 @@ mod tests {
     fn chunk_count() {
         let mut alloc = MpbAllocator::new();
         let comm = RcceComm::new(&mut alloc, 48).unwrap();
-        assert_eq!(comm.chunk_lines(), 256 - 48 - 1);
-        assert_eq!(comm.chunks_for(0), 1);
-        assert_eq!(comm.chunks_for(1), 1);
-        assert_eq!(comm.chunks_for(comm.chunk_lines() * 32), 1);
-        assert_eq!(comm.chunks_for(comm.chunk_lines() * 32 + 1), 2);
+        // The payload chunk takes every line the flags leave free.
+        assert_eq!(comm.payload.lines, 256 - 48 - 1);
         let small = four_lines_after_another(&mut MpbAllocator::new(), 48);
-        assert_eq!(small.chunk_lines(), 4);
-        assert_eq!(small.chunks_for(128), 1);
-        assert_eq!(small.chunks_for(129), 2);
+        assert_eq!(small.payload.lines, 4);
     }
 
     #[test]

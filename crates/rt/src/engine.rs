@@ -135,10 +135,6 @@ impl Rma for RtCore {
         Time::from_ps(self.epoch.elapsed().as_nanos() as u64 * 1000)
     }
 
-    fn mem_len(&self) -> usize {
-        self.mem.len()
-    }
-
     fn put_from_mem(&mut self, src: MemRange, dst: MpbAddr) -> RmaResult<()> {
         self.check_mem(src)?;
         self.check_mpb(dst, src.lines())?;

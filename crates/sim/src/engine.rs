@@ -785,10 +785,6 @@ impl Rma for SimCore {
         self.now.get()
     }
 
-    fn mem_len(&self) -> usize {
-        self.mem_bytes
-    }
-
     fn put_from_mem(&mut self, src: MemRange, dst: MpbAddr) -> RmaResult<()> {
         self.op(Op::PutFromMem { src, dst, cached: false }).map(drop)
     }

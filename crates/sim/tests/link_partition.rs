@@ -4,16 +4,19 @@
 //! (E/W/N/S/Eject), so the per-link sums reconstruct the per-tile
 //! vectors exactly — not approximately. A contended 48-core OC-Bcast is
 //! the stress case: every router and every link class (through-traffic
-//! and ejection) is exercised.
+//! and ejection) is exercised. The same run, recorded, folds into the
+//! same link heatmap as its counters do.
 
 use oc_bcast::{Algorithm, Broadcaster};
 use scc_hal::{CoreId, LinkDir, MemRange, Rma, RmaResult, Tile, Time, NUM_LINK_DIRS};
+use scc_obs::{LinkHeatmap, ObsEvent};
 use scc_rcce::{Barrier, MpbAllocator};
 use scc_sim::{run_spmd, SimConfig, SimStats};
 
-/// One contended 48-core broadcast (two rounds, barrier-separated).
-fn contended_bcast(alg: Algorithm, bytes: usize) -> SimStats {
-    let cfg = SimConfig { num_cores: 48, mem_bytes: 1 << 20, ..SimConfig::default() };
+/// One contended 48-core broadcast (two rounds, barrier-separated),
+/// recorded.
+fn contended_bcast(alg: Algorithm, bytes: usize) -> (SimStats, Vec<ObsEvent>) {
+    let cfg = SimConfig { num_cores: 48, mem_bytes: 1 << 20, record: true, ..SimConfig::default() };
     let rep = run_spmd(&cfg, move |c| -> RmaResult<()> {
         let mut alloc = MpbAllocator::new();
         let mut bar = Barrier::new(&mut alloc, c.num_cores()).expect("barrier lines");
@@ -33,7 +36,7 @@ fn contended_bcast(alg: Algorithm, bytes: usize) -> SimStats {
     for r in rep.results {
         r.expect("no core may fail");
     }
-    rep.stats
+    (rep.stats, rep.events.expect("recorded"))
 }
 
 fn assert_partition(stats: &SimStats) {
@@ -67,9 +70,14 @@ fn links_partition_router_aggregates_under_contended_oc_bcast() {
     // through-traffic on interior routers (k=47 is the all-at-once
     // flat tree — worst-case port and mesh contention).
     for alg in [Algorithm::oc_default(), Algorithm::oc_with_k(47)] {
-        let stats = contended_bcast(alg, 16 << 10);
+        let (stats, events) = contended_bcast(alg, 16 << 10);
         assert!(stats.router_wait > Time::ZERO, "workload must actually contend");
         assert_partition(&stats);
+        assert_eq!(
+            LinkHeatmap::from_events(&events),
+            LinkHeatmap::from_slices(&stats.link_busy, &stats.link_wait),
+            "the recorded stream and the counters disagree on a link"
+        );
     }
 }
 
@@ -79,7 +87,7 @@ fn eject_link_carries_all_destination_traffic() {
     // Eject share of total busy time must be positive everywhere
     // traffic terminated, and a route of length 1 (same tile) is pure
     // ejection: tile-local traffic can never appear on a mesh link.
-    let stats = contended_bcast(Algorithm::oc_default(), 4 << 10);
+    let (stats, _) = contended_bcast(Algorithm::oc_default(), 4 << 10);
     let eject_total: Time = (0..24)
         .map(|t| stats.link_busy[t * NUM_LINK_DIRS + LinkDir::Eject.index()])
         .fold(Time::ZERO, |a, b| a + b);

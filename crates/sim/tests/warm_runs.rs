@@ -119,7 +119,7 @@ impl Case {
                 b.bcast(c, CoreId(root), msg)?;
                 // Private memory ends at this run's `mem_bytes`, however
                 // much the chip's previous run had.
-                let beyond = MemRange::new(c.mem_len(), 32);
+                let beyond = MemRange::new(self.cfg.mem_bytes, 32);
                 let refused = c.get_to_mem(MpbAddr::new(c.core(), 0), beyond).is_err();
                 Ok([c.mem_to_vec(msg)?, vec![refused as u8]].concat())
             }

@@ -73,21 +73,27 @@ proptest! {
             }
         }
         prop_assert!(seen.iter().all(|&s| s == 1));
-        for c in (0..p).map(|i| CoreId(i as u8)) {
-            prop_assert!(tree.depth_of(c) <= tree.depth());
+        for mut c in (0..p).map(|i| CoreId(i as u8)) {
+            let mut depth = 0;
+            while let Some(parent) = tree.parent(c) {
+                (c, depth) = (parent, depth + 1);
+            }
+            prop_assert!(depth <= scc_model::tree_depth(p, k));
         }
     }
 
-    /// Chunk accounting: number of chunks and MPB context sizing never
-    /// disagree with the payload length.
+    /// Chunk accounting: an OC-Bcast context reserves exactly its
+    /// notify line, `k` done flags and two chunk buffers, and is refused
+    /// exactly when they do not fit one core's MPB.
     #[test]
-    fn chunk_accounting(len in 1usize..200_000, chunk_lines in 1usize..128) {
+    fn chunk_accounting(chunk_lines in 1usize..128) {
         let mut alloc = MpbAllocator::new();
         let cfg = OcConfig { k: 2, chunk_lines, ..OcConfig::default() };
-        if let Ok(oc) = oc_bcast::OcBcast::new(&mut alloc, cfg) {
-            let chunks = oc.chunks_for(len);
-            let lines = scc_hal::bytes_to_lines(len);
-            prop_assert_eq!(chunks, lines.div_ceil(chunk_lines).max(1));
+        let need = 1 + 2 + 2 * chunk_lines;
+        let fits = need <= scc_hal::MPB_LINES_PER_CORE;
+        prop_assert_eq!(oc_bcast::OcBcast::new(&mut alloc, cfg).is_ok(), fits);
+        if fits {
+            prop_assert_eq!(alloc.lines_free(), scc_hal::MPB_LINES_PER_CORE - need);
         }
     }
 }
