@@ -3,8 +3,8 @@
 # linked into a shipped binary, or ci/reach.allow names it with a
 # reason. Prints the offenders and exits 1 if there are any.
 #
-# The shipped binaries are debug builds of `observatory` and `trace`,
-# the examples `quickstart`, `stencil` and `tune_k`, and benchmark/'s
+# The shipped binaries are debug builds of `observatory`, the examples
+# `quickstart`, `stencil` and `tune_k`, and benchmark/'s
 # `scc-benchmark`. The script takes the defined text symbols
 # (`nm -C --defined-only`) of each workspace rlib except the
 # dev-dependency `proptest` shim, strips the hash suffix, keeps what the
@@ -33,8 +33,8 @@ built=$(cargo build -q --offline --lib --bins --examples --workspace --message-f
 built+=$'\n'$(CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-benchmark/target}" cargo build -q \
     --offline --manifest-path benchmark/Cargo.toml --message-format=json | artifacts)
 mapfile -t rlibs < <(grep '\.rlib$' <<<"$built" | grep -v '/libproptest[-.]')
-mapfile -t bins < <(grep -E '/(observatory|trace|quickstart|stencil|tune_k|scc-benchmark)$' <<<"$built" | sort -u)
-[ "${#bins[@]}" -eq 6 ] || { echo "expected 6 shipped binaries, built: ${bins[*]}" >&2; exit 2; }
+mapfile -t bins < <(grep -E '/(observatory|quickstart|stencil|tune_k|scc-benchmark)$' <<<"$built" | sort -u)
+[ "${#bins[@]}" -eq 5 ] || { echo "expected 5 shipped binaries, built: ${bins[*]}" >&2; exit 2; }
 
 # Demangled defined text symbols, one per line, hash suffix stripped.
 symbols() {

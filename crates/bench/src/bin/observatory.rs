@@ -22,25 +22,24 @@
 //!                                                        sidecars of
 //!                                                        whatif, skew,
 //!                                                        faults, soak,
-//!                                                        audit
+//!                                                        audit, trace
 //!                                BENCH_figures.json      the report
 //!                                results/CONFORMANCE.md  its digest
 //!     [--baseline PATH]        drift-gate against this baseline
-//!     [--write-baseline PATH]  also write the fresh report here
-//!     [--explain]              on failure, re-run the failed
-//!                              experiments' scenarios with recording
-//!                              on and write results/DRIFT.md,
-//!                              results/flame_<id>.txt and
-//!                              results/DRIFT_whatif.json
 //!     [--list]                 print registry ids and exit
 //! ```
 //!
 //! Reproducing the committed results is
-//! `observatory --artifact-dir DIR && diff -r DIR/results results`.
+//! `observatory --artifact-dir DIR && diff -r DIR/results results`;
+//! refreshing the baseline is `cp DIR/BENCH_figures.json ci/baseline/`
+//! after a full run.
 //!
 //! Exit status: `1` if any shape check failed (each is named on
-//! stderr) or the drift gate tripped, `0` otherwise (`--explain` never
-//! changes the verdict, it only adds diagnosis).
+//! stderr) or the drift gate tripped, `0` otherwise. A failing run
+//! explains itself: it re-runs the failed experiments' scenarios with
+//! recording on and writes results/DRIFT.md, results/flame_<id>.txt
+//! and results/DRIFT_whatif.json (diagnosis only — it never changes
+//! the verdict).
 
 use scc_bench::{
     record_run, registry, representative_scenario, run_registry, whatif_artifact, whatif_profile,
@@ -59,9 +58,7 @@ struct Args {
     jobs: usize,
     only: Option<Vec<String>>,
     baseline: Option<String>,
-    write_baseline: Option<String>,
     artifact_dir: String,
-    explain: bool,
     list: bool,
 }
 
@@ -78,9 +75,7 @@ fn parse_args() -> Result<Args, String> {
         jobs: scc_bench::pool::jobs_default(),
         only: None,
         baseline: None,
-        write_baseline: None,
         artifact_dir: ".".to_string(),
-        explain: false,
         list: false,
     };
     let mut it = std::env::args().skip(1);
@@ -96,13 +91,11 @@ fn parse_args() -> Result<Args, String> {
                     .ok_or("--jobs needs a positive integer")?
             }
             "--list" => args.list = true,
-            "--explain" => args.explain = true,
             "--only" => {
                 args.only =
                     Some(value("--only")?.split(',').map(|s| s.trim().to_string()).collect())
             }
             "--baseline" => args.baseline = Some(value("--baseline")?),
-            "--write-baseline" => args.write_baseline = Some(value("--write-baseline")?),
             "--artifact-dir" => args.artifact_dir = value("--artifact-dir")?,
             other => return Err(format!("unknown flag `{other}` (see --help in the doc comment)")),
         }
@@ -195,9 +188,6 @@ fn run() -> Result<bool, String> {
     let json = report.to_json().render();
     validate_json(&json).map_err(|e| format!("BUG: emitted JSON does not validate: {e}"))?;
     write_file(&args.in_dir("BENCH_figures.json"), &json)?;
-    if let Some(path) = &args.write_baseline {
-        write_file(path, &json)?;
-    }
 
     // The markdown drift report, with the gate verdict appended when a
     // baseline is available.
@@ -227,7 +217,7 @@ fn run() -> Result<bool, String> {
 
     // Drift explanation: re-run each failed experiment's representative
     // scenario with recording on and attribute where its time goes.
-    if args.explain && failed {
+    if failed {
         let mut ids: Vec<String> = Vec::new();
         if let Some(g) = &gate_report {
             for v in &g.violations {
@@ -244,15 +234,15 @@ fn run() -> Result<bool, String> {
         const EXPLAIN_CAP: usize = 5;
         if ids.len() > EXPLAIN_CAP {
             eprintln!(
-                "observatory: --explain: {} drifted experiments, explaining the first {EXPLAIN_CAP}",
+                "observatory: explain: {} drifted experiments, explaining the first {EXPLAIN_CAP}",
                 ids.len()
             );
             ids.truncate(EXPLAIN_CAP);
         }
         if ids.is_empty() {
-            eprintln!("observatory: --explain: no experiment-level failure to explain");
+            eprintln!("observatory: explain: no experiment-level failure to explain");
         } else {
-            explain(&ids, gate_report.as_ref(), &args).map_err(|e| format!("--explain: {e}"))?;
+            explain(&ids, gate_report.as_ref(), &args).map_err(|e| format!("explain: {e}"))?;
         }
     }
     if failed {

@@ -47,6 +47,7 @@ mod skew;
 mod soak;
 mod table1;
 mod table2;
+mod trace;
 mod tune;
 mod whatif;
 
@@ -320,7 +321,7 @@ pub struct Experiment {
 /// Every experiment the observatory knows, in paper order.
 pub fn registry() -> Vec<Experiment> {
     type Entry = (&'static str, &'static str, fn(bool) -> Sweep);
-    let table: [Entry; 17] = [
+    let table: [Entry; 18] = [
         ("table1", "Table 1 — fitted model parameters", table1::plan),
         ("fig3", "Figure 3 — put/get completion time vs distance", fig3::plan),
         ("fig4", "Figure 4 — MPB contention", fig4::plan),
@@ -338,6 +339,7 @@ pub fn registry() -> Vec<Experiment> {
         ("tune", "Configuration-space sweep — best (k, M_oc, fan-out, tree)", tune::plan),
         ("soak", "Soak — sustained reliable traffic under SLO watchdogs", soak::plan),
         ("audit", "Causal trace audit — happens-before conformance of recorded runs", audit::plan),
+        ("trace", "One recorded broadcast — Gantt, utilization and critical path", trace::plan),
     ];
     table.into_iter().map(|(id, title, plan)| Experiment { id, title, plan }).collect()
 }
@@ -452,7 +454,7 @@ mod tests {
     /// split unit would otherwise surface only in CI.
     #[test]
     fn registry_unit_counts_are_pinned() {
-        const COUNTS: [(&str, usize, usize); 17] = [
+        const COUNTS: [(&str, usize, usize); 18] = [
             ("table1", 18, 18),
             ("fig3", 26, 26),
             ("fig4", 8, 22),
@@ -470,6 +472,7 @@ mod tests {
             ("tune", 2, 15),
             ("soak", 10, 60),
             ("audit", 9, 9),
+            ("trace", 2, 2),
         ];
         let planned: Vec<(&str, usize, usize)> = registry()
             .iter()

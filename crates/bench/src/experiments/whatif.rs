@@ -109,9 +109,9 @@ fn profile(scans: &[(Scan, Vec<Time>)]) -> WhatIfProfile {
     p
 }
 
-/// Causal what-if scan of `sc` (`observatory --explain`): rerun it
-/// with every [`CostClass`] scaled by each factor of the `whatif`
-/// experiment and collect the sensitivities.
+/// Causal what-if scan of `sc` (the drift explainer of a failing
+/// `observatory` run): rerun it with every [`CostClass`] scaled by each
+/// factor of the `whatif` experiment and collect the sensitivities.
 pub fn whatif_profile(sc: &Scenario, quick: bool) -> Result<WhatIfProfile, SimError> {
     let pairs = scans(sc.clone(), factors(quick))
         .map(|scan| measure(&scan).map(|makespans| (scan, makespans)))

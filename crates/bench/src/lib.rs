@@ -35,6 +35,7 @@
 //! | `tune`      | configuration-space sweep — best (k, M_oc, fan-out, tree) |
 //! | `soak`      | sustained reliable traffic under SLO watchdogs |
 //! | `audit`     | causal trace audit of recorded runs            |
+//! | `trace`     | one recorded broadcast — Gantt, utilization, critical path |
 //!
 //! Every simulated broadcast the harness makes goes through one runner,
 //! [`Scenario::run`]: a [`Run`] says how (cost parameters, fault plan,

@@ -75,9 +75,9 @@ fn gate_rejects_deliberate_perturbations() {
     assert!(!gate.ok(), "mode mismatch must trip the gate");
 }
 
-/// Satellite: the CI `--explain` path, end to end through the real
-/// binary. Build a deliberately perturbed fig5 baseline, run
-/// `observatory --quick --only fig5 --baseline <it> --explain`, and
+/// The drift explainer every failing run triggers, end to end through
+/// the real binary. Build a deliberately perturbed fig5 baseline, run
+/// `observatory --quick --only fig5 --baseline <it>`, and
 /// require (a) a failing exit status, (b) a `DRIFT.md` that names the
 /// drifted experiment and the dominant hardware resource, (c) a
 /// non-empty collapsed flamegraph, and (d) a version-validated
@@ -105,7 +105,6 @@ fn explain_names_the_drifted_experiment_and_dominant_resource() {
             "fig5",
             "--baseline",
             &path("perturbed.json"),
-            "--explain",
             "--artifact-dir",
             dir.to_str().unwrap(),
         ])

@@ -255,7 +255,10 @@ pub fn critical_path(events: &[ObsEvent]) -> Result<CriticalPath, CritPathError>
 
     for ev in events {
         match *ev {
-            ObsEvent::Op { core, kind, start, end, .. } => {
+            // A zero-length activity (`compute(Time::ZERO)`) covers no
+            // time; kept, the walk would re-select it at `t = start = end`
+            // until its fuel ran out.
+            ObsEvent::Op { core, kind, start, end, .. } if end > start => {
                 acts[core.index()].push(Activity {
                     kind: SegmentKind::Op(kind),
                     start,
@@ -265,7 +268,7 @@ pub fn critical_path(events: &[ObsEvent]) -> Result<CriticalPath, CritPathError>
                     mc_wait: Time::ZERO,
                 });
             }
-            ObsEvent::Compute { core, start, end } => {
+            ObsEvent::Compute { core, start, end } if end > start => {
                 acts[core.index()].push(Activity {
                     kind: SegmentKind::Compute,
                     start,
@@ -604,5 +607,42 @@ mod tests {
             cursor = s.end;
         }
         assert_eq!(cursor, cp.end);
+    }
+
+    fn compute(core: u8, start: u64, end: u64) -> ObsEvent {
+        ObsEvent::Compute { core: CoreId(core), start: ns(start), end: ns(end) }
+    }
+
+    /// A zero-length `Compute` at the end of the path (what
+    /// `compute(Time::ZERO)` records) covers no time: the walk must not
+    /// re-select it at `t = start = end` until its fuel runs out.
+    #[test]
+    fn zero_length_compute_at_the_end_does_not_stall_the_walk() {
+        let events = vec![
+            op(0, OpKind::PutFromMem, 0, 100),
+            compute(0, 100, 100),
+            ObsEvent::Finish { core: CoreId(0), at: ns(100) },
+        ];
+        let cp = critical_path(&events).unwrap();
+        assert_eq!(cp.total(), ns(100), "{cp:?}");
+        let kinds: Vec<SegmentKind> = cp.segments.iter().map(|s| s.kind).collect();
+        assert_eq!(kinds, vec![SegmentKind::Op(OpKind::PutFromMem)]);
+    }
+
+    /// The same stall mid-path: the walk must step over the empty
+    /// activity onto the op before it.
+    #[test]
+    fn zero_length_compute_mid_path_does_not_stall_the_walk() {
+        let events = vec![
+            op(0, OpKind::PutFromMem, 0, 50),
+            compute(0, 50, 50),
+            op(0, OpKind::FlagPut, 50, 100),
+            ObsEvent::Finish { core: CoreId(0), at: ns(100) },
+        ];
+        let cp = critical_path(&events).unwrap();
+        assert_eq!(cp.total(), ns(100), "{cp:?}");
+        assert_eq!(cp.breakdown().total(), cp.total());
+        let spans: Vec<(Time, Time)> = cp.segments.iter().map(|s| (s.start, s.end)).collect();
+        assert_eq!(spans, vec![(ns(0), ns(50)), (ns(50), ns(100))]);
     }
 }

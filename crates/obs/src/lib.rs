@@ -80,7 +80,7 @@
 //!
 //! The simulator (`scc-sim`) records into this crate's [`Recorder`];
 //! collectives annotate phases through `scc_hal::Rma::span_begin`; the
-//! `trace` binary in `scc-bench` drives all exporters.
+//! `trace` experiment in `scc-bench` drives all exporters.
 
 pub mod artifact;
 pub mod audit;

@@ -1,8 +1,8 @@
 //! Minimal JSON support for machine-readable reports: a value builder
 //! (this workspace has no serde — no network access to crates.io) and a
 //! strict parser. [`validate_json`] checks syntax (used by tests and
-//! the `trace` binary before CI does); [`Json::parse`] materializes the
-//! value tree, which the conformance harness uses to read committed
+//! the `trace` experiment before CI does); [`Json::parse`] materializes
+//! the value tree, which the conformance harness uses to read committed
 //! `BENCH_figures.json` baselines back for the drift gate.
 //!
 //! The parser is RFC 8259 strict — one top-level value; no leading
@@ -665,7 +665,7 @@ mod tests {
     /// Regression guard: string scanning must be linear in document
     /// size. An earlier version re-validated the whole remaining input
     /// per character, which turned the multi-megabyte chrome traces the
-    /// `trace` binary validates into an hours-long parse. At 8 MB the
+    /// `trace` experiment validates into an hours-long parse. At 8 MB the
     /// quadratic version needs minutes; the linear one, milliseconds.
     #[test]
     fn multi_megabyte_documents_parse_fast() {

@@ -1,6 +1,6 @@
 //! The quick look at a recorded stream: a text Gantt and a per-core
-//! summary of its [`ObsEvent::Op`] events — what the `trace` binary
-//! prints before the structured exporters run. Every other event kind
+//! summary of its [`ObsEvent::Op`] events — what the `trace` experiment
+//! writes before the structured exporters run. Every other event kind
 //! is skipped.
 
 use crate::event::{ObsEvent, OpKind};
