@@ -18,8 +18,8 @@
 //!     [--artifact-dir DIR]     where everything lands (".", i.e. the
 //!                              committed results/ tree):
 //!                                results/<id>.txt        classic texts
-//!                                BENCH_<x>.json, results/*.md, …
-//!                                                        sidecars of
+//!                                BENCH_<x>.json, movies,
+//!                                soak dumps, traces, …   sidecars of
 //!                                                        whatif, skew,
 //!                                                        faults, soak,
 //!                                                        audit, trace
@@ -170,7 +170,6 @@ fn run() -> Result<bool, String> {
         for (rel, contents) in &out.outputs.files {
             write_file(&args.in_dir(rel), contents)?;
         }
-        report.summaries.extend(out.outputs.summaries);
         report.experiments.push(exp);
     }
     eprintln!(

@@ -15,9 +15,8 @@
 //! [`MutationClass`] — and the auditor must detect each mutant *and*
 //! name the expected violation class.
 //!
-//! The finalize step derives `BENCH_audit.json`, the human digest
-//! `results/AUDIT.md` and the `audit` summary block of
-//! `BENCH_figures.json` from the same scenarios. Recording and
+//! The finalize step derives `BENCH_audit.json` from the same scenarios
+//! as the text and rows. Recording and
 //! mutation seeds are deterministic, so every artifact is
 //! byte-identical at any `--jobs` count.
 
@@ -25,8 +24,7 @@ use super::{outln, Point, Sweep};
 use crate::{fault_plan, policy, Run, Scenario};
 use oc_bcast::Algorithm;
 use scc_obs::{
-    artifact, audit, mutate, render_audit_markdown, AuditScenario, AuditSpec, Hex64, MutationClass,
-    MutationTrial, Wire,
+    artifact, audit, mutate, AuditScenario, AuditSpec, Hex64, MutationClass, MutationTrial,
 };
 use scc_sim::SimError;
 
@@ -222,20 +220,5 @@ pub(super) fn plan(quick: bool) -> Sweep {
             audited.push(s);
         }
         ctx.artifact("BENCH_audit.json", artifact::scenarios("audit", &audited).render());
-        ctx.artifact("results/AUDIT.md", render_audit_markdown(&audited));
-        let trials = || audited.iter().flat_map(|s| &s.mutations);
-        ctx.summary(
-            "audit",
-            &[
-                ("scenarios", audited.len().to_wire()),
-                ("checks", audited.iter().map(|s| s.checks).sum::<u64>().to_wire()),
-                ("violations", audited.iter().map(|s| s.violations).sum::<u64>().to_wire()),
-                ("mutations", trials().count().to_wire()),
-                (
-                    "mutations_caught",
-                    trials().filter(|m| m.detected && m.classified).count().to_wire(),
-                ),
-            ],
-        );
     })
 }

@@ -7,16 +7,15 @@
 //! makespan as the injected rate rises, next to the recovery counters
 //! (timeouts, probes, recoveries, re-notifies) that explain it.
 //!
-//! The finalize step derives `BENCH_faults.json`, the human digest
-//! `results/FAULTS.md` and the `faults` summary block of
-//! `BENCH_figures.json` from the same curves. Faults are seeded and
+//! The finalize step derives `BENCH_faults.json` from the same curves
+//! as the text and rows. Faults are seeded and
 //! drawn in deterministic event order, so every artifact is
 //! byte-identical at any `--jobs` count.
 
 use super::{outln, Point, Sweep};
 use crate::{fault_plan, policy, Run, Scenario, FAULT_DELAY};
 use oc_bcast::{Algorithm, RelStats};
-use scc_obs::{artifact, render_faults_markdown, FaultCurve, FaultPoint, LatencyHistogram, Wire};
+use scc_obs::{artifact, FaultCurve, FaultPoint, LatencyHistogram};
 use scc_sim::SimError;
 
 /// The paper's full chip; fault tolerance is only interesting at scale.
@@ -171,16 +170,5 @@ pub(super) fn plan(quick: bool) -> Sweep {
         }
         outln!(ctx, "# every point: payload verified on all {} destinations", CORES - 1);
         ctx.artifact("BENCH_faults.json", artifact::scenarios("faults", &curves).render());
-        ctx.artifact("results/FAULTS.md", render_faults_markdown(&curves));
-        let points = || curves.iter().flat_map(|c| &c.points);
-        ctx.summary(
-            "faults",
-            &[
-                ("scenarios", curves.len().to_wire()),
-                ("points", points().count().to_wire()),
-                ("injected_faults", points().map(|p| p.faults).sum::<u64>().to_wire()),
-                ("recoveries", points().map(|p| p.recoveries).sum::<u64>().to_wire()),
-            ],
-        );
     })
 }

@@ -7,9 +7,8 @@
 //! produces: the classic human-readable text (the committed
 //! `results/<id>.txt`), the structured [`ExperimentRow`]s for the drift
 //! gate, the [`ShapeCheck`]s for the paper's qualitative claims, and —
-//! for the experiments that have them — sidecar files and a named
-//! summary block for `BENCH_figures.json`. The experiment owns all of
-//! these ([`Outputs`]); `observatory` only writes them under
+//! for the experiments that have them — sidecar files. The experiment
+//! owns all of these ([`Outputs`]); `observatory` only writes them under
 //! `--artifact-dir`.
 //!
 //! Each point is one *unit*: the runner (`crate::runner`) may measure
@@ -28,7 +27,7 @@
 
 use crate::pool::Task;
 use oc_bcast::Algorithm;
-use scc_obs::{ExperimentReport, ExperimentRow, Json, SelfMetrics, ShapeCheck};
+use scc_obs::{ExperimentReport, ExperimentRow, SelfMetrics, ShapeCheck};
 use std::fmt::Display;
 use std::sync::OnceLock;
 
@@ -80,10 +79,6 @@ pub struct Outputs {
     /// contents)`: the classic text first (at [`text_path`]), then the
     /// experiment's sidecars in emission order.
     pub files: Vec<(String, String)>,
-    /// Named summary blocks for `BENCH_figures.json` (top-level key,
-    /// block), computed by the experiment from the same typed values
-    /// its sidecars were rendered from.
-    pub summaries: Vec<(String, Json)>,
 }
 
 /// Where an experiment's classic text lives, relative to the artifact
@@ -107,7 +102,7 @@ pub struct ExpCtx {
     pub rows: Vec<ExperimentRow>,
     /// The paper's qualitative claims, evaluated on this run.
     pub shapes: Vec<ShapeCheck>,
-    /// Sidecar files and summary blocks queued so far.
+    /// Sidecar files queued so far.
     pub outputs: Outputs,
 }
 
@@ -125,14 +120,6 @@ impl ExpCtx {
     /// Queue a sidecar file, path relative to the artifact directory.
     pub fn artifact(&mut self, path: impl Into<String>, contents: String) {
         self.outputs.files.push((path.into(), contents));
-    }
-
-    /// Attach the experiment's summary block: `fields` become the
-    /// object written under the top-level key `name` of
-    /// `BENCH_figures.json`.
-    pub fn summary(&mut self, name: &str, fields: &[(&str, Json)]) {
-        let block = fields.iter().fold(Json::obj(), |j, (k, v)| j.set(k, v.clone()));
-        self.outputs.summaries.push((name.to_string(), block));
     }
 
     /// Record one measured point.

@@ -6,16 +6,15 @@
 //! dwells partition each delivery latency *exactly* (integer
 //! picoseconds; re-checked as a shape claim on every run).
 //!
-//! The finalize step derives the skew digests (`results/SKEW.md`), the
-//! versioned `BENCH_journeys.json` artifact, one link-congestion movie
-//! per scenario (`results/movie_<id>.txt`), and the `journeys` summary
-//! block of `BENCH_figures.json` from the same books.
+//! The finalize step derives the skew rows, the versioned
+//! `BENCH_journeys.json` artifact and one link-congestion movie per
+//! scenario (`results/movie_<id>.txt`) from the same books.
 
 use super::{outln, Point, Sweep};
 use crate::{record_run, Scenario};
 use oc_bcast::Algorithm;
 use scc_hal::Time;
-use scc_obs::{artifact, CongestionMovie, JourneyBook, Json, SkewReport, Wire};
+use scc_obs::{artifact, CongestionMovie, JourneyBook, SkewReport};
 use scc_sim::{SimError, SimParams};
 
 /// Frames per congestion movie: enough to see the root-column burst
@@ -58,7 +57,6 @@ pub(super) fn plan(quick: bool) -> Sweep {
             "# per-destination delivery skew, 48-core broadcasts ({lines} cache lines from C0)"
         );
         let mut books: Vec<(String, JourneyBook)> = Vec::new();
-        let mut skews: Vec<SkewReport> = Vec::new();
         for (Journeys(id, sc), (book, skew, movie)) in pairs {
             // The exactness invariants this module exists to guard.
             let conserved = book.journeys.iter().all(|j| j.legs_total() == j.latency());
@@ -104,22 +102,8 @@ pub(super) fn plan(quick: bool) -> Sweep {
 
             ctx.artifact(format!("results/movie_{id}.txt"), movie);
             books.push((id.to_string(), book));
-            skews.push(skew);
         }
         outln!(ctx, "# every scenario: leg dwells sum exactly to delivery latency (integer ps)");
         ctx.artifact("BENCH_journeys.json", artifact::scenarios("journeys", &books).render());
-        ctx.artifact("results/SKEW.md", scc_obs::render_skew_markdown(&skews));
-        let journeys = || books.iter().flat_map(|(_, b)| &b.journeys);
-        ctx.summary(
-            "journeys",
-            &[
-                ("scenarios", books.len().to_wire()),
-                ("journeys", journeys().count().to_wire()),
-                (
-                    "max_delivery_us",
-                    Json::Num(journeys().map(|j| j.latency().as_us_f64()).fold(0.0, f64::max)),
-                ),
-            ],
-        );
     })
 }

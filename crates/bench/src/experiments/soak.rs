@@ -15,18 +15,17 @@
 //! the broadcast context shared across all epochs of the chunk (the
 //! repeated-broadcast pattern of `oc_bcast::reliable`'s tests) — so
 //! the sweep parallelizes across chunks while every number merges in
-//! declaration order: `BENCH_soak.json`, `results/SOAK.md`,
-//! `results/soak_metrics.txt` and the `soak` summary block of
-//! `BENCH_figures.json` are byte-identical at any `--jobs`.
+//! declaration order: `BENCH_soak.json` and the dumps are
+//! byte-identical at any `--jobs`.
 
 use super::{outln, Point, Sweep};
 use crate::{fault_plan, policy, Run, Scenario};
 use oc_bcast::{Algorithm, RelStats};
 use scc_hal::Time;
 use scc_obs::{
-    artifact, audit, chrome_trace_json, render_skew_markdown, render_soak_markdown,
-    render_soak_openmetrics, AuditSpec, EpochRollup, JourneyBook, LatencyHistogram, ObsEvent,
-    QuantileSketch, RecoveryCounters, SkewReport, SloPolicy, SoakPhase, SoakScenario, Wire,
+    artifact, audit, chrome_trace_json, render_skew_markdown, AuditSpec, EpochRollup, JourneyBook,
+    LatencyHistogram, ObsEvent, QuantileSketch, RecoveryCounters, SkewReport, SloPolicy, SoakPhase,
+    SoakScenario,
 };
 use scc_sim::SimError;
 
@@ -178,7 +177,13 @@ fn run_chunk(chunk: &Chunk) -> Result<ChunkOut, SimError> {
 }
 
 pub(super) fn plan(quick: bool) -> Sweep {
-    Sweep::points(chunks(quick), run_chunk, |ctx, pairs| {
+    sweep(chunks(quick))
+}
+
+/// The soak over `chunks`, consecutive chunks of one scenario and
+/// phase forming that phase.
+fn sweep(chunks: Vec<Chunk>) -> Sweep {
+    Sweep::points(chunks, run_chunk, |ctx, pairs| {
         let lines = pairs[0].0.lines;
         outln!(ctx, "# soak: back-to-back reliable broadcasts, {CORES} cores, {lines} cache lines");
         outln!(ctx, "# SLO per epoch: p99 <= 300 us, makespan <= 450 us, zero recoveries");
@@ -261,11 +266,13 @@ pub(super) fn plan(quick: bool) -> Sweep {
                             phase.dumps.push(format!("{stem}_trace.json"));
                             phase.dumps.push(format!("{stem}_journeys.json"));
                             if let Some(skew) = SkewReport::from_book(id, &book) {
+                                // The dumped chunk's own counters, not
+                                // the phase's running totals.
                                 let skew = skew.with_recovery(RecoveryCounters {
-                                    timeouts: phase.timeouts,
-                                    probes: phase.probes,
-                                    recoveries: phase.recoveries,
-                                    renotifies: phase.renotifies,
+                                    timeouts: chunk.rollups.iter().map(|r| r.timeouts).sum(),
+                                    probes: chunk.probes,
+                                    recoveries: chunk.rollups.iter().map(|r| r.recoveries).sum(),
+                                    renotifies: chunk.renotifies,
                                 });
                                 ctx.artifact(
                                     format!("{stem}_skew.md"),
@@ -379,16 +386,75 @@ pub(super) fn plan(quick: bool) -> Sweep {
         outln!(ctx, "# {total} epochs total; dumps only from fault-phase windows");
 
         ctx.artifact("BENCH_soak.json", artifact::scenarios("soak", &report).render());
-        ctx.artifact("results/SOAK.md", render_soak_markdown(&report));
-        ctx.artifact("results/soak_metrics.txt", render_soak_openmetrics(&report));
-        ctx.summary(
-            "soak",
-            &[
-                ("scenarios", report.len().to_wire()),
-                ("epochs", total.to_wire()),
-                ("breaches", report.iter().map(SoakScenario::breaches).sum::<usize>().to_wire()),
-                ("dumps", report.iter().map(SoakScenario::dumps).sum::<usize>().to_wire()),
-            ],
-        );
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{run_experiment_full, Experiment, Outputs};
+    use scc_obs::Json;
+
+    /// Epochs `start..start + epochs` of a binomial fault phase, at a
+    /// drop rate dense enough that a chunk of ten or more breaches.
+    fn fault_chunk(start: usize, epochs: usize) -> Chunk {
+        Chunk {
+            scenario: "binomial",
+            alg: Algorithm::Binomial,
+            lines: 4,
+            phase: "faults",
+            drop_ppm: 20_000,
+            start,
+            epochs,
+        }
+    }
+
+    fn soak_of(plan: fn(bool) -> Sweep) -> Outputs {
+        let exp = Experiment { id: "soak", title: "soak", plan };
+        run_experiment_full(&exp, true).2
+    }
+
+    fn file<'a>(out: &'a Outputs, path: &str) -> &'a str {
+        let found = out.files.iter().find(|(p, _)| p == path);
+        &found.unwrap_or_else(|| panic!("no {path}")).1
+    }
+
+    /// `[timeouts, probes, recoveries, renotifies]` of the one phase
+    /// `BENCH_soak.json` reports.
+    fn phase_counters(out: &Outputs) -> [u64; 4] {
+        let doc = Json::parse(file(out, "BENCH_soak.json")).unwrap();
+        let phase = &doc.get("scenarios").and_then(Json::as_arr).unwrap()[0]
+            .get("phases")
+            .and_then(Json::as_arr)
+            .unwrap()[0];
+        ["timeouts", "probes", "recoveries", "renotifies"]
+            .map(|k| phase.get(k).and_then(Json::as_i64).unwrap() as u64)
+    }
+
+    /// The four counts a skew digest's `reliability` row names.
+    fn reliability(skew_md: &str) -> [u64; 4] {
+        let row = skew_md.lines().find(|l| l.starts_with("| reliability |")).unwrap();
+        let counts: Vec<u64> = row
+            .trim_start_matches("| reliability | ")
+            .split(", ")
+            .take(4)
+            .map(|part| part.split(' ').next().unwrap().parse().unwrap())
+            .collect();
+        counts.try_into().unwrap()
+    }
+
+    #[test]
+    fn each_dump_reports_its_own_chunks_recovery_counters() {
+        let both = soak_of(|_| sweep(vec![fault_chunk(0, 10), fault_chunk(10, 12)]));
+        let dumps = ["e00000-00009", "e00010-00021"]
+            .map(|w| reliability(file(&both, &format!("results/soak_dump_binomial_{w}_skew.md"))));
+        let alone = [
+            phase_counters(&soak_of(|_| sweep(vec![fault_chunk(0, 10)]))),
+            phase_counters(&soak_of(|_| sweep(vec![fault_chunk(10, 12)]))),
+        ];
+        assert_eq!(dumps, alone, "each dump names its own chunk's counters");
+        assert!(alone.iter().all(|c| c[2] > 0), "both chunks recover: {alone:?}");
+        let summed: [u64; 4] = std::array::from_fn(|i| dumps[0][i] + dumps[1][i]);
+        assert_eq!(summed, phase_counters(&both), "the dumps add up to their phase");
+    }
 }

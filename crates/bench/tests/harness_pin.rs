@@ -38,8 +38,7 @@ fn fnv1a64(text: impl Display) -> u64 {
 
 /// Run the quick sweep `id` and reduce it to pinned fields: the rows
 /// named in `show` with their exact measured values, the digest of every
-/// row's value, each file's digest (the text first) and each summary
-/// block.
+/// row's value and each file's digest (the text first).
 fn sweep_fields(id: &str, show: &[&str]) -> Vec<String> {
     let exp = registry().into_iter().find(|e| e.id == id).expect("registered");
     let (rep, _, outputs) = run_experiment_full(&exp, true);
@@ -52,9 +51,6 @@ fn sweep_fields(id: &str, show: &[&str]) -> Vec<String> {
     fields.push(format!("{} rows={:#018x}", rep.rows.len(), fnv1a64(rows.collect::<String>())));
     for (path, contents) in &outputs.files {
         fields.push(format!("{path}={:#018x}", fnv1a64(contents)));
-    }
-    for (name, block) in &outputs.summaries {
-        fields.push(format!("{name}={}", block.render()));
     }
     fields
 }
@@ -103,8 +99,6 @@ fn reliable_faulted_broadcast_is_pinned() {
             "18 rows=0xc19c63d48af59f85",
             "results/faults.txt=0x36ff4ec233324b5e",
             "BENCH_faults.json=0xbaa6b9d37ca56b59",
-            "results/FAULTS.md=0x52e5ec4b82e5d951",
-            "faults={\"scenarios\":3,\"points\":6,\"injected_faults\":260,\"recoveries\":23}",
         ]
     );
 }
@@ -124,9 +118,6 @@ fn multi_epoch_reliable_broadcast_with_a_flight_window_is_pinned() {
             "results/soak_dump_binomial_e00040-00059_journeys.json=0x36d0d970a19c2fcc",
             "results/soak_dump_binomial_e00040-00059_skew.md=0xc9d1f63c47462295",
             "BENCH_soak.json=0x2a2a8488bed540da",
-            "results/SOAK.md=0x09343e7f1b8abaf0",
-            "results/soak_metrics.txt=0xd06ca31ebe01560d",
-            "soak={\"scenarios\":2,\"epochs\":220,\"breaches\":93,\"dumps\":6}",
         ]
     );
 }

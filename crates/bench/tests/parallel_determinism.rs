@@ -41,7 +41,7 @@ fn jobs_4_output_is_byte_identical_to_sequential() {
         assert_eq!(s.text, p.text, "{}: text diverged between --jobs 1 and --jobs 4", s.report.id);
         assert_eq!(
             s.outputs, p.outputs,
-            "{}: files or summaries diverged between --jobs 1 and --jobs 4",
+            "{}: files diverged between --jobs 1 and --jobs 4",
             s.report.id
         );
     }

@@ -54,10 +54,8 @@ impl Algorithm {
 pub enum Broadcaster {
     /// Plain or reliable — the context knows.
     Oc(OcBcast),
-    TwoSided {
-        comm: RcceComm,
-        alg: Algorithm,
-    },
+    Binomial(RcceComm),
+    ScatterAllgather(RcceComm),
     OneSidedSag(RmaSag),
     ReliableBinomial(ReliableBinomial),
 }
@@ -99,11 +97,12 @@ impl Broadcaster {
     ) -> Result<Broadcaster, MpbExhausted> {
         match alg {
             Algorithm::OcBcast(cfg) => Ok(Broadcaster::Oc(OcBcast::new(alloc, cfg)?)),
+            Algorithm::Binomial => Ok(Broadcaster::Binomial(RcceComm::new(alloc, num_cores)?)),
+            Algorithm::ScatterAllgather => {
+                Ok(Broadcaster::ScatterAllgather(RcceComm::new(alloc, num_cores)?))
+            }
             Algorithm::RmaScatterAllgather => {
                 Ok(Broadcaster::OneSidedSag(RmaSag::new(alloc, num_cores)?))
-            }
-            other => {
-                Ok(Broadcaster::TwoSided { comm: RcceComm::new(alloc, num_cores)?, alg: other })
             }
         }
     }
@@ -135,7 +134,9 @@ impl Broadcaster {
     pub fn release(self, alloc: &mut MpbAllocator) {
         match self {
             Broadcaster::Oc(oc) => oc.release(alloc),
-            Broadcaster::TwoSided { comm, .. } => comm.release(alloc),
+            Broadcaster::Binomial(comm) | Broadcaster::ScatterAllgather(comm) => {
+                comm.release(alloc)
+            }
             Broadcaster::OneSidedSag(sag) => sag.release(alloc),
             Broadcaster::ReliableBinomial(rb) => rb.release(alloc),
         }
@@ -147,7 +148,9 @@ impl Broadcaster {
         match self {
             Broadcaster::Oc(oc) => oc.rel_stats().unwrap_or_default(),
             Broadcaster::ReliableBinomial(rb) => rb.stats(),
-            Broadcaster::TwoSided { .. } | Broadcaster::OneSidedSag(_) => RelStats::default(),
+            Broadcaster::Binomial(_)
+            | Broadcaster::ScatterAllgather(_)
+            | Broadcaster::OneSidedSag(_) => RelStats::default(),
         }
     }
 
@@ -156,13 +159,8 @@ impl Broadcaster {
     pub fn bcast<R: Rma>(&mut self, c: &mut R, root: CoreId, msg: MemRange) -> RmaResult<()> {
         match self {
             Broadcaster::Oc(oc) => oc.bcast(c, root, msg),
-            Broadcaster::TwoSided { comm, alg } => match alg {
-                Algorithm::Binomial => binomial_bcast(c, comm, root, msg),
-                Algorithm::ScatterAllgather => scatter_allgather_bcast(c, comm, root, msg),
-                Algorithm::OcBcast(_) | Algorithm::RmaScatterAllgather => {
-                    unreachable!("held by dedicated variants")
-                }
-            },
+            Broadcaster::Binomial(comm) => binomial_bcast(c, comm, root, msg),
+            Broadcaster::ScatterAllgather(comm) => scatter_allgather_bcast(c, comm, root, msg),
             Broadcaster::OneSidedSag(sag) => sag.bcast(c, root, msg),
             Broadcaster::ReliableBinomial(rb) => rb.bcast(c, root, msg),
         }

@@ -1,5 +1,5 @@
 //! Causal-audit results: the structured record behind
-//! `BENCH_audit.json` and `results/AUDIT.md`.
+//! `BENCH_audit.json`.
 //!
 //! One [`AuditScenario`] per recorded protocol run the `audit`
 //! experiment re-audited: the happens-before graph size, how many
@@ -12,7 +12,6 @@
 //! byte-identical across hosts and `--jobs` settings.
 
 use crate::artifact::{record, Hex64};
-use std::fmt::Write as _;
 
 record! {
     /// One seeded mutation trial of the non-vacuity harness.
@@ -61,63 +60,6 @@ impl AuditScenario {
     pub fn mutations_all_caught(&self) -> bool {
         self.mutations.iter().all(|m| m.detected && m.classified)
     }
-}
-
-/// The human digest (`results/AUDIT.md`): one row per audited
-/// scenario, then the mutation-detection matrix.
-pub fn render_audit_markdown(scenarios: &[AuditScenario]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "# Causal trace audit\n");
-    let _ = writeln!(
-        out,
-        "Every recorded protocol run re-checked against the \
-         happens-before invariants (span nesting, park/wake pairing, \
-         per-flag-line protocol state machines, delivery windows, \
-         acyclicity, commit/fault accounting). `checks` counts the \
-         invariant instances examined; a healthy run has zero \
-         violations. The mutation matrix seeds one corruption of each \
-         class into the same streams and requires the auditor to catch \
-         it *and* name the right violation class — proof the checks \
-         are not vacuous."
-    );
-    let _ = writeln!(out, "\n## Audited scenarios\n");
-    let _ = writeln!(out, "| scenario | cores | events | edges | checks | violations | classes |");
-    let _ = writeln!(out, "|---|---:|---:|---:|---:|---:|---|");
-    for s in scenarios {
-        let _ = writeln!(
-            out,
-            "| `{}` ({}) | {} | {} | {} | {} | {} | {} |",
-            s.id,
-            s.label,
-            s.cores,
-            s.events,
-            s.edges,
-            s.checks,
-            s.violations,
-            if s.classes.is_empty() { "—".to_string() } else { s.classes.join(", ") },
-        );
-    }
-    let with_muts: Vec<&AuditScenario> =
-        scenarios.iter().filter(|s| !s.mutations.is_empty()).collect();
-    if !with_muts.is_empty() {
-        let _ = writeln!(out, "\n## Mutation-detection matrix\n");
-        let _ = writeln!(out, "| scenario | mutation | seed | detected | classified |");
-        let _ = writeln!(out, "|---|---|---:|---|---|");
-        for s in with_muts {
-            for m in &s.mutations {
-                let _ = writeln!(
-                    out,
-                    "| `{}` | {} | {:#x} | {} | {} |",
-                    s.id,
-                    m.mutation,
-                    m.seed.0,
-                    if m.detected { "yes" } else { "**MISSED**" },
-                    if m.classified { "yes" } else { "**WRONG CLASS**" },
-                );
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -179,17 +121,5 @@ mod tests {
         // The second trial was detected but misclassified.
         assert!(!s[0].mutations_all_caught());
         assert!(s[1].mutations_all_caught(), "vacuously true with no trials");
-    }
-
-    #[test]
-    fn markdown_digest_lists_scenarios_and_matrix() {
-        let md = render_audit_markdown(&sample());
-        assert!(md.contains("# Causal trace audit"));
-        assert!(md.contains("| `oc_k7_plain` (k=7 48c 96cl) | 48 | 19752 |"));
-        assert!(md.contains("| `binomial_faulted`"), "{md}");
-        assert!(md.contains("lost-wakeup"));
-        assert!(md.contains("## Mutation-detection matrix"));
-        assert!(md.contains("| `oc_k7_plain` | drop-wake | 0x7 | yes | yes |"));
-        assert!(md.contains("**WRONG CLASS**"));
     }
 }

@@ -1,5 +1,5 @@
 //! Degradation curves under injected faults: the structured record
-//! behind `BENCH_faults.json` and `results/FAULTS.md`.
+//! behind `BENCH_faults.json`.
 //!
 //! One [`FaultCurve`] per broadcast scenario, one [`FaultPoint`] per
 //! injected fault rate: how the *reliable* collectives' delivered
@@ -13,7 +13,6 @@
 
 use crate::artifact::record;
 use scc_hal::Time;
-use std::fmt::Write as _;
 
 record! {
     /// One operating point of one scenario: a fault rate and what the
@@ -59,50 +58,6 @@ record! {
         pub cores: u64 => "cores",
         pub points: Vec<FaultPoint> => "points",
     }
-}
-
-/// The human digest (`results/FAULTS.md`): one degradation table per
-/// scenario, delivered latency and recovery work vs injected rate.
-pub fn render_faults_markdown(curves: &[FaultCurve]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "# Degradation under injected faults\n");
-    let _ = writeln!(
-        out,
-        "Reliable broadcasts (timeout/retry/ack) under the deterministic \
-         fault plan: remote notification flags dropped with probability \
-         `drop`, transfers delayed with probability `delay`. Every point \
-         delivers the verified payload to every destination; the table \
-         shows what that guarantee costs as the fault rate rises. \
-         Latencies are per-destination delivery times (virtual µs)."
-    );
-    for c in curves {
-        let _ = writeln!(out, "\n## {} (`{}`, {} cores)\n", c.label, c.id, c.cores);
-        let _ = writeln!(
-            out,
-            "| drop ppm | delay ppm | delivered | p50 µs | p99 µs | max µs | \
-             makespan µs | faults | timeouts | probes | recoveries | re-notifies |"
-        );
-        let _ = writeln!(out, "|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|");
-        for p in &c.points {
-            let _ = writeln!(
-                out,
-                "| {} | {} | {} | {:.3} | {:.3} | {:.3} | {:.3} | {} | {} | {} | {} | {} |",
-                p.drop_ppm,
-                p.delay_ppm,
-                p.delivered,
-                p.p50.as_us_f64(),
-                p.p99.as_us_f64(),
-                p.max.as_us_f64(),
-                p.makespan.as_us_f64(),
-                p.faults,
-                p.timeouts,
-                p.probes,
-                p.recoveries,
-                p.renotifies,
-            );
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -157,14 +112,5 @@ mod tests {
         let text = scenarios("faults", &sample()).render();
         assert_eq!(Json::parse(&text).unwrap().render(), text);
         assert!(text.contains("\"faults\":12"), "{text}");
-    }
-
-    #[test]
-    fn markdown_digest_lists_every_point() {
-        let md = render_faults_markdown(&sample());
-        assert!(md.contains("# Degradation under injected faults"));
-        assert!(md.contains("## k=7 48c 96cl (`oc_k7`, 48 cores)"));
-        assert!(md.contains("| 50000 | 25000 | 47 |"));
-        assert!(md.contains("binomial"));
     }
 }

@@ -57,26 +57,25 @@
 //!   router dwell, port service, flag notify, drain, …);
 //! * [`skew`] — the delivery-time distribution, straggler
 //!   identification, and per-leg root-cause attribution vs the median
-//!   journey (`results/SKEW.md`);
+//!   journey, rendered as the `<stem>_skew.md` digest of each soak
+//!   forensic dump;
 //! * [`movie`] — the link heatmap sliced into equal time frames, a
 //!   congestion timeline (`results/movie_*.txt`);
 //! * [`faultrep`] — degradation curves of the reliable collectives
-//!   under injected faults (`BENCH_faults.json`, `results/FAULTS.md`);
+//!   under injected faults (`BENCH_faults.json`);
 //! * [`sketch`] — fixed-cost, deterministic, exactly mergeable log₂
 //!   quantile sketches: the always-on telemetry that replaces full
 //!   event streams under sustained traffic;
 //! * [`slo`] — declarative per-protocol SLOs (latency/makespan
 //!   budgets, zero-recovery expectation) evaluated per epoch; breaches
 //!   trigger the flight recorder's forensic dumps;
-//! * [`soakrep`] — the soak rollup record (`BENCH_soak.json`,
-//!   `results/SOAK.md`, OpenMetrics `results/soak_metrics.txt`);
+//! * [`soakrep`] — the soak rollup record (`BENCH_soak.json`);
 //! * [`causal`] — the happens-before graph of a recorded stream
 //!   (program, notification and per-resource service edges, shortest
 //!   cycle witnesses);
 //! * [`mod@audit`] — the ten-class invariant auditor over that graph, with
 //!   non-vacuity counts and the seeded mutation harness;
-//! * [`auditrep`] — the audit outcome record (`BENCH_audit.json`,
-//!   `results/AUDIT.md`).
+//! * [`auditrep`] — the audit outcome record (`BENCH_audit.json`).
 //!
 //! The simulator (`scc-sim`) records into this crate's [`Recorder`];
 //! collectives annotate phases through `scc_hal::Rma::span_begin`; the
@@ -113,7 +112,7 @@ pub use artifact::{Hex64, Wire};
 pub use audit::{
     audit, mutate, AuditReport, AuditSpec, CheckStat, MutationClass, Violation, ViolationClass,
 };
-pub use auditrep::{render_audit_markdown, AuditScenario, MutationTrial};
+pub use auditrep::{AuditScenario, MutationTrial};
 pub use causal::{actor, CausalGraph, Edge, EdgeKind};
 pub use chrome::chrome_trace_json;
 pub use conformance::{
@@ -125,7 +124,7 @@ pub use critpath::{
 };
 pub use diff::{DiffCell, DiffReport, PhaseProfile};
 pub use event::{EventLog, FaultKind, FlightRecorder, ObsEvent, OpKind, Recorder, ResourceId};
-pub use faultrep::{render_faults_markdown, FaultCurve, FaultPoint};
+pub use faultrep::{FaultCurve, FaultPoint};
 pub use flame::flamegraph_collapsed;
 pub use heatmap::LinkHeatmap;
 pub use hist::{LatencyHistogram, RunHistograms};
@@ -138,6 +137,6 @@ pub use series::{UtilBucket, UtilizationSeries};
 pub use sketch::{QuantileSketch, SKETCH_BUCKETS};
 pub use skew::{render_skew_markdown, RecoveryCounters, SkewReport};
 pub use slo::{EpochRollup, SloBreach, SloKind, SloPolicy};
-pub use soakrep::{render_soak_markdown, render_soak_openmetrics, SoakPhase, SoakScenario};
+pub use soakrep::{SoakPhase, SoakScenario};
 pub use trace::{render_gantt, summarize, CoreSummary};
 pub use whatif::{CostClass, WhatIfPoint, WhatIfProfile};

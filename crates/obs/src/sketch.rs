@@ -85,10 +85,6 @@ impl QuantileSketch {
         self.total += 1;
     }
 
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
     /// Fold `other` in. Exact: the result is bit-identical to a sketch
     /// that recorded both streams in any order.
     pub fn merge(&mut self, other: &QuantileSketch) {
@@ -107,13 +103,13 @@ impl QuantileSketch {
         }
         let rank = ((q * self.total as f64).ceil() as u64).clamp(1, self.total);
         let mut seen = 0u64;
-        for (b, &n) in self.counts.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return Some(Self::bucket_upper(b));
-            }
-        }
-        unreachable!("total > 0 implies a bucket holds the rank");
+        self.counts
+            .iter()
+            .position(|&n| {
+                seen += n;
+                seen >= rank
+            })
+            .map(Self::bucket_upper)
     }
 
     /// [`Self::quantile_ps`] as a [`Time`].
@@ -175,7 +171,6 @@ mod tests {
     #[test]
     fn empty_sketch_has_no_quantiles() {
         let s = QuantileSketch::new();
-        assert_eq!(s.count(), 0);
         assert_eq!(s.quantile(0.5), None);
     }
 

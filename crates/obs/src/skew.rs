@@ -117,8 +117,9 @@ impl SkewReport {
     }
 }
 
-/// Render `results/SKEW.md`: one section per scenario, fully
-/// deterministic (virtual times only).
+/// Render the skew digest: one section per scenario, fully
+/// deterministic (virtual times only). Each soak forensic dump writes
+/// one as `<stem>_skew.md`.
 pub fn render_skew_markdown(reports: &[SkewReport]) -> String {
     let us = |t: Time| format!("{:.3}", t.as_us_f64());
     let mut out = String::from("# Delivery skew\n\n");

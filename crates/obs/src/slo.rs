@@ -135,24 +135,6 @@ record! {
     }
 }
 
-impl SloBreach {
-    /// Human one-liner for digests and dump inventories.
-    pub fn describe(&self) -> String {
-        match self.kind {
-            SloKind::Recovery => {
-                format!("epoch {}: {} recoveries (expected 0)", self.epoch, self.observed)
-            }
-            kind => format!(
-                "epoch {}: {} {:.3} us over budget {:.3} us",
-                self.epoch,
-                kind,
-                Time::from_ps(self.observed).as_us_f64(),
-                Time::from_ps(self.budget).as_us_f64(),
-            ),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,18 +206,5 @@ mod tests {
         for k in SloKind::ALL {
             assert_eq!(SloKind::ALL.iter().filter(|o| o.name() == k.name()).count(), 1);
         }
-    }
-
-    #[test]
-    fn describe_names_the_objective() {
-        let b = SloBreach {
-            epoch: 12,
-            kind: SloKind::DeliveryP99,
-            observed: 2_000_000,
-            budget: 1_000_000,
-        };
-        let s = b.describe();
-        assert!(s.contains("epoch 12"), "{s}");
-        assert!(s.contains("delivery-p99"), "{s}");
     }
 }

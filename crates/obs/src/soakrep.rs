@@ -1,6 +1,4 @@
-//! Soak rollups: the structured record behind `BENCH_soak.json`,
-//! `results/SOAK.md`, and the OpenMetrics exposition
-//! `results/soak_metrics.txt`.
+//! Soak rollups: the structured record behind `BENCH_soak.json`.
 //!
 //! A soak run reduces thousands of back-to-back broadcasts to a few
 //! [`SoakPhase`] rows per protocol: the phase's merged
@@ -14,7 +12,6 @@ use crate::artifact::record;
 use crate::sketch::QuantileSketch;
 use crate::slo::{SloBreach, SloPolicy};
 use scc_hal::Time;
-use std::fmt::Write as _;
 
 record! {
     /// One traffic phase of one protocol's soak: a contiguous run of
@@ -64,159 +61,6 @@ impl SoakScenario {
     pub fn epochs(&self) -> u64 {
         self.phases.iter().map(|p| p.epochs).sum()
     }
-
-    pub fn breaches(&self) -> usize {
-        self.phases.iter().map(|p| p.breaches.len()).sum()
-    }
-
-    pub fn dumps(&self) -> usize {
-        self.phases.iter().map(|p| p.dumps.len()).sum()
-    }
-}
-
-fn fmt_budget(t: Option<Time>) -> String {
-    match t {
-        Some(t) => format!("{:.3} µs", t.as_us_f64()),
-        None => "—".to_string(),
-    }
-}
-
-/// The human digest (`results/SOAK.md`): per-phase sketch quantiles,
-/// SLO verdicts, and the dump inventory.
-pub fn render_soak_markdown(scenarios: &[SoakScenario]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "# Soak: sustained broadcast traffic under SLO watchdogs\n");
-    let _ = writeln!(
-        out,
-        "Back-to-back reliable broadcasts through healthy and fault-plan \
-         phases. Latency quantiles come from the streaming log₂ sketches \
-         (upper-bound semantics: a reported quantile is at least the exact \
-         nearest-rank value and less than 2× it); an SLO breach freezes the \
-         flight-recorder ring and dumps forensics for just that window."
-    );
-    for s in scenarios {
-        let _ = writeln!(
-            out,
-            "\n## {} (`{}`, {} cores, {} epochs)\n",
-            s.label,
-            s.id,
-            s.cores,
-            s.epochs()
-        );
-        let _ = writeln!(
-            out,
-            "SLO: delivery p99 ≤ {}, makespan ≤ {}, zero recoveries {}.\n",
-            fmt_budget(s.policy.p99_budget),
-            fmt_budget(s.policy.makespan_budget),
-            if s.policy.zero_recoveries { "expected" } else { "not expected" },
-        );
-        let _ = writeln!(
-            out,
-            "| phase | drop ppm | epochs | p50 µs | p90 µs | p99 µs | p99.9 µs | \
-             makespan max µs | timeouts | recoveries | faults | breaches |"
-        );
-        let _ = writeln!(out, "|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|");
-        for p in &s.phases {
-            let q = |q: f64| {
-                p.sketch.quantile(q).map_or("—".to_string(), |t| format!("{:.3}", t.as_us_f64()))
-            };
-            let _ = writeln!(
-                out,
-                "| {} | {} | {} | {} | {} | {} | {} | {:.3} | {} | {} | {} | {} |",
-                p.id,
-                p.drop_ppm,
-                p.epochs,
-                q(0.50),
-                q(0.90),
-                q(0.99),
-                q(0.999),
-                p.makespan_max.as_us_f64(),
-                p.timeouts,
-                p.recoveries,
-                p.faults,
-                p.breaches.len(),
-            );
-        }
-        let breached: Vec<&SoakPhase> =
-            s.phases.iter().filter(|p| !p.breaches.is_empty()).collect();
-        if breached.is_empty() {
-            let _ = writeln!(out, "\nEvery epoch met every objective; no dumps written.");
-        } else {
-            let _ = writeln!(out, "\n### Breaches and dumps\n");
-            for p in breached {
-                for b in &p.breaches {
-                    let _ = writeln!(out, "- `{}/{}` {}", s.id, p.id, b.describe());
-                }
-                for d in &p.dumps {
-                    let _ = writeln!(out, "- dump: `{d}`");
-                }
-            }
-        }
-    }
-    out
-}
-
-/// The OpenMetrics-style text exposition (`results/soak_metrics.txt`):
-/// counters and quantile gauges labelled by scenario and phase,
-/// terminated by `# EOF`.
-pub fn render_soak_openmetrics(scenarios: &[SoakScenario]) -> String {
-    let mut out = String::new();
-    let mut line = |s: &str| {
-        out.push_str(s);
-        out.push('\n');
-    };
-    line("# TYPE scc_soak_epochs counter");
-    line("# HELP scc_soak_epochs Broadcast epochs completed in the phase.");
-    for s in scenarios {
-        for p in &s.phases {
-            line(&format!(
-                "scc_soak_epochs_total{{scenario=\"{}\",phase=\"{}\"}} {}",
-                s.id, p.id, p.epochs
-            ));
-        }
-    }
-    line("# TYPE scc_soak_delivery_latency_us summary");
-    line("# HELP scc_soak_delivery_latency_us Per-destination delivered latency (sketch upper bound).");
-    for s in scenarios {
-        for p in &s.phases {
-            for (q, tag) in [(0.50, "0.5"), (0.90, "0.9"), (0.99, "0.99"), (0.999, "0.999")] {
-                if let Some(t) = p.sketch.quantile(q) {
-                    line(&format!(
-                        "scc_soak_delivery_latency_us{{scenario=\"{}\",phase=\"{}\",quantile=\"{}\"}} {:.3}",
-                        s.id, p.id, tag, t.as_us_f64()
-                    ));
-                }
-            }
-            line(&format!(
-                "scc_soak_delivery_latency_us_count{{scenario=\"{}\",phase=\"{}\"}} {}",
-                s.id,
-                p.id,
-                p.sketch.count()
-            ));
-        }
-    }
-    for (name, help, get) in [
-        ("scc_soak_timeouts", "Reliability-layer timeouts.", 0usize),
-        ("scc_soak_recoveries", "Reliability-layer recoveries.", 1),
-        ("scc_soak_faults", "Faults injected by the plan.", 2),
-        ("scc_soak_slo_breaches", "SLO objectives breached.", 3),
-    ] {
-        line(&format!("# TYPE {name} counter"));
-        line(&format!("# HELP {name} {help}"));
-        for s in scenarios {
-            for p in &s.phases {
-                let v = match get {
-                    0 => p.timeouts,
-                    1 => p.recoveries,
-                    2 => p.faults,
-                    _ => p.breaches.len() as u64,
-                };
-                line(&format!("{name}_total{{scenario=\"{}\",phase=\"{}\"}} {v}", s.id, p.id));
-            }
-        }
-    }
-    line("# EOF");
-    out
 }
 
 #[cfg(test)]
@@ -285,32 +129,5 @@ mod tests {
         let text = scenarios("soak", &sample()).render();
         assert_eq!(Json::parse(&text).unwrap().render(), text);
         assert!(text.contains("\"kind\":\"recovery\""), "{text}");
-    }
-
-    #[test]
-    fn markdown_digest_covers_phases_and_dumps() {
-        let md = render_soak_markdown(&sample());
-        assert!(md.contains("# Soak"), "{md}");
-        assert!(md.contains("## k=7 48c 8cl (`oc_k7`, 48 cores, 200 epochs)"), "{md}");
-        assert!(md.contains("| healthy_a | 0 | 100 |"), "{md}");
-        assert!(md.contains("epoch 123: 7 recoveries (expected 0)"), "{md}");
-        assert!(md.contains("soak_dump_oc_k7_faults_0_trace.json"), "{md}");
-    }
-
-    #[test]
-    fn openmetrics_exposition_is_labelled_and_terminated() {
-        let txt = render_soak_openmetrics(&sample());
-        assert!(txt.ends_with("# EOF\n"), "{txt}");
-        assert!(
-            txt.contains("scc_soak_epochs_total{scenario=\"oc_k7\",phase=\"healthy_a\"} 100"),
-            "{txt}"
-        );
-        assert!(
-            txt.contains(
-                "scc_soak_delivery_latency_us{scenario=\"oc_k7\",phase=\"faults\",quantile=\"0.99\"}"
-            ),
-            "{txt}"
-        );
-        assert!(txt.contains("scc_soak_slo_breaches_total{scenario=\"oc_k7\",phase=\"faults\"} 1"));
     }
 }
