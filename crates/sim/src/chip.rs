@@ -193,91 +193,35 @@ pub struct SimStats {
     pub fault_lost: Time,
 }
 
-impl SimStats {
-    /// Stats with the per-resource vectors sized for the chip (24 tile
-    /// ports, 24 routers, 4 memory controllers).
-    pub fn sized() -> SimStats {
-        SimStats {
-            port_wait_by_tile: vec![Time::ZERO; 24],
-            port_busy_by_tile: vec![Time::ZERO; 24],
-            router_wait_by_tile: vec![Time::ZERO; 24],
-            router_busy_by_tile: vec![Time::ZERO; 24],
-            mc_wait_by_ctrl: vec![Time::ZERO; 4],
-            mc_busy_by_ctrl: vec![Time::ZERO; 4],
-            link_wait: vec![Time::ZERO; 24 * NUM_LINK_DIRS],
-            link_busy: vec![Time::ZERO; 24 * NUM_LINK_DIRS],
-            ..SimStats::default()
-        }
-    }
-
-    /// Recompute every coarser view from the accumulated partition:
-    /// per-tile router time from the tile's five links, and the scalar
-    /// totals from the per-resource vectors.
-    fn fold(&mut self) {
-        let sum = |v: &[Time]| v.iter().copied().sum::<Time>();
-        for (tile, links) in self.link_wait.chunks_exact(NUM_LINK_DIRS).enumerate() {
-            self.router_wait_by_tile[tile] = sum(links);
-        }
-        for (tile, links) in self.link_busy.chunks_exact(NUM_LINK_DIRS).enumerate() {
-            self.router_busy_by_tile[tile] = sum(links);
-        }
-        self.router_wait = sum(&self.router_wait_by_tile);
-        self.router_busy = sum(&self.router_busy_by_tile);
-        self.port_wait = sum(&self.port_wait_by_tile);
-        self.port_busy = sum(&self.port_busy_by_tile);
-        self.mc_wait = sum(&self.mc_wait_by_ctrl);
-        self.mc_busy = sum(&self.mc_busy_by_ctrl);
-    }
-}
-
-/// One router visit of a packet: the router's calendar to book and the
-/// directed output link (`tile * NUM_LINK_DIRS + dir`) the booking is
-/// attributed to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Hop {
-    router: u8,
-    link: u8,
-}
-
-impl Hop {
-    fn new(tile: Tile, dir: LinkDir) -> Hop {
-        Hop { router: tile.index() as u8, link: (tile.index() * NUM_LINK_DIRS + dir.index()) as u8 }
-    }
-
-    fn dir(self) -> LinkDir {
-        LinkDir::ALL[self.link as usize % NUM_LINK_DIRS]
-    }
-}
-
-/// The X-Y route of every ordered tile pair, flattened: the hops of
-/// `from -> to` are `hops[start[i]..start[i + 1]]` with
-/// `i = from * 24 + to`. Routing is static, so the table is built once
-/// per process and a packet walks a slice instead of re-deriving its
-/// route tile by tile.
+/// The X-Y route of every ordered tile pair, flattened: the routers of
+/// `from -> to` are `links[start[i]..start[i + 1]]` with
+/// `i = from * 24 + to`, each as the directed output link
+/// (`tile * NUM_LINK_DIRS + dir`) the router forwards the packet on.
+/// Routing is static, so the table is built once per process and a path
+/// copies a slice instead of re-deriving its route tile by tile.
 struct RouteTable {
-    hops: Vec<Hop>,
+    links: Vec<u8>,
     start: [u16; 24 * 24 + 1],
 }
 
 impl RouteTable {
     fn build() -> RouteTable {
-        let mut hops = Vec::new();
+        let mut links = Vec::new();
         let mut start = [0u16; 24 * 24 + 1];
         for from in 0..24u8 {
             for to in 0..24u8 {
                 let (a, b) = (Tile::from_index(from), Tile::from_index(to));
-                // The output link a router forwards the packet on: the
-                // next tile of the route, or local ejection at the
-                // destination.
+                // Each router's output link: towards the route's next
+                // tile, or local ejection at the destination.
                 let mut route = a.xy_route(b).peekable();
                 while let Some(tile) = route.next() {
                     let dir = route.peek().map_or(LinkDir::Eject, |&next| tile.dir_to(next));
-                    hops.push(Hop::new(tile, dir));
+                    links.push((tile.index() * NUM_LINK_DIRS + dir.index()) as u8);
                 }
-                start[from as usize * 24 + to as usize + 1] = hops.len() as u16;
+                start[from as usize * 24 + to as usize + 1] = links.len() as u16;
             }
         }
-        RouteTable { hops, start }
+        RouteTable { links, start }
     }
 
     fn get() -> &'static RouteTable {
@@ -285,10 +229,158 @@ impl RouteTable {
         TABLE.get_or_init(RouteTable::build)
     }
 
-    #[inline]
-    fn route(&self, from: Tile, to: Tile) -> &[Hop] {
+    /// The router stages of `from -> to`.
+    fn route(&self, p: &SimParams, from: Tile, to: Tile) -> impl Iterator<Item = Stage> + '_ {
         let i = from.index() * 24 + to.index();
-        &self.hops[self.start[i] as usize..self.start[i + 1] as usize]
+        let links = &self.links[self.start[i] as usize..self.start[i + 1] as usize];
+        let (occupancy, l_hop) = (p.router_occupancy, p.l_hop);
+        // Attributing a router's booking to its output link makes the five
+        // link rows of each tile an exact partition of its router's time.
+        links.iter().map(move |&link| {
+            Stage::new(link as usize / NUM_LINK_DIRS, link as usize, occupancy, l_hop)
+        })
+    }
+}
+
+/// The calendar table holds the 24 routers, then the 24 tile MPB ports
+/// (the two cores of a tile share the physical MPB, hence the port),
+/// then the 4 memory controllers. The counter rows, the finest grain
+/// [`SimStats`] reports, are the 120 directed mesh links, then the ports
+/// and the controllers in calendar order.
+const PORT_CALENDAR: usize = 24;
+const MC_CALENDAR: usize = 48;
+const PORT_ROW: usize = 24 * NUM_LINK_DIRS;
+const MC_ROW: usize = PORT_ROW + 24;
+/// Stages of the longest line: two legs of at most nine routers out,
+/// the port or controller, and at most nine routers back.
+const MAX_STAGES: usize = 2 * (9 + 1 + 9);
+
+/// One booking of a line: arrive `pre` after the previous stage passed
+/// the packet on, reserve `service` on `calendar`, charge the wait and
+/// the service to counter row `row`, and pass the packet on `post`
+/// after the service started. A leg of Section 3.1's
+/// `o_core + d·L_hop + service + d·L_hop` is a run of these: its first
+/// router has `o_core` as `pre`, each router passes on after `L_hop`,
+/// the port or controller after its service.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Stage {
+    calendar: u8,
+    row: u8,
+    pre: Time,
+    service: Time,
+    post: Time,
+}
+
+impl Stage {
+    const NONE: Stage = Stage::new(0, 0, Time::ZERO, Time::ZERO);
+
+    const fn new(calendar: usize, row: usize, service: Time, post: Time) -> Stage {
+        Stage { calendar: calendar as u8, row: row as u8, pre: Time::ZERO, service, post }
+    }
+
+    /// `service` at the MPB port of `tile`.
+    pub(crate) fn port(tile: Tile, service: Time) -> Stage {
+        Stage::new(PORT_CALENDAR + tile.index(), PORT_ROW + tile.index(), service, service)
+    }
+
+    /// `service` at memory controller `mc`.
+    pub(crate) fn mc(mc: MemController, service: Time) -> Stage {
+        Stage::new(MC_CALENDAR + mc.index(), MC_ROW + mc.index(), service, service)
+    }
+
+    /// What a recorded `Wait` names: the resource and, for a router,
+    /// the output link.
+    fn resource(self) -> (ResourceId, Option<LinkDir>) {
+        let c = self.calendar;
+        match c as usize {
+            i if i < PORT_CALENDAR => {
+                (ResourceId::Router(c), Some(LinkDir::ALL[self.row as usize % NUM_LINK_DIRS]))
+            }
+            i if i < MC_CALENDAR => (ResourceId::Port(c - PORT_CALENDAR as u8), None),
+            _ => (ResourceId::Mc(c - MC_CALENDAR as u8), None),
+        }
+    }
+}
+
+/// The stages of one line of one issuer, in booking order, and the key
+/// they were built for (see [`Chip::book_line`]). Stored inline, so all
+/// of a chip's paths are one allocation: a `Vec` per core fragmented the
+/// heap enough to raise a registry run's peak RSS by 2.6 MB.
+#[derive(Clone)]
+pub(crate) struct Path {
+    key: Option<u16>,
+    len: u8,
+    stages: [Stage; MAX_STAGES],
+}
+
+impl Path {
+    const EMPTY: Path = Path { key: None, len: 0, stages: [Stage::NONE; MAX_STAGES] };
+
+    fn extend(&mut self, stages: impl IntoIterator<Item = Stage>) {
+        for stage in stages {
+            self.stages[self.len as usize] = stage;
+            self.len += 1;
+        }
+    }
+
+    /// Append one leg from tile `from`: the core's `o_core`, the
+    /// request's route to tile `to`, the `serve` stage there, and the
+    /// response's route back.
+    pub(crate) fn leg(&mut self, p: &SimParams, o_core: Time, from: Tile, to: Tile, serve: Stage) {
+        let (routes, first) = (RouteTable::get(), self.len as usize);
+        self.extend(routes.route(p, from, to));
+        // A route holds at least the router of its own tile.
+        self.stages[first].pre = o_core;
+        self.extend([serve]);
+        self.extend(routes.route(p, to, from));
+    }
+}
+
+/// Queueing and service time booked on one link, port or controller.
+#[derive(Clone, Copy, Debug, Default)]
+struct Row {
+    wait: Time,
+    busy: Time,
+}
+
+/// Every contended resource of the chip: the calendar table and the
+/// counter rows, indexed as a [`Stage`] says.
+struct Resources {
+    calendars: Vec<Calendar>,
+    rows: Vec<Row>,
+    /// Lower bound on all future arrivals, advanced by the scheduler;
+    /// lets the calendars prune expired reservations.
+    prune_before: Time,
+}
+
+impl Resources {
+    /// Book `stages` in order for a packet of `issuer` handed to the
+    /// first one at `t`; returns when the last one passes it on. With a
+    /// recorder, each booking is recorded as a `Wait` as it is made.
+    #[inline]
+    fn book(
+        &mut self,
+        recorder: &mut Option<Box<dyn Recorder>>,
+        issuer: CoreId,
+        t: Time,
+        stages: &[Stage],
+    ) -> Time {
+        let (mut t, prune_before) = (t, self.prune_before);
+        for &stage in stages {
+            let (arrival, service) = (t + stage.pre, stage.service);
+            let calendar = &mut self.calendars[stage.calendar as usize];
+            let start = calendar.reserve(arrival, service, prune_before);
+            let row = &mut self.rows[stage.row as usize];
+            row.wait += start - arrival;
+            row.busy += service;
+            if let Some(r) = recorder.as_mut() {
+                let (resource, link) = stage.resource();
+                let end = start + service;
+                r.record(ObsEvent::Wait { core: issuer, resource, arrival, start, end, link });
+            }
+            t = start + stage.post;
+        }
+        t
     }
 }
 
@@ -310,20 +402,11 @@ pub struct Chip {
     /// Per core, the end of what the two private writers have written;
     /// past it private memory is still zero, as with `mpb_written`.
     private_written: Vec<usize>,
-    /// Reservation calendar per mesh router (one per tile, 24 entries).
-    routers: Vec<Calendar>,
-    /// Calendar per tile MPB port (the two cores of a tile share the
-    /// physical MPB, hence the port).
-    ports: Vec<Calendar>,
-    /// Calendar per memory controller.
-    mcs: Vec<Calendar>,
-    /// Lower bound on all future arrivals, advanced by the scheduler;
-    /// lets the calendars prune expired reservations.
-    prune_before: Time,
-    routes: &'static RouteTable,
-    /// The run's counters as accumulated so far: the per-link, per-port
-    /// and per-controller rows are live, the views folded from them are
-    /// not — read through [`Chip::stats`].
+    resources: Resources,
+    /// Per core, the path of its last line (see [`Chip::book_line`]).
+    paths: Vec<Path>,
+    /// The run's scalar counters as accumulated so far; the per-resource
+    /// views live in the counter rows — read through [`Chip::stats`].
     pub(crate) stats: SimStats,
     /// Structured event sink. `None` (the default) keeps the hot path
     /// at a single never-taken branch per booking — see the
@@ -354,12 +437,13 @@ impl Chip {
             mpb_written: vec![0; num_cores],
             private: (0..num_cores).map(|_| Vec::new()).collect(),
             private_written: vec![0; num_cores],
-            routers: vec![Calendar::default(); 24],
-            ports: vec![Calendar::default(); 24],
-            mcs: vec![Calendar::default(); 4],
-            prune_before: Time::ZERO,
-            routes: RouteTable::get(),
-            stats: SimStats::sized(),
+            resources: Resources {
+                calendars: vec![Calendar::default(); MC_CALENDAR + 4],
+                rows: vec![Row::default(); MC_ROW + 4],
+                prune_before: Time::ZERO,
+            },
+            paths: vec![Path::EMPTY; num_cores],
+            stats: SimStats::default(),
             recorder: None,
         }
     }
@@ -381,11 +465,14 @@ impl Chip {
             let end = std::mem::take(written).min(mem.len());
             mem[..end].fill(0);
         }
-        for calendar in chip.routers.iter_mut().chain(&mut chip.ports).chain(&mut chip.mcs) {
-            calendar.slots.clear();
-        }
-        let (prune_before, stats, recorder) = (Time::ZERO, SimStats::sized(), None);
-        Chip { params, mem_bytes, prune_before, stats, recorder, ..chip }
+        let resources = &mut chip.resources;
+        resources.calendars.iter_mut().for_each(|calendar| calendar.slots.clear());
+        resources.rows.fill(Row::default());
+        resources.prune_before = Time::ZERO;
+        // A path's times are the last run's parameters.
+        chip.paths.iter_mut().for_each(|path| path.key = None);
+        let (stats, recorder) = (SimStats::default(), None);
+        Chip { params, mem_bytes, stats, recorder, ..chip }
     }
 
     /// Keep this finished run's chip for the thread's next
@@ -403,19 +490,46 @@ impl Chip {
     /// Advance the pruning horizon (called by the scheduler with its
     /// event clock; all future arrivals are at or after it).
     pub fn set_prune_horizon(&mut self, now: Time) {
-        self.prune_before = now;
+        self.resources.prune_before = now;
     }
 
     pub fn mem_bytes(&self) -> usize {
         self.mem_bytes
     }
 
-    /// The counters so far, with the per-tile router rows and the scalar
-    /// totals folded from the accumulated partition (see [`SimStats`]).
+    /// The counters so far: the scalar ones as accumulated, the
+    /// per-link, per-port and per-controller views read off the counter
+    /// rows, and the per-tile router views and the time totals folded
+    /// from those (see [`SimStats`]).
     pub fn stats(&self) -> SimStats {
-        let mut stats = self.stats.clone();
-        stats.fold();
-        stats
+        let sum = |v: &[Time]| v.iter().copied().sum::<Time>();
+        let wait = |rows: &[Row]| rows.iter().map(|r| r.wait).collect::<Vec<_>>();
+        let busy = |rows: &[Row]| rows.iter().map(|r| r.busy).collect::<Vec<_>>();
+        let by_tile = |links: &[Time]| links.chunks_exact(NUM_LINK_DIRS).map(sum).collect();
+        let rows = &self.resources.rows;
+        let (links, ports, mcs) = (&rows[..PORT_ROW], &rows[PORT_ROW..MC_ROW], &rows[MC_ROW..]);
+        let (link_wait, link_busy) = (wait(links), busy(links));
+        let (router_wait_by_tile, router_busy_by_tile): (Vec<Time>, Vec<Time>) =
+            (by_tile(&link_wait), by_tile(&link_busy));
+        let (port_wait_by_tile, port_busy_by_tile) = (wait(ports), busy(ports));
+        let (mc_wait_by_ctrl, mc_busy_by_ctrl) = (wait(mcs), busy(mcs));
+        SimStats {
+            port_wait: sum(&port_wait_by_tile),
+            router_wait: sum(&link_wait),
+            mc_wait: sum(&mc_wait_by_ctrl),
+            port_busy: sum(&port_busy_by_tile),
+            router_busy: sum(&link_busy),
+            mc_busy: sum(&mc_busy_by_ctrl),
+            port_wait_by_tile,
+            port_busy_by_tile,
+            router_wait_by_tile,
+            router_busy_by_tile,
+            mc_wait_by_ctrl,
+            mc_busy_by_ctrl,
+            link_wait,
+            link_busy,
+            ..self.stats.clone()
+        }
     }
 
     // ---- byte storage -------------------------------------------------
@@ -505,33 +619,36 @@ impl Chip {
 
     // ---- timed resources ----------------------------------------------
 
+    /// Book one cache line of `issuer` starting at `t` and return its
+    /// completion. The line walks the issuer's cached path, which
+    /// `build` first rebuilds when it was built for another `key`: the
+    /// key must name everything the stages depend on but the run's
+    /// [`SimParams`] (a lease drops every path, as parameters may
+    /// differ between runs).
+    pub(crate) fn book_line(
+        &mut self,
+        issuer: CoreId,
+        key: u16,
+        t: Time,
+        build: impl FnOnce(&mut Path, &SimParams),
+    ) -> Time {
+        let path = &mut self.paths[issuer.index()];
+        if path.key != Some(key) {
+            path.len = 0;
+            build(path, &self.params);
+            path.key = Some(key);
+        }
+        self.resources.book(&mut self.recorder, issuer, t, &path.stages[..path.len as usize])
+    }
+
     /// Send one packet of `issuer` from tile `from` to tile `to`
     /// starting at `t`; returns the arrival time at the destination
     /// router. Charges `L_hop` per router traversed and reserves each
     /// router for `router_occupancy` (virtual cut-through pipelining).
     pub fn traverse(&mut self, issuer: CoreId, t: Time, from: Tile, to: Tile) -> Time {
-        let occupancy = self.params.router_occupancy;
-        let l_hop = self.params.l_hop;
         let mut t = t;
-        for &hop in self.routes.route(from, to) {
-            let router = hop.router as usize;
-            let start = self.routers[router].reserve(t, occupancy, self.prune_before);
-            // Attributing the router's booking to its output link makes
-            // the five per-link counters of each tile an exact partition
-            // of the per-tile router aggregates.
-            self.stats.link_wait[hop.link as usize] += start - t;
-            self.stats.link_busy[hop.link as usize] += occupancy;
-            if let Some(r) = self.recorder.as_mut() {
-                r.record(ObsEvent::Wait {
-                    core: issuer,
-                    resource: ResourceId::Router(hop.router),
-                    arrival: t,
-                    start,
-                    end: start + occupancy,
-                    link: Some(hop.dir()),
-                });
-            }
-            t = start + l_hop;
+        for stage in RouteTable::get().route(&self.params, from, to) {
+            t = self.resources.book(&mut self.recorder, issuer, t, &[stage]);
         }
         t
     }
@@ -539,50 +656,15 @@ impl Chip {
     /// Occupy the MPB port of `tile` for a read on behalf of `issuer`;
     /// returns the service completion time.
     pub fn port_read(&mut self, issuer: CoreId, t: Time, tile: Tile) -> Time {
-        let service = self.params.mpb_port_read;
-        self.use_port(issuer, t, tile, service)
-    }
-
-    /// Occupy the MPB port of `tile` for a write.
-    pub fn port_write(&mut self, issuer: CoreId, t: Time, tile: Tile) -> Time {
-        let service = self.params.mpb_port_write;
-        self.use_port(issuer, t, tile, service)
-    }
-
-    fn use_port(&mut self, issuer: CoreId, t: Time, tile: Tile, service: Time) -> Time {
-        let start = self.ports[tile.index()].reserve(t, service, self.prune_before);
-        self.stats.port_wait_by_tile[tile.index()] += start - t;
-        self.stats.port_busy_by_tile[tile.index()] += service;
-        if let Some(r) = self.recorder.as_mut() {
-            r.record(ObsEvent::Wait {
-                core: issuer,
-                resource: ResourceId::Port(tile.index() as u8),
-                arrival: t,
-                start,
-                end: start + service,
-                link: None,
-            });
-        }
-        start + service
+        let stage = Stage::port(tile, self.params.mpb_port_read);
+        self.resources.book(&mut self.recorder, issuer, t, &[stage])
     }
 
     /// Occupy a memory controller for one line read/write.
     pub fn mc_service(&mut self, issuer: CoreId, t: Time, mc: MemController, write: bool) -> Time {
         let service = if write { self.params.mc_write } else { self.params.mc_read };
-        let start = self.mcs[mc.index()].reserve(t, service, self.prune_before);
-        self.stats.mc_wait_by_ctrl[mc.index()] += start - t;
-        self.stats.mc_busy_by_ctrl[mc.index()] += service;
-        if let Some(r) = self.recorder.as_mut() {
-            r.record(ObsEvent::Wait {
-                core: issuer,
-                resource: ResourceId::Mc(mc.index() as u8),
-                arrival: t,
-                start,
-                end: start + service,
-                link: None,
-            });
-        }
-        start + service
+        let stage = Stage::mc(mc, service);
+        self.resources.book(&mut self.recorder, issuer, t, &[stage])
     }
 }
 
@@ -711,25 +793,23 @@ mod tests {
 
     #[test]
     fn route_table_is_xy_route_with_output_links() {
-        let table = RouteTable::get();
+        let (table, p) = (RouteTable::get(), SimParams::default());
         for from in (0..24).map(Tile::from_index) {
             for to in (0..24).map(Tile::from_index) {
                 let tiles: Vec<Tile> = from.xy_route(to).collect();
-                let expect: Vec<Hop> = tiles
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &tile)| {
-                        let next = tiles.get(i + 1);
-                        Hop::new(tile, next.map_or(LinkDir::Eject, |&next| tile.dir_to(next)))
-                    })
-                    .collect();
-                assert_eq!(table.route(from, to), expect, "{from} -> {to}");
-                for (hop, &tile) in expect.iter().zip(&tiles) {
-                    assert_eq!(hop.router as usize, tile.index());
-                    assert_eq!(hop.link as usize / NUM_LINK_DIRS, tile.index());
+                let stages: Vec<Stage> = table.route(&p, from, to).collect();
+                assert_eq!(stages.len(), from.routing_distance(to) as usize, "{from} -> {to}");
+                for (i, (&stage, &tile)) in stages.iter().zip(&tiles).enumerate() {
+                    let next = tiles.get(i + 1);
+                    let dir = next.map_or(LinkDir::Eject, |&next| tile.dir_to(next));
+                    let link = tile.index() * NUM_LINK_DIRS + dir.index();
+                    let expect = Stage::new(tile.index(), link, p.router_occupancy, p.l_hop);
+                    assert_eq!(stage, expect, "{from} -> {to}");
+                    assert_eq!(
+                        stage.resource(),
+                        (ResourceId::Router(tile.index() as u8), Some(dir))
+                    );
                 }
-                assert_eq!(expect.len(), from.routing_distance(to) as usize);
-                assert_eq!(expect.last().map(|h| h.dir()), Some(LinkDir::Eject));
             }
         }
     }

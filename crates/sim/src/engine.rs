@@ -390,8 +390,8 @@ impl Engine {
                     return Advanced::Woken(i, wake);
                 }
                 EventKind::Step(i) => {
-                    if let Some(wake) = self.step(i) {
-                        return Advanced::Woken(i, wake);
+                    if let Some(advanced) = self.step(i) {
+                        return advanced;
                     }
                 }
                 EventKind::Timeout(i, token) => {
@@ -419,8 +419,9 @@ impl Engine {
 
     /// Process a `Step` event for core `i`, coalescing subsequent line
     /// steps while no other queued event can precede them. Returns the
-    /// wake once the whole op completed, `None` if the next line went
-    /// back to the heap.
+    /// core's wake once the whole op completed, `None` if the next line
+    /// went back to the heap, and a fatal end for a step of a core with
+    /// no op pending.
     ///
     /// Invariant: a coalesced step is taken only when the just-computed
     /// line completion is *strictly earlier* than the heap minimum. The
@@ -429,11 +430,9 @@ impl Engine {
     /// is exactly what popping from the heap would have done. Elided
     /// pops still increment `stats.events`; only `stats.heap_pushes`
     /// and `stats.coalesced_steps` reveal which path executed.
-    fn step(&mut self, i: usize) -> Option<Wake> {
+    fn step(&mut self, i: usize) -> Option<Advanced> {
         loop {
-            let p = self.pending[i].as_mut().expect("Step without a pending op");
-            if p.remaining == 0 {
-                let done = self.pending[i].take().expect("pending vanished");
+            if let Some(done) = self.pending[i].take_if(|p| p.remaining == 0) {
                 self.record(ObsEvent::Op {
                     core: CoreId(i as u8),
                     kind: ops::op_kind(&done.op),
@@ -442,8 +441,11 @@ impl Engine {
                     end: self.now,
                     msg: done.msg,
                 });
-                return Some(self.apply_op(i, &done.op));
+                return Some(Advanced::Woken(i, self.apply_op(i, &done.op)));
             }
+            let Some(p) = self.pending[i].as_mut() else {
+                return Some(Advanced::Fatal(format!("core {i} stepped without a pending op")));
+            };
             p.remaining -= 1;
             let mut line_done =
                 ops::simulate_line(&mut self.chip, CoreId(i as u8), &p.op, self.now);

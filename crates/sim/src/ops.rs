@@ -10,7 +10,8 @@
 //! single memory transaction at a time, the `m` lines of an operation
 //! are strictly sequential.
 
-use crate::chip::Chip;
+use crate::chip::{Chip, Path, Stage};
+use crate::params::SimParams;
 use scc_hal::{
     CoreId, FlagValue, MemRange, MpbAddr, RmaError, RmaResult, Time, CACHE_LINE_BYTES,
     MPB_LINES_PER_CORE,
@@ -130,41 +131,60 @@ fn check_core(chip: &Chip, core: CoreId) -> RmaResult<()> {
     Ok(())
 }
 
-// ---- per-line timed primitives ---------------------------------------
+// ---- per-line path builders -----------------------------------------
 
-/// One cache-line read of `owner`'s MPB by `issuer`, starting at `t`.
-fn mpb_read_line(chip: &mut Chip, t: Time, issuer: CoreId, owner: CoreId) -> Time {
-    let t = t + chip.params.o_core_mpb_read;
-    let t = chip.traverse(issuer, t, issuer.tile(), owner.tile());
-    let t = chip.port_read(issuer, t, owner.tile());
-    chip.traverse(issuer, t, owner.tile(), issuer.tile())
+/// One cache-line read of `owner`'s MPB by `issuer`.
+fn mpb_read_line(path: &mut Path, p: &SimParams, issuer: CoreId, owner: CoreId) {
+    let port = Stage::port(owner.tile(), p.mpb_port_read);
+    path.leg(p, p.o_core_mpb_read, issuer.tile(), owner.tile(), port);
 }
 
 /// One cache-line write into `owner`'s MPB by `issuer` (completion
 /// includes the acknowledgment's way back).
-fn mpb_write_line(chip: &mut Chip, t: Time, issuer: CoreId, owner: CoreId) -> Time {
-    let t = t + chip.params.o_core_mpb_write;
-    let t = chip.traverse(issuer, t, issuer.tile(), owner.tile());
-    let t = chip.port_write(issuer, t, owner.tile());
-    chip.traverse(issuer, t, owner.tile(), issuer.tile())
+fn mpb_write_line(path: &mut Path, p: &SimParams, issuer: CoreId, owner: CoreId) {
+    let port = Stage::port(owner.tile(), p.mpb_port_write);
+    path.leg(p, p.o_core_mpb_write, issuer.tile(), owner.tile(), port);
 }
 
 /// One cache-line read from the issuer's private off-chip memory.
-fn mem_read_line(chip: &mut Chip, t: Time, issuer: CoreId) -> Time {
+fn mem_read_line(path: &mut Path, p: &SimParams, issuer: CoreId) {
     let mc = issuer.memory_controller();
-    let t = t + chip.params.o_core_mem_read;
-    let t = chip.traverse(issuer, t, issuer.tile(), mc.attach_tile());
-    let t = chip.mc_service(issuer, t, mc, false);
-    chip.traverse(issuer, t, mc.attach_tile(), issuer.tile())
+    path.leg(p, p.o_core_mem_read, issuer.tile(), mc.attach_tile(), Stage::mc(mc, p.mc_read));
 }
 
 /// One cache-line write into the issuer's private off-chip memory.
-fn mem_write_line(chip: &mut Chip, t: Time, issuer: CoreId) -> Time {
+fn mem_write_line(path: &mut Path, p: &SimParams, issuer: CoreId) {
     let mc = issuer.memory_controller();
-    let t = t + chip.params.o_core_mem_write;
-    let t = chip.traverse(issuer, t, issuer.tile(), mc.attach_tile());
-    let t = chip.mc_service(issuer, t, mc, true);
-    chip.traverse(issuer, t, mc.attach_tile(), issuer.tile())
+    path.leg(p, p.o_core_mem_write, issuer.tile(), mc.attach_tile(), Stage::mc(mc, p.mc_write));
+}
+
+/// Append the stages of one line of `op` to `path`.
+fn line_path(path: &mut Path, p: &SimParams, issuer: CoreId, op: &Op) {
+    match op {
+        Op::PutFromMem { dst, cached, .. } => {
+            // With the source hot in L1 the read is free (Section 5.2.2).
+            if !cached {
+                mem_read_line(path, p, issuer);
+            }
+            mpb_write_line(path, p, issuer, dst.core);
+        }
+        // A flag put is modelled like a 1-line put from the issuer's
+        // MPB: value marshalling costs one local line read, the deposit
+        // one remote line write (matches C^mpb_put(1, d)).
+        Op::PutFromMpb { dst, .. } | Op::FlagPut { dst, .. } => {
+            mpb_read_line(path, p, issuer, issuer);
+            mpb_write_line(path, p, issuer, dst.core);
+        }
+        Op::GetToMem { src, .. } => {
+            mpb_read_line(path, p, issuer, src.core);
+            mem_write_line(path, p, issuer);
+        }
+        Op::GetToMpb { src, .. } => {
+            mpb_read_line(path, p, issuer, src.core);
+            mpb_write_line(path, p, issuer, issuer);
+        }
+        Op::ReadLine { .. } => mpb_read_line(path, p, issuer, issuer),
+    }
 }
 
 /// Coarse classification of an op for traces and event streams.
@@ -210,34 +230,21 @@ pub fn op_overhead(chip: &Chip, op: &Op) -> Time {
 /// completes). Stepping — rather than reserving all `m` lines at issue
 /// time — is what lets concurrent operations interleave at a contended
 /// MPB port instead of serializing wholesale.
+///
+/// Consecutive lines of one issuer mostly take one path — the lines of
+/// one op always do — so the issuer's path is built once per op kind,
+/// cached flag and peer core, and every line just books it.
 pub fn simulate_line(chip: &mut Chip, issuer: CoreId, op: &Op, t: Time) -> Time {
     chip.stats.lines_moved += 1;
-    match op {
-        Op::PutFromMem { dst, cached, .. } => {
-            let t = if *cached { t } else { mem_read_line(chip, t, issuer) };
-            mpb_write_line(chip, t, issuer, dst.core)
-        }
-        Op::PutFromMpb { dst, .. } => {
-            let t = mpb_read_line(chip, t, issuer, issuer);
-            mpb_write_line(chip, t, issuer, dst.core)
-        }
-        Op::GetToMem { src, .. } => {
-            let t = mpb_read_line(chip, t, issuer, src.core);
-            mem_write_line(chip, t, issuer)
-        }
-        Op::GetToMpb { src, .. } => {
-            let t = mpb_read_line(chip, t, issuer, src.core);
-            mpb_write_line(chip, t, issuer, issuer)
-        }
-        // A flag put is modelled like a 1-line put from the issuer's
-        // MPB: value marshalling costs one local line read, the deposit
-        // one remote line write (matches C^mpb_put(1, d)).
-        Op::FlagPut { dst, .. } => {
-            let t = mpb_read_line(chip, t, issuer, issuer);
-            mpb_write_line(chip, t, issuer, dst.core)
-        }
-        Op::ReadLine { .. } => mpb_read_line(chip, t, issuer, issuer),
-    }
+    // All a line's stages depend on besides the run's parameters.
+    let (cached, peer) = match op {
+        Op::PutFromMem { dst, cached, .. } => (*cached, dst.core),
+        Op::PutFromMpb { dst, .. } | Op::FlagPut { dst, .. } => (false, dst.core),
+        Op::GetToMem { src, .. } | Op::GetToMpb { src, .. } => (false, src.core),
+        Op::ReadLine { .. } => (false, issuer),
+    };
+    let key = (op_kind(op) as u16) << 9 | (cached as u16) << 8 | peer.0 as u16;
+    chip.book_line(issuer, key, t, |path, p| line_path(path, p, issuer, op))
 }
 
 /// Apply the memory effects of a completed op and say what they were.
@@ -293,7 +300,6 @@ pub fn apply(chip: &mut Chip, issuer: CoreId, op: &Op) -> Effect {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::SimParams;
 
     fn fixture() -> Chip {
         Chip::new(SimParams::default(), 48, 64 * 1024)

@@ -69,22 +69,23 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// The benchmark closure's shape — `MpbAllocator::new`,
-/// `Broadcaster::new`, the root's `mem_write`, `calls` broadcasts of one
-/// cache line, `mem_to_vec` — run three times on a fresh host thread;
-/// returns what the third run allocated. Two runs bring every growable
+/// `Broadcaster::new`, the root's `mem_write`, `calls` broadcasts of
+/// `lines` cache lines, `mem_to_vec` — run three times on a fresh host
+/// thread; returns what the third run allocated. Two runs bring every growable
 /// store to its steady size: the second still finds the odd calendar
 /// full at a different moment than the first did, the third no longer.
-fn warm_allocs(num_cores: usize, alg: Algorithm, calls: usize) -> Allocs {
+fn warm_allocs(num_cores: usize, alg: Algorithm, calls: usize, lines: usize) -> Allocs {
     let measure = move || {
         let cfg = SimConfig { num_cores, mem_bytes: 1 << 18, ..SimConfig::default() };
-        let (root, payload) = (CoreId(num_cores as u8 / 2), [0x5Au8; 32]);
+        let (root, payload) = (CoreId(num_cores as u8 / 2), [0x5Au8; 96 * 32]);
+        let payload = &payload[..lines * 32];
         let range = MemRange::new(0, payload.len());
         let run = || {
             let rep = run_spmd(&cfg, |c| -> RmaResult<bool> {
                 let mut alloc = MpbAllocator::new();
                 let mut b = Broadcaster::new(&mut alloc, alg, num_cores).expect("fits");
                 if c.core() == root {
-                    c.mem_write(0, &payload)?;
+                    c.mem_write(0, payload)?;
                 }
                 for _ in 0..calls {
                     b.bcast(c, root, range)?;
@@ -107,13 +108,26 @@ fn warm_allocs(num_cores: usize, alg: Algorithm, calls: usize) -> Allocs {
 #[test]
 fn warm_run_allocations_are_pinned() {
     let got = [
-        warm_allocs(48, Algorithm::oc_with_k(7), 1),
-        warm_allocs(48, Algorithm::Binomial, 1),
-        warm_allocs(6, Algorithm::oc_with_k(2), 1),
+        warm_allocs(48, Algorithm::oc_with_k(7), 1, 1),
+        warm_allocs(48, Algorithm::Binomial, 1, 1),
+        warm_allocs(6, Algorithm::oc_with_k(2), 1, 1),
     ];
     // 48-core OC k=7, 48-core binomial, 6-core OC k=2 (1 CL each).
-    assert_eq!(got.map(|a| a.count), [123, 148, 40]);
-    assert_eq!(got.map(|a| a.bytes), [26_016, 26_848, 9_968]);
+    assert_eq!(got.map(|a| a.count), [115, 140, 32]);
+    assert_eq!(got.map(|a| a.bytes), [23_256, 24_088, 7_208]);
+}
+
+#[test]
+fn warm_throughput_run_allocations_are_pinned() {
+    // 48-core OC k=7 and binomial at 96 CL: as many allocations as at
+    // 1 CL, so the lines themselves allocate nothing; the extra bytes are
+    // each core's `mem_to_vec` of the larger payload.
+    let got = [
+        warm_allocs(48, Algorithm::oc_with_k(7), 1, 96),
+        warm_allocs(48, Algorithm::Binomial, 1, 96),
+    ];
+    assert_eq!(got.map(|a| a.count), [115, 140]);
+    assert_eq!(got.map(|a| a.bytes), [169_176, 170_008]);
 }
 
 #[test]
@@ -123,6 +137,6 @@ fn oc_bcast_calls_allocate_nothing() {
     // one does, engine included, on any chip size.
     for (p, k) in [(48, 7), (48, 47), (6, 2)] {
         let alg = Algorithm::oc_with_k(k);
-        assert_eq!(warm_allocs(p, alg, 3), warm_allocs(p, alg, 1), "P={p} k={k}");
+        assert_eq!(warm_allocs(p, alg, 3, 1), warm_allocs(p, alg, 1, 1), "P={p} k={k}");
     }
 }

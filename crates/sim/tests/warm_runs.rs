@@ -1,9 +1,10 @@
 //! A warm chip leaves no trace. `run_spmd` resets the last finished
 //! run's chip on its host thread instead of building a new one, so
 //! every run here — interleaved on one thread across core counts,
-//! memory sizes, timing parameters, recording modes, a fault plan, a
-//! panicked, a deadlocked and a nested run — must report exactly what
-//! the same configuration reports as the first run of a fresh thread.
+//! memory sizes, timing parameters (of cached line paths too),
+//! recording modes, a fault plan, a panicked, a deadlocked and a nested
+//! run — must report exactly what the same configuration reports as the
+//! first run of a fresh thread.
 
 use oc_bcast::{Algorithm, Broadcaster, Reliability};
 use scc_hal::{CoreId, FlagValue, MemRange, MpbAddr, Rma, RmaExt, RmaResult, Time};
@@ -214,6 +215,15 @@ fn a_warm_chip_leaves_no_trace() {
         ..Case::bcast48()
     };
     let write_via = |w| Case::new(48, 1 << 14, Body::Write(w));
+    // Every core's flag puts take one cached path: the same path key as
+    // the run before it, under other timings.
+    let slow_hops = Case {
+        cfg: SimConfig {
+            params: SimParams::default().scaled(CostClass::RouterHop, 3.0),
+            ..write_via(Writer::Flags).cfg
+        },
+        body: Body::Write(Writer::Flags),
+    };
     let read = Case::new(48, 1 << 14, Body::ReadAll);
     let one_line = |mem_bytes| {
         let body = Body::Bcast { alg: oc(7), reliable: false, lines: 1, root: 0 };
@@ -235,6 +245,7 @@ fn a_warm_chip_leaves_no_trace() {
         Case::new(6, 4096, Body::Nested),
         Case::bcast48(),
         write_via(Writer::Flags),
+        slow_hops,
         read.clone(),
         write_via(Writer::FromMem),
         read.clone(),
