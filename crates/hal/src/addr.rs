@@ -3,6 +3,7 @@
 //! per-core private off-chip memory (byte addressed, only accessible by
 //! the owning core — Section 2.1).
 
+use crate::rma::{RmaError, RmaResult};
 use crate::topology::CoreId;
 use crate::units::{CACHE_LINE_BYTES, MPB_LINES_PER_CORE};
 use std::fmt;
@@ -45,6 +46,25 @@ impl MpbAddr {
     #[inline]
     pub fn fits(self, lines: usize) -> bool {
         self.line() + lines <= MPB_LINES_PER_CORE
+    }
+
+    /// Accept a transfer of `lines` lines at this address in a run of
+    /// `num_cores` cores: nonempty, inside the MPB, owned by a core of
+    /// the run.
+    pub fn check(self, lines: usize, num_cores: usize) -> RmaResult<()> {
+        if lines == 0 {
+            return Err(RmaError::EmptyTransfer);
+        }
+        if !self.fits(lines) {
+            return Err(RmaError::MpbOutOfRange { addr: self, lines });
+        }
+        if self.core.index() >= num_cores {
+            let core = self.core;
+            return Err(RmaError::Engine(format!(
+                "{core} is not part of this {num_cores}-core run"
+            )));
+        }
+        Ok(())
     }
 
     /// Byte offset of this line within the owning core's MPB region.
@@ -97,14 +117,27 @@ impl MemRange {
     /// Whether the range lies inside a memory of `mem_len` bytes.
     #[inline]
     pub fn fits(self, mem_len: usize) -> bool {
-        MemRange::bytes_fit(self.offset, self.len, mem_len)
+        MemRange::check_bytes(self.offset, self.len, mem_len).is_ok()
     }
 
-    /// Whether `len` bytes at `offset` (any alignment) lie inside a
-    /// memory of `mem_len` bytes; an end that overflows `usize` does not.
+    /// Accept a transfer of this range in a memory of `mem_len` bytes:
+    /// nonempty and inside it.
+    pub fn check(self, mem_len: usize) -> RmaResult<()> {
+        if self.len == 0 {
+            return Err(RmaError::EmptyTransfer);
+        }
+        MemRange::check_bytes(self.offset, self.len, mem_len)
+    }
+
+    /// Accept an access of `len` bytes at `offset` (any alignment) in a
+    /// memory of `mem_len` bytes: inside it, where an end that overflows
+    /// `usize` is not.
     #[inline]
-    pub fn bytes_fit(offset: usize, len: usize, mem_len: usize) -> bool {
-        offset.checked_add(len).is_some_and(|end| end <= mem_len)
+    pub fn check_bytes(offset: usize, len: usize, mem_len: usize) -> RmaResult<()> {
+        match offset.checked_add(len) {
+            Some(end) if end <= mem_len => Ok(()),
+            _ => Err(RmaError::MemOutOfRange { offset, len, mem_len }),
+        }
     }
 
     /// Number of cache lines the transfer of this range occupies.
@@ -164,7 +197,7 @@ mod tests {
         assert!(MemRange::new(128, 0).fits(128));
         // An end past `usize::MAX` fits nowhere (and must not wrap to 32).
         assert!(!MemRange::new(usize::MAX - 31, 64).fits(usize::MAX));
-        assert!(!MemRange::bytes_fit(usize::MAX, 2, usize::MAX));
+        assert!(MemRange::check_bytes(usize::MAX, 2, usize::MAX).is_err());
     }
 
     #[test]

@@ -63,36 +63,6 @@ pub struct RtCore {
 }
 
 impl RtCore {
-    fn check_mem(&self, range: MemRange) -> RmaResult<()> {
-        if range.len == 0 {
-            return Err(RmaError::EmptyTransfer);
-        }
-        if !range.fits(self.mem.len()) {
-            return Err(RmaError::MemOutOfRange {
-                offset: range.offset,
-                len: range.len,
-                mem_len: self.mem.len(),
-            });
-        }
-        Ok(())
-    }
-
-    fn check_mpb(&self, addr: MpbAddr, lines: usize) -> RmaResult<()> {
-        if lines == 0 {
-            return Err(RmaError::EmptyTransfer);
-        }
-        if !addr.fits(lines) {
-            return Err(RmaError::MpbOutOfRange { addr, lines });
-        }
-        if addr.core.index() >= self.num_cores {
-            return Err(RmaError::Engine(format!(
-                "{} is not part of this {}-core run",
-                addr.core, self.num_cores
-            )));
-        }
-        Ok(())
-    }
-
     /// The one flag-wait loop: poll, bail out if a peer died, give up
     /// at the deadline if there is one, else yield and poll again.
     fn wait(
@@ -101,7 +71,7 @@ impl RtCore {
         pred: &mut dyn FnMut(FlagValue) -> bool,
         deadline: Option<Time>,
     ) -> RmaResult<FlagValue> {
-        self.check_mpb(MpbAddr::new(self.id, line.min(MPB_LINES_PER_CORE - 1)), 1)?;
+        MpbAddr::new(self.id, line.min(MPB_LINES_PER_CORE - 1)).check(1, self.num_cores)?;
         let addr = MpbAddr::new(self.id, line);
         loop {
             let v = self.mpb.flag_load(addr);
@@ -136,42 +106,42 @@ impl Rma for RtCore {
     }
 
     fn put_from_mem(&mut self, src: MemRange, dst: MpbAddr) -> RmaResult<()> {
-        self.check_mem(src)?;
-        self.check_mpb(dst, src.lines())?;
+        src.check(self.mem.len())?;
+        dst.check(src.lines(), self.num_cores)?;
         self.mpb.write_bytes(dst, &self.mem[src.offset..src.end()]);
         Ok(())
     }
 
     fn put_from_mpb(&mut self, src_line: usize, dst: MpbAddr, lines: usize) -> RmaResult<()> {
-        self.check_mpb(MpbAddr::new(self.id, src_line.min(MPB_LINES_PER_CORE - 1)), lines)?;
-        self.check_mpb(dst, lines)?;
+        MpbAddr::new(self.id, src_line.min(MPB_LINES_PER_CORE - 1)).check(lines, self.num_cores)?;
+        dst.check(lines, self.num_cores)?;
         self.mpb.copy(MpbAddr::new(self.id, src_line), dst, lines);
         Ok(())
     }
 
     fn get_to_mem(&mut self, src: MpbAddr, dst: MemRange) -> RmaResult<()> {
-        self.check_mem(dst)?;
-        self.check_mpb(src, dst.lines())?;
+        dst.check(self.mem.len())?;
+        src.check(dst.lines(), self.num_cores)?;
         let (offset, end) = (dst.offset, dst.end());
         self.mpb.read_bytes(src, &mut self.mem[offset..end]);
         Ok(())
     }
 
     fn get_to_mpb(&mut self, src: MpbAddr, dst_line: usize, lines: usize) -> RmaResult<()> {
-        self.check_mpb(src, lines)?;
-        self.check_mpb(MpbAddr::new(self.id, dst_line.min(MPB_LINES_PER_CORE - 1)), lines)?;
+        src.check(lines, self.num_cores)?;
+        MpbAddr::new(self.id, dst_line.min(MPB_LINES_PER_CORE - 1)).check(lines, self.num_cores)?;
         self.mpb.copy(src, MpbAddr::new(self.id, dst_line), lines);
         Ok(())
     }
 
     fn flag_put(&mut self, dst: MpbAddr, value: FlagValue) -> RmaResult<()> {
-        self.check_mpb(dst, 1)?;
+        dst.check(1, self.num_cores)?;
         self.mpb.flag_store(dst, value);
         Ok(())
     }
 
     fn flag_read_local(&mut self, line: usize) -> RmaResult<FlagValue> {
-        self.check_mpb(MpbAddr::new(self.id, line.min(MPB_LINES_PER_CORE - 1)), 1)?;
+        MpbAddr::new(self.id, line.min(MPB_LINES_PER_CORE - 1)).check(1, self.num_cores)?;
         Ok(self.mpb.flag_load(MpbAddr::new(self.id, line)))
     }
 
@@ -193,25 +163,13 @@ impl Rma for RtCore {
     }
 
     fn mem_write(&mut self, offset: usize, data: &[u8]) -> RmaResult<()> {
-        if !MemRange::bytes_fit(offset, data.len(), self.mem.len()) {
-            return Err(RmaError::MemOutOfRange {
-                offset,
-                len: data.len(),
-                mem_len: self.mem.len(),
-            });
-        }
+        MemRange::check_bytes(offset, data.len(), self.mem.len())?;
         self.mem[offset..offset + data.len()].copy_from_slice(data);
         Ok(())
     }
 
     fn mem_read(&self, offset: usize, buf: &mut [u8]) -> RmaResult<()> {
-        if !MemRange::bytes_fit(offset, buf.len(), self.mem.len()) {
-            return Err(RmaError::MemOutOfRange {
-                offset,
-                len: buf.len(),
-                mem_len: self.mem.len(),
-            });
-        }
+        MemRange::check_bytes(offset, buf.len(), self.mem.len())?;
         buf.copy_from_slice(&self.mem[offset..offset + buf.len()]);
         Ok(())
     }

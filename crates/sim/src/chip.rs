@@ -251,6 +251,7 @@ const PORT_CALENDAR: usize = 24;
 const MC_CALENDAR: usize = 48;
 const PORT_ROW: usize = 24 * NUM_LINK_DIRS;
 const MC_ROW: usize = PORT_ROW + 24;
+const ROWS: usize = MC_ROW + 4;
 /// Stages of the longest line: two legs of at most nine routers out,
 /// the port or controller, and at most nine routers back.
 const MAX_STAGES: usize = 2 * (9 + 1 + 9);
@@ -262,7 +263,7 @@ const MAX_STAGES: usize = 2 * (9 + 1 + 9);
 /// `o_core + d·L_hop + service + d·L_hop` is a run of these: its first
 /// router has `o_core` as `pre`, each router passes on after `L_hop`,
 /// the port or controller after its service.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct Stage {
     calendar: u8,
     row: u8,
@@ -272,9 +273,7 @@ pub(crate) struct Stage {
 }
 
 impl Stage {
-    const NONE: Stage = Stage::new(0, 0, Time::ZERO, Time::ZERO);
-
-    const fn new(calendar: usize, row: usize, service: Time, post: Time) -> Stage {
+    fn new(calendar: usize, row: usize, service: Time, post: Time) -> Stage {
         Stage { calendar: calendar as u8, row: row as u8, pre: Time::ZERO, service, post }
     }
 
@@ -314,8 +313,6 @@ pub(crate) struct Path {
 }
 
 impl Path {
-    const EMPTY: Path = Path { key: None, len: 0, stages: [Stage::NONE; MAX_STAGES] };
-
     fn extend(&mut self, stages: impl IntoIterator<Item = Stage>) {
         for stage in stages {
             self.stages[self.len as usize] = stage;
@@ -336,18 +333,12 @@ impl Path {
     }
 }
 
-/// Queueing and service time booked on one link, port or controller.
-#[derive(Clone, Copy, Debug, Default)]
-struct Row {
-    wait: Time,
-    busy: Time,
-}
-
 /// Every contended resource of the chip: the calendar table and the
-/// counter rows, indexed as a [`Stage`] says.
+/// counter rows, indexed as a [`Stage`] says. `rows` holds the queueing
+/// time of each row, then the service time of each.
 struct Resources {
     calendars: Vec<Calendar>,
-    rows: Vec<Row>,
+    rows: Vec<Time>,
     /// Lower bound on all future arrivals, advanced by the scheduler;
     /// lets the calendars prune expired reservations.
     prune_before: Time,
@@ -363,16 +354,15 @@ impl Resources {
         recorder: &mut Option<Box<dyn Recorder>>,
         issuer: CoreId,
         t: Time,
-        stages: &[Stage],
+        stages: impl IntoIterator<Item = Stage>,
     ) -> Time {
         let (mut t, prune_before) = (t, self.prune_before);
-        for &stage in stages {
+        for stage in stages {
             let (arrival, service) = (t + stage.pre, stage.service);
             let calendar = &mut self.calendars[stage.calendar as usize];
             let start = calendar.reserve(arrival, service, prune_before);
-            let row = &mut self.rows[stage.row as usize];
-            row.wait += start - arrival;
-            row.busy += service;
+            self.rows[stage.row as usize] += start - arrival;
+            self.rows[ROWS + stage.row as usize] += service;
             if let Some(r) = recorder.as_mut() {
                 let (resource, link) = stage.resource();
                 let end = start + service;
@@ -386,7 +376,8 @@ impl Resources {
 
 /// Mutable chip state owned by the scheduler thread.
 pub struct Chip {
-    pub params: SimParams,
+    /// Fixed for the run: cached paths hold times computed from it.
+    pub(crate) params: SimParams,
     pub num_cores: usize,
     mem_bytes: usize,
     /// MPB contents, `num_cores * 8 KB`, indexed by core then byte.
@@ -439,10 +430,13 @@ impl Chip {
             private_written: vec![0; num_cores],
             resources: Resources {
                 calendars: vec![Calendar::default(); MC_CALENDAR + 4],
-                rows: vec![Row::default(); MC_ROW + 4],
+                rows: vec![Time::ZERO; 2 * ROWS],
                 prune_before: Time::ZERO,
             },
-            paths: vec![Path::EMPTY; num_cores],
+            paths: vec![
+                Path { key: None, len: 0, stages: [Stage::default(); MAX_STAGES] };
+                num_cores
+            ],
             stats: SimStats::default(),
             recorder: None,
         }
@@ -467,7 +461,7 @@ impl Chip {
         }
         let resources = &mut chip.resources;
         resources.calendars.iter_mut().for_each(|calendar| calendar.slots.clear());
-        resources.rows.fill(Row::default());
+        resources.rows.fill(Time::ZERO);
         resources.prune_before = Time::ZERO;
         // A path's times are the last run's parameters.
         chip.paths.iter_mut().for_each(|path| path.key = None);
@@ -503,31 +497,24 @@ impl Chip {
     /// from those (see [`SimStats`]).
     pub fn stats(&self) -> SimStats {
         let sum = |v: &[Time]| v.iter().copied().sum::<Time>();
-        let wait = |rows: &[Row]| rows.iter().map(|r| r.wait).collect::<Vec<_>>();
-        let busy = |rows: &[Row]| rows.iter().map(|r| r.busy).collect::<Vec<_>>();
         let by_tile = |links: &[Time]| links.chunks_exact(NUM_LINK_DIRS).map(sum).collect();
-        let rows = &self.resources.rows;
-        let (links, ports, mcs) = (&rows[..PORT_ROW], &rows[PORT_ROW..MC_ROW], &rows[MC_ROW..]);
-        let (link_wait, link_busy) = (wait(links), busy(links));
-        let (router_wait_by_tile, router_busy_by_tile): (Vec<Time>, Vec<Time>) =
-            (by_tile(&link_wait), by_tile(&link_busy));
-        let (port_wait_by_tile, port_busy_by_tile) = (wait(ports), busy(ports));
-        let (mc_wait_by_ctrl, mc_busy_by_ctrl) = (wait(mcs), busy(mcs));
+        let (wait, busy) = self.resources.rows.split_at(ROWS);
+        let (links, ports, mcs) = (..PORT_ROW, PORT_ROW..MC_ROW, MC_ROW..);
         SimStats {
-            port_wait: sum(&port_wait_by_tile),
-            router_wait: sum(&link_wait),
-            mc_wait: sum(&mc_wait_by_ctrl),
-            port_busy: sum(&port_busy_by_tile),
-            router_busy: sum(&link_busy),
-            mc_busy: sum(&mc_busy_by_ctrl),
-            port_wait_by_tile,
-            port_busy_by_tile,
-            router_wait_by_tile,
-            router_busy_by_tile,
-            mc_wait_by_ctrl,
-            mc_busy_by_ctrl,
-            link_wait,
-            link_busy,
+            port_wait: sum(&wait[ports.clone()]),
+            router_wait: sum(&wait[links]),
+            mc_wait: sum(&wait[mcs.clone()]),
+            port_busy: sum(&busy[ports.clone()]),
+            router_busy: sum(&busy[links]),
+            mc_busy: sum(&busy[mcs.clone()]),
+            port_wait_by_tile: wait[ports.clone()].to_vec(),
+            port_busy_by_tile: busy[ports].to_vec(),
+            router_wait_by_tile: by_tile(&wait[links]),
+            router_busy_by_tile: by_tile(&busy[links]),
+            mc_wait_by_ctrl: wait[mcs.clone()].to_vec(),
+            mc_busy_by_ctrl: busy[mcs].to_vec(),
+            link_wait: wait[links].to_vec(),
+            link_busy: busy[links].to_vec(),
             ..self.stats.clone()
         }
     }
@@ -638,7 +625,8 @@ impl Chip {
             build(path, &self.params);
             path.key = Some(key);
         }
-        self.resources.book(&mut self.recorder, issuer, t, &path.stages[..path.len as usize])
+        let stages = path.stages[..path.len as usize].iter().copied();
+        self.resources.book(&mut self.recorder, issuer, t, stages)
     }
 
     /// Send one packet of `issuer` from tile `from` to tile `to`
@@ -646,25 +634,21 @@ impl Chip {
     /// router. Charges `L_hop` per router traversed and reserves each
     /// router for `router_occupancy` (virtual cut-through pipelining).
     pub fn traverse(&mut self, issuer: CoreId, t: Time, from: Tile, to: Tile) -> Time {
-        let mut t = t;
-        for stage in RouteTable::get().route(&self.params, from, to) {
-            t = self.resources.book(&mut self.recorder, issuer, t, &[stage]);
-        }
-        t
+        let stages = RouteTable::get().route(&self.params, from, to);
+        self.resources.book(&mut self.recorder, issuer, t, stages)
     }
 
     /// Occupy the MPB port of `tile` for a read on behalf of `issuer`;
     /// returns the service completion time.
     pub fn port_read(&mut self, issuer: CoreId, t: Time, tile: Tile) -> Time {
         let stage = Stage::port(tile, self.params.mpb_port_read);
-        self.resources.book(&mut self.recorder, issuer, t, &[stage])
+        self.resources.book(&mut self.recorder, issuer, t, [stage])
     }
 
     /// Occupy a memory controller for one line read/write.
     pub fn mc_service(&mut self, issuer: CoreId, t: Time, mc: MemController, write: bool) -> Time {
         let service = if write { self.params.mc_write } else { self.params.mc_read };
-        let stage = Stage::mc(mc, service);
-        self.resources.book(&mut self.recorder, issuer, t, &[stage])
+        self.resources.book(&mut self.recorder, issuer, t, [Stage::mc(mc, service)])
     }
 }
 

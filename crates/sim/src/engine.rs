@@ -555,18 +555,16 @@ impl Engine {
         if self.deadlock_rounds > 100 {
             return Some("livelock: cores keep re-parking after deadlock notification".into());
         }
-        let victims: Vec<usize> =
-            (0..self.parked.len()).filter(|&i| self.parked[i].is_some()).collect();
-        if victims.is_empty() {
-            return Some("engine stalled: queue empty, cores unfinished, none parked".into());
+        let before = self.deadlocks.len();
+        for v in 0..self.parked.len() {
+            if let Some(line) = self.parked[v].take() {
+                self.deadlocks.push((CoreId(v as u8), line));
+                self.deadlock_notified[v] = Some(line);
+                self.push(self.now, EventKind::Resume(v));
+            }
         }
-        for v in victims {
-            let line = self.parked[v].take().expect("victim must be parked");
-            self.deadlocks.push((CoreId(v as u8), line));
-            self.deadlock_notified[v] = Some(line);
-            self.push(self.now, EventKind::Resume(v));
-        }
-        None
+        (self.deadlocks.len() == before)
+            .then(|| "engine stalled: queue empty, cores unfinished, none parked".into())
     }
 
     fn make_result(&mut self) -> Result<RunOutput, SimError> {
@@ -729,14 +727,6 @@ impl SimCore {
         }
     }
 
-    fn check_mem(&self, offset: usize, len: usize) -> RmaResult<()> {
-        if MemRange::bytes_fit(offset, len, self.mem_bytes) {
-            Ok(())
-        } else {
-            Err(RmaError::MemOutOfRange { offset, len, mem_len: self.mem_bytes })
-        }
-    }
-
     /// Retire this core: record its end time, then keep the event loop
     /// moving. Returns the context to leave this core's stack for — the
     /// next runnable core, or `run_spmd` if this was the last one or the
@@ -835,14 +825,14 @@ impl Rma for SimCore {
 
     fn mem_write(&mut self, offset: usize, data: &[u8]) -> RmaResult<()> {
         let mut eng = self.engine()?;
-        self.check_mem(offset, data.len())?;
+        MemRange::check_bytes(offset, data.len(), self.mem_bytes)?;
         eng.chip.private_slice_mut(self.id, offset, data.len()).copy_from_slice(data);
         Ok(())
     }
 
     fn mem_read(&self, offset: usize, buf: &mut [u8]) -> RmaResult<()> {
         let mut eng = self.engine()?;
-        self.check_mem(offset, buf.len())?;
+        MemRange::check_bytes(offset, buf.len(), self.mem_bytes)?;
         buf.copy_from_slice(eng.chip.private_slice(self.id, offset, buf.len()));
         Ok(())
     }

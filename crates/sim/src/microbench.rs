@@ -95,9 +95,8 @@ pub fn measure_contention(
     let rep = run_spmd(cfg, move |c| -> RmaResult<Option<Time>> {
         let me = c.core().index();
         if me < first {
-            // Victim and idle cores: core 0 just waits for a "finished"
-            // count — no, it simply returns; its MPB needs no owner
-            // cooperation for RMA.
+            // Victim and idle cores return at once: RMA needs no
+            // cooperation from the MPB's owner.
             return Ok(None);
         }
         let slot = 1 + (me - first); // distinct line per putter
@@ -127,8 +126,8 @@ pub fn measure_link_stress(
     lines: usize,
     reps: u32,
 ) -> Result<(Time, Time), SimError> {
-    let probe_core = probe_on_tile(2, 2);
-    let target_core = probe_on_tile(3, 2);
+    let probe_core = scc_hal::Tile::new(2, 2).cores()[0];
+    let target_core = scc_hal::Tile::new(3, 2).cores()[0];
 
     let probe_once = |background: bool| -> Result<Time, SimError> {
         let rep = run_spmd(cfg, move |c| -> RmaResult<Option<Time>> {
@@ -161,10 +160,6 @@ pub fn measure_link_stress(
     let loaded = probe_once(true)?;
     let idle = probe_once(false)?;
     Ok((loaded, idle))
-}
-
-fn probe_on_tile(x: u8, y: u8) -> CoreId {
-    scc_hal::Tile::new(x, y).cores()[0]
 }
 
 #[cfg(test)]

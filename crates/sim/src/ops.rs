@@ -57,16 +57,6 @@ pub enum Effect {
     Flag(FlagValue),
 }
 
-fn check_mpb(addr: MpbAddr, lines: usize) -> RmaResult<()> {
-    if lines == 0 {
-        return Err(RmaError::EmptyTransfer);
-    }
-    if !addr.fits(lines) {
-        return Err(RmaError::MpbOutOfRange { addr, lines });
-    }
-    Ok(())
-}
-
 fn check_own_lines(owner: CoreId, first: usize, lines: usize) -> RmaResult<()> {
     if lines == 0 {
         return Err(RmaError::EmptyTransfer);
@@ -80,55 +70,29 @@ fn check_own_lines(owner: CoreId, first: usize, lines: usize) -> RmaResult<()> {
     Ok(())
 }
 
-fn check_mem(range: MemRange, mem_len: usize) -> RmaResult<()> {
-    if range.len == 0 {
-        return Err(RmaError::EmptyTransfer);
-    }
-    if !range.fits(mem_len) {
-        return Err(RmaError::MemOutOfRange { offset: range.offset, len: range.len, mem_len });
-    }
-    Ok(())
-}
-
 /// Validate an op before simulating it. `issuer` is the calling core.
 pub fn validate(chip: &Chip, issuer: CoreId, op: &Op) -> RmaResult<()> {
+    let n = chip.num_cores;
     match op {
         Op::PutFromMem { src, dst, .. } => {
-            check_mem(*src, chip.mem_bytes())?;
-            check_mpb(*dst, src.lines())?;
-            check_core(chip, dst.core)
+            src.check(chip.mem_bytes())?;
+            dst.check(src.lines(), n)
         }
         Op::PutFromMpb { src_line, dst, lines } => {
             check_own_lines(issuer, *src_line, *lines)?;
-            check_mpb(*dst, *lines)?;
-            check_core(chip, dst.core)
+            dst.check(*lines, n)
         }
         Op::GetToMem { src, dst } => {
-            check_mem(*dst, chip.mem_bytes())?;
-            check_mpb(*src, dst.lines())?;
-            check_core(chip, src.core)
+            dst.check(chip.mem_bytes())?;
+            src.check(dst.lines(), n)
         }
         Op::GetToMpb { src, dst_line, lines } => {
-            check_mpb(*src, *lines)?;
-            check_own_lines(issuer, *dst_line, *lines)?;
-            check_core(chip, src.core)
+            src.check(*lines, n)?;
+            check_own_lines(issuer, *dst_line, *lines)
         }
-        Op::FlagPut { dst, .. } => {
-            check_mpb(*dst, 1)?;
-            check_core(chip, dst.core)
-        }
+        Op::FlagPut { dst, .. } => dst.check(1, n),
         Op::ReadLine { line } => check_own_lines(issuer, *line, 1),
     }
-}
-
-fn check_core(chip: &Chip, core: CoreId) -> RmaResult<()> {
-    if core.index() >= chip.num_cores {
-        return Err(RmaError::Engine(format!(
-            "{core} is not part of this {}-core run",
-            chip.num_cores
-        )));
-    }
-    Ok(())
 }
 
 // ---- per-line path builders -----------------------------------------

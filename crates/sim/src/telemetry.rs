@@ -31,12 +31,8 @@ use crate::chip::SimStats;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-static RUNS: AtomicU64 = AtomicU64::new(0);
-static EVENTS: AtomicU64 = AtomicU64::new(0);
-static OPS: AtomicU64 = AtomicU64::new(0);
-static HEAP_PUSHES: AtomicU64 = AtomicU64::new(0);
-static COALESCED_STEPS: AtomicU64 = AtomicU64::new(0);
-static HANDOFFS: AtomicU64 = AtomicU64::new(0);
+/// The process totals, in [`EngineTotals::fields`] order.
+static TOTALS: [AtomicU64; 6] = [const { AtomicU64::new(0) }; 6];
 
 static IN_FLIGHT: AtomicU64 = AtomicU64::new(0);
 static PEAK_IN_FLIGHT: AtomicU64 = AtomicU64::new(0);
@@ -64,61 +60,45 @@ pub struct EngineTotals {
 }
 
 impl EngineTotals {
-    pub const ZERO: EngineTotals = EngineTotals {
-        runs: 0,
-        events: 0,
-        ops: 0,
-        heap_pushes: 0,
-        coalesced_steps: 0,
-        handoffs: 0,
-    };
+    pub const ZERO: EngineTotals = EngineTotals::from_fields([0; 6]);
 
     /// Counter deltas between an `earlier` snapshot and this one.
     pub fn since(&self, earlier: &EngineTotals) -> EngineTotals {
-        EngineTotals {
-            runs: self.runs - earlier.runs,
-            events: self.events - earlier.events,
-            ops: self.ops - earlier.ops,
-            heap_pushes: self.heap_pushes - earlier.heap_pushes,
-            coalesced_steps: self.coalesced_steps - earlier.coalesced_steps,
-            handoffs: self.handoffs - earlier.handoffs,
-        }
+        let (a, b) = (self.fields(), earlier.fields());
+        EngineTotals::from_fields(std::array::from_fn(|i| a[i] - b[i]))
     }
 
     /// Element-wise sum of two totals.
     pub fn plus(&self, other: &EngineTotals) -> EngineTotals {
-        EngineTotals {
-            runs: self.runs + other.runs,
-            events: self.events + other.events,
-            ops: self.ops + other.ops,
-            heap_pushes: self.heap_pushes + other.heap_pushes,
-            coalesced_steps: self.coalesced_steps + other.coalesced_steps,
-            handoffs: self.handoffs + other.handoffs,
-        }
+        let (a, b) = (self.fields(), other.fields());
+        EngineTotals::from_fields(std::array::from_fn(|i| a[i] + b[i]))
     }
 
-    fn of_run(stats: &SimStats) -> EngineTotals {
-        EngineTotals {
-            runs: 1,
-            events: stats.events,
-            ops: stats.ops,
-            heap_pushes: stats.heap_pushes,
-            coalesced_steps: stats.coalesced_steps,
-            handoffs: stats.handoffs,
-        }
+    fn fields(&self) -> [u64; 6] {
+        [self.runs, self.events, self.ops, self.heap_pushes, self.coalesced_steps, self.handoffs]
+    }
+
+    const fn from_fields(
+        [runs, events, ops, heap_pushes, coalesced_steps, handoffs]: [u64; 6],
+    ) -> Self {
+        EngineTotals { runs, events, ops, heap_pushes, coalesced_steps, handoffs }
+    }
+
+    fn of_run(s: &SimStats) -> EngineTotals {
+        EngineTotals::from_fields([
+            1,
+            s.events,
+            s.ops,
+            s.heap_pushes,
+            s.coalesced_steps,
+            s.handoffs,
+        ])
     }
 }
 
 /// Read the current process-wide totals.
 pub fn snapshot() -> EngineTotals {
-    EngineTotals {
-        runs: RUNS.load(Ordering::Relaxed),
-        events: EVENTS.load(Ordering::Relaxed),
-        ops: OPS.load(Ordering::Relaxed),
-        heap_pushes: HEAP_PUSHES.load(Ordering::Relaxed),
-        coalesced_steps: COALESCED_STEPS.load(Ordering::Relaxed),
-        handoffs: HANDOFFS.load(Ordering::Relaxed),
-    }
+    EngineTotals::from_fields(TOTALS.each_ref().map(|total| total.load(Ordering::Relaxed)))
 }
 
 /// Drain the calling thread's accumulated totals: returns everything
@@ -133,13 +113,11 @@ pub fn take_thread() -> EngineTotals {
 /// Fold one successful run's counters into the process totals and the
 /// calling thread's attribution scope.
 pub(crate) fn add_run(stats: &SimStats) {
-    RUNS.fetch_add(1, Ordering::Relaxed);
-    EVENTS.fetch_add(stats.events, Ordering::Relaxed);
-    OPS.fetch_add(stats.ops, Ordering::Relaxed);
-    HEAP_PUSHES.fetch_add(stats.heap_pushes, Ordering::Relaxed);
-    COALESCED_STEPS.fetch_add(stats.coalesced_steps, Ordering::Relaxed);
-    HANDOFFS.fetch_add(stats.handoffs, Ordering::Relaxed);
-    THREAD_TOTALS.with(|t| t.set(t.get().plus(&EngineTotals::of_run(stats))));
+    let run = EngineTotals::of_run(stats);
+    for (total, n) in TOTALS.iter().zip(run.fields()) {
+        total.fetch_add(n, Ordering::Relaxed);
+    }
+    THREAD_TOTALS.with(|t| t.set(t.get().plus(&run)));
 }
 
 /// RAII guard around one in-flight `run_spmd`; created at run start,
