@@ -1,10 +1,12 @@
 //! Allocation ratchet: the exact number of heap allocations a *warm*
 //! run makes — the third of three identical runs on a fresh host
-//! thread — and the bytes they request, for three broadcast shapes. A
-//! count is a property of the code, not of the host, so it is pinned
-//! exactly.
+//! thread — and the bytes they request, for three broadcast shapes,
+//! beside the engine work of that run (events, queue pushes, coalesced
+//! steps). A count is a property of the code, not of the host, so it is
+//! pinned exactly.
 //!
-//! THE CONSTANTS BELOW MAY ONLY GO DOWN. A change that lowers a count
+//! The engine counts are simulated behaviour and may not move at all.
+//! THE ALLOCATION CONSTANTS BELOW MAY ONLY GO DOWN. A change that lowers a count
 //! lowers its constant in the same diff; one that raises a count is a
 //! regression of the short-run path, not a constant to update.
 //!
@@ -15,7 +17,7 @@
 use oc_bcast::{Algorithm, Broadcaster};
 use scc_hal::{CoreId, MemRange, Rma, RmaExt, RmaResult};
 use scc_rcce::MpbAllocator;
-use scc_sim::{run_spmd, SimConfig};
+use scc_sim::{run_spmd, SimConfig, SimStats};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -71,10 +73,12 @@ static GLOBAL: Counting = Counting;
 /// The benchmark closure's shape — `MpbAllocator::new`,
 /// `Broadcaster::new`, the root's `mem_write`, `calls` broadcasts of
 /// `lines` cache lines, `mem_to_vec` — run three times on a fresh host
-/// thread; returns what the third run allocated. Two runs bring every growable
-/// store to its steady size: the second still finds the odd calendar
-/// full at a different moment than the first did, the third no longer.
-fn warm_allocs(num_cores: usize, alg: Algorithm, calls: usize, lines: usize) -> Allocs {
+/// thread; returns what the third run allocated and its engine counts
+/// `[events, heap_pushes, coalesced_steps]`. Two runs bring every
+/// growable store to its steady size: the second still finds the odd
+/// calendar full at a different moment than the first did, the third no
+/// longer.
+fn warm_run(num_cores: usize, alg: Algorithm, calls: usize, lines: usize) -> (Allocs, [u64; 3]) {
     let measure = move || {
         let cfg = SimConfig { num_cores, mem_bytes: 1 << 18, ..SimConfig::default() };
         let (root, payload) = (CoreId(num_cores as u8 / 2), [0x5Au8; 96 * 32]);
@@ -94,13 +98,15 @@ fn warm_allocs(num_cores: usize, alg: Algorithm, calls: usize, lines: usize) -> 
             })
             .expect("the run completes");
             assert!(rep.results.iter().all(|r| r == &Ok(true)), "{:?}", rep.results);
+            let SimStats { events, heap_pushes, coalesced_steps, .. } = rep.stats;
+            [events, heap_pushes, coalesced_steps]
         };
         run();
         run();
         let before = ALLOCS.get();
-        run();
+        let engine = run();
         let after = ALLOCS.get();
-        Allocs { count: after.count - before.count, bytes: after.bytes - before.bytes }
+        (Allocs { count: after.count - before.count, bytes: after.bytes - before.bytes }, engine)
     };
     std::thread::spawn(measure).join().expect("the measuring thread returns")
 }
@@ -108,13 +114,14 @@ fn warm_allocs(num_cores: usize, alg: Algorithm, calls: usize, lines: usize) -> 
 #[test]
 fn warm_run_allocations_are_pinned() {
     let got = [
-        warm_allocs(48, Algorithm::oc_with_k(7), 1, 1),
-        warm_allocs(48, Algorithm::Binomial, 1, 1),
-        warm_allocs(6, Algorithm::oc_with_k(2), 1, 1),
+        warm_run(48, Algorithm::oc_with_k(7), 1, 1),
+        warm_run(48, Algorithm::Binomial, 1, 1),
+        warm_run(6, Algorithm::oc_with_k(2), 1, 1),
     ];
     // 48-core OC k=7, 48-core binomial, 6-core OC k=2 (1 CL each).
-    assert_eq!(got.map(|a| a.count), [115, 140, 32]);
-    assert_eq!(got.map(|a| a.bytes), [23_256, 24_088, 7_208]);
+    assert_eq!(got.map(|(a, _)| a.count), [115, 140, 32]);
+    assert_eq!(got.map(|(a, _)| a.bytes), [23_256, 24_088, 7_208]);
+    assert_eq!(got.map(|(_, e)| e), [[788, 786, 2], [944, 936, 8], [95, 91, 4]]);
 }
 
 #[test]
@@ -122,12 +129,11 @@ fn warm_throughput_run_allocations_are_pinned() {
     // 48-core OC k=7 and binomial at 96 CL: as many allocations as at
     // 1 CL, so the lines themselves allocate nothing; the extra bytes are
     // each core's `mem_to_vec` of the larger payload.
-    let got = [
-        warm_allocs(48, Algorithm::oc_with_k(7), 1, 96),
-        warm_allocs(48, Algorithm::Binomial, 1, 96),
-    ];
-    assert_eq!(got.map(|a| a.count), [115, 140]);
-    assert_eq!(got.map(|a| a.bytes), [169_176, 170_008]);
+    let got =
+        [warm_run(48, Algorithm::oc_with_k(7), 1, 96), warm_run(48, Algorithm::Binomial, 1, 96)];
+    assert_eq!(got.map(|(a, _)| a.count), [115, 140]);
+    assert_eq!(got.map(|(a, _)| a.bytes), [169_176, 170_008]);
+    assert_eq!(got.map(|(_, e)| e), [[9_786, 9_689, 97], [9_874, 9_539, 335]]);
 }
 
 #[test]
@@ -137,6 +143,6 @@ fn oc_bcast_calls_allocate_nothing() {
     // one does, engine included, on any chip size.
     for (p, k) in [(48, 7), (48, 47), (6, 2)] {
         let alg = Algorithm::oc_with_k(k);
-        assert_eq!(warm_allocs(p, alg, 3, 1), warm_allocs(p, alg, 1, 1), "P={p} k={k}");
+        assert_eq!(warm_run(p, alg, 3, 1).0, warm_run(p, alg, 1, 1).0, "P={p} k={k}");
     }
 }
