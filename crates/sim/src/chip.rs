@@ -34,10 +34,11 @@ use std::sync::OnceLock;
 ///
 /// Expired reservations are not removed as time passes. No reservation
 /// ever looks at them — an arrival is never before the pruning horizon,
-/// so the backward search stops at the first interval that ends at or
+/// so the backward pass stops at the first interval that ends at or
 /// before the arrival, and the expired ones all lie in front of it —
 /// which makes pruning purely a bound on storage: the dead prefix is
-/// dropped only when the vector is full and would otherwise reallocate.
+/// dropped only when the vector is full and would otherwise reallocate
+/// (see [`drop_prefix`]).
 #[derive(Debug, Default, Clone)]
 pub struct Calendar {
     /// Disjoint, start-sorted (hence also end-sorted) intervals.
@@ -49,68 +50,64 @@ impl Calendar {
     /// returns the service start. `prune_before` must be a lower bound
     /// on this and every future arrival (the scheduler's current event
     /// time), so intervals ending at or before it can be dropped.
+    ///
+    /// One backward pass from the tail opens a hole where the request
+    /// would go if it need not wait. Conflicts cluster at the tail — a
+    /// packet's return trip books the same routers its forward trip just
+    /// did — so this is a handful of well-predicted steps in practice,
+    /// and none for an arrival after every reservation (about half of
+    /// them, since events are processed in nondecreasing time).
     #[inline]
     pub fn reserve(&mut self, arrival: Time, service: Time, prune_before: Time) -> Time {
         debug_assert!(arrival >= prune_before, "arrival before the pruning horizon");
-        if self.slots.len() == self.slots.capacity() {
-            self.make_room(prune_before);
+        let slots = &mut self.slots;
+        if slots.len() == slots.capacity() {
+            let dead = slots.partition_point(|&(_, end)| end <= prune_before);
+            drop_prefix(slots, dead);
         }
-        // Events are processed in nondecreasing virtual time, so about
-        // half of all arrivals land at or after every reservation made
-        // so far: appending is O(1).
-        match self.slots.last() {
-            Some(&(_, last_end)) if arrival < last_end => self.reserve_in_gap(arrival, service),
-            _ => {
-                self.slots.push((arrival, arrival + service));
-                arrival
+        // Slide every reservation that starts at or after the request's
+        // end one slot right; the hole is then behind every one that
+        // starts before it.
+        let mut hole = slots.len();
+        slots.push((arrival, arrival + service));
+        while hole > 0 && slots[hole - 1].0 >= arrival + service {
+            slots[hole] = slots[hole - 1];
+            hole -= 1;
+        }
+        let mut start = arrival;
+        if hole > 0 && slots[hole - 1].1 > arrival {
+            // The reservation in front overlaps the request, which
+            // therefore waits at least for its end, and no earlier gap
+            // can hold it: walk the hole forward, sliding each
+            // reservation back, until a gap fits.
+            start = slots[hole - 1].1;
+            while hole + 1 < slots.len() && slots[hole + 1].0 < start + service {
+                slots[hole] = slots[hole + 1];
+                start = slots[hole].1;
+                hole += 1;
             }
         }
-    }
-
-    /// The vector is full: drop the reservations that ended at or before
-    /// `horizon` (a prefix, since intervals are end-sorted) instead of
-    /// growing. Grows after all when that frees less than half of the
-    /// storage, so the shifting stays amortized O(1) per reservation and
-    /// the capacity stays within four times the most intervals ever live.
-    #[cold]
-    fn make_room(&mut self, horizon: Time) {
-        let dead = self.slots.partition_point(|&(_, end)| end <= horizon);
-        self.slots.drain(..dead);
-        let live = self.slots.len();
-        if 2 * live > self.slots.capacity() {
-            self.slots.reserve(live);
-        }
-    }
-
-    /// The arrival conflicts with the latest reservation: find the
-    /// earliest idle gap at or after it. Conflicts cluster at the tail —
-    /// a packet's return trip books the same routers its forward trip
-    /// just did — so scan backwards from the end; this is a handful of
-    /// well-predicted steps in practice, where a binary search would
-    /// mispredict every probe.
-    fn reserve_in_gap(&mut self, arrival: Time, service: Time) -> Time {
-        // First interval that ends after the arrival; everything before
-        // it is already over and cannot conflict.
-        let first = self.slots.iter().rposition(|&(_, end)| end <= arrival).map_or(0, |i| i + 1);
-        let mut t0 = arrival;
-        let mut idx = first;
-        for &(s, e) in &self.slots[first..] {
-            if s >= t0 + service {
-                break; // fits entirely in the gap before this slot
-            }
-            if e > t0 {
-                t0 = e;
-            }
-            idx += 1;
-        }
-        self.slots.insert(idx, (t0, t0 + service));
-        t0
+        slots[hole] = (start, start + service);
+        start
     }
 
     /// Reservations the calendar holds storage for — the quantity lazy
     /// pruning bounds (see `tests/calendar_oracle.rs`).
     pub fn capacity(&self) -> usize {
         self.slots.capacity()
+    }
+}
+
+/// `v` is full and its first `dead` entries are no longer needed: drop
+/// them instead of growing. Grows after all when that frees less than
+/// half of the storage, so the shifting stays amortized O(1) per push
+/// and the capacity stays within four times the most entries ever live.
+#[cold]
+pub(crate) fn drop_prefix<T>(v: &mut Vec<T>, dead: usize) {
+    v.drain(..dead);
+    let live = v.len();
+    if 2 * live > v.capacity() {
+        v.reserve(live);
     }
 }
 

@@ -3,12 +3,12 @@
 //! Each simulated core runs the user's SPMD closure as a stackful
 //! coroutine (see [`crate::coro`]) on the host thread that called
 //! [`run_spmd`]; exactly one simulated core is *runnable* at any
-//! instant, and events are ordered by `(virtual time, sequence
-//! number)`, so runs are bit-for-bit deterministic.
+//! instant, and events leave the queue in virtual-time order, equal
+//! instants in push order, so runs are bit-for-bit deterministic.
 //!
 //! ## The event loop runs on the cores' stacks
 //!
-//! There is no scheduler. The engine state (chip, event heap, pending
+//! There is no scheduler. The engine state (chip, event queue, pending
 //! ops) sits in one `RefCell` and the event loop is executed by
 //! whichever core is currently runnable: a core that issues an op, parks
 //! or computes calls the engine to schedule it, then keeps processing
@@ -29,16 +29,16 @@
 //! ## The coalesced fast path
 //!
 //! A multi-line op is stepped one cache line per event. Pushing and
-//! popping the heap once per line is pure bookkeeping whenever the
+//! popping the queue once per line is pure bookkeeping whenever the
 //! pending op is the only thing happening on the chip — the next
-//! line-completion event would come straight back as the heap minimum.
-//! The stepper therefore peeks the heap: while the just-simulated line
+//! line-completion event would come straight back as the queue head.
+//! The stepper therefore peeks the queue: while the just-simulated line
 //! completes strictly before the earliest queued event, it advances
-//! the clock and steps the next line directly. The `(time, seq)` order
-//! is preserved exactly — a queued event at the same instant has a
-//! smaller sequence number and would run first, so the fast path only
-//! triggers on *strictly earlier* completions — and each elided heap
-//! round-trip still counts in `SimStats::events`, keeping counters,
+//! the clock and steps the next line directly. The queue order is
+//! preserved exactly — a queued event at the same instant was pushed
+//! earlier and would run first, so the fast path only triggers on
+//! *strictly earlier* completions — and each elided queue round-trip
+//! still counts in `SimStats::events`, keeping counters,
 //! recorded streams and end times bit-identical to a run with coalescing
 //! disabled (see `SimConfig::coalesce`).
 
@@ -52,8 +52,6 @@ use scc_hal::{
 };
 use scc_obs::{EventLog, FaultKind, FlightRecorder, ObsEvent};
 use std::cell::{Cell, RefCell, RefMut};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::rc::Rc;
@@ -166,14 +164,14 @@ enum Wake {
 
 // ---- event queue ---------------------------------------------------------
 
-#[derive(PartialEq, Eq)]
+/// What happens at instant `at`.
+#[derive(Clone, Copy)]
 struct Event {
     at: Time,
-    seq: u64,
     kind: EventKind,
 }
 
-#[derive(PartialEq, Eq)]
+#[derive(Clone, Copy)]
 enum EventKind {
     /// Wake a core with a plain `Go` (start, compute done, park wake)
     /// — or with `Deadlock` if the core was deadlock-notified.
@@ -195,15 +193,41 @@ struct PendingOp {
     msg: Option<MsgId>,
 }
 
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
+/// Pending events in a vector sorted by time, as a calendar keeps its
+/// reservations: popped from `head`, pushed from the back; the popped
+/// prefix is dropped only when the vector is full.
+struct Queue {
+    events: Vec<Event>,
+    head: usize,
 }
 
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+impl Queue {
+    /// Queue `ev` behind every queued event at or before its instant,
+    /// so equal instants leave in push order: one backward pass slides
+    /// each later event one slot right.
+    fn push(&mut self, ev: Event) {
+        let events = &mut self.events;
+        if events.len() == events.capacity() {
+            crate::chip::drop_prefix(events, std::mem::take(&mut self.head));
+        }
+        let mut hole = events.len();
+        events.push(ev);
+        while hole > self.head && events[hole - 1].at > ev.at {
+            events[hole] = events[hole - 1];
+            hole -= 1;
+        }
+        events[hole] = ev;
+    }
+
+    /// The earliest queued event, first pushed among equals.
+    fn peek(&self) -> Option<&Event> {
+        self.events.get(self.head)
+    }
+
+    fn pop(&mut self) -> Option<Event> {
+        let ev = *self.peek()?;
+        self.head += 1;
+        Some(ev)
     }
 }
 
@@ -223,8 +247,7 @@ enum Advanced {
 struct Engine {
     chip: Chip,
     coalesce: bool,
-    queue: BinaryHeap<Reverse<Event>>,
-    seq: u64,
+    queue: Queue,
     now: Time,
     pending: Vec<Option<PendingOp>>,
     parked: Vec<Option<usize>>,
@@ -258,8 +281,7 @@ impl Engine {
         let mut e = Engine {
             chip,
             coalesce: cfg.coalesce,
-            queue: BinaryHeap::with_capacity(2 * n + 8),
-            seq: 0,
+            queue: Queue { events: Vec::with_capacity(2 * n + 8), head: 0 },
             now: Time::ZERO,
             pending: (0..n).map(|_| None).collect(),
             parked: vec![None; n],
@@ -281,8 +303,7 @@ impl Engine {
 
     fn push(&mut self, at: Time, kind: EventKind) {
         self.chip.stats.heap_pushes += 1;
-        self.queue.push(Reverse(Event { at, seq: self.seq, kind }));
-        self.seq += 1;
+        self.queue.push(Event { at, kind });
     }
 
     /// Record one structured event; a single never-taken branch when
@@ -292,6 +313,13 @@ impl Engine {
         if let Some(r) = self.chip.recorder.as_mut() {
             r.record(ev);
         }
+    }
+
+    /// Count and record a fault injected at `at` that cost `core` `lost`.
+    fn fault(&mut self, core: usize, kind: FaultKind, at: Time, lost: Time) {
+        self.chip.stats.faults += 1;
+        self.chip.stats.fault_lost += lost;
+        self.record(ObsEvent::Fault { core: CoreId(core as u8), kind, at, lost });
     }
 
     /// Schedule the timed operation `op` of `core`; `msg` is the message
@@ -310,14 +338,7 @@ impl Engine {
                 .as_ref()
                 .map_or(Time::ZERO, |f| f.slow_extra(CoreId(core as u8), self.now));
             if extra > Time::ZERO {
-                self.chip.stats.faults += 1;
-                self.chip.stats.fault_lost += extra;
-                self.record(ObsEvent::Fault {
-                    core: CoreId(core as u8),
-                    kind: FaultKind::CoreSlow,
-                    at: self.now,
-                    lost: extra,
-                });
+                self.fault(core, FaultKind::CoreSlow, self.now, extra);
                 overhead += extra;
             }
         }
@@ -374,7 +395,7 @@ impl Engine {
             if self.done == self.n {
                 return Advanced::RunComplete;
             }
-            let Some(Reverse(ev)) = self.queue.pop() else {
+            let Some(ev) = self.queue.pop() else {
                 if let Some(fatal) = self.handle_deadlock() {
                     return Advanced::Fatal(fatal);
                 }
@@ -420,16 +441,11 @@ impl Engine {
     /// Process a `Step` event for core `i`, coalescing subsequent line
     /// steps while no other queued event can precede them. Returns the
     /// core's wake once the whole op completed, `None` if the next line
-    /// went back to the heap, and a fatal end for a step of a core with
-    /// no op pending.
-    ///
-    /// Invariant: a coalesced step is taken only when the just-computed
-    /// line completion is *strictly earlier* than the heap minimum. The
-    /// event the slow path would have pushed carries a fresh (maximal)
-    /// sequence number, so at equal times the queued event wins — which
-    /// is exactly what popping from the heap would have done. Elided
-    /// pops still increment `stats.events`; only `stats.heap_pushes`
-    /// and `stats.coalesced_steps` reveal which path executed.
+    /// went back to the queue, and a fatal end for a step of a core with
+    /// no op pending. A line is coalesced only when it completes
+    /// *strictly earlier* than the queue head (see the module doc);
+    /// only `stats.heap_pushes` and `stats.coalesced_steps` reveal which
+    /// path executed.
     fn step(&mut self, i: usize) -> Option<Advanced> {
         loop {
             if let Some(done) = self.pending[i].take_if(|p| p.remaining == 0) {
@@ -451,22 +467,14 @@ impl Engine {
                 ops::simulate_line(&mut self.chip, CoreId(i as u8), &p.op, self.now);
             if self.faults.is_some() {
                 if let Some(d) = self.faults.as_mut().and_then(FaultState::line_delay) {
-                    self.chip.stats.faults += 1;
-                    self.chip.stats.fault_lost += d;
-                    self.record(ObsEvent::Fault {
-                        core: CoreId(i as u8),
-                        kind: FaultKind::LinkDelay,
-                        at: line_done,
-                        lost: d,
-                    });
+                    self.fault(i, FaultKind::LinkDelay, line_done, d);
                     // The delay is applied before the coalesce peek,
                     // so both scheduling paths see the same completion
                     // instant and the run stays deterministic.
                     line_done += d;
                 }
             }
-            let fast =
-                self.coalesce && self.queue.peek().is_none_or(|Reverse(head)| line_done < head.at);
+            let fast = self.coalesce && self.queue.peek().is_none_or(|head| line_done < head.at);
             if fast {
                 // The elided event: count it as popped, advance the clock.
                 self.chip.stats.events += 1;
@@ -490,13 +498,7 @@ impl Engine {
                 if dst.core.index() != core
                     && self.faults.as_mut().is_some_and(FaultState::drop_notification)
                 {
-                    self.chip.stats.faults += 1;
-                    self.record(ObsEvent::Fault {
-                        core: CoreId(core as u8),
-                        kind: FaultKind::LostNotification,
-                        at: self.now,
-                        lost: Time::ZERO,
-                    });
+                    self.fault(core, FaultKind::LostNotification, self.now, Time::ZERO);
                     return Wake::Go;
                 }
             }
@@ -1025,8 +1027,9 @@ where
         resume_unwind(p);
     }
 
-    let out = shared.outcome.into_inner().expect("a run ends with an outcome")?;
-    let results = results.expect("a completed run has every result");
+    let engine = |what: &str| SimError::Engine(format!("a finished run has no {what}"));
+    let out = shared.outcome.into_inner().ok_or_else(|| engine("outcome"))??;
+    let results = results.ok_or_else(|| engine("result of some core"))?;
     let makespan = out.end_times.iter().copied().fold(Time::ZERO, Time::max);
     crate::telemetry::add_run(&out.stats);
     Ok(SimReport {
@@ -1284,6 +1287,46 @@ mod tests {
         .unwrap();
         assert!(rep.stats.coalesced_steps >= 31, "stats: {:?}", rep.stats);
         assert_eq!(rep.stats.events, rep.stats.heap_pushes + rep.stats.coalesced_steps);
+    }
+
+    #[test]
+    fn queue_pops_in_time_then_push_order() {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        // The index of the push an event came from, whatever its kind.
+        let index = |ev: Event| {
+            let (EventKind::Resume(i) | EventKind::Step(i) | EventKind::Timeout(i, _)) = ev.kind;
+            (ev.at, i)
+        };
+        let mut rng = proptest::TestRng::from_name("queue_pops_in_time_then_push_order");
+        // Tiny capacities drop the popped prefix and grow many times.
+        for capacity in [0, 1, 4, 2 * NUM_CORES + 8] {
+            let mut queue = Queue { events: Vec::with_capacity(capacity), head: 0 };
+            let mut oracle = BinaryHeap::new();
+            let mut now = Time::ZERO;
+            for pushed in 0..20_000 {
+                // Instants a few ns past the clock: most pushes tie.
+                let at = now + Time::from_ns(rng.gen_range_u64(0, 6));
+                let kind = match rng.gen_range_u64(0, 3) {
+                    0 => EventKind::Resume(pushed),
+                    1 => EventKind::Step(pushed),
+                    _ => EventKind::Timeout(pushed, rng.next_u64()),
+                };
+                queue.push(Event { at, kind });
+                oracle.push(Reverse((at, pushed)));
+                // As many pops as pushes on average, so the length wanders.
+                for _ in 0..rng.gen_range_u64(0, 3) {
+                    let got = queue.pop().map(index);
+                    assert_eq!(got, oracle.pop().map(|Reverse(key)| key), "push {pushed}");
+                    now = got.map_or(now, |(at, _)| at);
+                }
+            }
+            let rest: Vec<_> = std::iter::from_fn(|| queue.pop().map(index)).collect();
+            assert_eq!(
+                rest,
+                oracle.into_sorted_vec().into_iter().rev().map(|r| r.0).collect::<Vec<_>>()
+            );
+        }
     }
 
     #[test]
