@@ -37,8 +37,7 @@ use std::sync::OnceLock;
 /// so the backward pass stops at the first interval that ends at or
 /// before the arrival, and the expired ones all lie in front of it —
 /// which makes pruning purely a bound on storage: the dead prefix is
-/// dropped only when the vector is full and would otherwise reallocate
-/// (see [`drop_prefix`]).
+/// dropped only when the vector is full and would otherwise reallocate.
 #[derive(Debug, Default, Clone)]
 pub struct Calendar {
     /// Disjoint, start-sorted (hence also end-sorted) intervals.
@@ -51,39 +50,41 @@ impl Calendar {
     /// on this and every future arrival (the scheduler's current event
     /// time), so intervals ending at or before it can be dropped.
     ///
-    /// One backward pass from the tail opens a hole where the request
-    /// would go if it need not wait. Conflicts cluster at the tail — a
-    /// packet's return trip books the same routers its forward trip just
-    /// did — so this is a handful of well-predicted steps in practice,
-    /// and none for an arrival after every reservation (about half of
-    /// them, since events are processed in nondecreasing time).
+    /// One backward pass from the tail slides every reservation that
+    /// starts at or after the request's end one slot right. Conflicts
+    /// cluster at the tail — a packet's return trip books the same
+    /// routers its forward trip just did — so this is a handful of
+    /// steps, and none for an arrival after every reservation.
     #[inline]
     pub fn reserve(&mut self, arrival: Time, service: Time, prune_before: Time) -> Time {
         debug_assert!(arrival >= prune_before, "arrival before the pruning horizon");
-        let slots = &mut self.slots;
-        if slots.len() == slots.capacity() {
-            let dead = slots.partition_point(|&(_, end)| end <= prune_before);
-            drop_prefix(slots, dead);
+        if self.slots.len() == self.slots.capacity() {
+            let dead = self.slots.partition_point(|&(_, end)| end <= prune_before);
+            drop_prefix(&mut self.slots, dead);
         }
-        // Slide every reservation that starts at or after the request's
-        // end one slot right; the hole is then behind every one that
-        // starts before it.
-        let mut hole = slots.len();
-        slots.push((arrival, arrival + service));
-        while hole > 0 && slots[hole - 1].0 >= arrival + service {
-            slots[hole] = slots[hole - 1];
+        let end = arrival + service;
+        self.slots.push((arrival, end));
+        // Slices keep the loops free of bounds checks.
+        let slots = self.slots.as_mut_slice();
+        let mut hole = slots.len() - 1;
+        while let Some(&before) = slots[..hole].last() {
+            if before.0 < end {
+                break;
+            }
+            slots[hole] = before;
             hole -= 1;
         }
         let mut start = arrival;
-        if hole > 0 && slots[hole - 1].1 > arrival {
-            // The reservation in front overlaps the request, which
-            // therefore waits at least for its end, and no earlier gap
-            // can hold it: walk the hole forward, sliding each
-            // reservation back, until a gap fits.
-            start = slots[hole - 1].1;
-            while hole + 1 < slots.len() && slots[hole + 1].0 < start + service {
-                slots[hole] = slots[hole + 1];
-                start = slots[hole].1;
+        if let Some(&(_, front_end)) = slots[..hole].last().filter(|front| front.1 > arrival) {
+            // The reservation in front overlaps the request, so no gap
+            // before it fits: walk the hole forward to the first that does.
+            start = front_end;
+            while let Some(&after) = slots.get(hole + 1) {
+                if after.0 >= start + service {
+                    break;
+                }
+                slots[hole] = after;
+                start = after.1;
                 hole += 1;
             }
         }

@@ -202,9 +202,8 @@ struct Queue {
 }
 
 impl Queue {
-    /// Queue `ev` behind every queued event at or before its instant,
-    /// so equal instants leave in push order: one backward pass slides
-    /// each later event one slot right.
+    /// Queue `ev` behind every queued event at or before its instant, so
+    /// equal instants leave in push order: later ones slide right.
     fn push(&mut self, ev: Event) {
         let events = &mut self.events;
         if events.len() == events.capacity() {
