@@ -331,15 +331,10 @@ impl Engine {
         ops::validate(&self.chip, CoreId(core as u8), &op)?;
         self.chip.stats.ops += 1;
         let mut overhead = ops::op_overhead(&self.chip, &op);
-        if self.faults.is_some() {
-            let extra = self
-                .faults
-                .as_ref()
-                .map_or(Time::ZERO, |f| f.slow_extra(CoreId(core as u8), self.now));
-            if extra > Time::ZERO {
-                self.fault(core, FaultKind::CoreSlow, self.now, extra);
-                overhead += extra;
-            }
+        let slow = self.faults.as_ref().map(|f| f.slow_extra(CoreId(core as u8), self.now));
+        if let Some(extra) = slow.filter(|&extra| extra > Time::ZERO) {
+            self.fault(core, FaultKind::CoreSlow, self.now, extra);
+            overhead += extra;
         }
         let remaining = ops::total_lines(&op);
         self.pending[core] = Some(PendingOp { op, remaining, issued: self.now, msg });
@@ -441,10 +436,8 @@ impl Engine {
     /// steps while no other queued event can precede them. Returns the
     /// core's wake once the whole op completed, `None` if the next line
     /// went back to the queue, and a fatal end for a step of a core with
-    /// no op pending. A line is coalesced only when it completes
-    /// *strictly earlier* than the queue head (see the module doc);
-    /// only `stats.heap_pushes` and `stats.coalesced_steps` reveal which
-    /// path executed.
+    /// no op pending. Lines coalesce as the module doc explains; only
+    /// `stats.heap_pushes` and `stats.coalesced_steps` show which path ran.
     fn step(&mut self, i: usize) -> Option<Advanced> {
         loop {
             if let Some(done) = self.pending[i].take_if(|p| p.remaining == 0) {
@@ -464,14 +457,12 @@ impl Engine {
             p.remaining -= 1;
             let mut line_done =
                 ops::simulate_line(&mut self.chip, CoreId(i as u8), &p.op, self.now);
-            if self.faults.is_some() {
-                if let Some(d) = self.faults.as_mut().and_then(FaultState::line_delay) {
-                    self.fault(i, FaultKind::LinkDelay, line_done, d);
-                    // The delay is applied before the coalesce peek,
-                    // so both scheduling paths see the same completion
-                    // instant and the run stays deterministic.
-                    line_done += d;
-                }
+            if let Some(d) = self.faults.as_mut().and_then(FaultState::line_delay) {
+                self.fault(i, FaultKind::LinkDelay, line_done, d);
+                // The delay is applied before the coalesce peek, so both
+                // scheduling paths see the same completion instant and
+                // the run stays deterministic.
+                line_done += d;
             }
             let fast = self.coalesce && self.queue.peek().is_none_or(|head| line_done < head.at);
             if fast {
@@ -488,18 +479,16 @@ impl Engine {
     }
 
     fn apply_op(&mut self, core: usize, op: &Op) -> Wake {
-        if self.faults.is_some() {
-            // Lost notification: only *remote* flag deposits traverse a
-            // mesh link and can be dropped. The transfer's time was
-            // already charged; the deposit simply never happens, so no
-            // parked waiter wakes and no flag line changes.
-            if let Op::FlagPut { dst, .. } = op {
-                if dst.core.index() != core
-                    && self.faults.as_mut().is_some_and(FaultState::drop_notification)
-                {
-                    self.fault(core, FaultKind::LostNotification, self.now, Time::ZERO);
-                    return Wake::Go;
-                }
+        // Lost notification: only *remote* flag deposits traverse a mesh
+        // link and can be dropped. The transfer's time was already
+        // charged; the deposit simply never happens, so no parked waiter
+        // wakes and no flag line changes.
+        if let Op::FlagPut { dst, .. } = op {
+            if dst.core.index() != core
+                && self.faults.as_mut().is_some_and(FaultState::drop_notification)
+            {
+                self.fault(core, FaultKind::LostNotification, self.now, Time::ZERO);
+                return Wake::Go;
             }
         }
         match ops::apply(&mut self.chip, CoreId(core as u8), op) {
