@@ -111,7 +111,7 @@ record! { parse
         pub sim_runs: u64 => "sim_runs",
         /// Events retired across those runs.
         pub sim_events: u64 => "sim_events",
-        /// Scheduler heap pushes across those runs.
+        /// Event-queue pushes across those runs.
         pub heap_pushes: u64 => "heap_pushes",
         /// Heap round-trips elided by the coalescing fast path.
         pub coalesced_steps: u64 => "coalesced_steps",

@@ -151,10 +151,10 @@ pub struct SimStats {
     pub router_busy: Time,
     /// Total memory-controller service time booked.
     pub mc_busy: Time,
-    /// Events pushed onto the scheduler heap (engine-internal; elided
+    /// Events pushed onto the event queue (engine-internal; elided
     /// pushes from the coalesced fast path are *not* counted here).
     pub heap_pushes: u64,
-    /// Line steps taken on the coalesced fast path, i.e. heap
+    /// Line steps taken on the coalesced fast path, i.e. event-queue
     /// round-trips elided. `events == heap_pushes + coalesced_steps`
     /// on every successful run.
     pub coalesced_steps: u64,

@@ -51,9 +51,9 @@ pub struct EngineTotals {
     pub events: u64,
     /// Timed RMA operations simulated.
     pub ops: u64,
-    /// Events pushed onto the scheduler heap.
+    /// Events pushed onto the event queue.
     pub heap_pushes: u64,
-    /// Heap round-trips elided by the coalesced fast path.
+    /// Event-queue round-trips elided by the coalesced fast path.
     pub coalesced_steps: u64,
     /// Changes of runnable core (handoffs).
     pub handoffs: u64,
