@@ -113,7 +113,7 @@ record! { parse
         pub sim_events: u64 => "sim_events",
         /// Event-queue pushes across those runs.
         pub heap_pushes: u64 => "heap_pushes",
-        /// Heap round-trips elided by the coalescing fast path.
+        /// Event-queue round-trips elided by the coalescing fast path.
         pub coalesced_steps: u64 => "coalesced_steps",
         /// Independently schedulable sweep units the experiment
         /// decomposed into.

@@ -34,8 +34,8 @@ use std::sync::OnceLock;
 ///
 /// Expired reservations are not removed as time passes. No reservation
 /// ever looks at them — an arrival is never before the pruning horizon,
-/// so the backward pass stops at the first interval that ends at or
-/// before the arrival, and the expired ones all lie in front of it —
+/// so the backward pass never slides an interval that ended by the
+/// arrival, and the expired ones all lie in front of those —
 /// which makes pruning purely a bound on storage: the dead prefix is
 /// dropped only when the vector is full and would otherwise reallocate.
 #[derive(Debug, Default, Clone)]

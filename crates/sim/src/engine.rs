@@ -1015,9 +1015,9 @@ where
         resume_unwind(p);
     }
 
-    let engine = |what: &str| SimError::Engine(format!("a finished run has no {what}"));
-    let out = shared.outcome.into_inner().ok_or_else(|| engine("outcome"))??;
-    let results = results.ok_or_else(|| engine("result of some core"))?;
+    let missing = |what: &str| SimError::Engine(format!("a finished run has no {what}"));
+    let out = shared.outcome.into_inner().ok_or_else(|| missing("outcome"))??;
+    let results = results.ok_or_else(|| missing("result of some core"))?;
     let makespan = out.end_times.iter().copied().fold(Time::ZERO, Time::max);
     crate::telemetry::add_run(&out.stats);
     Ok(SimReport {
