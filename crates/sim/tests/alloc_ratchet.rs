@@ -6,9 +6,10 @@
 //! pinned exactly.
 //!
 //! The engine counts are simulated behaviour and may not move at all.
-//! THE ALLOCATION CONSTANTS BELOW MAY ONLY GO DOWN. A change that lowers a count
-//! lowers its constant in the same diff; one that raises a count is a
-//! regression of the short-run path, not a constant to update.
+//! THE ALLOCATION CONSTANTS BELOW MAY ONLY GO DOWN. A change that
+//! lowers a count lowers its constant in the same diff; one that raises
+//! a count is a regression of the short-run path, not a constant to
+//! update.
 //!
 //! Counted: calls to `alloc`, `alloc_zeroed` and `realloc` made by the
 //! measuring thread, so parallel tests do not perturb each other, and
