@@ -38,9 +38,9 @@
 //! preserved exactly — a queued event at the same instant was pushed
 //! earlier and would run first, so the fast path only triggers on
 //! *strictly earlier* completions — and each elided queue round-trip
-//! still counts in `SimStats::events`, keeping counters,
-//! recorded streams and end times bit-identical to a run with coalescing
-//! disabled (see `SimConfig::coalesce`).
+//! still counts in `SimStats::events`, keeping counters, recorded
+//! streams and end times bit-identical to a run with coalescing disabled
+//! (see `SimConfig::coalesce`).
 
 use crate::chip::{Chip, SimStats};
 use crate::coro::{self, Context};
@@ -164,10 +164,11 @@ enum Wake {
 
 // ---- event queue ---------------------------------------------------------
 
-/// What happens at instant `at`.
+/// What happens at instant `at`; `seq` numbers the pushes of a run.
 #[derive(Clone, Copy)]
 struct Event {
     at: Time,
+    seq: u64,
     kind: EventKind,
 }
 
@@ -179,11 +180,10 @@ enum EventKind {
     /// Advance the core's pending op by one cache line, or — once all
     /// lines are done — apply its effects and resume the core.
     Step(usize),
-    /// A park deadline fired for the core. The token is the park
-    /// generation it was armed for: a timer whose token no longer
-    /// matches (the core was woken, or re-parked since) is stale and
-    /// ignored.
-    Timeout(usize, u64),
+    /// A park deadline fired for the core. Only the timer armed by the
+    /// core's current park (see `Engine::timer`) wakes it; any other is
+    /// stale — the core was woken, or re-parked since — and ignored.
+    Timeout(usize),
 }
 
 struct PendingOp {
@@ -193,39 +193,54 @@ struct PendingOp {
     msg: Option<MsgId>,
 }
 
-/// Pending events in a vector sorted by time, as a calendar keeps its
-/// reservations: popped from `head`, pushed from the back; the popped
-/// prefix is dropped only when the vector is full.
+/// Pending events in two runs sorted by time, each kept as a calendar
+/// keeps its reservations (popped from `heads`, pushed from the back,
+/// the popped prefix dropped only when full). Deadline timers, armed
+/// far ahead and mostly stale long before their instant, go in
+/// `runs[1]`, so the near-now pushes to `runs[0]` never slide past them.
+/// Equal instants leave in push order, across the runs by `seq`.
 struct Queue {
-    events: Vec<Event>,
-    head: usize,
+    runs: [Vec<Event>; 2],
+    heads: [usize; 2],
+    pushed: u64,
 }
 
 impl Queue {
-    /// Queue `ev` behind every queued event at or before its instant, so
-    /// equal instants leave in push order: later ones slide right.
-    fn push(&mut self, ev: Event) {
-        let events = &mut self.events;
+    fn new(capacity: usize) -> Queue {
+        Queue { runs: [Vec::with_capacity(capacity), Vec::new()], heads: [0; 2], pushed: 0 }
+    }
+
+    /// Queue `kind` at `at` behind every queued event at or before that
+    /// instant, sliding later ones right; returns its push number.
+    fn push(&mut self, at: Time, kind: EventKind) -> u64 {
+        let ev = Event { at, seq: self.pushed, kind };
+        self.pushed += 1;
+        let r = usize::from(matches!(kind, EventKind::Timeout(_)));
+        let (events, head) = (&mut self.runs[r], &mut self.heads[r]);
         if events.len() == events.capacity() {
-            crate::chip::drop_prefix(events, std::mem::take(&mut self.head));
+            crate::chip::drop_prefix(events, std::mem::take(head));
         }
         let mut hole = events.len();
         events.push(ev);
-        while hole > self.head && events[hole - 1].at > ev.at {
+        while hole > *head && events[hole - 1].at > at {
             events[hole] = events[hole - 1];
             hole -= 1;
         }
         events[hole] = ev;
+        ev.seq
     }
 
     /// The earliest queued event, first pushed among equals.
     fn peek(&self) -> Option<&Event> {
-        self.events.get(self.head)
+        match [0, 1].map(|r| self.runs[r].get(self.heads[r])) {
+            [Some(s), Some(t)] => Some(if (t.at, t.seq) < (s.at, s.seq) { t } else { s }),
+            [s, t] => s.or(t),
+        }
     }
 
     fn pop(&mut self) -> Option<Event> {
         let ev = *self.peek()?;
-        self.head += 1;
+        self.heads[usize::from(matches!(ev.kind, EventKind::Timeout(_)))] += 1;
         Some(ev)
     }
 }
@@ -250,9 +265,9 @@ struct Engine {
     now: Time,
     pending: Vec<Option<PendingOp>>,
     parked: Vec<Option<usize>>,
-    /// Park generation per core; a deadline timer captures the value
-    /// at arming time and fires only if it still matches.
-    park_seq: Vec<u64>,
+    /// Per core, the push number of the deadline timer its current park
+    /// armed (`u64::MAX` for none); no other timer wakes it.
+    timer: Vec<u64>,
     /// Fault-injection state; `None` for an empty plan, so the default
     /// path pays a single never-taken branch per hook.
     faults: Option<FaultState>,
@@ -280,11 +295,11 @@ impl Engine {
         let mut e = Engine {
             chip,
             coalesce: cfg.coalesce,
-            queue: Queue { events: Vec::with_capacity(2 * n + 8), head: 0 },
+            queue: Queue::new(2 * n + 8),
             now: Time::ZERO,
             pending: (0..n).map(|_| None).collect(),
             parked: vec![None; n],
-            park_seq: vec![0; n],
+            timer: vec![u64::MAX; n],
             faults: (!cfg.faults.is_empty()).then(|| FaultState::new(cfg.faults.clone())),
             deadlock_notified: vec![None; n],
             end_times: vec![Time::ZERO; n],
@@ -300,9 +315,9 @@ impl Engine {
         e
     }
 
-    fn push(&mut self, at: Time, kind: EventKind) {
+    fn push(&mut self, at: Time, kind: EventKind) -> u64 {
         self.chip.stats.heap_pushes += 1;
-        self.queue.push(Event { at, kind });
+        self.queue.push(at, kind)
     }
 
     /// Record one structured event; a single never-taken branch when
@@ -355,14 +370,11 @@ impl Engine {
         self.chip.stats.parks += 1;
         self.record(ObsEvent::Park { core: CoreId(core as u8), line, at: self.now });
         self.parked[core] = Some(line);
-        self.park_seq[core] += 1;
-        if let Some(dl) = deadline {
-            // The timer keeps the queue non-empty, so a core waiting
-            // with a deadline can never trip the deadlock detector —
-            // it wakes and recovers.
-            let token = self.park_seq[core];
-            self.push(dl.max(self.now), EventKind::Timeout(core, token));
-        }
+        // The timer keeps the queue non-empty, so a core waiting with a
+        // deadline can never trip the deadlock detector — it wakes and
+        // recovers.
+        self.timer[core] =
+            deadline.map_or(u64::MAX, |dl| self.push(dl.max(self.now), EventKind::Timeout(core)));
         Ok(())
     }
 
@@ -409,24 +421,20 @@ impl Engine {
                         return advanced;
                     }
                 }
-                EventKind::Timeout(i, token) => {
-                    if self.park_seq[i] == token {
-                        if let Some(line) = self.parked[i].take() {
-                            // Timer-driven wake: the waiter re-reads
-                            // the flag and reports the timeout itself.
-                            // Close the park interval with a self-wake
-                            // so leg accounting stays tiled.
-                            self.record(ObsEvent::Wake {
-                                core: CoreId(i as u8),
-                                line,
-                                at: self.now,
-                                writer: CoreId(i as u8),
-                            });
-                            return Advanced::Woken(i, Wake::Go);
-                        }
+                EventKind::Timeout(i) => {
+                    if let Some(line) = self.parked[i].take_if(|_| self.timer[i] == ev.seq) {
+                        // Timer-driven wake: the waiter re-reads the flag
+                        // and reports the timeout itself. Close the park
+                        // interval with a self-wake so leg accounting
+                        // stays tiled.
+                        self.record(ObsEvent::Wake {
+                            core: CoreId(i as u8),
+                            line,
+                            at: self.now,
+                            writer: CoreId(i as u8),
+                        });
+                        return Advanced::Woken(i, Wake::Go);
                     }
-                    // Stale timer: a write woke the core first (or it
-                    // re-parked since). Nothing to do.
                 }
             }
         }
@@ -1283,24 +1291,30 @@ mod tests {
         use std::collections::BinaryHeap;
         // The index of the push an event came from, whatever its kind.
         let index = |ev: Event| {
-            let (EventKind::Resume(i) | EventKind::Step(i) | EventKind::Timeout(i, _)) = ev.kind;
+            let (EventKind::Resume(i) | EventKind::Step(i) | EventKind::Timeout(i)) = ev.kind;
             (ev.at, i)
         };
         let mut rng = proptest::TestRng::from_name("queue_pops_in_time_then_push_order");
         // Tiny capacities drop the popped prefix and grow many times.
         for capacity in [0, 1, 4, 2 * NUM_CORES + 8] {
-            let mut queue = Queue { events: Vec::with_capacity(capacity), head: 0 };
+            let mut queue = Queue::new(capacity);
             let mut oracle = BinaryHeap::new();
             let mut now = Time::ZERO;
             for pushed in 0..20_000 {
-                // Instants a few ns past the clock: most pushes tie.
-                let at = now + Time::from_ns(rng.gen_range_u64(0, 6));
-                let kind = match rng.gen_range_u64(0, 3) {
+                // Instants a few ns past the clock: most pushes tie, also
+                // across the runs. Half the timers are armed further out
+                // and pile up behind the clock, as stale ones do.
+                let mut at = now + Time::from_ns(rng.gen_range_u64(0, 6));
+                let kind = match rng.gen_range_u64(0, 4) {
                     0 => EventKind::Resume(pushed),
                     1 => EventKind::Step(pushed),
-                    _ => EventKind::Timeout(pushed, rng.next_u64()),
+                    2 => EventKind::Timeout(pushed),
+                    _ => {
+                        at += Time::from_ns(50 * rng.gen_range_u64(0, 3));
+                        EventKind::Timeout(pushed)
+                    }
                 };
-                queue.push(Event { at, kind });
+                assert_eq!(queue.push(at, kind), pushed as u64);
                 oracle.push(Reverse((at, pushed)));
                 // As many pops as pushes on average, so the length wanders.
                 for _ in 0..rng.gen_range_u64(0, 3) {

@@ -121,7 +121,7 @@ fn warm_run_allocations_are_pinned() {
     ];
     // 48-core OC k=7, 48-core binomial, 6-core OC k=2 (1 CL each).
     assert_eq!(got.map(|(a, _)| a.count), [115, 140, 32]);
-    assert_eq!(got.map(|(a, _)| a.bytes), [22_424, 23_256, 7_048]);
+    assert_eq!(got.map(|(a, _)| a.bytes), [22_464, 23_296, 7_088]);
     assert_eq!(got.map(|(_, e)| e), [[788, 786, 2], [944, 936, 8], [95, 91, 4]]);
 }
 
@@ -133,7 +133,7 @@ fn warm_throughput_run_allocations_are_pinned() {
     let got =
         [warm_run(48, Algorithm::oc_with_k(7), 1, 96), warm_run(48, Algorithm::Binomial, 1, 96)];
     assert_eq!(got.map(|(a, _)| a.count), [115, 140]);
-    assert_eq!(got.map(|(a, _)| a.bytes), [168_344, 169_176]);
+    assert_eq!(got.map(|(a, _)| a.bytes), [168_384, 169_216]);
     assert_eq!(got.map(|(_, e)| e), [[9_786, 9_689, 97], [9_874, 9_539, 335]]);
 }
 
