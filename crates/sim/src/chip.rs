@@ -42,8 +42,6 @@ use std::sync::OnceLock;
 pub struct Calendar {
     /// Disjoint, start-sorted (hence also end-sorted) intervals.
     slots: Vec<(Time, Time)>,
-    /// The last reservation's end, read without touching the slots.
-    last_end: Time,
 }
 
 impl Calendar {
@@ -52,11 +50,11 @@ impl Calendar {
     /// on this and every future arrival (the scheduler's current event
     /// time), so intervals ending at or before it can be dropped.
     ///
-    /// An arrival at or after the last end appends: about half of them,
-    /// as events run in time order. Otherwise one backward pass slides
-    /// each reservation that starts at or after the request's end one
-    /// slot right; conflicts cluster at the tail (a packet's return trip
-    /// books the routers its forward trip just did), so it is short.
+    /// One backward pass from the tail slides every reservation that
+    /// starts at or after the request's end one slot right. Conflicts
+    /// cluster at the tail — a packet's return trip books the same
+    /// routers its forward trip just did — so this is a handful of
+    /// steps, and none for an arrival after every reservation.
     #[inline]
     pub fn reserve(&mut self, arrival: Time, service: Time, prune_before: Time) -> Time {
         debug_assert!(arrival >= prune_before, "arrival before the pruning horizon");
@@ -66,10 +64,6 @@ impl Calendar {
         }
         let end = arrival + service;
         self.slots.push((arrival, end));
-        if arrival >= self.last_end {
-            self.last_end = end;
-            return arrival;
-        }
         // Slices keep the loops free of bounds checks.
         let slots = self.slots.as_mut_slice();
         let mut hole = slots.len() - 1;
@@ -95,7 +89,6 @@ impl Calendar {
             }
         }
         slots[hole] = (start, start + service);
-        self.last_end = self.last_end.max(start + service);
         start
     }
 
@@ -465,10 +458,7 @@ impl Chip {
             mem[..end].fill(0);
         }
         let resources = &mut chip.resources;
-        for calendar in &mut resources.calendars {
-            calendar.slots.clear();
-            calendar.last_end = Time::ZERO;
-        }
+        resources.calendars.iter_mut().for_each(|calendar| calendar.slots.clear());
         resources.rows.fill(Time::ZERO);
         resources.prune_before = Time::ZERO;
         // A path's times are the last run's parameters.
