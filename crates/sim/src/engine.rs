@@ -164,7 +164,7 @@ enum Wake {
 
 // ---- event queue ---------------------------------------------------------
 
-/// What happens at instant `at`; `seq` numbers the pushes of a run.
+/// What happens at instant `at`; `seq` is its push number.
 #[derive(Clone, Copy)]
 struct Event {
     at: Time,
