@@ -2,7 +2,7 @@
 //! registry: run every registered experiment (all paper figures and
 //! tables plus the observability workloads) or a subset, and write
 //! everything the run produced under one directory — each experiment's
-//! classic text and sidecars, the structured `BENCH_figures.json`, and
+//! classic text and forensic files, the structured `BENCH_figures.json`, and
 //! the human drift report `results/CONFORMANCE.md`. When a baseline is
 //! supplied, gate on drift: per-row tolerance bands plus
 //! shape-regression detection.
@@ -18,11 +18,9 @@
 //!     [--artifact-dir DIR]     where everything lands (".", i.e. the
 //!                              committed results/ tree):
 //!                                results/<id>.txt        classic texts
-//!                                BENCH_<x>.json, movies,
-//!                                soak dumps, traces, …   sidecars of
-//!                                                        whatif, skew,
-//!                                                        faults, soak,
-//!                                                        audit, trace
+//!                                results/ movies, soak   forensic files
+//!                                dumps, traces, …        of skew, soak,
+//!                                                        trace
 //!                                BENCH_figures.json      the report
 //!                                results/CONFORMANCE.md  its digest
 //!     [--baseline PATH]        drift-gate against this baseline
@@ -37,13 +35,10 @@
 //! Exit status: `1` if any shape check failed (each is named on
 //! stderr) or the drift gate tripped, `0` otherwise. A failing run
 //! explains itself: it re-runs the failed experiments' scenarios with
-//! recording on and writes results/DRIFT.md, results/flame_<id>.txt
-//! and results/DRIFT_whatif.json (diagnosis only — it never changes
-//! the verdict).
+//! recording on and writes results/DRIFT.md and results/flame_<id>.txt
+//! (diagnosis only — it never changes the verdict).
 
-use scc_bench::{
-    record_run, registry, representative_scenario, run_registry, whatif_artifact, whatif_profile,
-};
+use scc_bench::{record_run, registry, representative_scenario, run_registry, whatif_profile};
 use scc_obs::report::validate_json;
 use scc_obs::{
     drift_gate, flamegraph_collapsed, ConformanceReport, DiffReport, DriftReport, PhaseProfile,
@@ -256,8 +251,7 @@ fn run() -> Result<bool, String> {
 /// its representative scenario, scan the cost classes, and write the
 /// what-if tables, differential critical path, latency histograms and
 /// a flamegraph. Emits `results/DRIFT.md` plus `results/flame_<id>.txt`
-/// per experiment and the scans as `results/DRIFT_whatif.json` (its own
-/// path — `BENCH_whatif.json` belongs to the `whatif` experiment).
+/// per experiment.
 fn explain(ids: &[String], gate: Option<&DriftReport>, args: &Args) -> Result<(), String> {
     let quick = args.quick;
     let mut md = String::new();
@@ -268,7 +262,7 @@ fn explain(ids: &[String], gate: Option<&DriftReport>, args: &Args) -> Result<()
     // The per-experiment diagnoses are independent — fan them out on the
     // same worker budget as the registry run, then stitch the report
     // together in the caller's id order.
-    type ExplainResult = Result<(String, String, scc_obs::WhatIfProfile), String>;
+    type ExplainResult = Result<(String, String), String>;
     let tasks: Vec<scc_bench::pool::Task<ExplainResult>> = ids
         .iter()
         .map(|id| {
@@ -277,9 +271,8 @@ fn explain(ids: &[String], gate: Option<&DriftReport>, args: &Args) -> Result<()
         })
         .collect();
     let sections = scc_bench::pool::run_tasks(args.jobs, tasks);
-    let mut profiles = Vec::new();
     for (id, section) in ids.iter().zip(sections) {
-        let (section_md, flame, wi) = section?;
+        let (section_md, flame) = section?;
         md.push_str(&section_md);
         let rel = format!("results/flame_{id}.txt");
         write_file(&args.in_dir(&rel), &flame)?;
@@ -289,16 +282,14 @@ fn explain(ids: &[String], gate: Option<&DriftReport>, args: &Args) -> Result<()
             flame.lines().count()
         );
         let _ = md.write_char('\n');
-        profiles.push(wi);
     }
-    write_file(&args.in_dir("results/DRIFT.md"), &md)?;
-    write_file(&args.in_dir("results/DRIFT_whatif.json"), &whatif_artifact(&profiles, args.quick)?)
+    write_file(&args.in_dir("results/DRIFT.md"), &md)
 }
 
 /// One experiment's drift diagnosis: the markdown section (sans the
-/// flamegraph pointer, which the caller adds after writing the file),
-/// the collapsed flamegraph text, and the what-if profile.
-fn explain_one(id: &str, quick: bool) -> Result<(String, String, scc_obs::WhatIfProfile), String> {
+/// flamegraph pointer, which the caller adds after writing the file)
+/// and the collapsed flamegraph text.
+fn explain_one(id: &str, quick: bool) -> Result<(String, String), String> {
     let mut md = String::new();
     let sc = representative_scenario(id);
     let _ = writeln!(md, "## {id} — scenario `{}`\n", sc.label);
@@ -335,5 +326,5 @@ fn explain_one(id: &str, quick: bool) -> Result<(String, String, scc_obs::WhatIf
     md.push_str(&RunHistograms::build(&events).render_markdown());
 
     let flame = flamegraph_collapsed(&events, &sc.label);
-    Ok((md, flame, wi))
+    Ok((md, flame))
 }

@@ -15,17 +15,13 @@
 //! [`MutationClass`] — and the auditor must detect each mutant *and*
 //! name the expected violation class.
 //!
-//! The finalize step derives `BENCH_audit.json` from the same scenarios
-//! as the text and rows. Recording and
-//! mutation seeds are deterministic, so every artifact is
-//! byte-identical at any `--jobs` count.
+//! Recording and mutation seeds are deterministic, so the text and rows
+//! are byte-identical at any `--jobs` count.
 
 use super::{outln, Point, Sweep};
 use crate::{fault_plan, policy, Run, Scenario};
 use oc_bcast::Algorithm;
-use scc_obs::{
-    artifact, audit, mutate, AuditScenario, AuditSpec, Hex64, MutationClass, MutationTrial,
-};
+use scc_obs::{audit, mutate, AuditSpec, MutationClass};
 use scc_sim::SimError;
 
 /// The paper's full chip; the auditor earns its keep at scale.
@@ -87,10 +83,43 @@ impl Point for Audited {
     }
 }
 
+/// One seeded mutation trial of the non-vacuity harness.
+struct MutationTrial {
+    /// [`MutationClass::name`] of the mutation applied.
+    mutation: &'static str,
+    /// The auditor reported at least one violation on the mutant.
+    detected: bool,
+    /// The expected violation class was among those reported.
+    classified: bool,
+}
+
+/// One recorded scenario's audit outcome.
+struct AuditScenario {
+    /// Recorded events audited.
+    events: u64,
+    /// Happens-before edges the causal graph carries.
+    edges: u64,
+    /// Invariant instances examined, summed over every checker.
+    checks: u64,
+    /// Violations found (0 on a healthy run).
+    violations: u64,
+    /// Distinct violation class names found, sorted.
+    classes: Vec<&'static str>,
+    /// The mutation trials run against this scenario's stream.
+    mutations: Vec<MutationTrial>,
+}
+
+impl AuditScenario {
+    /// Every mutation trial was detected *and* correctly classified.
+    fn mutations_all_caught(&self) -> bool {
+        self.mutations.iter().all(|m| m.detected && m.classified)
+    }
+}
+
 /// Record one scenario, audit it, and (for faulted streams) run the
 /// five-class mutation matrix against the same events.
 fn run_point(point: &Audited) -> Result<AuditScenario, SimError> {
-    let Audited { id, sc, mode, index } = point;
+    let Audited { sc, mode, index, .. } = point;
     let mode = *mode;
     let run = Run { record: true, ..Run::default() };
     let run = match mode {
@@ -123,24 +152,16 @@ fn run_point(point: &Audited) -> Result<AuditScenario, SimError> {
                 }
                 None => (false, false),
             };
-            mutations.push(MutationTrial {
-                mutation: class.name().to_string(),
-                seed: Hex64(seed),
-                detected,
-                classified,
-            });
+            mutations.push(MutationTrial { mutation: class.name(), detected, classified });
         }
     }
 
     Ok(AuditScenario {
-        id: id.to_string(),
-        label: format!("{} {}", sc.label, mode.name()),
-        cores: CORES as u64,
         events: rep.events,
         edges: rep.edges,
         checks: rep.checked(),
         violations: rep.violations.len() as u64,
-        classes: rep.classes().iter().map(|c| c.name().to_string()).collect(),
+        classes: rep.classes().iter().map(|c| c.name()).collect(),
         mutations,
     })
 }
@@ -164,7 +185,6 @@ pub(super) fn plan(quick: bool) -> Sweep {
     Sweep::points(points.collect(), run_point, move |ctx, pairs| {
         outln!(ctx, "# causal trace audit, {CORES}-core recorded broadcasts ({lines} cache lines)");
         outln!(ctx, "# healthy streams must show 0 violations; mutants must be caught");
-        let mut audited: Vec<AuditScenario> = Vec::new();
         for (Audited { id, mode, .. }, s) in pairs {
             outln!(
                 ctx,
@@ -217,8 +237,35 @@ pub(super) fn plan(quick: bool) -> Sweep {
                         .join(" "),
                 );
             }
-            audited.push(s);
         }
-        ctx.artifact("BENCH_audit.json", artifact::scenarios("audit", &audited).render());
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn trial(detected: bool, classified: bool) -> MutationTrial {
+        MutationTrial { mutation: "drop-wake", detected, classified }
+    }
+
+    fn scenario(mutations: Vec<MutationTrial>) -> AuditScenario {
+        AuditScenario {
+            events: 19_752,
+            edges: 19_749,
+            checks: 41_338,
+            violations: 0,
+            classes: vec![],
+            mutations,
+        }
+    }
+
+    #[test]
+    fn mutations_all_caught_requires_detection_and_class() {
+        // The second trial was detected but misclassified.
+        assert!(!scenario(vec![trial(true, true), trial(true, false)]).mutations_all_caught());
+        assert!(!scenario(vec![trial(false, false)]).mutations_all_caught());
+        assert!(scenario(vec![trial(true, true)]).mutations_all_caught());
+        assert!(scenario(vec![]).mutations_all_caught(), "vacuously true with no trials");
+    }
 }

@@ -7,15 +7,14 @@
 //! makespan as the injected rate rises, next to the recovery counters
 //! (timeouts, probes, recoveries, re-notifies) that explain it.
 //!
-//! The finalize step derives `BENCH_faults.json` from the same curves
-//! as the text and rows. Faults are seeded and
-//! drawn in deterministic event order, so every artifact is
-//! byte-identical at any `--jobs` count.
+//! Faults are seeded and drawn in deterministic event order, so the
+//! text and rows are byte-identical at any `--jobs` count.
 
 use super::{outln, Point, Sweep};
 use crate::{fault_plan, policy, Run, Scenario, FAULT_DELAY};
 use oc_bcast::{Algorithm, RelStats};
-use scc_obs::{artifact, FaultCurve, FaultPoint, LatencyHistogram};
+use scc_hal::Time;
+use scc_obs::LatencyHistogram;
 use scc_sim::SimError;
 
 /// The paper's full chip; fault tolerance is only interesting at scale.
@@ -42,6 +41,22 @@ impl Point for Rate {
     }
 }
 
+/// What the reliable broadcast delivered at one fault rate.
+struct FaultPoint {
+    /// Destinations that returned with a verified payload.
+    delivered: usize,
+    /// Per-destination delivered-latency percentiles (nearest-rank).
+    p50: Time,
+    p99: Time,
+    /// Engine makespan of the run (includes the root's drain).
+    makespan: Time,
+    /// Faults the engine injected.
+    faults: u64,
+    /// Recovery-layer counters summed over every core.
+    timeouts: u64,
+    recoveries: u64,
+}
+
 /// Run one reliable broadcast under the given drop rate and reduce it
 /// to its point of the curve: the delivered-latency distribution (root's
 /// call to each destination's return) plus the recovery counters summed
@@ -54,24 +69,18 @@ fn run_point(&Rate { alg, lines, drop_ppm, .. }: &Rate) -> Result<FaultPoint, Si
     let mut hist = LatencyHistogram::new();
     out.deliveries(0).for_each(|l| hist.record(l));
     let mut q = |q| hist.quantile(q).ok_or_else(|| SimError::Engine("no destinations".into()));
-    let (p50, p99, max) = (q(0.50)?, q(0.99)?, q(1.0)?);
+    let (p50, p99) = (q(0.50)?, q(0.99)?);
     let mut rel = RelStats::default();
     out.cores.iter().for_each(|core| rel.accumulate(core[0].rel));
     Ok(FaultPoint {
-        drop_ppm: u64::from(drop_ppm),
-        delay_ppm: u64::from(drop_ppm / 2),
         // The runner verified every destination's payload.
-        delivered: hist.count() as u64,
+        delivered: hist.count(),
         p50,
         p99,
-        max,
         makespan: out.makespan,
         faults: out.stats.faults,
-        lost: out.stats.fault_lost,
         timeouts: rel.timeouts,
-        probes: rel.probes,
         recoveries: rel.recoveries,
-        renotifies: rel.renotifies,
     })
 }
 
@@ -97,17 +106,9 @@ pub(super) fn plan(quick: bool) -> Sweep {
             ctx,
             "# drop = remote-notification loss (ppm); transfers delayed {FAULT_DELAY} at drop/2"
         );
-        let mut curves: Vec<FaultCurve> = Vec::new();
         for rates in pairs.chunk_by(|a, b| a.0.id == b.0.id) {
-            let Rate { id, alg, .. } = rates[0].0;
-            let mut curve = FaultCurve {
-                id: id.to_string(),
-                label: format!("{} {CORES}c {lines}cl", alg.label()),
-                cores: CORES as u64,
-                points: Vec::new(),
-            };
-            for (point, p) in rates {
-                let (rate, p) = (point.drop_ppm, p.clone());
+            let id = rates[0].0.id;
+            for (Rate { drop_ppm: rate, .. }, p) in rates {
                 ctx.row(
                     format!("{id} drop={rate}ppm delivery p50"),
                     None,
@@ -142,33 +143,30 @@ pub(super) fn plan(quick: bool) -> Sweep {
                     p.faults,
                     p.recoveries,
                 );
-                curve.points.push(p);
             }
 
-            let all_delivered = curve.points.iter().all(|p| p.delivered == (CORES - 1) as u64);
+            let all_delivered = rates.iter().all(|(_, p)| p.delivered == CORES - 1);
             ctx.shape(
                 &format!("{id}: every destination verifies delivery at every fault rate"),
                 all_delivered,
-                format!("{} destinations x {} rates", CORES - 1, curve.points.len()),
+                format!("{} destinations x {} rates", CORES - 1, rates.len()),
             );
-            let clean = &curve.points[0];
+            let clean = &rates[0].1;
             ctx.shape(
                 &format!("{id}: the fault-free point injects nothing and recovers nothing"),
                 clean.faults == 0 && clean.timeouts == 0 && clean.recoveries == 0,
                 format!("{} faults, {} timeouts at rate 0", clean.faults, clean.timeouts),
             );
-            let top = &curve.points[curve.points.len() - 1];
+            let (top_rate, top) = &rates[rates.len() - 1];
             ctx.shape(
                 &format!("{id}: faults fire and are absorbed at the top rate"),
                 top.faults > 0 && top.recoveries > 0,
                 format!(
                     "drop {}ppm: {} faults, {} timeouts, {} recoveries",
-                    top.drop_ppm, top.faults, top.timeouts, top.recoveries
+                    top_rate.drop_ppm, top.faults, top.timeouts, top.recoveries
                 ),
             );
-            curves.push(curve);
         }
         outln!(ctx, "# every point: payload verified on all {} destinations", CORES - 1);
-        ctx.artifact("BENCH_faults.json", artifact::scenarios("faults", &curves).render());
     })
 }

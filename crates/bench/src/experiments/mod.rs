@@ -7,7 +7,8 @@
 //! produces: the classic human-readable text (the committed
 //! `results/<id>.txt`), the structured [`ExperimentRow`]s for the drift
 //! gate, the [`ShapeCheck`]s for the paper's qualitative claims, and —
-//! for the experiments that have them — sidecar files. The experiment
+//! for the experiments that have them — forensic files a person opens in
+//! a viewer (traces, movies, soak dumps). The experiment
 //! owns all of these ([`Outputs`]); `observatory` only writes them under
 //! `--artifact-dir`.
 //!
@@ -50,7 +51,7 @@ mod trace;
 mod tune;
 mod whatif;
 
-pub use whatif::{whatif_artifact, whatif_profile};
+pub use whatif::whatif_profile;
 
 /// Append a formatted line (or a bare newline) to the experiment's
 /// text buffer — the in-registry twin of `println!`.
@@ -77,7 +78,7 @@ pub(crate) use {out, outln};
 pub struct Outputs {
     /// Files to write under the artifact directory, `(relative path,
     /// contents)`: the classic text first (at [`text_path`]), then the
-    /// experiment's sidecars in emission order.
+    /// experiment's forensic files in emission order.
     pub files: Vec<(String, String)>,
 }
 
@@ -102,7 +103,7 @@ pub struct ExpCtx {
     pub rows: Vec<ExperimentRow>,
     /// The paper's qualitative claims, evaluated on this run.
     pub shapes: Vec<ShapeCheck>,
-    /// Sidecar files queued so far.
+    /// Forensic files queued so far.
     pub outputs: Outputs,
 }
 
@@ -117,7 +118,7 @@ impl ExpCtx {
         }
     }
 
-    /// Queue a sidecar file, path relative to the artifact directory.
+    /// Queue a forensic file, path relative to the artifact directory.
     pub fn artifact(&mut self, path: impl Into<String>, contents: String) {
         self.outputs.files.push((path.into(), contents));
     }

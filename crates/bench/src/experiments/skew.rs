@@ -6,15 +6,14 @@
 //! dwells partition each delivery latency *exactly* (integer
 //! picoseconds; re-checked as a shape claim on every run).
 //!
-//! The finalize step derives the skew rows, the versioned
-//! `BENCH_journeys.json` artifact and one link-congestion movie per
-//! scenario (`results/movie_<id>.txt`) from the same books.
+//! The finalize step derives the skew rows and writes one
+//! link-congestion movie per scenario (`results/movie_<id>.txt`).
 
 use super::{outln, Point, Sweep};
 use crate::{record_run, Scenario};
 use oc_bcast::Algorithm;
 use scc_hal::Time;
-use scc_obs::{artifact, CongestionMovie, JourneyBook, SkewReport};
+use scc_obs::{CongestionMovie, JourneyBook, SkewReport};
 use scc_sim::{SimError, SimParams};
 
 /// Frames per congestion movie: enough to see the root-column burst
@@ -56,7 +55,6 @@ pub(super) fn plan(quick: bool) -> Sweep {
             ctx,
             "# per-destination delivery skew, 48-core broadcasts ({lines} cache lines from C0)"
         );
-        let mut books: Vec<(String, JourneyBook)> = Vec::new();
         for (Journeys(id, sc), (book, skew, movie)) in pairs {
             // The exactness invariants this module exists to guard.
             let conserved = book.journeys.iter().all(|j| j.legs_total() == j.latency());
@@ -101,9 +99,7 @@ pub(super) fn plan(quick: bool) -> Sweep {
             );
 
             ctx.artifact(format!("results/movie_{id}.txt"), movie);
-            books.push((id.to_string(), book));
         }
         outln!(ctx, "# every scenario: leg dwells sum exactly to delivery latency (integer ps)");
-        ctx.artifact("BENCH_journeys.json", artifact::scenarios("journeys", &books).render());
     })
 }

@@ -15,7 +15,7 @@
 //! the broadcast context shared across all epochs of the chunk (the
 //! repeated-broadcast pattern of `oc_bcast::reliable`'s tests) — so
 //! the sweep parallelizes across chunks while every number merges in
-//! declaration order: `BENCH_soak.json` and the dumps are
+//! declaration order: the text, the rows and the dumps are
 //! byte-identical at any `--jobs`.
 
 use super::{outln, Point, Sweep};
@@ -24,8 +24,7 @@ use oc_bcast::{Algorithm, RelStats};
 use scc_hal::Time;
 use scc_obs::{
     artifact, audit, chrome_trace_json, render_skew_markdown, AuditSpec, EpochRollup, JourneyBook,
-    LatencyHistogram, ObsEvent, QuantileSketch, RecoveryCounters, SkewReport, SloPolicy, SoakPhase,
-    SoakScenario,
+    LatencyHistogram, ObsEvent, QuantileSketch, RecoveryCounters, SkewReport, SloPolicy,
 };
 use scc_sim::SimError;
 
@@ -124,6 +123,26 @@ struct ChunkOut {
     window: Option<Vec<ObsEvent>>,
 }
 
+/// One traffic phase of one protocol's soak, merged over its chunks.
+struct SoakPhase {
+    /// Stable id, e.g. `"healthy_a"` / `"faults"` / `"healthy_b"`.
+    id: &'static str,
+    /// Remote-notification drop rate this phase injects, ppm.
+    drop_ppm: u32,
+    /// Per-destination delivered latencies, every epoch of the phase.
+    sketch: QuantileSketch,
+    /// Worst per-epoch makespan in the phase.
+    makespan_max: Time,
+    /// Recovery counters summed over the phase.
+    timeouts: u64,
+    recoveries: u64,
+    /// Faults the plan injected during the phase.
+    faults: u64,
+    /// Watchdog breaches, and forensic files dumped.
+    breaches: usize,
+    dumps: usize,
+}
+
 /// Run one chunk: `epochs` broadcasts in one shared reliable context,
 /// with no barrier (see [`Run::aligned`]).
 fn run_chunk(chunk: &Chunk) -> Result<ChunkOut, SimError> {
@@ -187,36 +206,29 @@ fn sweep(chunks: Vec<Chunk>) -> Sweep {
         let lines = pairs[0].0.lines;
         outln!(ctx, "# soak: back-to-back reliable broadcasts, {CORES} cores, {lines} cache lines");
         outln!(ctx, "# SLO per epoch: p99 <= 300 us, makespan <= 450 us, zero recoveries");
-        let mut report: Vec<SoakScenario> = Vec::new();
+        let policy = slo();
+        let (mut scenarios, mut total) = (0, 0);
         // `(dump stem, invariant instances checked, violations)` for
         // every flight window dumped below.
         let mut dump_audits: Vec<(String, u64, u64)> = Vec::new();
         for sc in pairs.chunk_by(|a, b| a.0.scenario == b.0.scenario) {
-            let (id, alg) = (sc[0].0.scenario, sc[0].0.alg);
-            let mut scenario = SoakScenario {
-                id: id.to_string(),
-                label: format!("{} {CORES}c {lines}cl", alg.label()),
-                cores: CORES as u64,
-                policy: slo(),
-                phases: Vec::new(),
-            };
+            let id = sc[0].0.scenario;
+            let mut phases: Vec<SoakPhase> = Vec::new();
             let mut dumps_left = MAX_DUMPS;
             for ph in sc.chunk_by(|a, b| a.0.phase == b.0.phase) {
                 let (phase_id, drop_ppm) = (ph[0].0.phase, ph[0].0.drop_ppm);
                 let epochs: usize = ph.iter().map(|(c, _)| c.epochs).sum();
+                total += epochs;
                 let mut phase = SoakPhase {
-                    id: phase_id.to_string(),
-                    drop_ppm: u64::from(drop_ppm),
-                    epochs: epochs as u64,
+                    id: phase_id,
+                    drop_ppm,
                     sketch: QuantileSketch::new(),
                     makespan_max: Time::ZERO,
                     timeouts: 0,
-                    probes: 0,
                     recoveries: 0,
-                    renotifies: 0,
                     faults: 0,
-                    breaches: Vec::new(),
-                    dumps: Vec::new(),
+                    breaches: 0,
+                    dumps: 0,
                 };
                 let mut exact = LatencyHistogram::new();
                 for (_, chunk) in ph {
@@ -225,17 +237,15 @@ fn sweep(chunks: Vec<Chunk>) -> Sweep {
                     for &l in &chunk.lats {
                         exact.record(l);
                     }
-                    phase.probes += chunk.probes;
-                    phase.renotifies += chunk.renotifies;
                     phase.faults += chunk.faults;
                     let mut chunk_breached = false;
                     for r in &chunk.rollups {
                         phase.makespan_max = phase.makespan_max.max(r.makespan);
                         phase.timeouts += r.timeouts;
                         phase.recoveries += r.recoveries;
-                        let breaches = scenario.policy.check(r);
-                        chunk_breached |= !breaches.is_empty();
-                        phase.breaches.extend(breaches);
+                        let breaches = policy.check(r).len();
+                        chunk_breached |= breaches > 0;
+                        phase.breaches += breaches;
                     }
                     // A breach freezes the chunk's flight ring and
                     // dumps forensics for just that window.
@@ -263,8 +273,7 @@ fn sweep(chunks: Vec<Chunk>) -> Sweep {
                                     .render(),
                             );
                             let book = book.1;
-                            phase.dumps.push(format!("{stem}_trace.json"));
-                            phase.dumps.push(format!("{stem}_journeys.json"));
+                            phase.dumps += 2;
                             if let Some(skew) = SkewReport::from_book(id, &book) {
                                 // The dumped chunk's own counters, not
                                 // the phase's running totals.
@@ -278,7 +287,7 @@ fn sweep(chunks: Vec<Chunk>) -> Sweep {
                                     format!("{stem}_skew.md"),
                                     render_skew_markdown(std::slice::from_ref(&skew)),
                                 );
-                                phase.dumps.push(format!("{stem}_skew.md"));
+                                phase.dumps += 1;
                             }
                         }
                     }
@@ -306,8 +315,8 @@ fn sweep(chunks: Vec<Chunk>) -> Sweep {
                     p50,
                     p99,
                     phase.recoveries,
-                    phase.breaches.len(),
-                    phase.dumps.len(),
+                    phase.breaches,
+                    phase.dumps,
                 );
                 // The acceptance bound: a sketch quantile is the upper
                 // edge of the exact value's bucket — at least the
@@ -325,52 +334,45 @@ fn sweep(chunks: Vec<Chunk>) -> Sweep {
                     pass,
                     detail,
                 );
-                scenario.phases.push(phase);
+                phases.push(phase);
             }
 
-            for ph in &scenario.phases {
+            for ph in &phases {
                 if ph.drop_ppm == 0 {
                     ctx.shape(
-                        &format!("{}/{}: healthy phase is clean and dump-free", scenario.id, ph.id),
+                        &format!("{id}/{}: healthy phase is clean and dump-free", ph.id),
                         ph.timeouts == 0
                             && ph.recoveries == 0
                             && ph.faults == 0
-                            && ph.breaches.is_empty()
-                            && ph.dumps.is_empty(),
+                            && ph.breaches == 0
+                            && ph.dumps == 0,
                         format!(
                             "{} timeouts, {} recoveries, {} faults, {} breaches, {} dumps",
-                            ph.timeouts,
-                            ph.recoveries,
-                            ph.faults,
-                            ph.breaches.len(),
-                            ph.dumps.len()
+                            ph.timeouts, ph.recoveries, ph.faults, ph.breaches, ph.dumps
                         ),
                     );
                 } else {
                     ctx.shape(
                         &format!(
-                            "{}/{}: fault phase injects, recovers, and trips the watchdog",
-                            scenario.id, ph.id
+                            "{id}/{}: fault phase injects, recovers, and trips the watchdog",
+                            ph.id
                         ),
-                        ph.faults > 0 && ph.recoveries > 0 && !ph.breaches.is_empty(),
+                        ph.faults > 0 && ph.recoveries > 0 && ph.breaches > 0,
                         format!(
                             "{} faults, {} recoveries, {} breaches, {} dumps",
-                            ph.faults,
-                            ph.recoveries,
-                            ph.breaches.len(),
-                            ph.dumps.len()
+                            ph.faults, ph.recoveries, ph.breaches, ph.dumps
                         ),
                     );
                 }
             }
-            report.push(scenario);
+            scenarios += 1;
         }
         // The runner checked every core's bytes after every epoch; a
         // wrong payload would have failed its chunk's unit.
         ctx.shape(
             "every destination of every epoch verifies its payload",
             true,
-            format!("{} scenarios x {} destinations", report.len(), CORES - 1),
+            format!("{scenarios} scenarios x {} destinations", CORES - 1),
         );
         ctx.shape(
             "every forensic dump window audits causally clean",
@@ -382,10 +384,7 @@ fn sweep(chunks: Vec<Chunk>) -> Sweep {
                 .collect::<Vec<_>>()
                 .join("; "),
         );
-        let total: u64 = report.iter().map(SoakScenario::epochs).sum();
         outln!(ctx, "# {total} epochs total; dumps only from fault-phase windows");
-
-        ctx.artifact("BENCH_soak.json", artifact::scenarios("soak", &report).render());
     })
 }
 
@@ -393,7 +392,6 @@ fn sweep(chunks: Vec<Chunk>) -> Sweep {
 mod tests {
     use super::*;
     use crate::{run_experiment_full, Experiment, Outputs};
-    use scc_obs::Json;
 
     /// Epochs `start..start + epochs` of a binomial fault phase, at a
     /// drop rate dense enough that a chunk of ten or more breaches.
@@ -419,16 +417,19 @@ mod tests {
         &found.unwrap_or_else(|| panic!("no {path}")).1
     }
 
-    /// `[timeouts, probes, recoveries, renotifies]` of the one phase
-    /// `BENCH_soak.json` reports.
-    fn phase_counters(out: &Outputs) -> [u64; 4] {
-        let doc = Json::parse(file(out, "BENCH_soak.json")).unwrap();
-        let phase = &doc.get("scenarios").and_then(Json::as_arr).unwrap()[0]
-            .get("phases")
-            .and_then(Json::as_arr)
-            .unwrap()[0];
-        ["timeouts", "probes", "recoveries", "renotifies"]
-            .map(|k| phase.get(k).and_then(Json::as_i64).unwrap() as u64)
+    /// `[timeouts, probes, recoveries, renotifies]` of one chunk, from
+    /// the chunk runner's own result.
+    fn chunk_counters(chunk: &Chunk) -> [u64; 4] {
+        let out = run_chunk(chunk).unwrap();
+        let sum = |count: fn(&EpochRollup) -> u64| out.rollups.iter().map(count).sum();
+        [sum(|r| r.timeouts), out.probes, sum(|r| r.recoveries), out.renotifies]
+    }
+
+    /// The recoveries the text reports for the one phase of a soak.
+    fn phase_recoveries(out: &Outputs) -> u64 {
+        let line = file(out, "results/soak.txt").lines().find(|l| l.ends_with(" dumps")).unwrap();
+        let before = line.split(" recoveries").next().unwrap();
+        before.split_whitespace().last().unwrap().parse().unwrap()
     }
 
     /// The four counts a skew digest's `reliability` row names.
@@ -448,13 +449,10 @@ mod tests {
         let both = soak_of(|_| sweep(vec![fault_chunk(0, 10), fault_chunk(10, 12)]));
         let dumps = ["e00000-00009", "e00010-00021"]
             .map(|w| reliability(file(&both, &format!("results/soak_dump_binomial_{w}_skew.md"))));
-        let alone = [
-            phase_counters(&soak_of(|_| sweep(vec![fault_chunk(0, 10)]))),
-            phase_counters(&soak_of(|_| sweep(vec![fault_chunk(10, 12)]))),
-        ];
+        let alone = [chunk_counters(&fault_chunk(0, 10)), chunk_counters(&fault_chunk(10, 12))];
         assert_eq!(dumps, alone, "each dump names its own chunk's counters");
         assert!(alone.iter().all(|c| c[2] > 0), "both chunks recover: {alone:?}");
-        let summed: [u64; 4] = std::array::from_fn(|i| dumps[0][i] + dumps[1][i]);
-        assert_eq!(summed, phase_counters(&both), "the dumps add up to their phase");
+        let recoveries = dumps[0][2] + dumps[1][2];
+        assert_eq!(recoveries, phase_recoveries(&both), "the dumps add up to their phase");
     }
 }

@@ -15,8 +15,7 @@
 //! * `results/util_<label>.csv` — bucketed busy-fraction / queue-depth
 //!   time series per contended resource;
 //! * `results/flame_<label>.txt` — collapsed stacks for
-//!   inferno/speedscope;
-//! * `BENCH_obs.json` — one roll-up per scenario.
+//!   inferno/speedscope.
 //!
 //! The shape check per scenario is the critical path's invariant: its
 //! segments sum to its length, and it covers the whole makespan.
@@ -26,8 +25,8 @@ use crate::{record_run, Scenario};
 use oc_bcast::Algorithm;
 use scc_hal::Time;
 use scc_obs::{
-    artifact, chrome_trace_json, critical_path, flamegraph_collapsed, render_gantt, summarize,
-    validate_json, Json, ObsEvent, UtilizationSeries,
+    chrome_trace_json, critical_path, flamegraph_collapsed, render_gantt, summarize, validate_json,
+    ObsEvent, UtilizationSeries,
 };
 use scc_sim::SimParams;
 use std::fmt::Write as _;
@@ -51,7 +50,6 @@ struct Traced {
     text: String,
     /// The Chrome trace, utilization CSV and flamegraph, `(path, contents)`.
     files: Vec<(String, String)>,
-    rollup: Json,
     /// Sum of the critical path's segments, its length, the makespan.
     cover: [Time; 3],
 }
@@ -66,39 +64,13 @@ fn trace(&(collective, ref sc): &(&'static str, Scenario)) -> Result<Traced, Str
     let label = format!("{collective}_{}cl", sc.lines);
     let chrome = chrome_trace_json(events);
     validate_json(&chrome).map_err(|e| format!("chrome trace JSON: {e}"))?;
-    let series = UtilizationSeries::build(events, makespan, BUCKETS);
+    let series = UtilizationSeries::build(events, makespan, BUCKETS).to_csv();
     let files = vec![
         (format!("results/trace_{label}.json"), chrome),
-        (format!("results/util_{label}.csv"), series.to_csv()),
+        (format!("results/util_{label}.csv"), series),
         (format!("results/flame_{label}.txt"), flamegraph_collapsed(events, &label)),
     ];
-
-    let us = |t: Time| Json::Num(t.as_us_f64());
-    let spans = events.iter().filter(|e| matches!(e, ObsEvent::SpanBegin { .. })).count();
-    let peak = series.peak_busy().into_iter().fold(Json::obj(), |j, (k, v)| j.set(k, Json::Num(v)));
-    let rollup = Json::obj()
-        .set("collective", Json::Str(collective.into()))
-        .set("label", Json::Str(sc.alg.label()))
-        .set("cores", Json::Int(sc.cores as i64))
-        .set("lines", Json::Int(sc.lines as i64))
-        .set("makespan_us", us(makespan))
-        .set("events", Json::Int(events.len() as i64))
-        .set("spans", Json::Int(spans as i64))
-        .set(
-            "critical_path",
-            Json::obj()
-                .set("segments", Json::Int(cp.segments.len() as i64))
-                .set("total_us", us(cp.total()))
-                .set("op_service_us", us(b.op_service))
-                .set("port_wait_us", us(b.port_wait))
-                .set("router_wait_us", us(b.router_wait))
-                .set("mc_wait_us", us(b.mc_wait))
-                .set("compute_us", us(b.compute))
-                .set("idle_us", us(b.idle)),
-        )
-        .set("peak_busy", peak)
-        .set("artifacts", Json::Arr(files.iter().map(|f| Json::Str(f.0.clone())).collect()));
-    Ok(Traced { text, files, rollup, cover: [b.total(), cp.total(), makespan] })
+    Ok(Traced { text, files, cover: [b.total(), cp.total(), makespan] })
 }
 
 /// The Gantt chart, the per-core op summary and the utilization of
@@ -145,7 +117,6 @@ pub(super) fn plan(_quick: bool) -> Sweep {
         ("binomial", Scenario::new(Algorithm::Binomial, 48, 1)),
     ];
     Sweep::points(points, trace, |ctx, pairs| {
-        let mut rollups = Vec::new();
         for ((_, sc), t) in pairs {
             out!(ctx, "{}", t.text);
             let [sum, path, makespan] = t.cover;
@@ -157,9 +128,6 @@ pub(super) fn plan(_quick: bool) -> Sweep {
             for (path, contents) in t.files {
                 ctx.artifact(path, contents);
             }
-            rollups.push(t.rollup);
         }
-        let doc = artifact::envelope("obs").set("scenarios", Json::Arr(rollups));
-        ctx.artifact("BENCH_obs.json", doc.render() + "\n");
     })
 }

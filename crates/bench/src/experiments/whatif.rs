@@ -15,16 +15,12 @@
 //!   latency `L_hop` dominates, while overall the per-message software
 //!   overhead `o` dominates everything (the LogP structure of
 //!   Section 4.4's baseline analysis).
-//!
-//! The structured side lands in `BENCH_whatif.json` (versioned with
-//! [`scc_obs::ARTIFACT_VERSION`]) through the experiment's artifact
-//! channel, so `observatory` writes it next to `BENCH_figures.json`.
 
 use super::{outln, Point, Sweep};
 use crate::{Run, Scenario};
 use oc_bcast::Algorithm;
 use scc_hal::Time;
-use scc_obs::{artifact, validate_json, CostClass, Json, WhatIfPoint, WhatIfProfile};
+use scc_obs::{CostClass, WhatIfPoint, WhatIfProfile};
 use scc_sim::{SimError, SimParams};
 
 /// The two extremes the paper contrasts.
@@ -41,17 +37,6 @@ fn factors(quick: bool) -> &'static [f64] {
     } else {
         &[0.9, 1.1]
     }
-}
-
-/// Wrap profiles in the versioned `BENCH_whatif.json` envelope; `Err`
-/// if the rendered document does not parse back.
-pub fn whatif_artifact(profiles: &[WhatIfProfile], quick: bool) -> Result<String, String> {
-    let doc = artifact::envelope("whatif")
-        .set("quick", Json::Bool(quick))
-        .set("profiles", Json::Arr(profiles.iter().map(WhatIfProfile::to_json).collect()));
-    let rendered = doc.render();
-    validate_json(&rendered).map_err(|e| format!("BENCH_whatif.json: {e}"))?;
-    Ok(rendered + "\n")
 }
 
 /// One unit of a scenario's scan: its nominal run (`class: None`) or
@@ -151,12 +136,6 @@ pub(super) fn plan(quick: bool) -> Sweep {
             }
             profiles.push(p);
         }
-        match whatif_artifact(&profiles, ctx.quick) {
-            Ok(text) => ctx.artifact("BENCH_whatif.json", text),
-            Err(e) => {
-                ctx.shape("BENCH_whatif.json is valid JSON", false, e);
-            }
-        }
 
         // The claims contrast the two scenarios; without both, their
         // shape checks are missing and the drift gate says so.
@@ -206,7 +185,6 @@ pub(super) fn plan(quick: bool) -> Sweep {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::representative_scenario;
 
     #[test]
@@ -220,18 +198,5 @@ mod tests {
         assert_eq!(representative_scenario("fig4").label, "k=47 48c 96cl");
         // The tree-latency experiment maps to the latency-bound baseline.
         assert_eq!(representative_scenario("fig5").label, "binomial 48c 1cl");
-    }
-
-    #[test]
-    fn artifact_envelope_is_versioned_and_valid() {
-        let profiles = vec![WhatIfProfile {
-            scenario: "t".into(),
-            nominal: scc_hal::Time::from_ns(100),
-            points: vec![],
-        }];
-        let text = whatif_artifact(&profiles, true).unwrap();
-        let doc = Json::parse(&text).unwrap();
-        scc_obs::validate_artifact_version(&doc).unwrap();
-        assert!(text.contains("\"bench\""), "{text}");
     }
 }

@@ -5,7 +5,7 @@
 //! binary, `observatory`, runs the registry (or `--only ids`) and
 //! writes everything the run produced under `--artifact-dir`: each
 //! experiment's classic text at `results/<id>.txt` (the committed
-//! files), its sidecars, `BENCH_figures.json` and
+//! files), its forensic files, `BENCH_figures.json` and
 //! `results/CONFORMANCE.md`. Reproducing the committed results is
 //! `observatory --artifact-dir DIR` followed by `diff -r`.
 //!
@@ -61,9 +61,7 @@ use std::ops::Range;
 pub mod experiments;
 pub mod pool;
 pub mod runner;
-pub use experiments::{
-    registry, text_path, whatif_artifact, whatif_profile, ExpCtx, Experiment, Outputs, Sweep,
-};
+pub use experiments::{registry, text_path, whatif_profile, ExpCtx, Experiment, Outputs, Sweep};
 pub use runner::{run_experiment_full, run_experiment_jobs, run_registry, ExpOutput, RegistryRun};
 
 /// Default simulator configuration for the paper's experiments: the

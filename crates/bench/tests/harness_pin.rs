@@ -98,7 +98,6 @@ fn reliable_faulted_broadcast_is_pinned() {
             "oc_k7 drop=50000ppm makespan=1253.03",
             "18 rows=0xc19c63d48af59f85",
             "results/faults.txt=0x36ff4ec233324b5e",
-            "BENCH_faults.json=0xbaa6b9d37ca56b59",
         ]
     );
 }
@@ -117,7 +116,6 @@ fn multi_epoch_reliable_broadcast_with_a_flight_window_is_pinned() {
             "results/soak_dump_binomial_e00040-00059_trace.json=0x1bb0002820563f2c",
             "results/soak_dump_binomial_e00040-00059_journeys.json=0x36d0d970a19c2fcc",
             "results/soak_dump_binomial_e00040-00059_skew.md=0xc9d1f63c47462295",
-            "BENCH_soak.json=0x2a2a8488bed540da",
         ]
     );
 }

@@ -1,19 +1,16 @@
 //! The `trace` experiment, run in-process: its text (one section per
-//! scenario), its six sidecars and `BENCH_obs.json` are pinned byte for
-//! byte.
+//! scenario) and its six forensic files are pinned byte for byte.
 //!
-//! The section and sidecar digests were taken from the standalone
+//! The section and file digests were taken from the standalone
 //! `trace` binary the experiment replaced: the OC-Bcast point from its
 //! default run (k=7, 96 cache lines, 48 cores), the binomial point from
 //! `--collective binomial --lines 1`, each section being that binary's
-//! stdout up to its `# wrote` footer. Only the `BENCH_obs.json` digest
-//! was re-taken, when the two roll-ups became one versioned envelope.
+//! stdout up to its `# wrote` footer.
 
 use oc_bcast::Algorithm;
 use scc_bench::{record_run, registry, run_experiment_full, Scenario};
 use scc_obs::{
-    chrome_trace_json, critical_path, flamegraph_collapsed, render_gantt,
-    validate_artifact_version, Json, UtilizationSeries,
+    chrome_trace_json, critical_path, flamegraph_collapsed, render_gantt, Json, UtilizationSeries,
 };
 use scc_sim::SimParams;
 
@@ -50,9 +47,7 @@ const PINS: [Pin; 2] = [
     },
 ];
 
-const BENCH_OBS: u64 = 0x2745_f111_392c_e151;
-
-fn sidecars(label: &str) -> [String; 3] {
+fn forensic_files(label: &str) -> [String; 3] {
     ["trace_{}.json", "util_{}.csv", "flame_{}.txt"]
         .map(|f| format!("results/{}", f.replace("{}", label)))
 }
@@ -65,17 +60,16 @@ fn stdout_and_artifacts_are_pinned_byte_for_byte() {
     assert_eq!(report.shapes.len(), 2, "one critical-path check per scenario");
     assert!(report.rows.is_empty(), "the committed text is the gate, not rows");
 
-    // The classic text, each scenario's three sidecars, the roll-up.
+    // The classic text, then each scenario's three forensic files.
     let mut want = vec!["results/trace.txt".to_string()];
-    want.extend(PINS.iter().flat_map(|p| sidecars(p.label)));
-    want.push("BENCH_obs.json".to_string());
+    want.extend(PINS.iter().flat_map(|p| forensic_files(p.label)));
     let written: Vec<&String> = outputs.files.iter().map(|f| &f.0).collect();
     assert_eq!(written, want.iter().collect::<Vec<_>>());
     let file = |name: &str| &outputs.files.iter().find(|f| f.0 == name).unwrap().1;
 
     let split = text.find("binomial — ").expect("a binomial section");
     for (pin, section) in PINS.iter().zip([&text[..split], &text[split..]]) {
-        let [chrome, util, flame] = sidecars(pin.label).map(|f| file(&f));
+        let [chrome, util, flame] = forensic_files(pin.label).map(|f| file(&f));
         let got = [section, chrome, util, flame].map(|s| fnv1a64(s.as_bytes()));
         for ((what, got), want) in
             ["text", "chrome", "util", "flame"].iter().zip(got).zip(pin.digests)
@@ -95,24 +89,6 @@ fn stdout_and_artifacts_are_pinned_byte_for_byte() {
             let (_stack, count) = line.rsplit_once(' ').expect("collapsed format `stack count`");
             count.parse::<u64>().expect("counts are integers");
         }
-    }
-
-    let bench = file("BENCH_obs.json");
-    let got = fnv1a64(bench.as_bytes());
-    assert_eq!(got, BENCH_OBS, "BENCH_obs.json: {got:#018x} != pinned {BENCH_OBS:#018x}");
-    let bench = Json::parse(bench).expect("BENCH_obs JSON");
-    validate_artifact_version(&bench).expect("versioned artifact");
-    let scenarios = bench.get("scenarios").and_then(Json::as_arr).expect("scenarios");
-    assert_eq!(scenarios.len(), PINS.len());
-    for (pin, s) in PINS.iter().zip(scenarios) {
-        let cp = s.get("critical_path").expect("critical_path");
-        assert!(cp.get("segments").and_then(Json::as_i64).unwrap() > 0);
-        let total = cp.get("total_us").and_then(Json::as_f64).unwrap();
-        assert!(total > 0.0);
-        assert_eq!(Some(total), s.get("makespan_us").and_then(Json::as_f64), "{}", pin.label);
-        let listed = s.get("artifacts").and_then(Json::as_arr).expect("artifacts");
-        let listed: Vec<&str> = listed.iter().map(|a| a.as_str().unwrap()).collect();
-        assert_eq!(listed, sidecars(pin.label), "the roll-up lists its three files");
     }
 }
 

@@ -4,14 +4,13 @@
 //! carries it: a `record!` lists each field with its JSON key, in
 //! emission order, and gets its writer from that one list through the
 //! [`Wire`] trait. The field kinds are the `Wire` impls below —
-//! non-negative integers, picosecond [`Time`]s, hex seeds, `Option`,
-//! `Vec`, and nested records.
+//! non-negative integers, picosecond [`Time`]s, `Option`, `Vec`, and
+//! nested records.
 //!
-//! Every sidecar (`BENCH_faults.json`, `BENCH_soak.json`,
-//! `BENCH_journeys.json`, `BENCH_audit.json`, `BENCH_whatif.json`)
-//! wears the same [`envelope`]: a `"version"` stamp, a `"bench"` name,
-//! and usually a `"scenarios"` array ([`scenarios`]). Sidecars are
-//! written, never read back: CI pins them byte for byte instead.
+//! A soak dump's journey book (`results/soak_dump_*_journeys.json`) is
+//! a versioned scenario list ([`scenarios`]): a `"version"` stamp, a
+//! `"bench"` name and a `"scenarios"` array. It is written for a person
+//! to open, never read back: tests pin it byte for byte.
 //!
 //! The one artifact a shipped binary reads back is the drift gate's
 //! baseline, `BENCH_figures.json`. Its records are declared with
@@ -19,9 +18,12 @@
 //! same field list: a missing key, a wrong type, or a negative or
 //! fractional count is an error naming its key, never a silent wrap.
 
-use crate::conformance::ARTIFACT_VERSION;
 use crate::report::Json;
 use scc_hal::{CoreId, Time};
+
+/// Version stamped into every [`scenarios`] document; bump on breaking
+/// layout changes.
+const ARTIFACT_VERSION: i64 = 1;
 
 /// A value with one JSON form.
 pub trait Wire {
@@ -76,18 +78,6 @@ impl Wire for Time {
 impl Wire for CoreId {
     fn to_wire(&self) -> Json {
         self.0.to_wire()
-    }
-}
-
-/// A `u64` that spans the full range (a seed): a JSON integer is an
-/// `i64` and would go negative past 2^63, so it travels as a hex
-/// string.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Hex64(pub u64);
-
-impl Wire for Hex64 {
-    fn to_wire(&self) -> Json {
-        Json::Str(format!("{:#x}", self.0))
     }
 }
 
@@ -208,22 +198,18 @@ macro_rules! record {
 }
 pub(crate) use record;
 
-/// Start a versioned envelope: `{"version": N, "bench": <name>}`.
-/// Callers chain `.set(...)` for their payload keys.
-pub fn envelope(bench: &str) -> Json {
-    Json::obj().set("version", Json::Int(ARTIFACT_VERSION)).set("bench", Json::Str(bench.into()))
-}
-
-/// The scenario-list artifact the fault, soak, journey and audit
-/// sidecars share.
+/// The versioned scenario-list form of a soak dump's journey book:
+/// `{"version": N, "bench": <name>, "scenarios": [...]}`.
 pub fn scenarios<T: Wire>(bench: &str, items: &[T]) -> Json {
-    envelope(bench).set("scenarios", Json::Arr(items.iter().map(Wire::to_wire).collect()))
+    Json::obj()
+        .set("version", Json::Int(ARTIFACT_VERSION))
+        .set("bench", Json::Str(bench.into()))
+        .set("scenarios", Json::Arr(items.iter().map(Wire::to_wire).collect()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conformance::validate_artifact_version;
 
     record! { parse
         #[derive(Clone, Debug, PartialEq)]
@@ -243,7 +229,7 @@ mod tests {
     #[test]
     fn envelope_carries_version_and_bench() {
         let doc = scenarios("demo", &[demo()]);
-        validate_artifact_version(&doc).unwrap();
+        assert_eq!(doc.get("version").and_then(Json::as_i64), Some(ARTIFACT_VERSION));
         assert_eq!(doc.get("bench").and_then(Json::as_str), Some("demo"));
         assert_eq!(doc.get("scenarios").and_then(Json::as_arr).map(<[Json]>::len), Some(1));
     }
@@ -270,6 +256,5 @@ mod tests {
             assert!(err.contains(key) && err.contains(names), "{key}: {err}");
         }
         assert_eq!(Time::from_ns(3).to_wire().render(), "3000");
-        assert_eq!(Hex64(u64::MAX).to_wire().render(), "\"0xffffffffffffffff\"");
     }
 }

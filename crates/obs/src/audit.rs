@@ -365,9 +365,9 @@ pub fn audit(events: &[ObsEvent], spec: &AuditSpec) -> AuditReport {
     for ev in events {
         // Close the per-instant group when the recording clock moves.
         if let Some(at) = group_instant(ev) {
-            if group_at.is_some_and(|g| g != at) {
+            if let Some(g) = group_at.filter(|&g| g != at) {
                 flush_group(
-                    group_at.unwrap(),
+                    g,
                     first_group,
                     &mut group_ops,
                     &mut group_commits,

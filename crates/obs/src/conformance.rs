@@ -25,24 +25,6 @@ use std::fmt::Write as _;
 /// layout changes so stale baselines fail loudly instead of weirdly.
 pub const SCHEMA_VERSION: i64 = 1;
 
-/// Version stamped into the *sidecar* artifacts (`BENCH_obs.json`,
-/// `BENCH_whatif.json`) under the `"version"` key. Separate from
-/// [`SCHEMA_VERSION`] because the sidecars evolve independently of the
-/// committed figures baseline.
-pub const ARTIFACT_VERSION: i64 = 1;
-
-/// Check a sidecar artifact's `"version"` stamp. Consumers (and the
-/// conformance tests) call this before trusting any other field, so a
-/// stale or foreign file fails with a message naming the mismatch
-/// instead of a missing-key error three layers deeper.
-pub fn validate_artifact_version(doc: &Json) -> Result<(), String> {
-    match doc.get("version").and_then(Json::as_i64) {
-        Some(v) if v == ARTIFACT_VERSION => Ok(()),
-        Some(v) => Err(format!("artifact version {v} != supported {ARTIFACT_VERSION}")),
-        None => Err("artifact has no integer 'version' field".into()),
-    }
-}
-
 record! { parse
     /// One measured point of one experiment.
     #[derive(Clone, Debug, PartialEq)]
@@ -648,17 +630,6 @@ mod tests {
         let d = drift_gate(&cur, &base);
         assert_eq!(d.violations.len(), 1);
         assert!(d.violations[0].what.contains("mode mismatch"));
-    }
-
-    #[test]
-    fn artifact_version_validation() {
-        let good = Json::obj().set("version", Json::Int(ARTIFACT_VERSION));
-        assert!(validate_artifact_version(&good).is_ok());
-        let stale = Json::obj().set("version", Json::Int(ARTIFACT_VERSION + 7));
-        assert!(validate_artifact_version(&stale).unwrap_err().contains("!= supported"));
-        assert!(validate_artifact_version(&Json::obj()).unwrap_err().contains("no integer"));
-        let wrong_type = Json::obj().set("version", Json::Str("1".into()));
-        assert!(validate_artifact_version(&wrong_type).is_err());
     }
 
     #[test]

@@ -24,11 +24,7 @@ pub fn occupancy_digit(t: Time, max: Time) -> char {
         '0'
     } else {
         let d = 1 + (t.as_ps() as u128 * 9 / max.as_ps() as u128) as u32;
-        if d >= 10 {
-            '+'
-        } else {
-            char::from_digit(d, 10).unwrap()
-        }
+        char::from_digit(d, 10).unwrap_or('+')
     }
 }
 

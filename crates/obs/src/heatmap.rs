@@ -75,6 +75,8 @@ impl LinkHeatmap {
 
     /// The hottest directed link by service time.
     pub fn peak(&self) -> (Tile, LinkDir, Time) {
+        // Both constructors size `busy` to one slot per directed link
+        // of the mesh (24 x 5), so it is never empty.
         let (slot, &t) =
             self.busy.iter().enumerate().max_by_key(|(_, t)| **t).expect("non-empty map");
         (Tile::from_index((slot / NUM_LINK_DIRS) as u8), LinkDir::ALL[slot % NUM_LINK_DIRS], t)

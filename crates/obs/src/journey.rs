@@ -154,7 +154,7 @@ record! {
     }
 }
 
-/// One scenario of `BENCH_journeys.json` — which is
+/// One scenario of a soak dump's journey book — which is
 /// `artifact::scenarios("journeys", ..)` of these: the book's own keys,
 /// then the scenario id.
 impl Wire for (String, JourneyBook) {
@@ -377,7 +377,6 @@ fn classify(lane: &CoreLanes, begin: u64, end: u64) -> [Time; LegKind::COUNT] {
 mod tests {
     use super::*;
     use crate::artifact::scenarios;
-    use crate::conformance::validate_artifact_version;
     use scc_hal::{MsgId, Span};
 
     fn ps(v: u64) -> Time {
@@ -513,13 +512,5 @@ mod tests {
         let text = scenarios("journeys", &[("unit".to_string(), book)]).render();
         assert_eq!(Json::parse(&text).unwrap().render(), text);
         assert!(text.contains("\"transfers\":1,\"lines\":96,"), "{text}");
-    }
-
-    #[test]
-    fn artifact_version_is_checked() {
-        let doc = scenarios::<(String, JourneyBook)>("journeys", &[]);
-        validate_artifact_version(&doc).unwrap();
-        let stale = doc.set("version", Json::Int(999));
-        assert!(validate_artifact_version(&stale).unwrap_err().contains("999"));
     }
 }

@@ -26,14 +26,14 @@
 //!   the end-to-end latency to op service vs. port/router/MC queueing
 //!   vs. compute vs. idle;
 //! * [`report`] — a tiny JSON builder + strict parser for the
-//!   machine-readable `BENCH_obs.json` / `BENCH_figures.json` artifacts
-//!   (this workspace has no serde);
+//!   machine-readable `BENCH_figures.json` report and the JSON forensic
+//!   files (this workspace has no serde);
 //! * [`artifact`] — the one wire codec on top of it: the [`Wire`]
-//!   writer trait, its field kinds (non-negative integers, ps times, hex
-//!   seeds, `Option`, `Vec`), the `record!` declaration every versioned
-//!   artifact type is written with, the shared versioned envelope, and
-//!   the strict `Parse` half for the one artifact read back
-//!   (`BENCH_figures.json`);
+//!   writer trait, its field kinds (non-negative integers, ps times,
+//!   `Option`, `Vec`), the `record!` declaration `BENCH_figures.json`
+//!   and the journey book are written with, the versioned scenario list
+//!   of the soak dumps' journey books, and the strict `Parse` half for the
+//!   one artifact read back (`BENCH_figures.json`);
 //! * [`hist`] — per-phase / per-resource latency histograms with exact
 //!   nearest-rank quantiles and log₂ shapes;
 //! * [`flame`] — collapsed-stack flamegraph export
@@ -61,21 +61,17 @@
 //!   forensic dump;
 //! * [`movie`] — the link heatmap sliced into equal time frames, a
 //!   congestion timeline (`results/movie_*.txt`);
-//! * [`faultrep`] — degradation curves of the reliable collectives
-//!   under injected faults (`BENCH_faults.json`);
 //! * [`sketch`] — fixed-cost, deterministic, exactly mergeable log₂
 //!   quantile sketches: the always-on telemetry that replaces full
 //!   event streams under sustained traffic;
 //! * [`slo`] — declarative per-protocol SLOs (latency/makespan
 //!   budgets, zero-recovery expectation) evaluated per epoch; breaches
 //!   trigger the flight recorder's forensic dumps;
-//! * [`soakrep`] — the soak rollup record (`BENCH_soak.json`);
 //! * [`causal`] — the happens-before graph of a recorded stream
 //!   (program, notification and per-resource service edges, shortest
 //!   cycle witnesses);
 //! * [`mod@audit`] — the ten-class invariant auditor over that graph, with
-//!   non-vacuity counts and the seeded mutation harness;
-//! * [`auditrep`] — the audit outcome record (`BENCH_audit.json`).
+//!   non-vacuity counts and the seeded mutation harness.
 //!
 //! The simulator (`scc-sim`) records into this crate's [`Recorder`];
 //! collectives annotate phases through `scc_hal::Rma::span_begin`; the
@@ -83,14 +79,12 @@
 
 pub mod artifact;
 pub mod audit;
-pub mod auditrep;
 pub mod causal;
 pub mod chrome;
 pub mod conformance;
 pub mod critpath;
 pub mod diff;
 pub mod event;
-pub mod faultrep;
 pub mod flame;
 pub mod grid;
 pub mod heatmap;
@@ -104,27 +98,24 @@ pub mod series;
 pub mod sketch;
 pub mod skew;
 pub mod slo;
-pub mod soakrep;
 pub mod trace;
 pub mod whatif;
 
-pub use artifact::{Hex64, Wire};
+pub use artifact::Wire;
 pub use audit::{
     audit, mutate, AuditReport, AuditSpec, CheckStat, MutationClass, Violation, ViolationClass,
 };
-pub use auditrep::{AuditScenario, MutationTrial};
 pub use causal::{actor, CausalGraph, Edge, EdgeKind};
 pub use chrome::chrome_trace_json;
 pub use conformance::{
-    drift_gate, validate_artifact_version, ConformanceReport, DriftReport, DriftViolation,
-    ExperimentReport, ExperimentRow, RunMetrics, SelfMetrics, ShapeCheck, ARTIFACT_VERSION,
+    drift_gate, ConformanceReport, DriftReport, DriftViolation, ExperimentReport, ExperimentRow,
+    RunMetrics, SelfMetrics, ShapeCheck,
 };
 pub use critpath::{
     critical_path, Breakdown, CritPathError, CriticalPath, PathSegment, SegmentKind,
 };
 pub use diff::{DiffCell, DiffReport, PhaseProfile};
 pub use event::{EventLog, FaultKind, FlightRecorder, ObsEvent, OpKind, Recorder, ResourceId};
-pub use faultrep::{FaultCurve, FaultPoint};
 pub use flame::flamegraph_collapsed;
 pub use heatmap::LinkHeatmap;
 pub use hist::{LatencyHistogram, RunHistograms};
@@ -137,6 +128,5 @@ pub use series::{UtilBucket, UtilizationSeries};
 pub use sketch::{QuantileSketch, SKETCH_BUCKETS};
 pub use skew::{render_skew_markdown, RecoveryCounters, SkewReport};
 pub use slo::{EpochRollup, SloBreach, SloKind, SloPolicy};
-pub use soakrep::{SoakPhase, SoakScenario};
 pub use trace::{render_gantt, summarize, CoreSummary};
 pub use whatif::{CostClass, WhatIfPoint, WhatIfProfile};

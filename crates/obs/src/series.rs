@@ -108,19 +108,6 @@ impl UtilizationSeries {
         }
         out
     }
-
-    /// Peak busy fraction per resource class, for quick summaries.
-    pub fn peak_busy(&self) -> BTreeMap<&'static str, f64> {
-        let mut peak: BTreeMap<&'static str, f64> = BTreeMap::new();
-        for (r, row) in &self.rows {
-            let m = row.iter().map(|b| b.busy_frac).fold(0.0, f64::max);
-            let e = peak.entry(r.class()).or_insert(0.0);
-            if m > *e {
-                *e = m;
-            }
-        }
-        peak
-    }
 }
 
 #[cfg(test)]

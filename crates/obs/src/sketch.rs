@@ -27,8 +27,6 @@
 //! less than 2×. The `soak` experiment re-checks this bound against a
 //! replayed full recording as a shape claim on every run.
 
-use crate::artifact::{record, Wire};
-use crate::report::Json;
 use scc_hal::Time;
 
 /// Number of bucket counters: bucket 0 (zeros) plus one per possible
@@ -118,29 +116,6 @@ impl QuantileSketch {
     }
 }
 
-record! {
-    /// One non-empty bucket of the sparse wire form.
-    struct WireBucket {
-        b: usize => "b",
-        n: u64 => "n",
-    }
-}
-
-/// A sparse bucket list (ascending bucket index, empty buckets
-/// omitted) plus the total.
-impl Wire for QuantileSketch {
-    fn to_wire(&self) -> Json {
-        let buckets: Vec<WireBucket> = self
-            .counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(b, &n)| WireBucket { b, n })
-            .collect();
-        Json::obj().set("total", self.total.to_wire()).set("buckets", buckets.to_wire())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,21 +191,5 @@ mod tests {
         a.iter().chain(b.iter()).for_each(|&v| whole.record_ps(v));
         left.merge(&right);
         assert_eq!(left, whole);
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let mut s = QuantileSketch::new();
-        for v in [0u64, 1, 3, 900, 1024, u64::MAX] {
-            s.record_ps(v);
-        }
-        // Sparse, ascending, and the total equals the bucket sum.
-        let text = s.to_wire().render();
-        assert_eq!(Json::parse(&text).unwrap().render(), text);
-        assert_eq!(
-            text,
-            "{\"total\":6,\"buckets\":[{\"b\":0,\"n\":1},{\"b\":1,\"n\":1},{\"b\":2,\"n\":1},\
-             {\"b\":10,\"n\":1},{\"b\":11,\"n\":1},{\"b\":64,\"n\":1}]}"
-        );
     }
 }

@@ -10,14 +10,10 @@
 //! recorder's ring and dumps a Chrome trace + journey book for just
 //! that window (see the `soak` experiment in `scc-bench`).
 //!
-//! Budgets are deliberately declarative data, not callbacks: the
-//! policy serializes into `BENCH_soak.json` next to its verdicts, so
-//! an artifact reader can re-derive every breach from the rollups.
+//! Budgets are deliberately declarative data, not callbacks, so every
+//! breach can be re-derived from the policy and the rollups.
 
-use crate::artifact::{record, Wire};
-use crate::report::Json;
 use scc_hal::Time;
-use std::fmt;
 
 /// Which objective a breach violated.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -28,32 +24,6 @@ pub enum SloKind {
     Makespan,
     /// The epoch performed recoveries where the policy expected none.
     Recovery,
-}
-
-impl SloKind {
-    /// Every kind, in rendering order.
-    pub const ALL: [SloKind; 3] = [SloKind::DeliveryP99, SloKind::Makespan, SloKind::Recovery];
-
-    pub const fn name(&self) -> &'static str {
-        match self {
-            SloKind::DeliveryP99 => "delivery-p99",
-            SloKind::Makespan => "makespan",
-            SloKind::Recovery => "recovery",
-        }
-    }
-}
-
-/// Travels by [`SloKind::name`].
-impl Wire for SloKind {
-    fn to_wire(&self) -> Json {
-        Json::Str(self.name().into())
-    }
-}
-
-impl fmt::Display for SloKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
 }
 
 /// The per-epoch telemetry one broadcast reduces to: what the sketches
@@ -72,18 +42,16 @@ pub struct EpochRollup {
     pub faults: u64,
 }
 
-record! {
-    /// Declarative budgets for one protocol under soak.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub struct SloPolicy {
-        /// Delivery-latency p99 budget per epoch; `None` disables.
-        pub p99_budget: Option<Time> => "p99_budget_ps",
-        /// Makespan budget per epoch; `None` disables.
-        pub makespan_budget: Option<Time> => "makespan_budget_ps",
-        /// Expect zero recoveries (healthy traffic must never need the
-        /// reliability layer's repair path).
-        pub zero_recoveries: bool => "zero_recoveries",
-    }
+/// Declarative budgets for one protocol under soak.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SloPolicy {
+    /// Delivery-latency p99 budget per epoch; `None` disables.
+    pub p99_budget: Option<Time>,
+    /// Makespan budget per epoch; `None` disables.
+    pub makespan_budget: Option<Time>,
+    /// Expect zero recoveries (healthy traffic must never need the
+    /// reliability layer's repair path).
+    pub zero_recoveries: bool,
 }
 
 impl SloPolicy {
@@ -122,17 +90,15 @@ impl SloPolicy {
     }
 }
 
-record! {
-    /// One violated objective in one epoch. `observed`/`budget` are
-    /// picoseconds for the time objectives and plain counts for
-    /// [`SloKind::Recovery`].
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub struct SloBreach {
-        pub epoch: u32 => "epoch",
-        pub kind: SloKind => "kind",
-        pub observed: u64 => "observed",
-        pub budget: u64 => "budget",
-    }
+/// One violated objective in one epoch. `observed`/`budget` are
+/// picoseconds for the time objectives and plain counts for
+/// [`SloKind::Recovery`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SloBreach {
+    pub epoch: u32,
+    pub kind: SloKind,
+    pub observed: u64,
+    pub budget: u64,
 }
 
 #[cfg(test)]
@@ -198,13 +164,5 @@ mod tests {
             ..Default::default()
         };
         assert!(p.check(&e).is_empty());
-    }
-
-    #[test]
-    fn kind_names_round_trip() {
-        // Each name identifies exactly one kind.
-        for k in SloKind::ALL {
-            assert_eq!(SloKind::ALL.iter().filter(|o| o.name() == k.name()).count(), 1);
-        }
     }
 }

@@ -20,7 +20,6 @@
 //! hook and report consumers share one taxonomy without a dependency
 //! cycle.
 
-use crate::report::Json;
 use scc_hal::Time;
 use std::fmt;
 use std::fmt::Write as _;
@@ -136,7 +135,7 @@ impl WhatIfProfile {
             .iter()
             .copied()
             .filter_map(|c| self.sensitivity(c).map(|s| (c, s)))
-            .max_by(|a, b| a.1.abs().partial_cmp(&b.1.abs()).expect("sensitivities are finite"))
+            .max_by(|a, b| a.1.abs().total_cmp(&b.1.abs()))
             .map(|(c, _)| c)
     }
 
@@ -176,38 +175,6 @@ impl WhatIfProfile {
             let _ = writeln!(out, "| {class} | {runs} | {s:.3} | {flag} |");
         }
         out
-    }
-
-    /// JSON form for `BENCH_whatif.json`; the caller wraps profiles in
-    /// a versioned envelope (see `conformance::ARTIFACT_VERSION`).
-    pub fn to_json(&self) -> Json {
-        let points = self
-            .points
-            .iter()
-            .map(|p| {
-                Json::obj()
-                    .set("class", Json::Str(p.class.name().into()))
-                    .set("factor", Json::Num(p.factor))
-                    .set("makespan_ps", Json::Int(p.makespan.as_ps() as i64))
-                    .set("sensitivity", Json::Num(p.sensitivity(self.nominal)))
-            })
-            .collect();
-        let sens = CostClass::ALL
-            .into_iter()
-            .filter_map(|c| self.sensitivity(c).map(|s| (c, s)))
-            .fold(Json::obj(), |j, (c, s)| j.set(c.name(), Json::Num(s)));
-        let mut j = Json::obj()
-            .set("scenario", Json::Str(self.scenario.clone()))
-            .set("nominal_ps", Json::Int(self.nominal.as_ps() as i64))
-            .set("points", Json::Arr(points))
-            .set("sensitivity", sens);
-        if let Some(d) = self.dominant() {
-            j = j.set("dominant", Json::Str(d.name().into()));
-        }
-        if let Some(d) = self.dominant_hardware() {
-            j = j.set("dominant_hardware", Json::Str(d.name().into()));
-        }
-        j
     }
 }
 
@@ -273,15 +240,6 @@ mod tests {
             "{md}"
         );
         assert!(!md.contains("link-bandwidth"), "unswept class should be omitted: {md}");
-    }
-
-    #[test]
-    fn json_is_valid_and_carries_sensitivities() {
-        let j = profile().to_json().render();
-        assert!(crate::validate_json(&j).is_ok(), "{j}");
-        for key in ["scenario", "nominal_ps", "points", "sensitivity", "dominant"] {
-            assert!(j.contains(key), "missing {key}: {j}");
-        }
     }
 
     #[test]

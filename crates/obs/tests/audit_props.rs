@@ -2,18 +2,13 @@
 //! well-formed streams must audit to zero violations (the checkers
 //! accept everything the protocol allows), a random seeded mutation of
 //! such a stream must be detected *and* carry the expected violation
-//! class (the checkers reject what the protocol forbids), and the
-//! `BENCH_audit.json` envelope renders to JSON that parses back to the
-//! same bytes, with every full-range seed intact.
+//! class (the checkers reject what the protocol forbids).
 
 use proptest::prelude::*;
 use proptest::TestRng;
 use scc_hal::{CoreId, MsgId, Phase, Span, Time};
 use scc_obs::event::ResourceId;
-use scc_obs::{
-    artifact::scenarios, audit, mutate, AuditScenario, AuditSpec, Hex64, Json, MutationClass,
-    MutationTrial, ObsEvent, OpKind,
-};
+use scc_obs::{audit, mutate, AuditSpec, MutationClass, ObsEvent, OpKind};
 
 fn ns(v: u64) -> Time {
     Time::from_ns(v)
@@ -189,54 +184,5 @@ proptest! {
             class.expected(),
             rep.classes()
         );
-    }
-
-    /// Random scenarios satisfy the codec contract (lossless,
-    /// byte-stable, strict) — full-range seeds included.
-    #[test]
-    fn bench_audit_artifact_round_trips(seed in any::<u64>()) {
-        let mut rng = TestRng::from_name(&format!("artifact-{seed}"));
-        let n = rng.gen_range_u64(0, 5);
-        let names = ["oc_k47", "oc_k7", "binomial", "ring", "scatter"];
-        let items: Vec<AuditScenario> = (0..n)
-            .map(|i| {
-                let m = rng.gen_range_u64(0, 6);
-                AuditScenario {
-                    id: format!("{}_{i}", names[i as usize % names.len()]),
-                    label: format!("scenario {i} (48c)"),
-                    cores: rng.gen_range_u64(1, 49),
-                    events: rng.next_u64() >> 16,
-                    edges: rng.next_u64() >> 16,
-                    checks: rng.next_u64() >> 16,
-                    violations: rng.gen_range_u64(0, 3),
-                    classes: (0..rng.gen_range_u64(0, 3))
-                        .map(|c| format!("class-{c}"))
-                        .collect(),
-                    mutations: (0..m)
-                        .map(|j| MutationTrial {
-                            mutation: format!("mutation-{j}"),
-                            seed: Hex64(rng.next_u64()),
-                            detected: rng.gen_range_u64(0, 2) == 1,
-                            classified: rng.gen_range_u64(0, 2) == 1,
-                        })
-                        .collect(),
-                }
-            })
-            .collect();
-        let text = scenarios("audit", &items).render();
-        let doc = Json::parse(&text).map_err(TestCaseError::fail)?;
-        prop_assert_eq!(doc.render(), text);
-        let seeds: Vec<u64> = doc
-            .get("scenarios")
-            .and_then(Json::as_arr)
-            .unwrap()
-            .iter()
-            .flat_map(|s| s.get("mutations").and_then(Json::as_arr).unwrap())
-            .map(|t| t.get("seed").and_then(Json::as_str).unwrap())
-            .map(|h| u64::from_str_radix(h.trim_start_matches("0x"), 16).unwrap())
-            .collect();
-        let want: Vec<u64> =
-            items.iter().flat_map(|s| &s.mutations).map(|t| t.seed.0).collect();
-        prop_assert_eq!(seeds, want);
     }
 }
