@@ -138,9 +138,11 @@ fn run_point(point: &Audited) -> Result<AuditScenario, SimError> {
 
     let mut mutations = Vec::new();
     if mode == Mode::Faulted {
+        // One buffer serves every mutant: refilled in place, not cloned.
+        let mut corrupted = Vec::new();
         for (ci, class) in MutationClass::ALL.into_iter().enumerate() {
             let seed = MUTATION_SEED ^ (index << 8) ^ ci as u64;
-            let mut corrupted = events.clone();
+            corrupted.clone_from(&events);
             // `mutate` returning None means the stream had no eligible
             // site — recorded as an undetected trial so the shape
             // check names the hole instead of silently shrinking the

@@ -187,9 +187,6 @@ fn run_chunk(chunk: &Chunk) -> Result<ChunkOut, SimError> {
             makespan,
             timeouts: rel.timeouts,
             recoveries: rel.recoveries,
-            // Fault injection is only observable per run, not per
-            // epoch; phase totals carry the injected counts.
-            faults: 0,
         });
     }
     Ok(out)

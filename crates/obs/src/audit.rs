@@ -259,11 +259,8 @@ fn set_window(row: &mut Vec<(u32, u8)>, epoch: u32, state: u8) -> u8 {
 /// Audit one recorded stream against the invariant catalogue.
 pub fn audit(events: &[ObsEvent], spec: &AuditSpec) -> AuditReport {
     let graph = CausalGraph::build(events);
-    let mut report = AuditReport {
-        events: events.len() as u64,
-        edges: graph.edges.len() as u64,
-        ..AuditReport::default()
-    };
+    let edges = graph.edge_count() as u64;
+    let mut report = AuditReport { events: events.len() as u64, edges, ..AuditReport::default() };
     let mut violations: Vec<Violation> = Vec::new();
 
     // ---- structural checks on the happens-before graph ----
@@ -287,9 +284,7 @@ pub fn audit(events: &[ObsEvent], spec: &AuditSpec) -> AuditReport {
             detail: format!("{} edge {} → {}: {what}", e.kind.name(), e.from, e.to),
         });
     }
-    report
-        .checks
-        .push(CheckStat { name: "edge time-consistency", checked: graph.edges.len() as u64 });
+    report.checks.push(CheckStat { name: "edge time-consistency", checked: edges });
 
     // ---- single forward pass over the stream ----
     // Per-core protocol state: dense tables, so every end-of-instant

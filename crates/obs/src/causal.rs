@@ -29,12 +29,16 @@
 //! graph itself offers the two structural checks every stream must
 //! pass regardless of protocol: acyclicity and edge time-consistency.
 //!
-//! Building and checking cost a table lookup per event: per-core
-//! cursors live in [`PerCore`] tables, per-resource booking lists in a
-//! table by [`ResourceId::index`] (so service edges are emitted in
-//! resource order without sorting the resources), and
-//! [`CausalGraph::acyclic`] runs Kahn's algorithm over a compressed
-//! sparse row adjacency in two `u32` vectors.
+//! Almost every event of a stream is a booking, so bookings get no
+//! [`Edge`] each: they stay per-resource chains of event indices in
+//! service order, filed as the stream is read into one table sized by a
+//! counting pass, and every consumer walks the chains in place
+//! ([`CausalGraph::service_edges`]). A built graph is acyclic by
+//! construction — every other edge runs forward in the stream and none
+//! touches a booking, and each chain is a simple path — so
+//! [`CausalGraph::acyclic`] checks that certificate and only runs
+//! Kahn's algorithm (compressed sparse rows in two `u32` vectors) on
+//! graphs that fail it.
 
 use crate::event::{ObsEvent, ResourceId};
 use crate::percore::PerCore;
@@ -88,7 +92,14 @@ pub fn actor(ev: &ObsEvent) -> CoreId {
 #[derive(Debug)]
 pub struct CausalGraph<'a> {
     pub events: &'a [ObsEvent],
+    /// The program, wake, handoff and window edges. Service order is
+    /// not here: see [`CausalGraph::service_edges`].
     pub edges: Vec<Edge>,
+    /// Every booking's index, grouped by resource in `ResourceId` order
+    /// and in service order within a resource: resource `r`'s chain is
+    /// `bookings[starts[r]..starts[r + 1]]`.
+    bookings: Vec<u32>,
+    starts: Vec<usize>,
 }
 
 impl<'a> CausalGraph<'a> {
@@ -96,16 +107,31 @@ impl<'a> CausalGraph<'a> {
     /// flight-recorder window — a truncated prefix only loses edges
     /// into the pre-window past, never gains spurious ones).
     pub fn build(events: &'a [ObsEvent]) -> CausalGraph<'a> {
-        let mut edges = Vec::with_capacity(events.len() * 2);
+        // A counting pass sizes every resource's chain, so one table
+        // holds them all.
+        assert!(events.len() < u32::MAX as usize, "stream too large for 32-bit indices");
+        let mut starts = vec![0usize; ResourceId::SLOTS + 1];
+        for ev in events {
+            if let ObsEvent::Wait { resource, .. } = ev {
+                starts[resource.index() + 1] += 1;
+            }
+        }
+        for r in 1..starts.len() {
+            starts[r] += starts[r - 1];
+        }
+        let mut bookings = vec![0u32; starts[ResourceId::SLOTS]];
+        // Per resource: bookings filed so far, and moves left before its
+        // chain is left to a sort — 16 per booking, twice what the
+        // flat k=47 tree's busiest port needs.
+        let mut filed: Vec<(usize, usize)> =
+            starts.windows(2).map(|w| (0, 16 * (w[1] - w[0]))).collect();
+        let mut edges = Vec::with_capacity(2 * (events.len() - bookings.len()));
         // Last event index per core's program order.
         let mut prev: PerCore<Option<usize>> = PerCore::new();
         // Handoff waiting for the receiver's next event.
         let mut pending_handoff: PerCore<Option<usize>> = PerCore::new();
         // Latest MpbWrite index per writer (wake provenance).
         let mut last_commit: PerCore<Option<usize>> = PerCore::new();
-        // Bookings `(service start, index)` per resource, by dense
-        // resource index.
-        let mut service: Vec<Vec<(Time, usize)>> = vec![Vec::new(); ResourceId::SLOTS];
         // Open delivery windows `(epoch, index)` per core — a handful
         // at most, so a row is searched linearly.
         let mut open_window: PerCore<Vec<(u32, usize)>> = PerCore::new();
@@ -117,7 +143,10 @@ impl<'a> CausalGraph<'a> {
                 // handoffs are concurrent with the yielding core's
                 // in-flight work — neither joins a program chain.
                 ObsEvent::Wait { resource, start, .. } => {
-                    service[resource.index()].push((start, i));
+                    let (r, key) = (resource.index(), (start, i as u32));
+                    let (n, budget) = &mut filed[r];
+                    *n += 1;
+                    file(events, &mut bookings[starts[r]..starts[r] + *n], key, budget);
                     continue;
                 }
                 ObsEvent::Handoff { to, .. } => {
@@ -172,49 +201,71 @@ impl<'a> CausalGraph<'a> {
             }
         }
 
-        // Service order per resource, resources in `ResourceId` order
-        // (that is what the dense index is): bookings chained by
-        // service start, ties broken by stream index — the pairs are
-        // unique, so the unstable sort is deterministic.
-        for bookings in &mut service {
-            bookings.sort_unstable();
-            for w in bookings.windows(2) {
-                edges.push(Edge { from: w[0].1, to: w[1].1, kind: EdgeKind::Service });
-            }
+        // Chains that ran out of moves are sorted instead.
+        for (w, _) in starts.windows(2).zip(&filed).filter(|(_, f)| f.1 == 0) {
+            bookings[w[0]..w[1]].sort_unstable_by_key(|&i| service_key(events, i));
         }
-
-        CausalGraph { events, edges }
+        CausalGraph { events, edges, bookings, starts }
     }
 
-    /// Kahn's algorithm. `Ok(())` when every node topologically sorts;
-    /// otherwise the indices of events stuck on a cycle.
+    /// Service order per resource, resources in `ResourceId` order:
+    /// each booking → the next one its resource serves.
+    pub fn service_edges(&self) -> impl Iterator<Item = Edge> + '_ {
+        let chains = self.starts.windows(2).map(|w| &self.bookings[w[0]..w[1]]);
+        chains.flat_map(|chain| chain.windows(2)).map(|p| Edge {
+            from: p[0] as usize,
+            to: p[1] as usize,
+            kind: EdgeKind::Service,
+        })
+    }
+
+    /// Every edge: [`CausalGraph::edges`], then the service links.
+    fn links(&self) -> impl Iterator<Item = Edge> + '_ {
+        self.edges.iter().copied().chain(self.service_edges())
+    }
+
+    /// How many happens-before edges the graph has, service links
+    /// included.
+    pub fn edge_count(&self) -> usize {
+        let links = self.starts.windows(2).map(|w| (w[1] - w[0]).saturating_sub(1));
+        self.edges.len() + links.sum::<usize>()
+    }
+
+    /// `Ok(())` when every node topologically sorts; otherwise the
+    /// indices of events stuck on a cycle.
     ///
-    /// The adjacency is compressed sparse rows in two `u32` vectors —
-    /// node `u`'s successors are `targets[starts[u]..starts[u + 1]]` —
-    /// so a 100 k-event stream costs three allocations, not one per
-    /// node with an out-edge. Streams are far below `u32::MAX` events.
+    /// A built graph passes the stream-order certificate — every edge
+    /// of [`CausalGraph::edges`] runs forward in the stream and touches
+    /// no booking, so those edges order the non-bookings by index and
+    /// the bookings have only their chains, each a simple path — and
+    /// returns at once. Any other graph runs Kahn's algorithm over every
+    /// edge, the adjacency as compressed sparse rows in two `u32`
+    /// vectors (node `u`'s successors are
+    /// `targets[starts[u]..starts[u + 1]]`). Streams are far below
+    /// `u32::MAX` events.
     pub fn acyclic(&self) -> Result<(), Vec<usize>> {
-        let n = self.events.len();
+        let booking = |i: usize| matches!(self.events[i], ObsEvent::Wait { .. });
+        if self.edges.iter().all(|e| e.from < e.to && !booking(e.from) && !booking(e.to)) {
+            return Ok(());
+        }
+        let (n, m) = (self.events.len(), self.edge_count());
         assert!(
-            n < u32::MAX as usize && self.edges.len() < u32::MAX as usize,
+            n < u32::MAX as usize && m < u32::MAX as usize,
             "stream too large for 32-bit node indices"
         );
         let mut indegree = vec![0u32; n];
-        // Counting sort of the edges by source. Out-degrees are counted
-        // two slots up, so that after the prefix sum `starts[u + 1]` is
-        // where `u`'s row begins; filling advances it to where the row
-        // ends, which is where `u + 1`'s begins — leaving `starts[u]`
-        // the start of row `u`.
+        // Counting sort of the edges by source, out-degrees counted two
+        // slots up as in `build`.
         let mut starts = vec![0u32; n + 2];
-        for e in &self.edges {
+        for e in self.links() {
             starts[e.from + 2] += 1;
             indegree[e.to] += 1;
         }
         for u in 2..n + 2 {
             starts[u] += starts[u - 1];
         }
-        let mut targets = vec![0u32; self.edges.len()];
-        for e in &self.edges {
+        let mut targets = vec![0u32; m];
+        for e in self.links() {
             let slot = &mut starts[e.from + 1];
             targets[*slot as usize] = e.to as u32;
             *slot += 1;
@@ -239,14 +290,13 @@ impl<'a> CausalGraph<'a> {
         }
     }
 
-    /// Edges that run backwards in virtual time. For
-    /// [`EdgeKind::Service`] the constraint is disjointness — the
-    /// predecessor's service must *end* before the successor's starts;
-    /// every other kind orders the events' own instants.
+    /// Edges that run backwards in virtual time: [`CausalGraph::edges`]
+    /// first, then the service links. For [`EdgeKind::Service`] the
+    /// constraint is disjointness — the predecessor's service must
+    /// *end* before the successor's starts; every other kind orders the
+    /// events' own instants.
     pub fn time_violations(&self) -> Vec<Edge> {
-        self.edges
-            .iter()
-            .copied()
+        self.links()
             .filter(|e| {
                 let (from_t, to_t) = match e.kind {
                     EdgeKind::Service => {
@@ -258,6 +308,27 @@ impl<'a> CausalGraph<'a> {
             })
             .collect()
     }
+}
+
+/// A booking's place in its chain: `(service start, index)`, unique.
+fn service_key(events: &[ObsEvent], i: u32) -> (Time, u32) {
+    (service_start(&events[i as usize]), i)
+}
+
+/// File the booking keyed `key` at the end of its resource's `chain`
+/// and move it back to its place in service order. Recorded order is
+/// nearly service order, and the bookings it passes were recorded
+/// moments ago, so it moves few and reads warm events. Each move spends
+/// `budget`; once that is gone (a hostile or mutated stream) bookings
+/// stay where they are filed and `build` sorts the chain instead.
+fn file(events: &[ObsEvent], chain: &mut [u32], key: (Time, u32), budget: &mut usize) {
+    let mut j = chain.len() - 1;
+    while j > 0 && *budget > 0 && service_key(events, chain[j - 1]) > key {
+        chain[j] = chain[j - 1];
+        *budget -= 1;
+        j -= 1;
+    }
+    chain[j] = key.1;
 }
 
 fn service_start(ev: &ObsEvent) -> Time {
@@ -352,8 +423,8 @@ mod tests {
             },
         ];
         let g = CausalGraph::build(&events);
-        let svc: Vec<&Edge> = g.edges.iter().filter(|e| e.kind == EdgeKind::Service).collect();
-        assert_eq!(svc.len(), 1);
+        let svc: Vec<Edge> = g.service_edges().collect();
+        assert_eq!((svc.len(), g.edge_count()), (1, 1));
         assert_eq!((svc[0].from, svc[0].to), (1, 0));
         assert!(g.time_violations().is_empty());
     }
@@ -432,7 +503,8 @@ mod tests {
                 edges.push(Edge { from, to: ring[(i + 1) % ring.len()], kind: EdgeKind::Wake });
             }
             let want = naive_stuck(n, &edges);
-            let got = CausalGraph { events: &events, edges }.acyclic().err().unwrap_or_default();
+            let g = CausalGraph { events: &events, edges, bookings: Vec::new(), starts: Vec::new() };
+            let got = g.acyclic().err().unwrap_or_default();
             proptest::prop_assert_eq!(&got, &want);
             proptest::prop_assert_eq!(got.is_empty(), ring.is_empty());
         }

@@ -38,8 +38,6 @@ pub struct EpochRollup {
     pub makespan: Time,
     pub timeouts: u64,
     pub recoveries: u64,
-    /// Faults the plan injected against this epoch's operations.
-    pub faults: u64,
 }
 
 /// Declarative budgets for one protocol under soak.
